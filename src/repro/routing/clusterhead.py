@@ -16,14 +16,12 @@ routing benchmark).
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
 from repro.graphs.traversal import bfs_distances, shortest_path
+from repro.routing.overlay import OverlayPaths
 from repro.wcds.base import WCDSResult, weakly_induced_subgraph
 
 
@@ -62,28 +60,29 @@ class ClusterheadRouter:
         if node_state is not None:
             for node, state in node_state.items():
                 lists[node] = DominatorLists(
-                    one_hop=tuple(sorted(state["one_hop_dom"], key=repr)),
+                    one_hop=tuple(canonical_order(state["one_hop_dom"])),
                     two_hop=dict(state["two_hop_dom"]),
                     three_hop=dict(state["three_hop_dom"]),
                 )
             return lists
         # Synthesize from the graph: same information the protocol
         # would have collected.
+        adjacency = self.graph.adjacency
         for node in self.graph.nodes():
-            one_hop = tuple(sorted(self.graph.adjacency(node) & self.mis))
+            one_hop = tuple(canonical_order(adjacency(node) & self.mis))
             two_hop: Dict[Hashable, Hashable] = {}
             three_hop: Dict[Hashable, Tuple[Hashable, Hashable]] = {}
             if node in self.mis:
+                # Only MIS-dominators in the 3-hop ball can be listed.
                 dist = bfs_distances(self.graph, node, cutoff=3)
-                for other in self.mis:
-                    if other == node:
-                        continue
-                    if dist.get(other) == 2:
-                        via = min(
-                            self.graph.adjacency(node) & self.graph.adjacency(other)
-                        )
-                        two_hop[other] = via
-                    elif dist.get(other) == 3:
+                ball = [
+                    other for other, hops in dist.items()
+                    if hops >= 2 and other in self.mis
+                ]
+                for other in canonical_order(ball):
+                    if dist[other] == 2:
+                        two_hop[other] = min(adjacency(node) & adjacency(other))
+                    else:
                         hop = self._three_hop_path(node, other)
                         if hop is not None:
                             three_hop[other] = hop
@@ -94,17 +93,21 @@ class ClusterheadRouter:
         self, u: Hashable, w: Hashable
     ) -> Optional[Tuple[Hashable, Hashable]]:
         """Find ``(v, x)`` with ``u-v-x-w`` where ``v`` is a dominator,
-        so both expanded edges are black."""
-        dist_w = bfs_distances(self.graph, w, cutoff=2)
-        candidates = []
-        for v in sorted(self.graph.adjacency(u) & self.dominators):
-            if dist_w.get(v) == 2:
-                x = min(self.graph.adjacency(v) & self.graph.adjacency(w))
-                candidates.append((v, x))
-        return candidates[0] if candidates else None
+        so both expanded edges are black.
+
+        ``u`` and ``w`` are 3 hops apart, so a neighbour ``v`` of ``u``
+        is 2 hops from ``w`` exactly when the two share a neighbour.
+        """
+        adjacency = self.graph.adjacency
+        near_w = adjacency(w)
+        for v in sorted(adjacency(u) & self.dominators):
+            common = adjacency(v) & near_w
+            if common:
+                return v, min(common)
+        return None
 
     def _build_overlay_tables(self) -> None:
-        """BFS next-hop tables on the dominator overlay.
+        """Shortest-path next-hop tables on the dominator overlay.
 
         Overlay nodes are MIS-dominators; overlay edges join dominators
         with a known 2- or 3-hop realization.  Edges are weighted by
@@ -121,36 +124,9 @@ class ClusterheadRouter:
                 if w in overlay:
                     overlay[u][w] = min(overlay[u].get(w, 3), 3)
                     overlay[w][u] = min(overlay[w].get(u, 3), 3)
-        for source in self.mis:
-            self._overlay_next[source] = self._dijkstra_next_hops(overlay, source)
-
-    @staticmethod
-    def _dijkstra_next_hops(
-        overlay: Dict[Hashable, Dict[Hashable, int]], source: Hashable
-    ) -> Dict[Hashable, Hashable]:
-        dist: Dict[Hashable, int] = {}
-        first_hop: Dict[Hashable, Hashable] = {}
-        counter = itertools.count()
-        heap = [(0, next(counter), source, source)]
-        while heap:
-            d, _, node, via = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            if node != source:
-                first_hop[node] = via
-            # Equal-cost entries pop in push order (the counter), so the
-            # first hop of a tied route follows the iteration order here
-            # — canonical, not dict order.
-            links = overlay[node]
-            for nbr in canonical_order(links):
-                if nbr not in dist:
-                    weight = links[nbr]
-                    heapq.heappush(
-                        heap,
-                        (d + weight, next(counter), nbr, nbr if node == source else via),
-                    )
-        return first_hop
+        paths = OverlayPaths(overlay)
+        for source in canonical_order(self.mis):
+            self._overlay_next[source] = paths.first_hops(source)
 
     # ------------------------------------------------------------------
     # Routing

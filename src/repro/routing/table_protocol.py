@@ -11,21 +11,21 @@ simulator as the WCDS construction:
 2. every node — gray relays included — rebroadcasts each LSA once
    (scoped flooding: n transmissions per LSA, n·|S| total);
 3. at quiescence each dominator holds the complete overlay map and
-   runs Dijkstra locally to fill its next-clusterhead table.
+   computes shortest paths locally to fill its next-clusterhead table.
 
 The tables are checked against the centralized
 :class:`~repro.routing.clusterhead.ClusterheadRouter` overlay: the
-distributed distances must match exactly (next hops may differ only
-between equal-cost ties).
+distributed distances must match exactly.  Both sides run the same
+:class:`~repro.routing.overlay.OverlayPaths` kernel, so next hops can
+differ only where the two overlays do (one-sided advertisements).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from repro.graphs.graph import Graph, canonical_order
+from repro.graphs.graph import Graph
+from repro.routing.overlay import OverlayPaths
 from repro.sim.batched import make_simulator
 from repro.sim.config import SimConfig, coerce_sim_config
 from repro.sim.messages import Message
@@ -36,7 +36,7 @@ from repro.wcds.base import WCDSResult
 LSA = "LSA"
 
 OverlayLinks = Tuple[Tuple[Hashable, int], ...]
-RoutingTable = Dict[Hashable, Tuple[Optional[Hashable], int]]
+RoutingTable = Dict[Hashable, Tuple[Hashable, int]]
 
 
 class LinkStateNode(ProtocolNode):
@@ -87,7 +87,9 @@ def _dijkstra_table(
 
     The overlay is treated as undirected: a link is usable if either
     endpoint advertised it (the relay-learned direction may be missing
-    from one side's lists).
+    from one side's lists).  The shortest paths come from the same
+    :class:`~repro.routing.overlay.OverlayPaths` kernel as the
+    centralized router's, so tied next hops match its choice.
     """
     adjacency: Dict[Hashable, Dict[Hashable, int]] = {d: {} for d in database}
     for origin, links in database.items():
@@ -97,33 +99,7 @@ def _dijkstra_table(
             best = min(cost, adjacency[origin].get(target, cost))
             adjacency[origin][target] = best
             adjacency[target][origin] = best
-    table: RoutingTable = {}
-    counter = itertools.count()
-    heap = [(0, next(counter), source, None)]
-    done: Set[Hashable] = set()
-    while heap:
-        dist, _, node, first_hop = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node != source:
-            table[node] = (first_hop, dist)
-        # Ties pop in push order: iterate links canonically so tied
-        # next hops match the centralized router's choice.
-        links = adjacency.get(node, {})
-        for nbr in canonical_order(links):
-            if nbr not in done:
-                cost = links[nbr]
-                heapq.heappush(
-                    heap,
-                    (
-                        dist + cost,
-                        next(counter),
-                        nbr,
-                        nbr if node == source else first_hop,
-                    ),
-                )
-    return table
+    return OverlayPaths(adjacency).table(source)
 
 
 def build_routing_tables(

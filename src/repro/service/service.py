@@ -30,6 +30,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.mobility.maintenance import MaintainedWCDS
 from repro.mobility.waypoint import LinkEvents
@@ -62,13 +63,32 @@ class _Ewma:
 class _Snapshot:
     """The last-good serving state: frozen graph, backbone, tables."""
 
-    __slots__ = ("graph", "result", "router", "fingerprint")
+    __slots__ = ("graph", "result", "router", "fingerprint", "backbone", "_spanner")
 
     def __init__(self, graph: UnitDiskGraph, result: WCDSResult) -> None:
         self.graph = graph
         self.result = result
         self.router = ClusterheadRouter(graph, result)
         self.fingerprint = topology_fingerprint(graph)
+        self.backbone = frozenset(result.dominators)
+        self._spanner: Optional[Dict[Hashable, Tuple[Hashable, ...]]] = None
+
+    @property
+    def spanner(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
+        """Each node's neighbours in the weakly induced spanner, in
+        canonical order.  Built on first use and shared by every
+        broadcast plan of the snapshot (its graph is a frozen copy)."""
+        if self._spanner is None:
+            backbone = self.backbone
+            adjacency = self.graph.adjacency
+            self._spanner = {
+                node: tuple(canonical_order(
+                    adjacency(node) if node in backbone
+                    else adjacency(node) & backbone
+                ))
+                for node in self.graph.nodes()
+            }
+        return self._spanner
 
 
 class BackboneService:
@@ -329,7 +349,6 @@ class BackboneService:
         re-stitched (cascades included) — never everything.
         """
         from repro.geometry.point import Point
-        from repro.graphs.graph import canonical_order
 
         started = self.clock()
         touched_tiles: set = set()
@@ -582,11 +601,8 @@ def _broadcast_plan(snapshot: _Snapshot, source: Hashable) -> Dict[str, object]:
     (source, dominators, and on-demand gray gateways retransmit), but
     returning the actual transmission order instead of only counts.
     """
-    from repro.graphs.graph import canonical_order
-    from repro.wcds.base import weakly_induced_subgraph
-
-    backbone = set(snapshot.result.dominators)
-    spanner = weakly_induced_subgraph(snapshot.graph, backbone)
+    backbone = snapshot.backbone
+    spanner = snapshot.spanner
     heard = {source}
     forwarders: List[Hashable] = []
     frontier = deque([source])
@@ -597,15 +613,15 @@ def _broadcast_plan(snapshot: _Snapshot, source: Hashable) -> Dict[str, object]:
             or node in backbone
             or any(
                 nbr in backbone and nbr not in heard
-                for nbr in spanner.adjacency(node)
+                for nbr in spanner[node]
             )
         )
         if not is_forwarder:
             continue
         forwarders.append(node)
-        # The returned forwarder schedule is observable output; visit
-        # neighbors canonically so it cannot depend on set order.
-        for nbr in canonical_order(spanner.adjacency(node)):
+        # The spanner lists neighbours canonically, so the returned
+        # forwarder schedule cannot depend on set order.
+        for nbr in spanner[node]:
             if nbr not in heard:
                 heard.add(nbr)
                 frontier.append(nbr)

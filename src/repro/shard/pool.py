@@ -407,9 +407,11 @@ class ShardServePool:
             TraceStitcher() if self.telemetry else None
         )
         #: Global backbone membership, maintained incrementally from
-        #: per-tile contributions (connector picks are refcounted: two
-        #: tiles may choose the same intermediate).
-        self._mis: Set[Node] = set()
+        #: per-tile contributions.  Both are refcounted: two tiles may
+        #: choose the same connector, and a dominator that moves to a
+        #: new tile is briefly contributed by both until the old tile's
+        #: contribution is swapped out, in whichever order they apply.
+        self._mis_counts: Dict[Node, int] = {}
         self._connector_counts: Dict[Node, int] = {}
         self._tile_mis: Dict[TileId, Set[Node]] = {}
         self._tile_conn: Dict[TileId, List[Node]] = {}
@@ -434,11 +436,11 @@ class ShardServePool:
         status = self.backbone.tile_status(tile)
         new_mis = {v for v in self.tiler.owned(tile) if status.get(v) is True}
         new_conn = [chosen for _, _, chosen in self.backbone.tile_connectors(tile)]
-        changed: Set[Node] = set()
         old_mis = self._tile_mis.get(tile, set())
-        changed |= old_mis ^ new_mis
-        self._mis -= old_mis - new_mis
-        self._mis |= new_mis
+        changed = old_mis ^ new_mis
+        self._release_mis(old_mis - new_mis)
+        for node in new_mis - old_mis:
+            self._mis_counts[node] = self._mis_counts.get(node, 0) + 1
         counts = self._connector_counts
         for node in self._tile_conn.get(tile, []):
             counts[node] -= 1
@@ -459,8 +461,8 @@ class ShardServePool:
 
     def _drop_contribution(self, tile: TileId) -> Set[Node]:
         """Remove a retired tile's contribution entirely."""
-        changed: Set[Node] = set(self._tile_mis.get(tile, set()))
-        self._mis -= self._tile_mis.pop(tile, set())
+        changed = self._tile_mis.pop(tile, set())
+        self._release_mis(changed)
         counts = self._connector_counts
         for node in self._tile_conn.pop(tile, []):
             counts[node] -= 1
@@ -469,9 +471,20 @@ class ShardServePool:
                 changed.add(node)
         return changed
 
+    def _release_mis(self, nodes: Set[Node]) -> None:
+        """Drop one tile's claim on each of ``nodes``; a node leaves the
+        MIS only when no other tile still contributes it."""
+        counts = self._mis_counts
+        for node in nodes:
+            counts[node] -= 1
+            if counts[node] == 0:
+                del counts[node]
+
     def backbone_nodes(self) -> Set[Node]:
         """The current global backbone (MIS plus live connectors)."""
-        return self._mis | set(self._connector_counts)
+        backbone = set(self._mis_counts)
+        backbone.update(self._connector_counts)
+        return backbone
 
     # ------------------------------------------------------------------
     # Replica construction
@@ -486,7 +499,7 @@ class ShardServePool:
         return _TileReplica(
             members,
             adjacency,
-            member_set & self._mis,
+            member_set & self._mis_counts.keys(),
             member_set & backbone,
         )
 
@@ -495,7 +508,7 @@ class ShardServePool:
         index = self._index
         members = [index[m] for m in self.tiler.members(tile)]
         member_set = set(self.tiler.members(tile))
-        mis = [index[m] for m in canonical_order(member_set & self._mis)]
+        mis = [index[m] for m in canonical_order(member_set & self._mis_counts.keys())]
         backbone = [
             index[m]
             for m in canonical_order(member_set & self.backbone_nodes())

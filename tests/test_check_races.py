@@ -235,13 +235,13 @@ class TestDeterminismRegressions:
         assert transcripts[0] == transcripts[1]
 
     def test_dijkstra_tables_ignore_overlay_order(self):
-        from repro.routing.clusterhead import ClusterheadRouter
+        from repro.routing.overlay import OverlayPaths
 
         overlay_a = {0: {1: 2, 2: 2}, 1: {0: 2, 2: 2}, 2: {0: 2, 1: 2}}
         overlay_b = {
             node: dict(reversed(list(links.items())))
             for node, links in reversed(list(overlay_a.items()))
         }
-        hops_a = ClusterheadRouter._dijkstra_next_hops(overlay_a, 0)
-        hops_b = ClusterheadRouter._dijkstra_next_hops(overlay_b, 0)
+        hops_a = OverlayPaths(overlay_a).first_hops(0)
+        hops_b = OverlayPaths(overlay_b).first_hops(0)
         assert hops_a == hops_b

@@ -97,3 +97,48 @@ class TestAsyncEndToEnd:
                 path = router.route(src, dst)
                 router.validate_path(path)
                 assert len(path) - 1 <= 3 * hop_distance(g, src, dst) + 2
+
+
+class TestOneHopOrder:
+    """Both list sources order 1HopDomList canonically (ids 9 and 10
+    sort numerically, not by ``repr``)."""
+
+    def test_protocol_and_synthesized_lists_agree_around_ten(self):
+        g = Graph(edges=[(5, 9), (5, 10), (9, 1), (10, 2)])
+        mis = frozenset({9, 10})
+        node_state = {
+            node: {
+                "one_hop_dom": g.adjacency(node) & mis,
+                "two_hop_dom": {},
+                "three_hop_dom": {},
+            }
+            for node in g.nodes()
+        }
+        node_state[9]["two_hop_dom"] = {10: 5}
+        node_state[10]["two_hop_dom"] = {9: 5}
+        from_protocol = ClusterheadRouter(
+            g, WCDSResult(mis, mis, meta={"node_state": node_state})
+        )
+        synthesized = ClusterheadRouter(g, WCDSResult(mis, mis))
+        assert from_protocol.lists[5].one_hop == (9, 10)
+        assert synthesized.lists[5].one_hop == (9, 10)
+        assert from_protocol.route(1, 2) == synthesized.route(1, 2) == [1, 9, 5, 10, 2]
+
+    def test_distributed_result_matches_synthesized_one_hop(self):
+        from repro.graphs import connected_random_udg
+
+        g = connected_random_udg(60, 4.5, seed=3)
+        result = algorithm2_distributed(g)
+        stripped = WCDSResult(
+            result.dominators, result.mis_dominators, result.additional_dominators
+        )
+        from_protocol = ClusterheadRouter(g, result)
+        synthesized = ClusterheadRouter(g, stripped)
+        assert any(
+            len(entry.one_hop) > 1 and entry.one_hop[0] < 10 <= entry.one_hop[-1]
+            for entry in synthesized.lists.values()
+        )
+        for node in g.nodes():
+            assert (
+                from_protocol.lists[node].one_hop == synthesized.lists[node].one_hop
+            )

@@ -212,6 +212,22 @@ class TestServiceQueries:
         cached = service.broadcast_plan(0).value
         assert cached is plan
 
+    def test_broadcast_plans_equal_the_per_plan_spanner_build(self, network, service):
+        # Plans share one lazily built spanner per snapshot; they must
+        # equal plans that rebuild the spanner each time, forwarder
+        # order included — before and after churn is absorbed.
+        mobility = RandomWaypointModel(
+            network, 5.0, speed_range=(0.05, 0.1), seed=4
+        )
+        for _ in range(2):
+            snapshot = service._snapshot
+            for source in sorted(snapshot.graph.nodes()):
+                plan = service.broadcast_plan(source).value
+                assert plan == _reference_plan(snapshot, source)
+            service.ingest_events(mobility.step())
+            service.refresh()
+            assert service._snapshot is not snapshot
+
     def test_unknown_node_is_an_error_response(self, service):
         response = service.dominator(10_000)
         assert not response.ok and "unknown node" in response.error
@@ -582,3 +598,38 @@ class TestShardedService:
         assert is_weakly_connected_dominating_set(
             sharded.graph, result.value.dominators
         )
+
+
+def _reference_plan(snapshot, source):
+    """A broadcast plan that builds the weakly induced spanner afresh."""
+    from collections import deque
+
+    from repro.graphs.graph import canonical_order
+    from repro.wcds.base import weakly_induced_subgraph
+
+    backbone = set(snapshot.result.dominators)
+    spanner = weakly_induced_subgraph(snapshot.graph, backbone)
+    heard = {source}
+    forwarders = []
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        if not (
+            node == source
+            or node in backbone
+            or any(nbr in backbone and nbr not in heard
+                   for nbr in spanner.adjacency(node))
+        ):
+            continue
+        forwarders.append(node)
+        for nbr in canonical_order(spanner.adjacency(node)):
+            if nbr not in heard:
+                heard.add(nbr)
+                frontier.append(nbr)
+    return {
+        "source": source,
+        "forwarders": forwarders,
+        "transmissions": len(forwarders),
+        "covered": len(heard),
+        "total": snapshot.graph.num_nodes,
+    }

@@ -188,6 +188,38 @@ class TestPoolChurn:
             live = set(pool.tiler.tiles())
             assert set(report.seed_tiles) & live <= set(report.rebuilt)
 
+    def test_dominator_moving_into_earlier_tile_stays_in_backbone(self):
+        # The new tile sorts before the old one, so its contribution is
+        # applied first and the old tile's swap-out must not drop it.
+        from repro.wcds.base import is_weakly_connected_dominating_set
+
+        graph = jittered_grid(400, seed=7)
+        pool = ShardServePool(graph, ShardConfig(tile_size=4.0, workers=0))
+        try:
+            side = pool.tiler.side
+            leftmost = min(tile[0] for tile in pool.tiler.tiles())
+            mis = pool.backbone.result().mis_dominators
+            node = next(
+                v for v in sorted(mis)
+                if pool.tiler.owner[v][0] > leftmost
+                and graph.positions[v].x - pool.tiler.owner[v][0] * side < 0.3
+            )
+            old_tile = pool.tiler.owner[node]
+            pool.move(
+                node, Point(old_tile[0] * side - 0.05, graph.positions[node].y)
+            )
+            assert pool.tiler.owner[node] < old_tile
+            expected = pool.backbone.result()
+            assert node in expected.mis_dominators
+            assert pool.backbone_nodes() == set(expected.dominators)
+            assert is_weakly_connected_dominating_set(graph, pool.backbone_nodes())
+            queries = _mixed_queries(pool, 300, seed=5)
+            new_tile = pool.tiler.owner[node]
+            queries += [("route", node, v) for v in pool.tiler.owned(new_tile)]
+            assert all(answer is not None for answer in pool.query_batch(queries))
+        finally:
+            pool.close()
+
 
 class TestPoolTelemetry:
     """The cross-process pipeline acceptance criteria: exact harvested
