@@ -27,7 +27,6 @@ repair, rebuild, stale serve, and rejection is counted
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import canonical_order
@@ -36,6 +35,7 @@ from repro.mobility.maintenance import MaintainedWCDS
 from repro.mobility.waypoint import LinkEvents
 from repro.obs.flightrec import flight_record
 from repro.obs.slo import SLOMonitor
+from repro.routing.broadcast import SpannerIndex
 from repro.routing.clusterhead import ClusterheadRouter
 from repro.service.cache import BackboneCache, RouteCache, topology_fingerprint
 from repro.service.config import ServiceConfig
@@ -61,34 +61,37 @@ class _Ewma:
 
 
 class _Snapshot:
-    """The last-good serving state: frozen graph, backbone, tables."""
+    """The last-good serving state: frozen graph, backbone, tables, and
+    the broadcast plans computed on them."""
 
-    __slots__ = ("graph", "result", "router", "fingerprint", "backbone", "_spanner")
+    __slots__ = ("graph", "result", "router", "fingerprint", "plans", "_spanner")
 
     def __init__(self, graph: UnitDiskGraph, result: WCDSResult) -> None:
         self.graph = graph
         self.result = result
         self.router = ClusterheadRouter(graph, result)
         self.fingerprint = topology_fingerprint(graph)
-        self.backbone = frozenset(result.dominators)
-        self._spanner: Optional[Dict[Hashable, Tuple[Hashable, ...]]] = None
+        #: Broadcast plans by source.  The graph is a frozen copy, so a
+        #: plan stays valid for as long as its snapshot serves.
+        self.plans: Dict[Hashable, Dict[str, object]] = {}
+        self._spanner: Optional[SpannerIndex] = None
 
-    @property
-    def spanner(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
-        """Each node's neighbours in the weakly induced spanner, in
-        canonical order.  Built on first use and shared by every
-        broadcast plan of the snapshot (its graph is a frozen copy)."""
+    def broadcast_plan(self, source: Hashable) -> Dict[str, object]:
+        """The forwarder schedule of a backbone broadcast from
+        ``source``: the source, the dominators, and on-demand gray
+        gateways, in transmission order.  The spanner is numbered on
+        the first plan and shared by every later plan of the snapshot.
+        """
         if self._spanner is None:
-            backbone = self.backbone
-            adjacency = self.graph.adjacency
-            self._spanner = {
-                node: tuple(canonical_order(
-                    adjacency(node) if node in backbone
-                    else adjacency(node) & backbone
-                ))
-                for node in self.graph.nodes()
-            }
-        return self._spanner
+            self._spanner = SpannerIndex(self.graph, self.result.dominators)
+        forwarders, covered = self._spanner.schedule(source)
+        return {
+            "source": source,
+            "forwarders": forwarders,
+            "transmissions": len(forwarders),
+            "covered": covered,
+            "total": self.graph.num_nodes,
+        }
 
 
 class BackboneService:
@@ -125,7 +128,6 @@ class BackboneService:
         #: known positions of crashed radios, for revival.
         self._active_partitions: set = set()
         self._crashed_positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._plan_cache: Dict[Hashable, Dict[str, object]] = {}
         self._repair_cost = _Ewma(self.config.cost_ewma_alpha)
         self._rebuild_cost = _Ewma(self.config.cost_ewma_alpha)
         started = self.clock()
@@ -247,7 +249,6 @@ class BackboneService:
     ) -> None:
         self._pending.append(entry)
         self._version += 1
-        self._plan_cache.clear()
         self._dirt += weight / max(1, self.graph.num_nodes)
         if self._sharded is not None:
             # Tile-scoped: only routes through the tiles that read a
@@ -580,55 +581,15 @@ class BackboneService:
                     request=request, ok=False, stale=stale,
                     error=f"unknown node {source!r}",
                 )
-            if not stale:
-                plan = self._plan_cache.get(source)
-                if plan is None:
-                    plan = _broadcast_plan(snapshot, source)
-                    self._plan_cache[source] = plan
-                    self.metrics.incr("plan_cache_misses")
-                else:
-                    self.metrics.incr("plan_cache_hits")
+            # A stale plan is cached too: it is valid for the last-good
+            # snapshot it was computed on, and a refresh replaces both.
+            plan = snapshot.plans.get(source)
+            if plan is None:
+                plan = snapshot.broadcast_plan(source)
+                snapshot.plans[source] = plan
+                self.metrics.incr("plan_cache_misses")
             else:
-                plan = _broadcast_plan(snapshot, source)
+                self.metrics.incr("plan_cache_hits")
             return Response(request=request, ok=True, value=plan, stale=stale)
         raise AssertionError(f"unhandled op {request.op!r}")
 
-
-def _broadcast_plan(snapshot: _Snapshot, source: Hashable) -> Dict[str, object]:
-    """The forwarder schedule of a backbone broadcast from ``source``.
-
-    Same forwarding rule as :func:`repro.routing.broadcast.backbone_broadcast`
-    (source, dominators, and on-demand gray gateways retransmit), but
-    returning the actual transmission order instead of only counts.
-    """
-    backbone = snapshot.backbone
-    spanner = snapshot.spanner
-    heard = {source}
-    forwarders: List[Hashable] = []
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        is_forwarder = (
-            node == source
-            or node in backbone
-            or any(
-                nbr in backbone and nbr not in heard
-                for nbr in spanner[node]
-            )
-        )
-        if not is_forwarder:
-            continue
-        forwarders.append(node)
-        # The spanner lists neighbours canonically, so the returned
-        # forwarder schedule cannot depend on set order.
-        for nbr in spanner[node]:
-            if nbr not in heard:
-                heard.add(nbr)
-                frontier.append(nbr)
-    return {
-        "source": source,
-        "forwarders": forwarders,
-        "transmissions": len(forwarders),
-        "covered": len(heard),
-        "total": snapshot.graph.num_nodes,
-    }

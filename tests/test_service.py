@@ -322,6 +322,28 @@ class TestStaleness:
         assert route.ok and route.stale
         assert service.metrics.counters["stale_served"] == 2
 
+    def test_stale_plans_are_cached_on_the_last_good_snapshot(self, network):
+        service = self._slow_service(network)
+        mobility = RandomWaypointModel(
+            network, 5.0, speed_range=(0.01, 0.02), seed=1
+        )
+        service.ingest_events(mobility.step())
+        last_good = service._snapshot
+        first = service.broadcast_plan(0, deadline=0.001)
+        again = service.broadcast_plan(0, deadline=0.001)
+        assert first.stale and again.stale
+        assert again.value is first.value
+        assert first.value == _reference_plan(last_good, 0)
+        counters = service.metrics.counters
+        assert counters["plan_cache_misses"] == 1
+        assert counters["plan_cache_hits"] == 1
+        service.refresh()
+        assert service._snapshot is not last_good
+        fresh = service.broadcast_plan(0, deadline=0.001)
+        assert not fresh.stale and fresh.value is not first.value
+        assert fresh.value == _reference_plan(service._snapshot, 0)
+        assert counters["plan_cache_misses"] == 2
+
     def test_no_deadline_refreshes_synchronously(self, network):
         service = self._slow_service(network)
         mobility = RandomWaypointModel(
