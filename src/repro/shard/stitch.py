@@ -36,22 +36,44 @@ published frontier status actually changed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.geometry.point import Point
-from repro.graphs.graph import Graph, canonical_order
-from repro.graphs.traversal import bfs_distances, is_connected
+from repro.graphs.traversal import is_connected
 from repro.graphs.udg import UnitDiskGraph
 from repro.obs.tracing import get_tracer
 from repro.shard.config import ShardConfig
 from repro.shard.tiler import TileId, Tiler
 from repro.wcds.base import BackboneResult
+from repro.wcds.connectors import number_nodes, select_connectors
 
 Node = Hashable
 
 #: Registry name of the sharded construction.
 ALGORITHM_NAME = "wcds-sharded"
+
+
+class _TileIndex:
+    """One tile numbered once per re-stitch.
+
+    Members are numbered in ascending id order (Algorithm II's ranking),
+    so "lower rank" is "lower number"; ``adj`` holds each member's
+    neighbours among the members as ascending int tuples, ``lower`` the
+    prefix of those below the member itself, and ``visible`` flags the
+    members whose whole unit disk the tile sees.
+    """
+
+    __slots__ = ("members", "index", "adj", "lower", "visible")
+
+    def __init__(self, graph: UnitDiskGraph, tiler: Tiler, tile: TileId) -> None:
+        self.members, self.index, self.adj = number_nodes(
+            graph, tiler.members(tile)
+        )
+        self.lower = [nbrs[: bisect_left(nbrs, i)] for i, nbrs in enumerate(self.adj)]
+        seen = tiler.visible_members(tile)
+        self.visible = bytearray(node in seen for node in self.members)
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,7 @@ class ShardedBackbone:
         #: Per-tile connector selections ``(u, w, chosen)`` for the
         #: 3-hop pairs led by the tile's owned MIS nodes.
         self._connectors: Dict[TileId, List[Tuple[Node, Node, Node]]] = {}
-        self._subgraphs: Dict[TileId, Graph] = {}
+        self._indexes: Dict[TileId, _TileIndex] = {}
         self.last_rounds = 0
         with self.tracer.span(
             "shard_build", n=graph.num_nodes, tiles=len(self.tiler.tiles())
@@ -133,40 +155,40 @@ class ShardedBackbone:
     # ------------------------------------------------------------------
     # Stitching
     # ------------------------------------------------------------------
-    def _tile_subgraph(self, tile: TileId) -> Graph:
-        cached = self._subgraphs.get(tile)
+    def _tile_index(self, tile: TileId) -> _TileIndex:
+        cached = self._indexes.get(tile)
         if cached is None:
-            cached = self.graph.subgraph(self.tiler.members(tile))
-            self._subgraphs[tile] = cached
+            cached = _TileIndex(self.graph, self.tiler, tile)
+            self._indexes[tile] = cached
         return cached
 
     def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         """One rank-ordered marking pass over the tile's members."""
-        sub = self._tile_subgraph(tile)
-        pinned = self._pins.get(tile, {})
-        visible = self.tiler.visible_members(tile)
-        status: Dict[Node, Optional[bool]] = {}
-        for v in canonical_order(sub.nodes()):
-            if v in pinned:
-                status[v] = pinned[v]
+        tix = self._tile_index(tile)
+        status: List[Optional[bool]] = [None] * len(tix.members)
+        pinned = bytearray(len(tix.members))
+        index = tix.index
+        for v, verdict in self._pins.get(tile, {}).items():
+            i = index.get(v)
+            if i is not None:
+                status[i] = verdict
+                pinned[i] = 1
+        visible = tix.visible
+        for i, lower in enumerate(tix.lower):
+            if pinned[i]:
                 continue
-            settled_in = False
             unsettled = False
-            for u in sub.adjacency(v):
-                if not u < v:
-                    continue
-                verdict = status[u]
+            for j in lower:
+                verdict = status[j]
                 if verdict is True:
-                    settled_in = True
-                elif verdict is None:
+                    status[i] = False
+                    break
+                if verdict is None:
                     unsettled = True
-            if settled_in:
-                status[v] = False
-            elif unsettled or v not in visible:
-                status[v] = None
             else:
-                status[v] = True
-        return status
+                if not unsettled and visible[i]:
+                    status[i] = True
+        return dict(zip(tix.members, status))
 
     def _publish(self, tile: TileId) -> Set[TileId]:
         """Push determined owned statuses to consumer tiles; returns
@@ -220,10 +242,10 @@ class ShardedBackbone:
             self._status.pop(tile, None)
             self._connectors.pop(tile, None)
             self._pins.pop(tile, None)
-            self._subgraphs.pop(tile, None)
+            self._indexes.pop(tile, None)
         pending = {tile for tile in pending if tile in live}
         for tile in pending:
-            self._subgraphs.pop(tile, None)
+            self._indexes.pop(tile, None)
         self._drop_stale_pins(pending)
         touched: Set[TileId] = set()
         rounds = 0
@@ -288,29 +310,20 @@ class ShardedBackbone:
 
     def _tile_connectors(self, tile: TileId) -> List[Tuple[Node, Node, Node]]:
         """Algorithm II connector selection for pairs led by owned MIS
-        nodes — the oracle's exact rule on the tile subgraph (exact by
+        nodes — the centralized rule on the tile's members (exact by
         the ≥3-radii halo)."""
-        sub = self._tile_subgraph(tile)
+        tix = self._tile_index(tile)
         status = self._status[tile]
-        mis_members = [v for v in canonical_order(sub.nodes()) if status.get(v) is True]
-        owned = set(self.tiler.owned(tile))
-        chosen_pairs: List[Tuple[Node, Node, Node]] = []
-        for u in mis_members:
-            if u not in owned:
-                continue
-            dist_from_u = bfs_distances(sub, u, cutoff=3)
-            targets = [
-                w for w in mis_members if w > u and dist_from_u.get(w) == 3
-            ]
-            for w in targets:
-                dist_from_w = bfs_distances(sub, w, cutoff=2)
-                candidates = [
-                    v for v in sub.adjacency(u) if dist_from_w.get(v) == 2
-                ]
-                if not candidates:  # pragma: no cover - impossible at dist 3
-                    raise RuntimeError("no intermediate on a 3-hop path")
-                chosen_pairs.append((u, w, min(candidates)))
-        return chosen_pairs
+        members = tix.members
+        is_mis = bytearray(status[v] is True for v in members)
+        owner = self.tiler.owner
+        leaders = [
+            i for i, v in enumerate(members) if is_mis[i] and owner[v] == tile
+        ]
+        return [
+            (members[u], members[w], members[v])
+            for u, w, v in select_connectors(tix.adj, is_mis, leaders)
+        ]
 
     # ------------------------------------------------------------------
     # Results

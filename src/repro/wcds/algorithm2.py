@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances, is_connected
+from repro.graphs.traversal import is_connected
 from repro.mis.centralized import greedy_mis
 from repro.mis.distributed import MisNode
 from repro.mis.ranking import id_ranking
@@ -54,6 +54,7 @@ from repro.sim.node import NodeContext
 from repro.sim.stats import SimStats
 from repro.transport.reliable import aggregate_transport
 from repro.wcds.base import BackboneResult, WCDSResult
+from repro.wcds.connectors import number_nodes, select_connectors
 
 MIS_DOMINATOR = "MIS-DOMINATOR"
 GRAY = "GRAY"
@@ -365,32 +366,24 @@ def algorithm2_centralized(graph: Graph) -> WCDSResult:
     choosing for each pair ``(u, w)`` with ``u < w`` the minimum-id
     first-hop neighbor of ``u`` that lies on a 3-hop path to ``w`` —
     the distributed run may pick a different (equally valid)
-    intermediate depending on message arrival order.
+    intermediate depending on message arrival order.  The rule is
+    :func:`repro.wcds.connectors.select_connectors`, and
+    ``meta["pairs_covered"]`` lists ``(u, w, chosen)`` in ascending
+    ``(u, w)`` order.
     """
     if graph.num_nodes == 0:
         raise ValueError("Algorithm II requires a non-empty graph")
     if not is_connected(graph):
         raise ValueError("Algorithm II requires a connected graph")
     mis = greedy_mis(graph)
-    additional: Set[Hashable] = set()
-    pairs_covered = []
-    for u in sorted(mis):
-        dist_from_u = bfs_distances(graph, u, cutoff=3)
-        targets = [w for w in mis if w > u and dist_from_u.get(w) == 3]
-        if not targets:
-            continue
-        for w in targets:
-            dist_from_w = bfs_distances(graph, w, cutoff=2)
-            candidates = [
-                v
-                for v in graph.adjacency(u)
-                if dist_from_w.get(v) == 2
-            ]
-            if not candidates:  # pragma: no cover - impossible if dist==3
-                raise RuntimeError("no intermediate on a 3-hop path")
-            chosen = min(candidates)
-            additional.add(chosen)
-            pairs_covered.append((u, w, chosen))
+    nodes, _, adj = number_nodes(graph, graph.nodes())
+    is_mis = bytearray(node in mis for node in nodes)
+    leaders = [i for i, flag in enumerate(is_mis) if flag]
+    pairs_covered = [
+        (nodes[u], nodes[w], nodes[v])
+        for u, w, v in select_connectors(adj, is_mis, leaders)
+    ]
+    additional: Set[Hashable] = {chosen for _, _, chosen in pairs_covered}
     additional -= mis  # MIS nodes are never intermediates, but be safe
     return WCDSResult(
         dominators=frozenset(mis | additional),

@@ -26,6 +26,17 @@ def dense_udg(n: int, side: float, seed: int):
     return connected_random_udg(n, side, seed=seed)
 
 
+def assert_same_backbone(backbone: ShardedBackbone, graph) -> None:
+    """The maintained backbone equals a fresh global construction:
+    dominators and connector picks."""
+    result = backbone.result()
+    oracle = algorithm2_centralized(graph)
+    assert result.dominators == oracle.dominators
+    assert sorted(result.meta["pairs_covered"]) == sorted(
+        oracle.meta["pairs_covered"]
+    )
+
+
 # ----------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------
@@ -152,6 +163,9 @@ class TestStitchOracle:
         assert sharded.mis_dominators == oracle.mis_dominators
         assert sharded.additional_dominators == oracle.additional_dominators
         assert sharded.dominators == oracle.dominators
+        assert sorted(sharded.meta["pairs_covered"]) == sorted(
+            oracle.meta["pairs_covered"]
+        )
 
     def test_interior_membership_equals_oracle(self):
         # The ISSUE's oracle clause, asserted directly: every
@@ -177,6 +191,9 @@ class TestStitchOracle:
         sharded = build_sharded(graph, ShardConfig(tile_size=tile_size))
         oracle = algorithm2_centralized(graph)
         assert sharded.dominators == oracle.dominators
+        assert sorted(sharded.meta["pairs_covered"]) == sorted(
+            oracle.meta["pairs_covered"]
+        )
 
     def test_preconditions_mirror_oracle(self):
         from repro.graphs.udg import UnitDiskGraph
@@ -255,22 +272,16 @@ class TestChurn:
             report = backbone.apply_move(node, target)
             live = set(backbone.tiler.tiles())
             assert set(report.seed_tiles) & live <= set(report.rebuilt)
-            assert backbone.result().dominators == (
-                algorithm2_centralized(graph).dominators
-            )
+            assert_same_backbone(backbone, graph)
 
     def test_join_and_leave_track_oracle(self):
         graph = dense_udg(90, 5.0, seed=8)
         backbone = ShardedBackbone(graph, ShardConfig(tile_size=5.0))
         newcomer = max(graph.positions) + 1
         backbone.apply_join(newcomer, Point(2.5, 2.5))
-        assert backbone.result().dominators == (
-            algorithm2_centralized(graph).dominators
-        )
+        assert_same_backbone(backbone, graph)
         backbone.apply_leave(newcomer)
-        assert backbone.result().dominators == (
-            algorithm2_centralized(graph).dominators
-        )
+        assert_same_backbone(backbone, graph)
 
     def test_invalidation_report_shape(self):
         graph = dense_udg(80, 5.0, seed=9)
