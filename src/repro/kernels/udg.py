@@ -16,7 +16,9 @@ adjacent cells — but executed as array passes:
    is bit-for-bit identical to the pure builders'.
 
 The adjacency sets are then bulk-built from the edge arrays with one
-sort instead of ``2m`` Python ``set.add`` calls.
+sort (:func:`edge_runs`) instead of ``2m`` Python ``set.add`` calls;
+the serve pool's worker replicas slice their ascending neighbour
+tuples from the same sort.
 """
 
 from __future__ import annotations
@@ -154,16 +156,7 @@ def vector_adjacency(
     edges = vector_udg_edges(coords, radius)
     if len(edges) == 0:
         return {node: set() for node in nodes}
-    # Bulk adjacency: sort both edge directions by a single combined
-    # (head * n + tail) key — one np.sort, no permutation gather — then
-    # slice each head's run out of the tail list.
-    combined = np.concatenate(
-        [edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]
-    )
-    combined = np.sort(combined)
-    tails = (combined % n).tolist()
-    cuts = np.searchsorted(combined, np.arange(n + 1, dtype=np.int64) * n)
-    cut_list: List[int] = cuts.tolist()
+    tails, cut_list = edge_runs(edges, n)
     contiguous_ints = nodes == list(range(n))
     if contiguous_ints:
         # Common case (build_udg numbering): node ids are the indices.
@@ -175,3 +168,22 @@ def vector_adjacency(
                 nodes[j] for j in tails[cut_list[i] : cut_list[i + 1]]
             }
     return adjacency
+
+
+def edge_runs(edges: Any, n: int) -> Tuple[List[int], List[int]]:
+    """Both directions of ``edges`` sorted by ``(head, tail)``.
+
+    ``edges`` is an ``(m, 2)`` index array over ``n`` points (as from
+    :func:`vector_udg_edges`).  Returns ``(tails, cuts)``: point ``i``'s
+    neighbours, ascending, are ``tails[cuts[i]:cuts[i + 1]]``.
+    """
+    np = require_numpy()
+    # One np.sort of a single combined (head * n + tail) key, no
+    # permutation gather; each head's run is then sliced by its cut.
+    combined = np.concatenate(
+        [edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]
+    )
+    combined = np.sort(combined)
+    tails: List[int] = (combined % n).tolist()
+    cuts = np.searchsorted(combined, np.arange(n + 1, dtype=np.int64) * n)
+    return tails, cuts.tolist()

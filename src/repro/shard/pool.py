@@ -26,13 +26,13 @@ reading a node whose backbone membership flipped.
 from __future__ import annotations
 
 import multiprocessing
-from collections import deque
+from collections import Counter, deque
 from multiprocessing import shared_memory
 from typing import (
     Any,
+    Container,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -127,76 +127,98 @@ class SharedPositions:
 
 
 class _TileReplica:
-    """One tile's serveable state: members, adjacency, membership bits.
+    """One tile's serveable state, numbered once per load.
 
-    Identifier-agnostic — the inline pool builds replicas over node
-    ids, workers over shared-array row indices; the query logic is the
-    same.
+    ``nodes`` are the tile's members in ascending order and ``adj[i]``
+    is the ascending tuple of member ``i``'s neighbours' numbers, so
+    number order is id order.  ``mis`` and ``backbone`` are containers
+    of member ids, read once into the ``is_mis`` / ``black`` flags.
+    ``hops[i]`` is every neighbour of a black ``i`` and only the black
+    neighbours of a white one: the edges a route may use.
+
+    Identifier-agnostic — the inline pool numbers node ids, workers
+    shared-array row indices; the query logic is the same.
     """
+
+    __slots__ = ("nodes", "index", "adj", "is_mis", "black", "hops")
 
     def __init__(
         self,
-        members: Iterable[Node],
-        adjacency: Dict[Node, Set[Node]],
-        mis: Iterable[Node],
-        backbone: Iterable[Node],
+        nodes: Sequence[Node],
+        adj: Sequence[Tuple[int, ...]],
+        mis: Container[Node],
+        backbone: Container[Node],
     ) -> None:
-        self.members = set(members)
-        self.adjacency = adjacency
-        self.mis = set(mis)
-        self.backbone = set(backbone)
+        self.nodes = nodes
+        self.index: Dict[Node, int] = dict(zip(nodes, range(len(nodes))))
+        self.adj = adj
+        self.is_mis = bytearray(map(mis.__contains__, nodes))
+        black = self.black = bytearray(map(backbone.__contains__, nodes))
+        self.hops: List[Tuple[int, ...]] = [
+            row if black[i] else tuple([j for j in row if black[j]])
+            for i, row in enumerate(adj)
+        ]
 
     def dominator(self, u: Node) -> Optional[Node]:
         """The node's dominator: itself if in the MIS, else its lowest
         MIS neighbor (every node is dominated — Algorithm II's MIS)."""
-        if u not in self.members:
+        i = self.index.get(u)
+        if i is None:
             return None
-        if u in self.mis:
+        is_mis = self.is_mis
+        if is_mis[i]:
             return u
-        candidates = [v for v in self.adjacency.get(u, ()) if v in self.mis]
-        return min(candidates) if candidates else None
+        for j in self.adj[i]:
+            if is_mis[j]:
+                return self.nodes[j]
+        return None
 
     def member(self, u: Node) -> bool:
         """Whether the node is a backbone (WCDS) member."""
-        return u in self.backbone
+        i = self.index.get(u)
+        return i is not None and self.black[i] == 1
 
     def route(self, u: Node, v: Node) -> Optional[List[Node]]:
         """Minimum-hop path from ``u`` to ``v`` over *black edges*
         (edges with a backbone endpoint) within the tile, or ``None``
-        when either endpoint is outside the tile or unreachable."""
-        if u not in self.members or v not in self.members:
+        when either endpoint is outside the tile or unreachable.
+
+        A BFS over ``hops`` in ascending number order: a node's parent
+        is the first popped node to reach it, as in an id-ordered BFS.
+        """
+        index = self.index
+        s = index.get(u)
+        t = index.get(v)
+        if s is None or t is None:
             return None
-        if u == v:
+        if s == t:
             return [u]
-        parents: Dict[Node, Node] = {}
-        seen = {u}
-        frontier = deque([u])
-        while frontier:
-            node = frontier.popleft()
-            node_black = node in self.backbone
-            for nbr in canonical_order(self.adjacency.get(node, ())):
-                if nbr in seen:
-                    continue
-                if not node_black and nbr not in self.backbone:
-                    continue
-                parents[nbr] = node
-                if nbr == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                seen.add(nbr)
-                frontier.append(nbr)
+        hops = self.hops
+        parent = [-1] * len(hops)
+        parent[s] = s
+        frontier = [s]
+        for node in frontier:
+            for nbr in hops[node]:
+                if parent[nbr] < 0:
+                    parent[nbr] = node
+                    if nbr == t:
+                        nodes = self.nodes
+                        path = [v]
+                        while nbr != s:
+                            nbr = parent[nbr]
+                            path.append(nodes[nbr])
+                        path.reverse()
+                        return path
+                    frontier.append(nbr)
         return None
 
-    def serve(self, op: str, args: Tuple[Any, ...]) -> Any:
+    def serve(self, op: str, args: Sequence[Any]) -> Any:
+        if op == "route":
+            return self.route(args[0], args[1])
         if op == "dominator":
             return self.dominator(args[0])
         if op == "member":
             return self.member(args[0])
-        if op == "route":
-            return self.route(args[0], args[1])
         raise ValueError(f"unknown query op {op!r}")
 
 
@@ -209,12 +231,13 @@ def _replica_from_shared(
 ) -> _TileReplica:
     """Build a replica in-worker: adjacency recomputed from the shared
     position rows (only indices crossed the pipe)."""
-    from repro.kernels.udg import vector_adjacency
+    from repro.kernels.udg import edge_runs, vector_udg_edges
 
-    rows = shared.array
-    pairs = [(i, (float(rows[i, 0]), float(rows[i, 1]))) for i in members]
-    adjacency = vector_adjacency(pairs, radius)
-    return _TileReplica(members, adjacency, mis, backbone)
+    rows = sorted(members)
+    count = len(rows)
+    tails, cuts = edge_runs(vector_udg_edges(shared.array[rows], radius), count)
+    adj = [tuple(tails[cuts[i] : cuts[i + 1]]) for i in range(count)]
+    return _TileReplica(rows, adj, set(mis), set(backbone))
 
 
 class _WorkerTelemetry:
@@ -244,20 +267,36 @@ class _WorkerTelemetry:
             "worker_replies_total", "pipe replies sent"
         )
 
-    def count_serve(self, op: str) -> None:
+    def count_serve(self, op: str, n: int) -> None:
         counter = self._serves.get(op)
         if counter is None:
             counter = self.registry.counter(
                 "worker_serves_total", "queries served", op=op
             )
             self._serves[op] = counter
-        counter.inc()
+        counter.inc(n)
 
     def frame(self) -> TelemetryFrame:
         self.seq += 1
         return TelemetryFrame.capture(
             self.label, self.seq, self.registry, spans=self.spans.drain()
         )
+
+
+#: A dispatched query: ``(qid, tile, op, args)``.
+_Item = Tuple[int, TileId, str, Sequence[Any]]
+
+
+def _serve_items(
+    replicas: Dict[TileId, _TileReplica], items: Sequence[_Item]
+) -> List[Tuple[int, Any]]:
+    """Answer one chunk: ``(qid, answer)`` per item, ``None`` for a
+    tile this worker does not hold."""
+    results: List[Tuple[int, Any]] = []
+    for qid, tile, op, args in items:
+        replica = replicas.get(tile)
+        results.append((qid, None if replica is None else replica.serve(op, args)))
+    return results
 
 
 def _worker_main(
@@ -315,18 +354,15 @@ def _worker_main(
             conn.send(("dropped", message[1]))
         elif kind == "query":
             _, items, ctx = message
-            results = []
             if tel is not None:
                 with tel.spans.span(
                     "shard.serve_batch", parent=ctx, items=len(items)
                 ):
-                    for qid, tile, op, args in items:
-                        replica = replicas.get(tile)
-                        value = (
-                            None if replica is None else replica.serve(op, args)
-                        )
-                        results.append((qid, value))
-                        tel.count_serve(op)
+                    results = _serve_items(replicas, items)
+                    # Counted per op and chunk: a served route is only
+                    # tens of µs, so a counter update per query shows.
+                    for op, n in Counter(item[2] for item in items).items():
+                        tel.count_serve(op, n)
                 tel.batches.inc()
                 # Count the reply *before* capturing the frame so the
                 # in-flight reply is included in its own snapshot —
@@ -334,11 +370,7 @@ def _worker_main(
                 tel.replies.inc()
                 conn.send(("results", results, tel.frame()))
             else:
-                for qid, tile, op, args in items:
-                    replica = replicas.get(tile)
-                    value = None if replica is None else replica.serve(op, args)
-                    results.append((qid, value))
-                conn.send(("results", results, None))
+                conn.send(("results", _serve_items(replicas, items), None))
         elif kind == "probe":
             # Sanitizer probe: deliberately attempt the forbidden write
             # so tests/CI can prove worker-side protection is armed.
@@ -424,8 +456,9 @@ class ShardServePool:
         if self.config.workers > 0:
             self._start_workers()
         else:
+            backbone = self.backbone_nodes()
             for tile in self.tiler.tiles():
-                self._replicas[tile] = self._build_local_replica(tile)
+                self._replicas[tile] = self._build_local_replica(tile, backbone)
 
     # ------------------------------------------------------------------
     # Global membership bookkeeping
@@ -489,31 +522,26 @@ class ShardServePool:
     # ------------------------------------------------------------------
     # Replica construction
     # ------------------------------------------------------------------
-    def _build_local_replica(self, tile: TileId) -> _TileReplica:
-        members = self.tiler.members(tile)
-        member_set = set(members)
-        adjacency = {
-            m: self.graph.adjacency(m) & member_set for m in members
-        }
-        backbone = self.backbone_nodes()
-        return _TileReplica(
-            members,
-            adjacency,
-            member_set & self._mis_counts.keys(),
-            member_set & backbone,
-        )
+    def _build_local_replica(self, tile: TileId, backbone: Set[Node]) -> _TileReplica:
+        """A tile's replica over node ids; ``backbone`` is the current
+        :meth:`backbone_nodes`, computed once per start or move.  The
+        numbering is the stitch's own (:meth:`ShardedBackbone.tile_index`),
+        built once per re-stitch of the tile."""
+        tix = self.backbone.tile_index(tile)
+        return _TileReplica(tix.members, tix.adj, self._mis_counts, backbone)
 
-    def _tile_spec(self, tile: TileId) -> Tuple[List[int], List[int], List[int]]:
+    def _tile_spec(
+        self, tile: TileId, backbone: Set[Node]
+    ) -> Tuple[List[int], List[int], List[int]]:
         """A tile's replica state as shared-array row indices."""
         index = self._index
-        members = [index[m] for m in self.tiler.members(tile)]
-        member_set = set(self.tiler.members(tile))
-        mis = [index[m] for m in canonical_order(member_set & self._mis_counts.keys())]
-        backbone = [
-            index[m]
-            for m in canonical_order(member_set & self.backbone_nodes())
-        ]
-        return members, mis, backbone
+        mis_counts = self._mis_counts
+        members = self.tiler.members(tile)
+        return (
+            [index[m] for m in members],
+            [index[m] for m in members if m in mis_counts],
+            [index[m] for m in members if m in backbone],
+        )
 
     # ------------------------------------------------------------------
     # Worker management
@@ -548,8 +576,9 @@ class ShardServePool:
         tiles = self.tiler.tiles()
         for i, tile in enumerate(tiles):
             self._worker_of[tile] = i % len(self._workers)
+        backbone = self.backbone_nodes()
         for tile in tiles:
-            self._send_load(tile)
+            self._send_load(tile, backbone)
 
     def _worker_died(self, worker_id: int, error: BaseException) -> None:
         """A worker stopped answering: count it, flight-record it (which
@@ -604,8 +633,8 @@ class ShardServePool:
             if recorder is not None:
                 recorder.extend(frame.flight)
 
-    def _send_load(self, tile: TileId) -> None:
-        members, mis, backbone = self._tile_spec(tile)
+    def _send_load(self, tile: TileId, backbone_nodes: Set[Node]) -> None:
+        members, mis, backbone = self._tile_spec(tile, backbone_nodes)
         worker_id = self._worker_of[tile]
         ctx: Optional[TraceContext] = None
         if self.spans is not None:
@@ -649,14 +678,12 @@ class ShardServePool:
         queries per message.
         """
         results: List[Any] = [None] * len(queries)
-        plan: List[Tuple[int, TileId, str, Tuple[Any, ...]]] = []
+        owner = self.tiler.owner
+        plan: List[_Item] = []
         for qid, query in enumerate(queries):
-            op = query[0]
-            args = tuple(query[1:])
-            tile = self.tiler.owner.get(args[0])
-            if tile is None:
-                continue
-            plan.append((qid, tile, op, args))
+            tile = owner.get(query[1])
+            if tile is not None:
+                plan.append((qid, tile, query[0], query[1:]))
         if self.registry is not None:
             self.registry.counter(
                 "shard_pool_queries_total", "Queries served by the shard pool"
@@ -668,12 +695,16 @@ class ShardServePool:
                     results[qid] = replica.serve(op, args)
             return results
         index = self._index
-        per_worker: Dict[int, List[Tuple[int, TileId, str, Tuple[Any, ...]]]] = {}
+        worker_of = self._worker_of
+        per_worker: Dict[int, List[_Item]] = {}
         for qid, tile, op, args in plan:
-            translated = tuple(index[a] for a in args)
-            per_worker.setdefault(self._worker_of[tile], []).append(
-                (qid, tile, op, translated)
-            )
+            rows = [index.get(a) for a in args]
+            if None in rows:
+                # An argument with no row cannot be in any tile: the
+                # inline replica answers None, so the worker path does
+                # too, without shipping it.
+                continue
+            per_worker.setdefault(worker_of[tile], []).append((qid, tile, op, rows))
         batch = self.config.batch_size
         # Pipeline the chunks: keep a bounded window in flight on every
         # worker at once, so two workers compute concurrently instead
@@ -740,7 +771,7 @@ class ShardServePool:
                     if isinstance(value, list):
                         value = [nodes[i] for i in value]
                     elif isinstance(value, int) and not isinstance(value, bool):
-                        value = self._nodes[value]
+                        value = nodes[value]
                     results[qid] = value
                 self._absorb(reply[2])
 
@@ -777,6 +808,7 @@ class ShardServePool:
             changed |= self._drop_contribution(tile)
         for moved_or_flipped in canonical_order(changed | {node}):
             refresh.update(self.tiler.tiles_reading(moved_or_flipped))
+        backbone = self.backbone_nodes()
         for tile in sorted(refresh):
             if tile not in live:
                 if self._workers:
@@ -788,9 +820,9 @@ class ShardServePool:
                     self._worker_of[tile] = (
                         len(self._worker_of) % len(self._workers)
                     )
-                self._send_load(tile)
+                self._send_load(tile, backbone)
             else:
-                self._replicas[tile] = self._build_local_replica(tile)
+                self._replicas[tile] = self._build_local_replica(tile, backbone)
         if self.registry is not None:
             self.registry.counter(
                 "shard_replica_refreshes_total",

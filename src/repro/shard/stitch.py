@@ -155,7 +155,11 @@ class ShardedBackbone:
     # ------------------------------------------------------------------
     # Stitching
     # ------------------------------------------------------------------
-    def _tile_index(self, tile: TileId) -> _TileIndex:
+    def tile_index(self, tile: TileId) -> _TileIndex:
+        """The live tile's members numbered in ascending id order, with
+        ascending neighbour tuples (:func:`number_nodes`).  Built once
+        per re-stitch of the tile and shared, so callers must not
+        mutate it."""
         cached = self._indexes.get(tile)
         if cached is None:
             cached = _TileIndex(self.graph, self.tiler, tile)
@@ -164,7 +168,7 @@ class ShardedBackbone:
 
     def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         """One rank-ordered marking pass over the tile's members."""
-        tix = self._tile_index(tile)
+        tix = self.tile_index(tile)
         status: List[Optional[bool]] = [None] * len(tix.members)
         pinned = bytearray(len(tix.members))
         index = tix.index
@@ -312,7 +316,7 @@ class ShardedBackbone:
         """Algorithm II connector selection for pairs led by owned MIS
         nodes — the centralized rule on the tile's members (exact by
         the ≥3-radii halo)."""
-        tix = self._tile_index(tile)
+        tix = self.tile_index(tile)
         status = self._status[tile]
         members = tix.members
         is_mis = bytearray(status[v] is True for v in members)

@@ -136,6 +136,22 @@ class TestPoolEquivalence:
         ) as pool:
             assert pool.dominator(object()) is None
 
+    def test_unknown_route_target_yields_none_in_both_modes(self):
+        # The worker path used to fail the whole batch with a KeyError
+        # translating an argument that has no shared-array row.
+        graph = jittered_grid(400, 0)
+        u = sorted(graph.positions)[0]
+        queries = [("route", u, "nope"), ("dominator", u), ("route", u, 10**9)]
+        answers = []
+        for workers in (0, 1):
+            with ShardServePool(
+                graph.copy(), ShardConfig(workers=workers)
+            ) as pool:
+                answers.append(pool.query_batch(queries))
+        assert answers[0] == answers[1]
+        assert answers[0][0] is None and answers[0][2] is None
+        assert answers[0][1] is not None
+
 
 class TestPoolChurn:
     def test_gentle_interior_churn_is_boundary_only(self, deployment):
