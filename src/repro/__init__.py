@@ -29,7 +29,6 @@ from repro.graphs import (
     uniform_random_udg,
 )
 from repro.mis import (
-    distributed_mis,
     greedy_mis,
     is_dominating_set,
     is_independent_set,
@@ -76,7 +75,6 @@ __all__ = [
     "paper_figure2_udg",
     "perturbed_grid_udg",
     "uniform_random_udg",
-    "distributed_mis",
     "greedy_mis",
     "is_dominating_set",
     "is_independent_set",

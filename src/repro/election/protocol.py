@@ -22,7 +22,7 @@ which the complexity benchmark demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Set
 
 from typing import Any
 
@@ -59,7 +59,25 @@ class ElectionNode(ProtocolNode):
 
     def on_message(self, msg: Message) -> None:
         if msg.kind == ELECT:
-            self._on_elect(msg.sender, msg["leader"])
+            leader = msg.data["leader"]
+            if leader >= self.best:
+                # Most ELECT deliveries end here, with no better leader.
+                # Re-attachment after our parent crashed: an equally-good
+                # announcement from a non-child neighbor is a valid
+                # parent.  (A descendant could answer and form a cycle;
+                # the validation below catches that and the chaos
+                # harness restarts the epoch.)
+                if (
+                    leader == self.best
+                    and self.parent is None
+                    and self.best != self.node_id
+                    and msg.sender not in self.children
+                ):
+                    self.parent = msg.sender
+                    self._seq += 1
+                    self.ctx.send(msg.sender, JOIN, seq=self._seq)
+            else:
+                self._on_elect(msg.sender, leader)
         elif msg.kind == PROBE:
             # An orphaned neighbor asks its vicinity to re-announce so
             # it can re-attach; answering costs one broadcast.
@@ -82,22 +100,6 @@ class ElectionNode(ProtocolNode):
             self.ctx.broadcast(PROBE)
 
     def _on_elect(self, sender: Hashable, leader: Hashable) -> None:
-        if leader >= self.best:
-            # Re-attachment after our parent crashed: an equally-good
-            # announcement from a non-child neighbor is a valid parent.
-            # (A descendant could answer and form a cycle; the
-            # validation below catches that and the chaos harness
-            # restarts the epoch.)
-            if (
-                leader == self.best
-                and self.parent is None
-                and self.best != self.node_id
-                and sender not in self.children
-            ):
-                self.parent = sender
-                self._seq += 1
-                self.ctx.send(sender, JOIN, seq=self._seq)
-            return
         self.best = leader
         if self.parent is not None:
             self._seq += 1

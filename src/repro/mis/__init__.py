@@ -12,7 +12,7 @@ from repro.mis.centralized import (
     greedy_mis_dynamic_degree,
     mis_coloring,
 )
-from repro.mis.distributed import MisNode, distributed_mis, run_mis
+from repro.mis.distributed import MisNode, run_mis
 from repro.mis.properties import (
     brute_force_subset_distance_check,
     complementary_subsets_within,
@@ -37,7 +37,6 @@ __all__ = [
     "greedy_mis_dynamic_degree",
     "mis_coloring",
     "MisNode",
-    "distributed_mis",
     "run_mis",
     "brute_force_subset_distance_check",
     "complementary_subsets_within",

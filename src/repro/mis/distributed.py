@@ -22,8 +22,7 @@ the message delays — which the property tests check against
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Hashable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Set
 
 from repro.graphs.graph import Graph
 from repro.mis.ranking import Rank, id_ranking, validate_ranking
@@ -31,7 +30,6 @@ from repro.sim.config import SimConfig, merge_entry_args
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
-from repro.sim.stats import SimStats
 
 BLACK = "BLACK"
 GRAY = "GRAY"
@@ -58,16 +56,13 @@ class MisNode(ProtocolNode):
         self.color = WHITE_STATE
         # Under faults a node can be absent from the rank table (it
         # crashed before the ranking phase finished); such a node never
-        # starts, and live nodes skip unranked neighbors.
-        self.rank = ranks.get(self.node_id)
+        # starts, and live nodes skip unranked neighbors.  The simulator
+        # builds every node before any crash: the audience is the live view.
+        self.rank = rank = ranks.get(self.node_id)
         self._pending_lower: Set[Hashable] = (
             set()
-            if self.rank is None
-            else {
-                nbr
-                for nbr in ctx.neighbors
-                if nbr in ranks and ranks[nbr] < self.rank
-            }
+            if rank is None
+            else {nbr for nbr in ctx.audience if nbr in ranks and ranks[nbr] < rank}
         )
         self._black_neighbors: Set[Hashable] = set()
 
@@ -80,17 +75,17 @@ class MisNode(ProtocolNode):
 
     def on_message(self, msg: Message) -> None:
         if msg.kind == self.black_kind:
-            self._on_black(msg)
+            self._on_black(msg.sender)
         elif msg.kind == self.gray_kind:
-            self._on_gray(msg)
+            self._on_gray(msg.sender)
 
-    def _on_black(self, msg: Message) -> None:
-        self._black_neighbors.add(msg.sender)
+    def _on_black(self, sender: Hashable) -> None:
+        self._black_neighbors.add(sender)
         if self.color == WHITE_STATE:
-            self.declare_gray(msg.sender)
+            self.declare_gray(sender)
 
-    def _on_gray(self, msg: Message) -> None:
-        self._pending_lower.discard(msg.sender)
+    def _on_gray(self, sender: Hashable) -> None:
+        self._pending_lower.discard(sender)
         if self.color == WHITE_STATE and not self._pending_lower:
             self.declare_black()
 
@@ -180,29 +175,3 @@ def run_mis(
         algorithm="mis",
         meta=meta,
     )
-
-
-def distributed_mis(
-    graph: Graph,
-    ranking: Optional[Mapping[Hashable, Rank]] = None,
-    *,
-    latency=None,
-    seed: Optional[int] = None,
-    registry=None,
-) -> Tuple[Set[Hashable], SimStats]:
-    """Deprecated shim: old ``(MIS, stats)`` tuple signature.
-
-    Use :func:`run_mis` (or ``repro.backbone.build("mis", ...)``); it
-    returns a :class:`~repro.wcds.base.BackboneResult`.
-    """
-    warnings.warn(
-        "distributed_mis() is deprecated; use run_mis() which returns a "
-        "BackboneResult (stats are in result.meta['stats'])",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = run_mis(
-        graph, ranking, seed=seed, registry=registry,
-        sim=SimConfig(latency=latency),
-    )
-    return set(result.dominators), result.meta["stats"]

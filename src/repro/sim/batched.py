@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
 from repro.kernels._compat import HAVE_NUMPY, require_numpy
@@ -144,7 +144,6 @@ class BatchedSimulator(Simulator):
         self._buckets: Dict[float, List[Tuple[Any, ...]]] = {}
         self._times: List[float] = []
         self._audience: Dict[Hashable, Tuple[Hashable, ...]] = {}
-        self._nbr_cache: Dict[Hashable, FrozenSet[Hashable]] = {}
         self._graph_version = graph.version
         # The bulk CSR expansion is deferred to the first broadcast:
         # construction stays cheap for runs that never fan out (or get
@@ -204,14 +203,11 @@ class BatchedSimulator(Simulator):
             for i, node in enumerate(node_list)
         }
 
-    def _sync_topology(self) -> None:
-        version = self.graph.version
-        if version != self._graph_version:
-            self._graph_version = version
+    def audience_of(self, sender: Hashable) -> Tuple[Hashable, ...]:
+        """Canonical audience of ``sender`` from the memoized table."""
+        if self.graph.version != self._graph_version:
+            self._graph_version = self.graph.version
             self._audience.clear()
-            self._nbr_cache.clear()
-
-    def _audience_of(self, sender: Hashable) -> Tuple[Hashable, ...]:
         audience = self._audience.get(sender)
         if audience is None:
             if self._audience_bulk_pending:
@@ -229,25 +225,6 @@ class BatchedSimulator(Simulator):
     # ------------------------------------------------------------------
     # Node-facing API
     # ------------------------------------------------------------------
-    def neighbor_ids(self, node_id: Hashable) -> FrozenSet[Hashable]:
-        """Live neighbors of ``node_id`` (crashed nodes excluded)."""
-        self._sync_topology()
-        cached = self._nbr_cache.get(node_id)
-        if cached is None:
-            cached = frozenset(
-                nbr for nbr in self.graph.adjacency(node_id) if nbr not in self._dead
-            )
-            self._nbr_cache[node_id] = cached
-        return cached
-
-    def crash_node(self, node_id: Hashable) -> None:
-        super().crash_node(node_id)
-        self._nbr_cache.clear()
-
-    def revive_node(self, node_id: Hashable) -> None:
-        super().revive_node(node_id)
-        self._nbr_cache.clear()
-
     def transmit(self, message: Message) -> None:
         """One radio transmission, batched into a fan-out record.
 
@@ -260,13 +237,12 @@ class BatchedSimulator(Simulator):
         sender = message.sender
         if sender in self._dead:
             return
-        self._sync_topology()
-        self.stats.record_send(sender, message.kind, message.payload_size(), self.now)
+        self.stats.record_message(message, self.now)
         if self.tracer is not None:
             self.tracer.on_send(self.now, message)
         audience: Tuple[Hashable, ...]
         if message.dest is None:
-            audience = self._audience_of(sender)
+            audience = self.audience_of(sender)
         else:
             if message.dest not in self.graph.adjacency(sender):
                 raise ValueError(

@@ -125,6 +125,10 @@ class Simulator:
         self._queue: list = []
         self._seq = itertools.count()
         self._dead: set = set()
+        # Crash/revive count, one of the two terms of ``epoch``.
+        self._liveness = 0
+        self._nbr_cache: Dict[Hashable, FrozenSet[Hashable]] = {}
+        self._nbr_epoch = -1
         self._started = False
         # Fault-plan execution state: the ambient plan, the set of nodes
         # the *plan* currently holds dead (manual crash_node calls are
@@ -149,26 +153,41 @@ class Simulator:
     # Node-facing API (called through NodeContext)
     # ------------------------------------------------------------------
     def neighbor_ids(self, node_id: Hashable) -> FrozenSet[Hashable]:
-        """Live neighbors of ``node_id`` (crashed nodes excluded)."""
-        return frozenset(
-            nbr for nbr in self.graph.adjacency(node_id) if nbr not in self._dead
-        )
+        """Live neighbors of ``node_id`` (crashed nodes excluded), cached
+        until the epoch moves."""
+        epoch = self.epoch
+        if epoch != self._nbr_epoch:
+            self._nbr_epoch = epoch
+            self._nbr_cache.clear()
+        cached = self._nbr_cache.get(node_id)
+        if cached is None:
+            cached = self._nbr_cache[node_id] = frozenset(
+                nbr for nbr in self.graph.adjacency(node_id) if nbr not in self._dead
+            )
+        return cached
+
+    def audience_of(self, node_id: Hashable) -> Tuple[Hashable, ...]:
+        """Every radio neighbor of ``node_id``, in canonical order: a raw
+        set would make the delivery sequence (and hence every same-time
+        tie-break) a function of the hash seed."""
+        return tuple(canonical_order(self.graph.adjacency(node_id)))
+
+    @property
+    def epoch(self) -> int:
+        """Crash/revive count plus ``graph.version``: both monotone, so it
+        moves exactly when some live-neighbor view may have changed."""
+        return self._liveness + self.graph.version
 
     def transmit(self, message: Message) -> None:
         """One radio transmission: fan out deliveries to the audience."""
         sender = message.sender
         if sender in self._dead:
             return
-        self.stats.record_send(sender, message.kind, message.payload_size(), self.now)
+        self.stats.record_message(message, self.now)
         if self.tracer is not None:
             self.tracer.on_send(self.now, message)
         if message.dest is None:
-            # Canonical fan-out order: a raw set here would make the
-            # delivery sequence (and hence every same-time tie-break)
-            # a function of the hash seed.
-            audience: Iterable[Hashable] = canonical_order(
-                self.graph.adjacency(sender)
-            )
+            audience: Iterable[Hashable] = self.audience_of(sender)
         else:
             if message.dest not in self.graph.adjacency(sender):
                 raise ValueError(
@@ -208,10 +227,12 @@ class Simulator:
     def crash_node(self, node_id: Hashable) -> None:
         """Crash a node: it stops sending and receiving immediately."""
         self._dead.add(node_id)
+        self._liveness += 1
 
     def revive_node(self, node_id: Hashable) -> None:
         """Bring a crashed node back (with whatever state it had)."""
         self._dead.discard(node_id)
+        self._liveness += 1
 
     @property
     def crashed(self) -> FrozenSet[Hashable]:

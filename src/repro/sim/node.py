@@ -10,7 +10,7 @@ world a node can see, which keeps implementations honest about the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Tuple
 
 from repro.sim.messages import Message
 
@@ -34,6 +34,16 @@ class NodeContext:
     def neighbors(self) -> FrozenSet[Hashable]:
         """IDs of the current one-hop neighbors."""
         return self._sim.neighbor_ids(self.node_id)
+
+    @property
+    def audience(self) -> Tuple[Hashable, ...]:
+        """All radio neighbors in canonical order, crashed ones included."""
+        return self._sim.audience_of(self.node_id)
+
+    @property
+    def epoch(self) -> int:
+        """Moves whenever ``neighbors`` may have changed."""
+        return self._sim.epoch
 
     @property
     def now(self) -> float:

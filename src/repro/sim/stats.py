@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable
+from typing import Dict
+
+from repro.sim.messages import Message
 
 
 @dataclass
@@ -32,24 +34,24 @@ class SimStats:
     partition_blocked: int = 0
     fault_transitions: int = 0
 
-    def record_send(
-        self, sender: Hashable, kind: str, payload_size: int = 1, time: float = 0.0
-    ) -> None:
-        """Account one radio transmission of ``payload_size`` entries.
+    def record_message(self, message: Message, time: float = 0.0) -> None:
+        """Account one radio transmission of ``message`` at ``time``.
 
         The message *count* is the paper's complexity measure; the
-        entry count is the communication-volume measure that separates
-        O(1)-payload protocols (Algorithm II's bounded dominator lists)
-        from O(Δ)-payload ones (Wu-Li's HELLO neighbor lists).  The
-        first/last transmission times per kind bound each message
-        kind's activity window in simulated time (the phase telemetry
-        of interleaved protocols like Algorithm II reads them).
+        payload entry count is the communication-volume measure that
+        separates O(1)-payload protocols (Algorithm II's bounded
+        dominator lists) from O(Δ)-payload ones (Wu-Li's HELLO neighbor
+        lists).  The first/last transmission times per kind bound each
+        message kind's activity window in simulated time (the phase
+        telemetry of interleaved protocols like Algorithm II reads them).
         """
+        kind = message.kind
+        size = message.payload_size()
         self.messages_sent += 1
         self.by_kind[kind] += 1
-        self.by_node[sender] += 1
-        self.payload_entries += payload_size
-        self.payload_by_kind[kind] += payload_size
+        self.by_node[message.sender] += 1
+        self.payload_entries += size
+        self.payload_by_kind[kind] += size
         self.first_send_by_kind.setdefault(kind, time)
         self.last_send_by_kind[kind] = time
 

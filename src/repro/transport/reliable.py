@@ -33,7 +33,7 @@ restarts the epoch when it corrupts an invariant.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Set
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import canonical_order
 from repro.sim.messages import Message
@@ -82,6 +82,7 @@ class ReliableTransport:
         self.config = config
         self.known: FrozenSet[Hashable] = frozenset(ctx.neighbors)
         self.suspected: Set[Hashable] = set()
+        self.view_changes = 0  # bumped on every change to ``suspected``
         self._fin_peers: Set[Hashable] = set()
         self._last_heard: Dict[Hashable, float] = {}
         #: Silent peers currently being probed -> time of first ping.
@@ -177,6 +178,7 @@ class ReliableTransport:
         self._pinged.pop(peer, None)
         if peer in self.suspected:
             self.suspected.discard(peer)
+            self.view_changes += 1
             if self._on_up is not None:
                 self._on_up(peer)
         if msg.kind == ACK_KIND:
@@ -335,6 +337,7 @@ class ReliableTransport:
         if peer in self.suspected:
             return
         self.suspected.add(peer)
+        self.view_changes += 1
         self._pinged.pop(peer, None)
         for seq in list(self._pending):
             out = self._pending[seq]
@@ -372,6 +375,14 @@ class TransportContext:
     @property
     def neighbors(self) -> FrozenSet[Hashable]:
         return self._transport.live_neighbors
+
+    @property
+    def audience(self) -> Tuple[Hashable, ...]:
+        return self._ctx.audience
+
+    @property
+    def epoch(self) -> int:
+        return self._ctx.epoch + self._transport.view_changes
 
     @property
     def now(self) -> float:

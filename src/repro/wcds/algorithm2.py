@@ -39,12 +39,12 @@ latency the race cannot occur.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
 from repro.mis.centralized import greedy_mis
-from repro.mis.distributed import MisNode
+from repro.mis.distributed import BLACK_STATE, GRAY_STATE, MisNode
 from repro.mis.ranking import id_ranking
 from repro.obs.tracing import get_tracer
 from repro.sim.config import SimConfig, merge_entry_args
@@ -76,7 +76,13 @@ PHASE_KINDS = {
 
 
 class Algorithm2Node(MisNode):
-    """Full per-node state machine for Algorithm II."""
+    """Full per-node state machine for Algorithm II.
+
+    Both "heard from every ..." barriers are counts; the live-neighbor
+    view can change without a message, so ``_undeclared`` is re-derived
+    from ``ctx.neighbors`` whenever ``ctx.epoch`` has moved (see
+    docs/PROTOCOLS.md §3).
+    """
 
     black_kind = MIS_DOMINATOR
     gray_kind = GRAY
@@ -88,100 +94,103 @@ class Algorithm2Node(MisNode):
         self.two_hop_dom: Dict[Hashable, Hashable] = {}  # dominator -> via
         self.three_hop_dom: Dict[Hashable, Tuple[Hashable, Hashable]] = {}
         self._declared: Set[Hashable] = set()
+        self._undeclared = len(ctx.audience)
+        #: The live view ``_undeclared`` was last counted over; ``None``
+        #: until the epoch first moves (then the audience holds every sender).
+        self._view: Optional[FrozenSet[Hashable]] = None
+        self._epoch = ctx.epoch
         self._gray_neighbors: Set[Hashable] = set()
         self._one_hop_heard: Set[Hashable] = set()
+        self._gray_unheard = 0
         self._sent_one_hop = False
         self._sent_two_hop = False
 
-    # ------------------------------------------------------------------
-    # Marking-phase hooks (rules 1-3 of the paper's step list)
-    # ------------------------------------------------------------------
-    def declare_gray(self, dominator: Hashable) -> None:
-        self.one_hop_dom.add(dominator)
-        super().declare_gray(dominator)
-        self._maybe_send_one_hop()
-
     def on_message(self, msg: Message) -> None:
         kind = msg.kind
-        if kind == MIS_DOMINATOR:
-            self._declared.add(msg.sender)
-            if self.color != "black":
-                self.one_hop_dom.add(msg.sender)
-                # A 2-hop classification that arrived early is corrected:
-                # the sender is in fact one hop away.
-                self.two_hop_dom.pop(msg.sender, None)
-            super().on_message(msg)
-            self._maybe_send_one_hop()
-            self._maybe_send_two_hop()
-        elif kind == GRAY:
-            self._declared.add(msg.sender)
-            self._gray_neighbors.add(msg.sender)
-            super().on_message(msg)
-            self._maybe_send_one_hop()
-            self._maybe_send_two_hop()
+        sender = msg.sender
+        if kind == MIS_DOMINATOR or kind == GRAY:
+            if sender not in self._declared:
+                self._declared.add(sender)
+                if self._view is None or sender in self._view:
+                    self._undeclared -= 1
+            if kind == GRAY:
+                if sender not in self._gray_neighbors:
+                    self._gray_neighbors.add(sender)
+                    if sender not in self._one_hop_heard:
+                        self._gray_unheard += 1
+                self._on_gray(sender)
+            else:
+                if self.color != BLACK_STATE:
+                    self.one_hop_dom.add(sender)
+                    # A 2-hop classification that arrived early is
+                    # corrected: the sender is in fact one hop away.
+                    self.two_hop_dom.pop(sender, None)
+                self._on_black(sender)
+            self._maybe_send_lists()
         elif kind == ONE_HOP_DOMINATORS:
-            self._on_one_hop(msg)
+            self._on_one_hop(sender, msg.data["doms"])
         elif kind == TWO_HOP_DOMINATORS:
-            self._on_two_hop(msg)
+            if self.color == BLACK_STATE:
+                self._on_two_hop(sender, msg.data["doms"])
         elif kind == SELECTION:
             self._on_selection(msg)
         elif kind == ADDITIONAL_DOMINATOR:
-            self._on_additional(msg)
+            if msg.data["x"] == self.node_id:
+                self._on_additional(msg)
         elif kind == ADDITIONAL_RELAY:
             self._on_additional_relay(msg)
 
     # ------------------------------------------------------------------
-    # 1-HOP-DOMINATORS (rules 4-6)
+    # 1-HOP-DOMINATORS and 2-HOP-DOMINATORS sends (rules 4 and 7)
     # ------------------------------------------------------------------
-    def _maybe_send_one_hop(self) -> None:
-        if (
-            self.color == "gray"
-            and not self._sent_one_hop
-            and self._declared >= self.ctx.neighbors
-        ):
+    def _maybe_send_lists(self) -> None:
+        """A gray node whose live neighbors all declared sends its 1-hop
+        list, then its 2-hop list once every gray neighbor's 1-hop list is in."""
+        if self.color != GRAY_STATE or self._sent_two_hop:
+            return
+        epoch = self.ctx.epoch
+        if epoch != self._epoch:
+            self._epoch = epoch
+            view = self._view = self.ctx.neighbors
+            self._undeclared = len(view - self._declared)
+        if self._undeclared:
+            return
+        if not self._sent_one_hop:
             self._sent_one_hop = True
             self.ctx.broadcast(
                 ONE_HOP_DOMINATORS, doms=tuple(sorted(self.one_hop_dom, key=repr))
             )
-            self._maybe_send_two_hop()
-
-    def _on_one_hop(self, msg: Message) -> None:
-        self._one_hop_heard.add(msg.sender)
-        if self.color == "black":
-            for dom in msg["doms"]:
-                if dom == self.node_id or dom in self.two_hop_dom:
-                    continue
-                self.two_hop_dom[dom] = msg.sender
-                self.three_hop_dom.pop(dom, None)
-        else:
-            for dom in msg["doms"]:
-                if dom in self.one_hop_dom or dom in self.two_hop_dom:
-                    continue
-                self.two_hop_dom[dom] = msg.sender
-        self._maybe_send_two_hop()
-
-    # ------------------------------------------------------------------
-    # 2-HOP-DOMINATORS (rules 7-8)
-    # ------------------------------------------------------------------
-    def _maybe_send_two_hop(self) -> None:
-        if (
-            self.color == "gray"
-            and self._sent_one_hop
-            and not self._sent_two_hop
-            and self._gray_neighbors <= self._one_hop_heard
-            and self._declared >= self.ctx.neighbors
-        ):
+        if not self._gray_unheard:
             self._sent_two_hop = True
             self.ctx.broadcast(
                 TWO_HOP_DOMINATORS,
                 doms=tuple(sorted(self.two_hop_dom.items(), key=repr)),
             )
 
-    def _on_two_hop(self, msg: Message) -> None:
-        if self.color != "black":
-            return
-        via = msg.sender
-        for dom, hop in msg["doms"]:
+    # ------------------------------------------------------------------
+    # 1-HOP-DOMINATORS and 2-HOP-DOMINATORS receipts (rules 5-6 and 8)
+    # ------------------------------------------------------------------
+    def _on_one_hop(self, sender: Hashable, doms) -> None:
+        if sender not in self._one_hop_heard:
+            self._one_hop_heard.add(sender)
+            if sender in self._gray_neighbors:
+                self._gray_unheard -= 1
+        if self.color == BLACK_STATE:
+            for dom in doms:
+                if dom == self.node_id or dom in self.two_hop_dom:
+                    continue
+                self.two_hop_dom[dom] = sender
+                self.three_hop_dom.pop(dom, None)
+        else:
+            for dom in doms:
+                if dom in self.one_hop_dom or dom in self.two_hop_dom:
+                    continue
+                self.two_hop_dom[dom] = sender
+        if self._sent_one_hop and not self._gray_unheard:
+            self._maybe_send_lists()
+
+    def _on_two_hop(self, via: Hashable, doms) -> None:
+        for dom, hop in doms:
             if dom == self.node_id:
                 continue
             if dom in self.two_hop_dom or dom in self.three_hop_dom:
@@ -207,7 +216,8 @@ class Algorithm2Node(MisNode):
         )
 
     def _on_additional(self, msg: Message) -> None:
-        if msg["x"] == self.node_id and msg["w"] in self.ctx.neighbors:
+        """The named intermediate ``x`` relays the declaration to ``w``."""
+        if msg["w"] in self.ctx.neighbors:
             self.ctx.send(
                 msg["w"],
                 ADDITIONAL_RELAY,
@@ -218,7 +228,7 @@ class Algorithm2Node(MisNode):
             )
 
     def _on_additional_relay(self, msg: Message) -> None:
-        if msg["w"] != self.node_id or self.color != "black":
+        if msg["w"] != self.node_id or self.color != BLACK_STATE:
             return
         dominator = msg["u"]
         if dominator not in self.two_hop_dom:
@@ -226,13 +236,14 @@ class Algorithm2Node(MisNode):
 
     def on_neighbor_down(self, peer: Hashable) -> None:
         """Transport liveness hook: forget a dead peer so the "heard
-        from every neighbor" barriers (which compare against the live
-        neighbor view) can still be met."""
+        from every neighbor" barriers can still be met."""
         super().on_neighbor_down(peer)
         self.one_hop_dom.discard(peer)
-        self._gray_neighbors.discard(peer)
-        self._maybe_send_one_hop()
-        self._maybe_send_two_hop()
+        if peer in self._gray_neighbors:
+            self._gray_neighbors.discard(peer)
+            if peer not in self._one_hop_heard:
+                self._gray_unheard -= 1
+        self._maybe_send_lists()
 
     def result(self) -> Dict[str, object]:
         return {

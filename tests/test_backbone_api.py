@@ -187,13 +187,6 @@ class TestDeprecationShims:
         )
         assert total == graph.num_nodes
 
-    def test_distributed_mis_tuple_shim(self, graph):
-        from repro.mis import distributed_mis, greedy_mis
-
-        mis, stats = _exactly_one_deprecation(lambda: distributed_mis(graph))
-        assert mis == greedy_mis(graph)
-        assert stats.messages_sent == graph.num_nodes
-
     def test_algorithm1_latency(self, graph):
         from repro.wcds import algorithm1_distributed
 

@@ -29,6 +29,14 @@ class TestTopLevelSurface:
         ):
             assert name in repro.__all__
 
+    def test_removed_tuple_shim_stays_gone(self):
+        # ``distributed_mis`` finished its deprecation cycle: ``run_mis``
+        # is the one entry point.
+        import repro.mis
+
+        assert "distributed_mis" not in repro.__all__
+        assert not hasattr(repro.mis, "distributed_mis")
+
 
 SUBPACKAGES = [
     "repro.geometry",
