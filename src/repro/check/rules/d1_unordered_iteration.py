@@ -66,6 +66,7 @@ class UnorderedIterationRule(base.Rule):
         "src/repro/faults/",
         "src/repro/backbone/",
         "src/repro/shard/",
+        "src/repro/workers.py",
         "src/repro/opt/",
         "src/repro/obs/pipeline.py",
         "src/repro/obs/flightrec.py",

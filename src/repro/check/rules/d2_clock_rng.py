@@ -46,6 +46,7 @@ class ClockAndRngRule(base.Rule):
         "src/repro/faults/",
         "src/repro/backbone/",
         "src/repro/shard/",
+        "src/repro/workers.py",
         "src/repro/opt/",
         "src/repro/obs/pipeline.py",
         "src/repro/obs/flightrec.py",

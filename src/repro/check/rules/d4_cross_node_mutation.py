@@ -59,6 +59,7 @@ class CrossNodeMutationRule(base.Rule):
         "src/repro/faults/",
         "src/repro/backbone/",
         "src/repro/shard/",
+        "src/repro/workers.py",
         "src/repro/obs/pipeline.py",
         "src/repro/obs/flightrec.py",
         "src/repro/obs/slo.py",

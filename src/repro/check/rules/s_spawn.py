@@ -1,8 +1,10 @@
 """S-rules — spawn/shared-memory safety at the worker boundary.
 
-The sharded serving path (:mod:`repro.shard.pool`) runs spawn workers
-over a :class:`~repro.shard.pool.SharedPositions` shared-memory block.
-That boundary has hazard classes the D-rules cannot see:
+The spawn-worker substrate (:mod:`repro.workers`) runs the workers of
+the shard serve pool (:mod:`repro.shard.pool`) and the fleet runner
+(:mod:`repro.sim.fleet`) over a :class:`~repro.workers.SharedPositions`
+shared-memory block.  That boundary has hazard classes the D-rules
+cannot see:
 
 * **S1** — unpicklable values handed across the ``Process`` boundary
   (lambdas, locks, open file handles, live ``Tracer``/registry
@@ -18,9 +20,13 @@ That boundary has hazard classes the D-rules cannot see:
   are invisible there and the two copies silently diverge.
 
 "Worker functions" are the module-level functions named as a
-``Process(target=...)`` plus everything they transitively call in the
-same module.  The analysis is module-local and shape-based, in the
-spirit of :mod:`repro.check.rules.common`.
+``Process(target=...)`` or as the ``handler=`` of a ``WorkerGroup(...)``
+(the substrate's worker loop calls it with every client message), plus
+everything they transitively call in the same module.  The values a
+``WorkerGroup`` ships to its workers (``handler=`` and ``args=``) cross
+the boundary like ``Process`` arguments do.  The analysis is
+module-local and shape-based, in the spirit of
+:mod:`repro.check.rules.common`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.check.rules import base, common
 from repro.check.violations import Violation
 
-SHARD_SCOPE = ("src/repro/shard/",)
+SHARD_SCOPE = ("src/repro/shard/", "src/repro/sim/fleet.py", "src/repro/workers.py")
+
+#: Spawn calls and the keyword naming each one's worker entry point:
+#: ``Process(target=...)`` and the substrate's ``WorkerGroup(handler=...)``,
+#: which ships only its ``handler=`` and ``args=`` to the workers.
+SPAWN_ENTRY = {"Process": "target", "WorkerGroup": "handler"}
+GROUP_SHIPPED = ("handler", "args")
 
 #: Constructors whose instances do not survive pickling (or pickle into
 #: divergent copies): synchronization primitives, handles, and this
@@ -84,10 +96,13 @@ MUTABLE_FACTORIES = frozenset(
 )
 
 
-def _process_calls(tree: ast.AST) -> Iterator[ast.Call]:
+def _spawn_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+    """Each spawn call with the keyword naming its worker entry point."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and common.call_name(node) == "Process":
-            yield node
+        if isinstance(node, ast.Call):
+            entry = SPAWN_ENTRY.get(common.call_name(node) or "")
+            if entry is not None:
+                yield node, entry
 
 
 def _module_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
@@ -99,12 +114,13 @@ def _module_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
 
 
 def worker_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
-    """Module-level functions reachable from a ``Process(target=...)``."""
+    """Module-level functions reachable from a ``Process(target=...)``
+    or a ``WorkerGroup(handler=...)``."""
     functions = _module_functions(tree)
     roots: List[str] = []
-    for call in _process_calls(tree):
+    for call, entry in _spawn_calls(tree):
         for kw in call.keywords:
-            if kw.arg == "target" and isinstance(kw.value, ast.Name):
+            if kw.arg == entry and isinstance(kw.value, ast.Name):
                 roots.append(kw.value.id)
     reachable: Dict[str, ast.FunctionDef] = {}
     frontier = [name for name in roots if name in functions]
@@ -130,9 +146,11 @@ class UnpicklableCaptureRule(base.Rule):
     scope = SHARD_SCOPE
 
     def check(self, module: base.ModuleSource) -> Iterator[Violation]:
-        for call in _process_calls(module.tree):
+        for call, entry in _spawn_calls(module.tree):
             for kw in call.keywords:
-                if kw.arg == "target":
+                if kw.arg == "target" or (
+                    entry == "handler" and kw.arg not in GROUP_SHIPPED
+                ):
                     continue
                 values: List[ast.AST] = (
                     list(kw.value.elts)

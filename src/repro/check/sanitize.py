@@ -14,10 +14,12 @@ ASan-style, each side catches what the other proves:
 
 The second half of the harness guards the spawn boundary: with the
 sanitizer armed (the ``REPRO_SANITIZE`` environment variable, inherited
-by spawn children), :func:`repro.shard.pool._worker_main` flips its
-view of the :class:`~repro.shard.pool.SharedPositions` array to
-``writeable=False`` — the S2 contract ("workers never write the shared
-block") becomes an immediate ``ValueError`` at any violating store.
+by spawn children), the one worker loop every spawn worker runs,
+:func:`repro.workers._worker_main`, flips its view of the
+:class:`~repro.workers.SharedPositions` array to ``writeable=False`` —
+the S2 contract ("workers never write the shared block") becomes an
+immediate ``ValueError`` at any violating store, in the shard pool's
+workers and the fleet runner's alike.
 
 Usage::
 
@@ -289,20 +291,25 @@ def _selection_phase_graph():
 def probe_worker_protection(*, n: int = 24, seed: int = 3) -> Optional[str]:
     """Prove the spawn-boundary guard is armed, not just present.
 
-    Spins up a one-worker :class:`~repro.shard.pool.ShardServePool`
-    under the sanitizer and asks the worker to attempt a write to its
-    shared position array.  Returns the exception name the write raised
-    (``"ValueError"`` when protection is armed) or ``None`` if the
+    Spins up a one-worker :class:`~repro.shard.pool.ShardServePool` and
+    a one-worker :class:`~repro.sim.fleet.FleetRunner` under the
+    sanitizer and asks each worker to attempt a write to its shared
+    position array.  Returns the exception name the writes raised
+    (``"ValueError"`` when protection is armed) or ``None`` if either
     write silently went through — which is the failure.
     """
     from repro.graphs.generators import connected_random_udg
     from repro.shard.config import ShardConfig
     from repro.shard.pool import ShardServePool
+    from repro.sim.fleet import FleetRunner
 
     graph = connected_random_udg(n, side=2.5, radius=1.0, seed=seed)
     with sanitized():
         with ShardServePool(graph, ShardConfig(workers=1)) as pool:
-            return pool.probe_shared_write()
+            pool_error = pool.group.probe()
+        with FleetRunner(graph, workers=1) as fleet:
+            fleet_error = fleet.group.probe()
+    return pool_error if pool_error == fleet_error else None
 
 
 def verify_protocols(

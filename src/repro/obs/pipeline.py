@@ -1,8 +1,8 @@
 """Cross-process telemetry: harvest, merge, and trace stitching.
 
-The PR 6 serve pool (`repro.shard.pool`) spawns workers whose metrics
-and spans used to die with the process.  This module is the pipeline
-that carries them home:
+The spawn workers of :mod:`repro.workers` (the shard serve pool's and
+the fleet runner's) keep their own metrics and spans.  This module is
+the pipeline that carries them home:
 
 * :func:`snapshot_state` freezes a :class:`MetricsRegistry` into a
   plain-dict *mergeable state*; :func:`merge_snapshots` combines any
@@ -211,7 +211,6 @@ class TelemetryFrame:
     seq: int
     metrics: State = field(default_factory=empty_snapshot)
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    flight: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
     def capture(
@@ -220,7 +219,6 @@ class TelemetryFrame:
         seq: int,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[List[Dict[str, Any]]] = None,
-        flight: Optional[List[Dict[str, Any]]] = None,
         ts: Optional[float] = None,
     ) -> "TelemetryFrame":
         """Snapshot the worker's registry (if any) into a frame."""
@@ -232,7 +230,6 @@ class TelemetryFrame:
             seq=seq,
             metrics=metrics,
             spans=list(spans) if spans else [],
-            flight=list(flight) if flight else [],
         )
 
 

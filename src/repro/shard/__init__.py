@@ -13,13 +13,15 @@ subpackage operationalizes that:
   construction, with boundary-only invalidation under churn;
 * :class:`~repro.shard.pool.ShardServePool` — serve the stitched
   backbone from per-tile replicas, in-process or across a
-  ``spawn`` worker pool over shared-memory positions;
+  ``spawn`` worker pool over shared-memory positions (the workers are
+  a :class:`~repro.workers.WorkerGroup`; ``SharedPositions`` is
+  re-exported from :mod:`repro.workers`);
 * :mod:`~repro.shard.bench` — the scaling harness behind
   ``benchmarks/bench_shard_scaling.py`` and ``repro shard-bench``.
 """
 
 from repro.shard.config import MIN_HALO_RADII, ShardConfig
-from repro.shard.pool import SharedPositions, ShardServePool
+from repro.shard.pool import ShardServePool
 from repro.shard.stitch import (
     ALGORITHM_NAME,
     InvalidationReport,
@@ -27,6 +29,7 @@ from repro.shard.stitch import (
     build_sharded,
 )
 from repro.shard.tiler import TileId, Tiler
+from repro.workers import SharedPositions
 
 __all__ = [
     "ALGORITHM_NAME",

@@ -5,18 +5,18 @@ Theorem 10/12 sweeps) repeat the same protocol on the same topology
 under different seeds.  :class:`FleetRunner` executes such a sweep over
 ``spawn`` worker processes while shipping the topology exactly once:
 
-* node positions live in one :class:`~repro.shard.pool.SharedPositions`
+* node positions live in one :class:`~repro.workers.SharedPositions`
   float64 block; each worker rebuilds the unit-disk graph from the
   shared rows (float64 is exact, so every worker sees the identical
   edge set) and keeps it for its whole seed range;
 * trials are small picklable values (:class:`BackboneTrial`,
   :class:`ChaosTrial`, or any module-level callable with the same
   signature) — only the trial object and the seed chunk cross the pipe;
-* with a parent-side registry, workers keep a private
-  :class:`~repro.obs.registry.MetricsRegistry` + span recorder and
-  piggyback a :class:`~repro.obs.pipeline.TelemetryFrame` on every
-  reply, exactly the :class:`~repro.shard.pool.ShardServePool`
-  protocol, so fleet totals and stitched traces come for free.
+* the workers are a :class:`~repro.workers.WorkerGroup`, the substrate
+  the :class:`~repro.shard.pool.ShardServePool` runs on too: this
+  module supplies only the ``run`` handler, and telemetry frames,
+  stitched traces, death accounting and the close handshake are the
+  substrate's.
 
 ``workers=0`` runs the same trials inline in the parent — the
 deterministic baseline the tests compare worker rows against (the rows
@@ -25,7 +25,6 @@ are identical: each trial reseeds everything from its seed argument).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import (
@@ -42,15 +41,7 @@ from typing import (
 
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
-from repro.kernels._compat import require_numpy
-from repro.obs.pipeline import (
-    SpanRecorder,
-    TelemetryFrame,
-    TelemetryHarvest,
-    TraceContext,
-    TraceStitcher,
-)
-from repro.shard.pool import SharedPositions
+from repro.workers import SharedPositions, WorkerClient, WorkerEnv, WorkerGroup
 
 __all__ = [
     "BackboneTrial",
@@ -140,27 +131,6 @@ class ChaosTrial:
         }
 
 
-class _FleetTelemetry:
-    """Worker-private registry + spans, frame-per-reply (pool protocol)."""
-
-    def __init__(self, label: str) -> None:
-        from repro.obs.registry import MetricsRegistry
-
-        self.label = label
-        self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(label)
-        self.seq = 0
-        self.trials = self.registry.counter(
-            "fleet_trials_total", "seeded trials executed"
-        )
-
-    def frame(self) -> TelemetryFrame:
-        self.seq += 1
-        return TelemetryFrame.capture(
-            self.label, self.seq, self.registry, spans=self.spans.drain()
-        )
-
-
 def _rebuild_graph(
     shared: SharedPositions, radius: float, node_ids: Sequence[Hashable]
 ) -> UnitDiskGraph:
@@ -179,56 +149,25 @@ def _rebuild_graph(
     return UnitDiskGraph(positions, radius=radius)
 
 
-def _fleet_worker(
-    conn: Any,
-    shared: SharedPositions,
-    radius: float,
-    node_ids: Sequence[Hashable],
-    label: str = "f?",
-    telemetry: bool = False,
-) -> None:
-    """Worker loop: rebuild the graph once, then run seed chunks.
-
-    Module-level so ``spawn`` can import it.  Message protocol mirrors
-    the shard pool: ``("run", trial, seeds, ctx)`` →
-    ``("rows", rows, frame|None)``; ``("close",)`` →
-    ``("bye", frame|None)``.
-    """
-    from repro.check.sanitize import sanitizer_enabled
-
-    if sanitizer_enabled():
-        shared.protect()
-    tel = _FleetTelemetry(label) if telemetry else None
-    graph = _rebuild_graph(shared, radius, node_ids)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            # Parent vanished: exit quietly, like the shard workers.
-            return
-        kind = message[0]
-        if kind == "run":
-            _, trial, seeds, ctx = message
-            rows: List[Mapping[str, float]] = []
-            if tel is not None:
-                with tel.spans.span(
-                    "fleet.run_chunk", parent=ctx, seeds=len(seeds)
-                ):
-                    for seed in seeds:
-                        rows.append(trial(graph, seed))
-                        tel.trials.inc()
-                conn.send(("rows", rows, tel.frame()))
-            else:
-                for seed in seeds:
-                    rows.append(trial(graph, seed))
-                conn.send(("rows", rows, None))
-        elif kind == "close":
-            conn.send(("bye", tel.frame() if tel is not None else None))
-            break
-        else:  # pragma: no cover - protocol error
-            raise ValueError(f"unknown message {kind!r}")
-    shared.close()
-    conn.close()
+def _run_trials(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """Worker-side handler: ``("run", trial, seeds, ctx)`` →
+    ``("rows", rows, frame|None)``.  The graph is rebuilt from the
+    shared rows on the first chunk and kept in ``env.state``."""
+    _, trial, seeds, ctx = message
+    graph = env.state.get("graph")
+    if graph is None:
+        graph = env.state["graph"] = _rebuild_graph(env.shared, *env.args)
+    tel = env.tel
+    if tel is None:
+        return ("rows", [trial(graph, seed) for seed in seeds], None)
+    trials = tel.registry.counter("fleet_trials_total", "seeded trials executed")
+    rows: List[Mapping[str, float]] = []
+    with tel.spans.span("fleet.run_chunk", parent=ctx, seeds=len(seeds)):
+        for seed in seeds:
+            rows.append(trial(graph, seed))
+            trials.inc()
+    tel.batches.inc()
+    return ("rows", rows, env.frame())
 
 
 def _default_workers() -> int:
@@ -236,7 +175,7 @@ def _default_workers() -> int:
     return max(1, min(cpus - 1, 8))
 
 
-class FleetRunner:
+class FleetRunner(WorkerClient):
     """Execute seeded trials across spawn workers on one shared topology.
 
     ``workers=None`` sizes the fleet from the CPU count; ``workers=0``
@@ -255,55 +194,17 @@ class FleetRunner:
         self.graph = graph
         self.workers = _default_workers() if workers is None else workers
         self.registry = registry
-        self.telemetry = registry is not None
-        self.harvest: Optional[TelemetryHarvest] = (
-            TelemetryHarvest(registry) if self.telemetry else None
+        nodes = canonical_order(graph.positions) if self.workers else []
+        self.group = WorkerGroup(
+            handler=_run_trials,
+            count=self.workers,
+            prefix="f",
+            rows=[graph.positions[node] for node in nodes],
+            args=(graph.radius, nodes),
+            registry=registry,
+            died="fleet worker {} died mid-sweep",
+            deaths_metric="fleet_worker_deaths_total",
         )
-        self.stitcher: Optional[TraceStitcher] = (
-            TraceStitcher() if self.telemetry else None
-        )
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder("parent") if self.telemetry else None
-        )
-        self.shared: Optional[SharedPositions] = None
-        self._procs: List[Tuple[Any, Any]] = []
-        if self.workers > 0:
-            self._start_workers()
-
-    def _start_workers(self) -> None:
-        require_numpy()
-        ctx = multiprocessing.get_context("spawn")
-        node_ids = canonical_order(self.graph.positions)
-        self.shared = SharedPositions.create(
-            [
-                (self.graph.positions[n].x, self.graph.positions[n].y)
-                for n in node_ids
-            ]
-        )
-        for i in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_fleet_worker,
-                args=(
-                    child_conn,
-                    self.shared,
-                    self.graph.radius,
-                    node_ids,
-                    f"f{i}",
-                    self.telemetry,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._procs.append((process, parent_conn))
-
-    def _absorb(self, frame: Optional[TelemetryFrame]) -> None:
-        if frame is None or self.harvest is None:
-            return
-        self.harvest.absorb(frame)
-        if frame.spans and self.stitcher is not None:
-            self.stitcher.add(frame.spans)
 
     def run(
         self, trial: FleetTrial, seeds: Sequence[int]
@@ -318,7 +219,8 @@ class FleetRunner:
         seed_list = list(seeds)
         if not seed_list:
             raise ValueError("no seeds given")
-        if not self._procs:
+        group = self.group
+        if not group.conns:
             graph = self.graph
             rows = [trial(graph, seed) for seed in seed_list]
             if self.registry is not None:
@@ -326,93 +228,23 @@ class FleetRunner:
                     "fleet_trials_total", "seeded trials executed"
                 ).inc(len(rows))
             return rows
-        count = len(self._procs)
+        count = len(group.conns)
         chunk = (len(seed_list) + count - 1) // count
         assignments = [
             (i, seed_list[lo : lo + chunk])
             for i, lo in enumerate(range(0, len(seed_list), chunk))
         ]
-        ctx: Optional[TraceContext] = None
-        if self.spans is not None:
-            with self.spans.span(
-                "fleet.dispatch", seeds=len(seed_list), workers=len(assignments)
-            ) as span:
-                ctx = span.context
-                rows = self._scatter_gather(trial, assignments, ctx)
-            if self.stitcher is not None:
-                self.stitcher.add(self.spans.drain())
-        else:
-            rows = self._scatter_gather(trial, assignments, None)
+        rows = []
+        with group.span(
+            "fleet.dispatch", seeds=len(seed_list), workers=len(assignments)
+        ) as ctx:
+            for worker_id, chunk_seeds in assignments:
+                group.send(worker_id, ("run", trial, chunk_seeds, ctx))
+            for worker_id, _ in assignments:
+                reply = group.recv(worker_id, "rows")
+                rows.extend(reply[1])
+                group.absorb(reply[2])
         return rows
-
-    def _scatter_gather(
-        self,
-        trial: FleetTrial,
-        assignments: Sequence[Tuple[int, List[int]]],
-        ctx: Optional[TraceContext],
-    ) -> List[Mapping[str, float]]:
-        for worker_id, chunk_seeds in assignments:
-            _, conn = self._procs[worker_id]
-            try:
-                conn.send(("run", trial, chunk_seeds, ctx))
-            except (BrokenPipeError, OSError) as exc:
-                raise RuntimeError(
-                    f"fleet worker f{worker_id} died mid-sweep"
-                ) from exc
-        rows: List[Mapping[str, float]] = []
-        for worker_id, chunk_seeds in assignments:
-            process, conn = self._procs[worker_id]
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise RuntimeError(
-                    f"fleet worker f{worker_id} died mid-sweep"
-                ) from exc
-            if reply[0] != "rows":  # pragma: no cover - protocol error
-                raise RuntimeError(f"unexpected worker reply {reply!r}")
-            rows.extend(reply[1])
-            self._absorb(reply[2])
-        return rows
-
-    def merged_telemetry(self) -> Dict[str, Any]:
-        """Latest per-worker metric states merged into one fleet state."""
-        if self.harvest is None:
-            return {"ts": 0.0, "families": {}}
-        return self.harvest.merged()
-
-    def export_trace(self, path: str) -> int:
-        """Write the stitched worker trace as JSONL; returns span count."""
-        if self.stitcher is None:
-            return 0
-        if self.spans is not None:
-            self.stitcher.add(self.spans.drain())
-        return self.stitcher.to_jsonl(path)
-
-    def close(self) -> None:
-        """Stop workers (absorbing final frames), release shared memory."""
-        for process, conn in self._procs:
-            try:
-                conn.send(("close",))
-                reply = conn.recv()
-                if len(reply) > 1:
-                    self._absorb(reply[1])
-            except (BrokenPipeError, EOFError, OSError):  # pragma: no cover
-                pass
-            conn.close()
-            process.join(timeout=10)
-        self._procs = []
-        if self.spans is not None and self.stitcher is not None:
-            self.stitcher.add(self.spans.drain())
-        if self.shared is not None:
-            self.shared.close()
-            self.shared.unlink()
-            self.shared = None
-
-    def __enter__(self) -> "FleetRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def run_fleet(

@@ -127,6 +127,63 @@ class TestScopingAndSeverity:
         assert registry()["D2"].severity == "error"
 
 
+class TestSpawnSubstrateScope:
+    """The S-rules cover the spawn-worker substrate and its clients."""
+
+    WORKER_LOOP = (
+        "import multiprocessing\n"
+        "\n"
+        "def _worker_main(conn, shared):\n"
+        "    shared.array[0, 0] = 1.5\n"
+        "    conn.send(('bye', None))\n"
+        "\n"
+        "def start(shared):\n"
+        "    ctx = multiprocessing.get_context('spawn')\n"
+        "    parent, child = ctx.Pipe()\n"
+        "    ctx.Process(target=_worker_main, args=(child, shared)).start()\n"
+        "    return parent\n"
+    )
+    CLIENT_HANDLER = (
+        "from repro.workers import WorkerGroup\n"
+        "\n"
+        "def _rebuild(shared):\n"
+        "    rows = shared.array\n"
+        "    rows[0] = 0.0\n"
+        "    return rows\n"
+        "\n"
+        "def _run(env, message):\n"
+        "    return ('rows', _rebuild(env.shared), None)\n"
+        "\n"
+        "def start(rows, registry):\n"
+        "    return WorkerGroup(handler=_run, count=2, prefix='f', rows=rows,\n"
+        "                       registry=registry, died='{}', deaths_metric='d')\n"
+    )
+
+    def test_worker_loop_module_write_is_flagged(self):
+        findings = lint_source(
+            self.WORKER_LOOP, "src/repro/workers.py", CheckConfig(rule_codes=("S2",))
+        )
+        assert [v.rule for v in findings] == ["S2"]
+        assert findings[0].line == 4
+
+    def test_group_handler_is_a_worker_entry_point(self):
+        findings = lint_source(
+            self.CLIENT_HANDLER,
+            "src/repro/sim/fleet.py",
+            CheckConfig(rule_codes=("S2",)),
+        )
+        assert [(v.rule, v.line) for v in findings] == [("S2", 5)]
+
+    def test_group_shipped_values_are_pickle_checked(self):
+        source = self.CLIENT_HANDLER.replace("handler=_run", "handler=lambda e, m: m")
+        findings = lint_source(
+            source, "src/repro/sim/fleet.py", CheckConfig(rule_codes=("S1",))
+        )
+        assert [v.rule for v in findings] == ["S1"]
+        # the registry stays in the parent: not a shipped value
+        assert "lambda" in findings[0].message
+
+
 class TestFormatters:
     VIOLATION = Violation(
         path="src/a.py", line=3, col=7, rule="D1",

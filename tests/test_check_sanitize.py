@@ -127,7 +127,7 @@ class TestSpawnProtection:
 
         graph = make(24, 2.5, seed=3)
         with ShardServePool(graph, ShardConfig(workers=1)) as pool:
-            assert pool.probe_shared_write() is None
+            assert pool.group.probe() is None
 
     def test_shared_positions_protect_flips_writeable(self):
         import numpy as np

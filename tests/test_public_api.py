@@ -58,6 +58,7 @@ SUBPACKAGES = [
     "repro.service",
     "repro.obs",
     "repro.check",
+    "repro.workers",
     "repro.transport",
     "repro.faults",
     "repro.backbone",

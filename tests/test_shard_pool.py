@@ -339,21 +339,13 @@ class TestPoolTelemetry:
             pool = self._pool(deployment, registry)
             try:
                 pool.query_batch(_mixed_queries(pool, 80, seed=23))
-                pool._workers[0][0].kill()
-                pool._workers[0][0].join(timeout=10)
+                pool.group.processes[0].kill()
+                pool.group.processes[0].join(timeout=10)
                 with pytest.raises(RuntimeError, match="worker w0 died"):
                     for _ in range(50):
                         pool.query_batch(_mixed_queries(pool, 80, seed=24))
             finally:
-                # w0 is gone; skip the close handshake and just reap.
-                for proc, conn in pool._workers:
-                    conn.close()
-                    proc.join(timeout=10)
-                pool._workers = []
-                if pool.shared is not None:
-                    pool.shared.close()
-                    pool.shared.unlink()
-                    pool.shared = None
+                pool.close()
             assert registry.value("shard_worker_deaths_total") == 1
             artifact = json.loads(dump_path.read_text())
             assert artifact["reason"] == "worker_death"
@@ -380,3 +372,68 @@ class TestPoolTelemetry:
                 deployment.positions)[0])]) is not None
         finally:
             pool.close()
+
+
+class TestWorkerLifecycle:
+    def test_calls_after_a_death_fail_closed(self, deployment):
+        pool = ShardServePool(
+            deployment.copy(), ShardConfig(tile_size=6.0, workers=2, batch_size=8)
+        )
+        name = pool.group.shared.name
+        try:
+            on_w0 = [
+                q for q in _mixed_queries(pool, 200, seed=31)
+                if pool._worker_of[pool.tiler.owner[q[1]]] == 0
+            ]
+            pool.group.processes[1].kill()
+            pool.group.processes[1].join(timeout=10)
+            with pytest.raises(RuntimeError, match="worker w1 died"):
+                pool.query_batch(_mixed_queries(pool, 200, seed=32))
+            # w0 may still owe replies to the failed batch; a batch only
+            # w0 serves must not read them as its answers.
+            with pytest.raises(RuntimeError, match="worker w1 died"):
+                pool.query_batch(on_w0)
+        finally:
+            pool.close()
+        assert pool.group.processes == []
+        with pytest.raises(FileNotFoundError):
+            SharedPositions.attach(name, 1)
+
+    @pytest.mark.parametrize("stage", ["spawn", "load"])
+    def test_failed_start_stops_workers_and_unlinks_segment(
+        self, deployment, monkeypatch, stage
+    ):
+        from multiprocessing.context import SpawnProcess
+
+        created = []
+        create = SharedPositions.create.__func__
+
+        def recording_create(cls, coords):
+            shared = create(cls, coords)
+            created.append(shared.name)
+            return shared
+
+        started = []
+        start = SpawnProcess.start
+
+        def failing_start(process):
+            if stage == "spawn" and started:
+                raise OSError("injected start failure")
+            start(process)
+            started.append(process)
+
+        def failing_load(pool, tile, backbone):
+            raise OSError("injected start failure")
+
+        monkeypatch.setattr(SharedPositions, "create", classmethod(recording_create))
+        monkeypatch.setattr(SpawnProcess, "start", failing_start)
+        if stage == "load":
+            monkeypatch.setattr(ShardServePool, "_send_load", failing_load)
+        with pytest.raises(OSError, match="injected"):
+            ShardServePool(
+                deployment.copy(), ShardConfig(tile_size=6.0, workers=2)
+            )
+        assert started and all(p.exitcode is not None for p in started)
+        (name,) = created
+        with pytest.raises(FileNotFoundError):
+            SharedPositions.attach(name, 1)

@@ -1,8 +1,9 @@
 """The fleet runner: spawn workers over one shared topology.
 
-``repro.sim.fleet`` reuses the shard pool's machinery — spawn workers,
-a read-only :class:`SharedPositions` block, piggybacked telemetry
-frames — to sweep seeded trials.  The load-bearing promise is that a
+``repro.sim.fleet`` runs on the shard pool's substrate,
+:mod:`repro.workers` — spawn workers, a read-only
+:class:`SharedPositions` block, piggybacked telemetry frames, one
+death path — to sweep seeded trials.  The load-bearing promise is that a
 sweep's rows are *identical* whether it ran inline (``workers=0``) or
 scattered across workers, in the caller's seed order either way.
 """
@@ -15,6 +16,8 @@ from repro.analysis.montecarlo import monte_carlo
 from repro.faults.chaos import run_chaos_matrix
 from repro.graphs import connected_random_udg
 from repro.obs import MetricsRegistry
+from repro.obs.flightrec import FlightRecorder, set_flight_recorder
+from repro.obs.pipeline import state_value
 from repro.sim.fleet import BackboneTrial, ChaosTrial, FleetRunner, run_fleet
 
 pytest.importorskip("numpy")
@@ -77,6 +80,20 @@ class TestWorkerParity:
             merged = fleet.merged_telemetry()
         assert "fleet_trials_total" in merged["families"]
 
+    def test_harvested_totals_equal_worker_totals_exactly(self):
+        registry = MetricsRegistry()
+        with FleetRunner(GRAPH, workers=2, registry=registry) as fleet:
+            fleet.run(BackboneTrial(), SEEDS)
+            fleet.run(BackboneTrial(), SEEDS[:2])
+        merged = fleet.merged_telemetry()  # close absorbed the final frames
+        # two sweeps of two chunks each, then one close reply per worker
+        assert registry.value("worker_replies_total") == state_value(
+            merged, "worker_replies_total"
+        ) == 6
+        assert registry.value("fleet_trials_total") == state_value(
+            merged, "fleet_trials_total"
+        ) == len(SEEDS) + 2
+
     def test_trace_stitching_exports_spans(self, tmp_path):
         registry = MetricsRegistry()
         path = tmp_path / "fleet_trace.jsonl"
@@ -121,13 +138,46 @@ class TestLifecycle:
     def test_dead_worker_reported(self):
         fleet = FleetRunner(GRAPH, workers=2)
         try:
-            for process, _ in fleet._procs[:1]:
+            for process in fleet.group.processes[:1]:
                 process.terminate()
                 process.join(timeout=10)
             with pytest.raises(RuntimeError, match="died mid-sweep"):
                 fleet.run(BackboneTrial(), SEEDS)
         finally:
             fleet.close()
+
+    def test_calls_after_a_death_fail_closed(self):
+        fleet = FleetRunner(GRAPH, workers=2)
+        try:
+            fleet.group.processes[1].kill()
+            fleet.group.processes[1].join(timeout=10)
+            with pytest.raises(RuntimeError, match="f1 died mid-sweep"):
+                fleet.run(BackboneTrial(), [1, 2, 3, 4])
+            # f0 still owes the rows for seeds 1-2; the next sweep must
+            # not return them as its own.
+            with pytest.raises(RuntimeError, match="f1 died mid-sweep"):
+                fleet.run(BackboneTrial(), [7])
+        finally:
+            fleet.close()
+        assert fleet.group.processes == []
+        assert fleet.group.shared is None
+
+    def test_death_is_counted_and_flight_recorded(self):
+        recorder = FlightRecorder(process="main")
+        set_flight_recorder(recorder)
+        registry = MetricsRegistry()
+        fleet = FleetRunner(GRAPH, workers=2, registry=registry)
+        try:
+            fleet.group.processes[0].kill()
+            fleet.group.processes[0].join(timeout=10)
+            with pytest.raises(RuntimeError, match="f0 died mid-sweep"):
+                fleet.run(BackboneTrial(), SEEDS)
+        finally:
+            fleet.close()
+            set_flight_recorder(None)
+        deaths = recorder.find("worker_death")
+        assert [entry["worker"] for entry in deaths] == ["f0"]
+        assert registry.value("fleet_worker_deaths_total") == 1
 
     def test_default_worker_count_bounded(self):
         from repro.sim.fleet import _default_workers
