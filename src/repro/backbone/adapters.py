@@ -22,6 +22,7 @@ from repro.baselines.mis_cds import mis_tree_cds
 from repro.baselines.wu_li import wu_li_cds
 from repro.baselines.wu_li_distributed import wu_li_distributed
 from repro.mis.distributed import run_mis
+from repro.sim.config import SimConfig
 from repro.wcds.algorithm1 import algorithm1_centralized, algorithm1_distributed
 from repro.wcds.algorithm2 import algorithm2_centralized, algorithm2_distributed
 
@@ -136,19 +137,13 @@ class ShardedAlgorithm:
         self,
         graph: Any,
         *,
-        seed: Optional[int] = None,
         tracer: Any = None,
         registry: Any = None,
-        transport: Any = None,
-        sim: Any = None,
+        sim: Optional[SimConfig] = None,
     ):
         from repro.graphs.udg import UnitDiskGraph
         from repro.shard.stitch import build_sharded
 
-        if transport:
-            raise ValueError(
-                f"{self.name} is centralized; transport does not apply"
-            )
         if sim is not None and (sim.faulty or sim.transport_config is not None):
             raise ValueError(
                 f"{self.name} is centralized; faults and transport only "

@@ -7,10 +7,12 @@ behind one calling convention:
 
     result = build("algorithm2", graph, seed=7, transport=True)
 
-All entry points accept the same keyword-only arguments and return a
-:class:`repro.wcds.base.BackboneResult`.  Centralized algorithms ignore
-``seed`` (they are deterministic) and reject fault/transport options,
-which only make sense in a simulation.
+Every entry point takes the same keyword-only ``tracer``, ``registry``
+and ``sim`` arguments and returns a :class:`repro.wcds.base.BackboneResult`.
+``build`` folds its ``seed``/``transport`` conveniences into ``sim``
+once.  Centralized algorithms ignore the seed (they are deterministic)
+and reject fault/transport options, which only make sense in a
+simulation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.graphs.graph import Graph
+from repro.sim.config import SimConfig
 from repro.wcds.base import BackboneResult, WCDSResult
 
 
@@ -34,11 +37,9 @@ class BackboneAlgorithm(Protocol):
         self,
         graph: Graph,
         *,
-        seed: Optional[int] = None,
         tracer: Any = None,
         registry: Any = None,
-        transport: Any = None,
-        sim: Any = None,
+        sim: Optional[SimConfig] = None,
     ) -> BackboneResult:
         """Build a backbone of ``graph`` and return the common result."""
         ...  # pragma: no cover - protocol declaration
@@ -94,23 +95,12 @@ class DistributedAlgorithm:
         self,
         graph: Graph,
         *,
-        seed: Optional[int] = None,
         tracer: Any = None,
         registry: Any = None,
-        transport: Any = None,
-        sim: Any = None,
+        sim: Optional[SimConfig] = None,
     ) -> BackboneResult:
-        kwargs: Dict[str, Any] = {
-            "seed": seed, "registry": registry,
-            "transport": transport, "sim": sim,
-        }
-        if self.fn.__name__ not in _NO_TRACER:
-            kwargs["tracer"] = tracer
-        return as_backbone_result(self.fn(graph, **kwargs), self.name)
-
-
-#: Distributed entry points that do not take a ``tracer`` kwarg.
-_NO_TRACER = frozenset({"wu_li_distributed"})
+        result = self.fn(graph, tracer=tracer, registry=registry, sim=sim)
+        return as_backbone_result(result, self.name)
 
 
 @dataclass(frozen=True)
@@ -126,16 +116,10 @@ class CentralizedAlgorithm:
         self,
         graph: Graph,
         *,
-        seed: Optional[int] = None,
         tracer: Any = None,
         registry: Any = None,
-        transport: Any = None,
-        sim: Any = None,
+        sim: Optional[SimConfig] = None,
     ) -> BackboneResult:
-        if transport:
-            raise ValueError(
-                f"{self.name} is centralized; transport does not apply"
-            )
         if sim is not None and (sim.faulty or sim.transport_config is not None):
             raise ValueError(
                 f"{self.name} is centralized; faults and transport only "
@@ -183,10 +167,29 @@ def build(
     tracer: Any = None,
     registry: Any = None,
     transport: Any = None,
-    sim: Any = None,
+    sim: Optional[SimConfig] = None,
 ) -> BackboneResult:
-    """Build a backbone with the named algorithm — the one front door."""
-    return get(name).run(
-        graph, seed=seed, tracer=tracer, registry=registry,
-        transport=transport, sim=sim,
-    )
+    """Build a backbone with the named algorithm — the one front door.
+
+    ``seed`` and ``transport`` are conveniences for the matching
+    :class:`SimConfig` fields, folded into ``sim`` (or a default config)
+    here and nowhere else.  A convenience that contradicts a field
+    ``sim`` already sets raises ``ValueError``; a matching or unset
+    field folds quietly.
+    """
+    updates = {
+        key: value
+        for key, value in (("seed", seed), ("transport", transport))
+        if value is not None
+    }
+    if updates:
+        folded = replace(sim or SimConfig(), **updates)
+        for key in updates:
+            current = getattr(sim, key, None)
+            if current is not None and current != getattr(folded, key):
+                raise ValueError(
+                    f"build({name!r}): {key}={updates[key]!r} conflicts "
+                    f"with sim.{key}={current!r}"
+                )
+        sim = folded
+    return get(name).run(graph, tracer=tracer, registry=registry, sim=sim)

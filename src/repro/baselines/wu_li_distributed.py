@@ -28,7 +28,8 @@ from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
-from repro.sim.config import SimConfig, merge_entry_args
+from repro.obs.tracing import get_tracer
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -137,28 +138,30 @@ class WuLiNode(ProtocolNode):
 def wu_li_distributed(
     graph: Graph,
     *,
-    seed: Optional[int] = None,
+    tracer=None,
     registry=None,
-    transport=None,
     sim: Optional[SimConfig] = None,
-    **legacy,
 ) -> Tuple[Set[Hashable], SimStats]:
     """Run the protocol; returns ``(CDS, stats)``.
 
     Falls back to the unpruned marking (and finally to a single node on
     mark-free graphs like cliques) exactly as the centralized version
-    does, so the result is always a CDS of a connected graph.
+    does, so the result is always a CDS of a connected graph.  The run
+    emits one ``"wu_li"`` span on ``tracer`` (default: the process
+    tracer) with its message and round totals.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="wu_li_distributed",
-    )
+    config = sim or SimConfig()
     if graph.num_nodes == 0:
         raise ValueError("CDS of an empty graph is undefined")
     if not is_connected(graph):
         raise ValueError("Wu-Li marking requires a connected graph")
-    simulator = make_simulator(graph, WuLiNode, config, registry=registry)
-    stats = simulator.run()
+    if tracer is None:
+        tracer = get_tracer()
+    with tracer.span("wu_li", n=graph.num_nodes) as span:
+        simulator = make_simulator(graph, WuLiNode, config, registry=registry)
+        stats = simulator.run()
+        span.set_attr("messages", stats.messages_sent)
+        span.set_attr("rounds", stats.finish_time)
     results = simulator.collect_results()
     undecided = [n for n, res in results.items() if res["in_cds"] is None]
     if undecided:

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.graphs.graph import Graph
 from repro.election.protocol import ElectionResult, elect_leader
-from repro.sim.config import SimConfig, coerce_sim_config
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -82,7 +82,6 @@ def converge_cast(
     *,
     election: Optional[ElectionResult] = None,
     sim: Optional[SimConfig] = None,
-    **legacy: Any,
 ) -> Tuple[Any, SimStats]:
     """Aggregate ``values`` up the spanning tree; returns the root's
     combined value and the run's stats.
@@ -92,7 +91,7 @@ def converge_cast(
     reused; otherwise a fresh election runs first (its messages are not
     counted in the returned stats — pass the election in to amortize).
     """
-    config = coerce_sim_config(sim, legacy, "converge_cast")
+    config = sim or SimConfig()
     if set(values) != set(graph.nodes()):
         raise ValueError("values must cover every node exactly")
     if election is None:

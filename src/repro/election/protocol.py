@@ -24,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Optional, Set
 
-from typing import Any
-
 from repro.graphs.graph import Graph, canonical_order
 from repro.graphs.traversal import is_connected
-from repro.sim.config import SimConfig, coerce_sim_config
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -157,7 +155,6 @@ def elect_leader(
     *,
     sim: Optional[SimConfig] = None,
     registry=None,
-    **legacy: Any,
 ) -> ElectionResult:
     """Run the election protocol to quiescence on a connected graph.
 
@@ -172,7 +169,7 @@ def elect_leader(
     child pointers; a broken tree raises ``RuntimeError`` (the chaos
     harness catches it and restarts the epoch on the survivors).
     """
-    config = coerce_sim_config(sim, legacy, "elect_leader")
+    config = sim or SimConfig()
     if graph.num_nodes == 0:
         raise ValueError("cannot elect a leader of an empty graph")
     if not is_connected(graph):

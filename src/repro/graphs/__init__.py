@@ -16,7 +16,6 @@ from repro.graphs.generators import (
 from repro.graphs.traversal import (
     all_pairs_hop_distances,
     bfs_distances,
-    bfs_levels,
     bfs_tree,
     connected_components,
     diameter,
@@ -52,7 +51,6 @@ __all__ = [
     "uniform_random_udg",
     "all_pairs_hop_distances",
     "bfs_distances",
-    "bfs_levels",
     "bfs_tree",
     "connected_components",
     "diameter",

@@ -52,11 +52,6 @@ def bfs_tree(graph: Graph, source: Node) -> Dict[Node, Optional[Node]]:
     return parents
 
 
-def bfs_levels(graph: Graph, source: Node) -> Dict[Node, int]:
-    """Alias of :func:`bfs_distances`: tree level == hop distance."""
-    return bfs_distances(graph, source)
-
-
 def shortest_path(graph: Graph, source: Node, target: Node) -> Optional[List[Node]]:
     """A minimum-hop path from ``source`` to ``target``; ``None`` if
     disconnected.  The path includes both endpoints."""

@@ -26,7 +26,8 @@ from typing import Any, Dict, Hashable, Mapping, Optional, Set
 
 from repro.graphs.graph import Graph
 from repro.mis.ranking import Rank, id_ranking, validate_ranking
-from repro.sim.config import SimConfig, merge_entry_args
+from repro.obs.tracing import get_tracer
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -127,10 +128,8 @@ def run_mis(
     graph: Graph,
     ranking: Optional[Mapping[Hashable, Rank]] = None,
     *,
-    seed: Optional[int] = None,
     tracer=None,
     registry=None,
-    transport: Any = None,
     sim: Optional[SimConfig] = None,
 ) -> "Any":
     """Run the marking protocol (unified backbone signature).
@@ -140,20 +139,27 @@ def run_mis(
     :class:`~repro.wcds.base.BackboneResult` holds the MIS as both the
     dominator set and the MIS-dominator set (a maximal independent set
     is dominating, though not necessarily weakly connected); ``meta``
-    carries the colors and the run's :class:`SimStats`.
+    carries the colors and the run's :class:`SimStats`.  The run emits
+    one ``"mis"`` span on ``tracer`` (default: the process tracer) with
+    its message and round totals.
     """
     from repro.wcds.base import BackboneResult
 
-    config = merge_entry_args(sim, seed=seed, transport=transport, where="run_mis")
+    config = sim or SimConfig()
     if ranking is None:
         ranking = id_ranking(graph)
     if not config.faulty:
         validate_ranking(graph, ranking)
-    simulator = make_simulator(
-        graph, lambda ctx: MisNode(ctx, ranking), config,
-        tracer=tracer, registry=registry,
-    )
-    stats = simulator.run()
+    if tracer is None:
+        tracer = get_tracer()
+    with tracer.span("mis", n=graph.num_nodes) as span:
+        simulator = make_simulator(
+            graph, lambda ctx: MisNode(ctx, ranking), config,
+            registry=registry,
+        )
+        stats = simulator.run()
+        span.set_attr("messages", stats.messages_sent)
+        span.set_attr("rounds", stats.finish_time)
     results = simulator.collect_results()
     crashed = simulator.crashed
     survivors = [n for n in graph.nodes() if n not in crashed]

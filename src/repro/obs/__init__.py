@@ -47,7 +47,6 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
-    LatencyHistogram,
     MetricsRegistry,
 )
 from repro.obs.tracing import (
@@ -66,7 +65,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MessageCostReport",
     "MetricsRegistry",
     "NULL_SPAN",

@@ -7,10 +7,6 @@ kind="ELECT")``).  Everything is dependency-free and deterministic:
 histograms use fixed geometric buckets (no per-sample storage, O(1)
 observe), and exports are plain dicts, JSON, JSONL append, or
 Prometheus text exposition (:func:`repro.obs.prometheus.render`).
-
-:class:`Histogram` is the geometric-bucket histogram that used to live
-in ``repro.service.metrics`` as ``LatencyHistogram``; that name remains
-an alias here and a re-export there.
 """
 
 from __future__ import annotations
@@ -177,10 +173,6 @@ class Histogram:
             "p99": self.quantile(0.99),
             "max": self.max or 0.0,
         }
-
-
-#: Backwards-compatible name: the service's request-latency histogram.
-LatencyHistogram = Histogram
 
 
 class _Family:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
-from repro.sim.config import SimConfig, coerce_sim_config
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -128,11 +128,9 @@ def flood_protocol(
     source: Hashable,
     *,
     sim: Optional[SimConfig] = None,
-    **legacy,
 ) -> Tuple[ProtocolBroadcastOutcome, SimStats]:
     """Run blind flooding on the simulator."""
-    config = coerce_sim_config(sim, legacy, "flood_protocol")
-    return _run(graph, source, None, config)
+    return _run(graph, source, None, sim or SimConfig())
 
 
 def backbone_protocol(
@@ -141,8 +139,6 @@ def backbone_protocol(
     source: Hashable,
     *,
     sim: Optional[SimConfig] = None,
-    **legacy,
 ) -> Tuple[ProtocolBroadcastOutcome, SimStats]:
     """Run WCDS-backbone dissemination on the simulator."""
-    config = coerce_sim_config(sim, legacy, "backbone_protocol")
-    return _run(graph, source, frozenset(result.dominators), config)
+    return _run(graph, source, frozenset(result.dominators), sim or SimConfig())

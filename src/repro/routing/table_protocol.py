@@ -27,7 +27,7 @@ from typing import Dict, Hashable, Optional, Set, Tuple
 from repro.graphs.graph import Graph
 from repro.routing.overlay import OverlayPaths
 from repro.sim.batched import make_simulator
-from repro.sim.config import SimConfig, coerce_sim_config
+from repro.sim.config import SimConfig
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
 from repro.sim.stats import SimStats
@@ -107,7 +107,6 @@ def build_routing_tables(
     result: WCDSResult,
     *,
     sim: Optional[SimConfig] = None,
-    **legacy,
 ) -> Tuple[Dict[Hashable, RoutingTable], SimStats]:
     """Run the link-state protocol; returns per-dominator tables.
 
@@ -121,7 +120,7 @@ def build_routing_tables(
             "build_routing_tables needs meta['node_state'] from "
             "algorithm2_distributed"
         )
-    config = coerce_sim_config(sim, legacy, "build_routing_tables")
+    config = sim or SimConfig()
     mis = set(result.mis_dominators)
 
     def links_of(node: Hashable) -> OverlayLinks:

@@ -10,7 +10,7 @@ histograms for everything it does.  See ``docs/SERVICE.md``.
 
 from repro.service.cache import BackboneCache, RouteCache, topology_fingerprint
 from repro.service.config import ServiceConfig
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.requests import Request, RequestQueue, Response
 from repro.service.service import BackboneService
 from repro.service.workload import (
@@ -28,7 +28,6 @@ __all__ = [
     "BackboneCache",
     "BackboneService",
     "DEFAULT_MIX",
-    "LatencyHistogram",
     "ReplaySummary",
     "Request",
     "RequestQueue",

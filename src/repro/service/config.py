@@ -1,8 +1,8 @@
 """Tunables of the backbone service.
 
 Everything that trades freshness, memory, or latency against throughput
-lives here so experiments can sweep a single dataclass.  The defaults
-are sized for the 100-1000 node deployments the benchmarks use.
+lives here.  The defaults are sized for the 100-1000 node deployments
+the benchmarks use.
 """
 
 from __future__ import annotations
@@ -29,20 +29,10 @@ class ServiceConfig:
 
     #: Cumulative touched-node fraction that triggers a full rebuild.
     rebuild_threshold: float = 0.35
-    #: Max entries in the LRU route cache.
-    route_cache_size: int = 4096
-    #: Max retained backbone snapshots (content-addressed).
-    backbone_cache_size: int = 8
-    #: Hop radius around an updated node whose cached routes are
-    #: invalidated (2 covers re-clustering, +1 for connector churn).
-    invalidation_radius: int = 3
     #: Bounded request queue capacity; further requests are rejected.
     queue_capacity: int = 1024
     #: Default per-request deadline in seconds (None = no deadline).
     default_deadline: float | None = None
-    #: Smoothing factor of the EWMA refresh-cost estimate used to
-    #: decide whether a deadline still fits a synchronous refresh.
-    cost_ewma_alpha: float = 0.3
     #: Simulation settings used when the service (re)runs a distributed
     #: construction; ``None`` keeps the centralized rebuild path.
     sim: Optional[SimConfig] = None
@@ -66,13 +56,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rebuild_threshold <= 1.0:
             raise ValueError("rebuild_threshold must be in (0, 1]")
-        if self.route_cache_size < 1 or self.backbone_cache_size < 1:
-            raise ValueError("cache sizes must be positive")
-        if self.invalidation_radius < 1:
-            raise ValueError("invalidation_radius must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
-        if not 0.0 < self.cost_ewma_alpha <= 1.0:
-            raise ValueError("cost_ewma_alpha must be in (0, 1]")
         if not isinstance(self.slos, tuple):
             object.__setattr__(self, "slos", tuple(self.slos))

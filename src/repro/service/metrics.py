@@ -1,16 +1,11 @@
 """Service instrumentation: counters and latency histograms.
 
-Since the ``repro.obs`` telemetry layer landed, :class:`ServiceMetrics`
-is a thin facade over an :class:`repro.obs.MetricsRegistry`: counters
-become registry counters, request latencies go into the registry's
-labeled ``request_latency_seconds`` histogram family, and the
-Prometheus/JSONL exporters come along for free.  The public surface —
-``incr`` / ``observe`` / ``hit_rate`` / ``counters`` / ``snapshot`` /
-``to_json`` / ``rows`` — is unchanged.
-
-:class:`LatencyHistogram` (the fixed-geometric-bucket histogram with
-interpolated quantiles that used to be defined here) now lives in
-:mod:`repro.obs.registry` and is re-exported for compatibility.
+:class:`ServiceMetrics` sits on an :class:`repro.obs.MetricsRegistry`:
+counters are registry counters, request latencies go into the
+registry's labeled ``request_latency_seconds`` histogram family
+(:class:`repro.obs.Histogram`), and the Prometheus/JSONL exporters
+come along for free.  On top it adds ``hit_rate``, ``snapshot`` and
+``rows``.
 """
 
 from __future__ import annotations
@@ -18,9 +13,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs.registry import Histogram, LatencyHistogram, MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "ServiceMetrics"]
+__all__ = ["ServiceMetrics"]
 
 #: Registry family holding one histogram per request operation.
 LATENCY_FAMILY = "request_latency_seconds"

@@ -43,21 +43,31 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.requests import Request, RequestQueue, Response
 from repro.wcds.base import WCDSResult
 
+#: Max entries in the LRU route cache.
+ROUTE_CACHE_SIZE = 4096
+#: Max retained backbone snapshots (content-addressed).
+BACKBONE_CACHE_SIZE = 8
+#: Hop radius around an updated node whose cached routes are
+#: invalidated (2 covers re-clustering, +1 for connector churn).
+INVALIDATION_RADIUS = 3
+#: Smoothing factor of the EWMA refresh-cost estimate used to decide
+#: whether a deadline still fits a synchronous refresh.
+COST_EWMA_ALPHA = 0.3
+
 
 class _Ewma:
     """Exponentially weighted moving average of a cost, in seconds."""
 
-    __slots__ = ("alpha", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
+    def __init__(self) -> None:
         self.value = 0.0
 
     def update(self, sample: float) -> None:
         if self.value == 0.0:
             self.value = sample
         else:
-            self.value += self.alpha * (sample - self.value)
+            self.value += COST_EWMA_ALPHA * (sample - self.value)
 
 
 class _Snapshot:
@@ -116,8 +126,8 @@ class BackboneService:
             if self.config.slos
             else None
         )
-        self.route_cache = RouteCache(self.config.route_cache_size)
-        self.backbone_cache = BackboneCache(self.config.backbone_cache_size)
+        self.route_cache = RouteCache(ROUTE_CACHE_SIZE)
+        self.backbone_cache = BackboneCache(BACKBONE_CACHE_SIZE)
         self.queue = RequestQueue(self.config.queue_capacity)
         #: Pending maintenance work, in arrival order.  Entries are
         #: ("events", LinkEvents) | ("on", node, (x, y)) | ("off", node).
@@ -128,8 +138,8 @@ class BackboneService:
         #: known positions of crashed radios, for revival.
         self._active_partitions: set = set()
         self._crashed_positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._repair_cost = _Ewma(self.config.cost_ewma_alpha)
-        self._rebuild_cost = _Ewma(self.config.cost_ewma_alpha)
+        self._repair_cost = _Ewma()
+        self._rebuild_cost = _Ewma()
         started = self.clock()
         self._sharded = None
         self._maintained: Optional[MaintainedWCDS] = None
@@ -259,7 +269,7 @@ class BackboneService:
             )
         else:
             evicted = self.route_cache.invalidate_region(
-                self.graph, seeds, self.config.invalidation_radius
+                self.graph, seeds, INVALIDATION_RADIUS
             )
         self.metrics.incr("updates_total")
         self.metrics.incr("route_cache_invalidated", evicted)

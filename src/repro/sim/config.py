@@ -1,19 +1,17 @@
-"""Unified simulation configuration.
+"""Simulation configuration.
 
-:class:`SimConfig` replaces the loose ``latency=``/``loss_rate=``/
-``seed=`` keyword arguments that used to be threaded separately through
-``Simulator``, ``run_protocol`` and every algorithm entry point.  One
-frozen value now describes the whole radio environment — latency model,
-ambient loss, the optional declarative :class:`~repro.faults.plan.FaultPlan`
-the simulator executes, and the optional reliable-transport
-configuration protocols run over.
+One frozen :class:`SimConfig` describes the whole radio environment of
+a run — latency model, ambient loss, the optional declarative
+:class:`~repro.faults.plan.FaultPlan` the simulator executes, and the
+optional reliable-transport configuration protocols run over.  It is
+the only way the simulator and every protocol entry point learn their
+environment.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.sim.latency import LatencyModel
@@ -75,7 +73,8 @@ class SimConfig:
     @property
     def transport_config(self) -> "Optional[TransportConfig]":
         """The transport configuration, or ``None`` when disabled."""
-        return self.transport or None
+        config: "Optional[TransportConfig]" = self.transport or None
+        return config
 
     @property
     def faulty(self) -> bool:
@@ -89,89 +88,3 @@ class SimConfig:
     def reseeded(self, seed: Optional[int]) -> "SimConfig":
         """A copy with a different RNG seed."""
         return replace(self, seed=seed)
-
-
-_LEGACY_SIM_KWARGS = ("latency", "loss_rate", "seed", "max_events")
-
-
-def coerce_sim_config(
-    config: Optional[SimConfig], legacy: Dict[str, Any], where: str
-) -> SimConfig:
-    """Fold deprecated loose kwargs into a :class:`SimConfig`.
-
-    Emits exactly one DeprecationWarning per call regardless of how many
-    legacy kwargs were passed; raises ``TypeError`` for unknown kwargs.
-    """
-    unknown = [k for k in legacy if k not in _LEGACY_SIM_KWARGS]
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword arguments {sorted(unknown)!r}"
-        )
-    if not legacy:
-        return config if config is not None else SimConfig()
-    warnings.warn(
-        f"passing {sorted(legacy)!r} to {where}() is deprecated; "
-        "pass a SimConfig instead (e.g. "
-        "SimConfig(latency=..., loss_rate=..., seed=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if config is None:
-        config = SimConfig()
-    fields = {
-        "latency": config.latency,
-        "loss_rate": config.loss_rate,
-        "seed": config.seed,
-        "max_events": config.max_events,
-    }
-    fields.update(legacy)
-    return SimConfig(
-        latency=fields["latency"],
-        loss_rate=fields["loss_rate"],
-        seed=fields["seed"],
-        max_events=fields["max_events"],
-        fault_plan=config.fault_plan,
-        transport=config.transport,
-        engine=config.engine,
-    )
-
-
-def merge_entry_args(
-    sim: Optional[SimConfig],
-    *,
-    seed: Optional[int] = None,
-    transport: Any = None,
-    legacy: Optional[Dict[str, Any]] = None,
-    where: str = "run",
-) -> SimConfig:
-    """Resolve a unified backbone entry point's arguments to a config.
-
-    The unified signature is ``run(graph, *, seed=None, tracer=None,
-    registry=None, transport=None, sim=None)``: ``seed`` and
-    ``transport`` are first-class conveniences that override the
-    corresponding :class:`SimConfig` fields; anything in ``legacy``
-    (e.g. the deprecated ``latency=`` kwarg) warns once and is folded
-    in, with explicit values taking precedence over the config's.
-    """
-    legacy = dict(legacy or {})
-    unknown = [k for k in legacy if k not in _LEGACY_SIM_KWARGS]
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword arguments {sorted(unknown)!r}"
-        )
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)!r} to {where}() is deprecated; "
-            "pass sim=SimConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    config = sim if sim is not None else SimConfig()
-    updates: Dict[str, Any] = dict(legacy)
-    if seed is not None:
-        updates["seed"] = seed
-    if transport is not None:
-        updates["transport"] = transport
-    if updates:
-        config = replace(config, **updates)
-    return config

@@ -28,7 +28,7 @@ property tests check.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, is_connected
@@ -38,7 +38,7 @@ from repro.mis.ranking import level_ranking
 from repro.election.protocol import ElectionResult, elect_leader
 from repro.obs.cost import annotate_phase as _annotate_phase
 from repro.obs.tracing import get_tracer
-from repro.sim.config import SimConfig, merge_entry_args
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
@@ -143,10 +143,9 @@ class LevelCalculationNode(ProtocolNode):
 def _run_level_phase(
     graph: Graph,
     election: ElectionResult,
-    config: Optional[SimConfig] = None,
+    config: SimConfig,
     *,
     registry=None,
-    **legacy: Any,
 ) -> Tuple[Dict[Hashable, int], SimStats, FrozenSet[Hashable]]:
     """Run phase 2; returns ``(levels, stats, crashed)``.
 
@@ -154,9 +153,6 @@ def _run_level_phase(
     survivors and the COMPLETE-echo barrier is waived (each phase is
     already run to quiescence, which is a stronger barrier).
     """
-    from repro.sim.config import coerce_sim_config
-
-    config = coerce_sim_config(config, legacy, "_run_level_phase")
     sim = make_simulator(
         graph,
         lambda ctx: LevelCalculationNode(
@@ -187,12 +183,9 @@ def _run_level_phase(
 def algorithm1_distributed(
     graph: Graph,
     *,
-    seed: Optional[int] = None,
     tracer=None,
     registry=None,
-    transport: Any = None,
     sim: Optional[SimConfig] = None,
-    **legacy: Any,
 ) -> BackboneResult:
     """Run the full three-phase distributed Algorithm I.
 
@@ -208,10 +201,7 @@ def algorithm1_distributed(
     per-phase ``protocol_phase_messages_total`` /
     ``protocol_phase_rounds_total``.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="algorithm1_distributed",
-    )
+    config = sim or SimConfig()
     plan = config.fault_plan
     if tracer is None:
         tracer = get_tracer()

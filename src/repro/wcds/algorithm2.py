@@ -39,7 +39,7 @@ latency the race cannot occur.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
@@ -47,7 +47,7 @@ from repro.mis.centralized import greedy_mis
 from repro.mis.distributed import BLACK_STATE, GRAY_STATE, MisNode
 from repro.mis.ranking import id_ranking
 from repro.obs.tracing import get_tracer
-from repro.sim.config import SimConfig, merge_entry_args
+from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext
@@ -282,12 +282,9 @@ def _phase_messages(stats: SimStats) -> Dict[str, Dict[str, float]]:
 def algorithm2_distributed(
     graph: Graph,
     *,
-    seed: Optional[int] = None,
     tracer=None,
     registry=None,
-    transport: Any = None,
     sim: Optional[SimConfig] = None,
-    **legacy: Any,
 ) -> BackboneResult:
     """Run the full Algorithm II protocol to quiescence.
 
@@ -302,10 +299,7 @@ def algorithm2_distributed(
     message counts and simulated-time windows, not wall-clock slices),
     and a ``registry`` receives per-kind and per-phase counters.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="algorithm2_distributed",
-    )
+    config = sim or SimConfig()
     if graph.num_nodes == 0:
         raise ValueError("Algorithm II requires a non-empty graph")
     if not is_connected(graph):

@@ -1,19 +1,20 @@
-"""The unified backbone API and its deprecation shims.
+"""The unified backbone API and its one way to configure a run.
 
 Two promises are pinned here:
 
 * every backbone construction is reachable through
   ``repro.backbone.build(name, graph, ...)`` and returns a
-  :class:`BackboneResult`; and
-* every pre-redesign signature still works but emits exactly one
-  ``DeprecationWarning`` — while no *internal* call site does (the
-  whole test suite runs with ``error::DeprecationWarning``).
+  :class:`BackboneResult`; ``build`` alone folds the ``seed`` /
+  ``transport`` conveniences into ``sim``; and
+* the protocol entry points learn their environment only from
+  ``sim=SimConfig(...)``: the loose pre-redesign keywords fail fast.
 """
 
 import warnings
 
 import pytest
 
+from repro.baselines import wu_li_distributed
 from repro.backbone import (
     BackboneAlgorithm,
     BackboneResult,
@@ -23,9 +24,14 @@ from repro.backbone import (
     get,
     names,
 )
+from repro.election import converge_cast, elect_leader
 from repro.graphs import connected_random_udg, line_udg
+from repro.mis import run_mis
+from repro.obs import Tracer
+from repro.routing import backbone_protocol, build_routing_tables, flood_protocol
 from repro.sim import SimConfig, UniformLatency
 from repro.sim.stats import SimStats
+from repro.wcds import algorithm1_distributed, algorithm2_distributed
 from repro.wcds.base import WCDSResult
 
 
@@ -80,6 +86,36 @@ class TestRegistry:
         b = build("algorithm2", graph, seed=9)
         assert a.dominators == b.dominators
 
+    def test_build_rejects_conflicting_seed(self, graph):
+        with pytest.raises(ValueError, match="seed"):
+            build("algorithm2", graph, seed=5, sim=SimConfig(seed=9))
+
+    def test_build_rejects_conflicting_transport(self, graph):
+        with pytest.raises(ValueError, match="transport"):
+            build(
+                "algorithm2", graph, transport=False,
+                sim=SimConfig(transport=True),
+            )
+
+    def test_build_folds_matching_or_unset_fields(self, graph):
+        folded = build("algorithm2", graph, seed=5).dominators
+        assert build(
+            "algorithm2", graph, seed=5, sim=SimConfig(seed=5)
+        ).dominators == folded
+        assert build(
+            "algorithm2", graph, sim=SimConfig(seed=5)
+        ).dominators == folded
+        assert build(
+            "algorithm2", graph, transport=True,
+            sim=SimConfig(seed=5, transport=True),
+        ).dominators
+
+    @pytest.mark.parametrize("name", names(distributed=True))
+    def test_distributed_build_opens_one_root_span(self, graph, name):
+        tracer = Tracer()
+        build(name, graph, tracer=tracer)
+        assert len(tracer.roots) == 1
+
     def test_centralized_rejects_transport(self, graph):
         with pytest.raises(ValueError, match="centralized"):
             build("greedy-wcds", graph, transport=True)
@@ -127,21 +163,26 @@ class TestCoercion:
             as_backbone_result(42, "bad")
 
 
-def _exactly_one_deprecation(fn):
-    """Run ``fn`` asserting it emits exactly one DeprecationWarning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn()
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1, [str(w.message) for w in caught]
-    return out
+#: Every public protocol entry point, with the positional arguments it
+#: takes after the graph, and whether it is a distributed backbone
+#: construction.  The loose keywords fail at call binding, so the
+#: placeholder arguments are never used.
+ENTRY_POINTS = [
+    (elect_leader, (), False),
+    (converge_cast, ({}, max), False),
+    (algorithm1_distributed, (), True),
+    (algorithm2_distributed, (), True),
+    (run_mis, (), True),
+    (wu_li_distributed, (), True),
+    (flood_protocol, (0,), False),
+    (backbone_protocol, (None, 0), False),
+    (build_routing_tables, (None,), False),
+]
 
 
 class TestDeprecationShims:
-    """Every old signature works, warns once, and agrees with the new
-    entry point."""
+    """The loose pre-``SimConfig`` keywords finished their deprecation
+    cycle: every entry point now rejects them."""
 
     def test_simulator_legacy_kwargs_removed(self):
         # The Simulator shim was removed after a deprecation cycle: the
@@ -167,87 +208,23 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             run_protocol(g, Quiet, loss_rate=0.0, seed=1)
 
-    def test_elect_leader_latency(self, graph):
-        from repro.election import elect_leader
-
-        old = _exactly_one_deprecation(
-            lambda: elect_leader(graph, latency=UniformLatency(seed=3))
-        )
-        assert old.leader == elect_leader(graph).leader
-
-    def test_converge_cast_latency(self, graph):
-        from repro.election import converge_cast
-
-        values = {n: 1 for n in graph.nodes()}
-        total, _ = _exactly_one_deprecation(
-            lambda: converge_cast(
-                graph, values, lambda a, b: a + b,
-                latency=UniformLatency(seed=3),
-            )
-        )
-        assert total == graph.num_nodes
-
-    def test_algorithm1_latency(self, graph):
-        from repro.wcds import algorithm1_distributed
-
-        result = _exactly_one_deprecation(
-            lambda: algorithm1_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        result.validate(graph)
-
-    def test_algorithm2_latency(self, graph):
-        from repro.wcds import algorithm2_distributed
-
-        result = _exactly_one_deprecation(
-            lambda: algorithm2_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        result.validate(graph)
-
-    def test_wu_li_distributed_latency(self, graph):
-        from repro.baselines import wu_li_distributed
-
-        cds, _ = _exactly_one_deprecation(
-            lambda: wu_li_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        assert cds
-
-    def test_flood_protocol_latency(self, graph):
-        from repro.routing import flood_protocol
-
-        outcome, _ = _exactly_one_deprecation(
-            lambda: flood_protocol(graph, 0, latency=UniformLatency(seed=3))
-        )
-        assert outcome.full_coverage
-
-    def test_backbone_protocol_latency(self, graph):
-        from repro.routing import backbone_protocol
-        from repro.wcds import algorithm2_distributed
-
-        result = algorithm2_distributed(graph)
-        outcome, _ = _exactly_one_deprecation(
-            lambda: backbone_protocol(
-                graph, result, 0, latency=UniformLatency(seed=3)
-            )
-        )
-        assert outcome.full_coverage
-
-    def test_build_routing_tables_latency(self, graph):
-        from repro.routing import build_routing_tables
-        from repro.wcds import algorithm2_distributed
-
-        result = algorithm2_distributed(graph)
-        tables, _ = _exactly_one_deprecation(
-            lambda: build_routing_tables(
-                graph, result, latency=UniformLatency(seed=3)
-            )
-        )
-        assert tables
+    @pytest.mark.parametrize(
+        "fn, args, distributed", ENTRY_POINTS,
+        ids=[fn.__name__ for fn, _, _ in ENTRY_POINTS],
+    )
+    def test_entry_points_reject_loose_keywords(
+        self, graph, fn, args, distributed
+    ):
+        with pytest.raises(TypeError):
+            fn(graph, *args, latency=UniformLatency(seed=3))
+        if distributed:
+            # ``seed``/``transport`` are conveniences of build() only.
+            with pytest.raises(TypeError):
+                fn(graph, seed=3)
 
     def test_new_signatures_do_not_warn(self, graph):
         # Redundant with the suite-wide error filter, but explicit:
         # the unified signatures are warning-free.
-        from repro.wcds import algorithm2_distributed
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             algorithm2_distributed(

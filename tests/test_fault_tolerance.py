@@ -46,7 +46,7 @@ class TestMessageLoss:
     def test_zero_loss_never_raises(self):
         g = connected_random_udg(25, 3.5, seed=1)
         for seed in range(5):
-            result = run_mis(g, seed=seed)
+            result = run_mis(g, sim=SimConfig(seed=seed))
             assert set(result.dominators) == greedy_mis(g)
 
 
@@ -91,7 +91,7 @@ class TestDeterminism:
 
 
 def _run_mis_with_loss(graph, loss_rate, seed):
-    run_mis(graph, seed=seed)  # sanity: lossless works
+    run_mis(graph, sim=SimConfig(seed=seed))  # sanity: lossless works
 
     # Re-run with loss through the underlying simulator.
     ranking = id_ranking(graph)

@@ -11,7 +11,6 @@ from repro.obs.registry import (
     DEFAULT_FACTOR,
     DEFAULT_LOWEST,
     Histogram,
-    LatencyHistogram,
 )
 
 
@@ -89,14 +88,6 @@ class TestSnapshot:
 
 
 class TestHistogramBasics:
-    def test_latency_histogram_is_the_obs_histogram(self):
-        # The service's LatencyHistogram was lifted here; both names
-        # must refer to the same type.
-        assert LatencyHistogram is Histogram
-        from repro.service.metrics import LatencyHistogram as service_alias
-
-        assert service_alias is Histogram
-
     def test_mean_min_max(self):
         histogram = Histogram()
         for value in (0.001, 0.002, 0.003):

@@ -37,6 +37,21 @@ class TestTopLevelSurface:
         assert "distributed_mis" not in repro.__all__
         assert not hasattr(repro.mis, "distributed_mis")
 
+    def test_finished_aliases_stay_gone(self):
+        # ``Histogram``, ``bfs_distances`` and ``sim=SimConfig(...)``
+        # are the one name for each; their aliases and the loose-kwarg
+        # folds were removed.
+        import repro.graphs
+        import repro.obs
+        import repro.service
+        import repro.sim.config
+
+        assert not hasattr(repro.obs, "LatencyHistogram")
+        assert not hasattr(repro.service, "LatencyHistogram")
+        assert not hasattr(repro.graphs, "bfs_levels")
+        assert not hasattr(repro.sim.config, "coerce_sim_config")
+        assert not hasattr(repro.sim.config, "merge_entry_args")
+
 
 SUBPACKAGES = [
     "repro.geometry",

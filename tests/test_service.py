@@ -7,10 +7,10 @@ import pytest
 
 from repro.graphs import connected_random_udg
 from repro.mobility import RandomWaypointModel
+from repro.obs import Histogram
 from repro.service import (
     BackboneCache,
     BackboneService,
-    LatencyHistogram,
     Request,
     RequestQueue,
     RouteCache,
@@ -138,7 +138,7 @@ class TestBackboneCache:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_histogram_quantiles_ordered(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for sample in (1e-5, 2e-5, 4e-5, 1e-4, 5e-3):
             histogram.observe(sample)
         assert histogram.count == 5
@@ -151,7 +151,7 @@ class TestMetrics:
         assert histogram.min <= p50 <= p95 <= p99 <= histogram.max
 
     def test_histogram_empty(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         assert histogram.quantile(0.99) == 0.0 and histogram.mean == 0.0
 
     def test_hit_rate(self):
