@@ -10,7 +10,7 @@ justified exception.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Optional, Set
 
 #: Methods whose return value iterates in hash/insertion order that is
 #: not canonical: dict views plus this repo's set-returning graph and
@@ -136,15 +136,6 @@ def is_unordered_expr(node: ast.AST, unordered_names: Set[str]) -> Optional[str]
             node.right, unordered_names
         )
     return None
-
-
-def enclosing_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function definition in the module, plus the module itself
-    (module-level loops are checked against module-level names)."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:

@@ -108,22 +108,18 @@ def _sim_config(args):
     from repro.faults import FaultPlan
     from repro.sim.config import SimConfig
 
-    loss = getattr(args, "loss", 0.0)
-    transport = getattr(args, "transport", False)
-    plan_file = getattr(args, "fault_plan", None)
-    engine = getattr(args, "engine", "auto")
-    if not loss and not transport and not plan_file and engine == "auto":
+    if not (args.loss or args.transport or args.fault_plan) and args.engine == "auto":
         return None
     plan = FaultPlan()
-    if plan_file:
-        with open(plan_file, "r", encoding="utf-8") as handle:
+    if args.fault_plan:
+        with open(args.fault_plan, "r", encoding="utf-8") as handle:
             plan = FaultPlan.from_json(handle.read())
     return SimConfig(
-        loss_rate=loss,
-        seed=getattr(args, "seed", None),
+        loss_rate=args.loss,
+        seed=args.seed,
         fault_plan=plan,
-        transport=bool(transport),
-        engine=engine,
+        transport=args.transport,
+        engine=args.engine,
     )
 
 
@@ -147,6 +143,11 @@ def _algorithm_arg(value: str) -> str:
             f"{', '.join(names())})"
         )
     return value
+
+
+#: Registered backbones that are dominating but not necessarily weakly
+#: connected: ``repro wcds`` checks only domination for these.
+_DOMINATING_ONLY = frozenset({"mis", "mds-exact"})
 
 
 def _run_algorithm(graph, which: str, tracer=None, registry=None, sim=None):
@@ -332,7 +333,13 @@ def cmd_wcds(args) -> int:
         tracer, registry = Tracer(), MetricsRegistry()
     result = _run_algorithm(graph, args.algorithm, tracer, registry,
                             sim=_sim_config(args))
-    result.validate(graph)
+    if _algorithm_name(args.algorithm) in _DOMINATING_ONLY:
+        from repro.mis.properties import is_dominating_set
+
+        if not is_dominating_set(graph, result.dominators):
+            raise AssertionError("result is not a dominating set")
+    else:
+        result.validate(graph)
     if "total_messages" in result.meta:
         messages = result.meta["total_messages"]
     elif "stats" in result.meta:
@@ -500,17 +507,47 @@ def _deployment_side(graph, args) -> float:
     return max(extent, 1.0)
 
 
+def _replay_service(args, graph, config, requests):
+    """Replay ``requests`` through a new service on ``graph`` under
+    random-waypoint churn (the flight recorder armed first); returns
+    the service, the replay summary and the recorder (or None)."""
+    from repro.mobility import RandomWaypointModel
+    from repro.service import BackboneService, replay
+
+    recorder = _arm_flight_recorder(args)
+    service = BackboneService(graph, config)
+    mobility = RandomWaypointModel(
+        graph,
+        _deployment_side(graph, args),
+        speed_range=(0.01, 0.05),
+        seed=args.seed,
+    )
+    summary = replay(service, requests, mobility=mobility)
+    return service, summary, recorder
+
+
+def _report_slos(service, recorder) -> bool:
+    """Print the SLO burn-rate table and the flight-recorder note;
+    returns whether every SLO holds."""
+    monitor = service.slo_monitor
+    if monitor is not None:
+        print_table(_slo_rows(monitor), title="SLO burn rates")
+    if recorder is not None and recorder.dumps_written:
+        print(
+            f"flight recorder dumped {recorder.dumps_written} artifact(s) "
+            f"to {recorder.dump_path}"
+        )
+    return monitor is None or monitor.ok()
+
+
 def cmd_serve(args) -> int:
     import json
 
-    from repro.mobility import RandomWaypointModel
     from repro.service import (
-        BackboneService,
         ServiceConfig,
         WorkloadConfig,
         WorkloadGenerator,
         load_trace,
-        replay,
     )
 
     graph = _build(args)
@@ -525,15 +562,12 @@ def cmd_serve(args) -> int:
         config = ServiceConfig(
             rebuild_threshold=args.rebuild_threshold,
             default_deadline=args.deadline,
-            sim=_sim_config(args),
             sharding=sharding,
             slos=_parse_slos(args),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    recorder = _arm_flight_recorder(args)
-    service = BackboneService(graph, config)
     if sharding is not None and sharding.workers:
         print(
             "note: --shards enables tiled maintenance here; the "
@@ -559,13 +593,7 @@ def cmd_serve(args) -> int:
         )
         requests = list(generator.requests())
         source = f"synthetic workload ({args.queries} queries)"
-    mobility = RandomWaypointModel(
-        graph,
-        _deployment_side(graph, args),
-        speed_range=(0.01, 0.05),
-        seed=args.seed,
-    )
-    summary = replay(service, requests, mobility=mobility)
+    service, summary, recorder = _replay_service(args, graph, config, requests)
     print_table(
         [
             {
@@ -581,15 +609,7 @@ def cmd_serve(args) -> int:
         title=f"Replay of {source}",
     )
     print_table(service.metrics.rows(), title="Latency (microseconds)")
-    slo_failed = False
-    if service.slo_monitor is not None:
-        print_table(_slo_rows(service.slo_monitor), title="SLO burn rates")
-        slo_failed = not service.slo_monitor.ok()
-    if recorder is not None and recorder.dumps_written:
-        print(
-            f"flight recorder dumped {recorder.dumps_written} artifact(s) "
-            f"to {recorder.dump_path}"
-        )
+    slo_ok = _report_slos(service, recorder)
     payload = json.dumps(summary.metrics, indent=2)
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -598,7 +618,7 @@ def cmd_serve(args) -> int:
     else:
         print(payload)
     _emit_telemetry(args, service.metrics.registry, command="serve")
-    return 1 if slo_failed else 0
+    return 0 if slo_ok else 1
 
 
 def cmd_service_bench(args) -> int:
@@ -871,14 +891,7 @@ def cmd_slo(args) -> int:
     """Score a workload against declared SLOs and print the verdict."""
     import json
 
-    from repro.mobility import RandomWaypointModel
-    from repro.service import (
-        BackboneService,
-        ServiceConfig,
-        WorkloadConfig,
-        WorkloadGenerator,
-        replay,
-    )
+    from repro.service import ServiceConfig, WorkloadConfig, WorkloadGenerator
 
     graph = _build(args)
     try:
@@ -903,8 +916,6 @@ def cmd_slo(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    recorder = _arm_flight_recorder(args)
-    service = BackboneService(graph, config)
     generator = WorkloadGenerator(
         sorted(graph.nodes(), key=repr),
         WorkloadConfig(
@@ -913,23 +924,12 @@ def cmd_slo(args) -> int:
             seed=args.seed,
         ),
     )
-    mobility = RandomWaypointModel(
-        graph,
-        _deployment_side(graph, args),
-        speed_range=(0.01, 0.05),
-        seed=args.seed,
+    service, _, recorder = _replay_service(
+        args, graph, config, list(generator.requests())
     )
-    replay(service, list(generator.requests()), mobility=mobility)
-    monitor = service.slo_monitor
-    print_table(_slo_rows(monitor), title="SLO burn rates")
-    if recorder is not None and recorder.dumps_written:
-        print(
-            f"flight recorder dumped {recorder.dumps_written} artifact(s) "
-            f"to {recorder.dump_path}"
-        )
-    ok = monitor.ok()
+    ok = _report_slos(service, recorder)
     if args.format == "json":
-        print(json.dumps(monitor.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(service.slo_monitor.to_dict(), indent=2, sort_keys=True))
     else:
         print("SLO verdict: " + ("ok" if ok else "ERROR BUDGET BURNING"))
     _emit_telemetry(args, service.metrics.registry, command="slo")
@@ -1298,7 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm a flight recorder that dumps its ring here "
                    "on deadline miss or fault")
     _add_slo_args(p)
-    _add_sim_args(p)
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_serve)
 

@@ -12,7 +12,7 @@ canonical order and every loop below is deterministic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Set, Tuple
+from typing import Hashable, List, Set, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
 
@@ -78,14 +78,6 @@ class BitsetGraph:
             full=(1 << len(nodes)) - 1,
             distances=distances,
         )
-
-    def mask_of(self, members: Iterable[Node]) -> int:
-        """The bitmask of a node collection."""
-        index = {node: i for i, node in enumerate(self.nodes)}
-        mask = 0
-        for node in members:
-            mask |= 1 << index[node]
-        return mask
 
     def members(self, mask: int) -> Set[Node]:
         """The node set a bitmask denotes."""

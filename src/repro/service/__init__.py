@@ -3,12 +3,13 @@
 The package turns the one-shot constructions of :mod:`repro.wcds` into
 a serving runtime: :class:`BackboneService` owns a topology, answers
 ``dominator`` / ``route`` / ``backbone`` / ``broadcast_plan`` queries
-from caches, absorbs join / leave / move updates through the 3-hop
+from its one frozen snapshot (routes and broadcast plans cached on
+top), absorbs join / leave / move updates through the 3-hop
 incremental maintenance rules, and records counters plus latency
 histograms for everything it does.  See ``docs/SERVICE.md``.
 """
 
-from repro.service.cache import BackboneCache, RouteCache, topology_fingerprint
+from repro.service.cache import RouteCache
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import Request, RequestQueue, Response
@@ -25,7 +26,6 @@ from repro.service.workload import (
 )
 
 __all__ = [
-    "BackboneCache",
     "BackboneService",
     "DEFAULT_MIX",
     "ReplaySummary",
@@ -40,6 +40,5 @@ __all__ = [
     "load_trace",
     "replay",
     "save_trace",
-    "topology_fingerprint",
     "zipf_weights",
 ]

@@ -1,74 +1,22 @@
-"""Caching for the backbone service.
+"""The backbone service's route cache.
 
-Two caches with different keys and invalidation stories:
-
-* :class:`BackboneCache` is **content-addressed**: the key is a
-  fingerprint of the topology itself (radius + every node position), so
-  a backbone computed for a topology is valid for *any* service holding
-  an identical topology, and a node that moves and moves back re-hits
-  the old entry.
-* :class:`RouteCache` is an LRU over ``(src, dst)`` pairs whose entries
-  are invalidated **by region**: a topology event at node ``v`` only
-  evicts routes whose path passes within a configurable hop radius of
-  ``v`` — routes through untouched parts of the network survive churn.
+:class:`RouteCache` is an LRU over ``(src, dst)`` pairs whose entries
+are invalidated **by region**: a topology event at node ``v`` only
+evicts routes whose path passes within a configurable hop radius of
+``v`` — routes through untouched parts of the network survive churn.
+The backbone itself needs no cache: every query answers from the
+service's current snapshot.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.graphs.graph import Graph
-from repro.graphs.udg import UnitDiskGraph
-from repro.wcds.base import WCDSResult
+from repro.graphs.traversal import bfs_distances
 
 RouteKey = Tuple[Hashable, Hashable]
-
-
-def topology_fingerprint(udg: UnitDiskGraph) -> str:
-    """A content hash of a unit-disk topology.
-
-    Covers the radius and every ``(id, x, y)`` triple in a canonical
-    order; the edge set is derived from these, so two graphs with equal
-    fingerprints have identical backbones.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(udg.radius).encode())
-    for node, pos in sorted(udg.positions.items(), key=lambda kv: repr(kv[0])):
-        digest.update(f"|{node!r}:{pos.x!r},{pos.y!r}".encode())
-    return digest.hexdigest()
-
-
-class BackboneCache:
-    """LRU of topology fingerprint -> :class:`WCDSResult`."""
-
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, WCDSResult]" = OrderedDict()
-
-    def get(self, fingerprint: str) -> Optional[WCDSResult]:
-        """The cached backbone for ``fingerprint``, refreshing recency."""
-        result = self._entries.get(fingerprint)
-        if result is not None:
-            self._entries.move_to_end(fingerprint)
-        return result
-
-    def put(self, fingerprint: str, result: WCDSResult) -> None:
-        """Store a backbone, evicting the least-recently-used past
-        capacity."""
-        self._entries[fingerprint] = result
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
 
 
 class RouteCache:
@@ -147,16 +95,8 @@ class RouteCache:
         region: Set[Hashable] = set()
         for seed in seeds:
             region.add(seed)
-            if seed not in graph:
-                continue
-            frontier = {seed}
-            for _ in range(radius):
-                next_frontier: Set[Hashable] = set()
-                for node in frontier:
-                    next_frontier.update(graph.adjacency(node))
-                next_frontier -= region
-                region.update(next_frontier)
-                frontier = next_frontier
+            if seed in graph:
+                region.update(bfs_distances(graph, seed, cutoff=radius))
         return self.invalidate_nodes(region)
 
     def clear(self) -> None:

@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 
 from repro.obs.slo import SLO
 from repro.shard.config import ShardConfig
-from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class ServiceConfig:
     queue_capacity: int = 1024
     #: Default per-request deadline in seconds (None = no deadline).
     default_deadline: float | None = None
-    #: Simulation settings used when the service (re)runs a distributed
-    #: construction; ``None`` keeps the centralized rebuild path.
-    sim: Optional[SimConfig] = None
     #: While a partition fault is active, answer queries from the
     #: last-good snapshot (marked stale) instead of refreshing on a
     #: topology that is known to be split.

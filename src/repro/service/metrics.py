@@ -105,10 +105,7 @@ class ServiceMetrics:
         """JSON-ready view: counters, hit rates, latency summaries."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "hit_rates": {
-                cache: round(self.hit_rate(cache), 4)
-                for cache in ("route_cache", "backbone_cache")
-            },
+            "hit_rates": {"route_cache": round(self.hit_rate("route_cache"), 4)},
             "latency_seconds": {
                 operation: {
                     key: (value if key == "count" else round(value, 9))

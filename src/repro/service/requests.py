@@ -51,11 +51,6 @@ class Request:
         if self.op in ("join", "move") and (self.x is None or self.y is None):
             raise ValueError(f"{self.op} requests need x and y")
 
-    @property
-    def is_query(self) -> bool:
-        """Whether this request reads (vs. mutates) the topology."""
-        return self.op in QUERY_OPS
-
     def to_dict(self) -> Dict[str, Any]:
         """JSONL-ready dict (unset operands omitted)."""
         payload: Dict[str, Any] = {"op": self.op}

@@ -37,7 +37,7 @@ from repro.obs.flightrec import flight_record
 from repro.obs.slo import SLOMonitor
 from repro.routing.broadcast import SpannerIndex
 from repro.routing.clusterhead import ClusterheadRouter
-from repro.service.cache import BackboneCache, RouteCache, topology_fingerprint
+from repro.service.cache import RouteCache
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import Request, RequestQueue, Response
@@ -45,8 +45,6 @@ from repro.wcds.base import WCDSResult
 
 #: Max entries in the LRU route cache.
 ROUTE_CACHE_SIZE = 4096
-#: Max retained backbone snapshots (content-addressed).
-BACKBONE_CACHE_SIZE = 8
 #: Hop radius around an updated node whose cached routes are
 #: invalidated (2 covers re-clustering, +1 for connector churn).
 INVALIDATION_RADIUS = 3
@@ -74,13 +72,12 @@ class _Snapshot:
     """The last-good serving state: frozen graph, backbone, tables, and
     the broadcast plans computed on them."""
 
-    __slots__ = ("graph", "result", "router", "fingerprint", "plans", "_spanner")
+    __slots__ = ("graph", "result", "router", "plans", "_spanner")
 
     def __init__(self, graph: UnitDiskGraph, result: WCDSResult) -> None:
         self.graph = graph
         self.result = result
         self.router = ClusterheadRouter(graph, result)
-        self.fingerprint = topology_fingerprint(graph)
         #: Broadcast plans by source.  The graph is a frozen copy, so a
         #: plan stays valid for as long as its snapshot serves.
         self.plans: Dict[Hashable, Dict[str, object]] = {}
@@ -127,7 +124,6 @@ class BackboneService:
             else None
         )
         self.route_cache = RouteCache(ROUTE_CACHE_SIZE)
-        self.backbone_cache = BackboneCache(BACKBONE_CACHE_SIZE)
         self.queue = RequestQueue(self.config.queue_capacity)
         #: Pending maintenance work, in arrival order.  Entries are
         #: ("events", LinkEvents) | ("on", node, (x, y)) | ("off", node).
@@ -154,7 +150,6 @@ class BackboneService:
             self._maintained = MaintainedWCDS(udg)
             self._snapshot = _Snapshot(udg.copy(), self._maintained.result())
         self._rebuild_cost.update(self.clock() - started)
-        self.backbone_cache.put(self._snapshot.fingerprint, self._snapshot.result)
 
     # ------------------------------------------------------------------
     # Topology updates (ingest is cheap; absorption is lazy)
@@ -345,11 +340,7 @@ class BackboneService:
                     self.metrics.incr("roles_changed", len(report.touched))
             self.metrics.incr("repairs", batches)
             self._repair_cost.update((self.clock() - started) / max(1, batches))
-        self._dirt = 0.0
-        rebuild_started = self.clock()
-        self._snapshot = _Snapshot(self.graph.copy(), self._maintained.result())
-        self._rebuild_cost.update(self.clock() - rebuild_started)
-        self.backbone_cache.put(self._snapshot.fingerprint, self._snapshot.result)
+        self._refreeze(self._maintained.result())
 
     def _refresh_sharded(self) -> None:
         """Absorb pending updates by boundary-only re-stitching.
@@ -395,11 +386,14 @@ class BackboneService:
         self.metrics.incr("route_cache_invalidated", evicted)
         self.metrics.incr("repairs", batches)
         self._repair_cost.update((self.clock() - started) / max(1, batches))
+        self._refreeze(self._sharded.result())
+
+    def _refreeze(self, result: WCDSResult) -> None:
+        """Swap in a new last-good snapshot of the absorbed topology."""
         self._dirt = 0.0
-        rebuild_started = self.clock()
-        self._snapshot = _Snapshot(self.graph.copy(), self._sharded.result())
-        self._rebuild_cost.update(self.clock() - rebuild_started)
-        self.backbone_cache.put(self._snapshot.fingerprint, self._snapshot.result)
+        started = self.clock()
+        self._snapshot = _Snapshot(self.graph.copy(), result)
+        self._rebuild_cost.update(self.clock() - started)
 
     def _apply_entry(self, entry: Tuple):
         kind = entry[0]
@@ -553,13 +547,6 @@ class BackboneService:
     def _answer(self, request: Request, stale: bool) -> Response:
         snapshot = self._snapshot
         if request.op == "backbone":
-            if not stale:
-                cached = self.backbone_cache.get(snapshot.fingerprint)
-                if cached is not None:
-                    self.metrics.incr("backbone_cache_hits")
-                    return Response(request=request, ok=True, value=cached)
-                self.metrics.incr("backbone_cache_misses")
-                self.backbone_cache.put(snapshot.fingerprint, snapshot.result)
             return Response(request=request, ok=True, value=snapshot.result,
                             stale=stale)
         if request.op == "dominator":

@@ -234,6 +234,13 @@ class BatchedSimulator(Simulator):
         collapsed into one record when the latency is fixed and no
         perturbation is active.
         """
+        delay = self._fixed_delay
+        if delay is None or self._tie_rng is not None:
+            # Per-receiver latency draws and tie priorities must
+            # interleave with the loss draws in the oracle's exact
+            # order: run the oracle's own loop.
+            super().transmit(message)
+            return
         sender = message.sender
         if sender in self._dead:
             return
@@ -249,27 +256,6 @@ class BatchedSimulator(Simulator):
                     f"node {sender!r} cannot unicast to non-neighbor {message.dest!r}"
                 )
             audience = (message.dest,)
-        delay = self._fixed_delay
-        if delay is None or self._tie_rng is not None:
-            # Oracle-identical path: per-receiver latency draws and tie
-            # priorities must interleave with the loss draws in the
-            # exact per-receiver order the oracle uses.
-            for receiver in audience:
-                if receiver in self._dead:
-                    continue
-                if self._cuts and any(
-                    p.severs(sender, receiver) for p in self._cuts
-                ):
-                    self.stats.partition_blocked += 1
-                    self._record_loss(receiver, message)
-                    continue
-                if self._loss_now and self._rng.random() < self._loss_now:
-                    self._record_loss(receiver, message)
-                    continue
-                self._push(
-                    self.now + self.latency(sender, receiver), _DELIVER, receiver, message
-                )
-            return
         if self._dead or self._cuts or self._loss_now:
             survivors: List[Hashable] = []
             for receiver in audience:

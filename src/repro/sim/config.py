@@ -84,7 +84,3 @@ class SimConfig:
     def with_plan(self, plan: Optional[FaultPlan]) -> "SimConfig":
         """A copy with ``fault_plan`` replaced."""
         return replace(self, fault_plan=plan if plan is not None else FaultPlan())
-
-    def reseeded(self, seed: Optional[int]) -> "SimConfig":
-        """A copy with a different RNG seed."""
-        return replace(self, seed=seed)

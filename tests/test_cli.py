@@ -46,6 +46,17 @@ class TestCommands:
         assert code == 0
         assert f"Algorithm {algorithm}" in out
 
+    @pytest.mark.parametrize("algorithm", ["mis", "mds-exact"])
+    def test_wcds_dominating_only_algorithms(self, capsys, algorithm):
+        # Registered as dominating but not necessarily weakly connected:
+        # validated as dominating sets, not as WCDSs.
+        code, out = self._run(
+            ["wcds", "--nodes", "40", "--side", "5", "--algorithm", algorithm],
+            capsys,
+        )
+        assert code == 0
+        assert algorithm in out
+
     def test_wcds_list(self, capsys):
         code, out = self._run(
             ["wcds", "--nodes", "30", "--side", "4", "--list"], capsys
@@ -234,6 +245,17 @@ class TestCommands:
         assert f"Replay of {trace}" in out
         assert '"counters"' in out  # metrics JSON on stdout
         assert written > 40  # queries plus churn markers
+
+    @pytest.mark.parametrize(
+        "flag", [["--loss", "0.1"], ["--transport"], ["--fault-plan", "plan.json"],
+                 ["--engine", "event"]],
+    )
+    def test_serve_rejects_simulator_flags(self, capsys, flag):
+        # The service never runs a simulator, so it takes no sim flags.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--nodes", "40", "--side", "4.5", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_service_bench(self, capsys):
         code, out = self._run(

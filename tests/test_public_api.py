@@ -41,6 +41,8 @@ class TestTopLevelSurface:
         # ``Histogram``, ``bfs_distances`` and ``sim=SimConfig(...)``
         # are the one name for each; their aliases and the loose-kwarg
         # folds were removed.
+        import dataclasses
+
         import repro.graphs
         import repro.obs
         import repro.service
@@ -51,6 +53,12 @@ class TestTopLevelSurface:
         assert not hasattr(repro.graphs, "bfs_levels")
         assert not hasattr(repro.sim.config, "coerce_sim_config")
         assert not hasattr(repro.sim.config, "merge_entry_args")
+        # The backbone answers from the service's snapshot; the
+        # content-addressed cache and the unread ``sim`` knob are gone.
+        assert not hasattr(repro.service, "BackboneCache")
+        assert not hasattr(repro.service, "topology_fingerprint")
+        fields = dataclasses.fields(repro.service.ServiceConfig)
+        assert "sim" not in {field.name for field in fields}
 
 
 SUBPACKAGES = [

@@ -9,7 +9,6 @@ from repro.graphs import connected_random_udg
 from repro.mobility import RandomWaypointModel
 from repro.obs import Histogram
 from repro.service import (
-    BackboneCache,
     BackboneService,
     Request,
     RequestQueue,
@@ -21,7 +20,6 @@ from repro.service import (
     load_trace,
     replay,
     save_trace,
-    topology_fingerprint,
     zipf_weights,
 )
 from repro.wcds.base import is_weakly_connected_dominating_set
@@ -72,21 +70,6 @@ class TestRequests:
 # ----------------------------------------------------------------------
 # Caches
 # ----------------------------------------------------------------------
-class TestTopologyFingerprint:
-    def test_equal_topologies_equal_fingerprints(self, network):
-        assert topology_fingerprint(network) == topology_fingerprint(network.copy())
-
-    def test_fingerprint_tracks_content_not_history(self, network):
-        from repro.geometry.point import Point
-
-        fingerprint = topology_fingerprint(network)
-        home = network.positions[0]
-        network.move_node(0, Point(home.x + 0.3, home.y))
-        assert topology_fingerprint(network) != fingerprint
-        network.move_node(0, home)  # move back: same content, same key
-        assert topology_fingerprint(network) == fingerprint
-
-
 class TestRouteCache:
     def test_lru_eviction(self):
         cache = RouteCache(capacity=2)
@@ -121,16 +104,18 @@ class TestRouteCache:
         assert evicted == 1
         assert cache.get(nodes[0], nodes[1]) is not None
 
+    def test_invalidate_region_reaches_past_an_earlier_seed(self):
+        # On the path 0-1-...-6, node 4 is 3 hops from seed 1 even
+        # though seed 0 already reached node 3: the region is the union
+        # of every seed's ball, not the first seed's ball.
+        from repro.graphs.generators import line_udg
 
-class TestBackboneCache:
-    def test_lru_of_fingerprints(self, network):
-        from repro.wcds import algorithm2_centralized
-
-        result = algorithm2_centralized(network)
-        cache = BackboneCache(capacity=1)
-        cache.put("a", result)
-        cache.put("b", result)
-        assert "a" not in cache and cache.get("b") is result
+        line = line_udg(7)
+        cache = RouteCache(capacity=8)
+        for node in range(6):
+            cache.put(node, node + 1, [node, node + 1])
+        assert cache.invalidate_region(line, [0, 1], radius=3) == 5
+        assert len(cache) == 1 and cache.get(5, 6) == [5, 6]
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +144,6 @@ class TestMetrics:
         metrics.incr("route_cache_hits", 3)
         metrics.incr("route_cache_misses", 1)
         assert metrics.hit_rate("route_cache") == 0.75
-        assert metrics.hit_rate("backbone_cache") == 0.0
 
     def test_snapshot_is_json_ready(self):
         metrics = ServiceMetrics()
@@ -203,7 +187,6 @@ class TestServiceQueries:
         assert is_weakly_connected_dominating_set(network, first.value.dominators)
         again = service.backbone()
         assert again.value is first.value
-        assert service.metrics.counters["backbone_cache_hits"] >= 1
 
     def test_broadcast_plan_covers_everyone(self, network, service):
         plan = service.broadcast_plan(0).value
@@ -261,6 +244,34 @@ class TestServiceUpdates:
         # The cached route passed through the moved region: miss again.
         service.route(0, 42)
         assert service.metrics.counters["route_cache_misses"] == 2
+
+    def test_cached_routes_stay_walkable_after_repairs(self):
+        # Region invalidation must evict every route a repair can break:
+        # what survives in the cache walks the refreshed snapshot.
+        import random
+
+        network = connected_random_udg(200, 10.0, seed=5)
+        service = BackboneService(network)
+        rng = random.Random(2)
+        nodes = sorted(network.nodes())
+        checked = 0
+        for _ in range(8):
+            for src in nodes[::9]:
+                for dst in nodes[4::13]:
+                    service.route(src, dst)
+            for _ in range(3):
+                node = rng.choice(nodes)
+                pos = service.graph.positions[node]
+                service.move(node, pos.x + rng.uniform(-0.3, 0.3),
+                             pos.y + rng.uniform(-0.3, 0.3))
+            service.refresh()
+            router = service._snapshot.router
+            for path in service.route_cache._paths.values():
+                router.validate_path(list(path))
+                checked += 1
+        assert service.metrics.counters["rebuilds_full"] == 0
+        assert service.metrics.counters["errors"] == 0
+        assert checked > 100
 
     def test_gentle_churn_repairs_without_rebuild(self, network, service):
         mobility = RandomWaypointModel(
