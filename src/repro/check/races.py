@@ -26,6 +26,7 @@ diverging trace event so the offending schedule step is inspectable.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -223,30 +224,78 @@ def distributed_mis_fingerprint(graph: Graph) -> Runner:
     return run
 
 
+#: Tile side (radii) of the sharded sweep: small, so that a 50-node
+#: deployment spans several tiles and the exchange order matters.
+RACE_TILE_SIZE = 3.5
+
+#: Seeded moves the sharded sweep applies after its build.
+RACE_MOVES = 20
+
+#: Largest move along each axis, in radii.
+RACE_MOVE_REACH = 0.3
+
+
 def sharded_wcds_fingerprint(graph: Graph) -> Runner:
-    """The tiled Algorithm II build, perturbed at its own seam.
+    """The tiled Algorithm II build and its maintenance under moves,
+    perturbed at their own seam.
 
     An active perturbation seed shuffles the stitcher's within-round
     frontier-exchange order (see ``ShardedBackbone._stitch``), so this
     sweep checks the claim the shard subsystem rests on: the fixpoint is
     order-independent and the result stays *bit-identical* to the
-    centralized oracle.  ``graph`` must be a
-    :class:`~repro.graphs.udg.UnitDiskGraph` (tiling needs positions).
+    centralized oracle — after the build, and after a seeded stream of
+    moves, whose connector re-selection reads each tile's statuses from
+    before the stitch.  A move that would disconnect the deployment is
+    undone, so the oracle stays defined.  ``graph`` must be a
+    :class:`~repro.graphs.udg.UnitDiskGraph` (tiling needs positions);
+    it is not mutated.
     """
-    from repro.shard.stitch import build_sharded
+    from repro.geometry.point import Point
+    from repro.graphs.traversal import is_connected
+    from repro.graphs.udg import UnitDiskGraph
+    from repro.shard.config import ShardConfig
+    from repro.shard.stitch import ShardedBackbone
     from repro.wcds.algorithm2 import algorithm2_centralized
+    from repro.wcds.base import WCDSResult
+
+    if not isinstance(graph, UnitDiskGraph):
+        raise TypeError("the wcds-sharded sweep needs a UnitDiskGraph")
+    deployment = graph
+
+    def matches(result: WCDSResult, udg: UnitDiskGraph) -> bool:
+        oracle = algorithm2_centralized(udg)
+        return bool(
+            result.mis_dominators == oracle.mis_dominators
+            and result.dominators == oracle.dominators
+        )
 
     def run() -> Fingerprint:
-        sharded = build_sharded(graph)
-        oracle = algorithm2_centralized(graph)
-        return {
+        udg = deployment.copy()
+        backbone = ShardedBackbone(udg, ShardConfig(tile_size=RACE_TILE_SIZE))
+        sharded = backbone.result()
+        fingerprint: Dict[str, object] = {
             "mis": tuple(sorted(sharded.mis_dominators, key=repr)),
             "dominators": tuple(sorted(sharded.dominators, key=repr)),
-            "matches_centralized": bool(
-                sharded.mis_dominators == oracle.mis_dominators
-                and sharded.dominators == oracle.dominators
-            ),
+            "matches_centralized": matches(sharded, udg),
         }
+        rng = random.Random(0)
+        nodes = sorted(udg.positions, key=repr)
+        reach = RACE_MOVE_REACH * udg.radius
+        for _ in range(RACE_MOVES):
+            node = nodes[rng.randrange(len(nodes))]
+            pos = udg.positions[node]
+            backbone.apply_move(node, Point(
+                pos.x + rng.uniform(-reach, reach), pos.y + rng.uniform(-reach, reach)
+            ))
+            if not is_connected(udg):
+                backbone.apply_move(node, pos)
+        moved = backbone.result()
+        fingerprint.update({
+            "moved_mis": tuple(sorted(moved.mis_dominators, key=repr)),
+            "moved_dominators": tuple(sorted(moved.dominators, key=repr)),
+            "moved_matches_centralized": matches(moved, udg),
+        })
+        return fingerprint
 
     return run
 

@@ -126,7 +126,9 @@ class BackboneService:
         self.route_cache = RouteCache(ROUTE_CACHE_SIZE)
         self.queue = RequestQueue(self.config.queue_capacity)
         #: Pending maintenance work, in arrival order.  Entries are
-        #: ("events", LinkEvents) | ("on", node, (x, y)) | ("off", node).
+        #: ("events", LinkEvents) | ("on", node, (x, y)) | ("off", node),
+        #: and on the sharded path ("moved", node) for a move that
+        #: flipped no link.
         self._pending: List[Tuple] = []
         self._dirt = 0.0
         self._version = 0
@@ -183,12 +185,17 @@ class BackboneService:
         from repro.geometry.point import Point
 
         gained, lost = self.graph.move_node(node, Point(float(x), float(y)))
-        self.ingest_events(
-            LinkEvents(
-                gained=tuple((node, other) for other in gained),
-                lost=tuple((node, other) for other in lost),
-            )
+        events = LinkEvents(
+            gained=tuple((node, other) for other in gained),
+            lost=tuple((node, other) for other in lost),
         )
+        if events.is_empty and self._sharded is not None:
+            # No link flipped, but the tiler indexes positions: the node
+            # may have crossed into another tile or halo.
+            self._ingest(("moved", node), seeds=[node], weight=1)
+            self.metrics.incr("updates_move")
+            return
+        self.ingest_events(events)
 
     # ------------------------------------------------------------------
     # Fault signals (from a chaos run or an external failure detector)
@@ -358,8 +365,9 @@ class BackboneService:
         while self._pending:
             entry = self._pending.pop(0)
             kind = entry[0]
-            if kind == "events":
-                for node in canonical_order(entry[1].endpoints):
+            if kind in ("events", "moved"):
+                moved = entry[1].endpoints if kind == "events" else [entry[1]]
+                for node in canonical_order(moved):
                     if node in self.graph:
                         report = self._sharded.note_moved(node)
                         touched_tiles.update(report.rebuilt)

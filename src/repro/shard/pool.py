@@ -371,7 +371,8 @@ class ShardServePool(WorkerClient):
         """A tile's replica over node ids; ``backbone`` is the current
         :meth:`backbone_nodes`, computed once per start or move.  The
         numbering is the stitch's own (:meth:`ShardedBackbone.tile_index`),
-        built once per re-stitch of the tile."""
+        which the stitch replaces and never mutates, so an older
+        replica's index stays intact."""
         tix = self.backbone.tile_index(tile)
         return _TileReplica(tix.members, tix.adj, self._mis_counts, backbone)
 

@@ -30,15 +30,21 @@ every owned status is settled.  The protocol:
 Churn re-runs this machinery on the affected tiles only: the tiles
 that read the moved node (owner + halo consumers, old and new
 position) are re-passed, and the wave cascades further only when a
-published frontier status actually changed.
+published frontier status actually changed.  A move re-derives only
+what it touched: a tile the node stays in patches a copy of its index,
+and connectors are re-picked only near the change (see
+:meth:`ShardedBackbone._tile_connectors`).
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 
 from repro.geometry.point import Point
 from repro.graphs.traversal import is_connected
@@ -50,19 +56,26 @@ from repro.wcds.base import BackboneResult
 from repro.wcds.connectors import number_nodes, select_connectors
 
 Node = Hashable
+Pair = Tuple[Node, Node, Node]
 
 #: Registry name of the sharded construction.
 ALGORITHM_NAME = "wcds-sharded"
 
+#: Hops within which a leader's connector picks read edges and MIS
+#: flags (Algorithm II pairs MIS nodes exactly three hops apart).
+CONNECTOR_REACH = 3
+
 
 class _TileIndex:
-    """One tile numbered once per re-stitch.
+    """One tile's members, numbered.
 
     Members are numbered in ascending id order (Algorithm II's ranking),
     so "lower rank" is "lower number"; ``adj`` holds each member's
     neighbours among the members as ascending int tuples, ``lower`` the
     prefix of those below the member itself, and ``visible`` flags the
-    members whose whole unit disk the tile sees.
+    members whose whole unit disk the tile sees.  An index is never
+    mutated once built (serve-pool replicas hold it): a move of a node
+    that stays a member yields a patched copy (:meth:`moved`).
     """
 
     __slots__ = ("members", "index", "adj", "lower", "visible")
@@ -74,6 +87,59 @@ class _TileIndex:
         self.lower = [nbrs[: bisect_left(nbrs, i)] for i, nbrs in enumerate(self.adj)]
         seen = tiler.visible_members(tile)
         self.visible = bytearray(node in seen for node in self.members)
+
+    def moved(
+        self, graph: UnitDiskGraph, tiler: Tiler, tile: TileId, node: Node
+    ) -> Tuple["_TileIndex", Set[int]]:
+        """A copy with ``node``'s edges and visibility re-read, and the
+        numbers of ``node`` and its old and new neighbours.
+
+        ``node`` must be a member before and after its move, so the
+        member set (and the numbering) is unchanged; only the rows of
+        those numbers differ.  ``members`` and ``index`` are shared.
+        """
+        index = self.index
+        i = index[node]
+        old = self.adj[i]
+        new = tuple(sorted(j for j in map(index.get, graph.adjacency(node))
+                           if j is not None))
+        patched = _TileIndex.__new__(_TileIndex)
+        patched.members = self.members
+        patched.index = index
+        adj = patched.adj = list(self.adj)
+        lower = patched.lower = list(self.lower)
+        adj[i] = new
+        lower[i] = new[: bisect_left(new, i)]
+        for j in sorted(set(old).symmetric_difference(new)):
+            row = list(adj[j])
+            if j in new:
+                insort(row, i)
+            else:
+                row.remove(i)
+            adj[j] = tuple(row)
+            lower[j] = adj[j][: bisect_left(row, j)]
+        patched.visible = bytearray(self.visible)
+        patched.visible[i] = tiler.sees_disk(tile, node)
+        return patched, {i, *old, *new}
+
+
+class _Scope(NamedTuple):
+    """What a stitch changed in a tile whose numbering it kept: the
+    statuses before the stitch, and the nodes whose edges changed."""
+
+    before: Mapping[Node, Optional[bool]]
+    changed: AbstractSet[Node]
+
+
+def _ball(adj: Sequence[Tuple[int, ...]], seeds: Iterable[int], hops: int) -> Set[int]:
+    """The numbers within ``hops`` hops of ``seeds`` over ``adj``."""
+    ball = set(seeds)
+    frontier = list(ball)
+    for _ in range(hops):
+        reached = [j for i in frontier for j in adj[i] if j not in ball]
+        ball.update(reached)
+        frontier = reached
+    return ball
 
 
 @dataclass(frozen=True)
@@ -131,13 +197,15 @@ class ShardedBackbone:
         self._status: Dict[TileId, Dict[Node, Optional[bool]]] = {}
         #: Per-tile connector selections ``(u, w, chosen)`` for the
         #: 3-hop pairs led by the tile's owned MIS nodes.
-        self._connectors: Dict[TileId, List[Tuple[Node, Node, Node]]] = {}
+        self._connectors: Dict[TileId, List[Pair]] = {}
         self._indexes: Dict[TileId, _TileIndex] = {}
         self.last_rounds = 0
         with self.tracer.span(
             "shard_build", n=graph.num_nodes, tiles=len(self.tiler.tiles())
         ) as span:
-            touched, rounds = self._stitch(set(self.tiler.tiles()), "full")
+            touched, rounds = self._stitch(
+                set(self.tiler.tiles()), "full", {}, frozenset()
+            )
             span.set_attr("rounds", rounds)
         if self.registry is not None:
             for tile in self.tiler.tiles():
@@ -157,14 +225,23 @@ class ShardedBackbone:
     # ------------------------------------------------------------------
     def tile_index(self, tile: TileId) -> _TileIndex:
         """The live tile's members numbered in ascending id order, with
-        ascending neighbour tuples (:func:`number_nodes`).  Built once
-        per re-stitch of the tile and shared, so callers must not
-        mutate it."""
+        ascending neighbour tuples (:func:`number_nodes`).  Renumbered
+        when the tile's member set changes, patched when a member moves
+        within it, and shared, so callers must not mutate it."""
         cached = self._indexes.get(tile)
         if cached is None:
             cached = _TileIndex(self.graph, self.tiler, tile)
             self._indexes[tile] = cached
+            self._count_index("renumbered")
         return cached
+
+    def _count_index(self, how: str, amount: int = 1) -> None:
+        if self.registry is not None and amount:
+            self.registry.counter(
+                "shard_tile_index_total",
+                "Tile indexes built, by how: renumbered or patched",
+                how=how,
+            ).inc(amount)
 
     def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         """One rank-ordered marking pass over the tile's members."""
@@ -200,11 +277,11 @@ class ShardedBackbone:
         status = self._status[tile]
         dirty: Set[TileId] = set()
         published = 0
-        for v in self.tiler.owned(tile):
+        for v, consumers in self.tiler.publishers(tile):
             verdict = status.get(v)
             if verdict is None:
                 continue
-            for consumer in self.tiler.consumers(v):
+            for consumer in consumers:
                 pins = self._pins.setdefault(consumer, {})
                 if pins.get(v) is not verdict:
                     pins[v] = verdict
@@ -236,11 +313,20 @@ class ShardedBackbone:
                 del pins[v]
 
     def _stitch(
-        self, pending: Set[TileId], phase: str
+        self,
+        pending: Set[TileId],
+        phase: str,
+        patched: Mapping[TileId, _TileIndex],
+        changed: AbstractSet[Node],
     ) -> Tuple[Set[TileId], int]:
         """Run local passes over ``pending`` tiles, exchanging frontier
         pins, until every owned status is determined.  Returns the set
-        of tiles re-passed and the number of exchange rounds."""
+        of tiles re-passed and the number of exchange rounds.
+
+        A pending tile takes its index from ``patched`` or is
+        renumbered; ``changed`` are the nodes whose edges changed in
+        the patched tiles.  Tiles reached beyond ``pending`` keep their
+        index (their members and edges did not change)."""
         live = set(self.tiler.tiles())
         for tile in [t for t in self._status if t not in live]:
             self._status.pop(tile, None)
@@ -248,9 +334,14 @@ class ShardedBackbone:
             self._pins.pop(tile, None)
             self._indexes.pop(tile, None)
         pending = {tile for tile in pending if tile in live}
-        for tile in pending:
+        renumbered = pending - patched.keys()
+        for tile in renumbered:
             self._indexes.pop(tile, None)
+        self._indexes.update(patched)
         self._drop_stale_pins(pending)
+        #: Per re-passed tile, what its connector selection may reuse
+        #: (``None``: nothing, select in full).
+        scopes: Dict[TileId, Optional[_Scope]] = {}
         touched: Set[TileId] = set()
         rounds = 0
         passes = 0
@@ -280,13 +371,23 @@ class ShardedBackbone:
             if exchange_rng is not None:
                 exchange_rng.shuffle(order)
             for tile in order:
+                if tile not in scopes:
+                    before = self._status.get(tile)
+                    if before is None or tile in renumbered:
+                        scopes[tile] = None
+                    else:
+                        edges = changed if tile in patched else frozenset()
+                        scopes[tile] = _Scope(before, edges)
                 self._status[tile] = self._local_pass(tile)
                 touched.add(tile)
                 passes += 1
                 dirty |= self._publish(tile)
+            # A tile not passed this round was settled when last passed
+            # (an unsettled one is pending again), so only ``order`` can
+            # hold an unsettled owned node.
             unsettled = {
                 tile
-                for tile in touched
+                for tile in order
                 if any(
                     self._status[tile].get(v) is None
                     for v in self.tiler.owned(tile)
@@ -294,7 +395,7 @@ class ShardedBackbone:
             }
             pending = {tile for tile in dirty | unsettled if tile in live}
         for tile in sorted(touched):
-            self._connectors[tile] = self._tile_connectors(tile)
+            self._connectors[tile] = self._tile_connectors(tile, scopes[tile])
         self.last_rounds = rounds
         if self.registry is not None:
             self.registry.counter(
@@ -312,10 +413,20 @@ class ShardedBackbone:
             ).set(len(live))
         return touched, rounds
 
-    def _tile_connectors(self, tile: TileId) -> List[Tuple[Node, Node, Node]]:
+    def _tile_connectors(self, tile: TileId, scope: Optional[_Scope]) -> List[Pair]:
         """Algorithm II connector selection for pairs led by owned MIS
         nodes — the centralized rule on the tile's members (exact by
-        the ≥3-radii halo)."""
+        the ≥3-radii halo).
+
+        With a ``scope`` only the leaders within three hops (over the
+        new edges) of a change are re-selected, and every other pair
+        is kept.  The changes are the nodes whose edges changed and
+        the members whose MIS flag differs from before the stitch.
+        This is exact: a leader's picks read only the edges and MIS
+        flags within three hops of it, an edge that changed is
+        incident to the moved node, and a node within three hops of
+        the moved node before the move is still within three hops of
+        one of its old neighbours."""
         tix = self.tile_index(tile)
         status = self._status[tile]
         members = tix.members
@@ -324,10 +435,32 @@ class ShardedBackbone:
         leaders = [
             i for i, v in enumerate(members) if is_mis[i] and owner[v] == tile
         ]
-        return [
+        kept: List[Pair] = []
+        if scope is not None:
+            index = tix.index
+            before = scope.before
+            seeds = [index[v] for v in scope.changed if v in index]
+            seeds.extend(
+                i
+                for i, v in enumerate(members)
+                if is_mis[i] != (before.get(v) is True)
+            )
+            if not seeds:
+                return self._connectors[tile]
+            ball = _ball(tix.adj, seeds, CONNECTOR_REACH)
+            leaders = [i for i in leaders if i in ball]
+            kept = [p for p in self._connectors[tile] if index[p[0]] not in ball]
+        if self.registry is not None:
+            self.registry.counter(
+                "shard_connector_leaders_total",
+                "MIS leaders whose connectors were re-selected, by scope",
+                scope="full" if scope is None else "ball",
+            ).inc(len(leaders))
+        picks = [
             (members[u], members[w], members[v])
             for u, w, v in select_connectors(tix.adj, is_mis, leaders)
         ]
+        return sorted(kept + picks) if kept else picks
 
     # ------------------------------------------------------------------
     # Results
@@ -340,7 +473,7 @@ class ShardedBackbone:
         """
         mis: Set[Node] = set()
         additional: Set[Node] = set()
-        pairs: List[Tuple[Node, Node, Node]] = []
+        pairs: List[Pair] = []
         for tile in self.tiler.tiles():
             status = self._status[tile]
             for v in self.tiler.owned(tile):
@@ -366,7 +499,7 @@ class ShardedBackbone:
         """The tile's member statuses (read-only copy)."""
         return dict(self._status.get(tile, {}))
 
-    def tile_connectors(self, tile: TileId) -> List[Tuple[Node, Node, Node]]:
+    def tile_connectors(self, tile: TileId) -> List[Pair]:
         """The tile's connector picks ``(u, w, chosen)`` (copy)."""
         return list(self._connectors.get(tile, ()))
 
@@ -402,11 +535,28 @@ class ShardedBackbone:
 
     def note_moved(self, node: Node) -> InvalidationReport:
         """Re-stitch after the caller already moved ``node`` in the
-        graph (the tiler still holds the old indexing)."""
-        seeds = set(self.tiler.tiles_reading(node))
-        affected = self.tiler.on_node_moved(node)
-        seeds |= affected
-        return self._after_churn(node, "move", tuple(sorted(seeds)), affected | seeds)
+        graph (the tiler still holds the old indexing).
+
+        A tile ``node`` stays a member of keeps its numbering and gets
+        a patched copy of its index; a tile it enters or leaves is
+        renumbered."""
+        before = set(self.tiler.tiles_reading(node))
+        self.tiler.on_node_moved(node)
+        after = set(self.tiler.tiles_reading(node))
+        patched: Dict[TileId, _TileIndex] = {}
+        changed: Set[Node] = {node}
+        for tile in sorted(before & after):
+            old = self._indexes.get(tile)
+            if old is None:
+                continue
+            index, rows = old.moved(self.graph, self.tiler, tile, node)
+            patched[tile] = index
+            changed.update(index.members[j] for j in rows)
+        self._count_index("patched", len(patched))
+        seeds = before | after
+        return self._after_churn(
+            node, "move", tuple(sorted(seeds)), seeds, patched, changed
+        )
 
     def note_joined(self, node: Node) -> InvalidationReport:
         """Re-stitch after the caller already added ``node``."""
@@ -424,9 +574,11 @@ class ShardedBackbone:
         event: str,
         seeds,
         pending: Set[TileId],
+        patched: Mapping[TileId, _TileIndex] = {},
+        changed: AbstractSet[Node] = frozenset(),
     ) -> InvalidationReport:
         with self.tracer.span("shard_invalidate", event=event) as span:
-            touched, rounds = self._stitch(set(pending), "churn")
+            touched, rounds = self._stitch(set(pending), "churn", patched, changed)
             seed_tuple = tuple(sorted(set(seeds)))
             cascaded = tuple(sorted(touched - set(seed_tuple)))
             span.set_attr("seed_tiles", len(seed_tuple))

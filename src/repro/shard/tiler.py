@@ -71,6 +71,9 @@ class Tiler:
         self._halo: Dict[TileId, Set[Node]] = {}
         #: node -> tiles (excluding the owner) whose halo holds it.
         self._consumers: Dict[Node, Set[TileId]] = {}
+        #: tile -> its :meth:`publishers`, until an owned node or one of
+        #: their consumer sets changes.
+        self._publishers: Dict[TileId, List[Tuple[Node, Tuple[TileId, ...]]]] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -191,6 +194,20 @@ class Tiler:
         """Tiles (other than the owner) whose halo contains ``node``."""
         return tuple(sorted(self._consumers.get(node, ())))
 
+    def publishers(self, tile: TileId) -> List[Tuple[Node, Tuple[TileId, ...]]]:
+        """``(node, consumers(node))`` for every owned node some other
+        tile reads, in canonical order.  Cached per tile; shared, so
+        callers must not mutate it."""
+        cached = self._publishers.get(tile)
+        if cached is None:
+            cached = [
+                (node, self.consumers(node))
+                for node in self.owned(tile)
+                if node in self._consumers
+            ]
+            self._publishers[tile] = cached
+        return cached
+
     def tiles_reading(self, node: Node) -> Tuple[TileId, ...]:
         """Every tile whose computation sees ``node``: owner + consumers."""
         tiles = set(self._consumers.get(node, ()))
@@ -242,6 +259,17 @@ class Tiler:
                 visible.add(node)
         return visible
 
+    def sees_disk(self, tile: TileId, node: Node) -> bool:
+        """Whether ``node``, a member of ``tile``, is in its
+        :meth:`visible_members` (the same test for one node)."""
+        if self.owner.get(node) == tile:
+            return True
+        slack = self.halo_width - self.radius
+        pos = self.positions[node]
+        return slack >= 0 and (
+            rect_distance_squared(pos.x, pos.y, self.rect(tile)) <= slack * slack
+        )
+
     def frontier_mis_bound(self, tile: TileId) -> int:
         """Lemma 2's packing bound on MIS-dominators in the frontier.
 
@@ -266,6 +294,7 @@ class Tiler:
         tile = self.tile_of(pos)
         created = tile not in self._owned
         self.owner[node] = tile
+        self._publishers.pop(tile, None)
         self._owned.setdefault(tile, set()).add(node)
         if created:
             self._adopt_halo_of_new_tile(tile)
@@ -277,6 +306,7 @@ class Tiler:
         affected = set(self.tiles_reading(node))
         tile = self.owner.pop(node, None)
         if tile is not None:
+            self._publishers.pop(tile, None)
             owned = self._owned.get(tile)
             if owned is not None:
                 owned.discard(node)
@@ -310,11 +340,14 @@ class Tiler:
                     if rect_distance_squared(pos.x, pos.y, rect) <= limit:
                         self._halo.setdefault(tile, set()).add(node)
                         self._consumers.setdefault(node, set()).add(tile)
+                        self._publishers.pop((cx, cy), None)
 
     def _retire_tile(self, tile: TileId) -> None:
         """A tile lost its last owned node: forget it entirely."""
         self._owned.pop(tile, None)
+        self._publishers.pop(tile, None)
         for node in self._halo.pop(tile, set()):
+            self._publishers.pop(self.owner[node], None)
             consumers = self._consumers.get(node)
             if consumers is not None:
                 consumers.discard(tile)

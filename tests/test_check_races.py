@@ -71,13 +71,16 @@ class TestShardedStitchIsOrderIndependent:
     def test_perturbed_stitch_stays_bit_identical_to_centralized(self):
         # A seeded perturbation shuffles the stitcher's within-round
         # frontier-exchange order; the fingerprint must not move and
-        # must keep matching the centralized oracle exactly.
+        # must keep matching the centralized oracle exactly, after the
+        # build and after the seeded moves (which change the MIS).
         from repro.check.races import sharded_wcds_fingerprint
 
         graph = connected_random_udg(60, 5.5, seed=3)
         runner = sharded_wcds_fingerprint(graph)
         baseline = dict(runner())
         assert baseline["matches_centralized"] is True
+        assert baseline["moved_matches_centralized"] is True
+        assert baseline["moved_mis"] != baseline["mis"]
         for seed in (1, 2, 9):
             with perturbed_schedule(seed):
                 assert dict(runner()) == baseline

@@ -218,15 +218,27 @@ class TestPairOrder:
 # ----------------------------------------------------------------------
 class SubgraphShardedBackbone(ShardedBackbone):
     """``ShardedBackbone`` with the deleted per-tile ``Graph.subgraph``
-    walk and BFS connectors.  The subgraphs are cached in the dict the
-    stitch invalidates, so they are rebuilt exactly when an index is."""
+    walk and BFS connectors, re-selected in full for every re-passed
+    tile.  Each pending or dead tile's subgraph is dropped before a
+    stitch, so a tile reads the graph afresh whenever its members or
+    edges may have changed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._subgraphs: Dict[TileId, Graph] = {}
+        super().__init__(*args, **kwargs)
+
+    def _stitch(self, pending, phase, patched, changed):
+        live = set(self.tiler.tiles())
+        for tile in [t for t in self._subgraphs if t in pending or t not in live]:
+            del self._subgraphs[tile]
+        return super()._stitch(pending, phase, patched, changed)
 
     def _tile_subgraph(self, tile: TileId) -> Graph:
-        cached = self._indexes.get(tile)
+        cached = self._subgraphs.get(tile)
         if cached is None:
             cached = self.graph.subgraph(self.tiler.members(tile))
-            self._indexes[tile] = cached  # type: ignore[assignment]
-        return cached  # type: ignore[return-value]
+            self._subgraphs[tile] = cached
+        return cached
 
     def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         sub = self._tile_subgraph(tile)
@@ -255,7 +267,7 @@ class SubgraphShardedBackbone(ShardedBackbone):
                 status[v] = True
         return status
 
-    def _tile_connectors(self, tile: TileId) -> List[Pair]:
+    def _tile_connectors(self, tile: TileId, scope) -> List[Pair]:
         sub = self._tile_subgraph(tile)
         status = self._status[tile]
         mis = {v for v in sub.nodes() if status.get(v) is True}

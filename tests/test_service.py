@@ -2,6 +2,7 @@
 freshness/staleness, incremental maintenance, and workload replay."""
 
 import json
+import random
 
 import pytest
 
@@ -600,10 +601,53 @@ class TestShardedService:
         assert sharded.route(far_u, far_v).ok
         assert sharded.metrics.counters["route_cache_hits"] == hits_before + 1
 
+    def test_silent_move_re_tiles_the_node(self):
+        # Regression: a move that flips no link queued nothing, so the
+        # tiler kept owning node 0 by the tile it had left.
+        from repro.shard import ShardConfig
+        from repro.shard.bench import jittered_grid
+
+        config = ServiceConfig(sharding=ShardConfig(tile_size=4.0))
+        service = BackboneService(jittered_grid(900, seed=3), config)
+        tiler = service._sharded.tiler
+        assert tiler.owner[0] == (-1, 0)
+        pos = service.graph.positions[0]
+        service.move(0, pos.x + 0.03, pos.y)
+        service.refresh()
+        assert tiler.owner[0] == (0, 0) == tiler.tile_of(service.graph.positions[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiler_follows_every_move(self, seed):
+        from repro.shard import ShardConfig
+        from repro.shard.bench import jittered_grid
+        from repro.wcds import algorithm2_centralized
+
+        config = ServiceConfig(sharding=ShardConfig(tile_size=3.5))
+        service = BackboneService(jittered_grid(400, seed), config)
+        graph = service.graph
+        tiler = service._sharded.tiler
+        rng = random.Random(seed)
+        nodes = sorted(graph.positions)
+        for _ in range(12):
+            for _ in range(rng.randint(1, 3)):
+                node = rng.choice(nodes)
+                pos = graph.positions[node]
+                service.move(node, pos.x + rng.uniform(-0.1, 0.1),
+                             pos.y + rng.uniform(-0.1, 0.1))
+            service.refresh()
+            assert all(
+                tiler.owner[node] == tiler.tile_of(pos)
+                for node, pos in graph.positions.items()
+            )
+            assert (
+                service.backbone().value.dominators
+                == algorithm2_centralized(graph).dominators
+            )
+
     def test_routes_through_churned_tiles_are_evicted(self, grid, sharded):
-        # A topologically-silent move ingests nothing (no link events),
-        # so the eviction contract is exercised by a move big enough to
-        # flip unit-disk edges around the endpoint.
+        # A topologically-silent move only re-tiles the node, so the
+        # eviction contract is exercised by a move big enough to flip
+        # unit-disk edges around the endpoint.
         nodes = sorted(grid.positions)
         near_u = nodes[0]
         near_v = min(sharded.graph.adjacency(near_u), default=near_u)

@@ -125,29 +125,37 @@ class TestTiler:
             for node in tiler.visible_members(tile):
                 assert set(graph.adjacency(node)) <= members
 
-    def test_churn_reindex_matches_fresh_build(self, graph):
-        config = ShardConfig(tile_size=4.0)
-        tiler = Tiler(graph.positions, graph.radius, config)
-        node = sorted(graph.positions)[0]
-        graph.move_node(node, Point(3.1, 2.7))
-        tiler.on_node_moved(node)
-        fresh = Tiler(graph.positions, graph.radius, config)
+    @staticmethod
+    def assert_same_indexes(tiler, fresh):
         assert tiler.owner == fresh.owner
+        assert tiler.tiles() == fresh.tiles()
         for tile in fresh.tiles():
             assert tiler.owned(tile) == fresh.owned(tile)
             assert tiler.halo(tile) == fresh.halo(tile)
+            assert tiler.publishers(tile) == fresh.publishers(tile)
+
+    def test_churn_reindex_matches_fresh_build(self, graph):
+        config = ShardConfig(tile_size=4.0)
+        tiler = Tiler(graph.positions, graph.radius, config)
+        for tile in tiler.tiles():
+            tiler.publishers(tile)  # fill the caches churn must drop
+        node = sorted(graph.positions)[0]
+        graph.move_node(node, Point(3.1, 2.7))
+        tiler.on_node_moved(node)
+        self.assert_same_indexes(tiler, Tiler(graph.positions, graph.radius, config))
 
     def test_remove_last_node_retires_tile(self, graph):
         config = ShardConfig(tile_size=4.0)
         tiler = Tiler(graph.positions, graph.radius, config)
+        for tile in tiler.tiles():
+            tiler.publishers(tile)
         # empty one tile by removing all its owned nodes
         tile = tiler.tiles()[0]
         for node in list(tiler.owned(tile)):
             graph.remove_node(node)
             tiler.on_node_removed(node)
         assert tile not in tiler.tiles()
-        fresh = Tiler(graph.positions, graph.radius, config)
-        assert tiler.owner == fresh.owner
+        self.assert_same_indexes(tiler, Tiler(graph.positions, graph.radius, config))
 
 
 # ----------------------------------------------------------------------
@@ -292,3 +300,91 @@ class TestChurn:
         assert report.node == node and report.event == "move"
         assert report.rounds >= 1
         assert set(report.cascaded).isdisjoint(report.seed_tiles)
+
+
+# ----------------------------------------------------------------------
+# A move re-derives only what it touched
+# ----------------------------------------------------------------------
+def index_fields(tix):
+    """A tile index's fields, copied."""
+    return (
+        list(tix.members), dict(tix.index), list(tix.adj), list(tix.lower),
+        bytes(tix.visible),
+    )
+
+
+@st.composite
+def churn_events(draw):
+    return [
+        (
+            draw(st.sampled_from(["move", "move", "move", "join", "leave"])),
+            draw(st.integers(min_value=0, max_value=10**6)),
+            draw(st.floats(min_value=-0.6, max_value=0.6)),
+            draw(st.floats(min_value=-0.6, max_value=0.6)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=10)))
+    ]
+
+
+class TestIncrementalIndexes:
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        tile_size=st.floats(min_value=3.5, max_value=9.0),
+        events=churn_events(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cached_state_equals_a_fresh_derivation(self, seed, tile_size, events):
+        from repro.shard.stitch import _TileIndex
+
+        graph = dense_udg(150, 7.0, seed)
+        backbone = ShardedBackbone(graph, ShardConfig(tile_size=tile_size))
+        tiler = backbone.tiler
+        next_id = max(graph.positions) + 1
+        for kind, pick, dx, dy in events:
+            nodes = sorted(graph.positions)
+            node = nodes[pick % len(nodes)]
+            pos = graph.positions[node]
+            held = {tile: backbone.tile_index(tile) for tile in tiler.tiles()}
+            copies = {tile: index_fields(tix) for tile, tix in held.items()}
+            if kind == "move":
+                backbone.apply_move(node, Point(pos.x + dx, pos.y + dy))
+            elif kind == "join":
+                backbone.apply_join(next_id, Point(pos.x + dx, pos.y + dy))
+                next_id += 1
+            elif len(nodes) > 2:
+                backbone.apply_leave(node)
+            # Copy-on-write: an index fetched before the event is intact.
+            for tile, tix in held.items():
+                assert index_fields(tix) == copies[tile]
+            for tile in tiler.tiles():
+                fresh = _TileIndex(graph, tiler, tile)
+                assert index_fields(backbone.tile_index(tile)) == index_fields(fresh)
+                assert tiler.publishers(tile) == [
+                    (v, tiler.consumers(v))
+                    for v in tiler.owned(tile)
+                    if tiler.consumers(v)
+                ]
+                full = backbone._tile_connectors(tile, None)
+                assert backbone.tile_connectors(tile) == full
+
+    def test_counters_show_what_a_move_recomputed(self):
+        from repro.obs import MetricsRegistry
+
+        graph = dense_udg(150, 7.0, seed=2)
+        registry = MetricsRegistry()
+        backbone = ShardedBackbone(
+            graph, ShardConfig(tile_size=3.5), registry=registry
+        )
+        tiles = len(backbone.tiler.tiles())
+        assert registry.value("shard_tile_index_total", how="renumbered") == tiles
+        full = registry.value("shard_connector_leaders_total", scope="full")
+        assert full == len(backbone.result().mis_dominators)
+        node = max(graph.positions, key=lambda v: len(backbone.tiler.tiles_reading(v)))
+        pos = graph.positions[node]
+        backbone.apply_move(node, Point(pos.x + 0.01, pos.y))
+        assert registry.value("shard_tile_index_total", how="renumbered") == tiles
+        assert registry.value("shard_tile_index_total", how="patched") == len(
+            backbone.tiler.tiles_reading(node)
+        )
+        assert registry.value("shard_connector_leaders_total", scope="full") == full
+        assert registry.value("shard_connector_leaders_total", scope="ball") >= 1
