@@ -34,7 +34,7 @@ def main() -> None:
 
     # 1. One service owns the deployment and its Algorithm II backbone.
     network = connected_random_udg(args.nodes, args.side, seed=args.seed)
-    service = BackboneService(network, ServiceConfig(rebuild_threshold=0.35))
+    service = BackboneService(network, ServiceConfig())
     print(f"\nServing {network.num_nodes} nodes; initial backbone "
           f"{service.backbone().value.size} dominators")
 
@@ -46,9 +46,9 @@ def main() -> None:
           f"cover {plan['covered']}/{plan['total']} nodes")
 
     # 3. A recorded-style workload: zipfian node popularity, mixed ops,
-    #    churn markers every --churn-every queries.  The mobility model
-    #    moves radios gently, so the service absorbs every change with
-    #    local 3-hop repairs — no full rebuilds.
+    #    churn markers every --churn-every queries.  A mobility step
+    #    moves every radio, so the service measures one re-construction
+    #    cheaper than re-stitching around each node, and takes it.
     mobility = RandomWaypointModel(
         network, args.side, speed_range=(0.005, 0.02), seed=args.seed
     )

@@ -22,6 +22,9 @@ simultaneous ELECT waves arrive.
 
 Any fingerprint divergence is a race; the report carries the first
 diverging trace event so the offending schedule step is inspectable.
+A fingerprint may also carry its own verdict against an oracle
+(:data:`ORACLE_FIELDS`); a ``False`` verdict on any run fails the sweep
+too, because a mismatch that repeats on every schedule never diverges.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ from repro.sim.trace import TraceRecorder
 
 Fingerprint = Mapping[str, object]
 Runner = Callable[[], Fingerprint]
+
+#: Fingerprint keys that hold a run's verdict against an oracle; each
+#: must be ``True`` on every run, perturbed or not.
+ORACLE_FIELDS = (
+    "matches_centralized",
+    "moved_matches_centralized",
+    "matches_oracle",
+    "wcds_valid",
+)
 
 
 @dataclass(frozen=True)
@@ -67,17 +79,25 @@ class RaceReport:
     protocol: str
     perturbations: int
     divergences: List[Divergence] = field(default_factory=list)
+    #: ``(perturbation seed or None for the unperturbed run, key)`` of
+    #: every oracle field that came out ``False``.
+    oracle_failures: List[Tuple[Optional[int], str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """No divergence across any perturbation."""
-        return not self.divergences
+        """No divergence across any perturbation, and every run agreed
+        with its oracle."""
+        return not self.divergences and not self.oracle_failures
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "protocol": self.protocol,
             "perturbations": self.perturbations,
             "ok": self.ok,
+            "oracle_failures": [
+                {"perturbation_seed": seed, "key": key}
+                for seed, key in self.oracle_failures
+            ],
             "divergences": [
                 {
                     "perturbation_seed": d.perturbation_seed,
@@ -91,11 +111,21 @@ class RaceReport:
         }
 
     def format(self) -> str:
-        verdict = "no schedule races" if self.ok else "SCHEDULE RACE DETECTED"
+        if self.divergences:
+            verdict = "SCHEDULE RACE DETECTED"
+        elif self.oracle_failures:
+            verdict = "ORACLE MISMATCH"
+        else:
+            verdict = "no schedule races"
         lines = [
             f"{self.protocol}: {verdict} "
             f"({self.perturbations} perturbation(s))"
         ]
+        lines.extend(
+            f"{'unperturbed run' if seed is None else f'perturbation seed {seed}'}: "
+            f"fingerprint key {key!r} is False"
+            for seed, key in self.oracle_failures
+        )
         lines.extend(d.format() for d in self.divergences)
         return "\n".join(lines)
 
@@ -122,11 +152,13 @@ def detect_races(
     with perturbed_schedule(None, baseline_trace):
         baseline = dict(runner())
     report = RaceReport(protocol=protocol, perturbations=perturbations)
+    _note_oracle_failures(report, None, baseline)
     for index in range(perturbations):
         seed = base_seed * perturbations + index + 1
         trace = TraceRecorder(max_trace_events) if capture_traces else None
         with perturbed_schedule(seed, trace):
             perturbed = dict(runner())
+        _note_oracle_failures(report, seed, perturbed)
         diverged_keys = sorted(
             set(baseline) | set(perturbed),
             key=repr,
@@ -149,6 +181,16 @@ def detect_races(
                 )
             )
     return report
+
+
+def _note_oracle_failures(
+    report: RaceReport, seed: Optional[int], fingerprint: Fingerprint
+) -> None:
+    report.oracle_failures.extend(
+        (seed, key)
+        for key in ORACLE_FIELDS
+        if key in fingerprint and not fingerprint[key]
+    )
 
 
 def _first_diverging_event(

@@ -552,28 +552,14 @@ def cmd_serve(args) -> int:
 
     graph = _build(args)
     try:
-        sharding = None
-        if args.shards is not None:
-            from repro.shard import ShardConfig
-
-            sharding = ShardConfig(
-                tile_size=args.tile_size, workers=args.shards
-            )
         config = ServiceConfig(
-            rebuild_threshold=args.rebuild_threshold,
             default_deadline=args.deadline,
-            sharding=sharding,
+            tile_size=args.tile_size,
             slos=_parse_slos(args),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if sharding is not None and sharding.workers:
-        print(
-            "note: --shards enables tiled maintenance here; the "
-            "multiprocessing serve pool itself is measured by "
-            "`repro shard-bench`."
-        )
     if args.requests:
         try:
             requests = load_trace(args.requests)
@@ -698,7 +684,6 @@ def cmd_shard_bench(args) -> int:
         queries=args.queries,
         churn_events=args.churn,
         seed=args.seed,
-        baseline=args.baseline,
     )
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -724,12 +709,6 @@ def cmd_shard_bench(args) -> int:
     )
     if "scaling_2_vs_1" in report:
         print(f"2-worker vs 1-worker scaling: {report['scaling_2_vs_1']:.2f}x")
-    if "global_baseline" in report:
-        base = report["global_baseline"]
-        print(
-            f"global single-process service: {base['throughput_qps']:.1f} qps "
-            f"(pool best is {report.get('speedup_vs_global', 0):.1f}x)"
-        )
     return 0
 
 
@@ -1284,16 +1263,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zipf exponent of the node popularity distribution")
     p.add_argument("--deadline", type=float, default=None,
                    help="per-request deadline in seconds")
-    p.add_argument("--rebuild-threshold", type=float, default=0.35,
-                   help="dirtiness fraction that triggers a full rebuild")
     p.add_argument("--metrics", metavar="FILE",
                    help="write the metrics JSON here instead of stdout")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="maintain the backbone as spatial tiles stitched "
-                   "at their frontiers (N = serve-pool workers; 0 keeps "
-                   "serving in-process)")
     p.add_argument("--tile-size", type=float, default=8.0,
-                   help="tile side in radio-radius units (with --shards)")
+                   help="side of the tiles the backbone is maintained in, "
+                   "in radio-radius units")
     p.add_argument("--flight-dump", metavar="FILE",
                    help="arm a flight recorder that dumps its ring here "
                    "on deadline miss or fault")
@@ -1347,8 +1321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--churn", type=int, default=30,
                    help="gentle churn events for the invalidation profile")
     p.add_argument("--seed", type=int, default=0, help="deployment seed")
-    p.add_argument("--baseline", action="store_true",
-                   help="also measure the global single-process service")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_shard_bench)
 

@@ -13,7 +13,8 @@ experiments:
   near-Brownian (alpha → 0) to near-constant-velocity (alpha → 1).
 
 All models share the :class:`MobilityModel` protocol: ``step(dt)``
-moves every node in the attached UDG and returns the link events.
+moves every node in the attached UDG and returns the link events
+(with every node as moved).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class RandomDirectionModel:
             up, down = self.udg.move_node(node, Point(x, y))
             gained.extend((node, other) for other in up)
             lost.extend((node, other) for other in down)
-        return LinkEvents(gained=tuple(gained), lost=tuple(lost))
+        return LinkEvents(
+            gained=tuple(gained), lost=tuple(lost), moved=tuple(self.udg.nodes())
+        )
 
 
 class GaussMarkovModel:
@@ -156,7 +159,9 @@ class GaussMarkovModel:
             up, down = self.udg.move_node(node, Point(x, y))
             gained.extend((node, other) for other in up)
             lost.extend((node, other) for other in down)
-        return LinkEvents(gained=tuple(gained), lost=tuple(lost))
+        return LinkEvents(
+            gained=tuple(gained), lost=tuple(lost), moved=tuple(self.udg.nodes())
+        )
 
 
 def density_probe(

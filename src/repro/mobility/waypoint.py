@@ -20,10 +20,13 @@ from repro.graphs.udg import UnitDiskGraph
 
 @dataclass(frozen=True)
 class LinkEvents:
-    """Edges gained and lost during one mobility step."""
+    """Edges gained and lost during one mobility step, and the nodes
+    the step moved (a move that flips no link still changes a position,
+    which a spatial index must follow)."""
 
     gained: Tuple[Tuple[Hashable, Hashable], ...]
     lost: Tuple[Tuple[Hashable, Hashable], ...]
+    moved: Tuple[Hashable, ...] = ()
 
     @property
     def endpoints(self) -> Set[Hashable]:
@@ -37,7 +40,7 @@ class LinkEvents:
 
     @property
     def is_empty(self) -> bool:
-        """No topology change this step."""
+        """No link changed this step (nodes may still have moved)."""
         return not self.gained and not self.lost
 
 
@@ -75,6 +78,7 @@ class RandomWaypointModel:
         """Advance every node by ``dt`` time units; return link events."""
         gained: List[Tuple[Hashable, Hashable]] = []
         lost: List[Tuple[Hashable, Hashable]] = []
+        moved: List[Hashable] = []
         for node in list(self.udg.nodes()):
             if self._pause_left[node] > 0:
                 self._pause_left[node] -= 1
@@ -96,4 +100,5 @@ class RandomWaypointModel:
             up, down = self.udg.move_node(node, new_pos)
             gained.extend((node, other) for other in up)
             lost.extend((node, other) for other in down)
-        return LinkEvents(gained=tuple(gained), lost=tuple(lost))
+            moved.append(node)
+        return LinkEvents(gained=tuple(gained), lost=tuple(lost), moved=tuple(moved))

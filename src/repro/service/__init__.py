@@ -4,9 +4,9 @@ The package turns the one-shot constructions of :mod:`repro.wcds` into
 a serving runtime: :class:`BackboneService` owns a topology, answers
 ``dominator`` / ``route`` / ``backbone`` / ``broadcast_plan`` queries
 from its one frozen snapshot (routes and broadcast plans cached on
-top), absorbs join / leave / move updates through the 3-hop
-incremental maintenance rules, and records counters plus latency
-histograms for everything it does.  See ``docs/SERVICE.md``.
+top), absorbs join / leave / move updates with one exact engine (the
+tiled Algorithm II of :mod:`repro.shard`), and records counters plus
+latency histograms for everything it does.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.cache import RouteCache

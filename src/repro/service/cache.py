@@ -1,11 +1,11 @@
 """The backbone service's route cache.
 
 :class:`RouteCache` is an LRU over ``(src, dst)`` pairs whose entries
-are invalidated **by region**: a topology event at node ``v`` only
-evicts routes whose path passes within a configurable hop radius of
-``v`` — routes through untouched parts of the network survive churn.
-The backbone itself needs no cache: every query answers from the
-service's current snapshot.
+are invalidated **by node**: the service evicts the routes through the
+members of the tiles a topology event touches, so routes through
+untouched parts of the network survive churn.  The backbone itself
+needs no cache: every query answers from the service's current
+snapshot.
 """
 
 from __future__ import annotations
@@ -13,18 +13,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
-
 RouteKey = Tuple[Hashable, Hashable]
 
 
 class RouteCache:
-    """LRU route cache with by-region invalidation.
+    """LRU route cache with by-node invalidation.
 
     Every cached path registers all its nodes in an inverted index, so
-    ``invalidate_region`` evicts exactly the routes whose realization
-    passes near a topology event — O(evicted), not O(cache).
+    ``invalidate_nodes`` evicts exactly the routes whose realization
+    passes through a given node — O(evicted), not O(cache).
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -83,23 +80,3 @@ class RouteCache:
         for key in doomed:
             self._drop(key)
         return len(doomed)
-
-    def invalidate_region(
-        self, graph: Graph, seeds: Iterable[Hashable], radius: int
-    ) -> int:
-        """Evict routes passing within ``radius`` hops of any seed.
-
-        Seeds no longer present in ``graph`` (a departed node) still
-        invalidate routes through themselves.
-        """
-        region: Set[Hashable] = set()
-        for seed in seeds:
-            region.add(seed)
-            if seed in graph:
-                region.update(bfs_distances(graph, seed, cutoff=radius))
-        return self.invalidate_nodes(region)
-
-    def clear(self) -> None:
-        """Drop everything (used after a full rebuild)."""
-        self._paths.clear()
-        self._by_node.clear()

@@ -7,31 +7,35 @@ topology updates (join / leave / move).
 
 Freshness model
 ---------------
-Updates are cheap to *ingest* (the route cache is invalidated by region
-and the event is queued) and lazily *absorbed*: the next query first
-flushes pending events through the incremental maintenance rules of
-:class:`repro.mobility.maintenance.MaintainedWCDS` (3-hop-local
-repairs), falling back to a full ``algorithm2_centralized`` rebuild
-only once the cumulative fraction of touched nodes passes
-``ServiceConfig.rebuild_threshold``.  Routing tables are rebuilt on a
-frozen copy of the topology, so the previous tables stay servable: when
-a request carries a ``deadline`` too small for the estimated pending
-work, the service answers from that **last-good** snapshot with
-``Response.stale = True`` instead of blocking.
+The backbone is maintained by one engine,
+:class:`repro.shard.stitch.ShardedBackbone`, which stays bit-identical
+to ``algorithm2_centralized`` under churn.  Updates are cheap to
+*ingest*: the graph changes at once, the cached routes through the
+tiles reading a touched node are evicted, and the node is queued.  The
+next query *absorbs* the queue lazily, in whichever of two exact ways
+the measured costs say is cheaper: note each queued node (re-stitching
+only the tiles that read it), or construct a fresh ``ShardedBackbone``
+when the queued nodes times the per-node note cost exceeds the build
+cost.  Routing tables are rebuilt on a frozen copy of the topology, so
+the previous tables stay servable: when a request carries a
+``deadline`` too small for the estimated pending work, the service
+answers from that **last-good** snapshot with ``Response.stale = True``
+instead of blocking.
 
 Every request is timed into latency histograms and every cache touch,
-repair, rebuild, stale serve, and rejection is counted
+note, re-construction, stale serve, and rejection is counted
 (:class:`repro.service.metrics.ServiceMetrics`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+from repro.geometry.point import Point
 from repro.graphs.graph import canonical_order
+from repro.graphs.traversal import is_connected
 from repro.graphs.udg import UnitDiskGraph
-from repro.mobility.maintenance import MaintainedWCDS
 from repro.mobility.waypoint import LinkEvents
 from repro.obs.flightrec import flight_record
 from repro.obs.slo import SLOMonitor
@@ -41,15 +45,16 @@ from repro.service.cache import RouteCache
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import Request, RequestQueue, Response
+from repro.shard.config import ShardConfig
+from repro.shard.stitch import InvalidationReport, ShardedBackbone
+from repro.shard.tiler import TileId
 from repro.wcds.base import WCDSResult
 
 #: Max entries in the LRU route cache.
 ROUTE_CACHE_SIZE = 4096
-#: Hop radius around an updated node whose cached routes are
-#: invalidated (2 covers re-clustering, +1 for connector churn).
-INVALIDATION_RADIUS = 3
-#: Smoothing factor of the EWMA refresh-cost estimate used to decide
-#: whether a deadline still fits a synchronous refresh.
+#: Smoothing factor of the EWMA cost estimates that pick between noting
+#: and re-constructing, and decide whether a deadline still fits a
+#: synchronous refresh.
 COST_EWMA_ALPHA = 0.3
 
 
@@ -125,40 +130,50 @@ class BackboneService:
         )
         self.route_cache = RouteCache(ROUTE_CACHE_SIZE)
         self.queue = RequestQueue(self.config.queue_capacity)
-        #: Pending maintenance work, in arrival order.  Entries are
-        #: ("events", LinkEvents) | ("on", node, (x, y)) | ("off", node),
-        #: and on the sharded path ("moved", node) for a move that
-        #: flipped no link.
-        self._pending: List[Tuple] = []
-        self._dirt = 0.0
-        self._version = 0
+        #: Nodes touched since the last refresh (already changed in
+        #: ``self.graph``, not yet absorbed by the backbone), and nodes
+        #: turned off, which stay in ``self.graph`` until then.
+        self._pending: Set[Hashable] = set()
+        self._leaving: Set[Hashable] = set()
         #: Active partition faults (by signal identity) and the last
         #: known positions of crashed radios, for revival.
         self._active_partitions: set = set()
         self._crashed_positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._repair_cost = _Ewma()
-        self._rebuild_cost = _Ewma()
+        self._shard_config = ShardConfig(tile_size=self.config.tile_size)
+        self._registry = registry
+        #: Measured costs: one ``ShardedBackbone`` construction, noting
+        #: one node, and freezing a snapshot.
+        self._build_cost = _Ewma()
+        self._note_cost = _Ewma()
+        self._freeze_cost = _Ewma()
         started = self.clock()
-        self._sharded = None
-        self._maintained: Optional[MaintainedWCDS] = None
-        if self.config.sharding is not None:
-            from repro.shard.stitch import ShardedBackbone
+        self._backbone = self._construct()
+        self._build_cost.update(self.clock() - started)
+        # Until a note is measured, guess one tile's share of the build.
+        self._note_cost.update(
+            self._build_cost.value / len(self._backbone.tiler.tiles())
+        )
+        self._refreeze(self._backbone.result())
 
-            self._sharded = ShardedBackbone(
-                udg, self.config.sharding, registry=registry
-            )
-            self._snapshot = _Snapshot(udg.copy(), self._sharded.result())
-        else:
-            self._maintained = MaintainedWCDS(udg)
-            self._snapshot = _Snapshot(udg.copy(), self._maintained.result())
-        self._rebuild_cost.update(self.clock() - started)
+    def _construct(self) -> ShardedBackbone:
+        return ShardedBackbone(
+            self.graph, self._shard_config, registry=self._registry
+        )
 
     # ------------------------------------------------------------------
     # Topology updates (ingest is cheap; absorption is lazy)
     # ------------------------------------------------------------------
     def join(self, node: Hashable, x: float, y: float) -> None:
-        """A radio turns on at ``(x, y)``."""
-        self._ingest(("on", node, (float(x), float(y))), seeds=[node], weight=1)
+        """A radio turns on at ``(x, y)`` (ignored if it is already on)."""
+        position = Point(float(x), float(y))
+        if node in self._leaving:
+            # Off and on again before a refresh: it never left.
+            self._leaving.discard(node)
+            self.graph.move_node(node, position)
+        elif node not in self.graph:
+            self.graph.add_node_at(node, position)
+        self._pending.add(node)
+        self._ingest([node])
         self.metrics.incr("updates_join")
 
     def leave(self, node: Hashable) -> None:
@@ -166,36 +181,31 @@ class BackboneService:
         seeds = [node]
         if node in self.graph:
             seeds.extend(self.graph.adjacency(node))
-        self._ingest(("off", node), seeds=seeds, weight=len(seeds))
+            self._leaving.add(node)
+        self._ingest(seeds)
         self.metrics.incr("updates_leave")
 
     def ingest_events(self, events: LinkEvents) -> None:
-        """Absorb link-layer events from an external mover (the node
-        positions in ``self.graph`` must already reflect them, as the
-        mobility models guarantee)."""
-        if events.is_empty:
+        """Absorb a step of an external mover (the node positions in
+        ``self.graph`` must already reflect it, as the mobility models
+        guarantee): the endpoints of its link events and the nodes it
+        moved."""
+        touched = events.endpoints.union(events.moved)
+        if not touched:
             return
-        endpoints = events.endpoints
-        self._ingest(("events", events), seeds=endpoints, weight=len(endpoints))
+        self._pending |= touched
+        self._ingest(touched)
         self.metrics.incr("updates_move")
         self.metrics.incr("link_events", len(events.gained) + len(events.lost))
 
     def move(self, node: Hashable, x: float, y: float) -> None:
         """Move one radio, deriving its link events."""
-        from repro.geometry.point import Point
-
         gained, lost = self.graph.move_node(node, Point(float(x), float(y)))
-        events = LinkEvents(
+        self.ingest_events(LinkEvents(
             gained=tuple((node, other) for other in gained),
             lost=tuple((node, other) for other in lost),
-        )
-        if events.is_empty and self._sharded is not None:
-            # No link flipped, but the tiler indexes positions: the node
-            # may have crossed into another tile or halo.
-            self._ingest(("moved", node), seeds=[node], weight=1)
-            self.metrics.incr("updates_move")
-            return
-        self.ingest_events(events)
+            moved=(node,),
+        ))
 
     # ------------------------------------------------------------------
     # Fault signals (from a chaos run or an external failure detector)
@@ -256,180 +266,111 @@ class BackboneService:
             and bool(self._active_partitions)
         )
 
-    def _ingest(
-        self, entry: Tuple, seeds: Iterable[Hashable], weight: int
-    ) -> None:
-        self._pending.append(entry)
-        self._version += 1
-        self._dirt += weight / max(1, self.graph.num_nodes)
-        if self._sharded is not None:
-            # Tile-scoped: only routes through the tiles that read a
-            # touched node can change, so unrelated cached routes
-            # elsewhere in the deployment survive the churn.
-            evicted = self.route_cache.invalidate_nodes(
-                self._sharded_blast_radius(entry, seeds)
-            )
-        else:
-            evicted = self.route_cache.invalidate_region(
-                self.graph, seeds, INVALIDATION_RADIUS
-            )
-        self.metrics.incr("updates_total")
-        self.metrics.incr("route_cache_invalidated", evicted)
-
-    def _sharded_blast_radius(
-        self, entry: Tuple, seeds: Iterable[Hashable]
-    ) -> set:
-        """Nodes whose cached routes a sharded update can affect: the
-        members of every tile reading a seed node (a joining node is
-        mapped by its target position; the tiler has not indexed it
-        yet)."""
-        from repro.geometry.point import Point
-
-        tiler = self._sharded.tiler
-        tiles = set()
-        for seed in seeds:
-            tiles.update(tiler.tiles_reading(seed))
-        if entry[0] == "on":
-            tiles.add(tiler.tile_of(Point(*entry[2])))
+    def _ingest(self, seeds: Iterable[Hashable]) -> None:
+        """Count an update and evict the cached routes through the
+        tiles reading its touched nodes (a joining node, not yet
+        indexed, by the tile of its position): only those routes can
+        change, so unrelated cached routes elsewhere in the deployment
+        survive."""
+        tiler = self._backbone.tiler
         nodes = set(seeds)
+        tiles = set()
+        for seed in nodes:
+            tiles.update(tiler.tiles_reading(seed))
+            if seed not in tiler.owner and seed in self.graph:
+                tiles.add(tiler.tile_of(self.graph.positions[seed]))
         for tile in tiles:
             nodes.update(tiler.members(tile))
-        return nodes
+        evicted = self.route_cache.invalidate_nodes(nodes)
+        self.metrics.incr("updates_total")
+        self.metrics.incr("route_cache_invalidated", evicted)
 
     # ------------------------------------------------------------------
     # Freshness
     # ------------------------------------------------------------------
     @property
-    def dirtiness(self) -> float:
-        """Cumulative touched-node fraction since the last full build."""
-        return self._dirt
-
-    @property
     def has_pending_work(self) -> bool:
-        """Whether queries must repair or rebuild before answering
-        fresh."""
-        return bool(self._pending)
+        """Whether queries must absorb updates before answering fresh."""
+        return bool(self._pending or self._leaving)
 
     def _estimated_refresh_cost(self) -> float:
-        if not self._pending:
+        """Departures are noted, the other pending nodes noted or
+        re-constructed, whichever is cheaper, and a snapshot frozen."""
+        if not self.has_pending_work:
             return 0.0
-        if self._dirt >= self.config.rebuild_threshold:
-            return self._rebuild_cost.value
-        return self._repair_cost.value + self._rebuild_cost.value * 0.25
+        note = self._note_cost.value
+        notes = len(self._pending) * note
+        absorb = len(self._leaving) * note + min(notes, self._build_cost.value)
+        return absorb + self._freeze_cost.value
 
     def _can_refresh_within(self, deadline: Optional[float]) -> bool:
         return deadline is None or self._estimated_refresh_cost() <= deadline
 
     def refresh(self) -> None:
-        """Absorb all pending updates now (repair or full rebuild) and
-        re-freeze the last-good snapshot."""
-        if not self._pending:
-            return
-        if self._sharded is not None:
-            self._refresh_sharded()
+        """Absorb all pending updates now and re-freeze the last-good
+        snapshot.
+
+        Departures are noted one by one, each right after its node
+        leaves the graph, so that no tile is ever renumbered around a
+        node the graph no longer holds.  Noting the other pending nodes
+        is estimated at their count times the measured per-node note
+        cost; when that exceeds the measured build cost (a mover moved
+        every node, say) a fresh ``ShardedBackbone`` is constructed
+        instead.  Both are exact.  A disconnected topology, which
+        Algorithm II's construction rejects, is always noted."""
+        if not self.has_pending_work:
             return
         started = self.clock()
-        if self._dirt >= self.config.rebuild_threshold:
-            self._apply_pending_mutations_only()
-            self._maintained = MaintainedWCDS(self.graph)
-            self.route_cache.clear()
+        rebuilt: Set[TileId] = set()
+        noted = 0
+        for node in canonical_order(self._leaving):
+            self.graph.remove_node(node)
+            rebuilt.update(self._backbone.note_left(node).rebuilt)
+            noted += 1
+        self._leaving.clear()
+        pending, self._pending = self._pending, set()
+        stale: Set[Hashable] = set()
+        if (
+            len(pending) * self._note_cost.value > self._build_cost.value
+            and self.graph.num_nodes
+            and is_connected(self.graph)
+        ):
+            built = self.clock()
+            replaced, self._backbone = self._backbone, self._construct()
+            self._build_cost.update(self.clock() - built)
             self.metrics.incr("rebuilds_full")
-            self._rebuild_cost.update(self.clock() - started)
-            self._pending.clear()
+            stale = _changed_members(replaced, self._backbone)
+            elapsed = built - started
         else:
-            batches = 0
-            # Pop as we go: if a repair raises, the entry is not retried
-            # (it is partially applied) but later entries stay queued.
-            while self._pending:
-                report = self._apply_entry(self._pending.pop(0))
-                batches += 1
-                if report is not None:
-                    self.metrics.incr("roles_changed", len(report.touched))
-            self.metrics.incr("repairs", batches)
-            self._repair_cost.update((self.clock() - started) / max(1, batches))
-        self._refreeze(self._maintained.result())
-
-    def _refresh_sharded(self) -> None:
-        """Absorb pending updates by boundary-only re-stitching.
-
-        There is no full-rebuild escape hatch here: every event is a
-        local re-stitch of the tiles reading its nodes, and the route
-        cache loses only the routes through tiles that were actually
-        re-stitched (cascades included) — never everything.
-        """
-        from repro.geometry.point import Point
-
-        started = self.clock()
-        touched_tiles: set = set()
-        batches = 0
-        while self._pending:
-            entry = self._pending.pop(0)
-            kind = entry[0]
-            if kind in ("events", "moved"):
-                moved = entry[1].endpoints if kind == "events" else [entry[1]]
-                for node in canonical_order(moved):
-                    if node in self.graph:
-                        report = self._sharded.note_moved(node)
-                        touched_tiles.update(report.rebuilt)
-            elif kind == "on":
-                node = entry[1]
-                if node not in self.graph:
-                    self.graph.add_node_at(node, Point(*entry[2]))
-                    report = self._sharded.note_joined(node)
-                    touched_tiles.update(report.rebuilt)
-            elif kind == "off":
-                node = entry[1]
+            for node in canonical_order(pending):
                 if node in self.graph:
-                    self.graph.remove_node(node)
-                    report = self._sharded.note_left(node)
-                    touched_tiles.update(report.rebuilt)
-            else:
-                raise AssertionError(f"unknown pending entry {entry!r}")
-            batches += 1
-        tiler = self._sharded.tiler
-        stale_routes: set = set()
-        for tile in touched_tiles:
-            stale_routes.update(tiler.members(tile))
-        evicted = self.route_cache.invalidate_nodes(stale_routes)
-        self.metrics.incr("route_cache_invalidated", evicted)
-        self.metrics.incr("repairs", batches)
-        self._repair_cost.update((self.clock() - started) / max(1, batches))
-        self._refreeze(self._sharded.result())
+                    rebuilt.update(self._note(node).rebuilt)
+                    noted += 1
+            elapsed = self.clock() - started
+        if noted:
+            self._note_cost.update(elapsed / noted)
+            self.metrics.incr("repairs", noted)
+        tiler = self._backbone.tiler
+        for tile in rebuilt:
+            stale.update(tiler.members(tile))
+        self.metrics.incr(
+            "route_cache_invalidated", self.route_cache.invalidate_nodes(stale)
+        )
+        self._refreeze(self._backbone.result())
+
+    def _note(self, node: Hashable) -> InvalidationReport:
+        """Re-stitch around one touched node of the graph: a move if the
+        backbone indexes it already, else a join."""
+        backbone = self._backbone
+        if node in backbone.tiler.owner:
+            return backbone.note_moved(node)
+        return backbone.note_joined(node)
 
     def _refreeze(self, result: WCDSResult) -> None:
         """Swap in a new last-good snapshot of the absorbed topology."""
-        self._dirt = 0.0
         started = self.clock()
         self._snapshot = _Snapshot(self.graph.copy(), result)
-        self._rebuild_cost.update(self.clock() - started)
-
-    def _apply_entry(self, entry: Tuple):
-        kind = entry[0]
-        if kind == "events":
-            return self._maintained.apply_events(entry[1])
-        if kind == "on":
-            node, (x, y) = entry[1], entry[2]
-            from repro.geometry.point import Point
-
-            return self._maintained.node_on(node, Point(x, y))
-        if kind == "off":
-            node = entry[1]
-            if node in self.graph:
-                return self._maintained.node_off(node)
-            return None
-        raise AssertionError(f"unknown pending entry {entry!r}")
-
-    def _apply_pending_mutations_only(self) -> None:
-        """Before a full rebuild: graph mutations (join/leave) must
-        still happen; link events already mutated the graph."""
-        from repro.geometry.point import Point
-
-        for entry in self._pending:
-            if entry[0] == "on" and entry[1] not in self.graph:
-                self.graph.add_node_at(entry[1], Point(*entry[2]))
-            elif entry[0] == "off" and entry[1] in self.graph:
-                self.graph.remove_node(entry[1])
-                self._maintained.mis.discard(entry[1])
+        self._freeze_cost.update(self.clock() - started)
 
     # ------------------------------------------------------------------
     # Queries
@@ -534,7 +475,8 @@ class BackboneService:
                 "repro.service.workload.replay"
             )
         # Query path: route cache first (valid even with pending work,
-        # because ingest invalidates by region), then fresh-or-stale.
+        # because ingest evicts the routes through touched tiles), then
+        # fresh-or-stale.
         if request.op == "route":
             cached = self.route_cache.get(request.src, request.dst)
             if cached is not None:
@@ -598,3 +540,15 @@ class BackboneService:
             return Response(request=request, ok=True, value=plan, stale=stale)
         raise AssertionError(f"unhandled op {request.op!r}")
 
+
+def _changed_members(old: ShardedBackbone, new: ShardedBackbone) -> Set[Hashable]:
+    """The members of every tile whose statuses or connector picks
+    differ between two backbones: the nodes whose cached routes a
+    re-construction can invalidate."""
+    changed: Set[Hashable] = set()
+    for tile in set(old.tiler.tiles()).union(new.tiler.tiles()):
+        before, after = old.tile_status(tile), new.tile_status(tile)
+        if before != after or old.tile_connectors(tile) != new.tile_connectors(tile):
+            changed.update(before)
+            changed.update(after)
+    return changed

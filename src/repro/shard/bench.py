@@ -215,45 +215,6 @@ def bench_invalidation(
     }
 
 
-def bench_global_baseline(
-    graph: UnitDiskGraph,
-    *,
-    queries: int = 200,
-    churn_events: int = 5,
-    seed: int = 0,
-    clock=time.perf_counter,
-) -> Dict[str, Any]:
-    """The status-quo comparison: one global single-process
-    :class:`~repro.service.service.BackboneService` absorbing the same
-    kind of workload (each churn event forces a global snapshot
-    refresh before the next query answers fresh)."""
-    from repro.service.config import ServiceConfig
-    from repro.service.service import BackboneService
-
-    rng = random.Random(seed)
-    nodes = sorted(graph.positions)
-    service = BackboneService(graph.copy(), ServiceConfig())
-    started = clock()
-    served = 0
-    for event in range(max(1, churn_events)):
-        node = nodes[rng.randrange(len(nodes))]
-        pos = service.graph.positions[node]
-        service.move(node, pos.x + 0.05, pos.y + 0.05)
-        for _ in range(max(1, queries // max(1, churn_events))):
-            u = nodes[rng.randrange(len(nodes))]
-            v = nodes[rng.randrange(len(nodes))]
-            response = service.route(u, v)
-            served += 1 if response.ok else 0
-    elapsed = clock() - started
-    total = max(1, churn_events) * max(1, queries // max(1, churn_events))
-    return {
-        "queries": total,
-        "served_ok": served,
-        "seconds": elapsed,
-        "throughput_qps": total / elapsed if elapsed else 0.0,
-    }
-
-
 def run_scaling_bench(
     n: int,
     *,
@@ -262,11 +223,9 @@ def run_scaling_bench(
     queries: int = 2000,
     churn_events: int = 50,
     seed: int = 0,
-    baseline: bool = False,
 ) -> Dict[str, Any]:
     """The full shard-scaling benchmark: build one deployment, measure
-    every pool width, the invalidation profile, and (optionally) the
-    global single-process baseline."""
+    every pool width and the invalidation profile."""
     graph = jittered_grid(n, seed)
     report: Dict[str, Any] = {
         "n": n,
@@ -292,13 +251,4 @@ def run_scaling_bench(
         report["scaling_2_vs_1"] = (
             by_width[2]["throughput_qps"] / by_width[1]["throughput_qps"]
         )
-    if baseline:
-        report["global_baseline"] = bench_global_baseline(
-            graph, queries=min(queries, 200), seed=seed
-        )
-        if report["global_baseline"]["throughput_qps"]:
-            best = max(e["throughput_qps"] for e in report["pools"])
-            report["speedup_vs_global"] = (
-                best / report["global_baseline"]["throughput_qps"]
-            )
     return report

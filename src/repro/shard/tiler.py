@@ -320,9 +320,24 @@ class Tiler:
 
     def on_node_moved(self, node: Node) -> Set[TileId]:
         """Re-index a node whose position in ``self.positions`` already
-        changed; returns the union of old and new affected tiles."""
-        affected = self.on_node_removed(node)
-        affected |= self.on_node_added(node)
+        changed; returns the union of old and new affected tiles.
+
+        A node that stays in its owner's cell is re-indexed in the halos
+        only: removing it first would retire a tile it owns alone and
+        re-collect that tile's halo, whose other nodes may have moved
+        without being re-indexed yet."""
+        tile = self.owner.get(node)
+        pos = self.positions[node]
+        if tile is None or tile != self.tile_of(pos):
+            affected = self.on_node_removed(node)
+            affected |= self.on_node_added(node)
+            return affected
+        affected = set(self.tiles_reading(node))
+        for consumer in self._consumers.pop(node, set()):
+            self._halo[consumer].discard(node)
+        self._publishers.pop(tile, None)
+        self._index_halo(node, pos)
+        affected.update(self.tiles_reading(node))
         return affected
 
     def _adopt_halo_of_new_tile(self, tile: TileId) -> None:

@@ -104,6 +104,44 @@ class TestDetectorMechanics:
         )
         assert report.ok
 
+    def test_false_oracle_field_fails_without_divergence(self):
+        # A fingerprint that disagrees with its oracle on every schedule
+        # never diverges, so only its own verdict can fail the sweep.
+        report = detect_races(
+            lambda: {"mis": (1, 2), "matches_centralized": False},
+            protocol="stale-oracle",
+            perturbations=3,
+        )
+        assert not report.divergences
+        assert not report.ok
+        assert report.oracle_failures == [
+            (None, "matches_centralized"),
+            (1, "matches_centralized"),
+            (2, "matches_centralized"),
+            (3, "matches_centralized"),
+        ]
+        assert "ORACLE MISMATCH" in report.format()
+        assert report.to_dict()["ok"] is False
+
+    def test_cli_exits_one_on_an_oracle_mismatch(self, monkeypatch, capsys):
+        import repro.check
+        from repro.cli import main
+
+        def stale_sweep(graph, perturbations=5):
+            return [detect_races(
+                lambda: {"moved_matches_centralized": False},
+                protocol="wcds-sharded",
+                perturbations=perturbations,
+            )]
+
+        monkeypatch.setattr(repro.check, "check_protocols", stale_sweep)
+        code = main([
+            "check", "--races", "--nodes", "20", "--side", "3",
+            "--perturbations", "2", "src/repro/check/races.py",
+        ])
+        assert code == 1
+        assert "ORACLE MISMATCH" in capsys.readouterr().out
+
     def test_schedule_dependent_runner_diverges(self):
         # A runner that leaks the tie-break schedule into its result.
         graph = Graph(edges=[(0, 1), (0, 2), (1, 2)])

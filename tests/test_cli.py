@@ -257,6 +257,25 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--rebuild-threshold", "0.3"], ["serve", "--shards", "0"],
+         ["shard-bench", "--baseline"]],
+    )
+    def test_removed_engine_flags_are_rejected(self, capsys, argv):
+        # One maintenance engine: no rebuild threshold, no engine
+        # switch, and no global service to compare the pool against.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--nodes", "40"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_rejects_a_non_positive_tile_size(self, capsys):
+        code = main(["serve", "--nodes", "40", "--side", "4.5",
+                     "--tile-size", "0"])
+        assert code == 2
+        assert "tile_size must be positive" in capsys.readouterr().err
+
     def test_service_bench(self, capsys):
         code, out = self._run(
             [

@@ -60,6 +60,28 @@ class TestTopLevelSurface:
         fields = dataclasses.fields(repro.service.ServiceConfig)
         assert "sim" not in {field.name for field in fields}
 
+    def test_one_maintenance_engine(self):
+        # The service maintains its backbone with ShardedBackbone only:
+        # the MaintainedWCDS path, its rebuild threshold, the engine
+        # switch, hop-radius invalidation and the global-service
+        # baseline of the shard benchmark are gone.
+        import dataclasses
+        import inspect
+
+        import repro.service.service
+        import repro.shard.bench
+
+        source = inspect.getsource(repro.service.service)
+        assert "repro.mobility.maintenance" not in source
+        assert not hasattr(repro.service.service, "INVALIDATION_RADIUS")
+        names = {f.name for f in dataclasses.fields(repro.service.ServiceConfig)}
+        assert names == {
+            "queue_capacity", "default_deadline", "degrade_on_partition",
+            "tile_size", "slos",
+        }
+        assert not hasattr(repro.service.RouteCache, "invalidate_region")
+        assert not hasattr(repro.shard.bench, "bench_global_baseline")
+
 
 SUBPACKAGES = [
     "repro.geometry",

@@ -1,5 +1,6 @@
 """Tests for the backbone service runtime: requests, caches, metrics,
-freshness/staleness, incremental maintenance, and workload replay."""
+freshness/staleness, maintenance by the one exact engine, and workload
+replay."""
 
 import json
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from repro.graphs import connected_random_udg
+from repro.graphs.traversal import is_connected
 from repro.mobility import RandomWaypointModel
 from repro.obs import Histogram
 from repro.service import (
@@ -23,6 +25,7 @@ from repro.service import (
     save_trace,
     zipf_weights,
 )
+from repro.wcds import algorithm2_centralized
 from repro.wcds.base import is_weakly_connected_dominating_set
 
 
@@ -93,30 +96,6 @@ class TestRouteCache:
         assert cache.invalidate_nodes([1]) == 1
         assert cache.get(0, 2) is None
         assert cache.get(5, 7) == [5, 6, 7]
-
-    def test_invalidate_region_uses_hop_radius(self, network):
-        cache = RouteCache(capacity=8)
-        nodes = sorted(network.nodes())
-        cache.put(nodes[0], nodes[1], [nodes[0], nodes[1]])
-        # A region of radius 0 around an absent seed hits only routes
-        # through the seed itself.
-        cache.put("ghost", nodes[2], ["ghost", nodes[2]])
-        evicted = cache.invalidate_region(network, ["ghost"], radius=2)
-        assert evicted == 1
-        assert cache.get(nodes[0], nodes[1]) is not None
-
-    def test_invalidate_region_reaches_past_an_earlier_seed(self):
-        # On the path 0-1-...-6, node 4 is 3 hops from seed 1 even
-        # though seed 0 already reached node 3: the region is the union
-        # of every seed's ball, not the first seed's ball.
-        from repro.graphs.generators import line_udg
-
-        line = line_udg(7)
-        cache = RouteCache(capacity=8)
-        for node in range(6):
-            cache.put(node, node + 1, [node, node + 1])
-        assert cache.invalidate_region(line, [0, 1], radius=3) == 5
-        assert len(cache) == 1 and cache.get(5, 6) == [5, 6]
 
 
 # ----------------------------------------------------------------------
@@ -247,18 +226,23 @@ class TestServiceUpdates:
         assert service.metrics.counters["route_cache_misses"] == 2
 
     def test_cached_routes_stay_walkable_after_repairs(self):
-        # Region invalidation must evict every route a repair can break:
-        # what survives in the cache walks the refreshed snapshot.
-        import random
+        # Tile-scoped invalidation must evict every route a re-stitch
+        # can break: what survives in the cache walks the refreshed
+        # snapshot.  A deployment several halos wide and small tiles,
+        # so that the routes outside the re-stitched tiles stay cached;
+        # a constant clock keeps every refresh on the note path.
+        from repro.shard.bench import jittered_grid
 
-        network = connected_random_udg(200, 10.0, seed=5)
-        service = BackboneService(network)
+        network = jittered_grid(900, seed=5)
+        service = BackboneService(
+            network, ServiceConfig(tile_size=2.0), clock=lambda: 0.0
+        )
         rng = random.Random(2)
         nodes = sorted(network.nodes())
         checked = 0
         for _ in range(8):
-            for src in nodes[::9]:
-                for dst in nodes[4::13]:
+            for src in nodes[::30]:
+                for dst in nodes[4::39]:
                     service.route(src, dst)
             for _ in range(3):
                 node = rng.choice(nodes)
@@ -274,51 +258,83 @@ class TestServiceUpdates:
         assert service.metrics.counters["errors"] == 0
         assert checked > 100
 
-    def test_gentle_churn_repairs_without_rebuild(self, network, service):
+    def test_gentle_churn_repairs_without_rebuild(self, network):
+        # While noting the moved nodes is measured cheaper than a
+        # build, every refresh notes them, and each absorbed backbone
+        # is Algorithm II's.  The costs are pinned on a constant clock.
+        service = BackboneService(network, clock=lambda: 0.0)
+        service._build_cost.value = 1.0
+        service._note_cost.value = 1e-4
         mobility = RandomWaypointModel(
             network, 5.0, speed_range=(0.005, 0.02), seed=9
         )
         for _ in range(10):
             service.ingest_events(mobility.step())
             backbone = service.backbone().value
-            assert is_weakly_connected_dominating_set(
-                service.graph, backbone.dominators
+            assert backbone.dominators == (
+                algorithm2_centralized(service.graph).dominators
             )
         counters = service.metrics.counters
         assert counters["rebuilds_full"] == 0
         assert counters["repairs"] > 0
 
     def test_heavy_churn_triggers_full_rebuild(self, network, service):
+        # A waypoint step moves every node: noting all of them is
+        # estimated far dearer than one build, so the step is absorbed
+        # by one re-construction, whose backbone is Algorithm II's.
         mobility = RandomWaypointModel(
             network, 5.0, speed_range=(0.4, 0.8), seed=9
         )
-        for _ in range(3):
+        for step in range(1, 4):
             service.ingest_events(mobility.step())
-        service.backbone()
-        assert service.metrics.counters["rebuilds_full"] >= 1
-        assert service.dirtiness == 0.0  # reset after absorbing
+            backbone = service.backbone().value
+            assert service.metrics.counters["rebuilds_full"] == step
+            assert backbone.dominators == (
+                algorithm2_centralized(service.graph).dominators
+            )
+        assert service.metrics.counters["repairs"] == 0
+        assert not service.has_pending_work
 
-    def test_dirtiness_accumulates_until_flush(self, network, service):
-        mobility = RandomWaypointModel(
-            network, 5.0, speed_range=(0.01, 0.02), seed=9
+    def test_rebuild_keeps_routes_outside_changed_tiles(self):
+        # A re-construction evicts only the cached routes through tiles
+        # whose backbone changed; what survives walks the new snapshot.
+        from repro.shard.bench import jittered_grid
+
+        network = jittered_grid(900, seed=5)
+        service = BackboneService(
+            network, ServiceConfig(tile_size=2.0), clock=lambda: 0.0
         )
-        service.ingest_events(mobility.step())
-        assert service.has_pending_work
-        before = service.dirtiness
-        service.ingest_events(mobility.step())
-        assert service.dirtiness >= before
-        service.backbone()
-        assert not service.has_pending_work and service.dirtiness == 0.0
+        service._note_cost.value = 1.0  # notes always dearer than a build
+        rng = random.Random(2)
+        nodes = sorted(network.nodes())
+        checked = 0
+        for _ in range(8):
+            for src in nodes[::30]:
+                for dst in nodes[4::39]:
+                    service.route(src, dst)
+            for _ in range(3):
+                node = rng.choice(nodes)
+                pos = service.graph.positions[node]
+                service.move(node, pos.x + rng.uniform(-0.3, 0.3),
+                             pos.y + rng.uniform(-0.3, 0.3))
+            service.refresh()
+            router = service._snapshot.router
+            for path in service.route_cache._paths.values():
+                router.validate_path(list(path))
+                checked += 1
+        assert service.metrics.counters["rebuilds_full"] == 8
+        assert service.metrics.counters["errors"] == 0
+        assert checked > 100
 
 
 class TestStaleness:
     def _slow_service(self, network):
-        # Virtual clock: freshness decisions use the EWMA cost estimate,
+        # Virtual clock: freshness decisions use the EWMA cost estimates,
         # which we pin high so any finite deadline forces a stale serve.
         clock = {"now": 0.0}
         service = BackboneService(network, clock=lambda: clock["now"])
-        service._rebuild_cost.value = 10.0
-        service._repair_cost.value = 10.0
+        service._build_cost.value = 10.0
+        service._note_cost.value = 10.0
         return service
 
     def test_deadline_serves_last_good_stale(self, network):
@@ -378,8 +394,8 @@ class TestStaleness:
             ServiceConfig(default_deadline=0.001),
             clock=lambda: clock["now"],
         )
-        service._rebuild_cost.value = 10.0
-        service._repair_cost.value = 10.0
+        service._build_cost.value = 10.0
+        service._note_cost.value = 10.0
         mobility = RandomWaypointModel(
             network, 5.0, speed_range=(0.01, 0.02), seed=1
         )
@@ -460,8 +476,9 @@ class TestWorkload:
             WorkloadConfig(queries=-1)
         with pytest.raises(ValueError):
             WorkloadConfig(mix=())
-        with pytest.raises(ValueError):
-            ServiceConfig(rebuild_threshold=0.0)
+        for tile_size in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ServiceConfig(tile_size=tile_size)
 
 
 class TestFaultSignals:
@@ -540,13 +557,13 @@ class TestFaultSignals:
 
 
 # ----------------------------------------------------------------------
-# Sharded maintenance (ServiceConfig.sharding)
+# Tiled maintenance (ServiceConfig.tile_size)
 # ----------------------------------------------------------------------
 class TestShardedService:
-    """With ``sharding`` set, the backbone is maintained by frontier
-    re-stitching and route invalidation is scoped to the tiles reading
-    the touched nodes — gentle churn must not evict unrelated cached
-    routes, and there is no whole-cache ``clear()`` path at all."""
+    """The backbone is maintained by frontier re-stitching and route
+    invalidation is scoped to the tiles reading the touched nodes —
+    gentle churn must not evict unrelated cached routes, and there is
+    no whole-cache ``clear()`` path at all."""
 
     @pytest.fixture()
     def grid(self):
@@ -556,18 +573,13 @@ class TestShardedService:
 
     @pytest.fixture()
     def sharded(self, grid):
-        from repro.shard import ShardConfig
-
-        return BackboneService(
-            grid.copy(), ServiceConfig(sharding=ShardConfig(tile_size=8.0))
-        )
+        return BackboneService(grid.copy(), ServiceConfig(tile_size=8.0))
 
     def test_backbone_matches_global_service(self, grid, sharded):
-        plain = BackboneService(grid.copy())
-        assert (
-            sharded.backbone().value.dominators
-            == plain.backbone().value.dominators
-        )
+        backbone = sharded.backbone().value
+        oracle = algorithm2_centralized(grid)
+        assert backbone.dominators == oracle.dominators
+        assert backbone.mis_dominators == oracle.mis_dominators
 
     def test_tracks_oracle_through_churn(self, grid, sharded):
         from repro.wcds import algorithm2_centralized
@@ -582,9 +594,8 @@ class TestShardedService:
         assert result.value.dominators == oracle.dominators
 
     def test_gentle_churn_keeps_unrelated_cached_routes(self, grid, sharded):
-        # Regression: the non-sharded full-rebuild path clears the
-        # whole route cache; tile-scoped invalidation must keep a
-        # cached route far away from the churn.
+        # Regression: tile-scoped invalidation must keep a cached
+        # route far away from the churn.
         nodes = sorted(grid.positions)
         far_u, far_v = nodes[-1], nodes[-2]
         assert sharded.route(far_u, far_v).ok
@@ -604,12 +615,11 @@ class TestShardedService:
     def test_silent_move_re_tiles_the_node(self):
         # Regression: a move that flips no link queued nothing, so the
         # tiler kept owning node 0 by the tile it had left.
-        from repro.shard import ShardConfig
         from repro.shard.bench import jittered_grid
 
-        config = ServiceConfig(sharding=ShardConfig(tile_size=4.0))
+        config = ServiceConfig(tile_size=4.0)
         service = BackboneService(jittered_grid(900, seed=3), config)
-        tiler = service._sharded.tiler
+        tiler = service._backbone.tiler
         assert tiler.owner[0] == (-1, 0)
         pos = service.graph.positions[0]
         service.move(0, pos.x + 0.03, pos.y)
@@ -618,14 +628,12 @@ class TestShardedService:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiler_follows_every_move(self, seed):
-        from repro.shard import ShardConfig
         from repro.shard.bench import jittered_grid
-        from repro.wcds import algorithm2_centralized
 
-        config = ServiceConfig(sharding=ShardConfig(tile_size=3.5))
+        config = ServiceConfig(tile_size=3.5)
         service = BackboneService(jittered_grid(400, seed), config)
         graph = service.graph
-        tiler = service._sharded.tiler
+        tiler = service._backbone.tiler
         rng = random.Random(seed)
         nodes = sorted(graph.positions)
         for _ in range(12):
@@ -675,6 +683,116 @@ class TestShardedService:
         assert is_weakly_connected_dominating_set(
             sharded.graph, result.value.dominators
         )
+
+    @pytest.mark.parametrize("tile_size", [3.5, 8.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_external_mover_keeps_tiler_and_oracle(self, seed, tile_size):
+        # Regression: ``ingest_events`` learnt only link events, so a
+        # waypoint step left the nodes it moved without a link flip
+        # owned by the tile they had left (and raised KeyError at seed
+        # 1, tile 3.5).  A step moves every node, so the measured rule
+        # re-constructs.
+        service = _waypoint_service(seed, tile_size, steps=10)
+        assert service.metrics.counters["rebuilds_full"] == 10
+
+    @pytest.mark.parametrize("seed,tile_size", [(1, 3.5), (0, 8.0)])
+    def test_external_mover_noted_node_by_node(self, seed, tile_size):
+        # The same steps noted node by node (a constant clock measures
+        # notes as free): a node that owns its tile alone and stays in
+        # it must not have the tile's halo re-collected around nodes
+        # moved but not yet noted.
+        service = _waypoint_service(seed, tile_size, steps=2, clock=lambda: 0.0)
+        assert service.metrics.counters["rebuilds_full"] == 0
+
+
+def _waypoint_service(seed, tile_size, steps, **kwargs):
+    """A service on ``jittered_grid(400, seed)`` after ``steps``
+    random-waypoint steps fed through ``ingest_events``, checked after
+    every refresh: no error, every node owned by the tile of its
+    position, and Algorithm II's backbone on a connected snapshot."""
+    from repro.shard.bench import jittered_grid
+
+    graph = jittered_grid(400, seed)
+    side = max(max(p.x, p.y) for p in graph.positions.values())
+    service = BackboneService(graph, ServiceConfig(tile_size=tile_size), **kwargs)
+    mobility = RandomWaypointModel(
+        graph, side, speed_range=(0.01, 0.05), seed=seed
+    )
+    for _ in range(steps):
+        service.ingest_events(mobility.step())
+        response = service.backbone()
+        assert response.ok and not response.stale, response.error
+        tiler = service._backbone.tiler
+        assert all(
+            tiler.owner[node] == tiler.tile_of(pos)
+            for node, pos in graph.positions.items()
+        )
+        if is_connected(graph):
+            assert response.value.dominators == (
+                algorithm2_centralized(graph).dominators
+            )
+    return service
+
+
+class TestOneEngine:
+    """Whichever way a refresh absorbs the pending nodes — noting each,
+    or re-constructing because the measured costs say so — the backbone
+    served fresh is Algorithm II's on every connected snapshot."""
+
+    @pytest.mark.parametrize("absorb", ["notes", "rebuild", "measured"])
+    @pytest.mark.parametrize("tile_size", [8.0, 3.0])  # one tile, 4 tiles
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_stream_serves_algorithm2(self, seed, tile_size, absorb):
+        graph = connected_random_udg(60, 5.0, seed=seed)
+        if absorb == "measured":
+            service = BackboneService(graph, ServiceConfig(tile_size=tile_size))
+        else:
+            service = BackboneService(
+                graph, ServiceConfig(tile_size=tile_size), clock=lambda: 0.0
+            )
+            if absorb == "rebuild":
+                service._note_cost.value = 1.0
+        tiles = len(service._backbone.tiler.tiles())
+        assert (tiles == 1) == (tile_size == 8.0)
+        rng = random.Random(seed)
+        fresh_id = 1000
+        checked = rebuildable = 0
+        for _ in range(24):
+            for _ in range(rng.randint(1, 3)):
+                nodes = sorted(service.graph.nodes())
+                op = rng.choice(("move", "move", "join", "leave", "waypoint"))
+                if op == "move":
+                    node = rng.choice(nodes)
+                    pos = service.graph.positions[node]
+                    service.move(node, pos.x + rng.uniform(-0.4, 0.4),
+                                 pos.y + rng.uniform(-0.4, 0.4))
+                elif op == "join":
+                    service.join(fresh_id, rng.uniform(0, 5), rng.uniform(0, 5))
+                    fresh_id += 1
+                elif op == "leave" and len(nodes) > 40:
+                    service.leave(rng.choice(nodes))
+                elif op == "waypoint":
+                    mover = RandomWaypointModel(
+                        service.graph, 5.0, speed_range=(0.05, 0.3),
+                        seed=rng.randrange(2**32),
+                    )
+                    service.ingest_events(mover.step())
+            moved = bool(service._pending)  # not only departures
+            response = service.backbone()
+            assert response.ok and not response.stale
+            snapshot = service._snapshot.graph
+            if is_connected(snapshot):
+                oracle = algorithm2_centralized(snapshot)
+                assert response.value.dominators == oracle.dominators
+                assert response.value.mis_dominators == oracle.mis_dominators
+                checked += 1
+                rebuildable += moved
+        assert checked >= 16
+        counters = service.metrics.counters
+        if absorb == "notes":
+            assert counters["rebuilds_full"] == 0
+        elif absorb == "rebuild":
+            assert counters["rebuilds_full"] == rebuildable > 0
 
 
 def _reference_plan(snapshot, source):

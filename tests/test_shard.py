@@ -291,6 +291,28 @@ class TestChurn:
         backbone.apply_leave(newcomer)
         assert_same_backbone(backbone, graph)
 
+    def test_nodes_moved_together_then_noted_one_by_one(self):
+        # A mover moves every node before any is noted.  Node 0 owns
+        # tile (0, 0) alone and moves within it while node 5 has
+        # already moved into that tile's halo: re-indexing node 0 must
+        # not retire the tile and re-collect its halo around node 5,
+        # which the tile's index does not list yet.
+        from repro.graphs.udg import UnitDiskGraph
+
+        graph = UnitDiskGraph({
+            0: Point(3.0, 1.0), 1: Point(3.8, 1.0), 2: Point(4.6, 1.0),
+            3: Point(5.4, 1.0), 4: Point(6.2, 1.0), 5: Point(6.9, 1.0),
+        })
+        backbone = ShardedBackbone(graph, ShardConfig(tile_size=3.5))
+        assert backbone.tiler.owned((0, 0)) == [0]
+        assert 5 not in backbone.tiler.members((0, 0))
+        graph.move_node(5, Point(6.45, 1.0))
+        graph.move_node(0, Point(2.9, 1.0))
+        for node in (0, 5):
+            backbone.note_moved(node)
+        assert 5 in backbone.tile_index((0, 0)).members
+        assert_same_backbone(backbone, graph)
+
     def test_invalidation_report_shape(self):
         graph = dense_udg(80, 5.0, seed=9)
         backbone = ShardedBackbone(graph, ShardConfig(tile_size=5.0))
