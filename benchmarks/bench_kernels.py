@@ -14,6 +14,12 @@ float64 arithmetic) and then asserts the speedup floor:
   path.
 * All-pairs hops at n=1000: the packed-bitset sweep must beat one
   ``bfs_distances`` per source >= 10x.
+* Overlay next-hop rows: the all-sources ``OverlayPaths.all_pairs``
+  pass must equal a binary-heap Dijkstra from every source of the
+  clusterhead overlays of ``jittered_grid(2000)`` seeds 0 and 1 —
+  first hops and distances, equal-cost ties included — and beat it
+  >= 8x over that set (measured 19.6-23.6x on a 2-vCPU x86_64 host,
+  Python 3.11, numpy 2.4).
 
 Run with ``pytest benchmarks/bench_kernels.py``; the gates are plain
 asserts so CI fails when a regression eats the speedup.
@@ -21,13 +27,16 @@ asserts so CI fails when a regression eats the speedup.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
-from typing import Callable
+from typing import Callable, Dict, Hashable, Tuple
 
 import pytest
 
 from bench_utils import show
 from repro.graphs import all_pairs_hop_distances, bfs_distances
+from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.graphs.generators import uniform_random_udg
 from repro.kernels import (
@@ -36,6 +45,10 @@ from repro.kernels import (
     packed_hop_distances,
     vector_udg_edges,
 )
+from repro.routing import ClusterheadRouter
+from repro.routing.overlay import OverlayPaths
+from repro.shard.bench import jittered_grid
+from repro.wcds import algorithm2_centralized
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -43,6 +56,7 @@ pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 UDG_KERNEL_FLOOR = 5.0
 UDG_CONSTRUCTOR_FLOOR = 2.0
 BFS_FLOOR = 10.0
+OVERLAY_ROWS_FLOOR = 8.0
 
 
 def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -169,3 +183,92 @@ def test_batch_disk_queries_match_and_win():
     )
     # Informational: no hard floor — the pure side is already
     # grid-accelerated, so the kernel's win is batching, not asymptotics.
+
+
+Overlay = Dict[Hashable, Dict[Hashable, int]]
+
+
+def heap_rows(
+    overlay: Overlay, source: Hashable
+) -> Dict[Hashable, Tuple[Hashable, int]]:
+    """Reference: ``node -> (first hop, distance)`` from a binary-heap
+    Dijkstra pushing each node's links in canonical order."""
+    table = {}
+    counter = itertools.count()
+    heap = [(0, next(counter), source, None)]
+    done = set()
+    while heap:
+        dist, _, node, first_hop = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node != source:
+            table[node] = (first_hop, dist)
+        links = overlay[node]
+        for nbr in canonical_order(links):
+            if nbr not in done:
+                hop = nbr if node == source else first_hop
+                heapq.heappush(heap, (dist + links[nbr], next(counter), nbr, hop))
+    return table
+
+
+def router_overlay(graph) -> Overlay:
+    """The weighted clusterhead overlay a router builds on ``graph``."""
+    router = ClusterheadRouter(graph, algorithm2_centralized(graph))
+    overlay: Overlay = {u: {} for u in router.mis}
+    for u in router.mis:
+        entry = router.lists[u]
+        for w in entry.two_hop:
+            if w in overlay:
+                overlay[u][w] = overlay[w][u] = 2
+        for w in entry.three_hop:
+            if w in overlay:
+                overlay[u][w] = min(overlay[u].get(w, 3), 3)
+                overlay[w][u] = min(overlay[w].get(u, 3), 3)
+    return overlay
+
+
+def test_overlay_rows_match_heap_and_win():
+    overlays = [router_overlay(jittered_grid(2000, seed)) for seed in (0, 1)]
+
+    # Bit-identical on every row before timing anything.
+    for overlay in overlays:
+        paths = OverlayPaths(overlay)
+        first_hop, distance = paths.all_pairs()
+        nodes = paths.nodes
+        for s, source in enumerate(nodes):
+            row = {
+                nodes[u]: (nodes[hop], int(distance[s, u]))
+                for u, hop in enumerate(first_hop[s].tolist())
+                if hop >= 0 and u != s
+            }
+            assert row == heap_rows(overlay, source), (len(nodes), source)
+
+    def all_pairs():
+        return [OverlayPaths(overlay).all_pairs() for overlay in overlays]
+
+    def per_source_heap():
+        return [
+            [heap_rows(overlay, source) for source in overlay]
+            for overlay in overlays
+        ]
+
+    t_vector = best_of(all_pairs)
+    t_heap = best_of(per_source_heap, repeats=2)
+    speedup = t_heap / t_vector
+    rows = sum(len(overlay) for overlay in overlays)
+    show(
+        f"Overlay next-hop rows, jittered_grid(2000) seeds 0-1 ({rows} rows)",
+        [
+            {"path": "heap Dijkstra per source", "ms": t_heap * 1e3, "speedup": 1.0},
+            {
+                "path": "OverlayPaths.all_pairs",
+                "ms": t_vector * 1e3,
+                "speedup": speedup,
+            },
+        ],
+    )
+    assert speedup >= OVERLAY_ROWS_FLOOR, (
+        f"all-sources overlay pass only {speedup:.1f}x faster than a heap "
+        f"Dijkstra per source (floor {OVERLAY_ROWS_FLOOR}x)"
+    )

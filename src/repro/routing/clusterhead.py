@@ -16,6 +16,7 @@ routing benchmark).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -48,7 +49,6 @@ class ClusterheadRouter:
         self.mis = set(result.mis_dominators)
         self.dominators = set(result.dominators)
         self.lists = self._build_lists()
-        self._overlay_next: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._build_overlay_tables()
 
     # ------------------------------------------------------------------
@@ -107,11 +107,15 @@ class ClusterheadRouter:
         return None
 
     def _build_overlay_tables(self) -> None:
-        """Shortest-path next-hop tables on the dominator overlay.
+        """Shortest-path next-hop table on the dominator overlay.
 
         Overlay nodes are MIS-dominators; overlay edges join dominators
         with a known 2- or 3-hop realization.  Edges are weighted by
-        realization hop count so routes minimize real hops.
+        realization hop count so routes minimize real hops.  Every
+        row comes from one all-sources pass of :class:`OverlayPaths`,
+        kept as one flat int matrix: entry ``s * n + u`` is the index
+        of the first hop from dominator ``s`` to dominator ``u``, or
+        ``-1`` where the overlay disconnects them.
         """
         overlay: Dict[Hashable, Dict[Hashable, int]] = {u: {} for u in self.mis}
         for u in self.mis:
@@ -125,8 +129,25 @@ class ClusterheadRouter:
                     overlay[u][w] = min(overlay[u].get(w, 3), 3)
                     overlay[w][u] = min(overlay[w].get(u, 3), 3)
         paths = OverlayPaths(overlay)
-        for source in canonical_order(self.mis):
-            self._overlay_next[source] = paths.first_hops(source)
+        self._heads = paths.nodes
+        self._head_index = paths.index
+        # An ``array`` of the matrix's C type reads an entry as a plain
+        # int, two to three times cheaper than indexing the numpy matrix.
+        first_hop, _ = paths.all_pairs()
+        self._next_head = array(first_hop.dtype.char, first_hop.tobytes())
+
+    def first_hops(self, source: Hashable) -> Dict[Hashable, Hashable]:
+        """The first overlay hop from MIS-dominator ``source`` to every
+        other MIS-dominator the overlay connects it to."""
+        heads = self._heads
+        n = len(heads)
+        at = self._head_index[source]
+        row = self._next_head[at * n:(at + 1) * n].tolist()
+        return {
+            heads[head]: heads[hop]
+            for head, hop in enumerate(row)
+            if hop >= 0 and head != at
+        }
 
     # ------------------------------------------------------------------
     # Routing
@@ -171,15 +192,19 @@ class ClusterheadRouter:
         head_dst = self.clusterhead_of(dst)
         if head_src != src:
             path.append(head_src)
-        current = head_src
-        while current != head_dst:
-            nxt = self._overlay_next[current].get(head_dst)
-            if nxt is None:
+        heads = self._heads
+        next_head = self._next_head
+        n = len(heads)
+        at = self._head_index[head_src]
+        goal = self._head_index[head_dst]
+        while at != goal:
+            nxt = next_head[at * n + goal]
+            if nxt < 0:
                 raise RuntimeError(
                     f"overlay disconnects {head_src!r} from {head_dst!r}"
                 )
-            path.extend(self.expand_overlay_hop(current, nxt))
-            current = nxt
+            path.extend(self.expand_overlay_hop(heads[at], heads[nxt]))
+            at = nxt
         if dst != head_dst:
             path.append(dst)
         return _collapse_repeats(path)

@@ -3,9 +3,10 @@
 :class:`ServiceMetrics` sits on an :class:`repro.obs.MetricsRegistry`:
 counters are registry counters, request latencies go into the
 registry's labeled ``request_latency_seconds`` histogram family
-(:class:`repro.obs.Histogram`), and the Prometheus/JSONL exporters
-come along for free.  On top it adds ``hit_rate``, ``snapshot`` and
-``rows``.
+(:class:`repro.obs.Histogram`), the time of each refresh phase into
+the ``refresh_phase_seconds`` family, and the Prometheus/JSONL
+exporters come along for free.  On top it adds ``hit_rate``,
+``snapshot`` and ``rows``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ __all__ = ["ServiceMetrics"]
 
 #: Registry family holding one histogram per request operation.
 LATENCY_FAMILY = "request_latency_seconds"
+#: Registry family holding one histogram per refresh phase: ``absorb``
+#: (noting or re-constructing the backbone), ``graph_copy`` and
+#: ``router_build`` (freezing the snapshot).
+PHASE_FAMILY = "refresh_phase_seconds"
 
 
 class _CounterView:
@@ -76,6 +81,12 @@ class ServiceMetrics:
         """Record one request latency under ``operation``."""
         self.registry.histogram(
             LATENCY_FAMILY, "Request latency by operation", op=operation
+        ).observe(seconds)
+
+    def observe_phase(self, phase: str, seconds: float) -> None:
+        """Record the time one refresh spent in ``phase``."""
+        self.registry.histogram(
+            PHASE_FAMILY, "Refresh time by phase", phase=phase
         ).observe(seconds)
 
     # ------------------------------------------------------------------

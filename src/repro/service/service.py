@@ -22,9 +22,10 @@ the previous tables stay servable: when a request carries a
 answers from that **last-good** snapshot with ``Response.stale = True``
 instead of blocking.
 
-Every request is timed into latency histograms and every cache touch,
-note, re-construction, stale serve, and rejection is counted
-(:class:`repro.service.metrics.ServiceMetrics`).
+Every request is timed into latency histograms, every refresh into
+per-phase histograms (absorb, graph copy, router build), and every
+cache touch, note, re-construction, stale serve, and rejection is
+counted (:class:`repro.service.metrics.ServiceMetrics`).
 """
 
 from __future__ import annotations
@@ -356,6 +357,7 @@ class BackboneService:
         self.metrics.incr(
             "route_cache_invalidated", self.route_cache.invalidate_nodes(stale)
         )
+        self.metrics.observe_phase("absorb", self.clock() - started)
         self._refreeze(self._backbone.result())
 
     def _note(self, node: Hashable) -> InvalidationReport:
@@ -369,8 +371,13 @@ class BackboneService:
     def _refreeze(self, result: WCDSResult) -> None:
         """Swap in a new last-good snapshot of the absorbed topology."""
         started = self.clock()
-        self._snapshot = _Snapshot(self.graph.copy(), result)
-        self._freeze_cost.update(self.clock() - started)
+        graph = self.graph.copy()
+        copied = self.clock()
+        self._snapshot = _Snapshot(graph, result)
+        built = self.clock()
+        self.metrics.observe_phase("graph_copy", copied - started)
+        self.metrics.observe_phase("router_build", built - copied)
+        self._freeze_cost.update(built - started)
 
     # ------------------------------------------------------------------
     # Queries

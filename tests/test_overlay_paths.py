@@ -1,12 +1,13 @@
-"""The bucketed overlay shortest-path kernel against a heap Dijkstra.
+"""The level-synchronous overlay shortest-path kernel against a heap
+Dijkstra.
 
 :class:`repro.routing.overlay.OverlayPaths` replaced two binary-heap
 Dijkstras, one in the centralized clusterhead router and one in the
 link-state table protocol.  The heap versions live on here as oracles:
-the kernel must give exactly their first hops and distances, settled in
-the same order, on every overlay — equal-cost ties, disconnected parts
-and mixed int/str ids (the ``repr`` fallback of ``canonical_order``)
-included.
+the kernel must give exactly their first hops and distances — from one
+source settled in the same order, and from all sources at once in one
+pass — on every overlay: equal-cost ties, disconnected parts and mixed
+int/str ids (the ``repr`` fallback of ``canonical_order``) included.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.generators import line_udg
 from repro.graphs.graph import canonical_order
 from repro.graphs.traversal import bfs_distances
 from repro.mobility import RandomWaypointModel
@@ -168,6 +170,52 @@ def databases(draw):
     return database, draw(st.sampled_from(nodes))
 
 
+@st.composite
+def wide_overlays(draw):
+    """Weights 1-7 with many equal-cost ties (drawn from a few values
+    per overlay), disconnected parts and isolated nodes, neighbours
+    without an entry of their own, and mixed int/str ids."""
+    ids = draw(st.sampled_from([INT_IDS, MIXED_IDS]))
+    nodes = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids),
+                          unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.sample(range(1, 8), rng.randint(1, 3))
+    parts = rng.randint(1, 3)
+    part = {node: rng.randrange(parts) for node in nodes}
+    density = draw(st.floats(min_value=0.0, max_value=0.7))
+    adjacency: Dict[Hashable, Dict[Hashable, int]] = {u: {} for u in nodes}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if part[u] == part[v] and rng.random() < density:
+                weight = rng.choice(weights)
+                adjacency[u][v] = adjacency[v][u] = weight
+    # Some linked nodes keep no entry of their own: they appear only
+    # as a neighbour.
+    for node in nodes[1:]:
+        if adjacency[node] and rng.random() < 0.2:
+            del adjacency[node]
+    return adjacency
+
+
+def assert_all_pairs_match_heap(adjacency) -> None:
+    """Every row of the all-sources pass equals the heap Dijkstra run
+    from that source, first hops and distances both."""
+    paths = OverlayPaths(adjacency)
+    first_hop, distance = paths.all_pairs()
+    nodes = paths.nodes
+    for s, source in enumerate(nodes):
+        expected = heap_dijkstra(adjacency, source)
+        got = {
+            nodes[u]: (nodes[hop], int(distance[s, u]))
+            for u, hop in enumerate(first_hop[s].tolist())
+            if hop >= 0 and u != s
+        }
+        assert got == expected, source
+        assert first_hop[s, s] == s and distance[s, s] == 0
+        unreached = [u for u, hop in enumerate(first_hop[s].tolist()) if hop < 0]
+        assert all(distance[s, u] == -1 for u in unreached)
+
+
 class TestKernelAgainstHeap:
     @given(overlays())
     @settings(max_examples=300, deadline=None)
@@ -197,6 +245,24 @@ class TestKernelAgainstHeap:
         assert list(_dijkstra_table(source, database).items()) == list(
             expected.items()
         )
+
+    @given(wide_overlays())
+    @settings(max_examples=300, deadline=None)
+    def test_all_sources_at_once(self, adjacency):
+        assert_all_pairs_match_heap(adjacency)
+
+    @given(wide_overlays())
+    @settings(max_examples=100, deadline=None)
+    def test_one_source_settles_in_heap_order(self, adjacency):
+        paths = OverlayPaths(adjacency)
+        for source in paths.nodes:
+            assert list(paths.table(source).items()) == list(
+                heap_dijkstra(adjacency, source).items()
+            )
+
+    def test_empty_overlay(self):
+        first_hop, distance = OverlayPaths({}).all_pairs()
+        assert first_hop.shape == distance.shape == (0, 0)
 
     def test_local_order_not_global_order(self):
         # Globally the ids mix int and str (repr order: 10 before 9),
@@ -246,11 +312,21 @@ class TestRouterTables:
         router = ClusterheadRouter(graph, result)
         assert router.lists == reference_lists(graph, result)
         overlay = router_overlay(router)
+        paths = OverlayPaths(overlay)
         for source in router.mis:
             expected = heap_dijkstra(overlay, source)
-            assert list(router._overlay_next[source].items()) == [
-                (node, hop) for node, (hop, _) in expected.items()
-            ]
+            assert router.first_hops(source) == {
+                node: hop for node, (hop, _) in expected.items()
+            }
+            # Same entries settled in the same order.
+            assert list(paths.table(source).items()) == list(expected.items())
+
+    def test_every_row_of_a_2000_node_overlay(self):
+        graph = jittered_grid(2000, 0)
+        router = ClusterheadRouter(graph, algorithm2_centralized(graph))
+        overlay = router_overlay(router)
+        assert len(overlay) == 506
+        assert_all_pairs_match_heap(overlay)
 
     @given(seeds)
     @settings(max_examples=6, deadline=None)
@@ -260,7 +336,7 @@ class TestRouterTables:
         router = ClusterheadRouter(graph, result)
         overlay = router_overlay(router)
         for source in router.mis:
-            assert router._overlay_next[source] == {
+            assert router.first_hops(source) == {
                 node: hop for node, (hop, _) in heap_dijkstra(overlay, source).items()
             }
 
@@ -293,9 +369,28 @@ class TestRouterTables:
         snapshot = service._snapshot
         fresh = ClusterheadRouter(snapshot.graph.copy(), snapshot.result)
         assert snapshot.router.lists == fresh.lists
-        assert snapshot.router._overlay_next == fresh._overlay_next
+        assert snapshot.router.mis == fresh.mis
+        for source in fresh.mis:
+            assert snapshot.router.first_hops(source) == fresh.first_hops(source)
         rng = random.Random(5)
         nodes = sorted(snapshot.graph.nodes())
         for _ in range(300):
             src, dst = rng.choice(nodes), rng.choice(nodes)
             assert snapshot.router.route(src, dst) == fresh.route(src, dst)
+
+    def test_disconnected_overlay_answers_with_an_error_response(self):
+        # A chain of 13 radios: once the middle one leaves, the
+        # snapshot's overlay has two components, and a route across
+        # them is an error response, not a crash.
+        service = BackboneService(line_udg(13))
+        assert service.route(0, 12).ok
+        service.leave(6)
+        response = service.route(0, 12)
+        assert not response.ok
+        assert "overlay disconnects" in response.error
+        router = service._snapshot.router
+        heads = router.first_hops(router.clusterhead_of(0))
+        assert router.clusterhead_of(12) not in heads
+        # Routes inside one component still answer.
+        assert service.route(0, 5).value == [0, 1, 2, 3, 4, 5]
+        assert service.route(7, 12).value == [7, 8, 9, 10, 11, 12]

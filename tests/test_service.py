@@ -133,6 +133,53 @@ class TestMetrics:
         assert snapshot["counters"]["requests_total"] == 1
         assert snapshot["latency_seconds"]["route"]["count"] == 1
 
+    def test_refresh_phases_read_the_injected_clock(self, network, monkeypatch):
+        # A fake clock that steps only inside each phase: noting a node
+        # takes 0.25 s, copying the graph 0.5 s and building the router
+        # 2 s, so the phase histograms must read exactly that.
+        import repro.service.service as service_module
+
+        now = {"t": 0.0}
+
+        def stepping(step, call):
+            def timed(*args, **kwargs):
+                now["t"] += step
+                return call(*args, **kwargs)
+            return timed
+
+        monkeypatch.setattr(
+            service_module, "ClusterheadRouter",
+            stepping(2.0, service_module.ClusterheadRouter),
+        )
+        service = BackboneService(network, clock=lambda: now["t"])
+        service._build_cost.value = 1e9  # always note, never rebuild
+        monkeypatch.setattr(service, "_note", stepping(0.25, service._note))
+        monkeypatch.setattr(service.graph, "copy", stepping(0.5, service.graph.copy))
+        moved = []
+        for node in (0, 17, 42):
+            pos = service.graph.positions[node]
+            service.move(node, pos.x + 0.2, pos.y)
+            service.refresh()
+            moved.append(service.metrics.counters["repairs"])
+        phases = {
+            dict(key)["phase"]: histogram
+            for key, histogram in service.metrics.registry.children(
+                "refresh_phase_seconds"
+            ).items()
+        }
+        assert set(phases) == {"absorb", "graph_copy", "router_build"}
+        absorb = phases["absorb"]
+        assert absorb.count == 3
+        assert absorb.total == pytest.approx(0.25 * moved[-1])
+        assert absorb.max == pytest.approx(
+            0.25 * max(b - a for a, b in zip([0] + moved, moved))
+        )
+        # The initial freeze is timed too, untouched by the copy patch.
+        assert phases["graph_copy"].count == 4
+        assert phases["graph_copy"].total == pytest.approx(3 * 0.5)
+        assert phases["router_build"].count == 4
+        assert phases["router_build"].min == phases["router_build"].max == 2.0
+
 
 # ----------------------------------------------------------------------
 # The service itself
