@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 import time
 from typing import Callable
 
@@ -32,8 +33,10 @@ import pytest
 from bench_utils import show
 from repro.faults import default_fault_plan
 from repro.graphs.generators import connected_random_udg
+from repro.graphs.udg import build_udg
 from repro.kernels import HAVE_NUMPY
-from repro.sim import ProtocolNode, SimConfig, TraceRecorder, run_protocol
+from repro.routing import flood_protocol
+from repro.sim import ProtocolNode, SimConfig, run_protocol
 from repro.sim.engine import perturbed_schedule
 from repro.wcds.algorithm2 import algorithm2_distributed
 
@@ -147,26 +150,42 @@ def test_algorithm2_speedup_and_exactness_n2000():
     )
 
 
+def _mixed_ids(graph):
+    """``graph`` with about 30% of its int ids renamed ``s<id>``."""
+    rng = random.Random(len(graph))
+    names = {n: f"s{n}" if rng.random() < 0.3 else n for n in graph.nodes()}
+    return build_udg({names[n]: p for n, p in graph.positions.items()})
+
+
+def _alg2_key(graph, config):
+    result = algorithm2_distributed(graph, sim=config)
+    return tuple(sorted(result.dominators)), _stats_key(result.meta["stats"])
+
+
+def _flood_key(graph, config):
+    source = min(n for n in graph.nodes() if isinstance(n, int))
+    outcome, stats = flood_protocol(graph, source, sim=config)
+    assert outcome.covered > 1
+    return outcome, _stats_key(stats)
+
+
 def test_exactness_under_faults_transport_and_perturbation():
     graph = connected_random_udg(120, 5.5, seed=3)
-    plan = default_fault_plan(graph, loss=0.2, crashes=2, seed=3)
+    # Algorithm II ranks by id, so the mixed-id deployment floods.
+    for deployment, protocol in ((graph, _alg2_key), (_mixed_ids(graph), _flood_key)):
+        plan = default_fault_plan(deployment, loss=0.2, crashes=2, seed=3)
 
-    def run(engine):
-        tracer = TraceRecorder()
-        config = SimConfig(
-            loss_rate=0.1, seed=11, fault_plan=plan, transport=True,
-            engine=engine,
-        )
-        with perturbed_schedule(5, None):
-            result = algorithm2_distributed(graph, sim=config)
-        return (
-            tuple(sorted(result.dominators)),
-            _stats_key(result.meta["stats"]),
-        )
+        def run(engine):
+            config = SimConfig(
+                loss_rate=0.1, seed=11, fault_plan=plan, transport=True,
+                engine=engine,
+            )
+            with perturbed_schedule(5, None):
+                return protocol(deployment, config)
 
-    assert run("batched") == run("event"), (
-        "engines diverged under fault plan + transport + perturbed ties"
-    )
+        assert run("batched") == run("event"), (
+            "engines diverged under fault plan + transport + perturbed ties"
+        )
 
 
 def test_fleet_sweep_smoke():

@@ -1,23 +1,19 @@
-"""Parallel Monte-Carlo trials.
+"""Parallel Monte-Carlo trials over one topology.
 
 The sweeps in :mod:`repro.analysis.sweep` run serially; larger studies
-(hundreds of topologies per configuration) benefit from process
-parallelism.  ``monte_carlo`` maps a top-level trial function over a
-seed range with ``multiprocessing`` and aggregates like ``run_trials``.
+(hundreds of seeds per configuration) benefit from process parallelism.
+``monte_carlo`` maps ``trial(graph, seed)`` over a seed range on
+:class:`repro.sim.fleet.FleetRunner`, which ships the topology to its
+spawn workers once via shared memory, and aggregates like
+``run_trials``.
 
-The trial callable must be picklable (a module-level function, not a
-lambda or closure) — the classic multiprocessing constraint; a helpful
-error explains it if violated.
-
-Topology-bound sweeps should pass ``graph=``: the call is then routed
-through :class:`repro.sim.fleet.FleetRunner`, which ships the topology
-to the workers once via shared memory (a ``Pool.map`` would pickle the
-whole graph into every task) and calls ``trial(graph, seed)``.
+The trial callable must be picklable (a module-level function or an
+instance of a module-level class, not a lambda or closure) whenever it
+runs in worker processes; a helpful error explains it if violated.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
@@ -28,45 +24,28 @@ def monte_carlo(
     trial: Callable[..., Mapping[str, float]],
     seeds: Iterable[int],
     *,
+    graph: Any,
     processes: Optional[int] = None,
-    graph: Any = None,
     registry: Any = None,
 ) -> Dict[str, Aggregate]:
-    """Run ``trial(seed)`` across seeds, in parallel when possible.
+    """Run ``trial(graph, seed)`` across seeds on the fleet runner.
 
-    ``processes=None`` uses the CPU count; ``processes=1`` (or a
-    single seed) falls back to a serial loop with no process overhead.
-
-    With ``graph=`` the sweep runs on the fleet runner instead: the
-    trial signature becomes ``trial(graph, seed)``, positions are
-    shared read-only across spawn workers, and ``processes`` sizes the
-    fleet (``0`` = inline).  Aggregation is identical either way.
+    Positions are shared read-only across spawn workers.  ``processes``
+    sizes the fleet: ``None`` from the CPU count, ``0`` inline in this
+    process.  A single seed always runs inline: it never parallelizes,
+    so it needs no worker and no picklable trial.
     """
+    from repro.sim.fleet import run_fleet
+
     seed_list = list(seeds)
     if not seed_list:
         raise ValueError("no seeds given")
-    if graph is not None:
-        from repro.sim.fleet import run_fleet
-
-        if len(seed_list) > 1 and (processes is None or processes > 0):
-            _require_picklable(trial)
-        rows = run_fleet(
-            graph, trial, seed_list, workers=processes, registry=registry
-        )
-        return _aggregate(rows)
-    if processes is None:
-        processes = min(multiprocessing.cpu_count(), len(seed_list))
-    if len(seed_list) > 1:
-        # Checked even on the serial path: a sweep must not pass on a
-        # small machine (processes=1) and fail on a bigger one where
-        # the same call fans out to workers.
+    if len(seed_list) == 1:
+        processes = 0
+    elif processes is None or processes > 0:
         _require_picklable(trial)
-    if processes <= 1 or len(seed_list) == 1:
-        results: List[Mapping[str, float]] = [trial(seed) for seed in seed_list]
-    else:
-        with multiprocessing.Pool(processes) as pool:
-            results = pool.map(trial, seed_list)
-    return _aggregate(results)
+    rows = run_fleet(graph, trial, seed_list, workers=processes, registry=registry)
+    return _aggregate(rows)
 
 
 def _require_picklable(trial: Callable[..., Mapping[str, float]]) -> None:

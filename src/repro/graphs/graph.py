@@ -9,10 +9,31 @@ dependency-free.  :meth:`Graph.to_networkx` and
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+
+def _ordered(items: Iterable[Node]) -> Tuple[List[Node], bool]:
+    """``(canonical_order(items), natural)``: ``natural`` is whether
+    plain ``sorted`` succeeded, i.e. the items are mutually comparable."""
+    materialized = list(items)
+    try:
+        return sorted(materialized), True  # type: ignore[type-var]
+    except TypeError:
+        return sorted(materialized, key=repr), False
 
 
 def canonical_order(items: Iterable[Node]) -> "list[Node]":
@@ -25,11 +46,41 @@ def canonical_order(items: Iterable[Node]) -> "list[Node]":
     order would otherwise leak into the execution (hash order depends on
     the interpreter's hash seed and the set's insertion history).
     """
-    materialized = list(items)
-    try:
-        return sorted(materialized)  # type: ignore[type-var]
-    except TypeError:
-        return sorted(materialized, key=repr)
+    return _ordered(items)[0]
+
+
+class _Numbered(NamedTuple):
+    nodes: Tuple[Node, ...]
+    index: Dict[Node, int]
+    adj: Tuple[Tuple[int, ...], ...]
+
+
+class Numbering(_Numbered):
+    """``nodes`` in :func:`canonical_order`, ``index`` node → number,
+    ``adj[i]`` node ``i``'s neighbours as ascending numbers.
+
+    ``natural``: plain ``sorted`` ordered the ids, so number order is
+    ``<`` order and each ``adj[i]`` is also its ids' canonical order.
+    On mixed ids the ``repr`` fallback need not be (``10`` sorts before
+    ``9``).  Shared by every client of one graph version: never mutate.
+    """
+
+    natural: bool
+    version: int
+
+    @classmethod
+    def of(cls, graph: "Graph") -> "Numbering":
+        nodes, natural = _ordered(graph.nodes())
+        index = {node: i for i, node in enumerate(nodes)}
+        rank = index.__getitem__
+        numbering = cls(
+            tuple(nodes),
+            index,
+            tuple(tuple(sorted(map(rank, graph.adjacency(node)))) for node in nodes),
+        )
+        numbering.natural = natural
+        numbering.version = graph.version
+        return numbering
 
 
 class Graph:
@@ -42,6 +93,7 @@ class Graph:
     ) -> None:
         self._adj: Dict[Node, Set[Node]] = {}
         self._version: int = 0
+        self._numbering: Optional[Numbering] = None
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -108,6 +160,14 @@ class Graph:
         detect staleness without hashing the edge set.
         """
         return self._version
+
+    def numbering(self) -> Numbering:
+        """The :class:`Numbering` of the current :attr:`version`, built
+        once and shared by every whole-graph client until a mutation."""
+        cached = self._numbering
+        if cached is None or cached.version != self._version:
+            cached = self._numbering = Numbering.of(self)
+        return cached
 
     @property
     def num_edges(self) -> int:

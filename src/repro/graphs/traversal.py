@@ -149,7 +149,7 @@ def multi_source_hop_distances(
     from repro.kernels.bfs import graph_to_csr, packed_hop_distances
 
     node_list, heads, tails = graph_to_csr(graph)
-    index = {node: i for i, node in enumerate(node_list)}
+    index = graph.numbering().index
     result: Dict[Node, Dict[Node, int]] = {}
     # Chunk sources so the (sources, nodes) distance matrix stays small
     # even for all-pairs sweeps over large graphs.

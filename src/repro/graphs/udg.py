@@ -257,7 +257,7 @@ class UnitDiskGraph(Graph):
 
         if radius < 0:
             raise ValueError("query radius must be non-negative")
-        nodes = canonical_order(self.positions)
+        nodes = self.numbering().nodes
         coords = [
             (self.positions[node].x, self.positions[node].y) for node in nodes
         ]

@@ -22,42 +22,32 @@ the pure BFS oracle stays the default for generic traversal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.graphs.graph import Graph, canonical_order
+from repro.graphs.graph import Graph
 from repro.kernels._compat import require_numpy
 
 Node = Hashable
 
 
-def graph_to_csr(graph: Graph) -> Tuple[List[Node], Any, Any]:
+def graph_to_csr(graph: Graph) -> Tuple[Sequence[Node], Any, Any]:
     """``(node_list, heads, tails)`` — the graph's directed edge arrays.
 
-    ``node_list`` is in canonical order and defines the index space;
-    ``heads``/``tails`` hold both directions of every edge, sorted by
-    ``(head, tail)``, ready for :func:`packed_hop_distances`.  Since
-    node indices follow canonical order, the tail run of each head
-    segment is itself in canonical order — the batched simulator reads
-    its broadcast audiences straight out of these arrays.
+    ``node_list`` is the graph's shared :meth:`~repro.graphs.graph.Graph.numbering`
+    (canonical order) and defines the index space; ``heads``/``tails``
+    hold both directions of every edge, sorted by ``(head, tail)``,
+    ready for :func:`packed_hop_distances`.  Each head's tail run is
+    that node's ascending ``adj`` row.
     """
     np = require_numpy()
-    node_list = canonical_order(graph.nodes())
-    index = {node: i for i, node in enumerate(node_list)}
-    # Build through Python lists: appending then converting once is
-    # several times faster than element-wise writes into numpy arrays.
-    heads_list: List[int] = []
-    tails_list: List[int] = []
-    for u, v in graph.edges():
-        iu = index[u]
-        iv = index[v]
-        heads_list.append(iu)
-        tails_list.append(iv)
-        heads_list.append(iv)
-        tails_list.append(iu)
-    heads = np.array(heads_list, dtype=np.int64)
-    tails = np.array(tails_list, dtype=np.int64)
-    order = np.lexsort((tails, heads))
-    return node_list, heads[order], tails[order]
+    nodes, _, adj = graph.numbering()
+    degrees = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+    heads = np.repeat(np.arange(len(adj), dtype=np.int64), degrees)
+    tails = np.fromiter(
+        itertools.chain.from_iterable(adj), dtype=np.int64, count=int(degrees.sum())
+    )
+    return nodes, heads, tails
 
 
 def packed_hop_distances(
@@ -107,27 +97,10 @@ def packed_hop_distances(
 
 
 def vector_all_pairs_hop_distances(graph: Graph) -> Dict[Node, Dict[Node, int]]:
-    """Drop-in twin of :func:`~repro.graphs.traversal.all_pairs_hop_distances`.
+    """Drop-in twin of :func:`~repro.graphs.traversal.all_pairs_hop_distances`:
+    the same per-source dicts of reachable nodes, from one packed-bitset
+    sweep (:func:`~repro.graphs.traversal.multi_source_hop_distances`)
+    instead of n BFS runs."""
+    from repro.graphs.traversal import multi_source_hop_distances
 
-    Same result (a dict of per-source dicts holding only reachable
-    nodes); computed with one packed-bitset sweep instead of n BFS
-    runs.  The dict materialization costs O(reachable pairs) — callers
-    that can consume the raw matrix should use
-    :func:`packed_hop_distances` directly.
-    """
-    node_list, heads, tails = graph_to_csr(graph)
-    dist = packed_hop_distances(heads, tails, len(node_list))
-    return distances_to_dicts(node_list, dist)
-
-
-def distances_to_dicts(
-    node_list: Sequence[Node], dist: Any
-) -> Dict[Node, Dict[Node, int]]:
-    """Convert a ``(sources, nodes)`` distance matrix to BFS-style dicts."""
-    result: Dict[Node, Dict[Node, int]] = {}
-    for i, source in enumerate(node_list):
-        rows = dist[i].tolist()
-        result[source] = {
-            node_list[j]: d for j, d in enumerate(rows) if d >= 0
-        }
-    return result
+    return multi_source_hop_distances(graph, graph.numbering().nodes, method="vector")

@@ -28,7 +28,7 @@ claim is measurable (see the maintenance benchmark).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Set, Tuple
 
 from repro.graphs.graph import canonical_order
 from repro.graphs.traversal import bfs_distances, is_connected
@@ -37,6 +37,7 @@ from repro.mis.properties import is_independent_set, is_dominating_set
 from repro.mobility.waypoint import LinkEvents
 from repro.wcds.base import WCDSResult, weakly_induced_subgraph
 from repro.wcds.algorithm2 import algorithm2_centralized
+from repro.wcds.connectors import number_nodes, select_connectors
 
 Pair = Tuple[Hashable, Hashable]
 
@@ -229,12 +230,9 @@ class MaintainedWCDS:
     def _repair_connectors(self, events: LinkEvents, report: MaintenanceReport) -> None:
         """Recompute 3-hop pair coverage for MIS nodes near the events."""
         affected = set(events.endpoints) | report.promoted_mis | report.demoted_mis
-        affected_mis: Set[Hashable] = set()
-        for node in affected:
-            if node not in self.udg:
-                continue
-            reach = bfs_distances(self.udg, node, cutoff=3)
-            affected_mis.update(m for m in reach if m in self.mis)
+        affected_mis = {
+            m for m in self._ball(n for n in affected if n in self.udg) if m in self.mis
+        }
         before = set(self.connectors.values())
         # Drop connectors whose realized path u-v-x-w broke (the break
         # can be an edge between two nodes that are themselves far from
@@ -257,32 +255,35 @@ class MaintainedWCDS:
         for pair, via in list(self.connectors.items()):
             if via in affected or set(pair) & affected_mis:
                 self.connectors.pop(pair, None)
-        # Rebuild coverage around the affected dominators — in both
-        # directions: an affected dominator may be either endpoint of a
-        # 3-hop pair.
-        for u in sorted(affected_mis):
-            if u not in self.mis:
-                continue
-            dist = bfs_distances(self.udg, u, cutoff=3)
-            for w in sorted(self.mis):
-                if w == u or dist.get(w) != 3:
-                    continue
-                pair = (u, w) if u < w else (w, u)
-                if pair in self.connectors:
-                    continue
-                connector = self._pick_connector(pair[0], pair[1])
-                if connector is not None:
-                    self.connectors[pair] = connector
+        # Re-cover the affected dominators' 3-hop pairs.  Either endpoint
+        # may be the affected one and the lower one picks, so every MIS
+        # node within three hops leads; the kernel reads each leader's
+        # 3-hop ball, so number exactly those balls.
+        leaders = {m for m in self._ball(affected_mis) if m in self.mis}
+        nodes, _, adj = number_nodes(self.udg, self._ball(leaders))
+        is_mis = bytearray(node in self.mis for node in nodes)
+        ranks = [i for i, node in enumerate(nodes) if node in leaders]
+        for u, w, v in select_connectors(adj, is_mis, ranks):
+            pair = (nodes[u], nodes[w])
+            if pair not in self.connectors and not affected_mis.isdisjoint(pair):
+                self.connectors[pair] = nodes[v]
         after = set(self.connectors.values())
         report.added_connectors.update(after - before - self.mis)
         report.removed_connectors.update(before - after - self.mis)
 
-    def _pick_connector(self, u: Hashable, w: Hashable) -> Optional[Hashable]:
-        dist_w = bfs_distances(self.udg, w, cutoff=2)
-        candidates = [
-            v for v in self.udg.adjacency(u) if dist_w.get(v) == 2 and v not in self.mis
-        ]
-        return min(candidates) if candidates else None
+    def _ball(self, seeds: Iterable[Hashable], hops: int = 3) -> Set[Hashable]:
+        """The nodes within ``hops`` hops of ``seeds``."""
+        ball = set(seeds)
+        frontier = list(ball)
+        for _ in range(hops):
+            frontier = [
+                nbr
+                for node in frontier
+                for nbr in self.udg.adjacency(node)
+                if nbr not in ball
+            ]
+            ball.update(frontier)
+        return ball
 
     def _measure_locality(self, events: LinkEvents, report: MaintenanceReport) -> None:
         touched = report.touched

@@ -4,9 +4,10 @@ The branch & bound enumerates subsets of nodes millions of times;
 Python's arbitrary-precision integers make an n-node subset a single
 word-packed value with O(n/64) union/intersection and hardware popcount
 — an order of magnitude faster than ``set`` operations and hashable for
-the transposition table.  Node index ``i`` is position ``i`` of
-:func:`repro.graphs.graph.canonical_order`, so ascending bit order *is*
-canonical order and every loop below is deterministic by construction.
+the transposition table.  Node index ``i`` is number ``i`` of the
+graph's :meth:`~repro.graphs.graph.Graph.numbering` (canonical order), so
+ascending bit order *is* canonical order and every loop below is
+deterministic by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, List, Set, Tuple
 
-from repro.graphs.graph import Graph, canonical_order
+from repro.graphs.graph import Graph
 
 Node = Hashable
 
@@ -54,14 +55,9 @@ class BitsetGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "BitsetGraph":
-        nodes = tuple(canonical_order(graph.nodes()))
-        index = {node: i for i, node in enumerate(nodes)}
-        closed: List[int] = []
-        for i, node in enumerate(nodes):
-            mask = 1 << i
-            for neighbor in graph.adjacency(node):
-                mask |= 1 << index[neighbor]
-            closed.append(mask)
+        nodes, _, adj = graph.numbering()
+        # Distinct bits (no self-loops), so their sum is their union.
+        closed = [sum(1 << j for j in row) | 1 << i for i, row in enumerate(adj)]
         closed2: List[int] = []
         for i in range(len(nodes)):
             mask = closed[i]

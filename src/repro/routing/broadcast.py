@@ -16,9 +16,8 @@ both call it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Iterable, List, Set, Tuple
+from typing import Hashable, Iterable, List, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
 from repro.wcds.base import WCDSResult
@@ -42,20 +41,12 @@ def blind_flood(graph: Graph, source: Hashable) -> BroadcastOutcome:
     """Classic flooding: every node retransmits the packet once.
 
     Transmissions equal the number of reached nodes (each forwards on
-    first receipt) — the broadcast-storm baseline.
+    first receipt) — the broadcast-storm baseline, and the schedule of a
+    backbone that holds every node.
     """
-    reached: Set[Hashable] = {source}
-    frontier = deque([source])
-    transmissions = 0
-    while frontier:
-        node = frontier.popleft()
-        transmissions += 1  # node forwards once
-        for nbr in canonical_order(graph.adjacency(node)):
-            if nbr not in reached:
-                reached.add(nbr)
-                frontier.append(nbr)
+    _, covered = SpannerIndex(graph, graph.nodes()).schedule(source)
     return BroadcastOutcome(
-        transmissions=transmissions, covered=len(reached), total=graph.num_nodes
+        transmissions=covered, covered=covered, total=graph.num_nodes
     )
 
 
@@ -63,30 +54,32 @@ class SpannerIndex:
     """Backbone-broadcast schedules over one fixed weakly induced spanner.
 
     The spanner keeps every node of ``graph`` and the black edges, those
-    with at least one endpoint in ``backbone``.  The nodes are numbered
-    once in canonical order and each node's spanner neighbours stored as
-    a tuple of numbers, so a schedule is one plain FIFO BFS over
-    integers.
+    with at least one endpoint in ``backbone``.  The nodes are the
+    graph's shared :meth:`~repro.graphs.graph.Graph.numbering` and each
+    node's spanner neighbours are a tuple of numbers, so a schedule is
+    one plain FIFO BFS over integers.
     """
 
     def __init__(self, graph: Graph, backbone: Iterable[Hashable]) -> None:
         members = set(backbone)
-        self._nodes: List[Hashable] = canonical_order(graph.nodes())
-        self._index = {node: i for i, node in enumerate(self._nodes)}
-        rank = self._index.__getitem__
-        self._backbone = bytearray(len(self._nodes))
-        self._links: List[Tuple[int, ...]] = []
-        for i, node in enumerate(self._nodes):
-            nbrs: AbstractSet[Hashable] = graph.adjacency(node)
-            if node in members:
-                self._backbone[i] = 1
-            else:
-                nbrs = nbrs & members
-            # With mixed id types canonical order falls back to repr,
-            # which need not agree with the global numbering (10 sorts
-            # before 9), so the neighbours keep their own canonical
-            # order rather than index order.
-            self._links.append(tuple(map(rank, canonical_order(nbrs))))
+        numbering = graph.numbering()
+        nodes, self._index, adj = numbering
+        self._nodes = nodes
+        self._backbone = bytearray(node in members for node in nodes)
+        black = self._backbone
+        self._links: List[Tuple[int, ...]] = [
+            row if black[i] else tuple([j for j in row if black[j]])
+            for i, row in enumerate(adj)
+        ]
+        if not numbering.natural:
+            # With mixed id types the global order is the repr fallback,
+            # which need not agree with a neighbour set's own canonical
+            # order (10 sorts before 9), so re-sort each row by its ids.
+            rank = self._index.__getitem__
+            self._links = [
+                tuple(map(rank, canonical_order(nodes[j] for j in row)))
+                for row in self._links
+            ]
 
     def schedule(self, source: Hashable) -> Tuple[List[Hashable], int]:
         """The forwarders of a backbone broadcast from ``source``, in

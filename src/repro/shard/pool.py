@@ -278,9 +278,10 @@ class ShardServePool(WorkerClient):
             self._apply_contribution(tile)
         backbone = self.backbone_nodes()
         workers = self.config.workers
-        #: Shared-array row ``i`` is node ``_nodes[i]`` (worker mode).
-        self._nodes: List[Node] = canonical_order(graph.positions) if workers else []
-        self._index = {node: i for i, node in enumerate(self._nodes)}
+        #: Shared-array row ``i`` is node ``_nodes[i]`` (worker mode); moves
+        #: never reorder the start-time numbering.
+        self._nodes: Sequence[Node] = graph.numbering().nodes if workers else ()
+        self._index = graph.numbering().index if workers else {}
         self.group = WorkerGroup(
             handler=_serve_tiles,
             count=workers,

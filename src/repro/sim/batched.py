@@ -5,10 +5,11 @@
 plans, same transport retransmits, same ``perturbed_schedule`` tie
 breaks — but restructures the hot loop around local broadcast:
 
-* **Audience tables from CSR.**  At construction the whole adjacency is
-  expanded once through :func:`repro.kernels.bfs.graph_to_csr` and
-  lex-sorted into per-sender canonical audience tuples, replacing the
-  oracle's per-transmit ``canonical_order(adjacency)`` sort.  A
+* **Audience tables from the graph's numbering.**  At the first
+  broadcast every sender's audience is read off
+  :meth:`Graph.numbering() <repro.graphs.graph.Graph.numbering>`
+  (``nodes[j] for j in adj[i]``), replacing the oracle's per-transmit
+  ``canonical_order(adjacency)`` sort.  A
   :attr:`Graph.version <repro.graphs.graph.Graph.version>` check keeps
   the tables honest under mobility.
 * **Struct-of-arrays event queue.**  Instead of one global heap of
@@ -38,11 +39,10 @@ construction.
 from __future__ import annotations
 
 import heapq
-import weakref
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.kernels._compat import HAVE_NUMPY, require_numpy
+from repro.kernels._compat import HAVE_NUMPY
 from repro.sim.config import SimConfig
 from repro.sim.engine import _DELIVER, _FAULT, NodeFactory, Simulator
 from repro.sim.latency import FixedLatency
@@ -67,16 +67,6 @@ ENGINES: Tuple[str, ...] = ("event", "batched", "auto")
 #: Below this node count the bucket queue's bookkeeping rivals the heap
 #: it replaces; same crossover the kernels use in ``resolve_method``.
 AUTO_THRESHOLD = 64
-
-#: Audience tables memoized per live graph, keyed by mutation version.
-#: Fleet sweeps and benchmarks run thousands of simulators over one
-#: topology; the CSR expansion is identical every time, so share it.
-#: Entries die with their graph (weak keys) and a version mismatch
-#: forces a rebuild, so stale adjacency can never leak into a run.
-_AUDIENCE_CACHE: "weakref.WeakKeyDictionary[Graph, Tuple[int, Dict[Hashable, Tuple[Hashable, ...]]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def resolve_engine(engine: str, *, size: int, threshold: int = AUTO_THRESHOLD) -> str:
     """Resolve an engine request to ``"event"`` or ``"batched"``.
@@ -124,8 +114,7 @@ class BatchedSimulator(Simulator):
     """Bucket-queue simulator, bit-identical to the event oracle.
 
     See the module docstring for the data layout and the exactness
-    contract.  Requires numpy (construction raises
-    :class:`~repro.kernels.KernelUnavailableError` otherwise).
+    contract.
     """
 
     def __init__(
@@ -145,10 +134,10 @@ class BatchedSimulator(Simulator):
         self._times: List[float] = []
         self._audience: Dict[Hashable, Tuple[Hashable, ...]] = {}
         self._graph_version = graph.version
-        # The bulk CSR expansion is deferred to the first broadcast:
-        # construction stays cheap for runs that never fan out (or get
-        # stepped a few events at a time), and mutation-heavy runs fall
-        # back to per-sender refills instead of re-expanding everything.
+        # The bulk table is deferred to the first broadcast: construction
+        # stays cheap for runs that never fan out (or get stepped a few
+        # events at a time), and mutation-heavy runs fall back to
+        # per-sender refills instead of re-reading every row.
         self._audience_bulk_pending = True
         super().__init__(graph, node_factory, config, tracer=tracer, registry=registry)
         latency = self.latency
@@ -162,49 +151,21 @@ class BatchedSimulator(Simulator):
     # ------------------------------------------------------------------
     # Audience tables
     # ------------------------------------------------------------------
-    def _build_audiences_for(self, graph: Graph) -> None:
-        """Expand the whole adjacency into canonical audience tuples.
-
-        One CSR pass replaces a per-transmit ``canonical_order`` over
-        the neighbor set: :func:`~repro.kernels.bfs.graph_to_csr`
-        returns the edge arrays sorted by ``(head, tail)`` with node
-        indices in canonical order, so each head segment's tail run
-        *is* that sender's canonical audience.  The expanded table is
-        memoized per ``(graph, version)`` so simulators sweeping seeds
-        over one topology pay for the expansion once.
-        """
-        version = graph.version
-        cached = _AUDIENCE_CACHE.get(graph)
-        if cached is not None and cached[0] == version:
-            table = cached[1]
-        else:
-            table = self._expand_audiences(graph)
-            _AUDIENCE_CACHE[graph] = (version, table)
-        # Per-sender refills already present (post-mutation) take
-        # precedence over the memoized table.
-        merged = dict(table)
-        merged.update(self._audience)
-        self._audience = merged
-
-    @staticmethod
-    def _expand_audiences(graph: Graph) -> Dict[Hashable, Tuple[Hashable, ...]]:
-        from repro.kernels.bfs import graph_to_csr
-
-        np = require_numpy()
-        node_list, heads, tails = graph_to_csr(graph)
-        if len(heads) == 0:
-            return {node: () for node in node_list}
-        indices = np.arange(len(node_list))
-        starts = np.searchsorted(heads, indices, side="left")
-        ends = np.searchsorted(heads, indices, side="right")
-        tail_nodes = [node_list[j] for j in tails.tolist()]
-        return {
-            node: tuple(tail_nodes[starts[i] : ends[i]])
-            for i, node in enumerate(node_list)
+    def _fill_audiences(self) -> None:
+        """Every sender's canonical audience from the graph's numbering,
+        when it is in natural order; on mixed ids a neighbour set's own
+        canonical order may differ, so senders refill one by one."""
+        numbering = self.graph.numbering()
+        if not numbering.natural:
+            return
+        nodes = numbering.nodes
+        self._audience = {
+            node: tuple([nodes[j] for j in row])
+            for node, row in zip(nodes, numbering.adj)
         }
 
     def audience_of(self, sender: Hashable) -> Tuple[Hashable, ...]:
-        """Canonical audience of ``sender`` from the memoized table."""
+        """Canonical audience of ``sender`` from the per-run table."""
         if self.graph.version != self._graph_version:
             self._graph_version = self.graph.version
             self._audience.clear()
@@ -212,7 +173,7 @@ class BatchedSimulator(Simulator):
         if audience is None:
             if self._audience_bulk_pending:
                 self._audience_bulk_pending = False
-                self._build_audiences_for(self.graph)
+                self._fill_audiences()
                 audience = self._audience.get(sender)
                 if audience is not None:
                     return audience

@@ -39,7 +39,6 @@ from typing import (
     Tuple,
 )
 
-from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.workers import SharedPositions, WorkerClient, WorkerEnv, WorkerGroup
 
@@ -194,7 +193,7 @@ class FleetRunner(WorkerClient):
         self.graph = graph
         self.workers = _default_workers() if workers is None else workers
         self.registry = registry
-        nodes = canonical_order(graph.positions) if self.workers else []
+        nodes = graph.numbering().nodes if self.workers else ()
         self.group = WorkerGroup(
             handler=_run_trials,
             count=self.workers,

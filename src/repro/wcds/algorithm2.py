@@ -54,7 +54,7 @@ from repro.sim.node import NodeContext
 from repro.sim.stats import SimStats
 from repro.transport.reliable import aggregate_transport
 from repro.wcds.base import BackboneResult, WCDSResult
-from repro.wcds.connectors import number_nodes, select_connectors
+from repro.wcds.connectors import select_connectors
 
 MIS_DOMINATOR = "MIS-DOMINATOR"
 GRAY = "GRAY"
@@ -380,8 +380,13 @@ def algorithm2_centralized(graph: Graph) -> WCDSResult:
         raise ValueError("Algorithm II requires a non-empty graph")
     if not is_connected(graph):
         raise ValueError("Algorithm II requires a connected graph")
+    numbering = graph.numbering()
+    if not numbering.natural:
+        raise TypeError(
+            "Algorithm II ranks nodes by id: the ids must be mutually comparable"
+        )
     mis = greedy_mis(graph)
-    nodes, _, adj = number_nodes(graph, graph.nodes())
+    nodes, _, adj = numbering
     is_mis = bytearray(node in mis for node in nodes)
     leaders = [i for i, flag in enumerate(is_mis) if flag]
     pairs_covered = [

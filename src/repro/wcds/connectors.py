@@ -14,10 +14,12 @@ centrally:
 
 So scanning ``v`` in ascending order, then ``x ∈ N(v)``, then the MIS
 neighbours ``w`` of ``x``, the first ``v`` that reaches a new ``w`` is
-the minimum candidate.  Both the whole-graph construction
-(:func:`repro.wcds.algorithm2.algorithm2_centralized`) and the tiled one
-(:class:`repro.shard.stitch.ShardedBackbone`) number their graph with
-:func:`number_nodes` and call the kernel.
+the minimum candidate.  The whole-graph construction
+(:func:`repro.wcds.algorithm2.algorithm2_centralized`) reads the graph's
+shared :meth:`~repro.graphs.graph.Graph.numbering`; the tiled one
+(:class:`repro.shard.stitch.ShardedBackbone`) and the mobility
+maintainer (:class:`repro.mobility.MaintainedWCDS`) number a local
+region with :func:`number_nodes`.  All three call the kernel.
 """
 
 from __future__ import annotations

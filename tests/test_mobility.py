@@ -1,5 +1,7 @@
 """Tests for random-waypoint mobility and local WCDS maintenance."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -134,3 +136,85 @@ class TestMaintainedWCDS:
                 saw_change = True
                 assert report.promoted_mis <= maintained.mis | report.demoted_mis
         assert saw_change  # fast movement must eventually change roles
+
+
+class _PairwiseConnectorRule(MaintainedWCDS):
+    """The connector repair as it stood before it called the shared
+    kernel: one 3-hop BFS per affected dominator over every MIS node,
+    and one 2-hop BFS per pair to pick the minimum intermediate."""
+
+    def _repair_connectors(self, events, report):
+        from repro.graphs import bfs_distances
+
+        affected = set(events.endpoints) | report.promoted_mis | report.demoted_mis
+        affected_mis = set()
+        for node in affected:
+            if node not in self.udg:
+                continue
+            reach = bfs_distances(self.udg, node, cutoff=3)
+            affected_mis.update(m for m in reach if m in self.mis)
+        before = set(self.connectors.values())
+        for pair, via in list(self.connectors.items()):
+            u, w = pair
+            intact = (
+                u in self.mis
+                and w in self.mis
+                and via in self.udg
+                and self.udg.has_edge(u, via)
+                and bool(self.udg.adjacency(via) & self.udg.adjacency(w))
+            )
+            if not intact:
+                self.connectors.pop(pair)
+                affected_mis.update(n for n in pair if n in self.mis)
+        for pair in [p for p in self.connectors if set(p) & (affected_mis | affected)]:
+            self.connectors.pop(pair)
+        for pair, via in list(self.connectors.items()):
+            if via in affected or set(pair) & affected_mis:
+                self.connectors.pop(pair, None)
+        for u in sorted(affected_mis):
+            if u not in self.mis:
+                continue
+            dist = bfs_distances(self.udg, u, cutoff=3)
+            for w in sorted(self.mis):
+                if w == u or dist.get(w) != 3:
+                    continue
+                pair = (u, w) if u < w else (w, u)
+                if pair in self.connectors:
+                    continue
+                dist_w = bfs_distances(self.udg, pair[1], cutoff=2)
+                candidates = [
+                    v
+                    for v in self.udg.adjacency(pair[0])
+                    if dist_w.get(v) == 2 and v not in self.mis
+                ]
+                if candidates:
+                    self.connectors[pair] = min(candidates)
+        after = set(self.connectors.values())
+        report.added_connectors.update(after - before - self.mis)
+        report.removed_connectors.update(before - after - self.mis)
+
+
+class TestConnectorRule:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_repair_matches_pairwise_picks(self, seed):
+        # One seeded stream of waypoint steps and radios turning off,
+        # replayed on two copies of the deployment.
+        g = connected_random_udg(40, 4.5, seed=seed)
+        ours, reference = MaintainedWCDS(g), _PairwiseConnectorRule(g.copy())
+        model = RandomWaypointModel(g, 4.5, speed_range=(0.1, 0.3), seed=seed)
+        rng = random.Random(seed)
+        pairs = 0
+        for _ in range(15):
+            events = model.step()
+            for node in events.moved:
+                reference.udg.move_node(node, g.positions[node])
+            ours.apply_events(events)
+            reference.apply_events(events)
+            if rng.random() < 0.3:
+                node = rng.choice(sorted(g.nodes()))
+                ours.node_off(node)
+                reference.node_off(node)
+            assert ours.mis == reference.mis
+            assert ours.connectors == reference.connectors
+            pairs += len(ours.connectors)
+        assert pairs > 0

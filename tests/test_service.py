@@ -680,7 +680,6 @@ class TestShardedService:
         config = ServiceConfig(tile_size=3.5)
         service = BackboneService(jittered_grid(400, seed), config)
         graph = service.graph
-        tiler = service._backbone.tiler
         rng = random.Random(seed)
         nodes = sorted(graph.positions)
         for _ in range(12):
@@ -690,6 +689,10 @@ class TestShardedService:
                 service.move(node, pos.x + rng.uniform(-0.1, 0.1),
                              pos.y + rng.uniform(-0.1, 0.1))
             service.refresh()
+            # Read after the refresh: when noting would cost more than a
+            # build (measured, so timing decides), it re-constructs the
+            # backbone and its tiler.
+            tiler = service._backbone.tiler
             assert all(
                 tiler.owner[node] == tiler.tile_of(pos)
                 for node, pos in graph.positions.items()

@@ -9,15 +9,17 @@ API around it.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import default_fault_plan
-from repro.graphs import Graph, connected_random_udg
+from repro.graphs import Graph, build_udg, connected_random_udg
 from repro.mis import id_ranking
 from repro.mis.distributed import MisNode
+from repro.routing import flood_protocol
 from repro.sim import (
     BatchedSimulator,
     ProtocolNode,
@@ -190,6 +192,39 @@ class TestEngineSelection:
         )
 
 
+def _mixed_ids(graph):
+    """``graph`` with about 30% of its int ids renamed ``s<id>``."""
+    rng = random.Random(len(graph))
+    names = {n: f"s{n}" if rng.random() < 0.3 else n for n in graph.nodes()}
+    return build_udg({names[n]: p for n, p in graph.positions.items()})
+
+
+class TestMixedIds:
+    def test_all_int_audience_keeps_its_own_order(self):
+        # Globally "a" < 10 < 9 (repr order), but the int neighbour set
+        # {9, 10} sorts naturally on its own, as the oracle sorts it.
+        g = Graph(edges=[("a", 9), ("a", 10), (9, 10)])
+        batched = BatchedSimulator(g, lambda ctx: ProtocolNode(ctx))
+        event = Simulator(g, lambda ctx: ProtocolNode(ctx))
+        for node in ("a", 9, 10):
+            assert batched.audience_of(node) == event.audience_of(node)
+        assert batched.audience_of("a") == (9, 10)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lossy_flood_matches_oracle(self, seed):
+        graph = _mixed_ids(connected_random_udg(80, 5.0, seed=0))
+        assert {type(n) for n in graph.nodes()} == {int, str}
+        source = min(n for n in graph.nodes() if isinstance(n, int))
+
+        def run(engine):
+            outcome, stats = flood_protocol(
+                graph, source, sim=SimConfig(loss_rate=0.3, seed=seed, engine=engine)
+            )
+            return outcome, _stats_key(stats)
+
+        assert run("batched") == run("event")
+
+
 class TestTopologyStaleness:
     def test_graph_version_counts_mutations(self):
         g = Graph(edges=[(0, 1)])
@@ -240,12 +275,12 @@ class TestTopologyStaleness:
                 heard.append(self.node_id)
 
         g = Graph(edges=[(0, 1)])
-        # First simulator memoizes the audience table for this graph.
+        # First simulator numbers the graph (cached on it per version).
         BatchedSimulator(g, lambda ctx: Shout(ctx)).run()
         assert heard == [1]
         g.add_edge(0, 2)
-        # A fresh simulator on the mutated graph must rebuild, not
-        # serve the memoized 2-node table.
+        # A fresh simulator on the mutated graph must renumber, not
+        # serve the cached 2-node numbering.
         heard.clear()
         BatchedSimulator(g, lambda ctx: Shout(ctx)).run()
         assert sorted(heard) == [1, 2]
