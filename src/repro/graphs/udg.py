@@ -257,7 +257,8 @@ class UnitDiskGraph(Graph):
 
         if radius < 0:
             raise ValueError("query radius must be non-negative")
-        nodes = self.numbering().nodes
+        numbering = self.numbering()
+        nodes = numbering.nodes
         coords = [
             (self.positions[node].x, self.positions[node].y) for node in nodes
         ]
@@ -268,8 +269,10 @@ class UnitDiskGraph(Graph):
         )
         results: List[List[Node]] = []
         for row in inside:
-            hits = row.nonzero()[0].tolist()
-            results.append([nodes[j] for j in hits])
+            hits = [nodes[j] for j in row.nonzero()[0].tolist()]
+            # Number order is canonical order for the whole deployment;
+            # on mixed ids a subset's canonical order may differ.
+            results.append(hits if numbering.natural else canonical_order(hits))
         return results
 
     # ------------------------------------------------------------------

@@ -10,15 +10,20 @@ every owned status is settled.  The protocol:
   status.  Otherwise it is OUT if some lower-rank neighbor is known IN;
   IN if its whole unit disk is visible to the tile (so the tile sees
   *every* neighbor) and all lower-rank neighbors are known OUT; and
-  UNKNOWN when a lower-rank neighbor is still unsettled.
+  UNKNOWN when a lower-rank neighbor is still unsettled.  A tile keeps
+  its statuses while its numbering lives, so a later pass re-evaluates
+  only what changed: members whose pin or edges changed, and members
+  above a neighbour whose status flipped, in ascending rank.
 
-* **Exchange.**  After a pass, every owned node with a determined
-  status is published to the tiles consuming it in their halo.  A tile
-  whose pins changed is re-passed.  Determined statuses are exact
-  (induction over rank: OUT needs an exact IN witness, IN needs full
-  visibility plus exact OUT witnesses), so the fixpoint equals the
-  global lexicographically-first MIS — dependency chains that cross
-  tiles simply take one exchange round per boundary they cross.
+* **Exchange.**  After a pass, an owned node whose determined status
+  flipped is published to the tiles consuming it in their halo (every
+  determined status after a full pass, and once the tiler replaced the
+  tile's publisher list).  A tile whose pins changed is re-passed.
+  A pin stays until its owner publishes a different verdict, so a
+  re-stitch may start from pins that a move made wrong; the fixpoint is
+  still the global lexicographically-first MIS, by induction over rank
+  (see :meth:`ShardedBackbone._stitch`).  Dependency chains that cross
+  tiles take one exchange round per boundary they cross.
 
 * **Connectors.**  Once statuses are settled, each tile selects
   Algorithm II's additional dominators for the 3-hop MIS pairs *led*
@@ -33,7 +38,7 @@ position) are re-passed, and the wave cascades further only when a
 published frontier status actually changed.  A move re-derives only
 what it touched: a tile the node stays in patches a copy of its index,
 and connectors are re-picked only near the change (see
-:meth:`ShardedBackbone._tile_connectors`).
+:func:`_connector_ball`).
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import (
-    AbstractSet, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
-    Sequence, Set, Tuple,
+    AbstractSet, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.geometry.point import Point
@@ -53,7 +59,7 @@ from repro.obs.tracing import get_tracer
 from repro.shard.config import ShardConfig
 from repro.shard.tiler import TileId, Tiler
 from repro.wcds.base import BackboneResult
-from repro.wcds.connectors import number_nodes, select_connectors
+from repro.wcds.connectors import MisRows, number_nodes, select_connectors
 
 Node = Hashable
 Pair = Tuple[Node, Node, Node]
@@ -61,9 +67,13 @@ Pair = Tuple[Node, Node, Node]
 #: Registry name of the sharded construction.
 ALGORITHM_NAME = "wcds-sharded"
 
-#: Hops within which a leader's connector picks read edges and MIS
-#: flags (Algorithm II pairs MIS nodes exactly three hops apart).
-CONNECTOR_REACH = 3
+#: Hops within which a leader's connector picks read MIS flags, and
+#: within which they read adjacency rows: Algorithm II pairs MIS nodes
+#: exactly three hops apart, and :func:`select_connectors` reads the
+#: rows of the nodes within two hops of a leader and the flags of the
+#: nodes within three.
+FLAG_REACH = 3
+ROW_REACH = 2
 
 
 class _TileIndex:
@@ -92,7 +102,8 @@ class _TileIndex:
         self, graph: UnitDiskGraph, tiler: Tiler, tile: TileId, node: Node
     ) -> Tuple["_TileIndex", Set[int]]:
         """A copy with ``node``'s edges and visibility re-read, and the
-        numbers of ``node`` and its old and new neighbours.
+        numbers whose rows changed: ``node`` and the neighbours it
+        gained or lost.
 
         ``node`` must be a member before and after its move, so the
         member set (and the numbering) is unchanged; only the rows of
@@ -110,7 +121,8 @@ class _TileIndex:
         lower = patched.lower = list(self.lower)
         adj[i] = new
         lower[i] = new[: bisect_left(new, i)]
-        for j in sorted(set(old).symmetric_difference(new)):
+        gained_or_lost = sorted(set(old).symmetric_difference(new))
+        for j in gained_or_lost:
             row = list(adj[j])
             if j in new:
                 insort(row, i)
@@ -120,15 +132,29 @@ class _TileIndex:
             lower[j] = adj[j][: bisect_left(row, j)]
         patched.visible = bytearray(self.visible)
         patched.visible[i] = tiler.sees_disk(tile, node)
-        return patched, {i, *old, *new}
+        return patched, {i, *gained_or_lost}
 
 
-class _Scope(NamedTuple):
-    """What a stitch changed in a tile whose numbering it kept: the
-    statuses before the stitch, and the nodes whose edges changed."""
+class _Tile:
+    """One live tile's stitch state, kept between stitches.
 
-    before: Mapping[Node, Optional[bool]]
-    changed: AbstractSet[Node]
+    ``status`` is aligned with ``index``'s numbering and lives as long as
+    it; ``index`` is ``None`` from the moment the tile must be
+    renumbered until its next (full) pass.  ``pins`` hold the verdicts
+    the owners published for halo members; ``dirty`` the members whose
+    pin or edges changed since the last pass; ``waiting`` the numbers of
+    owned members with no status yet; ``connectors`` the pairs ``(u, w,
+    chosen)`` by the number of their leader ``u``."""
+
+    __slots__ = ("index", "status", "pins", "dirty", "waiting", "connectors")
+
+    def __init__(self) -> None:
+        self.index: Optional[_TileIndex] = None
+        self.status: List[Optional[bool]] = []
+        self.pins: Dict[Node, bool] = {}
+        self.dirty: Set[Node] = set()
+        self.waiting: Set[int] = set()
+        self.connectors: Dict[int, List[Pair]] = {}
 
 
 def _ball(adj: Sequence[Tuple[int, ...]], seeds: Iterable[int], hops: int) -> Set[int]:
@@ -142,6 +168,28 @@ def _ball(adj: Sequence[Tuple[int, ...]], seeds: Iterable[int], hops: int) -> Se
     return ball
 
 
+def _connector_ball(
+    adj: Sequence[Tuple[int, ...]], flipped: Iterable[int], rows: Iterable[int]
+) -> Set[int]:
+    """The members whose connector picks may differ after a stitch
+    that flipped the MIS flags of ``flipped`` and changed the rows of
+    ``rows`` (the moved node and the neighbours it gained or lost).
+
+    A leader's picks read the rows within :data:`ROW_REACH` hops of it
+    and the flags within :data:`FLAG_REACH`.  A leader outside this
+    ball is more than two hops from every changed row over the new
+    edges, and over the old ones too: an old path of at most two edges
+    from it to a changed row that used an edge the move changed reaches
+    the moved node from a neighbour, which either lost it (and is a
+    changed row) or kept it (and the path up to the moved node is a new
+    one).  So the rows within two hops of the leader, and hence the
+    nodes within three, are the same before and after, none of their
+    flags flipped, and its kept picks are exact."""
+    near_flips = _ball(adj, flipped, FLAG_REACH - ROW_REACH)
+    near_flips.update(rows)
+    return _ball(adj, near_flips, ROW_REACH)
+
+
 @dataclass(frozen=True)
 class InvalidationReport:
     """What one churn event invalidated and rebuilt.
@@ -150,8 +198,11 @@ class InvalidationReport:
     halo consumers, at the old and new position) — the boundary-only
     invalidation set.  ``rebuilt`` is every tile actually re-passed;
     ``cascaded`` is the part of ``rebuilt`` beyond the seeds, reached
-    only because a published frontier status changed.  Gentle interior
-    churn keeps ``cascaded`` empty — the benchmark gate asserts it.
+    only because a published frontier status changed, possibly only
+    for a while: a status computed from a kept pin the change made
+    wrong is published and then corrected, so a cascaded tile's final
+    pins may equal its pins before.  Gentle interior churn keeps
+    ``cascaded`` empty — the benchmark gate asserts it.
     """
 
     node: Node
@@ -189,16 +240,7 @@ class ShardedBackbone:
         self.registry = registry
         self.tracer = tracer if tracer is not None else get_tracer()
         self.tiler = Tiler(graph.positions, graph.radius, self.config)
-        #: Per-tile pinned statuses: node -> True (MIS) / False, as
-        #: published by the node's owner tile.
-        self._pins: Dict[TileId, Dict[Node, bool]] = {}
-        #: Per-tile member statuses from the last local pass
-        #: (True = MIS, False = out, None = unsettled mid-stitch).
-        self._status: Dict[TileId, Dict[Node, Optional[bool]]] = {}
-        #: Per-tile connector selections ``(u, w, chosen)`` for the
-        #: 3-hop pairs led by the tile's owned MIS nodes.
-        self._connectors: Dict[TileId, List[Pair]] = {}
-        self._indexes: Dict[TileId, _TileIndex] = {}
+        self._tiles: Dict[TileId, _Tile] = {}
         self.last_rounds = 0
         with self.tracer.span(
             "shard_build", n=graph.num_nodes, tiles=len(self.tiler.tiles())
@@ -209,6 +251,8 @@ class ShardedBackbone:
             span.set_attr("rounds", rounds)
         if self.registry is not None:
             for tile in self.tiler.tiles():
+                index = self.tile_index(tile).index
+                status = self._tiles[tile].status
                 self.registry.histogram(
                     "shard_frontier_dominators",
                     "MIS dominators in one tile's frontier band",
@@ -216,7 +260,7 @@ class ShardedBackbone:
                     sum(
                         1
                         for v in self.tiler.frontier(tile)
-                        if self._status[tile].get(v) is True
+                        if status[index[v]] is True
                     )
                 )
 
@@ -228,12 +272,11 @@ class ShardedBackbone:
         ascending neighbour tuples (:func:`number_nodes`).  Renumbered
         when the tile's member set changes, patched when a member moves
         within it, and shared, so callers must not mutate it."""
-        cached = self._indexes.get(tile)
-        if cached is None:
-            cached = _TileIndex(self.graph, self.tiler, tile)
-            self._indexes[tile] = cached
+        state = self._tiles[tile]
+        if state.index is None:
+            state.index = _TileIndex(self.graph, self.tiler, tile)
             self._count_index("renumbered")
-        return cached
+        return state.index
 
     def _count_index(self, how: str, amount: int = 1) -> None:
         if self.registry is not None and amount:
@@ -243,48 +286,142 @@ class ShardedBackbone:
                 how=how,
             ).inc(amount)
 
-    def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
-        """One rank-ordered marking pass over the tile's members."""
+    def _local_pass(self, tile: TileId) -> Optional[Dict[int, Optional[bool]]]:
+        """Bring the tile's statuses up to date with its pins and index.
+
+        Returns the members whose status changed, by number, with their
+        status before the pass; ``None`` after a full pass of a tile
+        that was just (re)numbered, whose statuses are all new."""
+        state = self._tiles[tile]
+        if state.index is None:
+            self._full_pass(tile, state)
+            return None
+        return self._repass(tile, state, state.index)
+
+    def _full_pass(self, tile: TileId, state: _Tile) -> None:
+        """One rank-ordered marking pass over all of the tile's members."""
         tix = self.tile_index(tile)
         status: List[Optional[bool]] = [None] * len(tix.members)
         pinned = bytearray(len(tix.members))
         index = tix.index
-        for v, verdict in self._pins.get(tile, {}).items():
+        for v, verdict in state.pins.items():
             i = index.get(v)
             if i is not None:
                 status[i] = verdict
                 pinned[i] = 1
         visible = tix.visible
+        members = tix.members
+        owner = self.tiler.owner
+        waiting: Set[int] = set()
         for i, lower in enumerate(tix.lower):
             if pinned[i]:
                 continue
             unsettled = False
             for j in lower:
-                verdict = status[j]
-                if verdict is True:
+                known = status[j]
+                if known is True:
                     status[i] = False
                     break
-                if verdict is None:
+                if known is None:
                     unsettled = True
             else:
-                if not unsettled and visible[i]:
-                    status[i] = True
-        return dict(zip(tix.members, status))
+                if not unsettled:
+                    if visible[i]:
+                        status[i] = True
+                elif owner[members[i]] == tile:
+                    waiting.add(i)
+        state.status = status
+        state.waiting = waiting
+        state.dirty.clear()
 
-    def _publish(self, tile: TileId) -> Set[TileId]:
-        """Push determined owned statuses to consumer tiles; returns
-        the consumers whose pins changed."""
-        status = self._status[tile]
+    def _repass(
+        self, tile: TileId, state: _Tile, tix: _TileIndex
+    ) -> Dict[int, Optional[bool]]:
+        """Re-evaluate the dirty members, and every member above one
+        whose status flips, in ascending rank.
+
+        Exact: a member's status in a pass is a function of its pin,
+        its visibility and the statuses of its lower neighbours, and the
+        previous pass left every status equal to that function's value;
+        so only a member whose pin or row changed, or one of whose lower
+        neighbours flipped, can change."""
+        index = tix.index
+        heap = [i for i in map(index.get, state.dirty) if i is not None]
+        state.dirty.clear()
+        flips: Dict[int, Optional[bool]] = {}
+        if not heap:
+            return flips
+        heapify(heap)
+        queued = set(heap)
+        status = state.status
+        pins = state.pins
+        members, adj, lower, visible = tix.members, tix.adj, tix.lower, tix.visible
+        waiting = state.waiting
+        owner = self.tiler.owner
+        while heap:
+            i = heappop(heap)
+            v = members[i]
+            verdict = pins.get(v)
+            if verdict is None:
+                unsettled = False
+                for j in lower[i]:
+                    known = status[j]
+                    if known is True:
+                        verdict = False
+                        break
+                    if known is None:
+                        unsettled = True
+                else:
+                    if not unsettled and visible[i]:
+                        verdict = True
+            old = status[i]
+            if verdict is old:
+                continue
+            status[i] = verdict
+            flips[i] = old
+            if old is None:
+                waiting.discard(i)
+            elif verdict is None and owner[v] == tile:
+                waiting.add(i)
+            for j in adj[i][len(lower[i]):]:
+                if j not in queued:
+                    queued.add(j)
+                    heappush(heap, j)
+        return flips
+
+    def _publish(
+        self, tile: TileId, flips: Optional[Mapping[int, Optional[bool]]]
+    ) -> Set[TileId]:
+        """Push the owned statuses that ``flips`` determined to consumer
+        tiles (every determined owned status when ``flips`` is
+        ``None``); returns the consumers whose pins changed."""
+        tix = self.tile_index(tile)
+        status = self._tiles[tile].status
+        index = tix.index
+        publishers: Iterable[Tuple[Node, Tuple[TileId, ...]]]
+        if flips is None:
+            publishers = self.tiler.publishers(tile)
+        else:
+            members = tix.members
+            owner = self.tiler.owner
+            consumers = self.tiler.consumers
+            publishers = [
+                (v, consumers(v))
+                for v in [members[i] for i in flips if status[i] is not None]
+                if owner[v] == tile
+            ]
+        tiles = self._tiles
         dirty: Set[TileId] = set()
         published = 0
-        for v, consumers in self.tiler.publishers(tile):
-            verdict = status.get(v)
+        for v, consumers_of_v in publishers:
+            verdict = status[index[v]]
             if verdict is None:
                 continue
-            for consumer in consumers:
-                pins = self._pins.setdefault(consumer, {})
-                if pins.get(v) is not verdict:
-                    pins[v] = verdict
+            for consumer in consumers_of_v:
+                reader = tiles[consumer]
+                if reader.pins.get(v) is not verdict:
+                    reader.pins[v] = verdict
+                    reader.dirty.add(v)
                     published += 1
                     dirty.add(consumer)
         if self.registry is not None and published:
@@ -294,23 +431,25 @@ class ShardedBackbone:
             ).inc(published)
         return dirty
 
-    def _drop_stale_pins(self, pending: Set[TileId]) -> None:
-        """Remove pins that may no longer be exact: pins owned by a
-        tile that is itself being re-stitched, and pins of nodes that
-        left the deployment.  Pins from converged tiles stay — they are
-        exact and give the re-stitch its boundary conditions."""
-        for tile in pending:
-            pins = self._pins.get(tile)
-            if not pins:
+    def _install(
+        self, tile: TileId, state: _Tile, index: _TileIndex, changed: AbstractSet[Node]
+    ) -> None:
+        """Give the tile a patched index of the same numbering: the
+        members in ``changed`` are marked dirty, and re-counted as
+        waiting if they lack a status and the tile now owns them."""
+        state.index = index
+        status = state.status
+        owner = self.tiler.owner
+        for v in changed:
+            i = index.index.get(v)
+            if i is None:
                 continue
-            stale = [
-                v
-                for v in pins
-                if self.tiler.owner.get(v) is None
-                or self.tiler.owner[v] in pending
-            ]
-            for v in stale:
-                del pins[v]
+            state.dirty.add(v)
+            if status[i] is None:
+                if owner.get(v) == tile:
+                    state.waiting.add(i)
+                else:
+                    state.waiting.discard(i)
 
     def _stitch(
         self,
@@ -326,22 +465,49 @@ class ShardedBackbone:
         A pending tile takes its index from ``patched`` or is
         renumbered; ``changed`` are the nodes whose edges changed in
         the patched tiles.  Tiles reached beyond ``pending`` keep their
-        index (their members and edges did not change)."""
+        index (their members and edges did not change).
+
+        Why the fixpoint is the global lexicographically-first MIS,
+        although a re-stitch keeps pins the change may have made wrong.
+        Call a node *final* when its owner's status for it is its MIS
+        status and every tile holding it in its halo pins that status.
+        A pin changes only when its owner publishes, and an owner
+        publishes every status a pass flips to a determined value, and
+        every determined status once the tiler replaced its publisher
+        list (after its pass in round 1, or before round 1 if it is not
+        pending).  So from round 2 on every pin holds its owner's last
+        determined status.  Take the lowest-ranked node ``u`` that is
+        not final when a round starts: its lower neighbours are final
+        and stay so.  Had the owner's last pass read ``u``'s current
+        inputs, it would have found ``u``'s MIS status and published
+        it; so an input changed since (a pin, an edge, the numbering),
+        which made the owner pending, and its pass in this round makes
+        ``u`` final.  Each round finalizes at least one node, and when
+        no tile is pending every node is final."""
         live = set(self.tiler.tiles())
-        for tile in [t for t in self._status if t not in live]:
-            self._status.pop(tile, None)
-            self._connectors.pop(tile, None)
-            self._pins.pop(tile, None)
-            self._indexes.pop(tile, None)
+        tiles = self._tiles
+        for tile in [t for t in tiles if t not in live]:
+            del tiles[tile]
         pending = {tile for tile in pending if tile in live}
-        renumbered = pending - patched.keys()
-        for tile in renumbered:
-            self._indexes.pop(tile, None)
-        self._indexes.update(patched)
-        self._drop_stale_pins(pending)
-        #: Per re-passed tile, what its connector selection may reuse
-        #: (``None``: nothing, select in full).
-        scopes: Dict[TileId, Optional[_Scope]] = {}
+        for tile in pending:
+            state = tiles.get(tile)
+            if state is None:
+                state = tiles[tile] = _Tile()
+            index = patched.get(tile)
+            if index is None:
+                state.index = None
+            else:
+                self._install(tile, state, index, changed)
+        #: Tiles whose next publish must be full (the tiler replaced
+        #: their publisher list, so a tile may have started reading
+        #: one of their nodes); one not pending publishes now.
+        full = self.tiler.take_replaced_publishers() & live
+        for tile in sorted(full - pending):
+            pending |= self._publish(tile, None)
+        #: Per re-passed tile, the members whose status changed and
+        #: their status before the stitch (``None``: renumbered, its
+        #: connectors are selected in full).
+        scopes: Dict[TileId, Optional[Dict[int, Optional[bool]]]] = {}
         touched: Set[TileId] = set()
         rounds = 0
         passes = 0
@@ -355,9 +521,9 @@ class ShardedBackbone:
         exchange_rng = (
             random.Random(exchange_seed) if exchange_seed is not None else None
         )
-        # Each exchange round settles at least the globally minimum-rank
-        # unsettled node, so n + 1 rounds always suffice; exceeding the
-        # bound means a bug, not a slow instance.
+        # Each exchange round finalizes at least one node (see above),
+        # so n + 1 rounds always suffice; exceeding the bound means a
+        # bug, not a slow instance.
         max_rounds = self.graph.num_nodes + 2
         while pending:
             rounds += 1
@@ -371,31 +537,41 @@ class ShardedBackbone:
             if exchange_rng is not None:
                 exchange_rng.shuffle(order)
             for tile in order:
-                if tile not in scopes:
-                    before = self._status.get(tile)
-                    if before is None or tile in renumbered:
-                        scopes[tile] = None
-                    else:
-                        edges = changed if tile in patched else frozenset()
-                        scopes[tile] = _Scope(before, edges)
-                self._status[tile] = self._local_pass(tile)
+                flips = self._local_pass(tile)
+                if flips is None or tile not in scopes:
+                    scopes[tile] = flips
+                else:
+                    earlier = scopes[tile]
+                    if earlier is not None:
+                        # A status from before the stitch wins.
+                        scopes[tile] = {**flips, **earlier}
                 touched.add(tile)
                 passes += 1
-                dirty |= self._publish(tile)
+                if tile in full:
+                    full.discard(tile)
+                    flips = None
+                dirty |= self._publish(tile, flips)
             # A tile not passed this round was settled when last passed
             # (an unsettled one is pending again), so only ``order`` can
             # hold an unsettled owned node.
-            unsettled = {
-                tile
-                for tile in order
-                if any(
-                    self._status[tile].get(v) is None
-                    for v in self.tiler.owned(tile)
-                )
-            }
-            pending = {tile for tile in dirty | unsettled if tile in live}
+            waiting = {tile for tile in order if tiles[tile].waiting}
+            pending = {tile for tile in dirty | waiting if tile in live}
         for tile in sorted(touched):
-            self._connectors[tile] = self._tile_connectors(tile, scopes[tile])
+            state = tiles[tile]
+            scope = scopes[tile]
+            ball: Optional[Set[int]] = None
+            if scope is not None:
+                tix = self.tile_index(tile)
+                status = state.status
+                flipped = [
+                    i for i, old in scope.items()
+                    if (old is True) != (status[i] is True)
+                ]
+                rows: List[int] = []
+                if tile in patched:
+                    rows = [tix.index[v] for v in changed if v in tix.index]
+                ball = _connector_ball(tix.adj, flipped, rows)
+            state.connectors = self._tile_connectors(tile, ball)
         self.last_rounds = rounds
         if self.registry is not None:
             self.registry.counter(
@@ -413,54 +589,51 @@ class ShardedBackbone:
             ).set(len(live))
         return touched, rounds
 
-    def _tile_connectors(self, tile: TileId, scope: Optional[_Scope]) -> List[Pair]:
+    def _tile_connectors(
+        self, tile: TileId, ball: Optional[AbstractSet[int]]
+    ) -> Dict[int, List[Pair]]:
         """Algorithm II connector selection for pairs led by owned MIS
         nodes — the centralized rule on the tile's members (exact by
-        the ≥3-radii halo).
+        the ≥3-radii halo) — by leader number.
 
-        With a ``scope`` only the leaders within three hops (over the
-        new edges) of a change are re-selected, and every other pair
-        is kept.  The changes are the nodes whose edges changed and
-        the members whose MIS flag differs from before the stitch.
-        This is exact: a leader's picks read only the edges and MIS
-        flags within three hops of it, an edge that changed is
-        incident to the moved node, and a node within three hops of
-        the moved node before the move is still within three hops of
-        one of its old neighbours."""
+        With a ``ball`` (:func:`_connector_ball`) only the leaders in it
+        are re-selected, reading MIS rows only around them, and every
+        other leader keeps its pairs; ``None`` selects in full."""
+        state = self._tiles[tile]
         tix = self.tile_index(tile)
-        status = self._status[tile]
+        status = state.status
         members = tix.members
-        is_mis = bytearray(status[v] is True for v in members)
         owner = self.tiler.owner
-        leaders = [
-            i for i, v in enumerate(members) if is_mis[i] and owner[v] == tile
-        ]
-        kept: List[Pair] = []
-        if scope is not None:
-            index = tix.index
-            before = scope.before
-            seeds = [index[v] for v in scope.changed if v in index]
-            seeds.extend(
-                i
-                for i, v in enumerate(members)
-                if is_mis[i] != (before.get(v) is True)
+        connectors: Dict[int, List[Pair]] = {}
+        mis_adj: Optional[MisRows] = None
+        if ball is None:
+            leaders = [
+                i for i, s in enumerate(status) if s is True and owner[members[i]] == tile
+            ]
+        else:
+            if not ball:
+                return state.connectors
+            leaders = sorted(
+                i for i in ball if status[i] is True and owner[members[i]] == tile
             )
-            if not seeds:
-                return self._connectors[tile]
-            ball = _ball(tix.adj, seeds, CONNECTOR_REACH)
-            leaders = [i for i in leaders if i in ball]
-            kept = [p for p in self._connectors[tile] if index[p[0]] not in ball]
+            mis_adj = MisRows(tix.adj, status)
+            connectors = {
+                u: pairs for u, pairs in state.connectors.items() if u not in ball
+            }
         if self.registry is not None:
             self.registry.counter(
                 "shard_connector_leaders_total",
                 "MIS leaders whose connectors were re-selected, by scope",
-                scope="full" if scope is None else "ball",
+                scope="full" if ball is None else "ball",
             ).inc(len(leaders))
-        picks = [
-            (members[u], members[w], members[v])
-            for u, w, v in select_connectors(tix.adj, is_mis, leaders)
-        ]
-        return sorted(kept + picks) if kept else picks
+        for u, w, v in select_connectors(tix.adj, status, leaders, mis_adj):
+            pair = (members[u], members[w], members[v])
+            pairs = connectors.get(u)
+            if pairs is None:
+                connectors[u] = [pair]
+            else:
+                pairs.append(pair)
+        return connectors
 
     # ------------------------------------------------------------------
     # Results
@@ -474,12 +647,16 @@ class ShardedBackbone:
         mis: Set[Node] = set()
         additional: Set[Node] = set()
         pairs: List[Pair] = []
+        owner = self.tiler.owner
         for tile in self.tiler.tiles():
-            status = self._status[tile]
-            for v in self.tiler.owned(tile):
-                if status.get(v) is True:
-                    mis.add(v)
-            pairs.extend(self._connectors.get(tile, ()))
+            state = self._tiles[tile]
+            mis.update(
+                v
+                for v, status in zip(self.tile_index(tile).members, state.status)
+                if status is True and owner[v] == tile
+            )
+            for led in state.connectors.values():
+                pairs.extend(led)
         for _, _, chosen in pairs:
             additional.add(chosen)
         additional -= mis
@@ -497,17 +674,23 @@ class ShardedBackbone:
 
     def tile_status(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         """The tile's member statuses (read-only copy)."""
-        return dict(self._status.get(tile, {}))
+        state = self._tiles.get(tile)
+        if state is None or state.index is None:
+            return {}
+        return dict(zip(state.index.members, state.status))
 
     def tile_connectors(self, tile: TileId) -> List[Pair]:
-        """The tile's connector picks ``(u, w, chosen)`` (copy)."""
-        return list(self._connectors.get(tile, ()))
+        """The tile's connector picks ``(u, w, chosen)``, sorted (copy)."""
+        state = self._tiles.get(tile)
+        if state is None:
+            return []
+        connectors = state.connectors
+        return [pair for u in sorted(connectors) for pair in connectors[u]]
 
     def tile_backbone(self, tile: TileId) -> Set[Node]:
         """Backbone members visible to one tile (for its replica)."""
-        status = self._status.get(tile, {})
-        members = {v for v, s in status.items() if s is True}
-        for u, w, chosen in self._connectors.get(tile, ()):
+        members = {v for v, s in self.tile_status(tile).items() if s is True}
+        for _, _, chosen in self.tile_connectors(tile):
             members.add(chosen)
         # Connectors chosen by *other* tiles for pairs whose nodes this
         # tile can see are collected by the serving layer from the
@@ -546,7 +729,7 @@ class ShardedBackbone:
         patched: Dict[TileId, _TileIndex] = {}
         changed: Set[Node] = {node}
         for tile in sorted(before & after):
-            old = self._indexes.get(tile)
+            old = self._tiles[tile].index
             if old is None:
                 continue
             index, rows = old.moved(self.graph, self.tiler, tile, node)
@@ -578,6 +761,19 @@ class ShardedBackbone:
         changed: AbstractSet[Node] = frozenset(),
     ) -> InvalidationReport:
         with self.tracer.span("shard_invalidate", event=event) as span:
+            # A tile holds pins only for its halo: the node's pin goes
+            # from every tile that stopped reading it as halo (it left
+            # the deployment or the halo) or now owns it.  Every other
+            # pin stays until its owner publishes a different verdict.
+            readers = self.tiler.consumers(node)
+            for tile in pending:
+                state = self._tiles.get(tile)
+                if (
+                    state is not None
+                    and tile not in readers
+                    and state.pins.pop(node, None) is not None
+                ):
+                    state.dirty.add(node)
             touched, rounds = self._stitch(set(pending), "churn", patched, changed)
             seed_tuple = tuple(sorted(set(seeds)))
             cascaded = tuple(sorted(touched - set(seed_tuple)))

@@ -74,6 +74,9 @@ class Tiler:
         #: tile -> its :meth:`publishers`, until an owned node or one of
         #: their consumer sets changes.
         self._publishers: Dict[TileId, List[Tuple[Node, Tuple[TileId, ...]]]] = {}
+        #: Tiles whose publisher list was dropped since the last
+        #: :meth:`take_replaced_publishers`.
+        self._replaced: Set[TileId] = set()
         self._build()
 
     # ------------------------------------------------------------------
@@ -208,6 +211,18 @@ class Tiler:
             self._publishers[tile] = cached
         return cached
 
+    def take_replaced_publishers(self) -> Set[TileId]:
+        """The tiles whose :meth:`publishers` list changed since the
+        last call (their owned nodes or those nodes' consumers), and
+        forget them.  A stitch republishes each in full, because some
+        tile may have started reading one of its nodes."""
+        replaced, self._replaced = self._replaced, set()
+        return replaced
+
+    def _drop_publishers(self, tile: TileId) -> None:
+        self._publishers.pop(tile, None)
+        self._replaced.add(tile)
+
     def tiles_reading(self, node: Node) -> Tuple[TileId, ...]:
         """Every tile whose computation sees ``node``: owner + consumers."""
         tiles = set(self._consumers.get(node, ()))
@@ -294,7 +309,7 @@ class Tiler:
         tile = self.tile_of(pos)
         created = tile not in self._owned
         self.owner[node] = tile
-        self._publishers.pop(tile, None)
+        self._drop_publishers(tile)
         self._owned.setdefault(tile, set()).add(node)
         if created:
             self._adopt_halo_of_new_tile(tile)
@@ -306,7 +321,7 @@ class Tiler:
         affected = set(self.tiles_reading(node))
         tile = self.owner.pop(node, None)
         if tile is not None:
-            self._publishers.pop(tile, None)
+            self._drop_publishers(tile)
             owned = self._owned.get(tile)
             if owned is not None:
                 owned.discard(node)
@@ -333,10 +348,12 @@ class Tiler:
             affected |= self.on_node_added(node)
             return affected
         affected = set(self.tiles_reading(node))
-        for consumer in self._consumers.pop(node, set()):
+        consumers = self._consumers.pop(node, set())
+        for consumer in consumers:
             self._halo[consumer].discard(node)
-        self._publishers.pop(tile, None)
         self._index_halo(node, pos)
+        if self._consumers.get(node, set()) != consumers:
+            self._drop_publishers(tile)
         affected.update(self.tiles_reading(node))
         return affected
 
@@ -355,14 +372,14 @@ class Tiler:
                     if rect_distance_squared(pos.x, pos.y, rect) <= limit:
                         self._halo.setdefault(tile, set()).add(node)
                         self._consumers.setdefault(node, set()).add(tile)
-                        self._publishers.pop((cx, cy), None)
+                        self._drop_publishers((cx, cy))
 
     def _retire_tile(self, tile: TileId) -> None:
         """A tile lost its last owned node: forget it entirely."""
         self._owned.pop(tile, None)
-        self._publishers.pop(tile, None)
+        self._drop_publishers(tile)
         for node in self._halo.pop(tile, set()):
-            self._publishers.pop(self.owner[node], None)
+            self._drop_publishers(self.owner[node])
             consumers = self._consumers.get(node)
             if consumers is not None:
                 consumers.discard(tile)

@@ -20,11 +20,18 @@ shared :meth:`~repro.graphs.graph.Graph.numbering`; the tiled one
 (:class:`repro.shard.stitch.ShardedBackbone`) and the mobility
 maintainer (:class:`repro.mobility.MaintainedWCDS`) number a local
 region with :func:`number_nodes`.  All three call the kernel.
+
+The kernel reads each node's MIS neighbours.  A whole-graph run
+scatters them from the MIS nodes in one pass; a run whose few leaders
+read only a few rows (a tile re-selecting near a change) passes
+:class:`MisRows`, which gathers each row on first read instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.graphs.graph import Graph
 
@@ -52,33 +59,58 @@ def number_nodes(
     return nodes, index, adj
 
 
+class MisRows(Dict[int, List[int]]):
+    """Each node's MIS neighbours, ascending, gathered from ``adj`` on
+    first read: what :func:`select_connectors` scatters for a whole
+    graph, for a run that reads only the rows near its leaders."""
+
+    def __init__(
+        self, adj: Sequence[Tuple[int, ...]], is_mis: Sequence[Optional[int]]
+    ) -> None:
+        super().__init__()
+        self.adj = adj
+        self.is_mis = is_mis
+
+    def __missing__(self, x: int) -> List[int]:
+        is_mis = self.is_mis
+        row = self[x] = [w for w in self.adj[x] if is_mis[w]]
+        return row
+
+
 def select_connectors(
     adj: Sequence[Tuple[int, ...]],
-    is_mis: Sequence[int],
+    is_mis: Sequence[Optional[int]],
     leaders: Iterable[int],
+    mis_adj: Optional[Mapping[int, List[int]]] = None,
 ) -> List[Tuple[int, int, int]]:
     """Algorithm II's connector picks ``(u, w, v)`` for the 3-hop MIS
     pairs led by ``leaders``.
 
     ``adj[i]`` is node ``i``'s ascending neighbour tuple, ``is_mis[i]``
-    is non-zero for MIS nodes.  For each leader ``u`` (in the order
+    is truthy for MIS nodes.  For each leader ``u`` (in the order
     given; callers pass them ascending), every MIS node ``w > u`` at hop
     distance exactly 3 gets the minimum neighbour ``v`` of ``u`` on a
     3-hop path to it, and the leader's pairs come in ascending ``w``.
+    ``mis_adj`` is a :class:`MisRows` for the same ``adj`` and
+    ``is_mis``; without it the rows are scattered for every node.
     """
-    mis_adj: List[List[int]] = [[] for _ in adj]
-    for w, flag in enumerate(is_mis):
-        if flag:
-            for x in adj[w]:
-                mis_adj[x].append(w)
+    rows: Union[Mapping[int, List[int]], List[List[int]]]
+    if mis_adj is None:
+        rows = [[] for _ in adj]
+        for w, flag in enumerate(is_mis):
+            if flag:
+                for x in adj[w]:
+                    rows[x].append(w)
+    else:
+        rows = mis_adj
     pairs: List[Tuple[int, int, int]] = []
     for u in leaders:
         first = adj[u]
         # MIS nodes within two hops of u (and the found targets) are
         # never new targets.
-        blocked = set(mis_adj[u])
+        blocked = set(rows[u])
         for v in first:
-            blocked.update(mis_adj[v])
+            blocked.update(rows[v])
         # Nodes of N[u] only reach MIS nodes within two hops; a node x
         # at distance 2 yields its targets to the first v reaching it.
         seen = set(first)
@@ -89,7 +121,7 @@ def select_connectors(
                 if x in seen:
                     continue
                 seen.add(x)
-                for w in mis_adj[x]:
+                for w in rows[x]:
                     if w > u and w not in blocked:
                         blocked.add(w)
                         found.append((w, v))

@@ -218,10 +218,10 @@ class TestPairOrder:
 # ----------------------------------------------------------------------
 class SubgraphShardedBackbone(ShardedBackbone):
     """``ShardedBackbone`` with the deleted per-tile ``Graph.subgraph``
-    walk and BFS connectors, re-selected in full for every re-passed
-    tile.  Each pending or dead tile's subgraph is dropped before a
-    stitch, so a tile reads the graph afresh whenever its members or
-    edges may have changed."""
+    walk over every member on every pass, and BFS connectors re-selected
+    in full for every re-passed tile.  Each pending or dead tile's
+    subgraph is dropped before a stitch, so a tile reads the graph
+    afresh whenever its members or edges may have changed."""
 
     def __init__(self, *args, **kwargs) -> None:
         self._subgraphs: Dict[TileId, Graph] = {}
@@ -240,9 +240,11 @@ class SubgraphShardedBackbone(ShardedBackbone):
             self._subgraphs[tile] = cached
         return cached
 
-    def _local_pass(self, tile: TileId) -> Dict[Node, Optional[bool]]:
+    def _local_pass(self, tile: TileId) -> Optional[Dict[int, Optional[bool]]]:
+        state = self._tiles[tile]
+        renumbered = state.index is None
         sub = self._tile_subgraph(tile)
-        pinned = self._pins.get(tile, {})
+        pinned = state.pins
         visible = self.tiler.visible_members(tile)
         status: Dict[Node, Optional[bool]] = {}
         for v in canonical_order(sub.nodes()):
@@ -265,13 +267,30 @@ class SubgraphShardedBackbone(ShardedBackbone):
                 status[v] = None
             else:
                 status[v] = True
-        return status
+        # Stored in the fast path's layout: a vector in the tile's
+        # numbering, the owned members without a status, and the
+        # members whose status changed.
+        members = self.tile_index(tile).members
+        old, state.status = state.status, [status[v] for v in members]
+        state.waiting = {
+            i
+            for i, v in enumerate(members)
+            if status[v] is None and self.tiler.owner[v] == tile
+        }
+        state.dirty.clear()
+        if renumbered:
+            return None
+        return {i: old[i] for i, v in enumerate(members) if status[v] is not old[i]}
 
-    def _tile_connectors(self, tile: TileId, scope) -> List[Pair]:
+    def _tile_connectors(self, tile: TileId, seeds) -> Dict[int, List[Pair]]:
         sub = self._tile_subgraph(tile)
-        status = self._status[tile]
+        status = self.tile_status(tile)
         mis = {v for v in sub.nodes() if status.get(v) is True}
-        return bfs_connectors(sub, mis, set(self.tiler.owned(tile)))
+        index = self.tile_index(tile).index
+        connectors: Dict[int, List[Pair]] = {}
+        for pair in bfs_connectors(sub, mis, set(self.tiler.owned(tile))):
+            connectors.setdefault(index[pair[0]], []).append(pair)
+        return connectors
 
 
 def assert_same_state(fast: ShardedBackbone, oracle: ShardedBackbone) -> None:

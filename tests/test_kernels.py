@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, disk_occupancies, max_disk_occupancy
 from repro.graphs import (
+    UnitDiskGraph,
     all_pairs_hop_distances,
     bfs_distances,
     build_udg,
@@ -185,6 +186,17 @@ class TestDiskKernels:
         assert g.nodes_within_many(centers, radius, method="vector") == (
             g.nodes_within_many(centers, radius, method="pure")
         )
+
+    def test_nodes_within_many_engines_agree_on_mixed_ids(self):
+        # The whole deployment's canonical order is repr-keyed ('a',
+        # 10, 9); the hits 9 and 10 compare, so each list is [9, 10].
+        g = UnitDiskGraph(
+            {"a": Point(5.0, 5.0), 9: Point(0.0, 0.0), 10: Point(0.5, 0.0)}, 1.0
+        )
+        centers = [Point(0.25, 0.0), Point(5.0, 5.0), Point(0.0, 0.0)]
+        vector = g.nodes_within_many(centers, 1.0, method="vector")
+        assert vector == g.nodes_within_many(centers, 1.0, method="pure")
+        assert vector == [[9, 10], ["a"], [9, 10]]
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)

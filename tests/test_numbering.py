@@ -227,13 +227,16 @@ class TestClients:
             _former_bitset(g)
         )
 
+        # Each hit list in its own canonical order, as ``nodes_within``
+        # gives it: on mixed ids a subset's order need not be the
+        # deployment's (``[1, 2, 10]``, not the repr order ``[1, 10, 2]``).
         centers = [g.positions[n] for n in nodes[:4]]
         assert g.nodes_within_many(centers, 0.8, method="vector") == [
-            [
+            canonical_order(
                 n
-                for n in canonical_order(g.positions)
+                for n in g.positions
                 if distance_squared(g.positions[n], c) <= 0.8 * 0.8
-            ]
+            )
             for c in centers
         ]
 
