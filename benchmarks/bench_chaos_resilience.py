@@ -32,6 +32,7 @@ from typing import Dict, List
 from bench_utils import run_once, show
 from repro.faults import CHAOS_ALGORITHMS, FaultPlan, default_fault_plan, run_chaos
 from repro.graphs import connected_random_udg
+from repro.sim import SimConfig
 
 NODES = 60
 SIDE = 6.0
@@ -51,20 +52,17 @@ def _measure() -> List[Dict[str, object]]:
     graph = connected_random_udg(NODES, SIDE, seed=GRAPH_SEED)
     rows: List[Dict[str, object]] = []
     for algorithm in CHAOS_ALGORITHMS:
+        reliable = SimConfig(seed=RUN_SEED, transport=True)
+        lossy_sim = SimConfig(loss_rate=LOSS, seed=RUN_SEED, transport=True)
         bare = run_chaos(
-            algorithm, graph, FaultPlan(),
-            loss_rate=0.0, transport=None, seed=RUN_SEED,
+            algorithm, graph, FaultPlan(), sim=SimConfig(seed=RUN_SEED),
         )
-        clean = run_chaos(
-            algorithm, graph, FaultPlan(), loss_rate=0.0, seed=RUN_SEED,
-        )
-        lossy = run_chaos(
-            algorithm, graph, FaultPlan(), loss_rate=LOSS, seed=RUN_SEED,
-        )
+        clean = run_chaos(algorithm, graph, FaultPlan(), sim=reliable)
+        lossy = run_chaos(algorithm, graph, FaultPlan(), sim=lossy_sim)
         chaos = run_chaos(
             algorithm, graph,
             default_fault_plan(graph, loss=LOSS, crashes=2, seed=3),
-            loss_rate=LOSS, seed=RUN_SEED,
+            sim=lossy_sim,
         )
         for mode, report in (
             ("bare", bare), ("reliable", clean),

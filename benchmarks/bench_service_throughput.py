@@ -111,7 +111,6 @@ def test_churn_replay_zero_rebuilds_below_threshold(topology):
         "p95_route_seconds": summary.metrics["latency_seconds"]["route"]["p95"],
         "repairs": counters.get("repairs", 0),
         "rebuilds_full": counters.get("rebuilds_full", 0),
-        "roles_changed": counters.get("roles_changed", 0),
         "stale_served": counters.get("stale_served", 0),
     }
     encoded = json.dumps(payload, indent=2)

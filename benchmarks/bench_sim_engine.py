@@ -34,13 +34,10 @@ from bench_utils import show
 from repro.faults import default_fault_plan
 from repro.graphs.generators import connected_random_udg
 from repro.graphs.udg import build_udg
-from repro.kernels import HAVE_NUMPY
 from repro.routing import flood_protocol
 from repro.sim import ProtocolNode, SimConfig, run_protocol
 from repro.sim.engine import perturbed_schedule
 from repro.wcds.algorithm2 import algorithm2_distributed
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: Speedup floors asserted by the gates.
 FLOOD_FLOOR = 5.0

@@ -4,7 +4,8 @@
   imports are a deliberate idiom in this codebase for *internal*
   modules (they break ``repro.*`` import cycles and keep cold paths off
   the hot import graph) and for *gated third-party* dependencies
-  (``numpy``, ``networkx`` behind ``require_numpy``-style guards).
+  (``scipy`` behind ``require_scipy``, ``networkx`` in the
+  cross-validation bridge).
   Neither reason ever applies to the standard library: a stdlib module
   has no cycle with this package and is always present, so a
   function-local ``import heapq`` only hides the dependency from the

@@ -53,9 +53,8 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernels", choices=["pure", "vector", "auto"], default="auto",
         help="edge-construction engine: pure Python, the numpy vector "
-        "kernels (repro.kernels), or auto (vector when numpy is "
-        "available and the network is big enough); the topology is "
-        "identical either way",
+        "kernels (repro.kernels), or auto (vector when the network is "
+        "big enough); the topology is identical either way",
     )
 
 
@@ -96,9 +95,8 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=["event", "batched", "auto"], default="auto",
         help="simulator core: the event-driven oracle, the batched "
-        "numpy engine (repro.sim.batched, bit-identical results), or "
-        "auto (batched when numpy is available and the network is big "
-        "enough)",
+        "bucket-queue engine (repro.sim.batched, bit-identical results), "
+        "or auto (batched when the network is big enough)",
     )
 
 
@@ -727,13 +725,17 @@ def _cmd_obs_fleet(args) -> int:
     from repro.obs import MetricsRegistry
     from repro.shard import ShardConfig, ShardServePool
     from repro.shard.bench import jittered_grid
+    from repro.sim.config import SimConfig
 
     recorder = _arm_flight_recorder(args, process="fleet")
     failures = []
 
     chaos_graph = connected_random_udg(40, 5.0, seed=args.seed)
     plan = default_fault_plan(chaos_graph, crashes=1, seed=args.seed)
-    chaos = run_chaos("algorithm2", chaos_graph, plan, seed=args.seed)
+    chaos = run_chaos(
+        "algorithm2", chaos_graph, plan,
+        sim=SimConfig(seed=args.seed, transport=True),
+    )
     if not chaos.valid:
         failures.append("chaos smoke produced an invalid backbone")
 
@@ -919,6 +921,7 @@ def cmd_chaos(args) -> int:
     import json
 
     from repro.faults import CHAOS_ALGORITHMS, FaultPlan, default_fault_plan, run_chaos
+    from repro.sim.config import SimConfig
 
     if args.quick:
         nodes, side = 40, 5.0
@@ -954,8 +957,11 @@ def cmd_chaos(args) -> int:
         )
         for algorithm in algorithms:
             report = run_chaos(
-                algorithm, graph, plan, seed=seed,
-                engine=getattr(args, "engine", "auto"),
+                algorithm, graph, plan,
+                sim=SimConfig(
+                    seed=seed, transport=True,
+                    engine=getattr(args, "engine", "auto"),
+                ),
                 max_epochs=args.max_epochs,
             )
             reports.append(report)

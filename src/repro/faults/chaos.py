@@ -20,13 +20,25 @@ converges (``max_epochs`` bounds it defensively).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.faults.plan import Crash, FaultPlan, LossBurst, Partition
 from repro.graphs.graph import Graph, canonical_order
 from repro.graphs.traversal import is_connected
 from repro.obs.flightrec import flight_record
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.config import SimConfig
 
 #: Algorithms the chaos harness can drive (backbone registry names).
 CHAOS_ALGORITHMS = ("algorithm1", "algorithm2")
@@ -142,15 +154,19 @@ def run_chaos(
     graph: Graph,
     plan: FaultPlan,
     *,
-    loss_rate: float = 0.0,
-    seed: Optional[int] = None,
-    transport: Any = True,
-    engine: str = "auto",
+    sim: Optional[SimConfig] = None,
     tracer=None,
     registry=None,
     max_epochs: int = 3,
 ) -> ChaosReport:
     """Run ``algorithm`` under ``plan`` and verify the surviving WCDS.
+
+    ``sim`` is the radio environment of every epoch (``None`` means
+    ``SimConfig(transport=True)``: the reliable transport, no ambient
+    loss).  The harness sets its ``fault_plan`` — ``plan`` on the first
+    epoch, none on a retry — and derives each epoch's seed from
+    ``sim.seed``, so a ``sim`` that already carries a fault plan is a
+    :class:`ValueError`.
 
     Returns a :class:`ChaosReport`; ``report.valid`` is the headline
     verdict.  ``registry`` (created internally when omitted) is used to
@@ -162,6 +178,14 @@ def run_chaos(
     from repro.transport.reliable import CONTROL_KINDS
     from repro.wcds.base import is_weakly_connected_dominating_set
 
+    if sim is None:
+        sim = SimConfig(transport=True)
+    elif sim.fault_plan:
+        raise ValueError(
+            "run_chaos sets the fault plan itself: pass it as `plan`, "
+            "not in sim.fault_plan"
+        )
+    seed = sim.seed
     if registry is None:
         registry = MetricsRegistry()
     expected_dead = plan.final_dead()
@@ -184,13 +208,7 @@ def run_chaos(
     for epoch in range(max_epochs):
         report.epochs = epoch + 1
         epoch_seed = None if seed is None else seed + 7919 * epoch
-        config = SimConfig(
-            loss_rate=loss_rate,
-            seed=epoch_seed,
-            fault_plan=current_plan,
-            transport=transport,
-            engine=engine,
-        )
+        config = replace(sim, seed=epoch_seed, fault_plan=current_plan)
         before = _message_totals(registry)
         result = None
         try:

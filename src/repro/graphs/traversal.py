@@ -137,9 +137,9 @@ def multi_source_hop_distances(
     ``method`` selects the engine: ``"pure"`` runs one
     :func:`bfs_distances` per source; ``"vector"`` runs the packed
     multi-source sweep from :mod:`repro.kernels.bfs`; ``"auto"``
-    (default) picks the vector kernel when numpy is importable and the
-    graph is big enough to amortize it.  All engines return exactly the
-    same per-source dicts (reachable nodes only).
+    (default) picks the vector kernel when the graph is big enough to
+    amortize it.  All engines return exactly the same per-source dicts
+    (reachable nodes only).
     """
     from repro.kernels import resolve_method
 

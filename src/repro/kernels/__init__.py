@@ -3,78 +3,69 @@
 The pure-Python implementations in :mod:`repro.graphs` and
 :mod:`repro.geometry` are the *oracles*: simple, exact, and
 dependency-free.  This package holds numpy-vectorized twins of the
-paths the benchmarks actually measure:
+four paths the benchmarks actually measure:
 
 * **UDG edge construction** (:func:`vector_udg_edges`,
   :func:`vector_adjacency`) — sorted cell binning plus blockwise
   pairwise ``distance_squared`` over the 9-cell neighborhoods, exposed
   as ``UnitDiskGraph(..., method="vector")``.
-* **Multi-source hop distances** (:func:`packed_hop_distances`,
-  :func:`vector_all_pairs_hop_distances`) — frontier BFS over packed
-  source-bitsets (one ``bitwise_or.reduceat`` per level), used by
-  ``all_pairs_hop_distances(..., method="vector")`` and the Theorem 11
-  dilation measurements.  Best on the paper's dense, low-diameter
-  deployments; on path-like (high-diameter) graphs the per-level matrix
-  work loses to the pure BFS oracle.
-* **Batch disk queries** (:func:`points_in_disk`,
-  :func:`batch_points_in_disk`, :func:`count_points_in_disks`) — used
-  by ``UnitDiskGraph.nodes_within_many`` and the measured packing
-  extrema in :mod:`repro.geometry.packing`.
+* **Multi-source hop distances** (:func:`packed_hop_distances`) —
+  frontier BFS over packed source-bitsets (one ``bitwise_or.reduceat``
+  per level), used by ``all_pairs_hop_distances(..., method="vector")``
+  and the Theorem 11 dilation measurements.  Best on the paper's dense,
+  low-diameter deployments; on path-like (high-diameter) graphs the
+  per-level matrix work loses to the pure BFS oracle.
+* **Batch disk queries** (:func:`batch_points_in_disk`,
+  :func:`count_points_in_disks`) — used by
+  ``UnitDiskGraph.nodes_within_many`` and the measured packing extrema
+  in :mod:`repro.geometry.packing`.
 * **Spatial tiling** (:func:`tile_index_array`, :func:`bin_by_tile`,
-  :func:`rect_distance_squared`, :func:`boundary_band_mask`) — cell
-  binning and rectangle-band extraction behind the
-  :class:`repro.shard.tiler.Tiler` halo/frontier fast path.
+  :func:`rect_distance_squared`) — cell binning and rectangle
+  distances behind the :class:`repro.shard.tiler.Tiler` build.
 
 Every kernel computes squared distances with the same float64
 operations in the same order as the oracles, so results are *exactly*
 equal, not approximately — the equivalence tests assert set equality,
 never closeness.
-
-numpy is a declared dependency, but the package degrades gracefully:
-:data:`HAVE_NUMPY` is ``False`` when the import fails, ``auto``
-selection falls back to the pure paths, and asking for a vector kernel
-explicitly raises :class:`KernelUnavailableError`.
 """
 
-from repro.kernels._compat import (
-    HAVE_NUMPY,
-    KernelUnavailableError,
-    require_numpy,
-    resolve_method,
-)
 from repro.kernels.udg import vector_adjacency, vector_udg_edges
-from repro.kernels.bfs import (
-    graph_to_csr,
-    packed_hop_distances,
-    vector_all_pairs_hop_distances,
-)
-from repro.kernels.disk import (
-    batch_points_in_disk,
-    count_points_in_disks,
-    points_in_disk,
-)
-from repro.kernels.shard import (
-    bin_by_tile,
-    boundary_band_mask,
-    rect_distance_squared,
-    tile_index_array,
-)
+from repro.kernels.bfs import graph_to_csr, packed_hop_distances
+from repro.kernels.disk import batch_points_in_disk, count_points_in_disks
+from repro.kernels.shard import bin_by_tile, rect_distance_squared, tile_index_array
+
+#: Below this many elements ``auto`` keeps the pure path: the numpy
+#: call overhead dominates.  The simulator's engine switch uses the
+#: same crossover.
+AUTO_THRESHOLD = 64
+
+
+def resolve_method(method: str, *, size: int, threshold: int = AUTO_THRESHOLD) -> str:
+    """Resolve a ``{"pure", "vector", "auto"}`` switch to a concrete choice.
+
+    ``auto`` picks ``vector`` when the workload has at least
+    ``threshold`` elements, otherwise ``pure``.
+    """
+    if method == "pure" or method == "vector":
+        return method
+    if method != "auto":
+        raise ValueError(
+            f"unknown kernel method {method!r} (expected 'pure', 'vector', "
+            "or 'auto')"
+        )
+    return "vector" if size >= threshold else "pure"
+
 
 __all__ = [
-    "HAVE_NUMPY",
-    "KernelUnavailableError",
-    "require_numpy",
+    "AUTO_THRESHOLD",
     "resolve_method",
     "vector_udg_edges",
     "vector_adjacency",
     "graph_to_csr",
     "packed_hop_distances",
-    "vector_all_pairs_hop_distances",
-    "points_in_disk",
     "batch_points_in_disk",
     "count_points_in_disks",
     "tile_index_array",
     "bin_by_tile",
     "rect_distance_squared",
-    "boundary_band_mask",
 ]

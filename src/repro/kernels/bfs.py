@@ -23,10 +23,11 @@ the pure BFS oracle stays the default for generic traversal.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Hashable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.kernels._compat import require_numpy
 
 Node = Hashable
 
@@ -40,7 +41,6 @@ def graph_to_csr(graph: Graph) -> Tuple[Sequence[Node], Any, Any]:
     ready for :func:`packed_hop_distances`.  Each head's tail run is
     that node's ascending ``adj`` row.
     """
-    np = require_numpy()
     nodes, _, adj = graph.numbering()
     degrees = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
     heads = np.repeat(np.arange(len(adj), dtype=np.int64), degrees)
@@ -60,7 +60,6 @@ def packed_hop_distances(
     ``(len(sources), num_nodes)`` with -1 for unreachable pairs —
     exactly :func:`repro.graphs.traversal.bfs_distances` per row.
     """
-    np = require_numpy()
     n = num_nodes
     src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     k = int(src.size)
@@ -95,12 +94,3 @@ def packed_hop_distances(
     dist[~reached] = -1
     return np.ascontiguousarray(dist.T)
 
-
-def vector_all_pairs_hop_distances(graph: Graph) -> Dict[Node, Dict[Node, int]]:
-    """Drop-in twin of :func:`~repro.graphs.traversal.all_pairs_hop_distances`:
-    the same per-source dicts of reachable nodes, from one packed-bitset
-    sweep (:func:`~repro.graphs.traversal.multi_source_hop_distances`)
-    instead of n BFS runs."""
-    from repro.graphs.traversal import multi_source_hop_distances
-
-    return multi_source_hop_distances(graph, graph.numbering().nodes, method="vector")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernels._compat import require_numpy
+import numpy as np
 
 
-def _as_coord_array(np: Any, values: Any) -> Any:
+def _as_coord_array(values: Any) -> Any:
     """``(n, 2)`` float64 array from tuples, ``Point`` objects, or an
     existing array — whatever the pure scans accept, this accepts."""
     try:
@@ -25,23 +25,11 @@ def _as_coord_array(np: Any, values: Any) -> Any:
     return arr.reshape(-1, 2) if arr.ndim != 2 else arr
 
 
-def points_in_disk(coords: Any, center: Any, radius: float) -> Any:
-    """Boolean mask over ``coords`` (an ``(n, 2)`` array): inside the
-    closed disk of ``radius`` around ``center``."""
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
-    cx, cy = center
-    dx = pts[:, 0] - cx
-    dy = pts[:, 1] - cy
-    return dx * dx + dy * dy <= radius * radius
-
-
 def batch_points_in_disk(coords: Any, centers: Any, radius: float) -> Any:
     """Boolean matrix ``(len(centers), len(coords))``: membership of
     every point in every query disk, in one broadcast pass."""
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
-    ctr = _as_coord_array(np, centers)
+    pts = _as_coord_array(coords)
+    ctr = _as_coord_array(centers)
     dx = ctr[:, 0:1] - pts[:, 0]
     dy = ctr[:, 1:2] - pts[:, 1]
     return dx * dx + dy * dy <= radius * radius
@@ -50,7 +38,6 @@ def batch_points_in_disk(coords: Any, centers: Any, radius: float) -> Any:
 def count_points_in_disks(coords: Any, centers: Any, radius: float) -> Any:
     """Per-center occupancy counts — ``batch_points_in_disk`` summed
     over the point axis (int64 array of length ``len(centers)``)."""
-    np = require_numpy()
     return np.count_nonzero(
         batch_points_in_disk(coords, centers, radius), axis=1
     )

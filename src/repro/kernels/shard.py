@@ -1,6 +1,6 @@
 """Vectorized spatial tiling: cell binning and rectangle distances.
 
-The fast path behind :class:`repro.shard.tiler.Tiler`.  Sharding a
+The build behind :class:`repro.shard.tiler.Tiler`.  Sharding a
 deployment means answering two geometric questions for every node:
 
 * which tile (axis-aligned cell of side ``tile_side``) owns it, and
@@ -10,16 +10,17 @@ deployment means answering two geometric questions for every node:
 Both are answered here as single numpy passes over an ``(n, 2)``
 position array.  As everywhere in :mod:`repro.kernels`, the float64
 arithmetic is performed with the same operations in the same order as
-the pure-Python oracle in ``repro.shard.tiler``, so the tile
-assignments and band memberships are *exactly* equal — the
-cross-validation tests assert set equality, never closeness.
+the per-node ``tile_of`` / ``rect_distance_squared`` the tiler's churn
+updates use, so a built tiler and a churned one agree *exactly* — the
+tests assert set equality, never closeness.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.kernels._compat import require_numpy
+import numpy as np
+
 from repro.kernels.disk import _as_coord_array
 
 TileId = Tuple[int, int]
@@ -28,12 +29,11 @@ TileId = Tuple[int, int]
 def tile_index_array(coords: Any, tile_side: float) -> Any:
     """``(n, 2)`` int64 array of tile indices: ``floor(coord / side)``.
 
-    Matches ``int(math.floor(x / side))`` of the pure tiler bit for bit
+    Matches ``int(math.floor(x / side))`` of ``Tiler.tile_of`` bit for bit
     (same float64 division, then floor), including negative
     coordinates.
     """
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
+    pts = _as_coord_array(coords)
     return np.floor(pts / tile_side).astype(np.int64)
 
 
@@ -43,8 +43,7 @@ def bin_by_tile(coords: Any, tile_side: float) -> Dict[TileId, Any]:
     Returns ``{tile_id: int64 index array (ascending)}``; the union of
     the index arrays is ``0..n-1``.
     """
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
+    pts = _as_coord_array(coords)
     bins: Dict[TileId, Any] = {}
     if pts.shape[0] == 0:
         return bins
@@ -71,31 +70,9 @@ def rect_distance_squared(
     pure oracle, so thresholding at an identical bound selects the
     identical point set.
     """
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
+    pts = _as_coord_array(coords)
     x0, y0, x1, y1 = rect
     dx = np.maximum(np.maximum(x0 - pts[:, 0], 0.0), pts[:, 0] - x1)
     dy = np.maximum(np.maximum(y0 - pts[:, 1], 0.0), pts[:, 1] - y1)
     return dx * dx + dy * dy
 
-
-def boundary_band_mask(
-    coords: Any,
-    rect: Tuple[float, float, float, float],
-    band: float,
-) -> Any:
-    """Boolean mask: points *inside* ``rect`` within ``band`` of its
-    boundary (the frontier band a tile publishes to its neighbors).
-
-    A point at ``(x, y)`` is in the band when its distance to the
-    nearest rectangle edge — ``min(x - x0, x1 - x, y - y0, y1 - y)`` —
-    is non-negative (inside) and strictly below ``band``.
-    """
-    np = require_numpy()
-    pts = _as_coord_array(np, coords)
-    x0, y0, x1, y1 = rect
-    inner = np.minimum(
-        np.minimum(pts[:, 0] - x0, x1 - pts[:, 0]),
-        np.minimum(pts[:, 1] - y0, y1 - pts[:, 1]),
-    )
-    return (inner >= 0.0) & (inner < band)

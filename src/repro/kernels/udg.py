@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Sequence, Set, Tuple
 
-from repro.kernels._compat import require_numpy
+import numpy as np
 
 Node = Hashable
 
 
 def _ragged_pairs(
-    np: Any, a_starts: Any, a_counts: Any, b_starts: Any, b_counts: Any
+    a_starts: Any, a_counts: Any, b_starts: Any, b_counts: Any
 ) -> Tuple[Any, Any]:
     """All index pairs of matched variable-size blocks.
 
@@ -60,7 +60,6 @@ def vector_udg_edges(coords: Any, radius: float) -> Any:
     guaranteed; pairs are unordered and unique.  Exactly equal to the
     brute-force ``distance_squared(p_i, p_j) <= radius**2`` edge set.
     """
-    np = require_numpy()
     pts = np.ascontiguousarray(coords, dtype=np.float64)
     n = int(pts.shape[0])
     if n < 2:
@@ -97,7 +96,7 @@ def vector_udg_edges(coords: Any, radius: float) -> Any:
 
     # Within-cell pairs: cartesian product of each cell with itself,
     # upper triangle only.
-    ai, bi = _ragged_pairs(np, starts, counts, starts, counts)
+    ai, bi = _ragged_pairs(starts, counts, starts, counts)
     upper = ai < bi
     _keep(ai[upper], bi[upper])
 
@@ -112,7 +111,6 @@ def vector_udg_edges(coords: Any, radius: float) -> Any:
         if not match.any():
             continue
         ai, bi = _ragged_pairs(
-            np,
             starts[match],
             counts[match],
             starts[idx_c[match]],
@@ -135,7 +133,6 @@ def vector_adjacency(
     complete ``{node: set(neighbors)}`` map — isolated nodes included —
     identical to what the pure builders produce.
     """
-    np = require_numpy()
     nodes: List[Node] = [node for node, _ in positions]
     n = len(nodes)
     adjacency: Dict[Node, Set[Node]] = {}
@@ -177,7 +174,6 @@ def edge_runs(edges: Any, n: int) -> Tuple[List[int], List[int]]:
     :func:`vector_udg_edges`).  Returns ``(tails, cuts)``: point ``i``'s
     neighbours, ascending, are ``tails[cuts[i]:cuts[i + 1]]``.
     """
-    np = require_numpy()
     # One np.sort of a single combined (head * n + tail) key, no
     # permutation gather; each head's run is then sliced by its cut.
     combined = np.concatenate(

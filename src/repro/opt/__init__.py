@@ -23,9 +23,8 @@ This package supplies the missing denominator:
   conservatively.
 
 scipy is optional (``pip install repro[opt]``): without it the exact
-engine still runs combinatorially-pruned (``lp="auto"`` degrades, like
-the numpy gate in :mod:`repro.kernels`), and ``lp="on"`` raises
-:class:`LPUnavailableError`.
+engine still runs combinatorially-pruned (``lp="auto"`` degrades), and
+``lp="on"`` raises :class:`LPUnavailableError`.
 """
 
 from repro.opt._scipy import (

@@ -1,9 +1,10 @@
 """scipy availability gate for the LP-strengthened optimality oracle.
 
-Mirrors ``repro.kernels._compat``: the import is probed exactly once
-here, every LP entry point routes through :func:`require_scipy`, and
-the rest of ``repro.opt`` keeps working (falling back to the purely
-combinatorial pruning bounds) when scipy is missing.
+scipy is the project's one optional dependency, so the import is
+probed exactly once here, every LP entry point routes through
+:func:`require_scipy`, and the rest of ``repro.opt`` keeps working
+(falling back to the purely combinatorial pruning bounds) when scipy
+is missing.
 """
 
 from __future__ import annotations

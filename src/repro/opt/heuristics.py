@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
 
+import numpy as np
+
 from repro.graphs.graph import Graph, canonical_order
 from repro.graphs.traversal import is_connected
-from repro.kernels._compat import resolve_method
+from repro.kernels import resolve_method
+from repro.kernels.bfs import graph_to_csr
 from repro.mis.properties import is_dominating_set
 from repro.wcds.base import weakly_induced_subgraph
 
@@ -51,7 +54,7 @@ def greedy_mwds(
 
     ``method`` resolves like the kernels: ``"vector"`` runs the numpy
     CSR implementation, ``"pure"`` the dictionary one, ``"auto"`` picks
-    by availability and size; the chosen set is identical either way.
+    by size; the chosen set is identical either way.
     """
     if graph.num_nodes == 0:
         return set()
@@ -91,10 +94,6 @@ def _greedy_mwds_pure(
 def _greedy_mwds_vector(
     graph: Graph, weights: Optional[Mapping[Node, float]]
 ) -> Set[Node]:
-    from repro.kernels._compat import require_numpy
-    from repro.kernels.bfs import graph_to_csr
-
-    np = require_numpy()
     node_list, heads, tails = graph_to_csr(graph)
     n = len(node_list)
     weight = np.array(

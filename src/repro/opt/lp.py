@@ -28,7 +28,9 @@ without it.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.opt._scipy import require_scipy
@@ -58,7 +60,6 @@ def fractional_domination(
     has no remaining column.
     """
     optimize = require_scipy()
-    numpy = _numpy()
     rows_mask = bitset_graph.full if undominated is None else undominated
     candidates = iter_bits(bitset_graph.full & ~banned)
     if not candidates:
@@ -86,9 +87,9 @@ def fractional_domination(
     if not rows:
         return 0.0
     result = optimize.linprog(
-        numpy.ones(len(candidates)),
-        A_ub=numpy.array(rows),
-        b_ub=-numpy.ones(len(rows)),
+        np.ones(len(candidates)),
+        A_ub=np.array(rows),
+        b_ub=-np.ones(len(rows)),
         bounds=(0.0, 1.0),
         method="highs",
     )
@@ -113,9 +114,3 @@ def lp_domination_bound(graph: Graph) -> float:
     if graph.num_nodes == 0:
         return 0.0
     return fractional_domination(BitsetGraph.from_graph(graph))
-
-
-def _numpy() -> Any:
-    from repro.kernels._compat import require_numpy
-
-    return require_numpy()

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Mapping, Tuple
 
+import numpy as np
+
 from repro.graphs.graph import canonical_order
-from repro.kernels._compat import require_numpy
 
 #: Undirected overlay as ``node -> {neighbour: weight}``.
 OverlayAdjacency = Mapping[Hashable, Mapping[Hashable, int]]
@@ -58,7 +59,6 @@ class OverlayPaths:
     """
 
     def __init__(self, adjacency: OverlayAdjacency) -> None:
-        np = require_numpy()
         nodes = set(adjacency)
         for links in adjacency.values():
             nodes.update(links)
@@ -106,7 +106,6 @@ class OverlayPaths:
         source itself on its own cell — and the levels ``(d, cells,
         first hops)`` in settle order, level 0 excluded.
         """
-        np = require_numpy()
         n = len(self.nodes)
         size = len(sources) * n
         cell = np.int32 if size < 2**31 else np.int64
@@ -171,7 +170,6 @@ class OverlayPaths:
         ``first_hop[s, u]`` is the index of the first overlay hop from
         node ``s`` to node ``u`` and ``distance[s, u]`` its length
         (``s`` and 0 on the diagonal, ``-1`` where unreached)."""
-        np = require_numpy()
         n = len(self.nodes)
         first, levels = self._sweep(list(range(n)))
         distance = np.full_like(first, -1)

@@ -43,7 +43,7 @@ class _CounterView:
         return int(value) if value == int(value) else value
 
     def get(self, name: str, default: int = 0) -> int:
-        return self[name] or default
+        return self[name] if name in self else default
 
     def __contains__(self, name: str) -> bool:
         return any(name == n for n, _ in self._families())

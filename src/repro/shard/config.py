@@ -41,16 +41,12 @@ class ShardConfig:
             the mode tests and the stitching oracle use.
         batch_size: query batch size the pool dispatches to a worker in
             one message; batching amortizes the IPC cost.
-        method: tiling engine — ``"pure"`` (python loops),
-            ``"vector"`` (:mod:`repro.kernels.shard`), or ``"auto"``.
-            Both produce identical tile assignments.
     """
 
     tile_size: float = 8.0
     halo: float = MIN_HALO_RADII
     workers: int = 0
     batch_size: int = 256
-    method: str = "auto"
 
     def __post_init__(self) -> None:
         if self.tile_size <= 0:
@@ -65,8 +61,3 @@ class ShardConfig:
             raise ValueError("workers must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.method not in ("pure", "vector", "auto"):
-            raise ValueError(
-                f"unknown tiling method {self.method!r} "
-                "(expected 'pure', 'vector', or 'auto')"
-            )

@@ -8,10 +8,10 @@ it does not own.  Owned nodes within the same distance of the tile
 boundary form the **frontier band** — the only state a tile ever
 publishes to its neighbors during stitching.
 
-Geometry is exact and engine-independent: the ``"vector"`` method
-(:mod:`repro.kernels.shard`) performs the identical float64 arithmetic
-as the pure loops here, so both produce the same tile assignments bit
-for bit.
+The build bins every node in one pass of :mod:`repro.kernels.shard`,
+which performs the identical float64 arithmetic as the per-node
+:meth:`Tiler.tile_of` and :func:`rect_distance_squared` the churn
+updates use, so a built tiler and a churned one agree bit for bit.
 
 The tiler is mutable under churn: :meth:`on_node_added`,
 :meth:`on_node_removed`, and :meth:`on_node_moved` update the owner /
@@ -28,6 +28,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 from repro.geometry.packing import rect_band_packing_bound
 from repro.geometry.point import Point
 from repro.graphs.graph import canonical_order
+from repro.kernels.shard import bin_by_tile, rect_distance_squared as vector_rect_d2
 from repro.shard.config import ShardConfig
 
 Node = Hashable
@@ -38,7 +39,7 @@ Rect = Tuple[float, float, float, float]
 def rect_distance_squared(x: float, y: float, rect: Rect) -> float:
     """Squared distance from a point to a rectangle (0 inside).
 
-    The pure twin of :func:`repro.kernels.shard.rect_distance_squared`
+    The per-node twin of :func:`repro.kernels.shard.rect_distance_squared`
     — same clamping, same float64 operations.
     """
     x0, y0, x1, y1 = rect
@@ -83,28 +84,6 @@ class Tiler:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        from repro.kernels import resolve_method
-
-        choice = resolve_method(self.config.method, size=len(self.positions))
-        if choice == "vector":
-            self._build_vector()
-        else:
-            self._build_pure()
-
-    def _build_pure(self) -> None:
-        for node in canonical_order(self.positions):
-            tile = self.tile_of(self.positions[node])
-            self.owner[node] = tile
-            self._owned.setdefault(tile, set()).add(node)
-        for node, pos in self.positions.items():
-            self._index_halo(node, pos)
-
-    def _build_vector(self) -> None:
-        from repro.kernels.shard import (
-            bin_by_tile,
-            rect_distance_squared as vector_rect_d2,
-        )
-
         nodes = list(self.positions)
         coords = [(self.positions[n].x, self.positions[n].y) for n in nodes]
         bins = bin_by_tile(coords, self.side)

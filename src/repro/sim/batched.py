@@ -42,7 +42,7 @@ import heapq
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.kernels._compat import HAVE_NUMPY
+from repro.kernels import AUTO_THRESHOLD
 from repro.sim.config import SimConfig
 from repro.sim.engine import _DELIVER, _FAULT, NodeFactory, Simulator
 from repro.sim.latency import FixedLatency
@@ -64,16 +64,14 @@ _FANOUT = 3
 
 ENGINES: Tuple[str, ...] = ("event", "batched", "auto")
 
-#: Below this node count the bucket queue's bookkeeping rivals the heap
-#: it replaces; same crossover the kernels use in ``resolve_method``.
-AUTO_THRESHOLD = 64
 
 def resolve_engine(engine: str, *, size: int, threshold: int = AUTO_THRESHOLD) -> str:
     """Resolve an engine request to ``"event"`` or ``"batched"``.
 
     Mirrors :func:`repro.kernels.resolve_method`: explicit choices pass
-    through, ``"auto"`` picks ``"batched"`` iff numpy is importable and
-    ``size >= threshold``.
+    through, ``"auto"`` picks ``"batched"`` iff ``size >= threshold``
+    (below :data:`~repro.kernels.AUTO_THRESHOLD` nodes the bucket
+    queue's bookkeeping rivals the heap it replaces).
     """
     if engine in ("event", "batched"):
         return engine
@@ -81,9 +79,7 @@ def resolve_engine(engine: str, *, size: int, threshold: int = AUTO_THRESHOLD) -
         raise ValueError(
             f"unknown engine {engine!r} (expected 'event', 'batched', or 'auto')"
         )
-    if HAVE_NUMPY and size >= threshold:
-        return "batched"
-    return "event"
+    return "batched" if size >= threshold else "event"
 
 
 def make_simulator(

@@ -39,10 +39,10 @@ class SimConfig:
             :class:`~repro.transport.config.TransportConfig`.
         engine: which simulator core executes the run — ``"event"``
             (the reference heap-based oracle), ``"batched"`` (the
-            numpy-backed bucket engine, bit-identical but faster on
-            broadcast-heavy workloads), or ``"auto"`` (batched iff
-            numpy is importable and the graph has ≥ 64 nodes,
-            mirroring the kernels' ``resolve_method``).
+            bucket-queue engine, bit-identical but faster on
+            broadcast-heavy workloads), or ``"auto"`` (batched iff the
+            graph has ≥ 64 nodes, the kernels' ``resolve_method``
+            crossover).
     """
 
     latency: Optional[LatencyModel] = None

@@ -109,6 +109,7 @@ class ChaosTrial:
 
     def __call__(self, graph: UnitDiskGraph, seed: int) -> Mapping[str, float]:
         from repro.faults.chaos import default_fault_plan, run_chaos
+        from repro.sim.config import SimConfig
 
         plan = default_fault_plan(
             graph,
@@ -118,7 +119,8 @@ class ChaosTrial:
             seed=seed,
         )
         report = run_chaos(
-            self.algorithm, graph, plan, seed=seed, engine=self.engine
+            self.algorithm, graph, plan,
+            sim=SimConfig(seed=seed, transport=True, engine=self.engine),
         )
         return {
             "valid": float(report.valid),

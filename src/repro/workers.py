@@ -39,7 +39,8 @@ from typing import (
     TypeVar,
 )
 
-from repro.kernels._compat import require_numpy
+import numpy as np
+
 from repro.obs.flightrec import flight_record
 from repro.obs.pipeline import (
     SpanRecorder,
@@ -74,7 +75,6 @@ class SharedPositions:
     """
 
     def __init__(self, name: Optional[str], count: int, *, _create: bool = False):
-        np = require_numpy()
         nbytes = max(count * 16, 16)
         if _create:
             self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
@@ -288,7 +288,6 @@ class WorkerGroup:
         if count == 0:
             return
         try:
-            require_numpy()
             ctx = multiprocessing.get_context("spawn")
             self.shared = SharedPositions.create(rows)
             for label in self.labels:

@@ -201,7 +201,10 @@ class TestChaosMatrix:
         plan = default_fault_plan(
             g, loss=loss, crashes=2, partition=True, seed=seed
         )
-        report = run_chaos(algorithm, g, plan, loss_rate=loss, seed=seed)
+        report = run_chaos(
+            algorithm, g, plan,
+            sim=SimConfig(loss_rate=loss, seed=seed, transport=True),
+        )
         assert report.valid, report.summary()
         assert report.survivor_count == g.num_nodes - 2
         assert report.dominators <= report.survivors
@@ -219,9 +222,33 @@ class TestChaosMatrix:
         with pytest.raises(ValueError, match="disconnects"):
             run_chaos("algorithm2", g, plan)
 
+    def test_sim_with_a_fault_plan_rejected(self):
+        # run_chaos owns the plan: it injects it on the first epoch and
+        # drops it on a retry, so a plan inside ``sim`` is ambiguous.
+        g = connected_random_udg(24, 3.8, seed=1)
+        plan = default_fault_plan(g, crashes=1, seed=1)
+        with pytest.raises(ValueError, match="fault plan"):
+            run_chaos("algorithm2", g, FaultPlan(), sim=SimConfig(fault_plan=plan))
+
+    def test_loose_keywords_rejected(self):
+        g = line_udg(3)
+        for loose in ({"seed": 1}, {"loss_rate": 0.1}, {"transport": None},
+                      {"engine": "event"}):
+            with pytest.raises(TypeError):
+                run_chaos("algorithm2", g, FaultPlan(), **loose)
+
+    def test_default_sim_runs_over_the_transport(self):
+        g = connected_random_udg(24, 3.8, seed=1)
+        report = run_chaos("algorithm2", g, FaultPlan())
+        assert report.valid
+        assert report.seed is None
+        assert report.control_messages > 0
+
     def test_report_summary_shape(self):
         g = connected_random_udg(24, 3.8, seed=1)
-        report = run_chaos("algorithm2", g, FaultPlan(), seed=1)
+        report = run_chaos(
+            "algorithm2", g, FaultPlan(), sim=SimConfig(seed=1, transport=True)
+        )
         summary = report.summary()
         assert summary["valid"] is True
         assert summary["nodes"] == 24

@@ -22,18 +22,13 @@ from repro.graphs import (
     uniform_random_udg,
 )
 from repro.kernels import (
-    HAVE_NUMPY,
-    KernelUnavailableError,
     graph_to_csr,
     packed_hop_distances,
     resolve_method,
-    vector_all_pairs_hop_distances,
     vector_udg_edges,
 )
 
 from tutils import position_lists, seeds
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: Radii beyond the default 1.0, exercised by the property tests.
 radii = st.sampled_from([0.4, 1.0, 1.7])
@@ -43,7 +38,6 @@ def edge_keys(graph):
     return {frozenset(edge) for edge in graph.edges()}
 
 
-@needs_numpy
 class TestVectorUdgEquivalence:
     @given(position_lists, radii)
     @settings(max_examples=60, deadline=None)
@@ -97,7 +91,6 @@ class TestVectorUdgEquivalence:
         assert set(pairs) == edge_keys(brute)
 
 
-@needs_numpy
 class TestVectorBfsEquivalence:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -122,7 +115,7 @@ class TestVectorBfsEquivalence:
 
     def test_disconnected_pairs_are_absent(self):
         g = build_udg([(0.0, 0.0), (0.5, 0.0), (9.0, 9.0)])
-        result = vector_all_pairs_hop_distances(g)
+        result = all_pairs_hop_distances(g, method="vector")
         assert result[0] == {0: 0, 1: 1}
         assert result[2] == {2: 0}
 
@@ -140,9 +133,12 @@ class TestVectorBfsEquivalence:
 
     def test_empty_and_edgeless_graphs(self):
         g = build_udg({})
-        assert vector_all_pairs_hop_distances(g) == {}
+        assert all_pairs_hop_distances(g, method="vector") == {}
         lonely = build_udg([(0.0, 0.0), (5.0, 5.0)])
-        assert vector_all_pairs_hop_distances(lonely) == {0: {0: 0}, 1: {1: 0}}
+        assert all_pairs_hop_distances(lonely, method="vector") == {
+            0: {0: 0},
+            1: {1: 0},
+        }
 
     def test_more_than_64_sources_crosses_word_boundary(self):
         # The bitsets pack sources 64 per uint64 word; a graph bigger
@@ -172,7 +168,6 @@ class TestVectorBfsEquivalence:
         )
 
 
-@needs_numpy
 class TestDiskKernels:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -217,7 +212,6 @@ class TestDiskKernels:
         assert max_disk_occupancy(points, 1.0) == 3
         assert max_disk_occupancy([], 1.0) == 0
 
-    @needs_numpy
     def test_disk_kernels_accept_point_objects(self):
         # Regression: Point is iterable but not array-like, so
         # np.asarray over a list of Points used to raise TypeError.
@@ -241,8 +235,7 @@ class TestDiskKernels:
 class TestMethodResolution:
     def test_explicit_choices_pass_through(self):
         assert resolve_method("pure", size=10**9) == "pure"
-        if HAVE_NUMPY:
-            assert resolve_method("vector", size=0) == "vector"
+        assert resolve_method("vector", size=0) == "vector"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -251,14 +244,5 @@ class TestMethodResolution:
     def test_auto_prefers_pure_below_threshold(self):
         assert resolve_method("auto", size=3) == "pure"
 
-    @needs_numpy
     def test_auto_prefers_vector_above_threshold(self):
         assert resolve_method("auto", size=10_000) == "vector"
-
-    def test_without_numpy_everything_degrades(self, monkeypatch):
-        import repro.kernels._compat as compat
-
-        monkeypatch.setattr(compat, "HAVE_NUMPY", False)
-        assert compat.resolve_method("auto", size=10**9) == "pure"
-        with pytest.raises(KernelUnavailableError):
-            compat.require_numpy()

@@ -125,6 +125,13 @@ class TestMetrics:
         metrics.incr("route_cache_misses", 1)
         assert metrics.hit_rate("route_cache") == 0.75
 
+    def test_counter_get_returns_a_counter_at_zero(self):
+        metrics = ServiceMetrics()
+        metrics.incr("errors", 0)  # exists, still at 0
+        assert "errors" in metrics.counters
+        assert metrics.counters.get("errors", 7) == 0
+        assert metrics.counters.get("missing", 7) == 7
+
     def test_snapshot_is_json_ready(self):
         metrics = ServiceMetrics()
         metrics.incr("requests_total")

@@ -21,6 +21,7 @@ from repro.geometry.point import Point
 from repro.graphs import connected_random_udg
 from repro.shard import MIN_HALO_RADII, ShardConfig, ShardedBackbone, Tiler, build_sharded
 from repro.shard.bench import jittered_grid
+from repro.shard.tiler import rect_distance_squared
 from repro.wcds.algorithm2 import algorithm2_centralized
 
 
@@ -55,12 +56,16 @@ class TestShardConfig:
             {"halo": 2.9},
             {"workers": -1},
             {"batch_size": 0},
-            {"method": "gpu"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ShardConfig(**kwargs)
+
+    def test_method_is_an_unknown_field(self):
+        # The tiler has one build; there is no engine to pick.
+        with pytest.raises(TypeError):
+            ShardConfig(method="pure")
 
 
 # ----------------------------------------------------------------------
@@ -71,17 +76,61 @@ class TestTiler:
     def graph(self):
         return dense_udg(120, 6.0, seed=3)
 
-    def test_pure_and_vector_builds_identical(self, graph):
-        pure = Tiler(graph.positions, graph.radius,
-                     ShardConfig(tile_size=4.0, method="pure"))
-        vector = Tiler(graph.positions, graph.radius,
-                       ShardConfig(tile_size=4.0, method="vector"))
-        assert pure.tiles() == vector.tiles()
-        assert pure.owner == vector.owner
-        for tile in pure.tiles():
-            assert pure.owned(tile) == vector.owned(tile)
-            assert pure.halo(tile) == vector.halo(tile)
-            assert pure.frontier(tile) == vector.frontier(tile)
+    @staticmethod
+    def assert_matches_brute_force(tiler, positions):
+        """Owner and halo indexes equal a per-node scan of the
+        deployment: ``tile_of`` for ownership, the rectangle distance
+        against the halo width for halo membership."""
+        assert tiler.owner == {
+            node: tiler.tile_of(pos) for node, pos in positions.items()
+        }
+        assert tiler.tiles() == tuple(sorted(set(tiler.owner.values())))
+        limit = tiler.halo_width**2
+        for tile in tiler.tiles():
+            rect = tiler.rect(tile)
+            assert set(tiler.halo(tile)) == {
+                node
+                for node, pos in positions.items()
+                if tiler.owner[node] != tile
+                and rect_distance_squared(pos.x, pos.y, rect) <= limit
+            }
+
+    @staticmethod
+    def scattered(n, seed):
+        rng = random.Random(seed)
+        return {
+            i: Point(rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0))
+            for i in range(n)
+        }
+
+    @pytest.mark.parametrize("tile_size", [3.5, 8.0])
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_build_matches_brute_force_oracle(self, n, tile_size):
+        positions = self.scattered(n, seed=n)
+        tiler = Tiler(positions, 1.0, ShardConfig(tile_size=tile_size))
+        self.assert_matches_brute_force(tiler, positions)
+
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_churn_stream_matches_brute_force_oracle(self, n):
+        positions = self.scattered(n, seed=n)
+        tiler = Tiler(positions, 1.0, ShardConfig(tile_size=3.5))
+        rng = random.Random(100 + n)
+        next_id = n
+        for _ in range(60):
+            kind = rng.choice(("add", "move", "remove"))
+            if kind == "add" or not positions:
+                positions[next_id] = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
+                tiler.on_node_added(next_id)
+                next_id += 1
+            elif kind == "move":
+                node = rng.choice(sorted(positions))
+                positions[node] = Point(rng.uniform(-9, 9), rng.uniform(-9, 9))
+                tiler.on_node_moved(node)
+            else:
+                node = rng.choice(sorted(positions))
+                del positions[node]
+                tiler.on_node_removed(node)
+            self.assert_matches_brute_force(tiler, positions)
 
     def test_every_node_owned_exactly_once(self, graph):
         tiler = Tiler(graph.positions, graph.radius, ShardConfig(tile_size=4.0))
@@ -100,18 +149,7 @@ class TestTiler:
 
     def test_halo_holds_all_foreign_nodes_within_reach(self, graph):
         tiler = Tiler(graph.positions, graph.radius, ShardConfig(tile_size=4.0))
-        from repro.shard.tiler import rect_distance_squared
-
-        limit = tiler.halo_width**2
-        for tile in tiler.tiles():
-            rect = tiler.rect(tile)
-            expected = {
-                node
-                for node, pos in graph.positions.items()
-                if tiler.owner[node] != tile
-                and rect_distance_squared(pos.x, pos.y, rect) <= limit
-            }
-            assert set(tiler.halo(tile)) == expected
+        self.assert_matches_brute_force(tiler, graph.positions)
 
     def test_consumers_inverse_of_halo(self, graph):
         tiler = Tiler(graph.positions, graph.radius, ShardConfig(tile_size=4.0))
