@@ -37,7 +37,7 @@ from repro.mis.properties import is_independent_set, is_dominating_set
 from repro.mobility.waypoint import LinkEvents
 from repro.wcds.base import WCDSResult, weakly_induced_subgraph
 from repro.wcds.algorithm2 import algorithm2_centralized
-from repro.wcds.connectors import number_nodes, select_connectors
+from repro.wcds.connectors import mis_rows, number_nodes, three_hop_relays
 
 Pair = Tuple[Hashable, Hashable]
 
@@ -263,7 +263,7 @@ class MaintainedWCDS:
         nodes, _, adj = number_nodes(self.udg, self._ball(leaders))
         is_mis = bytearray(node in self.mis for node in nodes)
         ranks = [i for i, node in enumerate(nodes) if node in leaders]
-        for u, w, v in select_connectors(adj, is_mis, ranks):
+        for u, w, v, _ in three_hop_relays(adj, mis_rows(adj, is_mis), ranks):
             pair = (nodes[u], nodes[w])
             if pair not in self.connectors and not affected_mis.isdisjoint(pair):
                 self.connectors[pair] = nodes[v]

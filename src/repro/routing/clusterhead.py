@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.graphs.traversal import bfs_distances, shortest_path
+from repro.graphs.traversal import shortest_path
 from repro.routing.overlay import OverlayPaths
 from repro.wcds.base import WCDSResult, weakly_induced_subgraph
+from repro.wcds.connectors import mis_rows, three_hop_relays
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,10 @@ class ClusterheadRouter:
 
     If the result came from :func:`algorithm2_distributed`, the exact
     dominator lists the protocol built are reused; for a centralized
-    result equivalent lists are synthesized from the graph.
+    result equivalent lists are synthesized from the graph in one scan
+    of its shared numbering (:func:`repro.wcds.connectors.three_hop_relays`
+    with ``v`` restricted to dominators), which ranks by id: mixed ids
+    that do not compare raise :class:`TypeError`.
     """
 
     def __init__(self, graph: Graph, result: WCDSResult) -> None:
@@ -65,46 +69,42 @@ class ClusterheadRouter:
                     three_hop=dict(state["three_hop_dom"]),
                 )
             return lists
-        # Synthesize from the graph: same information the protocol
-        # would have collected.
-        adjacency = self.graph.adjacency
+        # Synthesize from the graph: the information the protocol would
+        # have collected, in one scan of the numbered graph.
+        numbering = self.graph.numbering()
+        if not numbering.natural:
+            raise TypeError(
+                "routing lists rank nodes by id: the ids must be mutually comparable"
+            )
+        nodes, index, adj = numbering
+        is_mis = bytearray(node in self.mis for node in nodes)
+        is_dominator = bytearray(node in self.dominators for node in nodes)
+        rows = mis_rows(adj, is_mis)
+        # Three hops away through a dominator v, so both expanded edges
+        # are black.
+        three_hops: Dict[int, Dict[Hashable, Tuple[Hashable, Hashable]]] = {}
+        heads = [u for u, flag in enumerate(is_mis) if flag]
+        for u, w, v, x in three_hop_relays(adj, rows, heads, is_dominator, upper=False):
+            three_hops.setdefault(u, {})[nodes[w]] = (nodes[v], nodes[x])
         for node in self.graph.nodes():
-            one_hop = tuple(canonical_order(adjacency(node) & self.mis))
+            u = index[node]
+            one_hop = tuple([nodes[w] for w in rows[u]])
             two_hop: Dict[Hashable, Hashable] = {}
-            three_hop: Dict[Hashable, Tuple[Hashable, Hashable]] = {}
-            if node in self.mis:
-                # Only MIS-dominators in the 3-hop ball can be listed.
-                dist = bfs_distances(self.graph, node, cutoff=3)
-                ball = [
-                    other for other, hops in dist.items()
-                    if hops >= 2 and other in self.mis
-                ]
-                for other in canonical_order(ball):
-                    if dist[other] == 2:
-                        two_hop[other] = min(adjacency(node) & adjacency(other))
-                    else:
-                        hop = self._three_hop_path(node, other)
-                        if hop is not None:
-                            three_hop[other] = hop
-            lists[node] = DominatorLists(one_hop, two_hop, three_hop)
+            if is_mis[u]:
+                # An MIS node w two hops away is listed with the minimum
+                # common neighbour: the first v of u's row reaching it.
+                near: Dict[int, int] = {}
+                for v in adj[u]:
+                    for w in rows[v]:
+                        if w not in near:
+                            near[w] = v
+                near.pop(u, None)
+                for w in rows[u]:
+                    near.pop(w, None)
+                for w in sorted(near):
+                    two_hop[nodes[w]] = nodes[near[w]]
+            lists[node] = DominatorLists(one_hop, two_hop, three_hops.get(u, {}))
         return lists
-
-    def _three_hop_path(
-        self, u: Hashable, w: Hashable
-    ) -> Optional[Tuple[Hashable, Hashable]]:
-        """Find ``(v, x)`` with ``u-v-x-w`` where ``v`` is a dominator,
-        so both expanded edges are black.
-
-        ``u`` and ``w`` are 3 hops apart, so a neighbour ``v`` of ``u``
-        is 2 hops from ``w`` exactly when the two share a neighbour.
-        """
-        adjacency = self.graph.adjacency
-        near_w = adjacency(w)
-        for v in sorted(adjacency(u) & self.dominators):
-            common = adjacency(v) & near_w
-            if common:
-                return v, min(common)
-        return None
 
     def _build_overlay_tables(self) -> None:
         """Shortest-path next-hop table on the dominator overlay.

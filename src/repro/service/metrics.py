@@ -21,8 +21,8 @@ __all__ = ["ServiceMetrics"]
 #: Registry family holding one histogram per request operation.
 LATENCY_FAMILY = "request_latency_seconds"
 #: Registry family holding one histogram per refresh phase: ``absorb``
-#: (noting or re-constructing the backbone), ``graph_copy`` and
-#: ``router_build`` (freezing the snapshot).
+#: (noting or re-constructing the backbone), ``graph_copy``,
+#: ``numbering`` and ``router_build`` (freezing the snapshot).
 PHASE_FAMILY = "refresh_phase_seconds"
 
 

@@ -23,9 +23,9 @@ answers from that **last-good** snapshot with ``Response.stale = True``
 instead of blocking.
 
 Every request is timed into latency histograms, every refresh into
-per-phase histograms (absorb, graph copy, router build), and every
-cache touch, note, re-construction, stale serve, and rejection is
-counted (:class:`repro.service.metrics.ServiceMetrics`).
+per-phase histograms (absorb, graph copy, numbering, router build),
+and every cache touch, note, re-construction, stale serve, and
+rejection is counted (:class:`repro.service.metrics.ServiceMetrics`).
 """
 
 from __future__ import annotations
@@ -373,10 +373,15 @@ class BackboneService:
         started = self.clock()
         graph = self.graph.copy()
         copied = self.clock()
+        # The router's list scan and the broadcast plans' spanner index
+        # share the copy's one numbering.
+        graph.numbering()
+        numbered = self.clock()
         self._snapshot = _Snapshot(graph, result)
         built = self.clock()
         self.metrics.observe_phase("graph_copy", copied - started)
-        self.metrics.observe_phase("router_build", built - copied)
+        self.metrics.observe_phase("numbering", numbered - copied)
+        self.metrics.observe_phase("router_build", built - numbered)
         self._freeze_cost.update(built - started)
 
     # ------------------------------------------------------------------

@@ -59,7 +59,9 @@ from repro.obs.tracing import get_tracer
 from repro.shard.config import ShardConfig
 from repro.shard.tiler import TileId, Tiler
 from repro.wcds.base import BackboneResult
-from repro.wcds.connectors import MisRows, number_nodes, select_connectors
+from repro.wcds.connectors import (
+    MisRows, Rows, mis_rows, number_nodes, three_hop_relays,
+)
 
 Node = Hashable
 Pair = Tuple[Node, Node, Node]
@@ -69,7 +71,7 @@ ALGORITHM_NAME = "wcds-sharded"
 
 #: Hops within which a leader's connector picks read MIS flags, and
 #: within which they read adjacency rows: Algorithm II pairs MIS nodes
-#: exactly three hops apart, and :func:`select_connectors` reads the
+#: exactly three hops apart, and :func:`three_hop_relays` reads the
 #: rows of the nodes within two hops of a leader and the flags of the
 #: nodes within three.
 FLAG_REACH = 3
@@ -605,18 +607,19 @@ class ShardedBackbone:
         members = tix.members
         owner = self.tiler.owner
         connectors: Dict[int, List[Pair]] = {}
-        mis_adj: Optional[MisRows] = None
+        rows: Rows
         if ball is None:
             leaders = [
                 i for i, s in enumerate(status) if s is True and owner[members[i]] == tile
             ]
+            rows = mis_rows(tix.adj, status)
         else:
             if not ball:
                 return state.connectors
             leaders = sorted(
                 i for i in ball if status[i] is True and owner[members[i]] == tile
             )
-            mis_adj = MisRows(tix.adj, status)
+            rows = MisRows(tix.adj, status)
             connectors = {
                 u: pairs for u, pairs in state.connectors.items() if u not in ball
             }
@@ -626,7 +629,7 @@ class ShardedBackbone:
                 "MIS leaders whose connectors were re-selected, by scope",
                 scope="full" if ball is None else "ball",
             ).inc(len(leaders))
-        for u, w, v in select_connectors(tix.adj, status, leaders, mis_adj):
+        for u, w, v, _ in three_hop_relays(tix.adj, rows, leaders):
             pair = (members[u], members[w], members[v])
             pairs = connectors.get(u)
             if pairs is None:

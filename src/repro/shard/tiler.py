@@ -8,10 +8,14 @@ it does not own.  Owned nodes within the same distance of the tile
 boundary form the **frontier band** — the only state a tile ever
 publishes to its neighbors during stitching.
 
-The build bins every node in one pass of :mod:`repro.kernels.shard`,
-which performs the identical float64 arithmetic as the per-node
-:meth:`Tiler.tile_of` and :func:`rect_distance_squared` the churn
-updates use, so a built tiler and a churned one agree bit for bit.
+The build reads the positions once into an ``(n, 2)`` array and bins
+every node in one pass of :mod:`repro.kernels.shard`; per tile, one
+rectangle-distance pass over the nodes of the nearby cells yields both
+the halo and its *visible* part (the halo nodes whose whole unit disk
+the tile reads).  The kernels perform the identical float64 arithmetic
+as the per-node :meth:`Tiler.tile_of` and :func:`rect_distance_squared`
+the churn updates use, so a built tiler and a churned one agree bit for
+bit.
 
 The tiler is mutable under churn: :meth:`on_node_added`,
 :meth:`on_node_removed`, and :meth:`on_node_moved` update the owner /
@@ -23,7 +27,10 @@ set the serve pool rebuilds.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.geometry.packing import rect_band_packing_bound
 from repro.geometry.point import Point
@@ -70,6 +77,13 @@ class Tiler:
         self.owner: Dict[Node, TileId] = {}
         self._owned: Dict[TileId, Set[Node]] = {}
         self._halo: Dict[TileId, Set[Node]] = {}
+        #: tile -> the halo nodes whose whole unit disk lies within the
+        #: tile's halo (see :meth:`visible_members`).
+        self._visible: Dict[TileId, Set[Node]] = {}
+        slack = self.halo_width - radius
+        #: Squared rectangle distance up to which a halo node is visible;
+        #: the halo is at least three radii wide, so ``slack`` is positive.
+        self._visible_limit = slack * slack
         #: node -> tiles (excluding the owner) whose halo holds it.
         self._consumers: Dict[Node, Set[TileId]] = {}
         #: tile -> its :meth:`publishers`, until an owned node or one of
@@ -85,7 +99,11 @@ class Tiler:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         nodes = list(self.positions)
-        coords = [(self.positions[n].x, self.positions[n].y) for n in nodes]
+        count = len(nodes)
+        points = self.positions.values()
+        coords = np.empty((count, 2), dtype=np.float64)
+        coords[:, 0] = np.fromiter(map(attrgetter("x"), points), np.float64, count)
+        coords[:, 1] = np.fromiter(map(attrgetter("y"), points), np.float64, count)
         bins = bin_by_tile(coords, self.side)
         for tile, indexes in bins.items():
             members = {nodes[i] for i in indexes.tolist()}
@@ -96,35 +114,52 @@ class Tiler:
         reach = self._reach
         for tile in self._owned:
             tx, ty = tile
-            candidates: List[int] = []
+            near = []
             for cx in range(tx - reach, tx + reach + 1):
                 for cy in range(ty - reach, ty + reach + 1):
-                    if (cx, cy) == tile:
-                        continue
                     other = bins.get((cx, cy))
-                    if other is not None:
-                        candidates.extend(other.tolist())
-            if not candidates:
+                    if other is not None and (cx, cy) != tile:
+                        near.append(other)
+            if not near:
                 continue
-            cand_coords = [coords[i] for i in candidates]
-            d2 = vector_rect_d2(cand_coords, self.rect(tile))
-            halo = self._halo.setdefault(tile, set())
-            for i, inside in zip(candidates, (d2 <= limit).tolist()):
-                if inside:
-                    node = nodes[i]
-                    halo.add(node)
-                    self._consumers.setdefault(node, set()).add(tile)
+            candidates = np.concatenate(near)
+            d2 = vector_rect_d2(coords[candidates], self.rect(tile))
+            seen = d2 <= self._visible_limit
+            visible = candidates[seen]
+            hidden = candidates[~seen & (d2 <= limit)]
+            self._visible[tile] = {nodes[i] for i in visible.tolist()}
+            halo = self._halo[tile] = self._visible[tile].union(
+                [nodes[i] for i in hidden.tolist()]
+            )
+            for node in halo:
+                self._consumers.setdefault(node, set()).add(tile)
 
     def _index_halo(self, node: Node, pos: Point) -> None:
         """Register ``node`` in the halo of every occupied tile whose
         rectangle is within the halo width (excluding its owner)."""
-        limit = self.halo_width * self.halo_width
         for tile in self._candidate_tiles(pos):
             if tile == self.owner.get(node) or tile not in self._owned:
                 continue
-            if rect_distance_squared(pos.x, pos.y, self.rect(tile)) <= limit:
-                self._halo.setdefault(tile, set()).add(node)
-                self._consumers.setdefault(node, set()).add(tile)
+            self._read_halo(tile, node, pos)
+
+    def _read_halo(self, tile: TileId, node: Node, pos: Point) -> bool:
+        """Put ``node`` in ``tile``'s halo (and visible halo) if its
+        position is close enough; returns whether it went in."""
+        d2 = rect_distance_squared(pos.x, pos.y, self.rect(tile))
+        if d2 > self.halo_width * self.halo_width:
+            return False
+        self._halo.setdefault(tile, set()).add(node)
+        if d2 <= self._visible_limit:
+            self._visible.setdefault(tile, set()).add(node)
+        self._consumers.setdefault(node, set()).add(tile)
+        return True
+
+    def _unread_halo(self, tile: TileId, node: Node) -> None:
+        """Take ``node`` out of ``tile``'s halo and visible halo."""
+        self._halo[tile].discard(node)
+        visible = self._visible.get(tile)
+        if visible is not None:
+            visible.discard(node)
 
     def _candidate_tiles(self, pos: Point) -> List[TileId]:
         cx, cy = self.tile_of(pos)
@@ -241,27 +276,17 @@ class Tiler:
         Owned nodes always qualify (the halo is at least one radius
         wide); halo nodes qualify up to ``halo - 1`` radii out.
         """
-        slack = self.halo_width - self.radius
-        if slack < 0:  # pragma: no cover - config forbids halo < 1
-            return set(self._owned.get(tile, ()))
-        limit = slack * slack
-        rect = self.rect(tile)
-        visible = set(self._owned.get(tile, ()))
-        for node in self._halo.get(tile, ()):
-            pos = self.positions[node]
-            if rect_distance_squared(pos.x, pos.y, rect) <= limit:
-                visible.add(node)
-        return visible
+        return self._owned.get(tile, set()) | self._visible.get(tile, set())
 
     def sees_disk(self, tile: TileId, node: Node) -> bool:
         """Whether ``node``, a member of ``tile``, is in its
         :meth:`visible_members` (the same test for one node)."""
         if self.owner.get(node) == tile:
             return True
-        slack = self.halo_width - self.radius
         pos = self.positions[node]
-        return slack >= 0 and (
-            rect_distance_squared(pos.x, pos.y, self.rect(tile)) <= slack * slack
+        return (
+            rect_distance_squared(pos.x, pos.y, self.rect(tile))
+            <= self._visible_limit
         )
 
     def frontier_mis_bound(self, tile: TileId) -> int:
@@ -307,9 +332,8 @@ class Tiler:
                 if not owned:
                     self._retire_tile(tile)
         for consumer in self._consumers.pop(node, set()):
-            halo = self._halo.get(consumer)
-            if halo is not None:
-                halo.discard(node)
+            if consumer in self._halo:
+                self._unread_halo(consumer, node)
         return affected
 
     def on_node_moved(self, node: Node) -> Set[TileId]:
@@ -329,7 +353,7 @@ class Tiler:
         affected = set(self.tiles_reading(node))
         consumers = self._consumers.pop(node, set())
         for consumer in consumers:
-            self._halo[consumer].discard(node)
+            self._unread_halo(consumer, node)
         self._index_halo(node, pos)
         if self._consumers.get(node, set()) != consumers:
             self._drop_publishers(tile)
@@ -338,8 +362,6 @@ class Tiler:
 
     def _adopt_halo_of_new_tile(self, tile: TileId) -> None:
         """A tile just became occupied: collect its halo from scratch."""
-        limit = self.halo_width * self.halo_width
-        rect = self.rect(tile)
         tx, ty = tile
         reach = self._reach
         for cx in range(tx - reach, tx + reach + 1):
@@ -347,15 +369,13 @@ class Tiler:
                 if (cx, cy) == tile:
                     continue
                 for node in self._owned.get((cx, cy), ()):
-                    pos = self.positions[node]
-                    if rect_distance_squared(pos.x, pos.y, rect) <= limit:
-                        self._halo.setdefault(tile, set()).add(node)
-                        self._consumers.setdefault(node, set()).add(tile)
+                    if self._read_halo(tile, node, self.positions[node]):
                         self._drop_publishers((cx, cy))
 
     def _retire_tile(self, tile: TileId) -> None:
         """A tile lost its last owned node: forget it entirely."""
         self._owned.pop(tile, None)
+        self._visible.pop(tile, None)
         self._drop_publishers(tile)
         for node in self._halo.pop(tile, set()):
             self._drop_publishers(self.owner[node])

@@ -54,7 +54,7 @@ from repro.sim.node import NodeContext
 from repro.sim.stats import SimStats
 from repro.transport.reliable import aggregate_transport
 from repro.wcds.base import BackboneResult, WCDSResult
-from repro.wcds.connectors import select_connectors
+from repro.wcds.connectors import mis_rows, three_hop_relays
 
 MIS_DOMINATOR = "MIS-DOMINATOR"
 GRAY = "GRAY"
@@ -372,7 +372,7 @@ def algorithm2_centralized(graph: Graph) -> WCDSResult:
     first-hop neighbor of ``u`` that lies on a 3-hop path to ``w`` —
     the distributed run may pick a different (equally valid)
     intermediate depending on message arrival order.  The rule is
-    :func:`repro.wcds.connectors.select_connectors`, and
+    :func:`repro.wcds.connectors.three_hop_relays`, and
     ``meta["pairs_covered"]`` lists ``(u, w, chosen)`` in ascending
     ``(u, w)`` order.
     """
@@ -391,7 +391,7 @@ def algorithm2_centralized(graph: Graph) -> WCDSResult:
     leaders = [i for i, flag in enumerate(is_mis) if flag]
     pairs_covered = [
         (nodes[u], nodes[w], nodes[v])
-        for u, w, v in select_connectors(adj, is_mis, leaders)
+        for u, w, v, _ in three_hop_relays(adj, mis_rows(adj, is_mis), leaders)
     ]
     additional: Set[Hashable] = {chosen for _, _, chosen in pairs_covered}
     additional -= mis  # MIS nodes are never intermediates, but be safe

@@ -4,7 +4,7 @@ For every pair of MIS-dominators ``(u, w)`` exactly three hops apart,
 the lower-id endpoint ``u`` picks one intermediate: the minimum-id
 neighbour ``v`` of ``u`` that lies on a 3-hop path to ``w`` (§4.2).  In
 the paper ``u`` learns ``w`` from its neighbours' 1-HOP- and
-2-HOP-DOMINATORS lists; :func:`select_connectors` is that list step run
+2-HOP-DOMINATORS lists; :func:`three_hop_relays` is that list step run
 centrally:
 
 * an MIS node is within two hops of ``u`` exactly when it is an MIS
@@ -14,17 +14,25 @@ centrally:
 
 So scanning ``v`` in ascending order, then ``x ∈ N(v)``, then the MIS
 neighbours ``w`` of ``x``, the first ``v`` that reaches a new ``w`` is
-the minimum candidate.  The whole-graph construction
-(:func:`repro.wcds.algorithm2.algorithm2_centralized`) reads the graph's
-shared :meth:`~repro.graphs.graph.Graph.numbering`; the tiled one
-(:class:`repro.shard.stitch.ShardedBackbone`) and the mobility
-maintainer (:class:`repro.mobility.MaintainedWCDS`) number a local
-region with :func:`number_nodes`.  All three call the kernel.
+the minimum candidate.  Four callers run the scan:
 
-The kernel reads each node's MIS neighbours.  A whole-graph run
-scatters them from the MIS nodes in one pass; a run whose few leaders
-read only a few rows (a tile re-selecting near a change) passes
-:class:`MisRows`, which gathers each row on first read instead.
+* the whole-graph construction
+  (:func:`repro.wcds.algorithm2.algorithm2_centralized`) reads the
+  graph's shared :meth:`~repro.graphs.graph.Graph.numbering`;
+* the tiled one (:class:`repro.shard.stitch.ShardedBackbone`) and the
+  mobility maintainer (:class:`repro.mobility.MaintainedWCDS`) number a
+  tile or a local region with :func:`number_nodes`;
+* the clusterhead router (:class:`repro.routing.ClusterheadRouter`)
+  lists every MIS node's 3-hop MIS nodes in both directions, with ``v``
+  restricted to dominators so both expanded edges are black.
+
+The scan reads each node's MIS neighbours.  A whole-graph run scatters
+them from the MIS nodes in one pass (:func:`mis_rows`); a run whose
+few leaders read only a few rows (a tile re-selecting near a change)
+passes :class:`MisRows`, which gathers each row on first read instead.
+A numpy pair kernel (ragged expansion, first entry per cell) was
+measured against this scan and lost on a move's few-leader balls, so
+the scan stays one Python loop.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ def number_nodes(
 
 class MisRows(Dict[int, List[int]]):
     """Each node's MIS neighbours, ascending, gathered from ``adj`` on
-    first read: what :func:`select_connectors` scatters for a whole
+    first read: what :func:`mis_rows` scatters for a whole
     graph, for a run that reads only the rows near its leaders."""
 
     def __init__(
@@ -77,33 +85,48 @@ class MisRows(Dict[int, List[int]]):
         return row
 
 
-def select_connectors(
-    adj: Sequence[Tuple[int, ...]],
-    is_mis: Sequence[Optional[int]],
-    leaders: Iterable[int],
-    mis_adj: Optional[Mapping[int, List[int]]] = None,
-) -> List[Tuple[int, int, int]]:
-    """Algorithm II's connector picks ``(u, w, v)`` for the 3-hop MIS
-    pairs led by ``leaders``.
+#: Each node's MIS neighbours, ascending: every row (:func:`mis_rows`)
+#: or the rows read so far (:class:`MisRows`).
+Rows = Union[Sequence[List[int]], Mapping[int, List[int]]]
 
-    ``adj[i]`` is node ``i``'s ascending neighbour tuple, ``is_mis[i]``
-    is truthy for MIS nodes.  For each leader ``u`` (in the order
-    given; callers pass them ascending), every MIS node ``w > u`` at hop
-    distance exactly 3 gets the minimum neighbour ``v`` of ``u`` on a
-    3-hop path to it, and the leader's pairs come in ascending ``w``.
-    ``mis_adj`` is a :class:`MisRows` for the same ``adj`` and
-    ``is_mis``; without it the rows are scattered for every node.
+
+def mis_rows(
+    adj: Sequence[Tuple[int, ...]], is_mis: Sequence[Optional[int]]
+) -> List[List[int]]:
+    """Each node's MIS neighbours, ascending, scattered from the MIS
+    nodes in one pass (what :class:`MisRows` gathers row by row)."""
+    rows: List[List[int]] = [[] for _ in adj]
+    for w, flag in enumerate(is_mis):
+        if flag:
+            for x in adj[w]:
+                rows[x].append(w)
+    return rows
+
+
+def three_hop_relays(
+    adj: Sequence[Tuple[int, ...]],
+    rows: Rows,
+    leaders: Iterable[int],
+    through: Optional[Sequence[int]] = None,
+    upper: bool = True,
+) -> List[Tuple[int, int, int, int]]:
+    """``(u, w, v, x)`` for each leader ``u`` and every MIS node ``w`` at
+    hop distance exactly 3 from it (only ``w > u`` if ``upper``): ``v``
+    is the minimum neighbour of ``u`` on a path ``u - v - x - w`` (among
+    the ``v`` with ``through[v]`` truthy, if given) and ``x`` the
+    minimum common neighbour of ``v`` and ``w``.  Leaders come in the
+    order given, each one's targets in ascending ``w``.  With ``upper``
+    and no ``through``, the ``(u, w, v)`` are Algorithm II's connector
+    picks for the pairs led by ``leaders`` (callers pass them
+    ascending).
+
+    ``adj[i]`` is node ``i``'s ascending neighbour tuple and ``rows``
+    holds the MIS rows (:func:`mis_rows` or :class:`MisRows`).
+    ``x`` is the first node of ``v``'s row that no earlier ``v`` read:
+    an earlier one sharing a neighbour with ``w`` would have reached
+    ``w`` first.
     """
-    rows: Union[Mapping[int, List[int]], List[List[int]]]
-    if mis_adj is None:
-        rows = [[] for _ in adj]
-        for w, flag in enumerate(is_mis):
-            if flag:
-                for x in adj[w]:
-                    rows[x].append(w)
-    else:
-        rows = mis_adj
-    pairs: List[Tuple[int, int, int]] = []
+    relays: List[Tuple[int, int, int, int]] = []
     for u in leaders:
         first = adj[u]
         # MIS nodes within two hops of u (and the found targets) are
@@ -115,16 +138,18 @@ def select_connectors(
         # at distance 2 yields its targets to the first v reaching it.
         seen = set(first)
         seen.add(u)
-        found: List[Tuple[int, int]] = []
-        for v in first:
+        low = u if upper else -1
+        found: List[Tuple[int, int, int]] = []
+        for v in first if through is None else [v for v in first if through[v]]:
             for x in adj[v]:
                 if x in seen:
                     continue
                 seen.add(x)
                 for w in rows[x]:
-                    if w > u and w not in blocked:
+                    if w > low and w not in blocked:
                         blocked.add(w)
-                        found.append((w, v))
+                        found.append((w, v, x))
         found.sort()
-        pairs.extend((u, w, v) for w, v in found)
-    return pairs
+        relays.extend((u, w, v, x) for w, v, x in found)
+    return relays
+

@@ -1,6 +1,6 @@
 """The 3-hop connector kernel against the loops it replaced.
 
-:func:`repro.wcds.connectors.select_connectors` is Algorithm II's
+:func:`repro.wcds.connectors.three_hop_relays` is Algorithm II's
 connector rule over integers: MIS nodes within two hops of a leader are
 the MIS neighbours of its closed neighbourhood, and the first neighbour
 (in id order) that reaches a new MIS node through one more node is the
@@ -34,7 +34,7 @@ from repro.mis.centralized import greedy_mis
 from repro.shard import ShardConfig, ShardedBackbone
 from repro.shard.tiler import TileId
 from repro.wcds.algorithm2 import algorithm2_centralized
-from repro.wcds.connectors import number_nodes, select_connectors
+from repro.wcds.connectors import mis_rows, number_nodes, three_hop_relays
 
 from tutils import dense_connected_udg, seeds
 
@@ -97,7 +97,7 @@ def kernel_connectors(graph: Graph, mis: Set[Node], owned: Set[Node]) -> List[Pa
     leaders = [i for i, node in enumerate(nodes) if is_mis[i] and node in owned]
     return [
         (nodes[u], nodes[w], nodes[v])
-        for u, w, v in select_connectors(adj, is_mis, leaders)
+        for u, w, v, _ in three_hop_relays(adj, mis_rows(adj, is_mis), leaders)
     ]
 
 

@@ -25,7 +25,7 @@ from repro.opt.bitset import BitsetGraph, _hop_distances, iter_bits
 from repro.routing.broadcast import SpannerIndex
 from repro.sim import BatchedSimulator, ProtocolNode
 from repro.wcds.algorithm2 import algorithm2_centralized
-from repro.wcds.connectors import number_nodes, select_connectors
+from repro.wcds.connectors import mis_rows, number_nodes, three_hop_relays
 
 np = pytest.importorskip("numpy")
 
@@ -249,7 +249,7 @@ class TestClients:
         leaders = [i for i, flag in enumerate(is_mis) if flag]
         assert result.meta["pairs_covered"] == [
             (nodes[u], nodes[w], nodes[v])
-            for u, w, v in select_connectors(adj, is_mis, leaders)
+            for u, w, v, _ in three_hop_relays(adj, mis_rows(adj, is_mis), leaders)
         ]
 
     def test_algorithm2_refuses_mixed_ids(self):

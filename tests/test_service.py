@@ -142,8 +142,10 @@ class TestMetrics:
 
     def test_refresh_phases_read_the_injected_clock(self, network, monkeypatch):
         # A fake clock that steps only inside each phase: noting a node
-        # takes 0.25 s, copying the graph 0.5 s and building the router
-        # 2 s, so the phase histograms must read exactly that.
+        # takes 0.25 s, copying the graph 0.5 s, numbering the copy 1 s
+        # and building the router 2 s, so the phase histograms must read
+        # exactly that.
+        import repro.graphs.graph as graph_module
         import repro.service.service as service_module
 
         now = {"t": 0.0}
@@ -157,6 +159,12 @@ class TestMetrics:
         monkeypatch.setattr(
             service_module, "ClusterheadRouter",
             stepping(2.0, service_module.ClusterheadRouter),
+        )
+        # Only a numbering that is not cached yet costs time, so the
+        # router's own numbering() read is free.
+        monkeypatch.setattr(
+            graph_module.Numbering, "of",
+            staticmethod(stepping(1.0, graph_module.Numbering.of)),
         )
         service = BackboneService(network, clock=lambda: now["t"])
         service._build_cost.value = 1e9  # always note, never rebuild
@@ -174,7 +182,7 @@ class TestMetrics:
                 "refresh_phase_seconds"
             ).items()
         }
-        assert set(phases) == {"absorb", "graph_copy", "router_build"}
+        assert set(phases) == {"absorb", "graph_copy", "numbering", "router_build"}
         absorb = phases["absorb"]
         assert absorb.count == 3
         assert absorb.total == pytest.approx(0.25 * moved[-1])
@@ -184,6 +192,8 @@ class TestMetrics:
         # The initial freeze is timed too, untouched by the copy patch.
         assert phases["graph_copy"].count == 4
         assert phases["graph_copy"].total == pytest.approx(3 * 0.5)
+        assert phases["numbering"].count == 4
+        assert phases["numbering"].min == phases["numbering"].max == 1.0
         assert phases["router_build"].count == 4
         assert phases["router_build"].min == phases["router_build"].max == 2.0
 

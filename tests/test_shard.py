@@ -78,21 +78,30 @@ class TestTiler:
 
     @staticmethod
     def assert_matches_brute_force(tiler, positions):
-        """Owner and halo indexes equal a per-node scan of the
-        deployment: ``tile_of`` for ownership, the rectangle distance
-        against the halo width for halo membership."""
+        """Owner, halo and visibility indexes equal a per-node scan of
+        the deployment: ``tile_of`` for ownership, the rectangle
+        distance against the halo width for halo membership, and
+        against the halo width less one radius for a visible halo
+        node."""
         assert tiler.owner == {
             node: tiler.tile_of(pos) for node, pos in positions.items()
         }
         assert tiler.tiles() == tuple(sorted(set(tiler.owner.values())))
         limit = tiler.halo_width**2
+        visible_limit = (tiler.halo_width - tiler.radius) ** 2
         for tile in tiler.tiles():
             rect = tiler.rect(tile)
-            assert set(tiler.halo(tile)) == {
+            halo = {
                 node
                 for node, pos in positions.items()
                 if tiler.owner[node] != tile
                 and rect_distance_squared(pos.x, pos.y, rect) <= limit
+            }
+            assert set(tiler.halo(tile)) == halo
+            assert tiler.visible_members(tile) == set(tiler.owned(tile)) | {
+                node
+                for node in halo
+                if rect_distance_squared(*positions[node], rect) <= visible_limit
             }
 
     @staticmethod
