@@ -35,14 +35,13 @@ from typing import Callable, Dict, Hashable, Tuple
 import pytest
 
 from bench_utils import show
-from repro.graphs import all_pairs_hop_distances, bfs_distances
+from repro.graphs import all_pairs_hop_distances, bfs_distances, jittered_grid
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.graphs.generators import uniform_random_udg
 from repro.kernels import graph_to_csr, packed_hop_distances, vector_udg_edges
 from repro.routing import ClusterheadRouter
 from repro.routing.overlay import OverlayPaths
-from repro.shard.bench import jittered_grid
 from repro.wcds import algorithm2_centralized
 
 #: Speedup floors asserted by the gates.

@@ -118,8 +118,8 @@ def _shard_queries(pool, count, seed):
 def _measure_sharded():
     import statistics
 
+    from repro.graphs import jittered_grid
     from repro.shard import ShardConfig, ShardServePool
-    from repro.shard.bench import jittered_grid
 
     deployment = jittered_grid(SHARD_N, seed=11)
     config = ShardConfig(tile_size=12.0, workers=2, batch_size=128)

@@ -6,9 +6,9 @@ The shard subsystem's reason to exist, asserted here:
   throughput (needs >= 2 usable CPUs — skipped otherwise; at the full
   ``n`` the split replica working set also halves per-process memory
   pressure, which is where multi-worker serving pays off);
-* gentle (edge-preserving) interior churn re-stitches only the tiles
-  reading the moved node: **zero cascaded tiles**, and at most the
-  reading tiles rebuilt per event;
+* gentle (edge-preserving) churn of nodes no other tile reads
+  re-stitches only the tiles reading the moved node: **zero cascaded
+  tiles**, and at most the reading tiles rebuilt per event;
 * the stitched backbone equals the global single-process construction
   (spot-checked here; the seed/tile-size sweep lives in
   ``tests/test_shard.py``).
@@ -17,17 +17,23 @@ The shard subsystem's reason to exist, asserted here:
 multi-shard instance); CI runs a reduced size.
 """
 
+import math
 import os
+import random
+import time
 
 import pytest
 
 from bench_utils import show
-from repro.shard.bench import bench_invalidation, bench_pool, jittered_grid
+from repro.geometry import Point
+from repro.graphs import jittered_grid
+from repro.shard import ShardConfig, ShardServePool
 
 N = int(os.environ.get("SHARD_SCALING_N", "100000"))
 TILE_SIZE = 12.0
 SEED = 0
 QUERIES = max(4096, min(16384, N // 8))
+BATCH_SIZE = 128
 
 
 def _usable_cpus() -> int:
@@ -35,6 +41,63 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
+
+
+def _route_queries(tiler, count: int, seed: int):
+    """Intra-tile route queries: pairs of nodes owned by one tile."""
+    rng = random.Random(seed)
+    tiles = tiler.tiles()
+    queries = []
+    for _ in range(count):
+        owned = tiler.owned(tiles[rng.randrange(len(tiles))])
+        u = owned[rng.randrange(len(owned))]
+        v = owned[rng.randrange(len(owned))]
+        queries.append(("route", u, v))
+    return queries
+
+
+def _serve(graph, workers: int):
+    """Route throughput of one pool width on the intra-tile workload."""
+    config = ShardConfig(
+        tile_size=TILE_SIZE, workers=workers, batch_size=BATCH_SIZE
+    )
+    with ShardServePool(graph, config) as pool:
+        queries = _route_queries(pool.tiler, QUERIES, SEED)
+        started = time.perf_counter()
+        answers = pool.query_batch(queries)
+        seconds = time.perf_counter() - started
+        tiles = len(pool.tiler.tiles())
+    return {
+        "workers": workers,
+        "tiles": tiles,
+        "qps": QUERIES / seconds,
+        "answered": sum(1 for answer in answers if answer is not None),
+    }
+
+
+def _gentle_moves(graph, tiler, count: int, seed: int):
+    """Yield ``count`` moves ``(node, target)`` that flip no unit-disk edge.
+
+    Each move takes a node no other tile reads and shifts it, in a
+    random direction, by half its link margin: the smallest
+    ``|d(v, w) - R|`` over the nodes ``w`` within ``2R``, read on the
+    live graph.  By the triangle inequality no distance then crosses
+    ``R``.  Apply each move before drawing the next.
+    """
+    rng = random.Random(seed)
+    quiet = [v for v in sorted(graph.positions) if not tiler.consumers(v)]
+    for _ in range(count):
+        node = quiet[rng.randrange(len(quiet))]
+        pos = graph.positions[node]
+        step = 0.5 * min(
+            abs(pos.distance_to(graph.positions[w]) - graph.radius)
+            for w in graph.nodes_within(pos, 2.0 * graph.radius)
+            if w != node
+        )
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        yield node, Point(
+            pos.x + step * math.cos(angle), pos.y + step * math.sin(angle)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -45,30 +108,14 @@ def deployment():
 def test_two_workers_double_throughput(benchmark, deployment):
     if _usable_cpus() < 2:
         pytest.skip("worker scaling needs >= 2 usable CPUs")
-    one = bench_pool(
-        deployment, 1, tile_size=TILE_SIZE, queries=QUERIES,
-        batch_size=128, seed=SEED,
+    one = _serve(deployment, 1)
+    two = benchmark.pedantic(
+        lambda: _serve(deployment, 2), rounds=1, iterations=1
     )
-
-    def two_workers():
-        return bench_pool(
-            deployment, 2, tile_size=TILE_SIZE, queries=QUERIES,
-            batch_size=128, seed=SEED,
-        )
-
-    two = benchmark.pedantic(two_workers, rounds=1, iterations=1)
-    scaling = two["throughput_qps"] / one["throughput_qps"]
+    scaling = two["qps"] / one["qps"]
     show(
         f"Shard pool scaling (n={N}, tile={TILE_SIZE}R)",
-        [
-            {
-                "workers": entry["workers"],
-                "tiles": entry["tiles"],
-                "qps": round(entry["throughput_qps"], 1),
-                "answered": entry["answered"],
-            }
-            for entry in (one, two)
-        ]
+        [{**entry, "qps": round(entry["qps"], 1)} for entry in (one, two)]
         + [{"workers": "2 vs 1", "tiles": "", "qps": round(scaling, 2),
             "answered": ""}],
     )
@@ -79,20 +126,34 @@ def test_two_workers_double_throughput(benchmark, deployment):
 
 
 def test_gentle_churn_is_boundary_only(deployment):
-    report = bench_invalidation(
-        deployment, tile_size=TILE_SIZE,
-        churn_events=min(50, max(10, N // 2000)), seed=SEED,
+    events = min(50, max(10, N // 2000))
+    config = ShardConfig(tile_size=TILE_SIZE, workers=0)
+    with ShardServePool(deployment.copy(), config) as pool:
+        tiles = len(pool.tiler.tiles())
+        rebuilt = cascaded = 0
+        widest = 0
+        for node, target in _gentle_moves(pool.graph, pool.tiler, events, SEED):
+            before = pool.graph.neighbors(node)
+            report = pool.move(node, target)
+            assert pool.graph.neighbors(node) == before, (
+                f"gentle move of {node!r} changed its adjacency"
+            )
+            rebuilt += len(report.rebuilt)
+            cascaded += len(report.cascaded)
+            widest = max(widest, len(report.rebuilt))
+    show(
+        f"Boundary-only invalidation (n={N})",
+        [{"tiles": tiles, "churn_events": events, "tiles_rebuilt": rebuilt,
+          "tiles_cascaded": cascaded, "max_tiles_rebuilt_per_event": widest}],
     )
-    show(f"Boundary-only invalidation (n={N})", [report])
-    assert report["churn_events"] > 0, "no edge-preserving interior moves found"
-    assert report["tiles_cascaded"] == 0, (
+    assert cascaded == 0, (
         "gentle churn re-stitched tiles beyond the ones reading the "
-        f"moved node: {report}"
+        "moved node"
     )
     # Each event touches at most the moved node's reading tiles — far
     # fewer than the deployment's tiles.
-    assert report["max_tiles_rebuilt_per_event"] <= 4
-    assert report["tiles_rebuilt"] < report["tiles"] * report["churn_events"]
+    assert widest <= 4
+    assert rebuilt < tiles * events
 
 
 def test_sharded_matches_global_backbone():

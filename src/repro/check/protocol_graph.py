@@ -758,24 +758,6 @@ class ProtocolGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    # -- alphabets for the runtime sanitizer ---------------------------
-    def class_alphabets(self) -> Dict[str, Dict[str, Set[str]]]:
-        """``{class_name: {"sent": ..., "handled": ...}}`` across every
-        module, with the module-level alphabet unioned in (a class may
-        send a kind its module-mate handles)."""
-        out: Dict[str, Dict[str, Set[str]]] = {}
-        for mod in self.modules:
-            mod_sent = mod.sent_kinds()
-            mod_handled = mod.handled_kinds()
-            for cls in mod.classes:
-                entry = out.setdefault(
-                    cls.name, {"sent": set(), "handled": set(), "module": set()}
-                )
-                entry["sent"] |= cls.sent_kinds()
-                entry["handled"] |= cls.handled_kinds()
-                entry["module"] |= mod_sent | mod_handled
-        return out
-
 
 def build_protocol_graph(
     paths: Optional[Sequence[str]] = None,

@@ -12,7 +12,6 @@ Usage (installed as ``repro``, or ``python -m repro.cli``):
     repro experiment --all --markdown results.md  # full measured report
     repro figures    --outdir figures             # regenerate the figures
     repro serve      --requests trace.jsonl       # replay through the service
-    repro service-bench --nodes 500               # cached vs rebuild-per-query
     repro obs-report --algorithm 1                # message costs vs Theorem 12
     repro obs-report --fleet 2                    # cross-process telemetry smoke
     repro slo --slo-latency route:0.05:0.99       # burn-rate verdict
@@ -605,111 +604,6 @@ def cmd_serve(args) -> int:
     return 0 if slo_ok else 1
 
 
-def cmd_service_bench(args) -> int:
-    import json
-    import time
-
-    from repro.routing import ClusterheadRouter
-    from repro.service import BackboneService, WorkloadConfig, WorkloadGenerator
-    from repro.wcds import algorithm2_centralized
-
-    graph = _build(args)
-    generator = WorkloadGenerator(
-        sorted(graph.nodes(), key=repr),
-        WorkloadConfig(queries=args.queries, mix=(("route", 1.0),), seed=args.seed),
-    )
-    queries = [(r.src, r.dst) for r in generator.requests()]
-
-    service = BackboneService(graph.copy())
-    started = time.perf_counter()
-    for src, dst in queries:
-        response = service.route(src, dst)
-        assert response.ok, response.error
-    cached_seconds = time.perf_counter() - started
-
-    # Baseline: what every CLI invocation does today — rebuild the
-    # backbone and tables for each query (a sample; it is slow).
-    sample = queries[: min(len(queries), args.baseline_queries)]
-    started = time.perf_counter()
-    for src, dst in sample:
-        result = algorithm2_centralized(graph)
-        router = ClusterheadRouter(graph, result)
-        router.route(src, dst)
-    rebuild_seconds = time.perf_counter() - started
-
-    cached_per_query = cached_seconds / len(queries)
-    rebuild_per_query = rebuild_seconds / len(sample)
-    speedup = rebuild_per_query / cached_per_query if cached_per_query else 0.0
-    print_table(
-        [
-            {
-                "path": "service (cached)",
-                "queries": len(queries),
-                "qps": 1.0 / cached_per_query if cached_per_query else 0.0,
-                "per_query_ms": cached_per_query * 1e3,
-            },
-            {
-                "path": "rebuild per query",
-                "queries": len(sample),
-                "qps": 1.0 / rebuild_per_query if rebuild_per_query else 0.0,
-                "per_query_ms": rebuild_per_query * 1e3,
-            },
-        ],
-        title=f"Service throughput (n={graph.num_nodes}, speedup {speedup:.1f}x)",
-    )
-    print(json.dumps(
-        {
-            "speedup": round(speedup, 2),
-            "cached_qps": round(1.0 / cached_per_query, 2),
-            "rebuild_qps": round(1.0 / rebuild_per_query, 2),
-            "metrics": service.metrics.snapshot(),
-        },
-        indent=2,
-    ))
-    return 0
-
-
-def cmd_shard_bench(args) -> int:
-    import json
-
-    from repro.shard.bench import run_scaling_bench
-
-    workers = tuple(int(w) for w in args.workers.split(","))
-    report = run_scaling_bench(
-        args.nodes,
-        workers=workers,
-        tile_size=args.tile_size,
-        queries=args.queries,
-        churn_events=args.churn,
-        seed=args.seed,
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return 0
-    print_table(
-        [
-            {
-                "workers": entry["workers"],
-                "tiles": entry["tiles"],
-                "queries": entry["queries"],
-                "qps": round(entry["throughput_qps"], 1),
-                "build_s": round(entry["build_seconds"], 2),
-            }
-            for entry in report["pools"]
-        ],
-        title=f"Shard serve throughput (n={report['n']}, "
-        f"tile={report['tile_size']}R)",
-    )
-    inv = report["invalidation"]
-    print_table(
-        [inv],
-        title="Boundary-only invalidation under gentle churn",
-    )
-    if "scaling_2_vs_1" in report:
-        print(f"2-worker vs 1-worker scaling: {report['scaling_2_vs_1']:.2f}x")
-    return 0
-
-
 def _cmd_obs_fleet(args) -> int:
     """obs-report --fleet: drive the cross-process telemetry pipeline.
 
@@ -724,7 +618,7 @@ def _cmd_obs_fleet(args) -> int:
     from repro.faults import default_fault_plan, run_chaos
     from repro.obs import MetricsRegistry
     from repro.shard import ShardConfig, ShardServePool
-    from repro.shard.bench import jittered_grid
+    from repro.graphs import jittered_grid
     from repro.sim.config import SimConfig
 
     recorder = _arm_flight_recorder(args, process="fleet")
@@ -741,18 +635,20 @@ def _cmd_obs_fleet(args) -> int:
 
     graph = jittered_grid(args.fleet_nodes, seed=args.seed)
     registry = MetricsRegistry()
-    pool = ShardServePool(
-        graph,
-        ShardConfig(workers=args.fleet, tile_size=8.0),
-        registry=registry,
-    )
     nodes = sorted(graph.positions)
     queries = [("dominator", n) for n in nodes[:: 2]]
     queries += [("member", n) for n in nodes[:: 3]]
-    queries += [("route", nodes[i], nodes[i + 1]) for i in range(0, 60, 2)]
-    pool.query_batch(queries)
-    pool.flush_telemetry()
-    pool.close()
+    queries += [
+        ("route", nodes[i], nodes[i + 1])
+        for i in range(0, min(60, len(nodes) - 1), 2)
+    ]
+    with ShardServePool(
+        graph,
+        ShardConfig(workers=args.fleet, tile_size=8.0),
+        registry=registry,
+    ) as pool:
+        pool.query_batch(queries)
+        pool.flush_telemetry()
 
     merged = pool.merged_telemetry()
     checks = []
@@ -1300,35 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_slo_args(p)
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser(
-        "service-bench", help="service throughput: cached vs rebuild-per-query"
-    )
-    _add_topology_args(p)
-    p.add_argument("--queries", type=int, default=300,
-                   help="route queries through the cached service")
-    p.add_argument("--baseline-queries", type=int, default=15,
-                   help="route queries through the rebuild-per-query baseline")
-    p.set_defaults(func=cmd_service_bench)
-
-    p = sub.add_parser(
-        "shard-bench",
-        help="sharded serving: pool throughput scaling and "
-        "boundary-only invalidation",
-    )
-    p.add_argument("--nodes", type=int, default=10000,
-                   help="deployment size (jittered grid, connected)")
-    p.add_argument("--tile-size", type=float, default=12.0,
-                   help="tile side in radio-radius units")
-    p.add_argument("--workers", default="1,2",
-                   help="comma list of pool widths to measure")
-    p.add_argument("--queries", type=int, default=3000,
-                   help="route queries per pool width")
-    p.add_argument("--churn", type=int, default=30,
-                   help="gentle churn events for the invalidation profile")
-    p.add_argument("--seed", type=int, default=0, help="deployment seed")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_shard_bench)
 
     p = sub.add_parser(
         "obs-report",

@@ -8,6 +8,7 @@ from repro.graphs.generators import (
     connected_random_udg,
     density_sweep_sides,
     grid_udg,
+    jittered_grid,
     line_udg,
     paper_figure2_udg,
     perturbed_grid_udg,
@@ -45,6 +46,7 @@ __all__ = [
     "connected_random_udg",
     "density_sweep_sides",
     "grid_udg",
+    "jittered_grid",
     "line_udg",
     "paper_figure2_udg",
     "perturbed_grid_udg",

@@ -97,21 +97,6 @@ class FlightRecorder:
         if kind in self.dump_on and self.dump_path is not None:
             self.dump(reason=kind)
 
-    def record_span(self, record: Dict[str, Any]) -> None:
-        """Record one completed flat span record (see obs.pipeline)."""
-        self.record(
-            "span",
-            name=record.get("name"),
-            trace_id=record.get("trace_id"),
-            span_id=record.get("span_id"),
-            duration_seconds=record.get("duration_seconds"),
-            attrs=dict(record.get("attrs") or {}),
-        )
-
-    def record_metric_delta(self, name: str, delta: float, **labels: Any) -> None:
-        """Record one interesting metric movement (e.g. an error bump)."""
-        self.record("metric_delta", metric=name, delta=delta, labels=labels)
-
     # ------------------------------------------------------------------
     # Inspection / dumping
     # ------------------------------------------------------------------

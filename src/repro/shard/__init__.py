@@ -15,9 +15,11 @@ subpackage operationalizes that:
   backbone from per-tile replicas, in-process or across a
   ``spawn`` worker pool over shared-memory positions (the workers are
   a :class:`~repro.workers.WorkerGroup`; ``SharedPositions`` is
-  re-exported from :mod:`repro.workers`);
-* :mod:`~repro.shard.bench` — the scaling harness behind
-  ``benchmarks/bench_shard_scaling.py`` and ``repro shard-bench``.
+  re-exported from :mod:`repro.workers`).
+
+The ``bench`` submodule only re-exports
+:func:`repro.graphs.jittered_grid` for the benchmark suite; the scaling
+measurements live in ``benchmarks/bench_shard_scaling.py``.
 """
 
 from repro.shard.config import MIN_HALO_RADII, ShardConfig

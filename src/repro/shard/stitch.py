@@ -690,16 +690,6 @@ class ShardedBackbone:
         connectors = state.connectors
         return [pair for u in sorted(connectors) for pair in connectors[u]]
 
-    def tile_backbone(self, tile: TileId) -> Set[Node]:
-        """Backbone members visible to one tile (for its replica)."""
-        members = {v for v, s in self.tile_status(tile).items() if s is True}
-        for _, _, chosen in self.tile_connectors(tile):
-            members.add(chosen)
-        # Connectors chosen by *other* tiles for pairs whose nodes this
-        # tile can see are collected by the serving layer from the
-        # merged result; the per-tile view only needs its own picks.
-        return members
-
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------

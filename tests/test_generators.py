@@ -11,6 +11,7 @@ from repro.graphs import (
     density_sweep_sides,
     grid_udg,
     is_connected,
+    jittered_grid,
     line_udg,
     paper_figure2_udg,
     perturbed_grid_udg,
@@ -67,6 +68,59 @@ class TestGrids:
         a = perturbed_grid_udg(3, 3, seed=4)
         b = perturbed_grid_udg(3, 3, seed=4)
         assert a.positions == b.positions
+
+
+def _digests(graph):
+    """Short digests of a graph's exact positions and of its edge set."""
+    import hashlib
+
+    positions = sorted(
+        (v, p.x.hex(), p.y.hex()) for v, p in graph.positions.items()
+    )
+    edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
+    return tuple(
+        hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+        for value in (positions, edges)
+    )
+
+
+class TestJitteredGrid:
+    @pytest.mark.parametrize("n", [1, 2, 63, 2000])
+    def test_connected_with_exactly_n_nodes(self, n):
+        g = jittered_grid(n, seed=0)
+        assert g.num_nodes == n
+        assert is_connected(g)
+
+    def test_partial_last_row(self):
+        # 2000 nodes fill 44 columns: 45 full rows and 20 nodes over.
+        g = jittered_grid(2000, seed=0)
+        top = max(round(p.y / 0.55) for p in g.positions.values())
+        assert top == 45
+        assert sum(1 for p in g.positions.values() if round(p.y / 0.55) == 45) == 20
+
+    def test_seed_reproducibility(self):
+        assert jittered_grid(300, 4).positions == jittered_grid(300, 4).positions
+        assert jittered_grid(300, 4).positions != jittered_grid(300, 5).positions
+
+    @pytest.mark.parametrize("n", [400, 900])
+    def test_equals_perturbed_grid_on_a_square(self, n):
+        side = int(n**0.5)
+        a = jittered_grid(n, seed=5)
+        b = perturbed_grid_udg(side, side, spacing=0.55, jitter=0.1 * 0.55, seed=5)
+        assert a.positions == b.positions
+        assert set(map(frozenset, a.edges())) == set(map(frozenset, b.edges()))
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2000, ("c78325cf513ef6d6", "b7cc9ccd63d16f82")),
+            (10000, ("e3416769b62a6dcf", "8511bcf417df7d44")),
+        ],
+    )
+    def test_positions_and_edges_are_pinned(self, n, expected):
+        # The benchmark suite's deployments and their recorded
+        # invariants depend on these exact bits.
+        assert _digests(jittered_grid(n, seed=0)) == expected
 
 
 class TestLine:

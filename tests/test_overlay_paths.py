@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import jittered_grid
 from repro.graphs.generators import line_udg
 from repro.graphs.graph import canonical_order
 from repro.graphs.traversal import bfs_distances
@@ -29,7 +30,6 @@ from repro.routing import ClusterheadRouter, DominatorLists
 from repro.routing.overlay import OverlayPaths
 from repro.routing.table_protocol import _dijkstra_table, build_routing_tables
 from repro.service import BackboneService
-from repro.shard.bench import jittered_grid
 from repro.wcds import algorithm2_centralized, algorithm2_distributed
 
 from tutils import dense_connected_udg, seeds

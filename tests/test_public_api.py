@@ -60,6 +60,15 @@ class TestTopLevelSurface:
         fields = dataclasses.fields(repro.service.ServiceConfig)
         assert "sim" not in {field.name for field in fields}
 
+    def test_shard_bench_only_reexports_the_deployment(self):
+        # The module keeps only the one name the benchmark suite
+        # imports from it.
+        import repro.graphs
+        import repro.shard.bench
+
+        assert repro.shard.bench.jittered_grid is repro.graphs.jittered_grid
+        assert repro.shard.bench.__all__ == ["jittered_grid"]
+
     def test_one_maintenance_engine(self):
         # The service maintains its backbone with ShardedBackbone only:
         # the MaintainedWCDS path, its rebuild threshold, the engine

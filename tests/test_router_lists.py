@@ -125,7 +125,7 @@ def test_synthesized_lists_and_routes_equal_the_bfs_oracle(n, seed, which, data)
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_jittered_grid_lists_equal_the_bfs_oracle(seed):
-    from repro.shard.bench import jittered_grid
+    from repro.graphs import jittered_grid
 
     graph = jittered_grid(600, seed)
     assert_same_router(graph, algorithm2_centralized(graph), pairs=100, seed=seed)

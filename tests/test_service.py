@@ -295,7 +295,7 @@ class TestServiceUpdates:
         # snapshot.  A deployment several halos wide and small tiles,
         # so that the routes outside the re-stitched tiles stay cached;
         # a constant clock keeps every refresh on the note path.
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import jittered_grid
 
         network = jittered_grid(900, seed=5)
         service = BackboneService(
@@ -362,7 +362,7 @@ class TestServiceUpdates:
     def test_rebuild_keeps_routes_outside_changed_tiles(self):
         # A re-construction evicts only the cached routes through tiles
         # whose backbone changed; what survives walks the new snapshot.
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import jittered_grid
 
         network = jittered_grid(900, seed=5)
         service = BackboneService(
@@ -631,7 +631,7 @@ class TestShardedService:
 
     @pytest.fixture()
     def grid(self):
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import jittered_grid
 
         return jittered_grid(900, seed=4)
 
@@ -679,7 +679,7 @@ class TestShardedService:
     def test_silent_move_re_tiles_the_node(self):
         # Regression: a move that flips no link queued nothing, so the
         # tiler kept owning node 0 by the tile it had left.
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import jittered_grid
 
         config = ServiceConfig(tile_size=4.0)
         service = BackboneService(jittered_grid(900, seed=3), config)
@@ -692,7 +692,7 @@ class TestShardedService:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiler_follows_every_move(self, seed):
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import jittered_grid
 
         config = ServiceConfig(tile_size=3.5)
         service = BackboneService(jittered_grid(400, seed), config)
@@ -777,7 +777,7 @@ def _waypoint_service(seed, tile_size, steps, **kwargs):
     random-waypoint steps fed through ``ingest_events``, checked after
     every refresh: no error, every node owned by the tile of its
     position, and Algorithm II's backbone on a connected snapshot."""
-    from repro.shard.bench import jittered_grid
+    from repro.graphs import jittered_grid
 
     graph = jittered_grid(400, seed)
     side = max(max(p.x, p.y) for p in graph.positions.values())

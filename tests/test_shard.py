@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.graphs import connected_random_udg
+from repro.graphs import connected_random_udg, jittered_grid
 from repro.shard import MIN_HALO_RADII, ShardConfig, ShardedBackbone, Tiler, build_sharded
-from repro.shard.bench import jittered_grid
 from repro.shard.tiler import rect_distance_squared
 from repro.wcds.algorithm2 import algorithm2_centralized
 

@@ -17,9 +17,11 @@ import random
 import pytest
 
 from repro.geometry.point import Point
+from repro.graphs import jittered_grid
 from repro.shard import ShardConfig, SharedPositions, ShardServePool
-from repro.shard.bench import jittered_grid
 from repro.sim.config import SimConfig
+
+from tutils import gentle_moves
 
 
 def _echo_shared(shared: SharedPositions, config: SimConfig, conn) -> None:
@@ -155,17 +157,20 @@ class TestPoolEquivalence:
 
 class TestPoolChurn:
     def test_gentle_interior_churn_is_boundary_only(self, deployment):
-        from repro.shard.bench import bench_invalidation
-
-        report = bench_invalidation(
-            deployment.copy(), tile_size=8.0, churn_events=8, seed=2
-        )
-        assert report["churn_events"] > 0
-        assert report["tiles_cascaded"] == 0
-        assert report["boundary_only"] is True
-        # every event stayed within the tiles reading the moved node
-        assert report["max_tiles_rebuilt_per_event"] <= 4
-        assert report["tiles_rebuilt"] < report["tiles"] * report["churn_events"]
+        with ShardServePool(
+            deployment.copy(), ShardConfig(tile_size=8.0, workers=0)
+        ) as pool:
+            tiles = len(pool.tiler.tiles())
+            rebuilt = []
+            for node, target in gentle_moves(pool.graph, pool.tiler, 8, seed=2):
+                before = pool.graph.neighbors(node)
+                report = pool.move(node, target)
+                assert pool.graph.neighbors(node) == before
+                # every event stays within the tiles reading the node
+                assert report.cascaded == ()
+                rebuilt.append(len(report.rebuilt))
+        assert max(rebuilt) <= 4
+        assert sum(rebuilt) < tiles * len(rebuilt)
 
     def test_worker_replicas_refresh_after_move(self, deployment):
         graph = deployment.copy()

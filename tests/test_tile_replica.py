@@ -23,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
+from repro.graphs import jittered_grid
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.shard import ShardConfig, SharedPositions, ShardServePool
-from repro.shard.bench import jittered_grid
 from repro.shard.pool import _replica_from_shared, _TileReplica
 from repro.wcds.connectors import number_nodes
 
