@@ -1,15 +1,15 @@
 """Tunables of the sharded backbone.
 
-One frozen dataclass describes the whole sharding geometry and the
-serving topology: how big a tile is, how wide the halo each tile reads
-(and the frontier band it publishes) is, and how many worker processes
-the serve pool spreads the tiles over.
+One frozen dataclass describes the sharding geometry and the serving
+topology: how big a tile is, and how many worker processes the serve
+pool spreads the tiles over, with how many queries per message.
 
 All lengths are expressed in units of the radio radius, mirroring the
 paper: Algorithm II's decisions are ≤2-hop local and its connectors
-span ≤3 hops, so a halo of ``3`` radii is exactly what makes a tile's
-local computation agree with the global construction (see
-``docs/SHARDING.md`` for the argument).
+span ≤3 hops, so a halo of :data:`MIN_HALO_RADII` radii is exactly what
+makes a tile's local computation agree with the global construction
+(see ``docs/SHARDING.md`` for the argument).  Every tile reads that
+halo; it is not a knob.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 #: Connector selection inspects 3-hop neighborhoods (a pair of
 #: MIS-dominators at hop distance 3 plus the intermediate path), so a
-#: tile must read at least this many radii beyond its own rectangle to
-#: reproduce the global choice for the pairs it owns.
+#: tile reads this many radii beyond its own rectangle (its halo, and
+#: the width of the frontier band it publishes) to reproduce the
+#: global choice for the pairs it owns.
 MIN_HALO_RADII = 3.0
 
 
@@ -30,12 +31,8 @@ class ShardConfig:
     Attributes:
         tile_size: tile side length in radio radii.  Smaller tiles mean
             more parallelism and cheaper invalidation but relatively
-            larger halos; below ``2 * halo`` every owned node is also a
-            frontier node.
-        halo: width of the halo band each tile reads (and of the
-            frontier band it publishes), in radio radii.  Must be at
-            least :data:`MIN_HALO_RADII` so the per-tile construction
-            is exact on everything the tile owns.
+            larger halos; below ``2 * MIN_HALO_RADII`` every owned node
+            is also a frontier node.
         workers: serve-pool worker processes.  ``0`` keeps every tile
             replica in-process (deterministic, no multiprocessing) —
             the mode tests and the stitching oracle use.
@@ -44,19 +41,12 @@ class ShardConfig:
     """
 
     tile_size: float = 8.0
-    halo: float = MIN_HALO_RADII
     workers: int = 0
     batch_size: int = 256
 
     def __post_init__(self) -> None:
         if self.tile_size <= 0:
             raise ValueError("tile_size must be positive (radii)")
-        if self.halo < MIN_HALO_RADII:
-            raise ValueError(
-                f"halo must be >= {MIN_HALO_RADII} radii: connector "
-                "selection reads 3-hop neighborhoods, a thinner halo "
-                "breaks the tile-interior oracle guarantee"
-            )
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.batch_size < 1:

@@ -24,7 +24,9 @@ substrate's.
 Churn (:meth:`ShardServePool.move`) re-stitches the affected tiles via
 the backbone's boundary-only invalidation, then refreshes exactly the
 replicas whose view changed: the re-stitched tiles plus any tile
-reading a node whose backbone membership flipped.
+reading the moved node or a node the report lists as ``flipped``.
+Backbone membership is the backbone's own
+(:meth:`ShardedBackbone.membership`); the pool keeps no copy of it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import (
     Tuple,
 )
 
-from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.obs.flightrec import flight_record
 from repro.obs.pipeline import TraceContext
@@ -264,19 +265,6 @@ class ShardServePool(WorkerClient):
             graph, self.config, registry=self.registry, tracer=self.tracer
         )
         self.tiler = self.backbone.tiler
-        #: Global backbone membership, maintained incrementally from
-        #: per-tile contributions.  Both are refcounted: two tiles may
-        #: choose the same connector, and a dominator that moves to a
-        #: new tile is briefly contributed by both until the old tile's
-        #: contribution is swapped out, in whichever order they apply.
-        self._mis_counts: Dict[Node, int] = {}
-        self._connector_counts: Dict[Node, int] = {}
-        self._tile_mis: Dict[TileId, Set[Node]] = {}
-        self._tile_conn: Dict[TileId, List[Node]] = {}
-        tiles = self.tiler.tiles()
-        for tile in tiles:
-            self._apply_contribution(tile)
-        backbone = self.backbone_nodes()
         workers = self.config.workers
         #: Shared-array row ``i`` is node ``_nodes[i]`` (worker mode); moves
         #: never reorder the start-time numbering.
@@ -294,107 +282,50 @@ class ShardServePool(WorkerClient):
         )
         self._worker_of: Dict[TileId, int] = {}
         self._replicas: Dict[TileId, _TileReplica] = {}
-        if not workers:
-            for tile in tiles:
-                self._replicas[tile] = self._build_local_replica(tile, backbone)
-            return
         try:
-            for i, tile in enumerate(tiles):
-                self._worker_of[tile] = i % workers
-                self._send_load(tile, backbone)
+            for tile in self.tiler.tiles():
+                self._load(tile)
         except BaseException:
             self.group.close()
             raise
 
-    # ------------------------------------------------------------------
-    # Global membership bookkeeping
-    # ------------------------------------------------------------------
-    def _apply_contribution(self, tile: TileId) -> Set[Node]:
-        """Swap in a tile's current (MIS, connector) contribution;
-        returns the nodes whose backbone membership changed."""
-        status = self.backbone.tile_status(tile)
-        new_mis = {v for v in self.tiler.owned(tile) if status.get(v) is True}
-        new_conn = [chosen for _, _, chosen in self.backbone.tile_connectors(tile)]
-        old_mis = self._tile_mis.get(tile, set())
-        changed = old_mis ^ new_mis
-        self._release_mis(old_mis - new_mis)
-        for node in new_mis - old_mis:
-            self._mis_counts[node] = self._mis_counts.get(node, 0) + 1
-        counts = self._connector_counts
-        for node in self._tile_conn.get(tile, []):
-            counts[node] -= 1
-            if counts[node] == 0:
-                del counts[node]
-                changed.add(node)
-        for node in new_conn:
-            if counts.get(node) is None:
-                changed.add(node)
-            counts[node] = counts.get(node, 0) + 1
-        if new_mis or new_conn:
-            self._tile_mis[tile] = new_mis
-            self._tile_conn[tile] = new_conn
-        else:
-            self._tile_mis.pop(tile, None)
-            self._tile_conn.pop(tile, None)
-        return changed
-
-    def _drop_contribution(self, tile: TileId) -> Set[Node]:
-        """Remove a retired tile's contribution entirely."""
-        changed = self._tile_mis.pop(tile, set())
-        self._release_mis(changed)
-        counts = self._connector_counts
-        for node in self._tile_conn.pop(tile, []):
-            counts[node] -= 1
-            if counts[node] == 0:
-                del counts[node]
-                changed.add(node)
-        return changed
-
-    def _release_mis(self, nodes: Set[Node]) -> None:
-        """Drop one tile's claim on each of ``nodes``; a node leaves the
-        MIS only when no other tile still contributes it."""
-        counts = self._mis_counts
-        for node in nodes:
-            counts[node] -= 1
-            if counts[node] == 0:
-                del counts[node]
-
     def backbone_nodes(self) -> Set[Node]:
         """The current global backbone (MIS plus live connectors)."""
-        backbone = set(self._mis_counts)
-        backbone.update(self._connector_counts)
-        return backbone
+        return set(self.backbone.membership()[1])
 
     # ------------------------------------------------------------------
-    # Replica construction
+    # Replicas
     # ------------------------------------------------------------------
-    def _build_local_replica(self, tile: TileId, backbone: Set[Node]) -> _TileReplica:
-        """A tile's replica over node ids; ``backbone`` is the current
-        :meth:`backbone_nodes`, computed once per start or move.  The
-        numbering is the stitch's own (:meth:`ShardedBackbone.tile_index`),
-        which the stitch replaces and never mutates, so an older
-        replica's index stays intact."""
-        tix = self.backbone.tile_index(tile)
-        return _TileReplica(tix.members, tix.adj, self._mis_counts, backbone)
+    def _load(self, tile: TileId) -> None:
+        """(Re)build a tile's replica from the backbone's current
+        membership (:meth:`ShardedBackbone.membership`).
 
-    # ------------------------------------------------------------------
-    # Worker messages
-    # ------------------------------------------------------------------
-    def _send_load(self, tile: TileId, backbone: Set[Node]) -> None:
-        """Ship a tile's replica state to its worker as shared-array row
-        indices: members, MIS members, backbone members."""
+        Inline, the replica takes the stitch's own numbering
+        (:meth:`ShardedBackbone.tile_index`), which the stitch replaces
+        and never mutates, so an older replica's index stays intact.  A
+        worker is sent shared-array row indices: members, MIS members,
+        backbone members."""
+        mis, backbone = self.backbone.membership()
+        workers = len(self.group.conns)
+        if not workers:
+            tix = self.backbone.tile_index(tile)
+            self._replicas[tile] = _TileReplica(tix.members, tix.adj, mis, backbone)
+            return
+        worker = self._worker_of.setdefault(tile, len(self._worker_of) % workers)
         index = self._index
         members = self.tiler.members(tile)
         rows = [index[m] for m in members]
-        mis = [index[m] for m in members if m in self._mis_counts]
+        is_mis = [index[m] for m in members if m in mis]
         black = [index[m] for m in members if m in backbone]
         group = self.group
         with group.span("shard.load", tile=str(tile), members=len(rows)) as ctx:
-            group.request(
-                self._worker_of[tile], ("load", tile, rows, mis, black, ctx), "loaded"
-            )
+            group.request(worker, ("load", tile, rows, is_mis, black, ctx), "loaded")
 
-    def _send_drop(self, tile: TileId) -> None:
+    def _drop(self, tile: TileId) -> None:
+        """Forget a retired tile's replica."""
+        if not self.group.conns:
+            self._replicas.pop(tile, None)
+            return
         worker = self._worker_of.pop(tile, None)
         if worker is not None:
             self.group.request(worker, ("drop", tile), "dropped")
@@ -523,28 +454,15 @@ class ShardServePool(WorkerClient):
             shared.array[row, 0] = position.x
             shared.array[row, 1] = position.y
         live = set(self.tiler.tiles())
-        refresh = set(report.rebuilt)
-        changed: Set[Node] = set()
-        for tile in sorted(refresh & live):
-            changed |= self._apply_contribution(tile)
-        for tile in [t for t in self._tile_mis if t not in live]:
-            changed |= self._drop_contribution(tile)
-        for moved_or_flipped in canonical_order(changed | {node}):
+        # Retired seeds are dropped; the rest of the seeds were rebuilt.
+        refresh = set(report.rebuilt).union(report.seed_tiles)
+        for moved_or_flipped in (node, *report.flipped):
             refresh.update(self.tiler.tiles_reading(moved_or_flipped))
-        backbone = self.backbone_nodes()
-        workers = len(self.group.conns)
         for tile in sorted(refresh):
-            if tile not in live:
-                if workers:
-                    self._send_drop(tile)
-                else:
-                    self._replicas.pop(tile, None)
-            elif workers:
-                if tile not in self._worker_of:
-                    self._worker_of[tile] = len(self._worker_of) % workers
-                self._send_load(tile, backbone)
+            if tile in live:
+                self._load(tile)
             else:
-                self._replicas[tile] = self._build_local_replica(tile, backbone)
+                self._drop(tile)
         if self.registry is not None:
             self.registry.counter(
                 "shard_replica_refreshes_total",

@@ -48,11 +48,12 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import (
-    AbstractSet, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
-    Tuple,
+    AbstractSet, Dict, Hashable, Iterable, KeysView, List, Mapping, Optional,
+    Sequence, Set, Tuple, TypeVar,
 )
 
 from repro.geometry.point import Point
+from repro.graphs.graph import canonical_order
 from repro.graphs.traversal import is_connected
 from repro.graphs.udg import UnitDiskGraph
 from repro.obs.tracing import get_tracer
@@ -65,6 +66,8 @@ from repro.wcds.connectors import (
 
 Node = Hashable
 Pair = Tuple[Node, Node, Node]
+#: A leader's key: its number in the tile, or its id.
+Leader = TypeVar("Leader")
 
 #: Registry name of the sharded construction.
 ALGORITHM_NAME = "wcds-sharded"
@@ -192,6 +195,24 @@ def _connector_ball(
     return _ball(adj, near_flips, ROW_REACH)
 
 
+def _count_picks(
+    delta: Dict[Node, int],
+    old: Mapping[Leader, List[Pair]],
+    new: Mapping[Leader, List[Pair]],
+    leaders: Iterable[Leader],
+) -> None:
+    """Add to ``delta`` the claim changes of re-selecting ``leaders``:
+    for each leader whose pairs differ, -1 per node its ``old`` pairs
+    chose and +1 per node its ``new`` pairs choose."""
+    for u in leaders:
+        before, after = old.get(u, ()), new.get(u, ())
+        if before != after:
+            for _, _, chosen in before:
+                delta[chosen] = delta.get(chosen, 0) - 1
+            for _, _, chosen in after:
+                delta[chosen] = delta.get(chosen, 0) + 1
+
+
 @dataclass(frozen=True)
 class InvalidationReport:
     """What one churn event invalidated and rebuilt.
@@ -204,7 +225,10 @@ class InvalidationReport:
     for a while: a status computed from a kept pin the change made
     wrong is published and then corrected, so a cascaded tile's final
     pins may equal its pins before.  Gentle interior churn keeps
-    ``cascaded`` empty — the benchmark gate asserts it.
+    ``cascaded`` empty — the benchmark gate asserts it.  ``flipped``
+    are the nodes whose membership changed, in canonical order: those
+    that entered or left the MIS or the backbone (a node that left the
+    deployment leaves both).
     """
 
     node: Node
@@ -213,6 +237,7 @@ class InvalidationReport:
     rebuilt: Tuple[TileId, ...]
     cascaded: Tuple[TileId, ...]
     rounds: int
+    flipped: Tuple[Node, ...]
 
 
 class ShardedBackbone:
@@ -222,7 +247,9 @@ class ShardedBackbone:
     :meth:`apply_move` / :meth:`apply_join` / :meth:`apply_leave` (or
     the ``note_*`` twins when the caller already mutated the graph)
     keep the backbone exact under churn by re-stitching only the
-    affected tiles.
+    affected tiles.  It alone holds the global membership
+    (:meth:`membership`), which each stitch updates from what it
+    changed; each churn report names the nodes that flipped.
     """
 
     def __init__(
@@ -243,11 +270,18 @@ class ShardedBackbone:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.tiler = Tiler(graph.positions, graph.radius, self.config)
         self._tiles: Dict[TileId, _Tile] = {}
+        #: The global membership (:meth:`membership`), which every
+        #: stitch updates from what it changed: the MIS, and per
+        #: dominator its claims, one for MIS membership and one per
+        #: pair picking it as a connector (leaders in two tiles may
+        #: pick the same node).  Dicts for their read-only key views.
+        self._mis: Dict[Node, None] = {}
+        self._claims: Dict[Node, int] = {}
         self.last_rounds = 0
         with self.tracer.span(
             "shard_build", n=graph.num_nodes, tiles=len(self.tiler.tiles())
         ) as span:
-            touched, rounds = self._stitch(
+            _, rounds, _ = self._stitch(
                 set(self.tiler.tiles()), "full", {}, frozenset()
             )
             span.set_attr("rounds", rounds)
@@ -459,15 +493,18 @@ class ShardedBackbone:
         phase: str,
         patched: Mapping[TileId, _TileIndex],
         changed: AbstractSet[Node],
-    ) -> Tuple[Set[TileId], int]:
+    ) -> Tuple[Set[TileId], int, Set[Node]]:
         """Run local passes over ``pending`` tiles, exchanging frontier
-        pins, until every owned status is determined.  Returns the set
-        of tiles re-passed and the number of exchange rounds.
+        pins, until every owned status is determined; then re-select
+        the connectors near what changed and update the global
+        membership.  Returns the set of tiles re-passed, the number of
+        exchange rounds and the nodes whose membership flipped.
 
         A pending tile takes its index from ``patched`` or is
-        renumbered; ``changed`` are the nodes whose edges changed in
-        the patched tiles.  Tiles reached beyond ``pending`` keep their
-        index (their members and edges did not change).
+        renumbered; ``changed`` are the churned node and the nodes
+        whose edges changed in the patched tiles.  Tiles reached beyond
+        ``pending`` keep their index (their members and edges did not
+        change).
 
         Why the fixpoint is the global lexicographically-first MIS,
         although a re-stitch keeps pins the change may have made wrong.
@@ -488,8 +525,11 @@ class ShardedBackbone:
         no tile is pending every node is final."""
         live = set(self.tiler.tiles())
         tiles = self._tiles
+        #: Claim changes of this stitch: a retired tile's picks go.
+        delta: Dict[Node, int] = {}
         for tile in [t for t in tiles if t not in live]:
-            del tiles[tile]
+            retired = tiles.pop(tile).connectors
+            _count_picks(delta, retired, {}, retired)
         pending = {tile for tile in pending if tile in live}
         for tile in pending:
             state = tiles.get(tile)
@@ -558,13 +598,22 @@ class ShardedBackbone:
             # hold an unsettled owned node.
             waiting = {tile for tile in order if tiles[tile].waiting}
             pending = {tile for tile in dirty | waiting if tile in live}
+        #: The MIS status, read at the owner tile, of every node whose
+        #: status may have changed: the owned members of a renumbered
+        #: tile, those whose flag a pass flipped, and nodes that left.
+        #: A moved node needs no entry of its own: its new owner held
+        #: its exact status before the stitch (a pin, or its own), so
+        #: its membership changed only if a pass there flipped it.
+        owner = self.tiler.owner
+        mis_now: Dict[Node, bool] = {v: False for v in changed if v not in owner}
         for tile in sorted(touched):
             state = tiles[tile]
             scope = scopes[tile]
+            tix = self.tile_index(tile)
+            status = state.status
             ball: Optional[Set[int]] = None
+            flipped: Iterable[int] = range(len(status))
             if scope is not None:
-                tix = self.tile_index(tile)
-                status = state.status
                 flipped = [
                     i for i, old in scope.items()
                     if (old is True) != (status[i] is True)
@@ -573,7 +622,21 @@ class ShardedBackbone:
                 if tile in patched:
                     rows = [tix.index[v] for v in changed if v in tix.index]
                 ball = _connector_ball(tix.adj, flipped, rows)
-            state.connectors = self._tile_connectors(tile, ball)
+            members = tix.members
+            for i in flipped:
+                if owner[members[i]] == tile:
+                    mis_now[members[i]] = status[i] is True
+            old = state.connectors
+            new = state.connectors = self._tile_connectors(tile, ball)
+            if ball is None:
+                # Renumbered: match the leaders by id, not by number.
+                old_led = {pairs[0][0]: pairs for pairs in old.values()}
+                new_led = {pairs[0][0]: pairs for pairs in new.values()}
+                _count_picks(delta, old_led, new_led, old_led.keys() | new_led.keys())
+            elif new is not old:
+                # Only the leaders in the ball were re-selected.
+                _count_picks(delta, old, new, (old.keys() | new.keys()) & ball)
+        flipped_nodes = self._update_membership(mis_now, delta)
         self.last_rounds = rounds
         if self.registry is not None:
             self.registry.counter(
@@ -589,7 +652,37 @@ class ShardedBackbone:
             self.registry.gauge(
                 "shard_tiles", "Occupied tiles in the sharded backbone"
             ).set(len(live))
-        return touched, rounds
+        return touched, rounds, flipped_nodes
+
+    def _update_membership(
+        self, mis_now: Mapping[Node, bool], delta: Dict[Node, int]
+    ) -> Set[Node]:
+        """Bring the global membership up to date after a stitch: the
+        MIS status of each node in ``mis_now``, then the claim changes,
+        MIS ones included.  Returns the nodes that entered or left the
+        MIS or the backbone."""
+        mis, claims = self._mis, self._claims
+        flipped: Set[Node] = set()
+        for v, now in mis_now.items():
+            if now is not (v in mis):
+                flipped.add(v)
+                if now:
+                    mis[v] = None
+                    delta[v] = delta.get(v, 0) + 1
+                else:
+                    del mis[v]
+                    delta[v] = delta.get(v, 0) - 1
+        for v, change in delta.items():
+            if change:
+                before = claims.get(v, 0)
+                after = before + change
+                if after:
+                    claims[v] = after
+                else:
+                    del claims[v]
+                if not before or not after:
+                    flipped.add(v)
+        return flipped
 
     def _tile_connectors(
         self, tile: TileId, ball: Optional[AbstractSet[int]]
@@ -645,28 +738,19 @@ class ShardedBackbone:
         """The stitched backbone as a standard :class:`BackboneResult`.
 
         Bit-identical to ``algorithm2_centralized`` on the same graph:
-        same MIS, same connector choices, tile by tile.
+        same MIS, same connector choices, tile by tile.  The sets are
+        frozen from :meth:`membership`; the pairs are read per tile.
         """
-        mis: Set[Node] = set()
-        additional: Set[Node] = set()
+        mis = frozenset(self._mis)
+        dominators = frozenset(self._claims)
         pairs: List[Pair] = []
-        owner = self.tiler.owner
         for tile in self.tiler.tiles():
-            state = self._tiles[tile]
-            mis.update(
-                v
-                for v, status in zip(self.tile_index(tile).members, state.status)
-                if status is True and owner[v] == tile
-            )
-            for led in state.connectors.values():
+            for led in self._tiles[tile].connectors.values():
                 pairs.extend(led)
-        for _, _, chosen in pairs:
-            additional.add(chosen)
-        additional -= mis
         return BackboneResult(
-            dominators=frozenset(mis | additional),
-            mis_dominators=frozenset(mis),
-            additional_dominators=frozenset(additional),
+            dominators=dominators,
+            mis_dominators=mis,
+            additional_dominators=dominators - mis,
             algorithm=ALGORITHM_NAME,
             meta={
                 "tiles": len(self.tiler.tiles()),
@@ -674,6 +758,11 @@ class ShardedBackbone:
                 "pairs_covered": sorted(pairs),
             },
         )
+
+    def membership(self) -> Tuple[KeysView[Node], KeysView[Node]]:
+        """The global MIS and backbone (every dominator) as live,
+        read-only set views; each stitch updates them in place."""
+        return self._mis.keys(), self._claims.keys()
 
     def tile_status(self, tile: TileId) -> Dict[Node, Optional[bool]]:
         """The tile's member statuses (read-only copy)."""
@@ -767,7 +856,9 @@ class ShardedBackbone:
                     and state.pins.pop(node, None) is not None
                 ):
                     state.dirty.add(node)
-            touched, rounds = self._stitch(set(pending), "churn", patched, changed)
+            touched, rounds, flipped = self._stitch(
+                set(pending), "churn", patched, {node, *changed}
+            )
             seed_tuple = tuple(sorted(set(seeds)))
             cascaded = tuple(sorted(touched - set(seed_tuple)))
             span.set_attr("seed_tiles", len(seed_tuple))
@@ -791,6 +882,7 @@ class ShardedBackbone:
             rebuilt=tuple(sorted(touched)),
             cascaded=cascaded,
             rounds=rounds,
+            flipped=tuple(canonical_order(flipped)),
         )
 
 

@@ -3,7 +3,7 @@
 The plane is cut into an axis-aligned grid of square *tiles* of side
 ``config.tile_size`` radii.  Every node is **owned** by exactly one
 tile (the cell containing its position).  A tile additionally reads a
-**halo**: the nodes within ``config.halo`` radii of its rectangle that
+**halo**: the nodes within :data:`MIN_HALO_RADII` radii of its rectangle that
 it does not own.  Owned nodes within the same distance of the tile
 boundary form the **frontier band** — the only state a tile ever
 publishes to its neighbors during stitching.
@@ -36,7 +36,7 @@ from repro.geometry.packing import rect_band_packing_bound
 from repro.geometry.point import Point
 from repro.graphs.graph import canonical_order
 from repro.kernels.shard import bin_by_tile, rect_distance_squared as vector_rect_d2
-from repro.shard.config import ShardConfig
+from repro.shard.config import MIN_HALO_RADII, ShardConfig
 
 Node = Hashable
 TileId = Tuple[int, int]
@@ -70,7 +70,7 @@ class Tiler:
         self.radius = radius
         self.positions = positions
         self.side = self.config.tile_size * radius
-        self.halo_width = self.config.halo * radius
+        self.halo_width = MIN_HALO_RADII * radius
         #: Cell-index reach of the halo: a node in cell ``c`` can only
         #: be in the halo of tiles within this many cells of ``c``.
         self._reach = int(math.ceil(self.halo_width / self.side))
@@ -82,7 +82,7 @@ class Tiler:
         self._visible: Dict[TileId, Set[Node]] = {}
         slack = self.halo_width - radius
         #: Squared rectangle distance up to which a halo node is visible;
-        #: the halo is at least three radii wide, so ``slack`` is positive.
+        #: the halo is three radii wide, so ``slack`` is positive.
         self._visible_limit = slack * slack
         #: node -> tiles (excluding the owner) whose halo holds it.
         self._consumers: Dict[Node, Set[TileId]] = {}

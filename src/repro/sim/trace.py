@@ -10,7 +10,7 @@ distributed state machine wedges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.sim.messages import Message
 
@@ -118,12 +118,6 @@ class TraceRecorder:
     def messages_of(self, node: Hashable) -> List[TraceEvent]:
         """Every event a node participated in (as sender or receiver)."""
         return [e for e in self.events if e.node == node or e.sender == node]
-
-    def kind_timeline(self, kind: str) -> List[Tuple[float, Hashable]]:
-        """(time, sender) pairs for every transmission of ``kind`` —
-        handy for checking phase orderings (e.g. all GRAY before any
-        2-HOP-DOMINATORS at a given node)."""
-        return [(e.time, e.sender) for e in self.sends(kind)]
 
     def first_send_time(self, kind: str) -> Optional[float]:
         """When the first message of ``kind`` was transmitted."""

@@ -45,14 +45,13 @@ def assert_same_backbone(backbone: ShardedBackbone, graph) -> None:
 class TestShardConfig:
     def test_defaults_valid(self):
         config = ShardConfig()
-        assert config.tile_size > 0 and config.halo >= MIN_HALO_RADII
+        assert config.tile_size > 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tile_size": 0.0},
             {"tile_size": -1.0},
-            {"halo": 2.9},
             {"workers": -1},
             {"batch_size": 0},
         ],
@@ -65,6 +64,12 @@ class TestShardConfig:
         # The tiler has one build; there is no engine to pick.
         with pytest.raises(TypeError):
             ShardConfig(method="pure")
+
+    @pytest.mark.parametrize("halo", [2.9, MIN_HALO_RADII])
+    def test_halo_is_an_unknown_field(self, halo):
+        # Every tile reads MIN_HALO_RADII, the exactness floor.
+        with pytest.raises(TypeError):
+            ShardConfig(halo=halo)
 
 
 # ----------------------------------------------------------------------
@@ -388,10 +393,19 @@ def assert_matches_fresh(backbone: ShardedBackbone) -> None:
     assert result.meta["pairs_covered"] == expected.meta["pairs_covered"]
 
 
+def membership_flips(before, after) -> set:
+    """The nodes that entered or left the MIS or the backbone between
+    two results."""
+    return (before.mis_dominators ^ after.mis_dominators) | (
+        before.dominators ^ after.dominators
+    )
+
+
 def run_churn_stream(backbone: ShardedBackbone, seed: int, events: int) -> int:
     """Seeded moves (up to 0.6 radii per axis), joins and leaves, each
-    checked against a fresh construction; returns how many moves
-    crossed into another tile."""
+    checked against a fresh construction, and each report's
+    ``flipped`` against the membership before and after; returns how
+    many moves crossed into another tile."""
     graph = backbone.graph
     rng = random.Random(seed)
     next_id = max(graph.positions) + 1
@@ -402,15 +416,18 @@ def run_churn_stream(backbone: ShardedBackbone, seed: int, events: int) -> int:
         pos = graph.positions[node]
         target = Point(pos.x + rng.uniform(-0.6, 0.6), pos.y + rng.uniform(-0.6, 0.6))
         kind = rng.random()
+        before = backbone.result()
         if kind < 0.7:
             owner = backbone.tiler.owner[node]
-            backbone.apply_move(node, target)
+            report = backbone.apply_move(node, target)
             crossings += backbone.tiler.owner[node] != owner
         elif kind < 0.85:
-            backbone.apply_join(next_id, target)
+            report = backbone.apply_join(next_id, target)
             next_id += 1
         else:
-            backbone.apply_leave(node)
+            report = backbone.apply_leave(node)
+        assert set(report.flipped) == membership_flips(before, backbone.result())
+        assert list(report.flipped) == sorted(report.flipped)
         assert_matches_fresh(backbone)
     return crossings
 

@@ -210,12 +210,15 @@ class TestPoolChurn:
             assert set(report.seed_tiles) & live <= set(report.rebuilt)
 
     def test_dominator_moving_into_earlier_tile_stays_in_backbone(self):
-        # The new tile sorts before the old one, so its contribution is
-        # applied first and the old tile's swap-out must not drop it.
+        # The new tile sorts before the old one: the hand-over between
+        # owners must keep the node in the backbone the pool serves,
+        # compared with a backbone built fresh on a copy of the graph.
+        from repro.shard import ShardedBackbone
         from repro.wcds.base import is_weakly_connected_dominating_set
 
         graph = jittered_grid(400, seed=7)
-        pool = ShardServePool(graph, ShardConfig(tile_size=4.0, workers=0))
+        config = ShardConfig(tile_size=4.0, workers=0)
+        pool = ShardServePool(graph, config)
         try:
             side = pool.tiler.side
             leftmost = min(tile[0] for tile in pool.tiler.tiles())
@@ -230,7 +233,7 @@ class TestPoolChurn:
                 node, Point(old_tile[0] * side - 0.05, graph.positions[node].y)
             )
             assert pool.tiler.owner[node] < old_tile
-            expected = pool.backbone.result()
+            expected = ShardedBackbone(graph.copy(), config).result()
             assert node in expected.mis_dominators
             assert pool.backbone_nodes() == set(expected.dominators)
             assert is_weakly_connected_dominating_set(graph, pool.backbone_nodes())
@@ -427,13 +430,13 @@ class TestWorkerLifecycle:
             start(process)
             started.append(process)
 
-        def failing_load(pool, tile, backbone):
+        def failing_load(pool, tile):
             raise OSError("injected start failure")
 
         monkeypatch.setattr(SharedPositions, "create", classmethod(recording_create))
         monkeypatch.setattr(SpawnProcess, "start", failing_start)
         if stage == "load":
-            monkeypatch.setattr(ShardServePool, "_send_load", failing_load)
+            monkeypatch.setattr(ShardServePool, "_load", failing_load)
         with pytest.raises(OSError, match="injected"):
             ShardServePool(
                 deployment.copy(), ShardConfig(tile_size=6.0, workers=2)

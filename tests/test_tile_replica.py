@@ -10,7 +10,8 @@ The old class lives on here as the oracle: both ways of building the
 new one (from a node numbering in the parent, and from shared position
 rows in a worker) must give the same answer to every query, and a
 worker pool must keep answering exactly like an inline pool while
-nodes move.
+nodes move, and every live replica must stay what a fresh load would
+build.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 from collections import deque
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from repro.graphs.udg import UnitDiskGraph
 from repro.shard import ShardConfig, SharedPositions, ShardServePool
 from repro.shard.pool import _replica_from_shared, _TileReplica
 from repro.wcds.connectors import number_nodes
+from repro.workers import WorkerGroup
 
 from tutils import coordinates
 
@@ -232,3 +235,64 @@ class TestPooledAgainstInline:
                 assert pooled.query_batch(queries) == inline.query_batch(queries)
         finally:
             inline.close()
+
+
+def assert_replicas_fresh(
+    pool: ShardServePool, replicas: Dict[Any, _TileReplica], rows=None
+) -> None:
+    """One replica per live tile, each equal in members, flags and
+    route edges to a replica built fresh from the stitch's index and
+    the backbone's current membership.  ``rows`` maps a worker
+    replica's shared-array rows back to node ids."""
+    mis, backbone = pool.backbone.membership()
+    assert sorted(replicas) == sorted(pool.tiler.tiles())
+    for tile, replica in replicas.items():
+        tix = pool.backbone.tile_index(tile)
+        fresh = _TileReplica(tix.members, tix.adj, mis, backbone)
+        ids = replica.nodes if rows is None else [rows[i] for i in replica.nodes]
+        assert list(ids) == list(fresh.nodes), tile
+        assert replica.is_mis == fresh.is_mis, tile
+        assert replica.black == fresh.black, tile
+        assert replica.hops == fresh.hops, tile
+
+
+class TestReplicaFreshness:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_every_replica_is_fresh_after_every_move(self, workers, monkeypatch):
+        # A worker replica is what ``_replica_from_shared`` builds from
+        # the load message and the shared rows at load time, so the
+        # parent records that build as the worker's copy.
+        graph = jittered_grid(400, seed=5)
+        held: Dict[Any, _TileReplica] = {}
+        request = WorkerGroup.request
+
+        def recording_request(group, worker_id, message, expect):
+            reply = request(group, worker_id, message, expect)
+            if message[0] == "load":
+                _, tile, members, mis, black, _ = message
+                held[tile] = _replica_from_shared(
+                    group.shared, graph.radius, members, mis, black
+                )
+            elif message[0] == "drop":
+                del held[message[1]]
+            return reply
+
+        monkeypatch.setattr(WorkerGroup, "request", recording_request)
+        rng = random.Random(9)
+        with ShardServePool(
+            graph, ShardConfig(tile_size=4.0, workers=workers)
+        ) as pool:
+            replicas = held if workers else pool._replicas
+            rows = pool._nodes if workers else None
+            assert_replicas_fresh(pool, replicas, rows)
+            nodes = sorted(graph.positions)
+            flips = 0
+            for _ in range(40):
+                node = nodes[rng.randrange(len(nodes))]
+                pos = graph.positions[node]
+                report = pool.move(node, Point(
+                    pos.x + rng.uniform(-0.6, 0.6), pos.y + rng.uniform(-0.6, 0.6)
+                ))
+                flips += len(report.flipped)
+                assert_replicas_fresh(pool, replicas, rows)
+        assert flips > 0
