@@ -5,8 +5,7 @@ node remembers the *last* ANNOUNCE it processed.  All announcements are
 broadcast at time 0 and delivered at time 1, so which one is "last" is
 purely a tie-break among simultaneously-deliverable messages — exactly
 the ambiguity :func:`repro.check.races.detect_races` perturbs.  The
-detector must flag it; the tests and ``repro check --race-demo`` pin
-that it does.
+detector must flag it; ``tests/test_check_races.py`` pins that it does.
 
 Note the bug is *protocol-level*: no set is iterated, no clock is read —
 none of the D1–D5 lints can see it.  That is why the race detector

@@ -12,14 +12,17 @@ Usage (installed as ``repro``, or ``python -m repro.cli``):
     repro experiment --all --markdown results.md  # full measured report
     repro figures    --outdir figures             # regenerate the figures
     repro serve      --requests trace.jsonl       # replay through the service
+    repro serve --slo-latency route:0.05:0.99     # ... with a burn-rate verdict
     repro obs-report --algorithm 1                # message costs vs Theorem 12
-    repro obs-report --fleet 2                    # cross-process telemetry smoke
-    repro slo --slo-latency route:0.05:0.99       # burn-rate verdict
     repro chaos --quick                           # fault-injection smoke
     repro chaos --loss 0.3 --crashes 2            # full chaos matrix
     repro check                                   # determinism lint (D1-D5)
     repro check --races --nodes 200               # schedule-race sweeps
     repro check --rule D2 --format github         # one rule, CI annotations
+
+Each subcommand is a thin call into the library.  The library's
+self-checks (the race detector's racy fixture, the cross-process
+telemetry harvest) live in the test suite.
 
 Commands that construct backbones or serve requests accept
 ``--telemetry json|prom|jsonl`` (plus ``--telemetry-out FILE``) to
@@ -49,12 +52,6 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
         "--load", metavar="FILE", help="load the topology from a JSON file "
         "(overrides --nodes/--side/--seed)"
     )
-    parser.add_argument(
-        "--kernels", choices=["pure", "vector", "auto"], default="auto",
-        help="edge-construction engine: pure Python, the numpy vector "
-        "kernels (repro.kernels), or auto (vector when the network is "
-        "big enough); the topology is identical either way",
-    )
 
 
 def _build(args) -> "UnitDiskGraph":
@@ -62,12 +59,11 @@ def _build(args) -> "UnitDiskGraph":
         from repro.graphs import load_topology
 
         return load_topology(args.load)
-    from repro.kernels import resolve_method
+    from repro.kernels import AUTO_THRESHOLD
 
-    choice = resolve_method(
-        getattr(args, "kernels", "auto"), size=args.nodes
-    )
-    method = "vector" if choice == "vector" else "grid"
+    # The numpy edge kernels pay off from AUTO_THRESHOLD nodes; both
+    # engines build the identical topology.
+    method = "vector" if args.nodes >= AUTO_THRESHOLD else "grid"
     return connected_random_udg(
         args.nodes, args.side, seed=args.seed, method=method
     )
@@ -142,22 +138,17 @@ def _algorithm_arg(value: str) -> str:
     return value
 
 
+def _algorithm_list_arg(value: str) -> tuple:
+    """argparse type: a comma list of :func:`_algorithm_arg` names,
+    resolved to registry names."""
+    return tuple(
+        _algorithm_name(_algorithm_arg(name)) for name in value.split(",")
+    )
+
+
 #: Registered backbones that are dominating but not necessarily weakly
 #: connected: ``repro wcds`` checks only domination for these.
 _DOMINATING_ONLY = frozenset({"mis", "mds-exact"})
-
-
-def _run_algorithm(graph, which: str, tracer=None, registry=None, sim=None):
-    from repro.backbone import build, names
-
-    name = _algorithm_name(which)
-    try:
-        return build(name, graph, tracer=tracer, registry=registry, sim=sim)
-    except KeyError:
-        raise SystemExit(
-            f"unknown algorithm {which!r} (expected 1, 2, or one of: "
-            f"{', '.join(names())})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +202,7 @@ def _emit_telemetry(args, registry, tracer=None, **extra) -> None:
 
 
 # ----------------------------------------------------------------------
-# SLO / flight-recorder plumbing shared by serve, slo, and obs-report
+# Service-level objectives (serve)
 # ----------------------------------------------------------------------
 def _add_slo_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -241,7 +232,7 @@ def _parse_slos(args):
     from repro.obs.slo import SLO
 
     slos = []
-    for spec in getattr(args, "slo_latency", []):
+    for spec in args.slo_latency:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(
@@ -261,7 +252,7 @@ def _parse_slos(args):
                 max_burn_rate=args.max_burn_rate,
             )
         )
-    if getattr(args, "slo_availability", None) is not None:
+    if args.slo_availability is not None:
         slos.append(
             SLO(
                 name="availability",
@@ -287,19 +278,6 @@ def _slo_rows(monitor):
         }
         for row in monitor.status()
     ]
-
-
-def _arm_flight_recorder(args, process: str = "main"):
-    """Install a process-global flight recorder when --flight-dump was
-    given; returns it (or None)."""
-    from repro.obs.flightrec import FlightRecorder, set_flight_recorder
-
-    path = getattr(args, "flight_dump", None)
-    if not path:
-        return None
-    recorder = FlightRecorder(process=process, dump_path=path)
-    set_flight_recorder(recorder)
-    return recorder
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +306,14 @@ def cmd_wcds(args) -> int:
         from repro.obs import MetricsRegistry, Tracer
 
         tracer, registry = Tracer(), MetricsRegistry()
-    result = _run_algorithm(graph, args.algorithm, tracer, registry,
-                            sim=_sim_config(args))
+    from repro.backbone import build
+
+    try:
+        result = build(_algorithm_name(args.algorithm), graph, tracer=tracer,
+                       registry=registry, sim=_sim_config(args))
+    except ValueError as exc:  # e.g. simulator flags on a centralized one
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if _algorithm_name(args.algorithm) in _DOMINATING_ONLY:
         from repro.mis.properties import is_dominating_set
 
@@ -504,47 +488,18 @@ def _deployment_side(graph, args) -> float:
     return max(extent, 1.0)
 
 
-def _replay_service(args, graph, config, requests):
-    """Replay ``requests`` through a new service on ``graph`` under
-    random-waypoint churn (the flight recorder armed first); returns
-    the service, the replay summary and the recorder (or None)."""
-    from repro.mobility import RandomWaypointModel
-    from repro.service import BackboneService, replay
-
-    recorder = _arm_flight_recorder(args)
-    service = BackboneService(graph, config)
-    mobility = RandomWaypointModel(
-        graph,
-        _deployment_side(graph, args),
-        speed_range=(0.01, 0.05),
-        seed=args.seed,
-    )
-    summary = replay(service, requests, mobility=mobility)
-    return service, summary, recorder
-
-
-def _report_slos(service, recorder) -> bool:
-    """Print the SLO burn-rate table and the flight-recorder note;
-    returns whether every SLO holds."""
-    monitor = service.slo_monitor
-    if monitor is not None:
-        print_table(_slo_rows(monitor), title="SLO burn rates")
-    if recorder is not None and recorder.dumps_written:
-        print(
-            f"flight recorder dumped {recorder.dumps_written} artifact(s) "
-            f"to {recorder.dump_path}"
-        )
-    return monitor is None or monitor.ok()
-
-
 def cmd_serve(args) -> int:
     import json
 
+    from repro.mobility import RandomWaypointModel
+    from repro.obs.flightrec import FlightRecorder, set_flight_recorder
     from repro.service import (
+        BackboneService,
         ServiceConfig,
         WorkloadConfig,
         WorkloadGenerator,
         load_trace,
+        replay,
     )
 
     graph = _build(args)
@@ -576,7 +531,18 @@ def cmd_serve(args) -> int:
         )
         requests = list(generator.requests())
         source = f"synthetic workload ({args.queries} queries)"
-    service, summary, recorder = _replay_service(args, graph, config, requests)
+    recorder = None
+    if args.flight_dump:
+        recorder = FlightRecorder(process="main", dump_path=args.flight_dump)
+        set_flight_recorder(recorder)
+    service = BackboneService(graph, config)
+    mobility = RandomWaypointModel(
+        graph,
+        _deployment_side(graph, args),
+        speed_range=(0.01, 0.05),
+        seed=args.seed,
+    )
+    summary = replay(service, requests, mobility=mobility)
     print_table(
         [
             {
@@ -592,7 +558,14 @@ def cmd_serve(args) -> int:
         title=f"Replay of {source}",
     )
     print_table(service.metrics.rows(), title="Latency (microseconds)")
-    slo_ok = _report_slos(service, recorder)
+    monitor = service.slo_monitor
+    if monitor is not None:
+        print_table(_slo_rows(monitor), title="SLO burn rates")
+    if recorder is not None and recorder.dumps_written:
+        print(
+            f"flight recorder dumped {recorder.dumps_written} artifact(s) "
+            f"to {recorder.dump_path}"
+        )
     payload = json.dumps(summary.metrics, indent=2)
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -601,124 +574,12 @@ def cmd_serve(args) -> int:
     else:
         print(payload)
     _emit_telemetry(args, service.metrics.registry, command="serve")
-    return 0 if slo_ok else 1
-
-
-def _cmd_obs_fleet(args) -> int:
-    """obs-report --fleet: drive the cross-process telemetry pipeline.
-
-    Runs a chaos smoke (so the armed flight recorder sees fault
-    transitions), then a multi-worker serve pool with harvest enabled,
-    and verifies the pipeline's two invariants: parent-side merged
-    counters exactly match the worker-side totals, and every worker
-    span's parent resolves in the stitched trace.
-    """
-    import json
-
-    from repro.faults import default_fault_plan, run_chaos
-    from repro.obs import MetricsRegistry
-    from repro.shard import ShardConfig, ShardServePool
-    from repro.graphs import jittered_grid
-    from repro.sim.config import SimConfig
-
-    recorder = _arm_flight_recorder(args, process="fleet")
-    failures = []
-
-    chaos_graph = connected_random_udg(40, 5.0, seed=args.seed)
-    plan = default_fault_plan(chaos_graph, crashes=1, seed=args.seed)
-    chaos = run_chaos(
-        "algorithm2", chaos_graph, plan,
-        sim=SimConfig(seed=args.seed, transport=True),
-    )
-    if not chaos.valid:
-        failures.append("chaos smoke produced an invalid backbone")
-
-    graph = jittered_grid(args.fleet_nodes, seed=args.seed)
-    registry = MetricsRegistry()
-    nodes = sorted(graph.positions)
-    queries = [("dominator", n) for n in nodes[:: 2]]
-    queries += [("member", n) for n in nodes[:: 3]]
-    queries += [
-        ("route", nodes[i], nodes[i + 1])
-        for i in range(0, min(60, len(nodes) - 1), 2)
-    ]
-    with ShardServePool(
-        graph,
-        ShardConfig(workers=args.fleet, tile_size=8.0),
-        registry=registry,
-    ) as pool:
-        pool.query_batch(queries)
-        pool.flush_telemetry()
-
-    merged = pool.merged_telemetry()
-    checks = []
-    for name in ("worker_serves_total", "worker_batches_total",
-                 "worker_replies_total"):
-        fleet = sum(
-            child.value
-            for key, child in registry.children(name).items()
-            if "worker" not in dict(key)
-        )
-        worker_side = sum(
-            sum(payload["v"] for _, payload in family["children"])
-            for fam_name, family in merged.get("families", {}).items()
-            if fam_name == name
-        )
-        checks.append({"counter": name, "fleet": fleet,
-                       "worker_side": worker_side,
-                       "exact": fleet == worker_side and fleet > 0})
-        if fleet != worker_side or fleet == 0:
-            failures.append(
-                f"{name}: parent merged {fleet} != worker-side {worker_side}"
-            )
-    if not pool.stitcher.fully_parented():
-        failures.append(
-            f"{len(pool.stitcher.unparented())} spans have unresolvable "
-            "parents"
-        )
-    worker_spans = [
-        r for r in pool.stitcher.records if r["origin"] != "parent"
-    ]
-    if not worker_spans:
-        failures.append("no worker spans were harvested")
-    if args.trace_out:
-        count = pool.stitcher.to_jsonl(args.trace_out)
-        print(f"wrote {count} stitched spans to {args.trace_out}")
-    if recorder is not None:
-        recorder.dump(reason="fleet-report")
-        print(f"flight-recorder artifact: {recorder.dump_path}")
-
-    print_table(checks, title=f"Fleet harvest exactness ({args.fleet} workers)")
-    print_table(
-        [
-            {
-                "workers": len(pool.harvest.workers()),
-                "frames": pool.harvest.frames_absorbed,
-                "spans": len(pool.stitcher.records),
-                "worker_spans": len(worker_spans),
-                "fully_parented": pool.stitcher.fully_parented(),
-                "fault_transitions": chaos.epochs,
-            }
-        ],
-        title="Telemetry pipeline",
-    )
-    _emit_telemetry(args, registry, command="obs-report-fleet")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(json.dumps({"fleet": args.fleet, "ok": True}))
-    return 0
+    return 0 if monitor is None or monitor.ok() else 1
 
 
 def cmd_obs_report(args) -> int:
     from repro.obs import MetricsRegistry, Tracer, measure_message_costs
 
-    if args.fleet is not None:
-        if args.fleet < 1:
-            print("error: --fleet needs at least one worker", file=sys.stderr)
-            return 2
-        return _cmd_obs_fleet(args)
     if not args.telemetry:
         args.telemetry = "json"  # a report always emits
     try:
@@ -762,55 +623,6 @@ def cmd_obs_report(args) -> int:
     _emit_telemetry(args, registry, tracer,
                     command="obs-report", report=report.to_dict())
     return 0 if report.ok else 1
-
-
-def cmd_slo(args) -> int:
-    """Score a workload against declared SLOs and print the verdict."""
-    import json
-
-    from repro.service import ServiceConfig, WorkloadConfig, WorkloadGenerator
-
-    graph = _build(args)
-    try:
-        slos = _parse_slos(args)
-        if not slos:
-            from repro.obs.slo import SLO
-
-            # Sensible out-of-the-box objectives: fast queries, almost
-            # always available.
-            slos = (
-                SLO(name="latency-any", kind="latency", threshold=0.05,
-                    target=0.95, window=args.slo_window,
-                    max_burn_rate=args.max_burn_rate),
-                SLO(name="availability", kind="availability", target=0.99,
-                    window=args.slo_window,
-                    max_burn_rate=args.max_burn_rate),
-            )
-        config = ServiceConfig(
-            default_deadline=args.deadline,
-            slos=slos,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    generator = WorkloadGenerator(
-        sorted(graph.nodes(), key=repr),
-        WorkloadConfig(
-            queries=args.queries,
-            churn_every=args.churn_every,
-            seed=args.seed,
-        ),
-    )
-    service, _, recorder = _replay_service(
-        args, graph, config, list(generator.requests())
-    )
-    ok = _report_slos(service, recorder)
-    if args.format == "json":
-        print(json.dumps(service.slo_monitor.to_dict(), indent=2, sort_keys=True))
-    else:
-        print("SLO verdict: " + ("ok" if ok else "ERROR BUDGET BURNING"))
-    _emit_telemetry(args, service.metrics.registry, command="slo")
-    return 0 if ok else 1
 
 
 def cmd_chaos(args) -> int:
@@ -938,9 +750,6 @@ def cmd_opt_ratio(args) -> int:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
     graph = _build(args)
-    algorithms = tuple(
-        _algorithm_name(name) for name in args.algorithms.split(",")
-    )
     try:
         certificate = certified_optimum(
             graph, args.problem, exact_nodes=args.exact_nodes, lp=args.lp
@@ -952,7 +761,7 @@ def cmd_opt_ratio(args) -> int:
     results = measure_ratios(
         graph,
         seeds,
-        algorithms=algorithms,
+        algorithms=args.algorithms,
         problem=args.problem,
         certificate=certificate,
         workers=args.workers,
@@ -1056,17 +865,6 @@ def cmd_check(args) -> int:
             check_protocols(graph, perturbations=args.perturbations)
         )
         if any(not report.ok for report in reports):
-            failed = True
-    if args.race_demo:
-        from repro.check.fixtures import race_demo_report
-
-        demo = race_demo_report(perturbations=args.perturbations)
-        reports.append(demo)
-        if demo.ok:
-            # The demo fixture is *built* to race; a quiet sweep means
-            # the detector is broken.
-            print("race-demo: expected a divergence but found none",
-                  file=sys.stderr)
             failed = True
     if reports:
         if args.format == "json":
@@ -1178,26 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "slo",
-        help="score a workload against latency/availability SLOs and "
-        "print the burn-rate verdict (exit 1 while budgets burn)",
-    )
-    _add_topology_args(p)
-    p.add_argument("--queries", type=int, default=500,
-                   help="synthetic workload size")
-    p.add_argument("--churn-every", type=int, default=100,
-                   help="churn marker every N queries")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-request deadline in seconds")
-    p.add_argument("--flight-dump", metavar="FILE",
-                   help="arm a flight recorder that dumps its ring here "
-                   "on deadline miss or fault")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_slo_args(p)
-    _add_telemetry_args(p)
-    p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser(
         "obs-report",
         help="measure per-phase message costs against the Theorem 12 "
         "envelopes (exit 1 on violation)",
@@ -1208,16 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7, help="random seed")
     p.add_argument("--slack", type=float, default=1.75,
                    help="headroom factor over the calibrated envelope")
-    p.add_argument("--fleet", type=int, default=None, metavar="N",
-                   help="instead of the envelope sweep: run an N-worker "
-                   "serve pool with cross-process harvest under a chaos "
-                   "smoke and verify merged counters + stitched traces")
-    p.add_argument("--fleet-nodes", type=int, default=400,
-                   help="deployment size of the --fleet pool")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="with --fleet: write the stitched trace JSONL here")
-    p.add_argument("--flight-dump", metavar="FILE",
-                   help="with --fleet: arm a flight recorder dumping here")
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_obs_report)
 
@@ -1289,6 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--algorithms", default="algorithm1,algorithm2", metavar="LIST",
+        type=_algorithm_list_arg,
         help="comma list of registry algorithms to sweep",
     )
     p.add_argument(
@@ -1353,10 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--races", action="store_true",
         help="also re-run Algorithm I/II and the MIS protocol under "
         "perturbed delivery schedules and diff the invariants",
-    )
-    p.add_argument(
-        "--race-demo", action="store_true",
-        help="run the intentionally racy fixture protocol (must diverge)",
     )
     p.add_argument("--nodes", type=int, default=50,
                    help="race sweep: number of radios")

@@ -130,10 +130,6 @@ class ServiceMetrics:
         """The snapshot serialized as JSON."""
         return json.dumps(self.snapshot(), indent=indent)
 
-    def prometheus_text(self) -> str:
-        """The backing registry in Prometheus text exposition."""
-        return self.registry.prometheus_text()
-
     def rows(self) -> List[Mapping[str, object]]:
         """Latency summary rows for :func:`repro.analysis.print_table`."""
         rows: List[Mapping[str, object]] = []

@@ -57,6 +57,15 @@ class TestCommands:
         assert code == 0
         assert algorithm in out
 
+    def test_wcds_sim_flags_on_a_centralized_algorithm(self, capsys):
+        # Transport and faults only apply to distributed simulations:
+        # a usage error, not a traceback.
+        code = main(["wcds", "--nodes", "30", "--side", "4",
+                     "--algorithm", "greedy-wcds", "--transport"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "centralized" in err
+
     def test_wcds_list(self, capsys):
         code, out = self._run(
             ["wcds", "--nodes", "30", "--side", "4", "--list"], capsys
@@ -134,15 +143,6 @@ class TestCommands:
             record = json.loads(line)
             assert record["report"]["ok"] is True
             assert "metrics" in record
-
-    def test_obs_report_fleet_on_a_small_deployment(self, capsys):
-        # 40 nodes are fewer than the 60 route endpoints the smoke
-        # asks for; the pool must still close its shared segment.
-        code, out = self._run(
-            ["obs-report", "--fleet", "1", "--fleet-nodes", "40"], capsys
-        )
-        assert code == 0
-        assert '"ok": true' in out
 
     def test_obs_report_bad_sizes(self, capsys):
         assert main(["obs-report", "--sizes", "abc"]) == 2
@@ -293,6 +293,35 @@ class TestCommands:
             main([command, "--nodes", "40"])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slo"],
+            ["obs-report", "--fleet", "1"],
+            ["check", "--race-demo"],
+            ["topology", "--kernels", "vector"],
+        ],
+        ids=["slo", "obs-report-fleet", "check-race-demo", "topology-kernels"],
+    )
+    def test_removed_surfaces_are_rejected(self, capsys, argv):
+        # SLO verdicts come from `serve --slo-*`; the fleet harvest and
+        # the racy fixture are gated by tests/test_shard_pool.py and
+        # tests/test_check_races.py; both edge engines build one graph.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("value", ["bogus", "1,bogus"])
+    def test_opt_ratio_rejects_an_unknown_algorithm(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["opt-ratio", "--nodes", "20", "--side", "3",
+                  "--trials", "1", "--workers", "0", "--algorithms", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown algorithm 'bogus'" in err and "greedy-wcds" in err
 
     def test_figures(self, capsys, tmp_path):
         outdir = str(tmp_path / "figs")

@@ -139,35 +139,31 @@ class TestServiceWiring:
 
 
 class TestCli:
-    def test_slo_command_verdict_ok(self, capsys):
+    """``repro serve --slo-*`` prints the burn-rate table and exits 1
+    while an error budget burns."""
+
+    def _serve(self, *slo_flags):
         from repro.cli import main
 
-        code = main([
-            "slo", "--nodes", "100", "--side", "6", "--queries", "60",
-            "--slo-latency", "any:5.0:0.9",
+        return main([
+            "serve", "--nodes", "100", "--side", "6", "--queries", "60",
+            *slo_flags,
         ])
+
+    def test_serve_slo_verdict_ok(self, capsys):
+        code = self._serve("--slo-latency", "any:5.0:0.9")
         out = capsys.readouterr().out
         assert code == 0
-        assert "SLO verdict: ok" in out
+        assert "SLO burn rates" in out and "BURNING" not in out
 
-    def test_slo_command_verdict_burning(self, capsys):
-        from repro.cli import main
-
+    def test_serve_slo_verdict_burning(self, capsys):
         # A 1-nanosecond latency bound: everything violates it.
-        code = main([
-            "slo", "--nodes", "100", "--side", "6", "--queries", "60",
-            "--slo-latency", "any:0.000000001:0.9",
-        ])
+        code = self._serve("--slo-latency", "any:0.000000001:0.9")
         out = capsys.readouterr().out
         assert code == 1
         assert "BURNING" in out
 
     def test_bad_slo_spec(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "slo", "--nodes", "100", "--side", "6",
-            "--slo-latency", "nonsense",
-        ])
+        code = self._serve("--slo-latency", "nonsense")
         assert code == 2
         assert "OP:SECS" in capsys.readouterr().err
