@@ -105,8 +105,7 @@ def _sim_config(args):
         return None
     plan = FaultPlan()
     if args.fault_plan:
-        with open(args.fault_plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
+        plan = _read_fault_plan(args.fault_plan, "--fault-plan")
     return SimConfig(
         loss_rate=args.loss,
         seed=args.seed,
@@ -114,6 +113,18 @@ def _sim_config(args):
         transport=args.transport,
         engine=args.engine,
     )
+
+
+def _read_fault_plan(path: str, flag: str):
+    """The fault plan in ``path``; a file that cannot be read raises
+    ``ValueError``, which the commands report as a usage error."""
+    from repro.faults import FaultPlan
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return FaultPlan.from_json(handle.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read {flag} {path}: {exc.strerror}") from exc
 
 
 def _algorithm_name(which: str) -> str:
@@ -628,7 +639,7 @@ def cmd_obs_report(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.faults import CHAOS_ALGORITHMS, FaultPlan, default_fault_plan, run_chaos
+    from repro.faults import CHAOS_ALGORITHMS, default_fault_plan, run_chaos
     from repro.sim.config import SimConfig
 
     if args.quick:
@@ -653,8 +664,11 @@ def cmd_chaos(args) -> int:
         algorithms = (_algorithm_name(args.algorithm),)
     plan_template = None
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan_template = FaultPlan.from_json(handle.read())
+        try:
+            plan_template = _read_fault_plan(args.plan, "--plan")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     rows = []
     reports = []
     failed = False
@@ -706,9 +720,17 @@ def cmd_montecarlo(args) -> int:
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
+    from repro.backbone import get
+
+    algorithm = _algorithm_name(args.algorithm)
+    if args.transport and not get(algorithm).distributed:
+        # Checked here, not in the trial: a worker cannot report it.
+        print(f"error: {algorithm} is centralized; --transport only applies "
+              "to distributed simulations", file=sys.stderr)
+        return 2
     graph = _build(args)
     trial = BackboneTrial(
-        algorithm=_algorithm_name(args.algorithm),
+        algorithm=algorithm,
         engine=args.engine,
         jitter=args.jitter,
         transport=True if args.transport else None,

@@ -17,24 +17,30 @@ adjacency by reading member rows straight from shared memory, so a
 refresh message carries only node indices and membership bits —
 O(tile), never O(n) — and a position update is one row write by the
 parent, not a broadcast.  This module supplies only the worker-side
-handler for ``load``, ``drop`` and ``query``; the worker loop,
-telemetry frames, death handling and the close handshake are the
-substrate's.
+handler for ``load``, ``patch``, ``drop`` and ``query``; the worker
+loop, the windowed pump, telemetry frames, death handling and the
+close handshake are the substrate's.
 
 Churn (:meth:`ShardServePool.move`) re-stitches the affected tiles via
 the backbone's boundary-only invalidation, then refreshes exactly the
 replicas whose view changed: the re-stitched tiles plus any tile
-reading the moved node or a node the report lists as ``flipped``.
-Backbone membership is the backbone's own
-(:meth:`ShardedBackbone.membership`); the pool keeps no copy of it.
+reading the moved node or a node the report lists as ``flipped``.  A
+worker replica whose member set survived the move is patched in place
+(the moved row and the flipped flags); only a tile the node entered or
+left, or a new tile, is loaded in full.  Backbone membership is the
+backbone's own (:meth:`ShardedBackbone.membership`); the pool keeps no
+copy of it, nor of what it shipped.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from typing import (
+    AbstractSet,
     Any,
+    Collection,
     Container,
+    Deque,
     Dict,
     Hashable,
     List,
@@ -44,9 +50,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.graphs.udg import UnitDiskGraph
 from repro.obs.flightrec import flight_record
-from repro.obs.pipeline import TraceContext
 from repro.obs.tracing import get_tracer
 from repro.shard.config import ShardConfig
 from repro.shard.stitch import InvalidationReport, ShardedBackbone
@@ -70,7 +77,10 @@ class _TileReplica:
     neighbours of a white one: the edges a route may use.
 
     Identifier-agnostic — the inline pool numbers node ids, workers
-    shared-array row indices; the query logic is the same.
+    shared-array row indices; the query logic is the same.  A worker
+    replica owns its ``adj`` list, so a move that keeps the member set
+    patches it in place (:func:`_patch_from_shared`); an inline one
+    shares the stitch's and is only ever rebuilt.
     """
 
     __slots__ = ("nodes", "index", "adj", "is_mis", "black", "hops")
@@ -173,6 +183,58 @@ def _replica_from_shared(
     return _TileReplica(rows, adj, set(mis), set(backbone))
 
 
+def _patch_from_shared(
+    replica: _TileReplica,
+    shared: SharedPositions,
+    radius: float,
+    moved: Optional[int],
+    flips: Sequence[Tuple[int, bool, bool]],
+) -> None:
+    """Patch a worker replica in place after a move that kept its
+    member set, to what :func:`_replica_from_shared` would build now.
+
+    ``moved`` is the moved node's row when it is a member: its edges
+    are re-read from the shared rows with the edge kernel's predicate
+    (``dx*dx + dy*dy <= radius*radius``), and the rows of the members
+    it gained or lost are fixed.  ``flips`` are ``(row, is_mis,
+    black)`` for the member rows whose membership flipped.  ``hops``
+    is recomputed only where it can change: rows whose edges changed,
+    and a row whose own or a neighbour's ``black`` flag flipped.
+    """
+    index = replica.index
+    adj = replica.adj
+    dirty: Set[int] = set()
+    if moved is not None:
+        i = index[moved]
+        coords = shared.array[replica.nodes]
+        dx = coords[:, 0] - coords[i, 0]
+        dy = coords[:, 1] - coords[i, 1]
+        near = np.flatnonzero(dx * dx + dy * dy <= radius * radius).tolist()
+        near.remove(i)
+        new = tuple(near)
+        for j in set(adj[i]).symmetric_difference(new):
+            row = adj[j]
+            adj[j] = tuple(sorted((*row, i))) if j in new else tuple(
+                k for k in row if k != i
+            )
+            dirty.add(j)
+        adj[i] = new
+        dirty.add(i)
+    is_mis = replica.is_mis
+    black = replica.black
+    for row_id, in_mis, in_backbone in flips:
+        k = index[row_id]
+        is_mis[k] = in_mis
+        if black[k] != in_backbone:
+            black[k] = in_backbone
+            dirty.add(k)
+            dirty.update(adj[k])
+    hops = replica.hops
+    for k in dirty:
+        row = adj[k]
+        hops[k] = row if black[k] else tuple([j for j in row if black[j]])
+
+
 #: A dispatched query: ``(qid, tile, op, args)``.
 _Item = Tuple[int, TileId, str, Sequence[Any]]
 
@@ -189,34 +251,39 @@ def _serve_items(
     return results
 
 
+#: The worker counter of each replica refresh kind.
+_REFRESH_COUNTERS = {
+    "load": ("worker_replica_loads_total", "tile replicas (re)built"),
+    "patch": ("worker_replica_patches_total", "tile replicas patched in place"),
+}
+
+
+def _apply_refresh(env: WorkerEnv, message: Tuple[Any, ...]) -> None:
+    """Build (``load``) or patch (``patch``) one replica in-worker."""
+    replicas: Dict[TileId, _TileReplica] = env.state
+    if message[0] == "load":
+        _, tile, members, mis, backbone, _ = message
+        replicas[tile] = _replica_from_shared(
+            env.shared, env.args[0], members, mis, backbone
+        )
+    else:
+        _, tile, moved, flips, _ = message
+        _patch_from_shared(replicas[tile], env.shared, env.args[0], moved, flips)
+
+
 def _serve_tiles(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Worker-side handler: keep this worker's tile replicas in
-    ``env.state`` and answer ``load``, ``drop`` and ``query``.
+    ``env.state`` and answer ``load``, ``patch``, ``drop`` and
+    ``query``.
 
-    ``load`` and ``query`` messages carry the parent's
-    :class:`TraceContext`, so worker spans nest under the parent's
-    ``shard.load`` / ``shard.dispatch`` span.
+    ``load``, ``patch`` and ``query`` messages carry the parent's
+    :class:`~repro.obs.pipeline.TraceContext`, so worker spans nest
+    under the parent's ``shard.refresh`` / ``shard.dispatch`` span.
+    Every refresh is answered ``("refreshed", tile)``.
     """
     replicas: Dict[TileId, _TileReplica] = env.state
     tel = env.tel
     kind = message[0]
-    if kind == "load":
-        _, tile, members, mis, backbone, ctx = message
-        args = (env.shared, env.args[0], members, mis, backbone)
-        if tel is None:
-            replicas[tile] = _replica_from_shared(*args)
-            return ("loaded", tile)
-        with tel.spans.span(
-            "shard.replica_load", parent=ctx, tile=str(tile), members=len(members)
-        ):
-            replicas[tile] = _replica_from_shared(*args)
-        tel.registry.counter(
-            "worker_replica_loads_total", "tile replicas (re)built"
-        ).inc()
-        return ("loaded", tile)
-    if kind == "drop":
-        replicas.pop(message[1], None)
-        return ("dropped", message[1])
     if kind == "query":
         _, items, ctx = message
         if tel is None:
@@ -231,7 +298,24 @@ def _serve_tiles(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
                 ).inc(n)
         tel.batches.inc()
         return ("results", results, env.frame())
-    raise ValueError(f"unknown message {kind!r}")  # pragma: no cover
+    tile = message[1]
+    if kind == "drop":
+        replicas.pop(tile, None)
+        return ("refreshed", tile)
+    if kind not in _REFRESH_COUNTERS:  # pragma: no cover - protocol error
+        raise ValueError(f"unknown message {kind!r}")
+    if tel is None:
+        _apply_refresh(env, message)
+        return ("refreshed", tile)
+    attrs = {"members": len(message[2])} if kind == "load" else {
+        "flips": len(message[3])
+    }
+    with tel.spans.span(
+        f"shard.replica_{kind}", parent=message[-1], tile=str(tile), **attrs
+    ):
+        _apply_refresh(env, message)
+    tel.registry.counter(*_REFRESH_COUNTERS[kind]).inc()
+    return ("refreshed", tile)
 
 
 class ShardServePool(WorkerClient):
@@ -283,8 +367,7 @@ class ShardServePool(WorkerClient):
         self._worker_of: Dict[TileId, int] = {}
         self._replicas: Dict[TileId, _TileReplica] = {}
         try:
-            for tile in self.tiler.tiles():
-                self._load(tile)
+            self._refresh(self.tiler.tiles())
         except BaseException:
             self.group.close()
             raise
@@ -296,39 +379,82 @@ class ShardServePool(WorkerClient):
     # ------------------------------------------------------------------
     # Replicas
     # ------------------------------------------------------------------
-    def _load(self, tile: TileId) -> None:
-        """(Re)build a tile's replica from the backbone's current
-        membership (:meth:`ShardedBackbone.membership`).
+    def _refresh(
+        self,
+        tiles: Collection[TileId],
+        moved: Optional[Node] = None,
+        before: AbstractSet[TileId] = frozenset(),
+        flipped: Sequence[Node] = (),
+    ) -> None:
+        """Bring the replicas of ``tiles`` up to the backbone's current
+        membership (:meth:`ShardedBackbone.membership`); a tile no
+        longer live is dropped.
 
-        Inline, the replica takes the stitch's own numbering
+        Inline, each replica is rebuilt on the stitch's own numbering
         (:meth:`ShardedBackbone.tile_index`), which the stitch replaces
-        and never mutates, so an older replica's index stays intact.  A
-        worker is sent shared-array row indices: members, MIS members,
-        backbone members."""
+        and never mutates, so an older replica's index stays intact.
+
+        A worker replica is *patched* when its member set survived the
+        move of ``moved`` (``before`` are the tiles that read it before
+        the move): the moved node's row if it is still a member, plus
+        ``(row, is_mis, black)`` for each member in ``flipped``.  A tile
+        with neither is left alone.  A tile ``moved`` entered or left,
+        or a new one, is *loaded*: its member rows and its MIS and
+        backbone rows.  Every message goes out through the group's
+        windowed pump, so the workers refresh concurrently, under one
+        ``shard.refresh`` span.
+        """
         mis, backbone = self.backbone.membership()
+        live = set(self.tiler.tiles())
         workers = len(self.group.conns)
         if not workers:
-            tix = self.backbone.tile_index(tile)
-            self._replicas[tile] = _TileReplica(tix.members, tix.adj, mis, backbone)
+            for tile in sorted(tiles):
+                if tile in live:
+                    tix = self.backbone.tile_index(tile)
+                    self._replicas[tile] = _TileReplica(
+                        tix.members, tix.adj, mis, backbone
+                    )
+                else:
+                    self._replicas.pop(tile, None)
             return
-        worker = self._worker_of.setdefault(tile, len(self._worker_of) % workers)
         index = self._index
-        members = self.tiler.members(tile)
-        rows = [index[m] for m in members]
-        is_mis = [index[m] for m in members if m in mis]
-        black = [index[m] for m in members if m in backbone]
+        tiler = self.tiler
+        flags: Dict[TileId, List[Tuple[int, bool, bool]]] = {}
+        for v in flipped:
+            flag = (index[v], v in mis, v in backbone)
+            for tile in tiler.tiles_reading(v):
+                flags.setdefault(tile, []).append(flag)
+        reading = set() if moved is None else set(tiler.tiles_reading(moved))
+        renumbered = reading.symmetric_difference(before)
+        worker_of = self._worker_of
+        queues: Dict[int, Deque[Tuple[Any, ...]]] = {
+            worker: deque() for worker in range(workers)
+        }
         group = self.group
-        with group.span("shard.load", tile=str(tile), members=len(rows)) as ctx:
-            group.request(worker, ("load", tile, rows, is_mis, black, ctx), "loaded")
-
-    def _drop(self, tile: TileId) -> None:
-        """Forget a retired tile's replica."""
-        if not self.group.conns:
-            self._replicas.pop(tile, None)
-            return
-        worker = self._worker_of.pop(tile, None)
-        if worker is not None:
-            self.group.request(worker, ("drop", tile), "dropped")
+        with group.span("shard.refresh", tiles=len(tiles)) as ctx:
+            for tile in sorted(tiles):
+                if tile not in live:
+                    worker = worker_of.pop(tile, None)
+                    if worker is not None:
+                        queues[worker].append(("drop", tile))
+                elif tile in worker_of and tile not in renumbered:
+                    row = index[moved] if tile in reading else None
+                    if row is not None or tile in flags:
+                        queues[worker_of[tile]].append(
+                            ("patch", tile, row, flags.get(tile, []), ctx)
+                        )
+                else:
+                    worker = worker_of.setdefault(tile, len(worker_of) % workers)
+                    members = tiler.members(tile)
+                    queues[worker].append((
+                        "load",
+                        tile,
+                        [index[m] for m in members],
+                        [index[m] for m in members if m in mis],
+                        [index[m] for m in members if m in backbone],
+                        ctx,
+                    ))
+            group.pump(queues, "refreshed")
 
     # ------------------------------------------------------------------
     # Queries
@@ -371,20 +497,19 @@ class ShardServePool(WorkerClient):
                 continue
             per_worker.setdefault(worker_of[tile], []).append((qid, tile, op, rows))
         batch = self.config.batch_size
-        # Pipeline the chunks: keep a bounded window in flight on every
-        # worker at once, so two workers compute concurrently instead
-        # of serving strictly one after the other.  The window bounds
-        # the pipe backlog (sender and receiver both blocking on a full
-        # pipe would deadlock).
-        window = 2
-        chunks: Dict[int, deque] = {}
-        in_flight: Dict[int, int] = {}
-        for worker_id, items in per_worker.items():
-            chunks[worker_id] = deque(
-                items[lo : lo + batch] for lo in range(0, len(items), batch)
-            )
-            in_flight[worker_id] = 0
-        with self.group.span(
+        nodes = self._nodes
+        group = self.group
+
+        def collect(reply: Tuple[Any, ...]) -> None:
+            for qid, value in reply[1]:
+                if isinstance(value, list):
+                    value = [nodes[i] for i in value]
+                elif isinstance(value, int) and not isinstance(value, bool):
+                    value = nodes[value]
+                results[qid] = value
+            group.absorb(reply[2])
+
+        with group.span(
             "shard.dispatch", queries=len(plan), workers=len(per_worker)
         ) as ctx:
             if ctx is not None:
@@ -396,37 +521,15 @@ class ShardServePool(WorkerClient):
                     span_id=ctx.span_id,
                     queries=len(plan),
                 )
-            self._pump(chunks, in_flight, window, ctx, results)
+            chunks = {
+                worker_id: deque(
+                    ("query", items[lo : lo + batch], ctx)
+                    for lo in range(0, len(items), batch)
+                )
+                for worker_id, items in per_worker.items()
+            }
+            group.pump(chunks, "results", collect)
         return results
-
-    def _pump(
-        self,
-        chunks: Dict[int, deque],
-        in_flight: Dict[int, int],
-        window: int,
-        ctx: Optional[TraceContext],
-        results: List[Any],
-    ) -> None:
-        """Drive the windowed send/recv loop over every worker."""
-        group = self.group
-        nodes = self._nodes
-        while any(chunks.values()) or any(in_flight.values()):
-            for worker_id in sorted(chunks):
-                while chunks[worker_id] and in_flight[worker_id] < window:
-                    group.send(worker_id, ("query", chunks[worker_id].popleft(), ctx))
-                    in_flight[worker_id] += 1
-            for worker_id in sorted(chunks):
-                if in_flight[worker_id] == 0:
-                    continue
-                reply = group.recv(worker_id, "results")
-                in_flight[worker_id] -= 1
-                for qid, value in reply[1]:
-                    if isinstance(value, list):
-                        value = [nodes[i] for i in value]
-                    elif isinstance(value, int) and not isinstance(value, bool):
-                        value = nodes[value]
-                    results[qid] = value
-                group.absorb(reply[2])
 
     def dominator(self, node: Node) -> Optional[Node]:
         """The node's dominator (itself, or its lowest MIS neighbor)."""
@@ -446,6 +549,7 @@ class ShardServePool(WorkerClient):
     def move(self, node: Node, new_position) -> InvalidationReport:
         """Move a node: one shared-array row write, a boundary-only
         re-stitch, and refreshes of exactly the affected replicas."""
+        before = set(self.tiler.tiles_reading(node))
         report = self.backbone.apply_move(node, new_position)
         shared = self.group.shared
         if shared is not None:
@@ -453,21 +557,16 @@ class ShardServePool(WorkerClient):
             position = self.graph.positions[node]
             shared.array[row, 0] = position.x
             shared.array[row, 1] = position.y
-        live = set(self.tiler.tiles())
         # Retired seeds are dropped; the rest of the seeds were rebuilt.
         refresh = set(report.rebuilt).union(report.seed_tiles)
         for moved_or_flipped in (node, *report.flipped):
             refresh.update(self.tiler.tiles_reading(moved_or_flipped))
-        for tile in sorted(refresh):
-            if tile in live:
-                self._load(tile)
-            else:
-                self._drop(tile)
+        self._refresh(refresh, node, before, report.flipped)
         if self.registry is not None:
             self.registry.counter(
                 "shard_replica_refreshes_total",
                 "Tile replicas refreshed after churn",
-            ).inc(len(refresh & live))
+            ).inc(len(refresh.intersection(self.tiler.tiles())))
         return report
 
     def flush_telemetry(self) -> None:

@@ -8,9 +8,10 @@ once — the shared position block (:class:`SharedPositions`), the worker
 loop (:func:`_worker_main`: sanitizer write protection, quiet exit on
 EOF, the ``flush``/``close``/``probe`` replies), the worker telemetry
 (:class:`WorkerTelemetry`), and the parent side (:class:`WorkerGroup`:
-spawn, ``send``/``recv`` with one death path, harvest and trace
-stitching, the close handshake).  :class:`WorkerClient` gives a client
-the telemetry accessors and lifecycle of its ``group``.
+spawn, ``send``/``recv`` with one death path, the windowed
+:meth:`~WorkerGroup.pump`, harvest and trace stitching, the close
+handshake).  :class:`WorkerClient` gives a client the telemetry
+accessors and lifecycle of its ``group``.
 
 A reply that carries a telemetry frame takes it from
 :meth:`WorkerEnv.frame`, which counts the reply *before* capturing the
@@ -28,10 +29,12 @@ from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     NoReturn,
     Optional,
     Sequence,
@@ -64,6 +67,10 @@ __all__ = [
 
 #: Pipe errors that mean the other end is gone.
 _PIPE_ERRORS = (EOFError, OSError)
+
+#: Messages :meth:`WorkerGroup.pump` keeps in flight per worker: one
+#: being served while the next waits in the pipe.
+_WINDOW = 2
 
 
 class SharedPositions:
@@ -352,6 +359,37 @@ class WorkerGroup:
         """One round trip: send ``message``, return the ``expect`` reply."""
         self.send(worker_id, message)
         return self.recv(worker_id, expect)
+
+    def pump(
+        self,
+        queues: Mapping[int, Deque[Tuple[Any, ...]]],
+        expect: str,
+        on_reply: Optional[Callable[[Tuple[Any, ...]], None]] = None,
+    ) -> None:
+        """Send every queued message to its worker and hand each
+        ``expect`` reply to ``on_reply`` (if any), in each worker's send
+        order.
+
+        Up to :data:`_WINDOW` messages stay in flight on every worker
+        at once, so the workers compute concurrently instead of one
+        after the other.  The window bounds the pipe backlog: a parent
+        blocked on a full request pipe while its worker blocks on a
+        full reply pipe would deadlock.
+        """
+        in_flight = dict.fromkeys(queues, 0)
+        order = sorted(queues)
+        while any(queues.values()) or any(in_flight.values()):
+            for worker_id in order:
+                queue = queues[worker_id]
+                while queue and in_flight[worker_id] < _WINDOW:
+                    self.send(worker_id, queue.popleft())
+                    in_flight[worker_id] += 1
+            for worker_id in order:
+                if in_flight[worker_id]:
+                    reply = self.recv(worker_id, expect)
+                    in_flight[worker_id] -= 1
+                    if on_reply is not None:
+                        on_reply(reply)
 
     def probe(self) -> Optional[str]:
         """Ask worker 0 to attempt a shared-array write (sanitizer probe).

@@ -66,6 +66,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "centralized" in err
 
+    def test_montecarlo_transport_on_a_centralized_algorithm(self, capsys):
+        code = main(["montecarlo", "--algorithm", "greedy-wcds", "--transport",
+                     "--nodes", "30", "--side", "4", "--trials", "2",
+                     "--workers", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "centralized" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wcds", "--nodes", "30", "--side", "4", "--fault-plan"],
+         ["chaos", "--quick", "--plan"]],
+        ids=["wcds", "chaos"],
+    )
+    def test_missing_fault_plan_file(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.json")
+        code = main([*argv, missing])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
     def test_wcds_list(self, capsys):
         code, out = self._run(
             ["wcds", "--nodes", "30", "--side", "4", "--list"], capsys

@@ -293,6 +293,9 @@ class TestPoolTelemetry:
         registry = MetricsRegistry()
         pool = self._pool(deployment, registry)
         pool.query_batch(_mixed_queries(pool, 150, seed=22))
+        node = sorted(deployment.positions)[0]
+        pos = pool.graph.positions[node]
+        pool.move(node, Point(pos.x + 0.3, pos.y + 0.3))
         pool.flush_telemetry()
         pool.close()
         path = tmp_path / "trace.jsonl"
@@ -307,10 +310,15 @@ class TestPoolTelemetry:
         for record in records:
             if record["parent_id"] is not None:
                 assert record["parent_id"] in span_ids, record
-        # every worker span nests under a parent-side dispatch/load span
+        # every worker span nests under a parent-side dispatch/refresh span
         for record in worker_records:
             assert record["parent_id"] is not None
             assert record["trace_id"].startswith("parent-")
+        by_id = {r["span_id"]: r for r in records}
+        refreshed = {r["name"] for r in worker_records
+                     if by_id[r["parent_id"]]["name"] == "shard.refresh"}
+        assert refreshed == {"shard.replica_load", "shard.replica_patch"}
+        assert registry.value("worker_replica_patches_total") > 0
         assert pool.stitcher.fully_parented()
 
     def test_worker_crash_dumps_flight_recorder(self, deployment, tmp_path):
@@ -430,13 +438,13 @@ class TestWorkerLifecycle:
             start(process)
             started.append(process)
 
-        def failing_load(pool, tile):
+        def failing_refresh(pool, tiles, *args):
             raise OSError("injected start failure")
 
         monkeypatch.setattr(SharedPositions, "create", classmethod(recording_create))
         monkeypatch.setattr(SpawnProcess, "start", failing_start)
         if stage == "load":
-            monkeypatch.setattr(ShardServePool, "_load", failing_load)
+            monkeypatch.setattr(ShardServePool, "_refresh", failing_refresh)
         with pytest.raises(OSError, match="injected"):
             ShardServePool(
                 deployment.copy(), ShardConfig(tile_size=6.0, workers=2)

@@ -10,14 +10,14 @@ The old class lives on here as the oracle: both ways of building the
 new one (from a node numbering in the parent, and from shared position
 rows in a worker) must give the same answer to every query, and a
 worker pool must keep answering exactly like an inline pool while
-nodes move, and every live replica must stay what a fresh load would
-build.
+nodes move, and every live replica, loaded in full or patched in place
+after a move, must stay what a fresh load would build.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import pytest
@@ -29,9 +29,9 @@ from repro.graphs import jittered_grid
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.shard import ShardConfig, SharedPositions, ShardServePool
-from repro.shard.pool import _replica_from_shared, _TileReplica
+from repro.shard.pool import _replica_from_shared, _serve_tiles, _TileReplica
 from repro.wcds.connectors import number_nodes
-from repro.workers import WorkerGroup
+from repro.workers import WorkerEnv, WorkerGroup
 
 from tutils import coordinates
 
@@ -240,59 +240,116 @@ class TestPooledAgainstInline:
 def assert_replicas_fresh(
     pool: ShardServePool, replicas: Dict[Any, _TileReplica], rows=None
 ) -> None:
-    """One replica per live tile, each equal in members, flags and
-    route edges to a replica built fresh from the stitch's index and
-    the backbone's current membership.  ``rows`` maps a worker
-    replica's shared-array rows back to node ids."""
+    """One replica per live tile, each equal field for field (members,
+    numbering, adjacency, flags and route edges) to a replica built
+    fresh from the stitch's index and the backbone's current
+    membership.  ``rows`` maps a worker replica's shared-array rows
+    back to node ids."""
     mis, backbone = pool.backbone.membership()
     assert sorted(replicas) == sorted(pool.tiler.tiles())
     for tile, replica in replicas.items():
         tix = pool.backbone.tile_index(tile)
         fresh = _TileReplica(tix.members, tix.adj, mis, backbone)
         ids = replica.nodes if rows is None else [rows[i] for i in replica.nodes]
+        index = replica.index if rows is None else {
+            rows[row]: i for row, i in replica.index.items()
+        }
         assert list(ids) == list(fresh.nodes), tile
+        assert index == fresh.index, tile
+        assert list(replica.adj) == list(fresh.adj), tile
         assert replica.is_mis == fresh.is_mis, tile
         assert replica.black == fresh.black, tile
         assert replica.hops == fresh.hops, tile
 
 
+class SentMessages:
+    """Every message the pool sends its workers, replayed through the
+    real worker handler on one local :class:`WorkerEnv` per worker over
+    the group's shared rows, so the replicas compared are the workers'
+    state after each load, patch and drop."""
+
+    def __init__(self, monkeypatch, radius: float) -> None:
+        self.sent: List[Tuple[int, Tuple[Any, ...]]] = []
+        self.envs: Dict[int, WorkerEnv] = {}
+        send = WorkerGroup.send
+
+        def recording_send(group, worker_id, message):
+            send(group, worker_id, message)
+            env = self.envs.get(worker_id)
+            if env is None:
+                env = self.envs[worker_id] = WorkerEnv(group.shared, (radius,), None)
+            _serve_tiles(env, message)
+            self.sent.append((worker_id, message))
+
+        monkeypatch.setattr(WorkerGroup, "send", recording_send)
+
+    def replicas(self) -> Dict[Any, _TileReplica]:
+        held: Dict[Any, _TileReplica] = {}
+        for env in self.envs.values():
+            held.update(env.state)
+        return held
+
+
+def _nudge(graph: UnitDiskGraph, rng: random.Random) -> Tuple[Node, Point]:
+    nodes = sorted(graph.positions)
+    node = nodes[rng.randrange(len(nodes))]
+    pos = graph.positions[node]
+    return node, Point(pos.x + rng.uniform(-0.6, 0.6), pos.y + rng.uniform(-0.6, 0.6))
+
+
 class TestReplicaFreshness:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_every_replica_is_fresh_after_every_move(self, workers, monkeypatch):
-        # A worker replica is what ``_replica_from_shared`` builds from
-        # the load message and the shared rows at load time, so the
-        # parent records that build as the worker's copy.
         graph = jittered_grid(400, seed=5)
-        held: Dict[Any, _TileReplica] = {}
-        request = WorkerGroup.request
-
-        def recording_request(group, worker_id, message, expect):
-            reply = request(group, worker_id, message, expect)
-            if message[0] == "load":
-                _, tile, members, mis, black, _ = message
-                held[tile] = _replica_from_shared(
-                    group.shared, graph.radius, members, mis, black
-                )
-            elif message[0] == "drop":
-                del held[message[1]]
-            return reply
-
-        monkeypatch.setattr(WorkerGroup, "request", recording_request)
+        recorder = SentMessages(monkeypatch, graph.radius)
         rng = random.Random(9)
         with ShardServePool(
             graph, ShardConfig(tile_size=4.0, workers=workers)
         ) as pool:
-            replicas = held if workers else pool._replicas
+            replicas = recorder.replicas if workers else lambda: pool._replicas
             rows = pool._nodes if workers else None
-            assert_replicas_fresh(pool, replicas, rows)
-            nodes = sorted(graph.positions)
+            assert_replicas_fresh(pool, replicas(), rows)
             flips = 0
             for _ in range(40):
-                node = nodes[rng.randrange(len(nodes))]
-                pos = graph.positions[node]
-                report = pool.move(node, Point(
-                    pos.x + rng.uniform(-0.6, 0.6), pos.y + rng.uniform(-0.6, 0.6)
-                ))
+                report = pool.move(*_nudge(graph, rng))
                 flips += len(report.flipped)
-                assert_replicas_fresh(pool, replicas, rows)
+                assert_replicas_fresh(pool, replicas(), rows)
         assert flips > 0
+        if workers:
+            kinds = Counter(message[0] for _, message in recorder.sent)
+            assert kinds["patch"] > kinds["load"] - len(pool.tiler.tiles()) > 0
+
+    def test_only_a_changed_member_set_is_loaded(self, monkeypatch):
+        # A move loads exactly the live tiles the node entered or left
+        # (a new tile among them) and drops the retired ones; a tile it
+        # stays in gets a patch with its row, and a tile refreshed only
+        # for a flipped member gets a flag-only patch.  Each case must
+        # occur in the stream.
+        graph = jittered_grid(400, seed=5)
+        recorder = SentMessages(monkeypatch, graph.radius)
+        rng = random.Random(12)
+        seen: Counter = Counter()
+        with ShardServePool(graph, ShardConfig(tile_size=4.0, workers=2)) as pool:
+            for _ in range(60):
+                node, target = _nudge(graph, rng)
+                before = set(pool.tiler.tiles_reading(node))
+                del recorder.sent[:]
+                pool.move(node, target)
+                assert_replicas_fresh(pool, recorder.replicas(), pool._nodes)
+                after = set(pool.tiler.tiles_reading(node))
+                live = set(pool.tiler.tiles())
+                by_kind: Dict[str, Set[Any]] = {}
+                for _, message in recorder.sent:
+                    by_kind.setdefault(message[0], set()).add(message[1])
+                assert by_kind.get("load", set()) == (before ^ after) & live
+                assert by_kind.get("drop", set()) == before - live
+                row = pool._index[node]
+                for _, message in recorder.sent:
+                    if message[0] == "patch":
+                        _, tile, moved, flags, _ = message
+                        assert moved == (row if tile in before & after else None)
+                        assert moved is not None or flags
+                        seen["flag-only"] += moved is None
+                seen["enters"] += bool(after - before)
+                seen["leaves"] += bool((before - after) & live)
+        assert seen["enters"] and seen["leaves"] and seen["flag-only"], seen
