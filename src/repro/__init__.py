@@ -51,7 +51,7 @@ from repro.routing import (
     spanner_route,
 )
 from repro.election import elect_leader
-from repro.mobility import MaintainedWCDS, RandomWaypointModel
+from repro.mobility import RandomWaypointModel
 from repro.obs import (
     MessageCostReport,
     MetricsRegistry,
@@ -94,7 +94,6 @@ __all__ = [
     "blind_flood",
     "spanner_route",
     "elect_leader",
-    "MaintainedWCDS",
     "RandomWaypointModel",
     "BackboneService",
     "ServiceConfig",

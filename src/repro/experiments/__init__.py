@@ -22,7 +22,6 @@ from repro.experiments import (  # noqa: F401  (imported for side effects)
     complexity,
     fig1,
     fig2,
-    maintenance_protocol,
     mis_lemmas,
     wcds_theorems,
 )

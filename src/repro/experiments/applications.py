@@ -1,8 +1,7 @@
-"""Experiments C1/C1b/R1/B1/M1 — comparisons and applications.
+"""Experiments C1/C1b/R1/B1 — comparisons and applications.
 
 C1: backbone sizes across all algorithms.  C1b: ranking ablation.
 R1: clusterhead routing stretch (§4.2).  B1: backbone broadcasting.
-M1: WCDS maintenance under random-waypoint mobility (§4.2 sketch).
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ import random
 from repro.baselines import greedy_cds, greedy_wcds, mis_tree_cds, wu_li_cds
 from repro.experiments.base import Rows, checker, register
 from repro.geometry.packing import mis_neighbors_bound
-from repro.graphs import connected_random_udg, hop_distance, is_connected
+from repro.graphs import connected_random_udg, hop_distance
 from repro.mis import greedy_mis, greedy_mis_dynamic_degree
-from repro.mobility import MaintainedWCDS, RandomWaypointModel
 from repro.routing import (
     ClusterheadRouter,
     backbone_broadcast,
@@ -23,7 +21,6 @@ from repro.routing import (
 )
 from repro.wcds import (
     algorithm1_centralized,
-    algorithm2_centralized,
     algorithm2_distributed,
     bounds,
 )
@@ -179,48 +176,3 @@ def check_broadcast(rows: Rows) -> None:
     savings = [row["saving"] for row in rows]
     assert savings[-1] > savings[0]
     assert savings[-1] > 0.4
-
-
-def _mobility_trial(seed, steps=40):
-    g = connected_random_udg(60, 5.0, seed=seed)
-    maintained = MaintainedWCDS(g)
-    model = RandomWaypointModel(g, 5.0, speed_range=(0.05, 0.2), seed=seed)
-    valid_steps = touched_total = max_locality = 0
-    size_overhead = []
-    for _ in range(steps):
-        report = maintained.apply_events(model.step())
-        touched_total += len(report.touched)
-        max_locality = max(max_locality, report.max_distance_to_event)
-        valid_steps += maintained.is_valid()
-        if is_connected(g):
-            size_overhead.append(
-                maintained.result().size / algorithm2_centralized(g).size
-            )
-    return {
-        "seed": seed,
-        "steps": steps,
-        "valid_steps": valid_steps,
-        "roles_changed": touched_total,
-        "max_locality_hops": max_locality,
-        "size_vs_rebuild": (
-            sum(size_overhead) / len(size_overhead) if size_overhead else 1.0
-        ),
-    }
-
-
-@register(
-    "M1",
-    "WCDS maintenance under random waypoint "
-    "(validity every step; changes local to the event)",
-    "Section 4.2's maintenance sketch: local repairs keep the WCDS valid.",
-)
-def run_maintenance() -> Rows:
-    return [_mobility_trial(seed) for seed in range(4)]
-
-
-@checker("M1")
-def check_maintenance(rows: Rows) -> None:
-    for row in rows:
-        assert row["valid_steps"] == row["steps"]
-        assert row["max_locality_hops"] <= 4
-        assert row["size_vs_rebuild"] <= 1.5

@@ -46,8 +46,61 @@ def _clamp_reflect(value: float, limit: float) -> Tuple[float, bool]:
     return value, reflected
 
 
-class RandomDirectionModel:
-    """Straight-line travel with boundary reflection."""
+class _HeadingModel:
+    """Travel along a per-node heading with boundary reflection; the
+    subclasses draw speeds and say how motion evolves and reflects."""
+
+    def __init__(self, udg: UnitDiskGraph, side: float, seed: Optional[int]) -> None:
+        self.udg = udg
+        self.side = side
+        self._rng = random.Random(seed)
+        self._speed: Dict[Hashable, float] = {
+            node: self._new_speed() for node in udg.nodes()
+        }
+        self._heading: Dict[Hashable, float] = {
+            node: self._new_heading() for node in udg.nodes()
+        }
+
+    def _new_speed(self) -> float:
+        raise NotImplementedError
+
+    def _new_heading(self) -> float:
+        return self._rng.uniform(0.0, 2.0 * math.pi)
+
+    def _evolve(self, node: Hashable) -> None:
+        """Update ``node``'s speed and heading before it moves."""
+
+    def _reflect(self, node: Hashable) -> None:
+        self._heading[node] = self._new_heading()
+
+    def step(self, dt: float = 1.0) -> LinkEvents:
+        """Evolve, then advance every node, reflecting at walls."""
+        gained: List[Tuple[Hashable, Hashable]] = []
+        lost: List[Tuple[Hashable, Hashable]] = []
+        for node in list(self.udg.nodes()):
+            if node not in self._speed:  # joined after construction
+                self._speed[node] = self._new_speed()
+                self._heading[node] = self._new_heading()
+            self._evolve(node)
+            pos = self.udg.positions[node]
+            travel = self._speed[node] * dt
+            x = pos.x + travel * math.cos(self._heading[node])
+            y = pos.y + travel * math.sin(self._heading[node])
+            x, rx = _clamp_reflect(x, self.side)
+            y, ry = _clamp_reflect(y, self.side)
+            if rx or ry:
+                self._reflect(node)
+            up, down = self.udg.move_node(node, Point(x, y))
+            gained.extend((node, other) for other in up)
+            lost.extend((node, other) for other in down)
+        return LinkEvents(
+            gained=tuple(gained), lost=tuple(lost), moved=tuple(self.udg.nodes())
+        )
+
+
+class RandomDirectionModel(_HeadingModel):
+    """Straight-line travel with boundary reflection: a uniform speed
+    per node, and a new uniform heading at every wall."""
 
     def __init__(
         self,
@@ -58,38 +111,14 @@ class RandomDirectionModel:
     ) -> None:
         if speed_range[0] <= 0 or speed_range[0] > speed_range[1]:
             raise ValueError("need 0 < min_speed <= max_speed")
-        self.udg = udg
-        self.side = side
-        self._rng = random.Random(seed)
-        self._speed: Dict[Hashable, float] = {
-            node: self._rng.uniform(*speed_range) for node in udg.nodes()
-        }
-        self._heading: Dict[Hashable, float] = {
-            node: self._rng.uniform(0.0, 2.0 * math.pi) for node in udg.nodes()
-        }
+        self._speed_range = speed_range
+        super().__init__(udg, side, seed)
 
-    def step(self, dt: float = 1.0) -> LinkEvents:
-        """Advance every node along its heading, reflecting at walls."""
-        gained: List[Tuple[Hashable, Hashable]] = []
-        lost: List[Tuple[Hashable, Hashable]] = []
-        for node in list(self.udg.nodes()):
-            pos = self.udg.positions[node]
-            travel = self._speed[node] * dt
-            x = pos.x + travel * math.cos(self._heading[node])
-            y = pos.y + travel * math.sin(self._heading[node])
-            x, rx = _clamp_reflect(x, self.side)
-            y, ry = _clamp_reflect(y, self.side)
-            if rx or ry:
-                self._heading[node] = self._rng.uniform(0.0, 2.0 * math.pi)
-            up, down = self.udg.move_node(node, Point(x, y))
-            gained.extend((node, other) for other in up)
-            lost.extend((node, other) for other in down)
-        return LinkEvents(
-            gained=tuple(gained), lost=tuple(lost), moved=tuple(self.udg.nodes())
-        )
+    def _new_speed(self) -> float:
+        return self._rng.uniform(*self._speed_range)
 
 
-class GaussMarkovModel:
+class GaussMarkovModel(_HeadingModel):
     """Temporally correlated mobility (Liang & Haas 1999 style).
 
     speed_t = α·speed_{t-1} + (1-α)·mean + sqrt(1-α²)·noise, and the
@@ -111,19 +140,14 @@ class GaussMarkovModel:
             raise ValueError("alpha must be in [0, 1)")
         if mean_speed <= 0:
             raise ValueError("mean_speed must be positive")
-        self.udg = udg
-        self.side = side
         self.alpha = alpha
         self.mean_speed = mean_speed
         self.speed_sigma = speed_sigma
         self.heading_sigma = heading_sigma
-        self._rng = random.Random(seed)
-        self._speed: Dict[Hashable, float] = {
-            node: mean_speed for node in udg.nodes()
-        }
-        self._heading: Dict[Hashable, float] = {
-            node: self._rng.uniform(0.0, 2.0 * math.pi) for node in udg.nodes()
-        }
+        super().__init__(udg, side, seed)
+
+    def _new_speed(self) -> float:
+        return self.mean_speed
 
     def _evolve(self, node: Hashable) -> None:
         a = self.alpha
@@ -141,27 +165,9 @@ class GaussMarkovModel:
             + noise_scale * self._rng.gauss(0.0, self.heading_sigma)
         )
 
-    def step(self, dt: float = 1.0) -> LinkEvents:
-        """Evolve speed/heading, then advance with wall reflection."""
-        gained: List[Tuple[Hashable, Hashable]] = []
-        lost: List[Tuple[Hashable, Hashable]] = []
-        for node in list(self.udg.nodes()):
-            self._evolve(node)
-            pos = self.udg.positions[node]
-            travel = self._speed[node] * dt
-            x = pos.x + travel * math.cos(self._heading[node])
-            y = pos.y + travel * math.sin(self._heading[node])
-            x, rx = _clamp_reflect(x, self.side)
-            y, ry = _clamp_reflect(y, self.side)
-            if rx or ry:
-                # Turn around on reflection to avoid wall-hugging.
-                self._heading[node] += math.pi
-            up, down = self.udg.move_node(node, Point(x, y))
-            gained.extend((node, other) for other in up)
-            lost.extend((node, other) for other in down)
-        return LinkEvents(
-            gained=tuple(gained), lost=tuple(lost), moved=tuple(self.udg.nodes())
-        )
+    def _reflect(self, node: Hashable) -> None:
+        # Turn around on reflection to avoid wall-hugging.
+        self._heading[node] += math.pi
 
 
 def density_probe(

@@ -59,6 +59,7 @@ class RandomWaypointModel:
             raise ValueError("need 0 < min_speed <= max_speed")
         self.udg = udg
         self.side = side
+        self._speed_range = speed_range
         self.pause_steps = pause_steps
         self._rng = random.Random(seed)
         self._speed: Dict[Hashable, float] = {
@@ -80,6 +81,10 @@ class RandomWaypointModel:
         lost: List[Tuple[Hashable, Hashable]] = []
         moved: List[Hashable] = []
         for node in list(self.udg.nodes()):
+            if node not in self._speed:  # joined after construction
+                self._speed[node] = self._rng.uniform(*self._speed_range)
+                self._target[node] = self._pick_waypoint()
+                self._pause_left[node] = 0
             if self._pause_left[node] > 0:
                 self._pause_left[node] -= 1
                 continue

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.geometry import Point
-from repro.graphs import build_udg, connected_random_udg, is_connected
+from repro.graphs import build_udg, connected_random_udg
 from repro.mis import is_dominating_set, is_independent_set
-from repro.mobility import MaintainedWCDS
+from repro.shard import ShardedBackbone
 
-from tutils import seeds
+from tutils import assert_valid_and_exact, seeds
 
 
 class TestUdgChurn:
@@ -47,73 +47,80 @@ class TestUdgChurn:
 
 
 class TestMaintenanceChurn:
+    """Radios turning off and on through ``ShardedBackbone.apply_leave``
+    / ``apply_join``: exact Algorithm II on every component after each
+    event."""
+
     def test_turning_off_a_gray_node_is_cheap(self):
+        # A gray node decides no MIS status: only connector picks can
+        # change when it leaves.
         g = connected_random_udg(30, 4.0, seed=1)
-        maintained = MaintainedWCDS(g)
-        gray = sorted(set(g.nodes()) - maintained.mis - maintained.additional)[0]
-        maintained.node_off(gray)
-        assert maintained.is_valid()
+        backbone = ShardedBackbone(g)
+        mis = set(backbone.membership()[0])
+        gray = sorted(set(g.nodes()) - set(backbone.membership()[1]))[0]
+        report = backbone.apply_leave(gray)
+        assert set(backbone.membership()[0]) == mis
+        assert mis.isdisjoint(report.flipped)
+        assert_valid_and_exact(backbone)
 
     def test_turning_off_a_dominator_repairs_coverage(self):
         g = connected_random_udg(30, 4.0, seed=2)
-        maintained = MaintainedWCDS(g)
-        dominator = sorted(maintained.mis)[0]
-        report = maintained.node_off(dominator)
-        assert dominator in report.demoted_mis
-        assert dominator not in maintained.mis
-        assert maintained.is_valid()
+        backbone = ShardedBackbone(g)
+        dominator = sorted(backbone.membership()[0])[0]
+        report = backbone.apply_leave(dominator)
+        assert dominator in report.flipped
+        assert dominator not in backbone.membership()[0]
+        assert_valid_and_exact(backbone)
 
     def test_turning_off_a_connector_reselects(self):
         g = connected_random_udg(40, 4.5, seed=3)
-        maintained = MaintainedWCDS(g)
-        if not maintained.additional:
+        backbone = ShardedBackbone(g)
+        additional = backbone.result().additional_dominators
+        if not additional:
             pytest.skip("no connectors on this instance")
-        connector = sorted(maintained.additional)[0]
-        maintained.node_off(connector)
-        assert connector not in maintained.additional
-        assert maintained.is_valid()
+        connector = sorted(additional)[0]
+        backbone.apply_leave(connector)
+        assert connector not in backbone.membership()[1]
+        assert_valid_and_exact(backbone)
 
     def test_turning_on_a_covered_node_changes_little(self):
         g = connected_random_udg(25, 3.5, seed=4)
-        maintained = MaintainedWCDS(g)
-        dominator = sorted(maintained.mis)[0]
+        backbone = ShardedBackbone(g)
+        dominator = sorted(backbone.membership()[0])[0]
         pos = g.positions[dominator]
-        report = maintained.node_on(999, Point(pos.x + 0.1, pos.y))
-        assert 999 not in maintained.mis  # it hears a dominator: gray
-        assert maintained.is_valid()
+        backbone.apply_join(999, Point(pos.x + 0.1, pos.y))
+        assert 999 not in backbone.membership()[0]  # it hears a dominator: gray
+        assert_valid_and_exact(backbone)
 
     def test_turning_on_an_isolated_node_self_dominates(self):
         g = connected_random_udg(10, 2.5, seed=5)
-        maintained = MaintainedWCDS(g)
-        report = maintained.node_on(999, Point(100.0, 100.0))
-        assert 999 in maintained.mis
-        assert 999 in report.promoted_mis
-        assert is_dominating_set(g, maintained.mis | maintained.additional)
+        backbone = ShardedBackbone(g)
+        report = backbone.apply_join(999, Point(100.0, 100.0))
+        assert 999 in backbone.membership()[0]
+        assert 999 in report.flipped
+        assert_valid_and_exact(backbone)  # two components now
 
     def test_unknown_node_off_raises(self):
         g = connected_random_udg(10, 2.5, seed=6)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         with pytest.raises(KeyError):
-            maintained.node_off(424242)
+            backbone.apply_leave(424242)
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
     def test_random_churn_storm_stays_valid(self, seed):
         rng = random.Random(seed)
         g = connected_random_udg(30, 4.0, seed=seed)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         next_id = 1000
-        alive = set(g.nodes())
         for _ in range(15):
-            if rng.random() < 0.5 and len(alive) > 5:
-                victim = rng.choice(sorted(alive))
-                maintained.node_off(victim)
-                alive.discard(victim)
+            if rng.random() < 0.5 and g.num_nodes > 5:
+                backbone.apply_leave(rng.choice(sorted(g.nodes())))
             else:
                 pos = Point(rng.uniform(0, 4.0), rng.uniform(0, 4.0))
-                maintained.node_on(next_id, pos)
-                alive.add(next_id)
+                backbone.apply_join(next_id, pos)
                 next_id += 1
-            assert is_independent_set(g, maintained.mis)
-            assert is_dominating_set(g, maintained.mis | maintained.additional)
-            assert maintained.is_valid()
+            mis, dominators = backbone.membership()
+            assert is_independent_set(g, mis)
+            assert is_dominating_set(g, dominators)
+            assert_valid_and_exact(backbone)

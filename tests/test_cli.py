@@ -276,6 +276,21 @@ class TestCommands:
         assert '"counters"' in out  # metrics JSON on stdout
         assert written > 40  # queries plus churn markers
 
+    def test_serve_churn_after_a_join(self, capsys, tmp_path):
+        # The mobility model meets a node that joined after it was
+        # built: it gives the node its state instead of raising.
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"op": "join", "node": 999, "x": 1.0, "y": 1.0}\n'
+            '{"op": "churn", "steps": 1}\n'
+        )
+        code, out = self._run(
+            ["serve", "--nodes", "40", "--side", "4", "--requests", str(trace)],
+            capsys,
+        )
+        assert code == 0
+        assert '"counters"' in out
+
     @pytest.mark.parametrize(
         "flag", [["--loss", "0.1"], ["--transport"], ["--fault-plan", "plan.json"],
                  ["--engine", "event"]],

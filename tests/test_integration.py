@@ -12,7 +12,6 @@ import pytest
 
 from repro import (
     ClusterheadRouter,
-    MaintainedWCDS,
     RandomWaypointModel,
     algorithm1_distributed,
     algorithm2_distributed,
@@ -25,7 +24,10 @@ from repro import (
 )
 from repro.baselines import exact_minimum_wcds, greedy_cds, greedy_wcds
 from repro.graphs import hop_distance
+from repro.shard import ShardedBackbone
 from repro.wcds import bounds
+
+from tutils import assert_valid_and_exact, note_step
 
 
 class TestFullPipeline:
@@ -104,15 +106,15 @@ class TestSmallInstanceOptimality:
 class TestMobilityPipeline:
     def test_maintenance_after_movement(self):
         g = connected_random_udg(35, 4.0, seed=31)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         model = RandomWaypointModel(g, 4.0, speed_range=(0.1, 0.25), seed=31)
         for _ in range(12):
-            maintained.apply_events(model.step())
-            assert maintained.is_valid()
+            note_step(backbone, model.step())
+            assert_valid_and_exact(backbone)
         # The maintained backbone still supports broadcasting when the
         # graph is connected.
         from repro.graphs import is_connected
 
         if is_connected(g):
-            outcome = backbone_broadcast(g, maintained.result(), 0)
+            outcome = backbone_broadcast(g, backbone.result(), 0)
             assert outcome.full_coverage

@@ -1,20 +1,19 @@
-"""Tests for random-waypoint mobility and local WCDS maintenance."""
+"""Tests for random-waypoint mobility and WCDS maintenance under it."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from repro.graphs import connected_random_udg, is_connected
-from repro.mis import is_dominating_set, is_independent_set
-from repro.mobility import (
-    LinkEvents,
-    MaintainedWCDS,
-    MaintenanceReport,
-    RandomWaypointModel,
-)
+from repro.geometry import Point
+from repro.graphs import connected_random_udg, jittered_grid, set_distance
+from repro.mis import greedy_mis, is_dominating_set, is_independent_set
+from repro.mobility import LinkEvents, RandomWaypointModel
+from repro.shard import ShardedBackbone
+from repro.wcds import algorithm2_centralized
 
-from tutils import seeds
+from test_connectors import centralized_bfs_connectors
+from tutils import assert_valid_and_exact, note_step, seeds
 
 
 class TestLinkEvents:
@@ -72,149 +71,106 @@ class TestRandomWaypoint:
         assert before - after <= lost
 
 
-class TestMaintainedWCDS:
+class TestShardedMaintenance:
+    """``ShardedBackbone`` maintains exact Algorithm II under mobility,
+    noted the service's way, whether the snapshot is connected or not."""
+
     def test_initial_state_is_valid(self):
         g = connected_random_udg(30, 4.0, seed=6)
-        maintained = MaintainedWCDS(g)
-        assert maintained.is_valid()
-        result = maintained.result()
+        backbone = ShardedBackbone(g)
+        assert_valid_and_exact(backbone)
+        result = backbone.result()
         assert result.mis_dominators and not (
             result.mis_dominators & result.additional_dominators
         )
 
-    def test_empty_events_are_noop(self):
+    def test_noting_an_unmoved_node_is_a_noop(self):
         g = connected_random_udg(20, 3.5, seed=7)
-        maintained = MaintainedWCDS(g)
-        before = (set(maintained.mis), dict(maintained.connectors))
-        report = maintained.apply_events(LinkEvents(gained=(), lost=()))
-        assert report.touched == set()
-        assert (set(maintained.mis), dict(maintained.connectors)) == before
+        backbone = ShardedBackbone(g)
+        before = backbone.result()
+        report = backbone.note_moved(sorted(g.nodes())[0])
+        assert report.flipped == ()
+        assert backbone.result() == before
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_stays_valid_under_mobility(self, seed):
         g = connected_random_udg(25, 3.5, seed=seed)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         model = RandomWaypointModel(g, 3.5, speed_range=(0.1, 0.3), seed=seed)
         for _ in range(15):
-            events = model.step()
-            maintained.apply_events(events)
-            assert maintained.is_valid()
+            note_step(backbone, model.step())
+            assert_valid_and_exact(backbone)
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_mis_invariants_maintained(self, seed):
         g = connected_random_udg(25, 3.5, seed=seed)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         model = RandomWaypointModel(g, 3.5, speed_range=(0.1, 0.3), seed=seed)
         for _ in range(10):
-            maintained.apply_events(model.step())
-            assert is_independent_set(g, maintained.mis)
-            assert is_dominating_set(g, maintained.mis | maintained.additional)
-
-    @given(seeds)
-    @settings(max_examples=6, deadline=None)
-    def test_changes_are_local(self, seed):
-        # The paper's locality claim: affected nodes are within 3 hops
-        # of the change (we allow 4 for the cascaded coverage repair of
-        # a demotion, measured from the post-move topology).
-        g = connected_random_udg(30, 4.0, seed=seed)
-        maintained = MaintainedWCDS(g)
-        model = RandomWaypointModel(g, 4.0, speed_range=(0.05, 0.15), seed=seed)
-        for _ in range(10):
-            report = maintained.apply_events(model.step())
-            assert report.max_distance_to_event <= 4
+            note_step(backbone, model.step())
+            mis, dominators = backbone.membership()
+            assert is_independent_set(g, mis)
+            assert is_dominating_set(g, dominators)
 
     def test_report_tracks_roles(self):
+        # The reports of a step's notes name every node whose MIS or
+        # backbone membership the step changed.
         g = connected_random_udg(30, 4.0, seed=8)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         model = RandomWaypointModel(g, 4.0, speed_range=(0.4, 0.6), seed=8)
         saw_change = False
         for _ in range(20):
-            report = maintained.apply_events(model.step())
-            if report.touched:
-                saw_change = True
-                assert report.promoted_mis <= maintained.mis | report.demoted_mis
-        assert saw_change  # fast movement must eventually change roles
-
-
-class _PairwiseConnectorRule(MaintainedWCDS):
-    """The connector repair as it stood before it called the shared
-    kernel: one 3-hop BFS per affected dominator over every MIS node,
-    and one 2-hop BFS per pair to pick the minimum intermediate."""
-
-    def _repair_connectors(self, events, report):
-        from repro.graphs import bfs_distances
-
-        affected = set(events.endpoints) | report.promoted_mis | report.demoted_mis
-        affected_mis = set()
-        for node in affected:
-            if node not in self.udg:
-                continue
-            reach = bfs_distances(self.udg, node, cutoff=3)
-            affected_mis.update(m for m in reach if m in self.mis)
-        before = set(self.connectors.values())
-        for pair, via in list(self.connectors.items()):
-            u, w = pair
-            intact = (
-                u in self.mis
-                and w in self.mis
-                and via in self.udg
-                and self.udg.has_edge(u, via)
-                and bool(self.udg.adjacency(via) & self.udg.adjacency(w))
+            before = backbone.result()
+            reports = note_step(backbone, model.step())
+            after = backbone.result()
+            net = (before.mis_dominators ^ after.mis_dominators) | (
+                before.dominators ^ after.dominators
             )
-            if not intact:
-                self.connectors.pop(pair)
-                affected_mis.update(n for n in pair if n in self.mis)
-        for pair in [p for p in self.connectors if set(p) & (affected_mis | affected)]:
-            self.connectors.pop(pair)
-        for pair, via in list(self.connectors.items()):
-            if via in affected or set(pair) & affected_mis:
-                self.connectors.pop(pair, None)
-        for u in sorted(affected_mis):
-            if u not in self.mis:
-                continue
-            dist = bfs_distances(self.udg, u, cutoff=3)
-            for w in sorted(self.mis):
-                if w == u or dist.get(w) != 3:
-                    continue
-                pair = (u, w) if u < w else (w, u)
-                if pair in self.connectors:
-                    continue
-                dist_w = bfs_distances(self.udg, pair[1], cutoff=2)
-                candidates = [
-                    v
-                    for v in self.udg.adjacency(pair[0])
-                    if dist_w.get(v) == 2 and v not in self.mis
-                ]
-                if candidates:
-                    self.connectors[pair] = min(candidates)
-        after = set(self.connectors.values())
-        report.added_connectors.update(after - before - self.mis)
-        report.removed_connectors.update(before - after - self.mis)
+            assert net <= {node for r in reports for node in r.flipped}
+            saw_change |= bool(net)
+        assert saw_change  # fast movement must eventually change roles
 
 
 class TestConnectorRule:
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_repair_matches_pairwise_picks(self, seed):
-        # One seeded stream of waypoint steps and radios turning off,
-        # replayed on two copies of the deployment.
+        # One seeded stream of waypoint steps and radios turning off:
+        # after each, the re-stitched MIS and connector picks equal the
+        # pairwise BFS rule (one 3-hop BFS per MIS node, one 2-hop BFS
+        # per pair, minimum intermediate) run on the whole snapshot.
         g = connected_random_udg(40, 4.5, seed=seed)
-        ours, reference = MaintainedWCDS(g), _PairwiseConnectorRule(g.copy())
+        backbone = ShardedBackbone(g)
         model = RandomWaypointModel(g, 4.5, speed_range=(0.1, 0.3), seed=seed)
         rng = random.Random(seed)
         pairs = 0
         for _ in range(15):
-            events = model.step()
-            for node in events.moved:
-                reference.udg.move_node(node, g.positions[node])
-            ours.apply_events(events)
-            reference.apply_events(events)
+            note_step(backbone, model.step())
             if rng.random() < 0.3:
-                node = rng.choice(sorted(g.nodes()))
-                ours.node_off(node)
-                reference.node_off(node)
-            assert ours.mis == reference.mis
-            assert ours.connectors == reference.connectors
-            pairs += len(ours.connectors)
+                backbone.apply_leave(rng.choice(sorted(g.nodes())))
+            result = backbone.result()
+            mis = greedy_mis(g)
+            assert result.mis_dominators == mis
+            picks = sorted(result.meta["pairs_covered"])
+            assert picks == sorted(centralized_bfs_connectors(g, mis))
+            pairs += len(picks)
         assert pairs > 0
+
+
+class TestLocality:
+    def test_exact_algorithm2_is_not_3_local(self):
+        # Section 4.2 says the nodes a change affects lie within three
+        # hops of it.  That holds for a local repair rule, not for the
+        # exact lowest-id-first MIS: on a row-major grid one move
+        # re-decides a chain of nodes along the row.
+        g = jittered_grid(36, 0)
+        backbone = ShardedBackbone(g)
+        pos = g.positions[24]
+        report = backbone.apply_move(24, Point(pos.x - 0.5 * g.radius, pos.y))
+        assert len(report.flipped) == 7
+        radius = max(set_distance(g, {24}, {node}) for node in report.flipped)
+        assert radius == 6
+        result, oracle = backbone.result(), algorithm2_centralized(g)
+        assert result.mis_dominators == oracle.mis_dominators
+        assert result.dominators == oracle.dominators

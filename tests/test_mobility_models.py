@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graphs import connected_random_udg
+from repro.geometry import Point
 from repro.mobility import (
     GaussMarkovModel,
-    MaintainedWCDS,
     RandomDirectionModel,
+    RandomWaypointModel,
 )
+from repro.shard import ShardedBackbone
 from repro.mobility.models import _clamp_reflect
 
-from tutils import seeds
+from tutils import assert_valid_and_exact, note_step, seeds
 
 
 class TestClampReflect:
@@ -114,8 +116,47 @@ class TestMaintenanceAcrossModels:
     )
     def test_wcds_maintenance_stays_valid(self, factory):
         g = connected_random_udg(30, 4.0, seed=8)
-        maintained = MaintainedWCDS(g)
+        backbone = ShardedBackbone(g)
         model = factory(g)
         for _ in range(15):
-            maintained.apply_events(model.step())
-            assert maintained.is_valid()
+            note_step(backbone, model.step())
+            assert_valid_and_exact(backbone)
+
+
+MODELS = [
+    lambda g: RandomWaypointModel(g, 4.0, seed=9),
+    lambda g: RandomDirectionModel(g, 4.0, seed=9),
+    lambda g: GaussMarkovModel(g, 4.0, seed=9),
+]
+MODEL_IDS = ["random-waypoint", "random-direction", "gauss-markov"]
+
+
+class TestJoinedNodes:
+    @pytest.mark.parametrize("factory", MODELS, ids=MODEL_IDS)
+    def test_a_node_joined_after_construction_moves(self, factory):
+        # A node the model has not seen gets its state from the model's
+        # own rng on first sight instead of raising KeyError.
+        g = connected_random_udg(20, 4.0, seed=9)
+        model = factory(g)
+        g.add_node_at(999, Point(1.0, 1.0))
+        events = model.step()
+        assert 999 in events.moved
+        assert g.positions[999] != Point(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "factory, expected",
+        list(zip(MODELS, [
+            (1.249191947792144, 2.571935966302372),
+            (0.20562290936026678, 1.995703092017802),
+            (0.29438971798209823, 2.643820906227948),
+        ])),
+        ids=MODEL_IDS,
+    )
+    def test_runs_without_joins_are_unchanged(self, factory, expected):
+        # First-sight state draws nothing while no node joins: node 0's
+        # position after five steps is pinned bit for bit.
+        g = connected_random_udg(20, 4.0, seed=9)
+        model = factory(g)
+        for _ in range(5):
+            model.step()
+        assert (g.positions[0].x, g.positions[0].y) == expected

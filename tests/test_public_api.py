@@ -70,15 +70,23 @@ class TestTopLevelSurface:
         assert repro.shard.bench.__all__ == ["jittered_grid"]
 
     def test_one_maintenance_engine(self):
-        # The service maintains its backbone with ShardedBackbone only:
-        # the MaintainedWCDS path, its rebuild threshold, the engine
+        # ShardedBackbone is the one maintenance engine: the local
+        # repair rule (MaintainedWCDS, its report and module), the
+        # service's path to it, its rebuild threshold, the engine
         # switch, hop-radius invalidation and the global-service
         # baseline of the shard benchmark are gone.
         import dataclasses
         import inspect
 
+        import repro.mobility
         import repro.service.service
         import repro.shard.bench
+
+        assert not hasattr(repro, "MaintainedWCDS")
+        assert not hasattr(repro.mobility, "MaintainedWCDS")
+        assert not hasattr(repro.mobility, "MaintenanceReport")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.mobility.maintenance")
 
         source = inspect.getsource(repro.service.service)
         assert "repro.mobility.maintenance" not in source

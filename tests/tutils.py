@@ -10,7 +10,10 @@ import random
 from hypothesis import strategies as st
 
 from repro.geometry import Point
-from repro.graphs import connected_random_udg
+from repro.graphs import connected_components, connected_random_udg
+from repro.graphs.graph import canonical_order
+from repro.mis import is_dominating_set
+from repro.wcds import algorithm2_centralized, weakly_induced_subgraph
 
 #: Seeds drive all randomized topologies: a failing example shrinks to a
 #: reproducible (seed, size) pair instead of an opaque point set.
@@ -60,3 +63,31 @@ def gentle_moves(graph, tiler, count: int, seed: int):
         yield node, Point(
             pos.x + step * math.cos(angle), pos.y + step * math.sin(angle)
         )
+
+
+def note_step(backbone, events):
+    """Note a mobility step on a ``ShardedBackbone`` the way the service
+    does: every endpoint and moved node, in canonical order.  Returns
+    the reports."""
+    touched = events.endpoints.union(events.moved)
+    return [backbone.note_moved(node) for node in canonical_order(touched)]
+
+
+def assert_valid_and_exact(backbone):
+    """The maintained backbone dominates the graph, weakly connects each
+    component, and equals ``algorithm2_centralized`` run from scratch on
+    each connected component: MIS, dominators and connector picks."""
+    graph = backbone.graph
+    result = backbone.result()
+    components = connected_components(graph)
+    spanner = weakly_induced_subgraph(graph, result.dominators)
+    assert is_dominating_set(graph, result.dominators)
+    assert len(connected_components(spanner)) == len(components)
+    rebuilds = [algorithm2_centralized(graph.subgraph(c)) for c in components]
+    assert result.mis_dominators == frozenset().union(
+        *(r.mis_dominators for r in rebuilds)
+    )
+    assert result.dominators == frozenset().union(*(r.dominators for r in rebuilds))
+    assert sorted(result.meta["pairs_covered"]) == sorted(
+        pair for r in rebuilds for pair in r.meta["pairs_covered"]
+    )
