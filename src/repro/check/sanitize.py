@@ -96,8 +96,8 @@ def sanitized(
 ) -> Iterator[RuntimeAlphabet]:
     """Arm the sanitizer for the duration of the block.
 
-    * sets ``REPRO_SANITIZE=1`` so spawn workers protect their shared
-      position arrays;
+    * sets ``REPRO_SANITIZE=1`` so worker handlers (in spawn workers or
+      an in-process lane) see read-only position rows;
     * patches :class:`repro.sim.engine.Simulator` so every transmit and
       delivery records its message kind against the node's class.
 

@@ -122,8 +122,10 @@ class GaussMarkovModel(_HeadingModel):
     """Temporally correlated mobility (Liang & Haas 1999 style).
 
     speed_t = α·speed_{t-1} + (1-α)·mean + sqrt(1-α²)·noise, and the
-    same recurrence for the heading.  ``alpha`` in [0, 1): 0 is
-    memoryless, values near 1 give smooth, persistent trajectories.
+    same recurrence for the heading, whose mean is the node's first
+    heading (turned by π with the heading at every wall).  ``alpha`` in
+    [0, 1): 0 is memoryless, values near 1 give smooth, persistent
+    trajectories.
     """
 
     def __init__(
@@ -144,6 +146,7 @@ class GaussMarkovModel(_HeadingModel):
         self.mean_speed = mean_speed
         self.speed_sigma = speed_sigma
         self.heading_sigma = heading_sigma
+        self._mean_heading: Dict[Hashable, float] = {}
         super().__init__(udg, side, seed)
 
     def _new_speed(self) -> float:
@@ -158,9 +161,10 @@ class GaussMarkovModel(_HeadingModel):
             + (1 - a) * self.mean_speed
             + noise_scale * self._rng.gauss(0.0, self.speed_sigma),
         )
-        mean_heading = self._heading[node]
+        heading = self._heading[node]
+        mean_heading = self._mean_heading.setdefault(node, heading)
         self._heading[node] = (
-            a * self._heading[node]
+            a * heading
             + (1 - a) * mean_heading
             + noise_scale * self._rng.gauss(0.0, self.heading_sigma)
         )
@@ -168,6 +172,7 @@ class GaussMarkovModel(_HeadingModel):
     def _reflect(self, node: Hashable) -> None:
         # Turn around on reflection to avoid wall-hugging.
         self._heading[node] += math.pi
+        self._mean_heading[node] += math.pi
 
 
 def density_probe(

@@ -38,11 +38,6 @@ class LinkEvents:
             nodes.add(v)
         return nodes
 
-    @property
-    def is_empty(self) -> bool:
-        """No link changed this step (nodes may still have moved)."""
-        return not self.gained and not self.lost
-
 
 class RandomWaypointModel:
     """Moves the nodes of a :class:`UnitDiskGraph` in place."""

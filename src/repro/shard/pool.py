@@ -7,26 +7,25 @@ each holding only its tile's members, induced adjacency, and backbone
 membership — that answer the read queries (``dominator``, ``member``,
 ``route``) without ever touching global state.
 
-With ``config.workers == 0`` the replicas live in-process: same code
-path, no multiprocessing, fully deterministic — the mode tests use.
-With ``workers > 0`` the replicas are spread round-robin over the
-spawn workers of a :class:`~repro.workers.WorkerGroup`.  Node positions
-live in the group's shared-memory float64 array
-(:class:`~repro.workers.SharedPositions`): a worker rebuilds a tile's
-adjacency by reading member rows straight from shared memory, so a
-refresh message carries only node indices and membership bits —
-O(tile), never O(n) — and a position update is one row write by the
-parent, not a broadcast.  This module supplies only the worker-side
-handler for ``load``, ``patch``, ``drop`` and ``query``; the worker
-loop, the windowed pump, telemetry frames, death handling and the
-close handshake are the substrate's.
+The replicas are spread round-robin over the workers of a
+:class:`~repro.workers.WorkerGroup` (with ``config.workers == 0``, its
+one in-process lane: no multiprocessing, fully deterministic).  Node
+``i`` of ``graph.numbering()`` is row ``i`` of the group's float64
+position array, shared memory across processes: a replica rebuilds a
+tile's adjacency by reading member rows straight from it, so a refresh
+message carries only row indices and membership bits — O(tile), never
+O(n) — and a position update is one row write by the parent, not a
+broadcast.  This module supplies only the handler for ``load``,
+``patch``, ``drop`` and ``query``; the worker loop, the windowed pump,
+telemetry frames, death handling and the close handshake are the
+substrate's.
 
 Churn (:meth:`ShardServePool.move`) re-stitches the affected tiles via
 the backbone's boundary-only invalidation, then refreshes exactly the
 replicas whose view changed: the re-stitched tiles plus any tile
 reading the moved node or a node the report lists as ``flipped``.  A
-worker replica whose member set survived the move is patched in place
-(the moved row and the flipped flags); only a tile the node entered or
+replica whose member set survived the move is patched in place (the
+moved row and the flipped flags); only a tile the node entered or
 left, or a new tile, is loaded in full.  Backbone membership is the
 backbone's own (:meth:`ShardedBackbone.membership`); the pool keeps no
 copy of it, nor of what it shipped.
@@ -48,6 +47,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -74,13 +74,9 @@ class _TileReplica:
     number order is id order.  ``mis`` and ``backbone`` are containers
     of member ids, read once into the ``is_mis`` / ``black`` flags.
     ``hops[i]`` is every neighbour of a black ``i`` and only the black
-    neighbours of a white one: the edges a route may use.
-
-    Identifier-agnostic — the inline pool numbers node ids, workers
-    shared-array row indices; the query logic is the same.  A worker
-    replica owns its ``adj`` list, so a move that keeps the member set
-    patches it in place (:func:`_patch_from_shared`); an inline one
-    shares the stitch's and is only ever rebuilt.
+    neighbours of a white one: the edges a route may use.  A replica
+    owns its ``adj`` list, so a move that keeps the member set patches
+    it in place (:func:`_patch_from_shared`).
     """
 
     __slots__ = ("nodes", "index", "adj", "is_mis", "black", "hops")
@@ -165,14 +161,19 @@ class _TileReplica:
         raise ValueError(f"unknown query op {op!r}")
 
 
+#: Where a handler reads position rows: ``.array`` of its env or of a
+#: shared block.
+_Rows = Union[WorkerEnv, SharedPositions]
+
+
 def _replica_from_shared(
-    shared: SharedPositions,
+    shared: _Rows,
     radius: float,
     members: Sequence[int],
     mis: Sequence[int],
     backbone: Sequence[int],
 ) -> _TileReplica:
-    """Build a replica in-worker: adjacency recomputed from the shared
+    """Build a replica in-worker: adjacency recomputed from the
     position rows (only indices crossed the pipe)."""
     from repro.kernels.udg import edge_runs, vector_udg_edges
 
@@ -185,16 +186,16 @@ def _replica_from_shared(
 
 def _patch_from_shared(
     replica: _TileReplica,
-    shared: SharedPositions,
+    shared: _Rows,
     radius: float,
     moved: Optional[int],
     flips: Sequence[Tuple[int, bool, bool]],
 ) -> None:
-    """Patch a worker replica in place after a move that kept its
+    """Patch a replica in place after a move that kept its
     member set, to what :func:`_replica_from_shared` would build now.
 
     ``moved`` is the moved node's row when it is a member: its edges
-    are re-read from the shared rows with the edge kernel's predicate
+    are re-read from the position rows with the edge kernel's predicate
     (``dx*dx + dy*dy <= radius*radius``), and the rows of the members
     it gained or lost are fixed.  ``flips`` are ``(row, is_mis,
     black)`` for the member rows whose membership flipped.  ``hops``
@@ -264,15 +265,15 @@ def _apply_refresh(env: WorkerEnv, message: Tuple[Any, ...]) -> None:
     if message[0] == "load":
         _, tile, members, mis, backbone, _ = message
         replicas[tile] = _replica_from_shared(
-            env.shared, env.args[0], members, mis, backbone
+            env, env.args[0], members, mis, backbone
         )
     else:
         _, tile, moved, flips, _ = message
-        _patch_from_shared(replicas[tile], env.shared, env.args[0], moved, flips)
+        _patch_from_shared(replicas[tile], env, env.args[0], moved, flips)
 
 
 def _serve_tiles(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Worker-side handler: keep this worker's tile replicas in
+    """The pool's handler: keep this worker's tile replicas in
     ``env.state`` and answer ``load``, ``patch``, ``drop`` and
     ``query``.
 
@@ -321,13 +322,12 @@ def _serve_tiles(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
 class ShardServePool(WorkerClient):
     """Query service over the stitched backbone.
 
-    ``workers == 0`` serves inline from in-process replicas;
     ``workers > 0`` spreads tile replicas over spawn-context worker
-    processes sharing one position array.  Either way the answers are
-    identical — the worker path only changes where the replica lives.
-    Cross-process telemetry is on whenever the pool has a registry:
-    workers then keep private registries and span recorders and ship
-    frames home on their replies.
+    processes sharing one position array; ``workers == 0`` keeps them
+    in the group's in-process lane, which gets the same messages, so
+    the answers are identical.  Telemetry is on whenever the pool has a
+    registry: each worker then keeps a private registry and span
+    recorder and ships frames home on its replies.
     """
 
     def __init__(
@@ -349,14 +349,13 @@ class ShardServePool(WorkerClient):
             graph, self.config, registry=self.registry, tracer=self.tracer
         )
         self.tiler = self.backbone.tiler
-        workers = self.config.workers
-        #: Shared-array row ``i`` is node ``_nodes[i]`` (worker mode); moves
-        #: never reorder the start-time numbering.
-        self._nodes: Sequence[Node] = graph.numbering().nodes if workers else ()
-        self._index = graph.numbering().index if workers else {}
+        #: Position row ``i`` is node ``_nodes[i]``; moves never reorder
+        #: the start-time numbering.
+        self._nodes: Sequence[Node] = graph.numbering().nodes
+        self._index = graph.numbering().index
         self.group = WorkerGroup(
             handler=_serve_tiles,
-            count=workers,
+            count=self.config.workers,
             prefix="w",
             rows=[graph.positions[node] for node in self._nodes],
             args=(graph.radius,),
@@ -365,7 +364,6 @@ class ShardServePool(WorkerClient):
             deaths_metric="shard_worker_deaths_total",
         )
         self._worker_of: Dict[TileId, int] = {}
-        self._replicas: Dict[TileId, _TileReplica] = {}
         try:
             self._refresh(self.tiler.tiles())
         except BaseException:
@@ -390,11 +388,7 @@ class ShardServePool(WorkerClient):
         membership (:meth:`ShardedBackbone.membership`); a tile no
         longer live is dropped.
 
-        Inline, each replica is rebuilt on the stitch's own numbering
-        (:meth:`ShardedBackbone.tile_index`), which the stitch replaces
-        and never mutates, so an older replica's index stays intact.
-
-        A worker replica is *patched* when its member set survived the
+        A replica is *patched* when its member set survived the
         move of ``moved`` (``before`` are the tiles that read it before
         the move): the moved node's row if it is still a member, plus
         ``(row, is_mis, black)`` for each member in ``flipped``.  A tile
@@ -407,16 +401,6 @@ class ShardServePool(WorkerClient):
         mis, backbone = self.backbone.membership()
         live = set(self.tiler.tiles())
         workers = len(self.group.conns)
-        if not workers:
-            for tile in sorted(tiles):
-                if tile in live:
-                    tix = self.backbone.tile_index(tile)
-                    self._replicas[tile] = _TileReplica(
-                        tix.members, tix.adj, mis, backbone
-                    )
-                else:
-                    self._replicas.pop(tile, None)
-            return
         index = self._index
         tiler = self.tiler
         flags: Dict[TileId, List[Tuple[int, bool, bool]]] = {}
@@ -464,9 +448,9 @@ class ShardServePool(WorkerClient):
 
         Each query is routed to the replica of the tile *owning* its
         first node; routes are answered within that tile (``None`` when
-        the target is beyond the tile's halo).  Worker mode groups the
-        batch per worker and ships at most ``config.batch_size``
-        queries per message.
+        the target is beyond the tile's halo).  The batch is grouped per
+        worker and shipped at most ``config.batch_size`` queries per
+        message.
         """
         results: List[Any] = [None] * len(queries)
         owner = self.tiler.owner
@@ -479,21 +463,14 @@ class ShardServePool(WorkerClient):
             self.registry.counter(
                 "shard_pool_queries_total", "Queries served by the shard pool"
             ).inc(len(plan))
-        if not self.group.conns:
-            for qid, tile, op, args in plan:
-                replica = self._replicas.get(tile)
-                if replica is not None:
-                    results[qid] = replica.serve(op, args)
-            return results
         index = self._index
         worker_of = self._worker_of
         per_worker: Dict[int, List[_Item]] = {}
         for qid, tile, op, args in plan:
             rows = [index.get(a) for a in args]
             if None in rows:
-                # An argument with no row cannot be in any tile: the
-                # inline replica answers None, so the worker path does
-                # too, without shipping it.
+                # An argument with no row cannot be in any tile: its
+                # answer is None without shipping it.
                 continue
             per_worker.setdefault(worker_of[tile], []).append((qid, tile, op, rows))
         batch = self.config.batch_size
@@ -547,16 +524,11 @@ class ShardServePool(WorkerClient):
     # Churn
     # ------------------------------------------------------------------
     def move(self, node: Node, new_position) -> InvalidationReport:
-        """Move a node: one shared-array row write, a boundary-only
+        """Move a node: one position row write, a boundary-only
         re-stitch, and refreshes of exactly the affected replicas."""
         before = set(self.tiler.tiles_reading(node))
         report = self.backbone.apply_move(node, new_position)
-        shared = self.group.shared
-        if shared is not None:
-            row = self._index[node]
-            position = self.graph.positions[node]
-            shared.array[row, 0] = position.x
-            shared.array[row, 1] = position.y
+        self.group.array[self._index[node]] = tuple(self.graph.positions[node])
         # Retired seeds are dropped; the rest of the seeds were rebuilt.
         refresh = set(report.rebuilt).union(report.seed_tiles)
         for moved_or_flipped in (node, *report.flipped):

@@ -88,9 +88,8 @@ class _TileIndex:
     so "lower rank" is "lower number"; ``adj`` holds each member's
     neighbours among the members as ascending int tuples, ``lower`` the
     prefix of those below the member itself, and ``visible`` flags the
-    members whose whole unit disk the tile sees.  An index is never
-    mutated once built (serve-pool replicas hold it): a move of a node
-    that stays a member yields a patched copy (:meth:`moved`).
+    members whose whole unit disk the tile sees.  A move of a node that
+    stays a member patches the index in place (:meth:`moved`).
     """
 
     __slots__ = ("members", "index", "adj", "lower", "visible")
@@ -105,25 +104,22 @@ class _TileIndex:
 
     def moved(
         self, graph: UnitDiskGraph, tiler: Tiler, tile: TileId, node: Node
-    ) -> Tuple["_TileIndex", Set[int]]:
-        """A copy with ``node``'s edges and visibility re-read, and the
+    ) -> Set[int]:
+        """Re-read ``node``'s edges and visibility in place; returns the
         numbers whose rows changed: ``node`` and the neighbours it
         gained or lost.
 
         ``node`` must be a member before and after its move, so the
         member set (and the numbering) is unchanged; only the rows of
-        those numbers differ.  ``members`` and ``index`` are shared.
+        those numbers differ.
         """
         index = self.index
         i = index[node]
-        old = self.adj[i]
+        adj = self.adj
+        lower = self.lower
+        old = adj[i]
         new = tuple(sorted(j for j in map(index.get, graph.adjacency(node))
                            if j is not None))
-        patched = _TileIndex.__new__(_TileIndex)
-        patched.members = self.members
-        patched.index = index
-        adj = patched.adj = list(self.adj)
-        lower = patched.lower = list(self.lower)
         adj[i] = new
         lower[i] = new[: bisect_left(new, i)]
         gained_or_lost = sorted(set(old).symmetric_difference(new))
@@ -135,9 +131,8 @@ class _TileIndex:
                 row.remove(i)
             adj[j] = tuple(row)
             lower[j] = adj[j][: bisect_left(row, j)]
-        patched.visible = bytearray(self.visible)
-        patched.visible[i] = tiler.sees_disk(tile, node)
-        return patched, {i, *gained_or_lost}
+        self.visible[i] = tiler.sees_disk(tile, node)
+        return {i, *gained_or_lost}
 
 
 class _Tile:
@@ -306,8 +301,8 @@ class ShardedBackbone:
     def tile_index(self, tile: TileId) -> _TileIndex:
         """The live tile's members numbered in ascending id order, with
         ascending neighbour tuples (:func:`number_nodes`).  Renumbered
-        when the tile's member set changes, patched when a member moves
-        within it, and shared, so callers must not mutate it."""
+        when the tile's member set changes, patched in place when a
+        member moves within it; callers must not mutate it."""
         state = self._tiles[tile]
         if state.index is None:
             state.index = _TileIndex(self.graph, self.tiler, tile)
@@ -467,13 +462,11 @@ class ShardedBackbone:
             ).inc(published)
         return dirty
 
-    def _install(
-        self, tile: TileId, state: _Tile, index: _TileIndex, changed: AbstractSet[Node]
-    ) -> None:
-        """Give the tile a patched index of the same numbering: the
-        members in ``changed`` are marked dirty, and re-counted as
+    def _install(self, tile: TileId, state: _Tile, changed: AbstractSet[Node]) -> None:
+        """Take in the tile's index patched in place (same numbering):
+        the members in ``changed`` are marked dirty, and re-counted as
         waiting if they lack a status and the tile now owns them."""
-        state.index = index
+        index = self.tile_index(tile)
         status = state.status
         owner = self.tiler.owner
         for v in changed:
@@ -491,7 +484,7 @@ class ShardedBackbone:
         self,
         pending: Set[TileId],
         phase: str,
-        patched: Mapping[TileId, _TileIndex],
+        patched: AbstractSet[TileId],
         changed: AbstractSet[Node],
     ) -> Tuple[Set[TileId], int, Set[Node]]:
         """Run local passes over ``pending`` tiles, exchanging frontier
@@ -500,11 +493,11 @@ class ShardedBackbone:
         membership.  Returns the set of tiles re-passed, the number of
         exchange rounds and the nodes whose membership flipped.
 
-        A pending tile takes its index from ``patched`` or is
-        renumbered; ``changed`` are the churned node and the nodes
-        whose edges changed in the patched tiles.  Tiles reached beyond
-        ``pending`` keep their index (their members and edges did not
-        change).
+        A pending tile in ``patched`` keeps its index, patched in
+        place; any other is renumbered.  ``changed`` are the churned
+        node and the nodes whose edges changed in the patched tiles.
+        Tiles reached beyond ``pending`` keep their index (their members
+        and edges did not change).
 
         Why the fixpoint is the global lexicographically-first MIS,
         although a re-stitch keeps pins the change may have made wrong.
@@ -535,11 +528,10 @@ class ShardedBackbone:
             state = tiles.get(tile)
             if state is None:
                 state = tiles[tile] = _Tile()
-            index = patched.get(tile)
-            if index is None:
-                state.index = None
+            if tile in patched:
+                self._install(tile, state, changed)
             else:
-                self._install(tile, state, index, changed)
+                state.index = None
         #: Tiles whose next publish must be full (the tiler replaced
         #: their publisher list, so a tile may have started reading
         #: one of their nodes); one not pending publishes now.
@@ -802,20 +794,20 @@ class ShardedBackbone:
         """Re-stitch after the caller already moved ``node`` in the
         graph (the tiler still holds the old indexing).
 
-        A tile ``node`` stays a member of keeps its numbering and gets
-        a patched copy of its index; a tile it enters or leaves is
+        A tile ``node`` stays a member of keeps its numbering and has
+        its index patched in place; a tile it enters or leaves is
         renumbered."""
         before = set(self.tiler.tiles_reading(node))
         self.tiler.on_node_moved(node)
         after = set(self.tiler.tiles_reading(node))
-        patched: Dict[TileId, _TileIndex] = {}
+        patched: Set[TileId] = set()
         changed: Set[Node] = {node}
         for tile in sorted(before & after):
-            old = self._tiles[tile].index
-            if old is None:
+            index = self._tiles[tile].index
+            if index is None:
                 continue
-            index, rows = old.moved(self.graph, self.tiler, tile, node)
-            patched[tile] = index
+            rows = index.moved(self.graph, self.tiler, tile, node)
+            patched.add(tile)
             changed.update(index.members[j] for j in rows)
         self._count_index("patched", len(patched))
         seeds = before | after
@@ -839,7 +831,7 @@ class ShardedBackbone:
         event: str,
         seeds,
         pending: Set[TileId],
-        patched: Mapping[TileId, _TileIndex] = {},
+        patched: AbstractSet[TileId] = frozenset(),
         changed: AbstractSet[Node] = frozenset(),
     ) -> InvalidationReport:
         with self.tracer.span("shard_invalidate", event=event) as span:

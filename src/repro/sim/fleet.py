@@ -18,7 +18,8 @@ under different seeds.  :class:`FleetRunner` executes such a sweep over
   stitched traces, death accounting and the close handshake are the
   substrate's.
 
-``workers=0`` runs the same trials inline in the parent — the
+``workers=0`` runs the same handler in the group's in-process lane, on
+the graph it rebuilds from the rows as a worker does — the
 deterministic baseline the tests compare worker rows against (the rows
 are identical: each trial reseeds everything from its seed argument).
 """
@@ -26,6 +27,7 @@ are identical: each trial reseeds everything from its seed argument).
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -40,7 +42,7 @@ from typing import (
 )
 
 from repro.graphs.udg import UnitDiskGraph
-from repro.workers import SharedPositions, WorkerClient, WorkerEnv, WorkerGroup
+from repro.workers import WorkerClient, WorkerEnv, WorkerGroup
 
 __all__ = [
     "BackboneTrial",
@@ -133,16 +135,16 @@ class ChaosTrial:
 
 
 def _rebuild_graph(
-    shared: SharedPositions, radius: float, node_ids: Sequence[Hashable]
+    env: WorkerEnv, radius: float, node_ids: Sequence[Hashable]
 ) -> UnitDiskGraph:
-    """Reconstruct the parent's graph from shared position rows.
+    """Reconstruct the parent's graph from the env's position rows.
 
     Row ``i`` is ``node_ids[i]``; float64 round-trips exactly, so the
     rebuilt unit-disk edge set is identical to the parent's.
     """
     from repro.geometry.point import Point
 
-    rows = shared.array
+    rows = env.array
     positions = {
         node: Point(float(rows[i, 0]), float(rows[i, 1]))
         for i, node in enumerate(node_ids)
@@ -151,13 +153,13 @@ def _rebuild_graph(
 
 
 def _run_trials(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Worker-side handler: ``("run", trial, seeds, ctx)`` →
+    """The fleet's handler: ``("run", trial, seeds, ctx)`` →
     ``("rows", rows, frame|None)``.  The graph is rebuilt from the
-    shared rows on the first chunk and kept in ``env.state``."""
+    position rows on the first chunk and kept in ``env.state``."""
     _, trial, seeds, ctx = message
     graph = env.state.get("graph")
     if graph is None:
-        graph = env.state["graph"] = _rebuild_graph(env.shared, *env.args)
+        graph = env.state["graph"] = _rebuild_graph(env, *env.args)
     tel = env.tel
     if tel is None:
         return ("rows", [trial(graph, seed) for seed in seeds], None)
@@ -180,7 +182,7 @@ class FleetRunner(WorkerClient):
     """Execute seeded trials across spawn workers on one shared topology.
 
     ``workers=None`` sizes the fleet from the CPU count; ``workers=0``
-    runs inline (no processes, deterministic baseline).  With a
+    runs in-process (one lane, deterministic baseline).  With a
     ``registry`` the parent absorbs worker telemetry frames into it and
     stitches worker spans (``export_trace``), like the shard pool.
     """
@@ -195,7 +197,7 @@ class FleetRunner(WorkerClient):
         self.graph = graph
         self.workers = _default_workers() if workers is None else workers
         self.registry = registry
-        nodes = graph.numbering().nodes if self.workers else ()
+        nodes = graph.numbering().nodes
         self.group = WorkerGroup(
             handler=_run_trials,
             count=self.workers,
@@ -215,36 +217,29 @@ class FleetRunner(WorkerClient):
         Seeds are split into one contiguous chunk per worker (static
         partitioning — trials on one topology have near-uniform cost),
         all chunks run concurrently, and the rows are reassembled in
-        the caller's seed order regardless of worker completion order.
+        the caller's seed order: the pump hands replies back in worker
+        order, one chunk each.
         """
         seed_list = list(seeds)
         if not seed_list:
             raise ValueError("no seeds given")
         group = self.group
-        if not group.conns:
-            graph = self.graph
-            rows = [trial(graph, seed) for seed in seed_list]
-            if self.registry is not None:
-                self.registry.counter(
-                    "fleet_trials_total", "seeded trials executed"
-                ).inc(len(rows))
-            return rows
         count = len(group.conns)
         chunk = (len(seed_list) + count - 1) // count
-        assignments = [
-            (i, seed_list[lo : lo + chunk])
-            for i, lo in enumerate(range(0, len(seed_list), chunk))
-        ]
-        rows = []
+        starts = range(0, len(seed_list), chunk)
+        rows: List[Mapping[str, float]] = []
+
+        def collect(reply: Tuple[Any, ...]) -> None:
+            rows.extend(reply[1])
+            group.absorb(reply[2])
+
         with group.span(
-            "fleet.dispatch", seeds=len(seed_list), workers=len(assignments)
+            "fleet.dispatch", seeds=len(seed_list), workers=len(starts)
         ) as ctx:
-            for worker_id, chunk_seeds in assignments:
-                group.send(worker_id, ("run", trial, chunk_seeds, ctx))
-            for worker_id, _ in assignments:
-                reply = group.recv(worker_id, "rows")
-                rows.extend(reply[1])
-                group.absorb(reply[2])
+            group.pump({
+                i: deque([("run", trial, seed_list[lo : lo + chunk], ctx)])
+                for i, lo in enumerate(starts)
+            }, "rows", collect)
         return rows
 
 

@@ -4,26 +4,28 @@
 :class:`~repro.sim.fleet.FleetRunner` are thin clients: each supplies a
 module-level *handler* for its own messages, called in the worker as
 ``handler(env, message) -> reply``.  Everything around it lives here
-once — the shared position block (:class:`SharedPositions`), the worker
-loop (:func:`_worker_main`: sanitizer write protection, quiet exit on
-EOF, the ``flush``/``close``/``probe`` replies), the worker telemetry
-(:class:`WorkerTelemetry`), and the parent side (:class:`WorkerGroup`:
-spawn, ``send``/``recv`` with one death path, the windowed
-:meth:`~WorkerGroup.pump`, harvest and trace stitching, the close
-handshake).  :class:`WorkerClient` gives a client the telemetry
-accessors and lifecycle of its ``group``.
+once — the shared position block (:class:`SharedPositions`), the
+handler's env (:class:`WorkerEnv`: rows that are read-only under the
+sanitizer), the worker loop (:func:`_worker_main`: quiet exit on EOF;
+:func:`_answer`: the ``flush``/``close``/``probe`` replies), the
+worker telemetry (:class:`WorkerTelemetry`), and the parent side
+(:class:`WorkerGroup`: spawn, ``send``/``recv`` with one death path,
+the windowed :meth:`~WorkerGroup.pump`, harvest and trace stitching,
+the close handshake).  :class:`WorkerClient` gives a client the
+telemetry accessors and lifecycle of its ``group``.
 
 A reply that carries a telemetry frame takes it from
 :meth:`WorkerEnv.frame`, which counts the reply *before* capturing the
 frame, so the in-flight reply is in its own snapshot — that is what
 makes the parent-side totals exact.  A group of ``count == 0`` spawns
-nothing but keeps the parent-side telemetry, so inline clients share
-its spans and harvest.
+nothing: it is one in-process *lane* (:class:`_Lane`) that runs the
+worker loop's dispatch, so a client has one path for any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 from typing import (
@@ -114,18 +116,6 @@ class SharedPositions:
     def __reduce__(self) -> Tuple[Any, Tuple[str, int]]:
         return (SharedPositions.attach, (self.name, self.count))
 
-    def protect(self) -> None:
-        """Flip this process's view of the array to read-only.
-
-        The worker loop calls this under the sanitizer: the shared block
-        is contractually read-only in workers (the parent owns churn),
-        and a protected view turns any violating store into an
-        immediate ``ValueError`` at the write site.  Per-process — the
-        parent's own mapping stays writable.
-        """
-        if self.array is not None:
-            self.array.flags.writeable = False
-
     def close(self) -> None:
         """Unmap the segment (the array becomes invalid)."""
         self.array = None
@@ -167,17 +157,24 @@ class WorkerTelemetry:
 
 
 class WorkerEnv:
-    """What a client handler sees in its worker process."""
+    """What a client handler sees in its worker process (or the lane)."""
 
-    __slots__ = ("shared", "args", "state", "tel")
+    __slots__ = ("array", "args", "state", "tel")
 
     def __init__(
         self,
-        shared: SharedPositions,
+        array: Any,
         args: Tuple[Any, ...],
         tel: Optional[WorkerTelemetry],
     ) -> None:
-        self.shared = shared
+        from repro.check.sanitize import sanitizer_enabled
+
+        #: A view of the ``(n, 2)`` float64 position rows.  The parent
+        #: owns churn: under the sanitizer (whose flag spawn children
+        #: inherit) a handler's store raises ``ValueError``.
+        self.array = array.view()
+        if sanitizer_enabled():
+            self.array.flags.writeable = False
         #: The client's start arguments, as passed to the group.
         self.args = args
         #: Per-worker state the handler keeps between messages.
@@ -195,6 +192,28 @@ class WorkerEnv:
 Handler = Callable[[WorkerEnv, Tuple[Any, ...]], Tuple[Any, ...]]
 
 
+def _answer(
+    env: WorkerEnv, handler: Handler, message: Tuple[Any, ...]
+) -> Tuple[Any, ...]:
+    """The worker loop's reply to one message: the substrate's own
+    ``flush``/``close``/``probe`` replies, the handler's otherwise."""
+    kind = message[0]
+    if kind == "flush":
+        return ("frame", env.frame())
+    if kind == "close":
+        return ("bye", env.frame())
+    if kind == "probe":
+        # Sanitizer probe: attempt the forbidden write so tests and CI
+        # can prove the handler's rows are write-protected.
+        error = None
+        try:
+            env.array[0, 0] = env.array[0, 0]  # repro: noqa[S2]
+        except (ValueError, TypeError) as exc:
+            error = type(exc).__name__
+        return ("probed", error)
+    return handler(env, message)
+
+
 def _worker_main(
     conn: Any,
     shared: SharedPositions,
@@ -203,18 +222,12 @@ def _worker_main(
     label: str,
     telemetry: bool,
 ) -> None:
-    """Worker loop: answer the substrate's messages, pass the rest on.
+    """Worker loop: answer every message until ``close``.
 
     Module-level so the ``spawn`` start method can import it; all state
     arrives through the pipe or the shared position array.
     """
-    from repro.check.sanitize import sanitizer_enabled
-
-    if sanitizer_enabled():
-        # Spawn children inherit the parent's environment, so the
-        # sanitizer flag arms worker-side write protection here.
-        shared.protect()
-    env = WorkerEnv(shared, args, WorkerTelemetry(label) if telemetry else None)
+    env = WorkerEnv(shared.array, args, WorkerTelemetry(label) if telemetry else None)
     try:
         while True:
             try:
@@ -223,37 +236,54 @@ def _worker_main(
                 # Parent vanished (crash test, hard teardown): exit
                 # quietly instead of spraying a traceback from spawn.
                 return
-            kind = message[0]
-            if kind == "flush":
-                conn.send(("frame", env.frame()))
-            elif kind == "close":
-                conn.send(("bye", env.frame()))
+            conn.send(_answer(env, handler, message))
+            if message[0] == "close":
                 return
-            elif kind == "probe":
-                # Sanitizer probe: attempt the forbidden write so tests
-                # and CI can prove worker-side protection is armed.
-                error = None
-                try:
-                    shared.array[0, 0] = shared.array[0, 0]  # repro: noqa[S2]
-                except (ValueError, TypeError) as exc:
-                    error = type(exc).__name__
-                conn.send(("probed", error))
-            else:
-                conn.send(handler(env, message))
     finally:
+        # Drop the handler's view (a rebind, no write into the rows):
+        # the segment cannot unmap while an array views it.
+        env.array = None  # repro: noqa[S2]
         shared.close()
         conn.close()
 
 
+class _Lane:
+    """The worker of a ``count == 0`` group, in-process behind a pipe
+    end's interface: :meth:`send` answers at once, :meth:`recv` hands
+    the answers back in order."""
+
+    def __init__(self, env: WorkerEnv, handler: Handler) -> None:
+        self.env = env
+        self.handler = handler
+        self.replies: Deque[Tuple[Any, ...]] = deque()
+
+    def send(self, message: Tuple[Any, ...]) -> None:
+        try:
+            self.replies.append(_answer(self.env, self.handler, message))
+        except BaseException:
+            # The handler's error ends the call; answers still queued
+            # for it must not be read as the next call's.
+            self.replies.clear()
+            raise
+
+    def recv(self) -> Tuple[Any, ...]:
+        return self.replies.popleft()
+
+    def close(self) -> None:
+        self.replies.clear()
+
+
 class WorkerGroup:
-    """The parent side of N labelled spawn workers.
+    """The parent side of N labelled spawn workers, or of one lane.
 
     ``rows`` are the position rows to publish as one
     :class:`SharedPositions` block (row ``i`` is the client's node
     ``i``); ``args`` are the client's start arguments, shipped once per
     worker.  With a ``registry`` the workers keep private telemetry and
     the group absorbs their frames into one :class:`TelemetryHarvest`
-    and one :class:`TraceStitcher`.
+    and one :class:`TraceStitcher`.  With ``count == 0`` the one lane,
+    labelled ``{prefix}0``, reads a process-local copy of ``rows``.
+    Either way the client writes churn into :attr:`array`.
 
     A worker that stops answering is a *death*: the group counts it in
     ``deaths_metric``, flight-records it (which dumps the recorder when
@@ -287,16 +317,22 @@ class WorkerGroup:
             self.stitcher = TraceStitcher()
         self.died = died
         self.deaths_metric = deaths_metric
-        self.labels = [f"{prefix}{i}" for i in range(count)]
+        self.labels = [f"{prefix}{i}" for i in range(max(count, 1))]
         self.processes: List[Any] = []
         self.conns: List[Any] = []
         self.shared: Optional[SharedPositions] = None
+        #: The ``(n, 2)`` position rows, writable by the client only.
+        self.array: Any = None
         self._death: Optional[RuntimeError] = None
         if count == 0:
+            self.array = np.array([tuple(r) for r in rows], np.float64).reshape(-1, 2)
+            tel = WorkerTelemetry(self.labels[0]) if self.telemetry else None
+            self.conns.append(_Lane(WorkerEnv(self.array, args, tel), handler))
             return
         try:
             ctx = multiprocessing.get_context("spawn")
             self.shared = SharedPositions.create(rows)
+            self.array = self.shared.array
             for label in self.labels:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
@@ -396,10 +432,8 @@ class WorkerGroup:
 
         Returns the exception name the write raised in the worker, or
         ``None`` when the write went through — the expected answer
-        outside the sanitizer, and the answer an empty group gives.
+        outside the sanitizer.
         """
-        if not self.conns:
-            return None
         return self.request(0, ("probe",), "probed")[1]
 
     # ------------------------------------------------------------------
@@ -464,7 +498,7 @@ class WorkerGroup:
         call that failed, and those are skipped, not absorbed.  A worker
         whose pipe is gone is just reaped.
         """
-        for process, conn in zip(self.processes, self.conns):
+        for conn in self.conns:
             try:
                 conn.send(("close",))
                 reply = conn.recv()
@@ -474,11 +508,13 @@ class WorkerGroup:
             except _PIPE_ERRORS:
                 pass
             conn.close()
+        for process in self.processes:
             process.join(timeout=10)
         self.processes = []
         self.conns = []
         self._death = None
         self._stitch_parent()
+        self.array = None
         if self.shared is not None:
             self.shared.close()
             self.shared.unlink()

@@ -25,6 +25,13 @@ from repro.graphs import connected_random_udg
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _rows_handler(env, message):
+    """A handler that writes its rows on ``write`` and returns them."""
+    if message[0] == "write":
+        env.array[0, 0] = -1.0
+    return ("rows", env.array.tolist())
+
+
 class TestRecorder:
     def test_env_flag_scoped_to_the_block(self):
         assert not sanitizer_enabled()
@@ -129,17 +136,44 @@ class TestSpawnProtection:
         with ShardServePool(graph, ShardConfig(workers=1)) as pool:
             assert pool.group.probe() is None
 
-    def test_shared_positions_protect_flips_writeable(self):
-        import numpy as np
+    def test_lane_handler_rows_are_read_only(self):
+        # A count=0 group runs the handler in-process; under the
+        # sanitizer its rows are as read-only as a worker's, while the
+        # client's own array stays writable and the lane sees its moves.
+        from repro.workers import WorkerGroup
 
+        with sanitized():
+            group = WorkerGroup(
+                handler=_rows_handler, count=0, prefix="t",
+                rows=[(0.0, 0.0), (1.0, 1.0)], died="{}", deaths_metric="d",
+            )
+        try:
+            with pytest.raises(ValueError):
+                group.request(0, ("write",), "rows")
+            group.array[1] = (5.0, 6.0)
+            assert group.request(0, ("read",), "rows")[1] == [
+                [0.0, 0.0], [5.0, 6.0]
+            ]
+            assert group.probe() == "ValueError"
+        finally:
+            group.close()
+
+    def test_worker_env_view_of_shared_rows_is_read_only(self):
+        # The protection a spawn worker's handler gets: its env views
+        # the shared block read-only while the owner's array stays
+        # writable and the view sees the owner's stores.
         from repro.shard.pool import SharedPositions
+        from repro.workers import WorkerEnv
 
         shared = SharedPositions.create([(0.0, 0.0), (1.0, 1.0)])
+        with sanitized():
+            env = WorkerEnv(shared.array, (), None)
         try:
-            shared.protect()
             with pytest.raises(ValueError):
-                shared.array[0, 0] = 5.0
-            assert np.isfinite(shared.array).all()
+                env.array[0, 0] = 5.0
+            shared.array[1, 0] = 7.0
+            assert env.array.tolist() == [[0.0, 0.0], [7.0, 1.0]]
         finally:
+            env.array = None  # the segment cannot unmap while viewed
             shared.close()
             shared.unlink()

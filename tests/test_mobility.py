@@ -20,8 +20,6 @@ class TestLinkEvents:
     def test_endpoints_and_emptiness(self):
         events = LinkEvents(gained=((1, 2),), lost=((3, 4), (4, 5)))
         assert events.endpoints == {1, 2, 3, 4, 5}
-        assert not events.is_empty
-        assert LinkEvents(gained=(), lost=()).is_empty
 
 
 class TestRandomWaypoint:

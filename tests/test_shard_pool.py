@@ -256,12 +256,13 @@ class TestPoolTelemetry:
             registry=registry,
         )
 
-    def test_merged_counters_exactly_match_worker_side(self, deployment):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_merged_counters_exactly_match_worker_side(self, deployment, workers):
         from repro.obs import MetricsRegistry
         from repro.obs.pipeline import state_value
 
         registry = MetricsRegistry()
-        pool = self._pool(deployment, registry)
+        pool = self._pool(deployment, registry, workers)
         queries = _mixed_queries(pool, 300, seed=21)
         pool.query_batch(queries)
         pool.query_batch(queries[:50])
@@ -275,23 +276,25 @@ class TestPoolTelemetry:
             worker_side = state_value(merged, "worker_serves_total", op=op)
             # exact equality, which trivially satisfies the >=99% bar
             assert fleet == worker_side == expected, op
-        split = [
-            registry.value("worker_serves_total", op="dominator", worker=w)
-            for w in ("w0", "w1")
-        ]
-        assert sum(split) == per_op["dominator"]
-        assert all(value > 0 for value in split)
+        if workers == 2:
+            split = [
+                registry.value("worker_serves_total", op="dominator", worker=w)
+                for w in ("w0", "w1")
+            ]
+            assert sum(split) == per_op["dominator"]
+            assert all(value > 0 for value in split)
         assert registry.value("worker_replies_total") == state_value(
             merged, "worker_replies_total"
         ) > 0
 
-    def test_trace_export_fully_parented(self, deployment, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_trace_export_fully_parented(self, deployment, tmp_path, workers):
         import json
 
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        pool = self._pool(deployment, registry)
+        pool = self._pool(deployment, registry, workers)
         pool.query_batch(_mixed_queries(pool, 150, seed=22))
         node = sorted(deployment.positions)[0]
         pos = pool.graph.positions[node]

@@ -238,22 +238,20 @@ class TestPooledAgainstInline:
 
 
 def assert_replicas_fresh(
-    pool: ShardServePool, replicas: Dict[Any, _TileReplica], rows=None
+    pool: ShardServePool, replicas: Dict[Any, _TileReplica], rows
 ) -> None:
     """One replica per live tile, each equal field for field (members,
     numbering, adjacency, flags and route edges) to a replica built
     fresh from the stitch's index and the backbone's current
-    membership.  ``rows`` maps a worker replica's shared-array rows
-    back to node ids."""
+    membership.  ``rows`` maps a replica's position rows back to node
+    ids."""
     mis, backbone = pool.backbone.membership()
     assert sorted(replicas) == sorted(pool.tiler.tiles())
     for tile, replica in replicas.items():
         tix = pool.backbone.tile_index(tile)
         fresh = _TileReplica(tix.members, tix.adj, mis, backbone)
-        ids = replica.nodes if rows is None else [rows[i] for i in replica.nodes]
-        index = replica.index if rows is None else {
-            rows[row]: i for row, i in replica.index.items()
-        }
+        ids = [rows[i] for i in replica.nodes]
+        index = {rows[row]: i for row, i in replica.index.items()}
         assert list(ids) == list(fresh.nodes), tile
         assert index == fresh.index, tile
         assert list(replica.adj) == list(fresh.adj), tile
@@ -265,8 +263,8 @@ def assert_replicas_fresh(
 class SentMessages:
     """Every message the pool sends its workers, replayed through the
     real worker handler on one local :class:`WorkerEnv` per worker over
-    the group's shared rows, so the replicas compared are the workers'
-    state after each load, patch and drop."""
+    the group's rows, so the replicas compared are the workers' state
+    after each load, patch and drop."""
 
     def __init__(self, monkeypatch, radius: float) -> None:
         self.sent: List[Tuple[int, Tuple[Any, ...]]] = []
@@ -277,7 +275,7 @@ class SentMessages:
             send(group, worker_id, message)
             env = self.envs.get(worker_id)
             if env is None:
-                env = self.envs[worker_id] = WorkerEnv(group.shared, (radius,), None)
+                env = self.envs[worker_id] = WorkerEnv(group.array, (radius,), None)
             _serve_tiles(env, message)
             self.sent.append((worker_id, message))
 
@@ -306,18 +304,20 @@ class TestReplicaFreshness:
         with ShardServePool(
             graph, ShardConfig(tile_size=4.0, workers=workers)
         ) as pool:
-            replicas = recorder.replicas if workers else lambda: pool._replicas
-            rows = pool._nodes if workers else None
-            assert_replicas_fresh(pool, replicas(), rows)
+            # The lane's own replicas inline; the replayed ones of the
+            # spawn workers.
+            replicas = recorder.replicas if workers else (
+                lambda: pool.group.conns[0].env.state
+            )
+            assert_replicas_fresh(pool, replicas(), pool._nodes)
             flips = 0
             for _ in range(40):
                 report = pool.move(*_nudge(graph, rng))
                 flips += len(report.flipped)
-                assert_replicas_fresh(pool, replicas(), rows)
+                assert_replicas_fresh(pool, replicas(), pool._nodes)
         assert flips > 0
-        if workers:
-            kinds = Counter(message[0] for _, message in recorder.sent)
-            assert kinds["patch"] > kinds["load"] - len(pool.tiler.tiles()) > 0
+        kinds = Counter(message[0] for _, message in recorder.sent)
+        assert kinds["patch"] > kinds["load"] - len(pool.tiler.tiles()) > 0
 
     def test_only_a_changed_member_set_is_loaded(self, monkeypatch):
         # A move loads exactly the live tiles the node entered or left
