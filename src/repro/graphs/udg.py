@@ -168,13 +168,20 @@ class UnitDiskGraph(Graph):
         grid = self._ensure_grid()
         cx, cy = self._cell_of(pos)
         limit = self.radius * self.radius
+        positions = self.positions
+        # The coordinates are read inline (not through distance_squared,
+        # which unpacks each Point via its generator __iter__): a move
+        # scans these cells, and the predicate is the same expression.
+        x, y = pos.x, pos.y
         found = set()
-        for dx, dy in _NEIGHBOR_OFFSETS:
-            for other in grid.get((cx + dx, cy + dy), ()):
-                if other != node and distance_squared(
-                    pos, self.positions[other]
-                ) <= limit:
-                    found.add(other)
+        for ox, oy in _NEIGHBOR_OFFSETS:
+            for other in grid.get((cx + ox, cy + oy), ()):
+                if other != node:
+                    there = positions[other]
+                    dx = x - there.x
+                    dy = y - there.y
+                    if dx * dx + dy * dy <= limit:
+                        found.add(other)
         return found
 
     # ------------------------------------------------------------------

@@ -180,6 +180,10 @@ def _replica_from_shared(
     rows = sorted(members)
     count = len(rows)
     tails, cuts = edge_runs(vector_udg_edges(shared.array[rows], radius), count)
+    # One int object per number, shared by every row that holds it (as
+    # in the stitch's index), not one per edge entry from ``.tolist()``:
+    # the route BFS reads the shared ones measurably faster.
+    tails = list(map(list(range(count)).__getitem__, tails))
     adj = [tuple(tails[cuts[i] : cuts[i + 1]]) for i in range(count)]
     return _TileReplica(rows, adj, set(mis), set(backbone))
 

@@ -37,7 +37,8 @@ that read the moved node (owner + halo consumers, old and new
 position) are re-passed, and the wave cascades further only when a
 published frontier status actually changed.  A move re-derives only
 what it touched: a tile the node stays in patches a copy of its index,
-and connectors are re-picked only near the change (see
+and connectors are re-picked only by the leaders whose scan reads an
+edge the move changed or a flag the stitch flipped (see
 :func:`_connector_ball`).
 """
 
@@ -73,10 +74,11 @@ Leader = TypeVar("Leader")
 ALGORITHM_NAME = "wcds-sharded"
 
 #: Hops within which a leader's connector picks read MIS flags, and
-#: within which they read adjacency rows: Algorithm II pairs MIS nodes
+#: within which they read MIS rows: Algorithm II pairs MIS nodes
 #: exactly three hops apart, and :func:`three_hop_relays` reads the
-#: rows of the nodes within two hops of a leader and the flags of the
-#: nodes within three.
+#: MIS neighbours of the nodes within two hops of a leader (whole
+#: adjacency rows only within one) and so the flags of the nodes
+#: within three.
 FLAG_REACH = 3
 ROW_REACH = 2
 
@@ -104,10 +106,10 @@ class _TileIndex:
 
     def moved(
         self, graph: UnitDiskGraph, tiler: Tiler, tile: TileId, node: Node
-    ) -> Set[int]:
+    ) -> Tuple[int, List[int]]:
         """Re-read ``node``'s edges and visibility in place; returns the
-        numbers whose rows changed: ``node`` and the neighbours it
-        gained or lost.
+        numbers whose rows changed: ``node``'s and, ascending, those of
+        the neighbours it gained or lost.
 
         ``node`` must be a member before and after its move, so the
         member set (and the numbering) is unchanged; only the rows of
@@ -132,7 +134,7 @@ class _TileIndex:
             adj[j] = tuple(row)
             lower[j] = adj[j][: bisect_left(row, j)]
         self.visible[i] = tiler.sees_disk(tile, node)
-        return {i, *gained_or_lost}
+        return i, gained_or_lost
 
 
 class _Tile:
@@ -157,37 +159,62 @@ class _Tile:
         self.connectors: Dict[int, List[Pair]] = {}
 
 
-def _ball(adj: Sequence[Tuple[int, ...]], seeds: Iterable[int], hops: int) -> Set[int]:
-    """The numbers within ``hops`` hops of ``seeds`` over ``adj``."""
-    ball = set(seeds)
-    frontier = list(ball)
-    for _ in range(hops):
-        reached = [j for i in frontier for j in adj[i] if j not in ball]
-        ball.update(reached)
-        frontier = reached
+def _ball(
+    adj: Sequence[Tuple[int, ...]], seeds: Sequence[Iterable[int]]
+) -> Set[int]:
+    """The numbers within ``k`` hops of ``seeds[k]`` over ``adj``, for
+    every ``k``: one BFS, where the seeds of each reach join the
+    frontier once it is as many hops from the farthest-reaching ones."""
+    ball: Set[int] = set()
+    frontier: Set[int] = set()
+    for reach in range(len(seeds) - 1, -1, -1):
+        fresh = set(seeds[reach]) - ball
+        ball |= fresh
+        frontier |= fresh
+        if reach:
+            frontier = {j for i in frontier for j in adj[i]} - ball
+            ball |= frontier
     return ball
 
 
 def _connector_ball(
-    adj: Sequence[Tuple[int, ...]], flipped: Iterable[int], rows: Iterable[int]
+    adj: Sequence[Tuple[int, ...]],
+    flipped: Iterable[int],
+    moved: Optional[int] = None,
+    ends: Sequence[int] = (),
+    mis: AbstractSet[int] = frozenset(),
 ) -> Set[int]:
     """The members whose connector picks may differ after a stitch
-    that flipped the MIS flags of ``flipped`` and changed the rows of
-    ``rows`` (the moved node and the neighbours it gained or lost).
+    that flipped the MIS flags of ``flipped`` and, when a node moved
+    within the tile, changed its edges: ``moved`` is its number,
+    ``ends`` the neighbours it gained or lost, and ``mis`` holds those
+    of ``moved`` and ``ends`` in the MIS before the stitch or after.
 
-    A leader's picks read the rows within :data:`ROW_REACH` hops of it
-    and the flags within :data:`FLAG_REACH`.  A leader outside this
-    ball is more than two hops from every changed row over the new
-    edges, and over the old ones too: an old path of at most two edges
-    from it to a changed row that used an edge the move changed reaches
-    the moved node from a neighbour, which either lost it (and is a
-    changed row) or kept it (and the path up to the moved node is a new
-    one).  So the rows within two hops of the leader, and hence the
-    nodes within three, are the same before and after, none of their
-    flags flipped, and its kept picks are exact."""
-    near_flips = _ball(adj, flipped, FLAG_REACH - ROW_REACH)
-    near_flips.update(rows)
-    return _ball(adj, near_flips, ROW_REACH)
+    A leader ``u``'s scan (:func:`three_hop_relays`) reads every edge
+    with an endpoint in ``N[u]``, the MIS rows (MIS neighbours) of the
+    nodes within :data:`ROW_REACH` hops and so the flags of the nodes
+    within :data:`FLAG_REACH`.  A changed edge ``{moved, g}`` is in the
+    first set when ``moved`` or ``g`` is within one hop of ``u``, and
+    in an MIS row read when one endpoint is within two hops and the
+    other is in the MIS before the stitch (the old row held it) or
+    after (the new one does).  Whether ``u`` leads at all reads its
+    flag and its owner, which only ``moved`` can change.  The ball is
+    every member that close to a changed edge, within three hops of a
+    flipped flag, or ``moved``, over the new edges.  A leader outside
+    it reads only values the stitch left as they were, so its scan
+    over the new state follows the steps of its scan over the old one,
+    and its kept picks are exact."""
+    seeds: List[Iterable[int]] = [()] * (FLAG_REACH + 1)
+    seeds[FLAG_REACH] = flipped
+    if moved is not None:
+        seeds[0] = [moved]
+        if ends:
+            seeds[ROW_REACH - 1] = [moved, *ends]
+            far = list(ends) if moved in mis else []
+            if not mis.isdisjoint(ends):
+                far.append(moved)
+            seeds[ROW_REACH] = far
+    return _ball(adj, seeds)
 
 
 def _count_picks(
@@ -484,7 +511,7 @@ class ShardedBackbone:
         self,
         pending: Set[TileId],
         phase: str,
-        patched: AbstractSet[TileId],
+        patched: Mapping[TileId, Tuple[int, Sequence[int]]],
         changed: AbstractSet[Node],
     ) -> Tuple[Set[TileId], int, Set[Node]]:
         """Run local passes over ``pending`` tiles, exchanging frontier
@@ -494,8 +521,11 @@ class ShardedBackbone:
         exchange rounds and the nodes whose membership flipped.
 
         A pending tile in ``patched`` keeps its index, patched in
-        place; any other is renumbered.  ``changed`` are the churned
-        node and the nodes whose edges changed in the patched tiles.
+        place; any other is renumbered.  ``patched`` maps such a tile to
+        the moved node's number and those of the neighbours it gained or
+        lost there (:meth:`_TileIndex.moved`).  ``changed`` are the
+        churned node and the nodes whose edges changed in the patched
+        tiles.
         Tiles reached beyond ``pending`` keep their index (their members
         and edges did not change).
 
@@ -610,10 +640,16 @@ class ShardedBackbone:
                     i for i, old in scope.items()
                     if (old is True) != (status[i] is True)
                 ]
-                rows: List[int] = []
                 if tile in patched:
-                    rows = [tix.index[v] for v in changed if v in tix.index]
-                ball = _connector_ball(tix.adj, flipped, rows)
+                    moved, ends = patched[tile]
+                    # In the MIS before the stitch or after.
+                    mis = {
+                        j for j in (moved, *ends)
+                        if status[j] is True or scope.get(j) is True
+                    }
+                    ball = _connector_ball(tix.adj, flipped, moved, ends, mis)
+                else:
+                    ball = _connector_ball(tix.adj, flipped)
             members = tix.members
             for i in flipped:
                 if owner[members[i]] == tile:
@@ -800,15 +836,14 @@ class ShardedBackbone:
         before = set(self.tiler.tiles_reading(node))
         self.tiler.on_node_moved(node)
         after = set(self.tiler.tiles_reading(node))
-        patched: Set[TileId] = set()
+        patched: Dict[TileId, Tuple[int, Sequence[int]]] = {}
         changed: Set[Node] = {node}
         for tile in sorted(before & after):
             index = self._tiles[tile].index
             if index is None:
                 continue
-            rows = index.moved(self.graph, self.tiler, tile, node)
-            patched.add(tile)
-            changed.update(index.members[j] for j in rows)
+            _, ends = patched[tile] = index.moved(self.graph, self.tiler, tile, node)
+            changed.update(index.members[j] for j in ends)
         self._count_index("patched", len(patched))
         seeds = before | after
         return self._after_churn(
@@ -831,7 +866,7 @@ class ShardedBackbone:
         event: str,
         seeds,
         pending: Set[TileId],
-        patched: AbstractSet[TileId] = frozenset(),
+        patched: Mapping[TileId, Tuple[int, Sequence[int]]] = {},
         changed: AbstractSet[Node] = frozenset(),
     ) -> InvalidationReport:
         with self.tracer.span("shard_invalidate", event=event) as span:

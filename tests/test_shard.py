@@ -459,6 +459,42 @@ class TestRestitch:
         assert_matches_fresh(backbone)
         assert_same_backbone(backbone, graph)
 
+    def test_a_pair_goes_when_its_far_end_moves_away_and_leaves_the_mis(self):
+        # Leader 1 pairs with MIS node 5 over 1 - 10 - 11 - 5.  Node 5
+        # moves to the far end of the chain 4 - 20 - ... - 3, more than
+        # three hops from 1, and goes OUT next to node 3.  No flag
+        # within three hops of 1 flips, and node 11, which lost its edge
+        # to 5, stays OUT (4 dominates it): only 5's flag before the
+        # move puts 1 within reach of a changed MIS row.
+        from repro.graphs.udg import UnitDiskGraph
+
+        graph = UnitDiskGraph({
+            1: Point(0.0, 0.0), 10: Point(0.9, 0.0), 11: Point(1.8, 0.0),
+            5: Point(2.7, 0.0), 4: Point(1.8, 0.9), 20: Point(2.7, 0.9),
+            21: Point(3.6, 0.9), 22: Point(4.5, 0.9), 23: Point(5.4, 0.9),
+            3: Point(6.3, 0.9),
+        })
+        backbone = ShardedBackbone(graph, ShardConfig())
+        assert backbone.result().mis_dominators == {1, 3, 4, 5, 21}
+        assert (1, 5, 10) in backbone.result().meta["pairs_covered"]
+        backbone.apply_move(5, Point(7.0, 0.9))
+        assert backbone.result().mis_dominators == {1, 3, 4, 21}
+        assert (1, 5, 10) not in backbone.result().meta["pairs_covered"]
+        assert_matches_fresh(backbone)
+
+    def test_a_leader_that_changes_tile_keeping_its_edges(self):
+        # Node 200 leads pairs from tile (-1, 0).  A nudge across the
+        # border gives it to tile (0, 0) and changes no edge and no
+        # flag: the old owner must drop its pairs, the new one pick them.
+        graph = jittered_grid(400, 2)
+        backbone = ShardedBackbone(graph, ShardConfig())
+        assert any(u == 200 for u, _, _ in backbone.tile_connectors((-1, 0)))
+        edges = set(graph.adjacency(200))
+        backbone.apply_move(200, Point(0.0001, graph.positions[200].y))
+        assert set(graph.adjacency(200)) == edges
+        assert backbone.tiler.owner[200] == (0, 0)
+        assert_matches_fresh(backbone)
+
     @pytest.mark.parametrize(
         "seed, perturbation",
         [(0, None), (1, None), (2, None), (0, 10), (1, 11), (2, 12)],
@@ -494,6 +530,11 @@ class TestRestitch:
         pins = registry.value("shard_pins_published_total") - built
         assert pins / moves <= 32
         assert registry.value("shard_tile_builds_total", phase="churn") / moves < 7.49
+        # Leaders re-selected per move: 18.86 when every leader within
+        # two hops of a changed row was, 15.03 when only those whose
+        # scan reads a changed edge or flag are (and the moved node).
+        leaders = registry.value("shard_connector_leaders_total", scope="ball")
+        assert leaders / moves < 16
         assert_same_backbone(backbone, graph)
 
 
@@ -577,4 +618,9 @@ class TestIncrementalIndexes:
             backbone.tiler.tiles_reading(node)
         )
         assert registry.value("shard_connector_leaders_total", scope="full") == full
-        assert registry.value("shard_connector_leaders_total", scope="ball") >= 1
+        # The nudge kept every edge and flag, so only the moved node, an
+        # MIS leader whose owner a move may change, is re-selected; a
+        # move that gains an edge re-selects the leaders near it.
+        assert registry.value("shard_connector_leaders_total", scope="ball") == 1
+        backbone.apply_move(node, Point(pos.x + 0.2, pos.y))
+        assert registry.value("shard_connector_leaders_total", scope="ball") > 2
