@@ -8,7 +8,7 @@ import pytest
 from bench_utils import run_once, show
 from repro.experiments import get
 from repro.graphs import uniform_random_udg
-from repro.graphs.udg import build_udg
+from repro.graphs.udg import brute_adjacency, grid_adjacency
 
 
 def test_fig1_dense_udg_has_quadratic_edges(benchmark):
@@ -25,11 +25,11 @@ def test_fig1_fixed_density_udg_is_linear(benchmark):
     exp.check(rows)
 
 
-@pytest.mark.parametrize("method", ["grid", "brute"])
-def test_fig1_construction_ablation(benchmark, method):
+@pytest.mark.parametrize(
+    "builder", [grid_adjacency, brute_adjacency], ids=["grid", "brute"]
+)
+def test_fig1_construction_ablation(benchmark, builder):
     """Timing ablation: grid-hash vs brute-force UDG construction."""
-    positions = [
-        tuple(p) for p in uniform_random_udg(1500, 12.0, seed=2).positions.values()
-    ]
-    graph = benchmark(lambda: build_udg(positions, method=method))
-    assert graph.num_nodes == 1500
+    positions = uniform_random_udg(1500, 12.0, seed=2).positions
+    adjacency = benchmark(lambda: builder(positions, 1.0))
+    assert len(adjacency) == 1500

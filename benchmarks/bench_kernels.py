@@ -5,13 +5,14 @@ the *same* workload (exact equality — the kernels replay the identical
 float64 arithmetic) and then asserts the speedup floor:
 
 * UDG edge construction at n=5000: the vector kernel must beat the
-  pure ``method="grid"`` builder >= 5x.  The kernel's deliverable is
-  the edge array (what the BFS/CSR kernels consume directly); the full
-  ``UnitDiskGraph(method="vector")`` constructor — which additionally
-  materializes per-node Python adjacency sets for the pure graph API —
-  is reported alongside and gated at a softer floor, since those 2m
-  set inserts are irreducible Python-object work shared with the pure
-  path.
+  pure :func:`~repro.graphs.udg.grid_adjacency` builder >= 5x.  The
+  kernel's deliverable is the edge array (what the BFS/CSR kernels
+  consume directly); the full ``UnitDiskGraph`` constructor — which at
+  this size runs :func:`~repro.kernels.udg.vector_adjacency` and so
+  additionally materializes per-node Python adjacency sets for the
+  pure graph API — is reported alongside and gated at a softer floor,
+  since those 2m set inserts are irreducible Python-object work shared
+  with the pure path.
 * All-pairs hops at n=1000: the packed-bitset sweep must beat one
   ``bfs_distances`` per source >= 10x.
 * Overlay next-hop rows: the all-sources ``OverlayPaths.all_pairs``
@@ -35,11 +36,18 @@ from typing import Callable, Dict, Hashable, Tuple
 import pytest
 
 from bench_utils import show
-from repro.graphs import all_pairs_hop_distances, bfs_distances, jittered_grid
+from repro.graphs import bfs_distances, jittered_grid
 from repro.graphs.graph import canonical_order
-from repro.graphs.udg import UnitDiskGraph
+from repro.graphs.udg import UnitDiskGraph, grid_adjacency
 from repro.graphs.generators import uniform_random_udg
-from repro.kernels import graph_to_csr, packed_hop_distances, vector_udg_edges
+from repro.kernels import (
+    graph_to_csr,
+    packed_hop_distances,
+    use_vector,
+    vector_hop_distances,
+    vector_nodes_within,
+    vector_udg_edges,
+)
 from repro.routing import ClusterheadRouter
 from repro.routing.overlay import OverlayPaths
 from repro.wcds import algorithm2_centralized
@@ -73,20 +81,18 @@ def test_udg_construction_speedup(positions_5k):
 
     coords = np.array([(p.x, p.y) for p in positions_5k.values()])
 
-    grid = UnitDiskGraph(positions_5k, method="grid")
-    vector = UnitDiskGraph(positions_5k, method="vector")
+    assert use_vector(len(positions_5k))
+    grid = grid_adjacency(positions_5k, 1.0)
+    vector = UnitDiskGraph(positions_5k)
     edges = vector_udg_edges(coords, 1.0)
 
     # Exact cross-validation before timing anything.
-    assert {frozenset(e) for e in vector.edges()} == {
-        frozenset(e) for e in grid.edges()
-    }
-    assert {frozenset(pair) for pair in edges.tolist()} == {
-        frozenset(e) for e in grid.edges()
-    }
+    grid_edges = {frozenset((u, v)) for u, nbrs in grid.items() for v in nbrs}
+    assert {frozenset(e) for e in vector.edges()} == grid_edges
+    assert {frozenset(pair) for pair in edges.tolist()} == grid_edges
 
-    t_grid = best_of(lambda: UnitDiskGraph(positions_5k, method="grid"), repeats=3)
-    t_vector = best_of(lambda: UnitDiskGraph(positions_5k, method="vector"))
+    t_grid = best_of(lambda: grid_adjacency(positions_5k, 1.0), repeats=3)
+    t_vector = best_of(lambda: UnitDiskGraph(positions_5k))
     t_kernel = best_of(lambda: vector_udg_edges(coords, 1.0))
 
     kernel_speedup = t_grid / t_kernel
@@ -94,14 +100,14 @@ def test_udg_construction_speedup(positions_5k):
     show(
         "UDG construction, n=5000 (avg degree ~30)",
         [
-            {"path": "pure method='grid'", "ms": t_grid * 1e3, "speedup": 1.0},
+            {"path": "pure grid_adjacency", "ms": t_grid * 1e3, "speedup": 1.0},
             {
                 "path": "vector kernel (edge array)",
                 "ms": t_kernel * 1e3,
                 "speedup": kernel_speedup,
             },
             {
-                "path": "UnitDiskGraph(method='vector')",
+                "path": "UnitDiskGraph constructor",
                 "ms": t_vector * 1e3,
                 "speedup": constructor_speedup,
             },
@@ -109,11 +115,11 @@ def test_udg_construction_speedup(positions_5k):
     )
     assert kernel_speedup >= UDG_KERNEL_FLOOR, (
         f"vector UDG edge construction only {kernel_speedup:.1f}x faster "
-        f"than method='grid' (floor {UDG_KERNEL_FLOOR}x)"
+        f"than grid_adjacency (floor {UDG_KERNEL_FLOOR}x)"
     )
     assert constructor_speedup >= UDG_CONSTRUCTOR_FLOOR, (
-        f"UnitDiskGraph(method='vector') only {constructor_speedup:.1f}x "
-        f"faster than method='grid' (floor {UDG_CONSTRUCTOR_FLOOR}x)"
+        f"UnitDiskGraph constructor only {constructor_speedup:.1f}x "
+        f"faster than grid_adjacency (floor {UDG_CONSTRUCTOR_FLOOR}x)"
     )
 
 
@@ -121,10 +127,10 @@ def test_all_pairs_hops_speedup():
     graph = uniform_random_udg(1000, 9.0, seed=2)
 
     # Exact cross-validation: matrix rows == one BFS per source.
-    pure = all_pairs_hop_distances(graph, method="pure")
-    assert all_pairs_hop_distances(graph, method="vector") == pure
-
     node_list, heads, tails = graph_to_csr(graph)
+    pure = {node: bfs_distances(graph, node) for node in node_list}
+    assert vector_hop_distances(graph, list(node_list)) == pure
+
 
     def matrix_sweep():
         return packed_hop_distances(heads, tails, len(node_list))
@@ -152,15 +158,14 @@ def test_batch_disk_queries_match_and_win():
     graph = uniform_random_udg(3000, 17.0, seed=3)
     centers = [graph.positions[node] for node in sorted(graph.positions)][:500]
 
-    pure = graph.nodes_within_many(centers, 1.0, method="pure")
-    vector = graph.nodes_within_many(centers, 1.0, method="vector")
-    assert vector == pure
+    def pure_loop():
+        return [graph.nodes_within(center, 1.0) for center in centers]
 
-    t_pure = best_of(
-        lambda: graph.nodes_within_many(centers, 1.0, method="pure"), repeats=2
-    )
+    assert vector_nodes_within(graph, centers, 1.0) == pure_loop()
+
+    t_pure = best_of(pure_loop, repeats=2)
     t_vector = best_of(
-        lambda: graph.nodes_within_many(centers, 1.0, method="vector"), repeats=2
+        lambda: vector_nodes_within(graph, centers, 1.0), repeats=2
     )
     show(
         "Batch disk queries, 500 centers over n=3000",

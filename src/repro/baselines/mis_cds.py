@@ -10,10 +10,10 @@ core, different connection cost.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Hashable, Set
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.graphs.traversal import bfs_distances, is_connected, shortest_path
+from repro.graphs.traversal import bfs_distances, is_connected
 from repro.mis.centralized import greedy_mis
 from repro.mis.properties import mis_overlay_graph
 
@@ -23,7 +23,8 @@ def mis_tree_cds(graph: Graph) -> Set[Hashable]:
 
     The overlay joins MIS nodes within 3 hops (connected by Lemma 3);
     a BFS tree of the overlay is expanded edge by edge, adding the 1 or
-    2 intermediate nodes of a shortest path in G for each tree edge.
+    2 intermediate nodes of a shortest path in G for each tree edge
+    (each step the canonically first neighbour closer to the parent).
     """
     if graph.num_nodes == 0:
         raise ValueError("CDS of an empty graph is undefined")
@@ -34,7 +35,6 @@ def mis_tree_cds(graph: Graph) -> Set[Hashable]:
         return set(mis)
     overlay = mis_overlay_graph(graph, mis, max_hops=3)
     root = canonical_order(mis)[0]
-    parents: Dict[Hashable, Hashable] = {}
     order = bfs_distances(overlay, root)
     if len(order) != len(mis):
         raise AssertionError("MIS overlay is disconnected (violates Lemma 3)")
@@ -45,10 +45,18 @@ def mis_tree_cds(graph: Graph) -> Set[Hashable]:
         parent = canonical_order(
             nbr for nbr in overlay.adjacency(node) if order[nbr] == order[node] - 1
         )[0]
-        path = shortest_path(graph, node, parent)
-        if path is None or len(path) - 1 > 3:
+        # Not the first path a BFS meets: that follows the adjacency
+        # sets' iteration order, which depends on how they were built.
+        to_parent = bfs_distances(graph, parent, cutoff=3)
+        if node not in to_parent:
             raise AssertionError("overlay edge without a <=3-hop path")
-        cds.update(path[1:-1])  # the 1 or 2 connectors
+        hop = node
+        while to_parent[hop] > 1:
+            hop = canonical_order(
+                nbr for nbr in graph.adjacency(hop)
+                if to_parent.get(nbr) == to_parent[hop] - 1
+            )[0]
+            cds.add(hop)
     if not is_connected(graph.subgraph(cds)):
         raise AssertionError("MIS-tree CDS is not connected")
     return cds

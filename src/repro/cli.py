@@ -36,6 +36,7 @@ invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -44,9 +45,27 @@ from repro.graphs import connected_random_udg, graph_stats
 from repro.routing import ClusterheadRouter, backbone_broadcast, blind_flood
 
 
+def _node_count(text: str) -> int:
+    """``--nodes``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _side_length(text: str) -> float:
+    """``--side``: a positive, finite float."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=150, help="number of radios")
-    parser.add_argument("--side", type=float, default=8.0, help="square side length")
+    parser.add_argument("--nodes", type=_node_count, default=150,
+                        help="number of radios")
+    parser.add_argument("--side", type=_side_length, default=8.0,
+                        help="square side length")
     parser.add_argument("--seed", type=int, default=7, help="random seed")
     parser.add_argument(
         "--load", metavar="FILE", help="load the topology from a JSON file "
@@ -55,18 +74,19 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build(args) -> "UnitDiskGraph":
-    if getattr(args, "load", None):
-        from repro.graphs import load_topology
+    """The deployment; an unreadable ``--load`` file is a usage error."""
+    if not getattr(args, "load", None):
+        return connected_random_udg(args.nodes, args.side, seed=args.seed)
+    from repro.graphs import load_topology
 
+    try:
         return load_topology(args.load)
-    from repro.kernels import AUTO_THRESHOLD
-
-    # The numpy edge kernels pay off from AUTO_THRESHOLD nodes; both
-    # engines build the identical topology.
-    method = "vector" if args.nodes >= AUTO_THRESHOLD else "grid"
-    return connected_random_udg(
-        args.nodes, args.side, seed=args.seed, method=method
-    )
+    except OSError as exc:
+        reason = exc.strerror
+    except (ValueError, KeyError, TypeError) as exc:
+        reason = str(exc)
+    print(f"error: cannot read topology {args.load}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
@@ -1018,8 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
         "an invalid backbone)",
     )
     p.add_argument("--algorithm", choices=["1", "2", "both"], default="both")
-    p.add_argument("--nodes", type=int, default=60, help="number of radios")
-    p.add_argument("--side", type=float, default=6.0, help="square side length")
+    p.add_argument("--nodes", type=_node_count, default=60, help="number of radios")
+    p.add_argument("--side", type=_side_length, default=6.0, help="square side length")
     p.add_argument("--seed", type=int, default=7, help="topology + schedule seed")
     p.add_argument("--seeds", metavar="LIST",
                    help="comma list of seeds (overrides --seed)")
@@ -1145,9 +1165,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also re-run Algorithm I/II and the MIS protocol under "
         "perturbed delivery schedules and diff the invariants",
     )
-    p.add_argument("--nodes", type=int, default=50,
+    p.add_argument("--nodes", type=_node_count, default=50,
                    help="race sweep: number of radios")
-    p.add_argument("--side", type=float, default=5.0,
+    p.add_argument("--side", type=_side_length, default=5.0,
                    help="race sweep: square side length")
     p.add_argument("--seed", type=int, default=7,
                    help="race sweep: topology seed")

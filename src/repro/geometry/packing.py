@@ -123,46 +123,46 @@ def disk_occupancies(
     points: Sequence[Tuple[float, float]],
     centers: Sequence[Tuple[float, float]],
     radius: float,
-    *,
-    method: str = "auto",
 ) -> List[int]:
     """How many of ``points`` fall within ``radius`` of each center.
 
     The measured counterpart of the packing *bounds* above: run it with
     MIS nodes as ``points`` to compare observed disk occupancy against
-    :func:`disk_packing_bound`.  ``method`` picks the engine —
-    ``"pure"`` loops in Python, ``"vector"`` broadcasts all centers at
-    once via :mod:`repro.kernels.disk`, ``"auto"`` decides by workload
-    size; the counts are identical either way.
+    :func:`disk_packing_bound`.  Below 64 point-center pairs the pure
+    :func:`pure_disk_occupancies` counts, from there the broadcast
+    kernel; the counts are identical.
     """
-    from repro.kernels import resolve_method
+    from repro.kernels import count_points_in_disks, use_vector
 
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    choice = resolve_method(method, size=len(points) * len(centers))
-    if choice == "pure" or not points:
-        limit = radius * radius
-        counts = []
-        for cx, cy in centers:
-            inside = 0
-            for px, py in points:
-                dx = px - cx
-                dy = py - cy
-                if dx * dx + dy * dy <= limit:
-                    inside += 1
-            counts.append(inside)
-        return counts
-    from repro.kernels.disk import count_points_in_disks
-
+    if not use_vector(len(points) * len(centers)):
+        return pure_disk_occupancies(points, centers, radius)
     result = count_points_in_disks(list(points), list(centers), radius)
     return [int(c) for c in result.tolist()]
 
 
-def max_disk_occupancy(
+def pure_disk_occupancies(
     points: Sequence[Tuple[float, float]],
+    centers: Sequence[Tuple[float, float]],
     radius: float,
-    *,
-    method: str = "auto",
+) -> List[int]:
+    """:func:`disk_occupancies` as a plain Python scan: the oracle."""
+    limit = radius * radius
+    counts = []
+    for cx, cy in centers:
+        inside = 0
+        for px, py in points:
+            dx = px - cx
+            dy = py - cy
+            if dx * dx + dy * dy <= limit:
+                inside += 1
+        counts.append(inside)
+    return counts
+
+
+def max_disk_occupancy(
+    points: Sequence[Tuple[float, float]], radius: float
 ) -> int:
     """Largest number of ``points`` inside any disk of ``radius``
     centred at one of the points themselves (0 for an empty set).
@@ -172,7 +172,7 @@ def max_disk_occupancy(
     """
     if not points:
         return 0
-    return max(disk_occupancies(points, points, radius, method=method))
+    return max(disk_occupancies(points, points, radius))
 
 
 def _strict_floor(value: float) -> int:

@@ -31,20 +31,14 @@ def uniform_random_udg(
     radius: float = 1.0,
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
-    method: str = "grid",
 ) -> UnitDiskGraph:
-    """``num_nodes`` nodes uniform in a ``side x side`` square.
-
-    ``method`` is the edge-construction engine passed through to
-    :class:`UnitDiskGraph` (``"grid"``, ``"vector"``, or ``"brute"``);
-    every engine builds the identical graph.
-    """
+    """``num_nodes`` nodes uniform in a ``side x side`` square."""
     rng = _resolve_rng(seed, rng)
     positions = {
         i: Point(rng.uniform(0.0, side), rng.uniform(0.0, side))
         for i in range(num_nodes)
     }
-    return UnitDiskGraph(positions, radius=radius, method=method)
+    return UnitDiskGraph(positions, radius=radius)
 
 
 def connected_random_udg(
@@ -54,18 +48,16 @@ def connected_random_udg(
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
     max_attempts: int = 200,
-    method: str = "grid",
 ) -> UnitDiskGraph:
     """Uniform random UDG, resampled until connected.
 
     Raises ``RuntimeError`` after ``max_attempts`` failures — a sign the
     chosen density is below the connectivity threshold and the experiment
-    parameters should change rather than loop forever.  ``method`` is
-    the edge-construction engine, as in :func:`uniform_random_udg`.
+    parameters should change rather than loop forever.
     """
     rng = _resolve_rng(seed, rng)
     for _ in range(max_attempts):
-        graph = uniform_random_udg(num_nodes, side, radius, rng=rng, method=method)
+        graph = uniform_random_udg(num_nodes, side, radius, rng=rng)
         if is_connected(graph):
             return graph
     raise RuntimeError(
@@ -113,15 +105,13 @@ def jittered_grid(n: int, seed: int, radius: float = 1.0) -> UnitDiskGraph:
     connected by construction and has uniform density: the shape the
     Lemma 2 packing argument and the tiling both assume.  On a square
     ``n`` it equals ``perturbed_grid_udg(sqrt(n), sqrt(n),
-    spacing=0.55, jitter=0.1 * 0.55, seed=seed)`` bit for bit; it
-    builds its edges with the vectorised engine, which is about 3x
-    faster than the default one at ``n = 10**4``.
+    spacing=0.55, jitter=0.1 * 0.55, seed=seed)`` bit for bit.
     """
     spacing = 0.55 * radius
     positions = _jittered_rows(
         n, max(1, int(n**0.5)), spacing, 0.1 * spacing, random.Random(seed)
     )
-    return UnitDiskGraph(positions, radius=radius, method="vector")
+    return UnitDiskGraph(positions, radius=radius)
 
 
 def _jittered_rows(

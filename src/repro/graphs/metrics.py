@@ -70,16 +70,14 @@ class HopDistanceStats:
         }
 
 
-def hop_distance_stats(graph: Graph, *, method: str = "auto") -> HopDistanceStats:
+def hop_distance_stats(graph: Graph) -> HopDistanceStats:
     """Mean and maximum hop distance over all connected pairs.
 
-    The all-pairs sweep goes through
-    :func:`repro.graphs.traversal.all_pairs_hop_distances`, so ``method``
-    (``"pure"``/``"vector"``/``"auto"``) picks between the per-source
-    BFS oracle and the packed vector kernel; both produce identical
-    statistics.  Disconnected pairs are excluded (not infinite).
+    The all-pairs sweep is
+    :func:`repro.graphs.traversal.all_pairs_hop_distances`.
+    Disconnected pairs are excluded (not infinite).
     """
-    distances = all_pairs_hop_distances(graph, method=method)
+    distances = all_pairs_hop_distances(graph)
     num_pairs = 0
     total = 0
     max_hops = 0

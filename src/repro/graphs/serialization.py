@@ -80,6 +80,8 @@ def load_topology(path: str) -> Union[Graph, UnitDiskGraph]:
     """Read a topology saved by :func:`save_topology`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("not a topology object")
     if payload.get("format") == "udg":
         return udg_from_dict(payload)
     if payload.get("format") == "graph":

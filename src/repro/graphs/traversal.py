@@ -130,55 +130,26 @@ def is_connected(graph: Graph) -> bool:
 
 
 def multi_source_hop_distances(
-    graph: Graph, sources: Sequence[Node], *, method: str = "auto"
+    graph: Graph, sources: Sequence[Node]
 ) -> Dict[Node, Dict[Node, int]]:
     """Hop distances from each of ``sources`` to every reachable node.
 
-    ``method`` selects the engine: ``"pure"`` runs one
-    :func:`bfs_distances` per source; ``"vector"`` runs the packed
-    multi-source sweep from :mod:`repro.kernels.bfs`; ``"auto"``
-    (default) picks the vector kernel when the graph is big enough to
-    amortize it.  All engines return exactly the same per-source dicts
-    (reachable nodes only).
+    One :func:`bfs_distances` per source on a small graph; from
+    :data:`~repro.kernels.AUTO_THRESHOLD` nodes the packed multi-source
+    sweep :func:`repro.kernels.bfs.vector_hop_distances`.  Both return
+    exactly the same per-source dicts (reachable nodes only).
     """
-    from repro.kernels import resolve_method
+    from repro.kernels import use_vector, vector_hop_distances
 
-    choice = resolve_method(method, size=graph.num_nodes)
-    if choice == "pure":
-        return {source: bfs_distances(graph, source) for source in sources}
-    from repro.kernels.bfs import graph_to_csr, packed_hop_distances
-
-    node_list, heads, tails = graph_to_csr(graph)
-    index = graph.numbering().index
-    result: Dict[Node, Dict[Node, int]] = {}
-    # Chunk sources so the (sources, nodes) distance matrix stays small
-    # even for all-pairs sweeps over large graphs.
-    chunk = max(1, 20_000_000 // max(1, len(node_list)))
-    for lo in range(0, len(sources), chunk):
-        block = list(sources[lo : lo + chunk])
-        dist = packed_hop_distances(
-            heads, tails, len(node_list), [index[s] for s in block]
-        )
-        for row, source in zip(dist, block):
-            values = row.tolist()
-            result[source] = {
-                node_list[j]: d for j, d in enumerate(values) if d >= 0
-            }
-    return result
+    if use_vector(graph.num_nodes):
+        return vector_hop_distances(graph, sources)
+    return {source: bfs_distances(graph, source) for source in sources}
 
 
-def all_pairs_hop_distances(
-    graph: Graph, *, method: str = "auto"
-) -> Dict[Node, Dict[Node, int]]:
-    """Hop distances between all pairs (one BFS per node, O(n·m), or a
-    packed vector sweep — see :func:`multi_source_hop_distances`)."""
-    from repro.kernels import resolve_method
-
-    if resolve_method(method, size=graph.num_nodes) == "pure":
-        return {node: bfs_distances(graph, node) for node in graph.nodes()}
-    return multi_source_hop_distances(
-        graph, list(graph.nodes()), method="vector"
-    )
+def all_pairs_hop_distances(graph: Graph) -> Dict[Node, Dict[Node, int]]:
+    """Hop distances between all pairs (see
+    :func:`multi_source_hop_distances`)."""
+    return multi_source_hop_distances(graph, list(graph.nodes()))
 
 
 def eccentricity(graph: Graph, node: Node) -> int:

@@ -7,15 +7,16 @@ combinatorial graph with node positions — positions are needed to
 *evaluate* geometric dilation even though the paper's algorithms never
 look at them ("position-less spanners").
 
-Construction methods:
+Edge builders, all producing the identical adjacency:
 
-* ``"grid"`` (default) — spatial hash with unit-sized cells, expected
-  O(n + m) in pure Python.
-* ``"vector"`` — the same cell binning executed as numpy array passes
-  (:mod:`repro.kernels.udg`); ~5x faster at a few thousand nodes and
-  guaranteed to produce the identical edge set.
-* ``"brute"`` — the O(n²) oracle, kept for cross-validation and the
-  construction ablation benchmark.
+* :func:`grid_adjacency` — spatial hash with unit-sized cells, expected
+  O(n + m) in pure Python.  The constructor runs it below
+  :data:`~repro.kernels.AUTO_THRESHOLD` nodes.
+* :func:`repro.kernels.udg.vector_adjacency` — the same cell binning
+  executed as numpy array passes; ~5x faster at a few thousand nodes.
+  The constructor runs it from the threshold up.
+* :func:`brute_adjacency` — the O(n²) oracle, kept for
+  cross-validation and the construction ablation benchmark.
 """
 
 from __future__ import annotations
@@ -54,108 +55,43 @@ class UnitDiskGraph(Graph):
     measurements.
     """
 
-    def __init__(
-        self,
-        positions: Mapping[Node, Point],
-        radius: float = 1.0,
-        *,
-        method: str = "grid",
-    ) -> None:
+    def __init__(self, positions: Mapping[Node, Point], radius: float = 1.0) -> None:
         if radius <= 0:
             raise ValueError("transmission radius must be positive")
         super().__init__()
         self.radius = radius
         self.positions: Dict[Node, Point] = {
-            node: _as_point(pos) for node, pos in positions.items()
+            node: _as_point(pos, node) for node, pos in positions.items()
         }
         #: Persistent spatial hash (cell size == radius) shared by the
-        #: grid construction and the incremental mutations, so moves and
-        #: joins cost O(local density) instead of an O(n) scan.  Built
-        #: lazily (on first use) for the vector method, where edge
-        #: construction does not need it.
+        #: incremental mutations and disk queries, so moves and joins
+        #: cost O(local density) instead of an O(n) scan.  Built lazily
+        #: on first use; edge construction does not need it.
         self._grid: Optional[Dict[GridCell, Set[Node]]] = None
-        if method == "grid":
-            self._build_grid()
-            for node in self.positions:
-                self.add_node(node)
-            self._build_edges_grid()
-        elif method == "brute":
-            self._build_grid()
-            for node in self.positions:
-                self.add_node(node)
-            self._build_edges_brute()
-        elif method == "vector":
-            self._build_edges_vector()
+        from repro.kernels import use_vector
+
+        if use_vector(len(self.positions)):
+            from repro.kernels.udg import vector_adjacency
+
+            self._adj = vector_adjacency(list(self.positions.items()), radius)
         else:
-            raise ValueError(f"unknown construction method {method!r}")
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_edges_grid(self) -> None:
-        grid = self._ensure_grid()
-        limit = self.radius * self.radius
-        for (cx, cy), cell_members in grid.items():
-            members = canonical_order(cell_members)
-            # Within-cell pairs.
-            for i, u in enumerate(members):
-                pu = self.positions[u]
-                for v in members[i + 1 :]:
-                    if distance_squared(pu, self.positions[v]) <= limit:
-                        self.add_edge(u, v)
-            # Cross-cell pairs: only look at half the neighbor cells so
-            # each unordered cell pair is examined once.
-            for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
-                others = grid.get((cx + dx, cy + dy))
-                if not others:
-                    continue
-                for u in members:
-                    pu = self.positions[u]
-                    for v in others:
-                        if distance_squared(pu, self.positions[v]) <= limit:
-                            self.add_edge(u, v)
-
-    def _build_edges_brute(self) -> None:
-        limit = self.radius * self.radius
-        for u, v in itertools.combinations(self.positions, 2):
-            if distance_squared(self.positions[u], self.positions[v]) <= limit:
-                self.add_edge(u, v)
-
-    def _build_edges_vector(self) -> None:
-        from repro.kernels.udg import vector_adjacency
-
-        self._adj = vector_adjacency(
-            list(self.positions.items()), self.radius
-        )
+            self._adj = grid_adjacency(self.positions, radius)
 
     # ------------------------------------------------------------------
     # Spatial hash maintenance
     # ------------------------------------------------------------------
-    def _build_grid(self) -> Dict[GridCell, Set[Node]]:
-        grid: Dict[GridCell, Set[Node]] = {}
-        size = self.radius
-        for node, pos in self.positions.items():
-            cell = (int(math.floor(pos.x / size)), int(math.floor(pos.y / size)))
-            grid.setdefault(cell, set()).add(node)
-        self._grid = grid
-        return grid
-
     def _ensure_grid(self) -> Dict[GridCell, Set[Node]]:
-        """The spatial hash, building it on first use (vector method)."""
+        """The spatial hash, building it on first use."""
         if self._grid is None:
-            return self._build_grid()
+            self._grid = _cell_hash(self.positions, self.radius)
         return self._grid
 
-    def _cell_of(self, pos: Point) -> GridCell:
-        size = self.radius
-        return (int(math.floor(pos.x / size)), int(math.floor(pos.y / size)))
-
     def _grid_insert(self, node: Node, pos: Point) -> None:
-        self._ensure_grid().setdefault(self._cell_of(pos), set()).add(node)
+        self._ensure_grid().setdefault(_cell(pos, self.radius), set()).add(node)
 
     def _grid_discard(self, node: Node, pos: Point) -> None:
         grid = self._ensure_grid()
-        cell = self._cell_of(pos)
+        cell = _cell(pos, self.radius)
         members = grid.get(cell)
         if members is not None:
             members.discard(node)
@@ -166,7 +102,7 @@ class UnitDiskGraph(Graph):
         """Nodes within the radius of ``pos`` (excluding ``node``),
         found by scanning only the 9 surrounding grid cells."""
         grid = self._ensure_grid()
-        cx, cy = self._cell_of(pos)
+        cx, cy = _cell(pos, self.radius)
         limit = self.radius * self.radius
         positions = self.positions
         # The coordinates are read inline (not through distance_squared,
@@ -239,48 +175,22 @@ class UnitDiskGraph(Graph):
         return canonical_order(found)
 
     def nodes_within_many(
-        self,
-        centers: Sequence[Point],
-        radius: float,
-        *,
-        method: str = "auto",
+        self, centers: Sequence[Point], radius: float
     ) -> List[List[Node]]:
         """Batch disk query: per center, the nodes within ``radius``.
 
-        ``method`` is ``"pure"`` (one :meth:`nodes_within` per center),
-        ``"vector"`` (one broadcast distance pass over all centers via
-        :mod:`repro.kernels.disk`), or ``"auto"``.  Both produce the
-        same node sets; each result list is in canonical node order.
+        One :meth:`nodes_within` per center on a small query; from
+        :data:`~repro.kernels.AUTO_THRESHOLD` center-node pairs one
+        broadcast distance pass
+        (:func:`repro.kernels.disk.vector_nodes_within`).  Both produce
+        the same node sets; each result list is in canonical node order.
         """
-        from repro.kernels import resolve_method
+        from repro.kernels import use_vector, vector_nodes_within
 
         centers = [_as_point(c) for c in centers]
-        choice = resolve_method(
-            method, size=len(centers) * len(self.positions)
-        )
-        if choice == "pure":
-            return [self.nodes_within(center, radius) for center in centers]
-        from repro.kernels.disk import batch_points_in_disk
-
-        if radius < 0:
-            raise ValueError("query radius must be non-negative")
-        numbering = self.numbering()
-        nodes = numbering.nodes
-        coords = [
-            (self.positions[node].x, self.positions[node].y) for node in nodes
-        ]
-        if not coords:
-            return [[] for _ in centers]
-        inside = batch_points_in_disk(
-            coords, [(c.x, c.y) for c in centers], radius
-        )
-        results: List[List[Node]] = []
-        for row in inside:
-            hits = [nodes[j] for j in row.nonzero()[0].tolist()]
-            # Number order is canonical order for the whole deployment;
-            # on mixed ids a subset's canonical order may differ.
-            results.append(hits if numbering.natural else canonical_order(hits))
-        return results
+        if use_vector(len(centers) * len(self.positions)):
+            return vector_nodes_within(self, centers, radius)
+        return [self.nodes_within(center, radius) for center in centers]
 
     # ------------------------------------------------------------------
     # Mutation under mobility
@@ -296,7 +206,7 @@ class UnitDiskGraph(Graph):
         if node not in self.positions:
             raise KeyError(f"unknown node {node!r}")
         old_position = self.positions[node]
-        new_position = _as_point(new_position)
+        new_position = _as_point(new_position, node)
         self._grid_discard(node, old_position)
         self.positions[node] = new_position
         self._grid_insert(node, new_position)
@@ -316,7 +226,7 @@ class UnitDiskGraph(Graph):
         """
         if node in self.positions:
             raise ValueError(f"node {node!r} already exists")
-        position = _as_point(position)
+        position = _as_point(position, node)
         self.positions[node] = position
         self._grid_insert(node, position)
         self.add_node(node)
@@ -334,7 +244,6 @@ class UnitDiskGraph(Graph):
     def copy(self) -> "UnitDiskGraph":
         clone = UnitDiskGraph({}, radius=self.radius)
         clone.positions = dict(self.positions)
-        clone._grid = None  # rebuilt lazily from the copied positions
         clone._adj = {node: set(nbrs) for node, nbrs in self._adj.items()}
         return clone
 
@@ -348,8 +257,6 @@ class UnitDiskGraph(Graph):
 def build_udg(
     positions: Mapping[Node, Point] | Iterable[Tuple[float, float]],
     radius: float = 1.0,
-    *,
-    method: str = "grid",
 ) -> UnitDiskGraph:
     """Build a :class:`UnitDiskGraph` from positions.
 
@@ -358,12 +265,78 @@ def build_udg(
     ``0..n-1`` in iteration order.
     """
     if not isinstance(positions, Mapping):
-        positions = {i: _as_point(p) for i, p in enumerate(positions)}
-    return UnitDiskGraph(positions, radius=radius, method=method)
+        positions = {i: _as_point(p, i) for i, p in enumerate(positions)}
+    return UnitDiskGraph(positions, radius=radius)
 
 
-def _as_point(pos: object) -> Point:
+def _cell_hash(
+    positions: Mapping[Node, Point], radius: float
+) -> Dict[GridCell, Set[Node]]:
+    """Nodes binned into ``radius``-sized cells, in ``positions`` order."""
+    grid: Dict[GridCell, Set[Node]] = {}
+    for node, pos in positions.items():
+        grid.setdefault(_cell(pos, radius), set()).add(node)
+    return grid
+
+
+def _cell(pos: Point, size: float) -> GridCell:
+    return (int(math.floor(pos.x / size)), int(math.floor(pos.y / size)))
+
+
+def grid_adjacency(
+    positions: Mapping[Node, Point], radius: float
+) -> Dict[Node, Set[Node]]:
+    """``{node: set(neighbors)}`` through a spatial hash with cell size
+    == radius, so only same- or adjacent-cell pairs are compared."""
+    adjacency: Dict[Node, Set[Node]] = {node: set() for node in positions}
+    limit = radius * radius
+    grid = _cell_hash(positions, radius)
+    for (cx, cy), cell_members in grid.items():
+        members = canonical_order(cell_members)
+        # Within-cell pairs.
+        for i, u in enumerate(members):
+            pu = positions[u]
+            for v in members[i + 1 :]:
+                if distance_squared(pu, positions[v]) <= limit:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        # Cross-cell pairs: only look at half the neighbor cells so
+        # each unordered cell pair is examined once.
+        for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
+            others = grid.get((cx + dx, cy + dy))
+            if not others:
+                continue
+            for u in members:
+                pu = positions[u]
+                for v in others:
+                    if distance_squared(pu, positions[v]) <= limit:
+                        adjacency[u].add(v)
+                        adjacency[v].add(u)
+    return adjacency
+
+
+def brute_adjacency(
+    positions: Mapping[Node, Point], radius: float
+) -> Dict[Node, Set[Node]]:
+    """Unit-disk adjacency by comparing every pair: the O(n²) oracle."""
+    adjacency: Dict[Node, Set[Node]] = {node: set() for node in positions}
+    limit = radius * radius
+    for u, v in itertools.combinations(positions, 2):
+        if distance_squared(positions[u], positions[v]) <= limit:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
+def _as_point(pos: object, node: object = None) -> Point:
+    """``pos`` as a :class:`Point`; a non-finite coordinate raises
+    ``ValueError`` (naming ``node`` when given)."""
     if isinstance(pos, Point):
-        return pos
-    x, y = pos  # type: ignore[misc]
-    return Point(float(x), float(y))
+        point = pos
+    else:
+        x, y = pos  # type: ignore[misc]
+        point = Point(float(x), float(y))
+    if not (math.isfinite(point.x) and math.isfinite(point.y)):
+        owner = "" if node is None else f" of node {node!r}"
+        raise ValueError(f"coordinate{owner} is not finite: ({point.x}, {point.y})")
+    return point

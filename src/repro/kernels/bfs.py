@@ -16,14 +16,14 @@ end from the final reachability bits.
 The level count is the graph's eccentricity span, so the kernel is
 O(diameter · n · k / 8) byte-ops: a large win on the paper's dense,
 low-diameter deployments (the only place all-pairs hops are measured),
-a loss on path-like graphs — which is why ``auto`` never forces it and
-the pure BFS oracle stays the default for generic traversal.
+a loss on path-like graphs — which is why single-source traversal
+keeps the pure BFS and only the multi-source sweeps come here.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Hashable, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,3 +94,28 @@ def packed_hop_distances(
     dist[~reached] = -1
     return np.ascontiguousarray(dist.T)
 
+
+def vector_hop_distances(
+    graph: Graph, sources: Sequence[Node]
+) -> Dict[Node, Dict[Node, int]]:
+    """Hop distances from each of ``sources`` to every reachable node.
+
+    The packed twin of one :func:`repro.graphs.traversal.bfs_distances`
+    per source: the same per-source dicts (reachable nodes only).
+    """
+    node_list, heads, tails = graph_to_csr(graph)
+    index = graph.numbering().index
+    result: Dict[Node, Dict[Node, int]] = {}
+    # Chunk sources so the (sources, nodes) distance matrix stays small
+    # even for all-pairs sweeps over large graphs.
+    chunk = max(1, 20_000_000 // max(1, len(node_list)))
+    for lo in range(0, len(sources), chunk):
+        block = list(sources[lo : lo + chunk])
+        dist = packed_hop_distances(
+            heads, tails, len(node_list), [index[s] for s in block]
+        )
+        for row, source in zip(dist, block):
+            result[source] = {
+                node_list[j]: d for j, d in enumerate(row.tolist()) if d >= 0
+            }
+    return result

@@ -1,17 +1,19 @@
 """Vectorized disk queries: which points lie within r of a center.
 
 Used by ``UnitDiskGraph.nodes_within_many`` (batch coverage / density
-probes for the mobility models) and by the measured packing extrema in
-:mod:`repro.geometry.packing`.  The comparisons run the same float64
-``dx*dx + dy*dy <= r*r`` as the pure scans, so the selected point sets
-are exactly equal.
+probes for the mobility models, via :func:`vector_nodes_within`) and by
+the measured packing extrema in :mod:`repro.geometry.packing`.  The
+comparisons run the same float64 ``dx*dx + dy*dy <= r*r`` as the pure
+scans, so the selected point sets are exactly equal.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Hashable, List, Sequence
 
 import numpy as np
+
+from repro.graphs.graph import canonical_order
 
 
 def _as_coord_array(values: Any) -> Any:
@@ -41,3 +43,27 @@ def count_points_in_disks(coords: Any, centers: Any, radius: float) -> Any:
     return np.count_nonzero(
         batch_points_in_disk(coords, centers, radius), axis=1
     )
+
+
+def vector_nodes_within(
+    udg: Any, centers: Sequence[Any], radius: float
+) -> List[List[Hashable]]:
+    """Per center (a ``Point``), the nodes of ``udg`` within ``radius``.
+
+    The broadcast twin of one ``udg.nodes_within(center, radius)`` per
+    center: the same node lists, each in canonical node order.
+    """
+    if radius < 0:
+        raise ValueError("query radius must be non-negative")
+    numbering = udg.numbering()
+    nodes = numbering.nodes
+    positions = udg.positions
+    coords = [(positions[node].x, positions[node].y) for node in nodes]
+    inside = batch_points_in_disk(coords, [(c.x, c.y) for c in centers], radius)
+    results: List[List[Hashable]] = []
+    for row in inside:
+        hits = [nodes[j] for j in row.nonzero()[0].tolist()]
+        # Number order is canonical order for the whole deployment;
+        # on mixed ids a subset's canonical order may differ.
+        results.append(hits if numbering.natural else canonical_order(hits))
+    return results

@@ -1,6 +1,6 @@
 """Vectorized unit-disk-graph edge construction.
 
-Same algorithm as ``UnitDiskGraph._build_edges_grid`` — hash every
+Same algorithm as :func:`repro.graphs.udg.grid_adjacency` — hash every
 point into a ``radius``-sized cell, compare only pairs in the same or
 adjacent cells — but executed as array passes:
 

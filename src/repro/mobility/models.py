@@ -181,7 +181,6 @@ def density_probe(
     resolution: int = 8,
     *,
     radius: float = 1.0,
-    method: str = "auto",
 ) -> List[List[int]]:
     """Node count within ``radius`` of each point of a probe lattice.
 
@@ -189,8 +188,7 @@ def density_probe(
     deployment square and counts the nodes covering each — the measured
     density map that exposes random waypoint's centre bias (and confirms
     random direction stays uniform).  The batch disk query goes through
-    :meth:`UnitDiskGraph.nodes_within_many`, so ``method`` picks the
-    pure scan or the vector kernel; the counts are identical.
+    :meth:`UnitDiskGraph.nodes_within_many`.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -200,7 +198,7 @@ def density_probe(
         for row in range(resolution)
         for col in range(resolution)
     ]
-    hits = udg.nodes_within_many(centers, radius, method=method)
+    hits = udg.nodes_within_many(centers, radius)
     return [
         [len(hits[row * resolution + col]) for col in range(resolution)]
         for row in range(resolution)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph, canonical_order
 from repro.graphs.traversal import is_connected
-from repro.kernels import resolve_method
+from repro.kernels import use_vector
 from repro.kernels.bfs import graph_to_csr
 from repro.mis.properties import is_dominating_set
 from repro.wcds.base import weakly_induced_subgraph
@@ -40,10 +40,7 @@ Node = Hashable
 
 
 def greedy_mwds(
-    graph: Graph,
-    weights: Optional[Mapping[Node, float]] = None,
-    *,
-    method: str = "auto",
+    graph: Graph, weights: Optional[Mapping[Node, float]] = None
 ) -> Set[Node]:
     """Greedy minimum-weight dominating set.
 
@@ -52,19 +49,16 @@ def greedy_mwds(
     dominated.  With unit weights this is the ln(Δ)-approximate greedy
     set cover over closed neighborhoods — an upper bound on |MDS|.
 
-    ``method`` resolves like the kernels: ``"vector"`` runs the numpy
-    CSR implementation, ``"pure"`` the dictionary one, ``"auto"`` picks
-    by size; the chosen set is identical either way.
+    Small graphs run :func:`pure_greedy_mwds`; from
+    :data:`~repro.kernels.AUTO_THRESHOLD` nodes the numpy CSR twin
+    :func:`vector_greedy_mwds` does; the chosen set is identical.
     """
-    if graph.num_nodes == 0:
-        return set()
-    choice = resolve_method(method, size=graph.num_nodes)
-    if choice == "vector":
-        return _greedy_mwds_vector(graph, weights)
-    return _greedy_mwds_pure(graph, weights)
+    if use_vector(graph.num_nodes):
+        return vector_greedy_mwds(graph, weights)
+    return pure_greedy_mwds(graph, weights)
 
 
-def _greedy_mwds_pure(
+def pure_greedy_mwds(
     graph: Graph, weights: Optional[Mapping[Node, float]]
 ) -> Set[Node]:
     nodes = canonical_order(graph.nodes())
@@ -91,7 +85,7 @@ def _greedy_mwds_pure(
     return chosen
 
 
-def _greedy_mwds_vector(
+def vector_greedy_mwds(
     graph: Graph, weights: Optional[Mapping[Node, float]]
 ) -> Set[Node]:
     node_list, heads, tails = graph_to_csr(graph)
@@ -111,7 +105,9 @@ def _greedy_mwds_vector(
         # covered[v] = |N[v] ∩ white|, via one segmented sum over CSR.
         covered = white.copy()
         if heads.size:
-            neighbor_white = np.add.reduceat(white[tails], run_start)
+            # The padding 0.0 keeps an isolated last node's run start
+            # (heads.size) inside the array.
+            neighbor_white = np.add.reduceat(np.append(white[tails], 0.0), run_start)
             neighbor_white[run_start == run_end] = 0.0
             covered += neighbor_white
         with np.errstate(divide="ignore"):
@@ -183,10 +179,7 @@ def connect_weakly(graph: Graph, dominators: Iterable[Node]) -> Set[Node]:
 
 
 def greedy_mwds_wcds(
-    graph: Graph,
-    weights: Optional[Mapping[Node, float]] = None,
-    *,
-    method: str = "auto",
+    graph: Graph, weights: Optional[Mapping[Node, float]] = None
 ) -> Set[Node]:
     """Greedy MWDS + 2-hop Steiner connection: a scalable WCDS.
 
@@ -198,7 +191,7 @@ def greedy_mwds_wcds(
         raise ValueError("WCDS of an empty graph is undefined")
     if not is_connected(graph):
         raise ValueError("greedy WCDS requires a connected graph")
-    wcds = connect_weakly(graph, greedy_mwds(graph, weights, method=method))
+    wcds = connect_weakly(graph, greedy_mwds(graph, weights))
     if not is_dominating_set(graph, wcds):  # pragma: no cover - invariant
         raise AssertionError("greedy MWDS lost domination while connecting")
     if not is_connected(weakly_induced_subgraph(graph, wcds)):

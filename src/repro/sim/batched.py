@@ -42,7 +42,7 @@ import heapq
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.kernels import AUTO_THRESHOLD
+from repro.kernels import AUTO_THRESHOLD, use_vector
 from repro.sim.config import SimConfig
 from repro.sim.engine import _DELIVER, _FAULT, NodeFactory, Simulator
 from repro.sim.latency import FixedLatency
@@ -65,13 +65,13 @@ _FANOUT = 3
 ENGINES: Tuple[str, ...] = ("event", "batched", "auto")
 
 
-def resolve_engine(engine: str, *, size: int, threshold: int = AUTO_THRESHOLD) -> str:
+def resolve_engine(engine: str, *, size: int) -> str:
     """Resolve an engine request to ``"event"`` or ``"batched"``.
 
-    Mirrors :func:`repro.kernels.resolve_method`: explicit choices pass
-    through, ``"auto"`` picks ``"batched"`` iff ``size >= threshold``
-    (below :data:`~repro.kernels.AUTO_THRESHOLD` nodes the bucket
-    queue's bookkeeping rivals the heap it replaces).
+    Explicit choices pass through; ``"auto"`` picks ``"batched"`` by
+    the kernels' size rule, :func:`repro.kernels.use_vector` (below
+    :data:`~repro.kernels.AUTO_THRESHOLD` nodes the bucket queue's
+    bookkeeping rivals the heap it replaces).
     """
     if engine in ("event", "batched"):
         return engine
@@ -79,7 +79,7 @@ def resolve_engine(engine: str, *, size: int, threshold: int = AUTO_THRESHOLD) -
         raise ValueError(
             f"unknown engine {engine!r} (expected 'event', 'batched', or 'auto')"
         )
-    return "batched" if size >= threshold else "event"
+    return "batched" if use_vector(size) else "event"
 
 
 def make_simulator(

@@ -41,8 +41,8 @@ class SimConfig:
             (the reference heap-based oracle), ``"batched"`` (the
             bucket-queue engine, bit-identical but faster on
             broadcast-heavy workloads), or ``"auto"`` (batched iff the
-            graph has ≥ 64 nodes, the kernels' ``resolve_method``
-            crossover).
+            graph has ≥ 64 nodes, the crossover of the kernels' size
+            rule :func:`repro.kernels.use_vector`).
     """
 
     latency: Optional[LatencyModel] = None

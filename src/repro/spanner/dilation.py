@@ -94,7 +94,6 @@ def measure_dilation(
     *,
     sources: Optional[Iterable[Hashable]] = None,
     include_adjacent: bool = False,
-    kernels: str = "auto",
 ) -> DilationReport:
     """Worst-case topological and geometric dilation of ``spanner``.
 
@@ -103,19 +102,16 @@ def measure_dilation(
     pairs; pass ``include_adjacent=True`` to evaluate adjacent pairs
     too (informative: the bound happens to hold for them as well).
 
-    ``kernels`` (``"pure"``/``"vector"``/``"auto"``) selects the hop
-    engine: the vector choice batches the UDG and spanner hop sweeps
-    through :func:`repro.graphs.traversal.multi_source_hop_distances`
-    instead of one BFS per source.  The geometric side (per-source
-    Dijkstra and the max-length DP) is pure either way, and every
+    The UDG and spanner hop sweeps go through
+    :func:`repro.graphs.traversal.multi_source_hop_distances`, which
+    batches them on large graphs.  The geometric side (per-source
+    Dijkstra and the max-length DP) is pure either way, and every hop
     engine yields the identical report.
     """
     node_list = list(udg.nodes())
     source_list = list(sources) if sources is not None else node_list
-    udg_hops = multi_source_hop_distances(udg, source_list, method=kernels)
-    spanner_hops = multi_source_hop_distances(
-        spanner, source_list, method=kernels
-    )
+    udg_hops = multi_source_hop_distances(udg, source_list)
+    spanner_hops = multi_source_hop_distances(spanner, source_list)
     pairs = 0
     max_hop_ratio = 0.0
     max_hop_slack = -(10**9)
@@ -173,13 +169,9 @@ def sampled_dilation(
     spanner: Graph,
     num_sources: int,
     seed: Optional[int] = None,
-    *,
-    kernels: str = "auto",
 ) -> DilationReport:
     """Dilation from a random sample of sources (large-n benchmarks)."""
     rng = random.Random(seed)
     nodes = list(udg.nodes())
     num_sources = min(num_sources, len(nodes))
-    return measure_dilation(
-        udg, spanner, sources=rng.sample(nodes, num_sources), kernels=kernels
-    )
+    return measure_dilation(udg, spanner, sources=rng.sample(nodes, num_sources))

@@ -16,7 +16,7 @@ from repro.baselines import (
     mis_tree_cds,
     wu_li_cds,
 )
-from repro.graphs import Graph, grid_udg, is_connected, line_udg
+from repro.graphs import Graph, connected_random_udg, grid_udg, is_connected, line_udg
 from repro.mis import is_dominating_set
 from repro.wcds import is_weakly_connected_dominating_set
 
@@ -123,6 +123,20 @@ class TestMisTreeCds:
 
         g = dense_connected_udg(20, seed)
         assert greedy_mis(g) <= mis_tree_cds(g)
+
+    @pytest.mark.parametrize("side", [7.0, 5.5])
+    def test_connectors_ignore_adjacency_order(self, side):
+        # The same graph with its edges inserted in two orders: the
+        # adjacency sets iterate differently (as they do between the
+        # grid and the vector UDG builders), the chosen connectors must
+        # not.  Picking the first shortest path a set yields gave 59 vs
+        # 60 and 48 vs 49 nodes here.
+        udg = connected_random_udg(150, side, seed=4)
+        edges = sorted(tuple(sorted(edge)) for edge in udg.edges())
+        nodes = sorted(udg.nodes())
+        forward = Graph(nodes=nodes, edges=edges)
+        backward = Graph(nodes=nodes, edges=edges[::-1])
+        assert mis_tree_cds(forward) == mis_tree_cds(backward) == mis_tree_cds(udg)
 
 
 class TestExactSolvers:

@@ -372,3 +372,49 @@ class TestCommands:
             "udg.svg",
             "wcds_spanner.svg",
         ]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "{not json",
+        '{"format": "mesh", "version": 1}',
+        '{"format": "udg", "version": 1, "radius": 1.0,'
+        ' "nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": NaN, "y": 0.0}]}',
+    ],
+    ids=["missing", "malformed", "format", "nan"],
+)
+def test_unreadable_topology_file(capsys, tmp_path, content):
+    # A topology file that cannot be read is a usage error, not a
+    # traceback: one line on stderr naming the file, exit 2.
+    path = tmp_path / "topology.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["topology", "--load", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read topology {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["topology", "--nodes", "0"],
+        ["topology", "--nodes", "-3"],
+        ["topology", "--side", "-2"],
+        ["topology", "--side", "0"],
+        ["wcds", "--side", "nan"],
+        ["wcds", "--side", "inf"],
+        ["chaos", "--nodes", "-1"],
+        ["check", "--side", "nan"],
+    ],
+)
+def test_deployment_size_is_validated_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err or "must be positive and finite" in err

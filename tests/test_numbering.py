@@ -19,8 +19,9 @@ from repro.geometry import Point
 from repro.geometry.point import distance_squared
 from repro.graphs import Graph, build_udg, connected_random_udg
 from repro.graphs.graph import canonical_order
-from repro.graphs.traversal import bfs_distances, multi_source_hop_distances
-from repro.kernels.bfs import graph_to_csr
+from repro.graphs.traversal import bfs_distances
+from repro.kernels import vector_nodes_within
+from repro.kernels.bfs import graph_to_csr, vector_hop_distances
 from repro.opt.bitset import BitsetGraph, _hop_distances, iter_bits
 from repro.routing.broadcast import SpannerIndex
 from repro.sim import BatchedSimulator, ProtocolNode
@@ -208,7 +209,7 @@ class TestClients:
         assert tails.tolist() == former[2].tolist()
 
         sources = list(nodes)
-        assert multi_source_hop_distances(g, sources, method="vector") == {
+        assert vector_hop_distances(g, sources) == {
             s: bfs_distances(g, s) for s in sources
         }
 
@@ -231,7 +232,7 @@ class TestClients:
         # gives it: on mixed ids a subset's order need not be the
         # deployment's (``[1, 2, 10]``, not the repr order ``[1, 10, 2]``).
         centers = [g.positions[n] for n in nodes[:4]]
-        assert g.nodes_within_many(centers, 0.8, method="vector") == [
+        assert vector_nodes_within(g, centers, 0.8) == [
             canonical_order(
                 n
                 for n in g.positions

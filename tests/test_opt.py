@@ -23,8 +23,9 @@ from repro.baselines.exact import (
     exact_minimum_wcds,
 )
 from repro.baselines.mis_cds import mis_tree_cds
-from repro.graphs import Graph, connected_random_udg
+from repro.graphs import Graph, connected_random_udg, uniform_random_udg
 from repro.graphs.traversal import is_connected
+from repro.kernels import AUTO_THRESHOLD
 from repro.mis.properties import is_dominating_set
 from repro.opt import (
     LPUnavailableError,
@@ -44,6 +45,7 @@ from repro.opt import (
     opt_minimum_wcds,
     two_hop_packing,
 )
+from repro.opt.heuristics import pure_greedy_mwds, vector_greedy_mwds
 from repro.wcds import is_weakly_connected_dominating_set, weakly_induced_subgraph
 
 edge_lists = st.lists(
@@ -196,12 +198,19 @@ class TestHeuristics:
             assert len(chosen) >= len(opt_minimum_dominating_set(g))
 
     def test_greedy_mwds_pure_and_vector_agree(self):
-        pytest.importorskip("numpy")
-        for seed in range(3):
-            g = connected_random_udg(80, 5.0, seed=seed)
-            assert greedy_mwds(g, method="pure") == greedy_mwds(
-                g, method="vector"
+        # Both sides of the size rule, on int and mixed ids, connected
+        # and split deployments.
+        for n, seed in itertools.product([0, 1, AUTO_THRESHOLD - 1, 80], range(3)):
+            g = uniform_random_udg(n, 1.0 + (n / 3.0) ** 0.5, seed=seed)
+            name = {v: (f"s{v}" if v % 3 == 0 else v) for v in g.nodes()}
+            mixed = Graph(
+                nodes=list(name.values()),
+                edges=[(name[u], name[v]) for u, v in g.edges()],
             )
+            for graph in (g, mixed):
+                expected = pure_greedy_mwds(graph, None)
+                assert vector_greedy_mwds(graph, None) == expected
+                assert greedy_mwds(graph) == expected
 
     def test_weighted_greedy_prefers_cheap_dominators(self):
         # A star: the hub covers everything, but an exorbitant hub

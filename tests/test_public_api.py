@@ -60,6 +60,15 @@ class TestTopLevelSurface:
         fields = dataclasses.fields(repro.service.ServiceConfig)
         assert "sim" not in {field.name for field in fields}
 
+    def test_engine_resolver_stays_gone(self):
+        # One size rule (``use_vector``) picks every pure/vector twin;
+        # the ``"pure"``/``"vector"``/``"auto"`` resolver is gone.
+        import repro.kernels
+
+        assert not hasattr(repro.kernels, "resolve_method")
+        assert "resolve_method" not in repro.kernels.__all__
+        assert "use_vector" in repro.kernels.__all__
+
     def test_shard_bench_only_reexports_the_deployment(self):
         # The module keeps only the one name the benchmark suite
         # imports from it.

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 
 from repro.geometry import Point
 from repro.graphs import UnitDiskGraph, build_udg, uniform_random_udg
+from repro.graphs.udg import brute_adjacency, grid_adjacency
+from repro.kernels import AUTO_THRESHOLD, vector_adjacency
 
 from tutils import position_lists, seeds
 
@@ -30,10 +32,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_udg([(0, 0)], radius=0)
 
-    def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            build_udg([(0, 0)], method="magic")
-
     def test_mapping_input_keeps_ids(self):
         g = build_udg({"a": Point(0, 0), "b": Point(0.2, 0)})
         assert g.has_edge("a", "b")
@@ -47,12 +45,10 @@ class TestConstruction:
             2: Point(0.6, 0),
             "b": Point(5.0, 5.0),
         }
-        grid = build_udg(positions, method="grid")
-        brute = build_udg(positions, method="brute")
-        assert {frozenset(e) for e in grid.edges()} == {
-            frozenset(e) for e in brute.edges()
-        }
-        assert grid.has_edge(1, "a") and not grid.has_edge(1, "b")
+        grid = grid_adjacency(positions, 1.0)
+        assert grid == brute_adjacency(positions, 1.0)
+        assert grid == vector_adjacency(list(positions.items()), 1.0)
+        assert "a" in grid[1] and "b" not in grid[1]
 
     def test_negative_coordinates(self):
         g = build_udg([(-3.0, -3.0), (-3.5, -3.0), (3.0, 3.0)])
@@ -62,18 +58,55 @@ class TestConstruction:
     @given(position_lists)
     @settings(max_examples=60)
     def test_grid_equals_brute_force(self, positions):
-        grid = build_udg(positions, method="grid")
-        brute = build_udg(positions, method="brute")
-        assert {frozenset(e) for e in grid.edges()} == {
-            frozenset(e) for e in brute.edges()
-        }
+        points = {i: Point(x, y) for i, (x, y) in enumerate(positions)}
+        assert grid_adjacency(points, 1.0) == brute_adjacency(points, 1.0)
 
     @given(position_lists)
     @settings(max_examples=40)
     def test_grid_equals_brute_force_other_radius(self, positions):
-        grid = build_udg(positions, method="grid", radius=1.7)
-        brute = build_udg(positions, method="brute", radius=1.7)
-        assert grid.num_edges == brute.num_edges
+        points = {i: Point(x, y) for i, (x, y) in enumerate(positions)}
+        assert grid_adjacency(points, 1.7) == brute_adjacency(points, 1.7)
+
+    def test_invalid_method(self):
+        # The size rule picks the edge builder; there is no engine knob.
+        with pytest.raises(TypeError):
+            build_udg([(0, 0)], method="grid")
+
+
+def _line(n):
+    return {i: Point(0.9 * i, 0.0) for i in range(n)}
+
+
+@pytest.mark.parametrize("n", [5, AUTO_THRESHOLD + 6], ids=["pure", "vector"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+class TestNonFiniteCoordinates:
+    """Every path rejects a coordinate that is NaN or infinite, naming
+    the node, instead of crashing in the grid or isolating the node."""
+
+    def test_constructor(self, n, bad):
+        positions = _line(n)
+        positions[3] = Point(bad, 0.0)
+        with pytest.raises(ValueError, match="of node 3 is not finite"):
+            UnitDiskGraph(positions)
+        with pytest.raises(ValueError, match="not finite"):
+            build_udg([(0.0, 0.0)] * (n - 1) + [(0.0, -bad)])
+
+    def test_move_and_join(self, n, bad):
+        g = UnitDiskGraph(_line(n))
+        edges = g.num_edges
+        with pytest.raises(ValueError, match="of node 2 is not finite"):
+            g.move_node(2, Point(1.0, bad))
+        with pytest.raises(ValueError, match="of node 'x' is not finite"):
+            g.add_node_at("x", (bad, bad))
+        assert g.num_edges == edges and g.positions[2] == Point(1.8, 0.0)
+        assert "x" not in g
+
+    def test_disk_queries(self, n, bad):
+        g = UnitDiskGraph(_line(n))
+        with pytest.raises(ValueError, match="not finite"):
+            g.nodes_within(Point(bad, 0.0), 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            g.nodes_within_many([Point(0.0, 0.0), Point(bad, 0.0)], 1.0)
 
 
 class TestGeometryQueries:
