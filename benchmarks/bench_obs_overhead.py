@@ -11,8 +11,9 @@ run) do not, and the median discards the odd round a scheduler stall
 lands inside.
 
 The same bar applies to the telemetry pipeline: a pool serving with
-worker frame capture, harvest merging, and trace stitching enabled
-must stay within 10% of an identical pool serving dark.
+worker frame capture, the harvest's delta application into the parent
+registry, and trace stitching enabled must stay within 10% of an
+identical pool serving dark.
 """
 
 import os

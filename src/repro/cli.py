@@ -73,10 +73,21 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _deployment(nodes: int, side: float, seed: int) -> "UnitDiskGraph":
+    """A connected random deployment; one too sparse to connect is a
+    usage error."""
+    try:
+        return connected_random_udg(nodes, side, seed=seed)
+    except RuntimeError as exc:
+        print(f"error: {exc}; raise --nodes or lower --side", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build(args) -> "UnitDiskGraph":
-    """The deployment; an unreadable ``--load`` file is a usage error."""
+    """The deployment; an unreadable ``--load`` file or a too-sparse
+    deployment is a usage error."""
     if not getattr(args, "load", None):
-        return connected_random_udg(args.nodes, args.side, seed=args.seed)
+        return _deployment(args.nodes, args.side, args.seed)
     from repro.graphs import load_topology
 
     try:
@@ -693,7 +704,7 @@ def cmd_chaos(args) -> int:
     reports = []
     failed = False
     for seed in seeds:
-        graph = connected_random_udg(nodes, side, seed=seed)
+        graph = _deployment(nodes, side, seed)
         plan = plan_template or default_fault_plan(
             graph, loss=loss, crashes=crashes, partition=partition, seed=seed
         )
@@ -902,7 +913,7 @@ def cmd_check(args) -> int:
     if args.races:
         from repro.check import check_protocols
 
-        graph = connected_random_udg(args.nodes, args.side, seed=args.seed)
+        graph = _deployment(args.nodes, args.side, args.seed)
         reports.extend(
             check_protocols(graph, perturbations=args.perturbations)
         )

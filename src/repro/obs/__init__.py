@@ -7,8 +7,9 @@ and near-zero-cost when idle:
   geometric-bucket histograms with labeled children; exports as plain
   dicts/JSON, Prometheus text exposition, or JSONL append.
 * :class:`Tracer` — nested ``span(name, **attrs)`` context managers
-  with monotonic timings and per-span event logs; the process default
-  is a :class:`NullTracer`, so uninstrumented runs pay almost nothing.
+  with monotonic timings and deterministic ids, in one process or
+  across spawn workers; the process default is a :class:`NullTracer`,
+  so uninstrumented runs pay almost nothing.
 * :class:`MessageCostReport` / :func:`measure_message_costs` — measured
   per-phase message and round totals of the WCDS algorithms checked
   against the Theorem 12 complexity envelopes.
@@ -32,13 +33,9 @@ from repro.obs.flightrec import (
     set_flight_recorder,
 )
 from repro.obs.pipeline import (
-    SpanRecorder,
     TelemetryFrame,
     TelemetryHarvest,
-    TraceContext,
     TraceStitcher,
-    empty_snapshot,
-    merge_snapshots,
     snapshot_state,
 )
 from repro.obs.prometheus import escape_label_value
@@ -53,6 +50,7 @@ from repro.obs.tracing import (
     NULL_SPAN,
     NullTracer,
     Span,
+    TraceContext,
     Tracer,
     get_tracer,
     set_tracer,
@@ -72,20 +70,17 @@ __all__ = [
     "SLO",
     "SLOMonitor",
     "Span",
-    "SpanRecorder",
     "TelemetryFrame",
     "TelemetryHarvest",
     "TraceContext",
     "TraceStitcher",
     "Tracer",
     "annotate_phase",
-    "empty_snapshot",
     "escape_label_value",
     "flight_record",
     "get_flight_recorder",
     "get_tracer",
     "measure_message_costs",
-    "merge_snapshots",
     "set_flight_recorder",
     "set_tracer",
     "snapshot_state",

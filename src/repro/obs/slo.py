@@ -23,7 +23,7 @@ refresh also publishes ``slo_burn_rate{slo=...}``,
 ``slo_compliance{slo=...}``, and ``slo_budget_remaining{slo=...}``
 gauges, and each scored request bumps
 ``slo_requests_total{slo=...,good=...}`` — so burn rates flow through
-the same harvest/merge pipeline as everything else.
+the same harvest pipeline as everything else.
 """
 
 from __future__ import annotations

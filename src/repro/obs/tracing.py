@@ -1,9 +1,8 @@
-"""Protocol span tracing: nested, timed spans with event logs.
+"""Span tracing: nested, timed spans, in one process or across several.
 
 A :class:`Tracer` produces :class:`Span` objects through the
 ``span(name, **attrs)`` context manager; spans nest (the tracer keeps a
-stack), carry monotonic wall-clock timings from
-:func:`time.perf_counter`, and accumulate point-in-time events.  The
+stack) and carry monotonic timings from :func:`time.perf_counter`.  The
 module-global default tracer is a :class:`NullTracer` whose ``span``
 hands back one shared no-op object, so uninstrumented runs pay a single
 attribute lookup and no allocation per would-be span.
@@ -20,6 +19,12 @@ Usage::
 Instrumented code takes an optional ``tracer`` argument and falls back
 to :func:`get_tracer`, so one ``set_tracer(Tracer())`` call turns the
 whole stack's tracing on.
+
+Across processes, every span has deterministic ids and a
+:class:`TraceContext`; a spawn worker's ``Tracer("w0")`` opens
+``span(name, parent=ctx)`` under the context the parent shipped, and
+:meth:`Tracer.drain` hands the finished spans over as flat records for
+:class:`repro.obs.pipeline.TraceStitcher`.
 """
 
 from __future__ import annotations
@@ -27,21 +32,54 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """What crosses the process boundary: a trace id + the parent span.
+
+    Frozen and plain-string so it pickles into pool dispatch messages.
+    """
+
+    trace_id: str
+    span_id: str
 
 
 class Span:
-    """One timed, attributed, nestable unit of work."""
+    """One timed, attributed, nestable unit of work.
 
-    __slots__ = ("name", "attrs", "start", "end", "events", "children")
+    ``start``/``end`` are :func:`time.perf_counter` readings; the ids
+    are the owning tracer's counters, and ``parent_id`` is the
+    enclosing span's id, the remote parent's, or ``None`` at a trace
+    root.
+    """
 
-    def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None) -> None:
+    __slots__ = ("name", "attrs", "start", "end", "children",
+                 "trace_id", "span_id", "parent_id")
+
+    def __init__(
+        self,
+        name: str,
+        attrs: Dict[str, object],
+        trace_id: str,
+        span_id: str,
+        parent_id: Optional[str],
+    ) -> None:
         self.name = name
-        self.attrs: Dict[str, object] = dict(attrs or {})
+        self.attrs = attrs
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
         self.start = time.perf_counter()
         self.end: Optional[float] = None
-        self.events: List[Dict[str, object]] = []
         self.children: List["Span"] = []
+
+    @property
+    def context(self) -> TraceContext:
+        """The handle a child in another process nests under."""
+        return TraceContext(self.trace_id, self.span_id)
 
     @property
     def duration(self) -> float:
@@ -51,13 +89,6 @@ class Span:
     def set_attr(self, key: str, value: object) -> None:
         """Attach or overwrite one attribute."""
         self.attrs[key] = value
-
-    def event(self, name: str, **attrs) -> None:
-        """Log a point-in-time event inside this span."""
-        entry: Dict[str, object] = {"name": name, "offset": time.perf_counter() - self.start}
-        if attrs:
-            entry.update(attrs)
-        self.events.append(entry)
 
     def finish(self) -> None:
         if self.end is None:
@@ -71,46 +102,65 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.events:
-            out["events"] = [dict(e) for e in self.events]
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
 
 class Tracer:
-    """Collects a forest of spans from nested ``span(...)`` contexts."""
+    """Collects a forest of spans from nested ``span(...)`` contexts.
+
+    Ids are counters scoped by ``origin`` (``"parent-s3"``,
+    ``"w0-t1"``), never clocks or RNG, so re-runs produce identical
+    trees and the tracer of a spawn worker can nest its spans under a
+    parent-process span whose :class:`TraceContext` it was sent.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, origin: str = "main") -> None:
+        self.origin = origin
         self.roots: List[Span] = []
         self._stack: List[Span] = []
+        self._span_seq = 0
+        self._trace_seq = 0
+        # perf_counter() + _epoch is wall-clock time, for the records'
+        # ``start``; reading it once keeps spans off the wall clock.
+        self._epoch = time.time() - time.perf_counter()
 
     @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
-        """Open a child span of the current span (or a new root)."""
-        span = Span(name, attrs)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
+    def span(
+        self, name: str, parent: Optional[TraceContext] = None, **attrs: Any
+    ) -> Iterator[Span]:
+        """Open a span: a child of ``parent`` (a :class:`TraceContext`
+        from another tracer, making it a local root), else of the
+        current span, else a new trace root."""
+        self._span_seq += 1
+        span_id = f"{self.origin}-s{self._span_seq}"
+        stack = self._stack
+        if parent is None and stack:
+            up = stack[-1]
+            span = Span(name, attrs, up.trace_id, span_id, up.span_id)
+            up.children.append(span)
+        elif parent is not None:
+            span = Span(name, attrs, parent.trace_id, span_id, parent.span_id)
             self.roots.append(span)
-        self._stack.append(span)
+        else:
+            self._trace_seq += 1
+            trace_id = f"{self.origin}-t{self._trace_seq}"
+            span = Span(name, attrs, trace_id, span_id, None)
+            self.roots.append(span)
+        stack.append(span)
         try:
             yield span
         finally:
             span.finish()
-            self._stack.pop()
+            stack.pop()
 
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
-
-    def event(self, name: str, **attrs) -> None:
-        """Log an event on the current span (dropped when none open)."""
-        if self._stack:
-            self._stack[-1].event(name, **attrs)
 
     def find(self, name: str) -> List[Span]:
         """Every finished-or-open span called ``name``, depth-first."""
@@ -126,6 +176,34 @@ class Tracer:
             walk(root)
         return found
 
+    def drain(self) -> List[Dict[str, Any]]:
+        """Take the finished root subtrees as flat JSON-safe records
+        (open roots stay); one record per span, parents first."""
+        records: List[Dict[str, Any]] = []
+
+        def flatten(span: Span) -> None:
+            records.append({
+                "trace_id": span.trace_id,
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
+                "name": span.name,
+                "origin": self.origin,
+                "start": self._epoch + span.start,
+                "duration_seconds": span.duration,
+                "attrs": span.attrs,
+            })
+            for child in span.children:
+                flatten(child)
+
+        open_roots: List[Span] = []
+        for root in self.roots:
+            if root.end is None:
+                open_roots.append(root)
+            else:
+                flatten(root)
+        self.roots = open_roots
+        return records
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view: the full span forest."""
         return {"spans": [root.to_dict() for root in self.roots]}
@@ -140,14 +218,10 @@ class _NullSpan:
     __slots__ = ()
     name = "null"
     attrs: Dict[str, object] = {}
-    events: List[Dict[str, object]] = []
     children: List[Span] = []
     duration = 0.0
 
     def set_attr(self, key: str, value: object) -> None:
-        pass
-
-    def event(self, name: str, **attrs) -> None:
         pass
 
     def finish(self) -> None:
@@ -183,9 +257,6 @@ class NullTracer:
     @property
     def current(self) -> None:
         return None
-
-    def event(self, name: str, **attrs) -> None:
-        pass
 
     def find(self, name: str) -> List[Span]:
         return []

@@ -282,7 +282,7 @@ def _serve_tiles(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
     ``query``.
 
     ``load``, ``patch`` and ``query`` messages carry the parent's
-    :class:`~repro.obs.pipeline.TraceContext`, so worker spans nest
+    :class:`~repro.obs.tracing.TraceContext`, so worker spans nest
     under the parent's ``shard.refresh`` / ``shard.dispatch`` span.
     Every refresh is answered ``("refreshed", tile)``.
     """
@@ -330,8 +330,10 @@ class ShardServePool(WorkerClient):
     processes sharing one position array; ``workers == 0`` keeps them
     in the group's in-process lane, which gets the same messages, so
     the answers are identical.  Telemetry is on whenever the pool has a
-    registry: each worker then keeps a private registry and span
-    recorder and ships frames home on its replies.
+    registry: each worker then keeps a private registry and
+    :class:`~repro.obs.tracing.Tracer` and ships frames home on its
+    replies, and the harvest folds them into that registry, the one
+    fleet view (fleet totals plus ``worker=`` children).
     """
 
     def __init__(

@@ -47,16 +47,9 @@ from typing import (
 import numpy as np
 
 from repro.obs.flightrec import flight_record
-from repro.obs.pipeline import (
-    SpanRecorder,
-    State,
-    TelemetryFrame,
-    TelemetryHarvest,
-    TraceContext,
-    TraceStitcher,
-    empty_snapshot,
-)
+from repro.obs.pipeline import TelemetryFrame, TelemetryHarvest, TraceStitcher
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import TraceContext, Tracer
 
 __all__ = [
     "Handler",
@@ -127,7 +120,7 @@ class SharedPositions:
 
 
 class WorkerTelemetry:
-    """A worker's private registry, span recorder, and frame counter.
+    """A worker's private registry, tracer, and frame counter.
 
     Lives only when the parent enabled telemetry; :meth:`frame`
     snapshots the cumulative metric state plus the spans finished since
@@ -138,7 +131,7 @@ class WorkerTelemetry:
     def __init__(self, label: str) -> None:
         self.label = label
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(label)
+        self.spans = Tracer(label)
         self.seq = 0
         self.batches = self.registry.counter(
             "worker_batches_total", "batches served"
@@ -280,10 +273,13 @@ class WorkerGroup:
     :class:`SharedPositions` block (row ``i`` is the client's node
     ``i``); ``args`` are the client's start arguments, shipped once per
     worker.  With a ``registry`` the workers keep private telemetry and
-    the group absorbs their frames into one :class:`TelemetryHarvest`
-    and one :class:`TraceStitcher`.  With ``count == 0`` the one lane,
-    labelled ``{prefix}0``, reads a process-local copy of ``rows``.
-    Either way the client writes churn into :attr:`array`.
+    the group absorbs their frames into one :class:`TelemetryHarvest`,
+    whose registry is the fleet view (fleet totals plus ``worker=``
+    children), and one :class:`TraceStitcher`, fed by the parent's
+    ``Tracer("parent")`` and each worker's ``Tracer(label)``.  With
+    ``count == 0`` the one lane, labelled ``{prefix}0``, reads a
+    process-local copy of ``rows``.  Either way the client writes churn
+    into :attr:`array`.
 
     A worker that stops answering is a *death*: the group counts it in
     ``deaths_metric``, flight-records it (which dumps the recorder when
@@ -308,11 +304,11 @@ class WorkerGroup:
     ) -> None:
         self.registry = registry
         self.telemetry = registry is not None
-        self.spans: Optional[SpanRecorder] = None
+        self.spans: Optional[Tracer] = None
         self.harvest: Optional[TelemetryHarvest] = None
         self.stitcher: Optional[TraceStitcher] = None
         if registry is not None:
-            self.spans = SpanRecorder("parent")
+            self.spans = Tracer("parent")
             self.harvest = TelemetryHarvest(registry)
             self.stitcher = TraceStitcher()
         self.died = died
@@ -472,15 +468,9 @@ class WorkerGroup:
             self.absorb(self.request(worker_id, ("flush",), "frame")[1])
         self._stitch_parent()
 
-    def merged_telemetry(self) -> State:
-        """The latest per-worker metric states merged into one state
-        (see :func:`repro.obs.pipeline.merge_snapshots`)."""
-        if self.harvest is None:
-            return empty_snapshot()
-        return self.harvest.merged()
-
     def export_trace(self, path: str) -> int:
-        """Write the stitched trace as JSONL; returns the span count."""
+        """Write the stitched trace as JSONL, replacing ``path``;
+        returns the span count."""
         if self.stitcher is None:
             return 0
         self._stitch_parent()
@@ -535,7 +525,7 @@ class WorkerClient:
         return self.group.telemetry
 
     @property
-    def spans(self) -> Optional[SpanRecorder]:
+    def spans(self) -> Optional[Tracer]:
         return self.group.spans
 
     @property
@@ -546,12 +536,9 @@ class WorkerClient:
     def stitcher(self) -> Optional[TraceStitcher]:
         return self.group.stitcher
 
-    def merged_telemetry(self) -> State:
-        """The latest per-worker metric states merged into one state."""
-        return self.group.merged_telemetry()
-
     def export_trace(self, path: str) -> int:
-        """Write the stitched trace as JSONL; returns the span count."""
+        """Write the stitched trace as JSONL, replacing ``path``;
+        returns the span count."""
         return self.group.export_trace(path)
 
     def close(self) -> None:

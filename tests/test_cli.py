@@ -401,6 +401,21 @@ def test_unreadable_topology_file(capsys, tmp_path, content):
 
 @pytest.mark.parametrize(
     "argv",
+    [["topology", "--nodes", "40"], ["chaos", "--nodes", "40"]],
+    ids=["topology", "chaos"],
+)
+def test_too_sparse_deployment_is_a_usage_error(capsys, argv):
+    # 40 nodes on the default 8 x 8 square never connect.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no connected UDG with n=40")
+    assert "too sparse" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["topology", "--nodes", "0"],
         ["topology", "--nodes", "-3"],

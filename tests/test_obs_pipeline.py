@@ -1,125 +1,52 @@
-"""Cross-process telemetry pipeline: merge laws, harvest, stitching.
+"""Cross-process telemetry pipeline: harvest and trace stitching.
 
-The merge laws matter because frames arrive from any number of workers
-in any order: ``merge_snapshots`` must be commutative, associative, and
-identity-preserving or fleet-wide totals would depend on arrival order.
-The hypothesis tests below generate arbitrary registries (counters,
-gauges, histograms — including overflow-bucket samples) and check the
-laws on their snapshot states.
+Frames arrive from any number of workers, each carrying its worker's
+cumulative metric state: the harvest must fold them into the parent
+registry so that its fleet children are exact totals and its
+``worker=`` children the per-worker split.  Spans come from one
+``Tracer(origin)`` per process and must stitch into one fully parented
+trace.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.pipeline import (
-    SpanRecorder,
     TelemetryFrame,
     TelemetryHarvest,
-    TraceContext,
     TraceStitcher,
-    empty_snapshot,
-    merge_snapshots,
     snapshot_state,
-    state_value,
 )
 from repro.obs.registry import DEFAULT_LOWEST, MetricsRegistry
+from repro.obs.tracing import TraceContext, Tracer
 
 
-# ----------------------------------------------------------------------
-# Strategies: a registry with arbitrary counter/gauge/histogram children
-# ----------------------------------------------------------------------
-_NAMES = st.sampled_from(["reqs_total", "depth", "latency_seconds"])
-_LABELS = st.dictionaries(
-    st.sampled_from(["op", "tile"]), st.sampled_from(["a", "b"]), max_size=2
-)
-
-#: Sample values spanning bucket 0 (below the 1e-6 lowest bound), mid
-#: buckets, and the overflow bucket (DEFAULT_LOWEST * 2**40 is the top
-#: nominal bound; 2**21 exceeds it).  All dyadic with a narrow exponent
-#: range, so float64 sums of a handful of samples are *exact* and the
-#: histogram-total merge is associative to the bit — with arbitrary
-#: floats the law only holds to the last ulp.
-_SAMPLES = st.sampled_from(
-    [0.0, 2.0**-21, 2.0**-20, 2.0**-10, 0.25, 1.0, 6.5, 2.0**21]
-)
-assert 2.0**21 > DEFAULT_LOWEST * 2.0**40
-
-
-@st.composite
-def registries(draw):
-    registry = MetricsRegistry()
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["counter", "gauge", "histogram"]))
-        labels = draw(_LABELS)
-        if kind == "counter":
-            registry.counter("c_" + draw(_NAMES), **labels).inc(
-                draw(st.integers(0, 1000))
-            )
-        elif kind == "gauge":
-            registry.gauge("g_" + draw(_NAMES), **labels).set(
-                draw(st.integers(-50, 50))
-            )
-        else:
-            hist = registry.histogram("h_" + draw(_NAMES), **labels)
-            for _ in range(draw(st.integers(0, 5))):
-                hist.observe(draw(_SAMPLES))
-    return registry
-
-
-@st.composite
-def states(draw):
-    registry = draw(registries())
-    ts = draw(st.floats(min_value=0.0, max_value=100.0))
-    return snapshot_state(registry, ts=ts)
+def _absorb_all(*workers):
+    """A parent registry after harvesting one frame per worker registry."""
+    parent = MetricsRegistry()
+    harvest = TelemetryHarvest(parent)
+    for i, registry in enumerate(workers):
+        assert harvest.absorb(TelemetryFrame.capture(f"w{i}", 1, registry))
+    return parent
 
 
 class TestMergeLaws:
-    @settings(max_examples=60, deadline=None)
-    @given(a=states(), b=states())
-    def test_commutative(self, a, b):
-        assert merge_snapshots(a, b) == merge_snapshots(b, a)
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=states(), b=states(), c=states())
-    def test_associative(self, a, b, c):
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
-        assert left == right
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=states())
-    def test_identity(self, a):
-        assert merge_snapshots(a, empty_snapshot()) == merge_snapshots(a)
-        assert merge_snapshots(empty_snapshot(), a) == merge_snapshots(a)
+    """How the harvest folds several workers' frames into the fleet
+    children of the parent registry."""
 
     def test_counters_add(self):
         r1, r2 = MetricsRegistry(), MetricsRegistry()
         r1.counter("c", op="x").inc(3)
         r2.counter("c", op="x").inc(4)
         r2.counter("c", op="y").inc(1)
-        merged = merge_snapshots(
-            snapshot_state(r1, ts=1.0), snapshot_state(r2, ts=2.0)
-        )
-        assert state_value(merged, "c", op="x") == 7
-        assert state_value(merged, "c", op="y") == 1
-
-    def test_gauges_last_write_wins_by_timestamp(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.gauge("g").set(5)
-        r2.gauge("g").set(9)
-        newer_first = merge_snapshots(
-            snapshot_state(r1, ts=10.0), snapshot_state(r2, ts=2.0)
-        )
-        assert state_value(newer_first, "g") == 5
-        older_first = merge_snapshots(
-            snapshot_state(r2, ts=2.0), snapshot_state(r1, ts=10.0)
-        )
-        assert state_value(older_first, "g") == 5
+        parent = _absorb_all(r1, r2)
+        assert parent.value("c", op="x") == 7
+        assert parent.value("c", op="y") == 1
+        assert parent.value("c", op="x", worker="w0") == 3
 
     def test_histograms_add_bucketwise_including_overflow(self):
         r1, r2 = MetricsRegistry(), MetricsRegistry()
@@ -129,31 +56,28 @@ class TestMergeLaws:
         h1.observe(overflow)
         h2.observe(0.002)
         h2.observe(overflow)
-        merged = merge_snapshots(
-            snapshot_state(r1, ts=1.0), snapshot_state(r2, ts=1.0)
-        )
-        payload = merged["families"]["h"]["children"][0][1]
-        assert payload["count"] == 4
-        assert payload["counts"][-1] == 2  # both overflow samples kept
-        assert payload["max"] == overflow
-        assert payload["min"] == 0.001
+        fleet = _absorb_all(r1, r2).histogram("h")
+        assert fleet.count == 4
+        assert fleet.counts[-1] == 2  # both overflow samples kept
+        assert fleet.max == overflow
+        assert fleet.min == 0.001
 
     def test_kind_conflict_raises(self):
         r1, r2 = MetricsRegistry(), MetricsRegistry()
         r1.counter("m").inc()
         r2.gauge("m").set(1)
         with pytest.raises(ValueError):
-            merge_snapshots(snapshot_state(r1), snapshot_state(r2))
+            _absorb_all(r1, r2)
 
     def test_histogram_geometry_mismatch_raises(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.histogram("h").observe(1.0)
-        r2.histogram("h").observe(1.0)
-        a = snapshot_state(r1)
-        b = snapshot_state(r2)
-        b["families"]["h"]["children"][0][1]["factor"] = 3.0
-        with pytest.raises(ValueError):
-            merge_snapshots(a, b)
+        worker = MetricsRegistry()
+        worker.histogram("h").observe(1.0)
+        frame = TelemetryFrame.capture("w0", 1, worker)
+        frame.metrics["families"]["h"]["children"][0][1]["factor"] = 3.0
+        parent = MetricsRegistry()
+        parent.histogram("h")
+        with pytest.raises(ValueError, match="geometry"):
+            TelemetryHarvest(parent).absorb(frame)
 
 
 class TestTelemetryFrame:
@@ -161,58 +85,54 @@ class TestTelemetryFrame:
         registry = MetricsRegistry()
         registry.counter("worker_serves_total", op="route").inc(5)
         registry.histogram("lat").observe(0.01)
-        rec = SpanRecorder("w0")
-        with rec.span("shard.serve_batch", items=3):
+        tracer = Tracer("w0")
+        with tracer.span("shard.serve_batch", items=3):
             pass
-        frame = TelemetryFrame.capture(
-            "w0", 1, registry, spans=rec.drain(), ts=1.0
-        )
+        frame = TelemetryFrame.capture("w0", 1, registry, spans=tracer.drain())
         clone = pickle.loads(pickle.dumps(frame))
         assert clone.worker == "w0" and clone.seq == 1
-        assert clone.metrics == frame.metrics
+        assert clone.metrics == frame.metrics == snapshot_state(registry)
         assert clone.spans[0]["name"] == "shard.serve_batch"
 
 
 class TestTelemetryHarvest:
-    def _frame(self, worker, seq, serves, ts):
+    def _frame(self, worker, seq, serves):
         registry = MetricsRegistry()
         registry.counter("worker_serves_total", op="route").inc(serves)
-        return TelemetryFrame.capture(worker, seq, registry, ts=ts)
+        return TelemetryFrame.capture(worker, seq, registry)
 
     def test_deltas_not_double_counted(self):
         parent = MetricsRegistry()
         harvest = TelemetryHarvest(parent)
         # Cumulative frames: 3 then 5 total — parent must see 5, not 8.
-        assert harvest.absorb(self._frame("w0", 1, 3, ts=1.0))
-        assert harvest.absorb(self._frame("w0", 2, 5, ts=2.0))
+        assert harvest.absorb(self._frame("w0", 1, 3))
+        assert harvest.absorb(self._frame("w0", 2, 5))
         assert parent.value("worker_serves_total", op="route") == 5
         assert parent.value("worker_serves_total", op="route", worker="w0") == 5
 
     def test_multiple_workers_sum_fleetwide(self):
         parent = MetricsRegistry()
         harvest = TelemetryHarvest(parent)
-        harvest.absorb(self._frame("w0", 1, 3, ts=1.0))
-        harvest.absorb(self._frame("w1", 1, 4, ts=1.0))
+        harvest.absorb(self._frame("w0", 1, 3))
+        harvest.absorb(self._frame("w1", 1, 4))
         assert parent.value("worker_serves_total", op="route") == 7
         assert parent.value("worker_serves_total", op="route", worker="w1") == 4
-        merged = harvest.merged()
-        assert state_value(merged, "worker_serves_total", op="route") == 7
-        assert harvest.workers() == ["w0", "w1"]
+        assert parent.value("worker_serves_total", op="route", worker="w0") == 3
 
     def test_stale_frames_rejected(self):
         parent = MetricsRegistry()
         harvest = TelemetryHarvest(parent)
-        assert harvest.absorb(self._frame("w0", 2, 5, ts=2.0))
-        assert not harvest.absorb(self._frame("w0", 1, 3, ts=1.0))
+        assert harvest.absorb(self._frame("w0", 2, 5))
+        assert not harvest.absorb(self._frame("w0", 1, 3))
         assert parent.value("worker_serves_total", op="route") == 5
 
     def test_worker_restart_applies_full_value(self):
         parent = MetricsRegistry()
         harvest = TelemetryHarvest(parent)
-        harvest.absorb(self._frame("w0", 1, 10, ts=1.0))
+        harvest.absorb(self._frame("w0", 1, 10))
         # The worker restarted: its counter went backwards (fresh
         # registry).  The new total is additional work, not a replay.
-        harvest.absorb(self._frame("w0", 2, 2, ts=2.0))
+        harvest.absorb(self._frame("w0", 2, 2))
         assert parent.value("worker_serves_total", op="route") == 12
 
     def test_histogram_deltas(self):
@@ -220,21 +140,35 @@ class TestTelemetryHarvest:
         harvest = TelemetryHarvest(parent)
         worker = MetricsRegistry()
         worker.histogram("lat").observe(0.01)
-        harvest.absorb(TelemetryFrame.capture("w0", 1, worker, ts=1.0))
+        harvest.absorb(TelemetryFrame.capture("w0", 1, worker))
         worker.histogram("lat").observe(0.02)
-        harvest.absorb(TelemetryFrame.capture("w0", 2, worker, ts=2.0))
+        harvest.absorb(TelemetryFrame.capture("w0", 2, worker))
         fleet = parent.histogram("lat")
         assert fleet.count == 2
         assert fleet.min == 0.01 and fleet.max == 0.02
         assert parent.histogram("lat", worker="w0").count == 2
 
+    def test_gauges_are_set_per_worker(self):
+        parent = MetricsRegistry()
+        harvest = TelemetryHarvest(parent)
+        for worker, value in (("w0", 5), ("w1", 9)):
+            registry = MetricsRegistry()
+            registry.gauge("depth").set(value)
+            harvest.absorb(TelemetryFrame.capture(worker, 1, registry))
+        # Set, not summed: the fleet child holds the last frame's value.
+        assert parent.value("depth") == 9
+        assert parent.value("depth", worker="w0") == 5
+        assert parent.value("depth", worker="w1") == 9
+
 
 class TestSpanRecorderAndStitcher:
+    """``Tracer(origin)`` records spans on both sides of the pipe."""
+
     def test_nesting_and_cross_process_parenting(self):
-        parent = SpanRecorder("parent")
+        parent = Tracer("parent")
         with parent.span("shard.dispatch") as dispatch:
             ctx = dispatch.context
-        worker = SpanRecorder("w0")
+        worker = Tracer("w0")
         with worker.span("shard.serve_batch", parent=ctx):
             with worker.span("inner"):
                 pass
@@ -242,12 +176,14 @@ class TestSpanRecorderAndStitcher:
         stitcher.add(parent.drain())
         stitcher.add(worker.drain())
         assert stitcher.fully_parented()
-        tree = stitcher.tree()
-        assert tree[0]["span"]["name"] == "shard.dispatch"
-        batch = tree[0]["children"][0]
-        assert batch["span"]["name"] == "shard.serve_batch"
-        assert batch["span"]["trace_id"] == ctx.trace_id
-        assert batch["children"][0]["span"]["name"] == "inner"
+        by_name = {r["name"]: r for r in stitcher.records}
+        assert by_name["shard.dispatch"]["parent_id"] is None
+        batch = by_name["shard.serve_batch"]
+        assert batch["parent_id"] == ctx.span_id == "parent-s1"
+        assert batch["trace_id"] == ctx.trace_id == "parent-t1"
+        assert batch["origin"] == "w0"
+        assert by_name["inner"]["parent_id"] == batch["span_id"]
+        assert by_name["inner"]["trace_id"] == ctx.trace_id
 
     def test_unparented_detected(self):
         stitcher = TraceStitcher()
@@ -258,28 +194,46 @@ class TestSpanRecorderAndStitcher:
         assert stitcher.unparented()[0]["name"] == "orphan"
 
     def test_deterministic_ids(self):
-        a, b = SpanRecorder("w0"), SpanRecorder("w0")
-        for rec in (a, b):
-            with rec.span("one"):
+        a, b = Tracer("w0"), Tracer("w0")
+        for tracer in (a, b):
+            with tracer.span("one"):
                 pass
-            with rec.span("two"):
+            with tracer.span("two"):
                 pass
         ids_a = [(r["span_id"], r["trace_id"]) for r in a.drain()]
         ids_b = [(r["span_id"], r["trace_id"]) for r in b.drain()]
-        assert ids_a == ids_b
+        assert ids_a == ids_b == [("w0-s1", "w0-t1"), ("w0-s2", "w0-t2")]
 
     def test_to_jsonl(self, tmp_path):
-        import json
-
-        rec = SpanRecorder("p")
-        with rec.span("root"):
+        tracer = Tracer("p")
+        with tracer.span("root", n=3):
             pass
         stitcher = TraceStitcher()
-        stitcher.add(rec.drain())
+        stitcher.add(tracer.drain())
         path = tmp_path / "trace.jsonl"
         assert stitcher.to_jsonl(str(path)) == 1
         row = json.loads(path.read_text().strip())
+        assert set(row) == {
+            "trace_id", "span_id", "parent_id", "name", "origin", "start",
+            "duration_seconds", "attrs",
+        }
         assert row["name"] == "root" and row["parent_id"] is None
+        assert row["attrs"] == {"n": 3} and row["origin"] == "p"
+
+    def test_drain_takes_finished_roots_and_leaves_open_spans(self):
+        tracer = Tracer("p")
+        with tracer.span("done"):
+            pass
+        with tracer.span("open") as open_span:
+            with tracer.span("child"):
+                pass
+            assert [r["name"] for r in tracer.drain()] == ["done"]
+            assert tracer.roots == [open_span]
+            assert tracer.current is open_span
+        records = tracer.drain()
+        assert [r["name"] for r in records] == ["open", "child"]
+        assert records[1]["parent_id"] == records[0]["span_id"]
+        assert tracer.roots == [] and tracer.drain() == []
 
     def test_trace_context_pickles(self):
         ctx = TraceContext("t1", "s1")
@@ -322,8 +276,7 @@ class TestPublicSurface:
 
         for name in (
             "TelemetryFrame", "TelemetryHarvest", "TraceContext",
-            "SpanRecorder", "TraceStitcher", "merge_snapshots",
-            "snapshot_state", "empty_snapshot", "FlightRecorder",
+            "Tracer", "TraceStitcher", "snapshot_state", "FlightRecorder",
             "flight_record", "SLO", "SLOMonitor",
         ):
             assert name in obs.__all__ and hasattr(obs, name)

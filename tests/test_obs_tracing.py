@@ -1,5 +1,5 @@
-"""Tests for span tracing: nesting, timing, events, and the no-op
-default tracer."""
+"""Tests for span tracing: nesting, timing, and the no-op default
+tracer."""
 
 import json
 
@@ -61,21 +61,6 @@ class TestSpans:
         assert tracer.roots[0].end is not None
         assert tracer.current is None
 
-    def test_events_carry_offsets_and_attrs(self):
-        tracer = Tracer()
-        with tracer.span("run") as span:
-            span.event("phase_done", messages=7)
-            tracer.event("via_tracer")
-        events = tracer.roots[0].events
-        assert [e["name"] for e in events] == ["phase_done", "via_tracer"]
-        assert events[0]["messages"] == 7
-        assert all(e["offset"] >= 0.0 for e in events)
-
-    def test_event_outside_any_span_is_dropped(self):
-        tracer = Tracer()
-        tracer.event("orphan")
-        assert tracer.roots == []
-
     def test_find_by_name(self):
         tracer = Tracer()
         for _ in range(2):
@@ -87,14 +72,15 @@ class TestSpans:
 
     def test_to_dict_and_json(self):
         tracer = Tracer()
-        with tracer.span("run", n=10) as span:
-            span.event("tick")
+        with tracer.span("run", n=10):
+            with tracer.span("step"):
+                pass
         payload = json.loads(tracer.to_json())
         (root,) = payload["spans"]
         assert root["name"] == "run"
         assert root["attrs"] == {"n": 10}
         assert root["duration_seconds"] >= 0.0
-        assert root["events"][0]["name"] == "tick"
+        assert root["children"][0]["name"] == "step"
 
 
 class TestNullTracer:
@@ -103,11 +89,9 @@ class TestNullTracer:
         with tracer.span("anything", n=5) as span:
             assert span is NULL_SPAN
             span.set_attr("ignored", 1)
-            span.event("ignored")
         assert tracer.roots == []
         assert tracer.to_dict() == {"spans": []}
         assert NULL_SPAN.attrs == {}
-        assert NULL_SPAN.events == []
 
     def test_not_enabled(self):
         assert NullTracer().enabled is False

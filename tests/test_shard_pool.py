@@ -259,7 +259,6 @@ class TestPoolTelemetry:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_merged_counters_exactly_match_worker_side(self, deployment, workers):
         from repro.obs import MetricsRegistry
-        from repro.obs.pipeline import state_value
 
         registry = MetricsRegistry()
         pool = self._pool(deployment, registry, workers)
@@ -267,24 +266,27 @@ class TestPoolTelemetry:
         pool.query_batch(queries)
         pool.query_batch(queries[:50])
         pool.close()  # absorbs the final frames
-        merged = pool.merged_telemetry()
+        labels = pool.group.labels
         per_op: dict = {}
         for op, *_ in queries + queries[:50]:
             per_op[op] = per_op.get(op, 0) + 1
         for op, expected in per_op.items():
             fleet = registry.value("worker_serves_total", op=op)
-            worker_side = state_value(merged, "worker_serves_total", op=op)
+            split = [
+                registry.value("worker_serves_total", op=op, worker=w)
+                for w in labels
+            ]
             # exact equality, which trivially satisfies the >=99% bar
-            assert fleet == worker_side == expected, op
+            assert fleet == sum(split) == expected, op
         if workers == 2:
             split = [
                 registry.value("worker_serves_total", op="dominator", worker=w)
-                for w in ("w0", "w1")
+                for w in labels
             ]
-            assert sum(split) == per_op["dominator"]
             assert all(value > 0 for value in split)
-        assert registry.value("worker_replies_total") == state_value(
-            merged, "worker_replies_total"
+        replies = registry.value("worker_replies_total")
+        assert replies == sum(
+            registry.value("worker_replies_total", worker=w) for w in labels
         ) > 0
 
     @pytest.mark.parametrize("workers", [0, 2])
@@ -302,7 +304,8 @@ class TestPoolTelemetry:
         pool.flush_telemetry()
         pool.close()
         path = tmp_path / "trace.jsonl"
-        count = pool.export_trace(str(path))
+        pool.export_trace(str(path))
+        count = pool.export_trace(str(path))  # a fresh file, not appended
         records = [
             json.loads(line) for line in path.read_text().splitlines()
         ]
@@ -321,6 +324,9 @@ class TestPoolTelemetry:
         refreshed = {r["name"] for r in worker_records
                      if by_id[r["parent_id"]]["name"] == "shard.refresh"}
         assert refreshed == {"shard.replica_load", "shard.replica_patch"}
+        dispatched = {r["name"] for r in worker_records
+                      if by_id[r["parent_id"]]["name"] == "shard.dispatch"}
+        assert dispatched == {"shard.serve_batch"}
         assert registry.value("worker_replica_patches_total") > 0
         assert pool.stitcher.fully_parented()
 

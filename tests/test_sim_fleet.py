@@ -17,7 +17,6 @@ from repro.faults.chaos import run_chaos_matrix
 from repro.graphs import connected_random_udg
 from repro.obs import MetricsRegistry
 from repro.obs.flightrec import FlightRecorder, set_flight_recorder
-from repro.obs.pipeline import state_value
 from repro.sim.fleet import BackboneTrial, ChaosTrial, FleetRunner, run_fleet
 
 pytest.importorskip("numpy")
@@ -44,6 +43,11 @@ class TestInlinePath:
         run_fleet(GRAPH, BackboneTrial(), SEEDS, workers=0, registry=registry)
         counter = registry.counter("fleet_trials_total", "")
         assert counter.value == len(SEEDS)
+        assert registry.value("fleet_trials_total", worker="f0") == len(SEEDS)
+        # one chunk reply and one close reply
+        assert registry.value("worker_replies_total") == registry.value(
+            "worker_replies_total", worker="f0"
+        ) == 2
 
 
 class TestWorkerParity:
@@ -77,31 +81,45 @@ class TestWorkerParity:
         registry = MetricsRegistry()
         with FleetRunner(GRAPH, workers=2, registry=registry) as fleet:
             fleet.run(BackboneTrial(), SEEDS)
-            merged = fleet.merged_telemetry()
-        assert "fleet_trials_total" in merged["families"]
+        assert registry.value("fleet_trials_total") == len(SEEDS)
 
     def test_harvested_totals_equal_worker_totals_exactly(self):
         registry = MetricsRegistry()
         with FleetRunner(GRAPH, workers=2, registry=registry) as fleet:
             fleet.run(BackboneTrial(), SEEDS)
             fleet.run(BackboneTrial(), SEEDS[:2])
-        merged = fleet.merged_telemetry()  # close absorbed the final frames
-        # two sweeps of two chunks each, then one close reply per worker
-        assert registry.value("worker_replies_total") == state_value(
-            merged, "worker_replies_total"
-        ) == 6
-        assert registry.value("fleet_trials_total") == state_value(
-            merged, "fleet_trials_total"
-        ) == len(SEEDS) + 2
+        # close absorbed the final frames: two sweeps of two chunks
+        # each, then one close reply per worker
+        for name, expected in (
+            ("worker_replies_total", 6),
+            ("fleet_trials_total", len(SEEDS) + 2),
+        ):
+            split = [registry.value(name, worker=w) for w in ("f0", "f1")]
+            assert registry.value(name) == sum(split) == expected, name
+            assert all(value > 0 for value in split), name
 
     def test_trace_stitching_exports_spans(self, tmp_path):
-        registry = MetricsRegistry()
-        path = tmp_path / "fleet_trace.jsonl"
-        with FleetRunner(GRAPH, workers=2, registry=registry) as fleet:
-            fleet.run(BackboneTrial(), SEEDS[:4])
-            count = fleet.export_trace(str(path))
-        assert count > 0
-        assert path.exists()
+        import json
+
+        traces = []
+        for run in range(2):
+            path = tmp_path / f"fleet_trace{run}.jsonl"
+            with FleetRunner(GRAPH, workers=2, registry=MetricsRegistry()) as fleet:
+                fleet.run(BackboneTrial(), SEEDS[:4])
+                count = fleet.export_trace(str(path))
+                assert fleet.stitcher.fully_parented()
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            assert len(records) == count > 0
+            by_id = {r["span_id"]: r for r in records}
+            chunks = [r for r in records if r["name"] == "fleet.run_chunk"]
+            assert sorted(r["origin"] for r in chunks) == ["f0", "f1"]
+            for chunk in chunks:
+                assert by_id[chunk["parent_id"]]["name"] == "fleet.dispatch"
+            traces.append(sorted(
+                (r["trace_id"], r["span_id"], r["parent_id"], r["name"])
+                for r in records
+            ))
+        assert traces[0] == traces[1]  # ids are counters, not clocks
 
 
 class TestRewiredEntryPoints:
