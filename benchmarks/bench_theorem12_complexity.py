@@ -35,7 +35,8 @@ def test_theorem12_message_envelope_over_fleet_sweep(benchmark):
     schedule without changing the message *bound*: every seed's total
     must stay within a linear envelope of n, and the per-node maximum
     stays O(1).  Runs on the fleet runner (spawn workers over shared
-    positions) with both engines, which must agree row-for-row.
+    positions); the worker rows must equal the in-process lane's
+    row-for-row.
     """
     import os
 
@@ -48,13 +49,12 @@ def test_theorem12_message_envelope_over_fleet_sweep(benchmark):
         pytest.skip("fleet sweep needs >= 2 CPUs")
     graph = connected_random_udg(120, side=5.5, seed=12)
     seeds = list(range(16))
-    batched = BackboneTrial(algorithm="algorithm2", jitter=True, engine="batched")
-    event = BackboneTrial(algorithm="algorithm2", jitter=True, engine="event")
+    trial = BackboneTrial(algorithm="algorithm2", jitter=True)
     rows = run_once(
-        benchmark, lambda: run_fleet(graph, batched, seeds, workers=2)
+        benchmark, lambda: run_fleet(graph, trial, seeds, workers=2)
     )
-    oracle = run_fleet(graph, event, seeds, workers=2)
-    assert rows == oracle, "batched fleet rows diverge from the event engine"
+    inline = run_fleet(graph, trial, seeds, workers=0)
+    assert rows == inline, "worker fleet rows diverge from the in-process lane"
     n = graph.num_nodes
     for row in rows:
         assert row["messages"] <= 25 * n, (
@@ -64,7 +64,7 @@ def test_theorem12_message_envelope_over_fleet_sweep(benchmark):
             f"per-node messages {row['max_per_node']} not O(1)"
         )
     show(
-        "T12 fleet sweep (16 jittered seeds, 2 workers, both engines)",
+        "T12 fleet sweep (16 jittered seeds, 2 workers vs the lane)",
         [
             {
                 "n": n,

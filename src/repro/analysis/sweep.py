@@ -1,16 +1,15 @@
-"""Multi-trial experiment sweeps with simple aggregation.
+"""Aggregation of seeded sweeps.
 
-Every benchmark runs each configuration over several seeds and reports
-mean / max; this module keeps that machinery out of the benchmark
-files.
+A sweep (:func:`repro.sim.fleet.run_fleet`) returns one row of
+measurements per seed; :func:`aggregate_rows` folds those rows into one
+:class:`Aggregate` per measured key.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -45,23 +44,11 @@ class Aggregate:
         )
 
 
-def run_trials(
-    trial: Callable[[int], Mapping[str, float]],
-    seeds: Iterable[int],
-) -> Dict[str, Aggregate]:
-    """Run ``trial(seed)`` for each seed; aggregate each returned key."""
+def aggregate_rows(rows: Iterable[Mapping[str, float]]) -> Dict[str, Aggregate]:
+    """Fold sweep rows into one :class:`Aggregate` per key, in the
+    order the keys first appear."""
     samples: Dict[str, List[float]] = {}
-    for seed in seeds:
-        row = trial(seed)
+    for row in rows:
         for key, value in row.items():
             samples.setdefault(key, []).append(float(value))
     return {key: Aggregate.of(values) for key, values in samples.items()}
-
-
-def summarize(aggregates: Mapping[str, Aggregate]) -> Dict[str, float]:
-    """Flatten aggregates into ``key_mean`` / ``key_max`` columns."""
-    flat: Dict[str, float] = {}
-    for key, agg in aggregates.items():
-        flat[f"{key}_mean"] = agg.mean
-        flat[f"{key}_max"] = agg.maximum
-    return flat

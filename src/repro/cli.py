@@ -53,6 +53,14 @@ def _node_count(text: str) -> int:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: a non-negative int (0 runs inline)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _side_length(text: str) -> float:
     """``--side``: a positive, finite float."""
     value = float(text)
@@ -114,25 +122,15 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
         "--fault-plan", metavar="FILE",
         help="JSON fault plan (see repro.faults.FaultPlan.to_json)",
     )
-    _add_engine_arg(parser)
-
-
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=["event", "batched", "auto"], default="auto",
-        help="simulator core: the event-driven oracle, the batched "
-        "bucket-queue engine (repro.sim.batched, bit-identical results), "
-        "or auto (batched when the network is big enough)",
-    )
 
 
 def _sim_config(args):
-    """A SimConfig from --loss/--transport/--fault-plan/--engine, or
-    None when none of them was given (keeps the fault-free fast path)."""
+    """A SimConfig from --loss/--transport/--fault-plan, or None when
+    none of them was given (keeps the fault-free fast path)."""
     from repro.faults import FaultPlan
     from repro.sim.config import SimConfig
 
-    if not (args.loss or args.transport or args.fault_plan) and args.engine == "auto":
+    if not (args.loss or args.transport or args.fault_plan):
         return None
     plan = FaultPlan()
     if args.fault_plan:
@@ -142,7 +140,6 @@ def _sim_config(args):
         seed=args.seed,
         fault_plan=plan,
         transport=args.transport,
-        engine=args.engine,
     )
 
 
@@ -711,10 +708,7 @@ def cmd_chaos(args) -> int:
         for algorithm in algorithms:
             report = run_chaos(
                 algorithm, graph, plan,
-                sim=SimConfig(
-                    seed=seed, transport=True,
-                    engine=getattr(args, "engine", "auto"),
-                ),
+                sim=SimConfig(seed=seed, transport=True),
                 max_epochs=args.max_epochs,
             )
             reports.append(report)
@@ -745,8 +739,8 @@ def cmd_chaos(args) -> int:
 def cmd_montecarlo(args) -> int:
     import json
 
-    from repro.analysis.montecarlo import monte_carlo
-    from repro.sim.fleet import BackboneTrial
+    from repro.analysis import aggregate_rows
+    from repro.sim.fleet import BackboneTrial, run_fleet
 
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
@@ -762,13 +756,12 @@ def cmd_montecarlo(args) -> int:
     graph = _build(args)
     trial = BackboneTrial(
         algorithm=algorithm,
-        engine=args.engine,
         jitter=args.jitter,
         transport=True if args.transport else None,
     )
     seeds = range(args.first_seed, args.first_seed + args.trials)
-    aggregates = monte_carlo(
-        trial, seeds, processes=args.workers, graph=graph
+    aggregates = aggregate_rows(
+        run_fleet(graph, trial, seeds, workers=args.workers)
     )
     if args.format == "json":
         print(json.dumps(
@@ -788,7 +781,7 @@ def cmd_montecarlo(args) -> int:
             for key, agg in sorted(aggregates.items())
         ],
         title=f"Monte-Carlo sweep ({_algorithm_label(args.algorithm)}, "
-        f"n={graph.num_nodes}, engine={args.engine})",
+        f"n={graph.num_nodes})",
     )
     return 0
 
@@ -818,7 +811,6 @@ def cmd_opt_ratio(args) -> int:
         problem=args.problem,
         certificate=certificate,
         workers=args.workers,
-        engine=args.engine,
     )
     report = ratio_report(graph, results)
     if args.json_out:
@@ -1067,7 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="CI smoke: 40 nodes, two seeds, loss 0.15, one crash")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_engine_arg(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -1090,11 +1081,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "fixed unit delay (perturbs schedules, not results)")
     p.add_argument("--transport", action="store_true",
                    help="run over the reliable ack/retransmit transport")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_worker_count, default=None,
                    help="fleet worker processes (0 = inline, default: "
                    "cpu count - 1 capped at 8)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_engine_arg(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser(
@@ -1127,12 +1117,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of protocol seeds to sweep per algorithm")
     p.add_argument("--first-seed", type=int, default=0,
                    help="first protocol seed")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_worker_count, default=None,
                    help="fleet worker processes (0 = inline)")
     p.add_argument("--json-out", metavar="FILE",
                    help="also write the JSON ratio table here (CI artifact)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_engine_arg(p)
     p.set_defaults(func=cmd_opt_ratio)
 
     p = sub.add_parser(

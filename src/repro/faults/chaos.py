@@ -247,39 +247,6 @@ def run_chaos(
     return report
 
 
-def run_chaos_matrix(
-    graph: Graph,
-    seeds: Any,
-    *,
-    algorithm: str = "algorithm2",
-    loss: float = 0.0,
-    crashes: int = 2,
-    partition: bool = True,
-    engine: str = "auto",
-    workers: Optional[int] = None,
-    registry=None,
-) -> List[Dict[str, float]]:
-    """Sweep the chaos cell over many seeds via the fleet runner.
-
-    Each seed regenerates the fault plan (victims, partition ball, loss
-    burst), so the sweep explores plan space on one fixed topology; the
-    topology crosses the process boundary once, through shared memory.
-    Returns one summary row per seed, in seed order — identical whether
-    the sweep ran inline (``workers=0``) or across spawn workers.
-    """
-    from repro.sim.fleet import ChaosTrial, run_fleet
-
-    trial = ChaosTrial(
-        algorithm=algorithm,
-        loss=loss,
-        crashes=crashes,
-        partition=partition,
-        engine=engine,
-    )
-    rows = run_fleet(graph, trial, list(seeds), workers=workers, registry=registry)
-    return [dict(row) for row in rows]
-
-
 def _message_totals(registry) -> Dict[str, int]:
     """Per-kind ``sim_messages_total`` snapshot from a registry."""
     totals: Dict[str, int] = {}

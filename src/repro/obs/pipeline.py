@@ -18,7 +18,9 @@ the pipeline that carries them home:
   :class:`~repro.obs.tracing.Tracer` drains (deterministic ids, worker
   spans nested under the parent's shipped
   :class:`~repro.obs.tracing.TraceContext`), checks that every span's
-  parent resolves, and exports one JSONL trace.
+  parent resolves, and exports one JSONL trace.  It keeps at most
+  :data:`MAX_TRACE_RECORDS` records, evicting whole traces
+  oldest-first.
 
 State shape (all JSON-safe, picklable)::
 
@@ -234,17 +236,40 @@ class TelemetryHarvest:
 # ----------------------------------------------------------------------
 # Trace stitching
 # ----------------------------------------------------------------------
+#: Span records a :class:`TraceStitcher` keeps: past it, the oldest
+#: whole traces are evicted, so a long-lived worker group holds only
+#: its most recent traces.
+MAX_TRACE_RECORDS = 2048
+
+
 class TraceStitcher:
-    """Collects the span records of every process into one trace."""
+    """Collects the span records of every process into one trace.
+
+    Records are kept per trace, in arrival order.  Once more than
+    :data:`MAX_TRACE_RECORDS` are held, whole traces are evicted
+    oldest-first (the newest is always kept), so every kept span's
+    parent is kept too.
+    """
 
     def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
+        self._traces: Dict[Optional[str], List[Dict[str, Any]]] = {}
         self._ids: set = set()
+        self._count = 0
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """Every kept record, trace by trace (oldest trace first)."""
+        return [r for trace in self._traces.values() for r in trace]
 
     def add(self, records: List[Dict[str, Any]]) -> None:
         for record in records:
-            self.records.append(record)
+            self._traces.setdefault(record.get("trace_id"), []).append(record)
             self._ids.add(record["span_id"])
+        self._count += len(records)
+        while self._count > MAX_TRACE_RECORDS and len(self._traces) > 1:
+            evicted = self._traces.pop(next(iter(self._traces)))
+            self._count -= len(evicted)
+            self._ids.difference_update(r["span_id"] for r in evicted)
 
     def unparented(self) -> List[Dict[str, Any]]:
         """Records whose ``parent_id`` does not resolve (roots excluded)."""
@@ -259,9 +284,10 @@ class TraceStitcher:
         return not self.unparented()
 
     def to_jsonl(self, path: str) -> int:
-        """Write every record as one JSON line, replacing ``path``;
+        """Write every kept record as one JSON line, replacing ``path``;
         returns the count."""
+        records = self.records
         with open(path, "w", encoding="utf-8") as handle:
-            for record in self.records:
+            for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(self.records)
+        return len(records)

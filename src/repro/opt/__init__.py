@@ -18,9 +18,9 @@ This package supplies the missing denominator:
   :func:`certified_optimum` picks the strongest engine the instance
   allows and returns a proven ``lower <= opt <= upper`` sandwich.
 * **Ratio measurement** (:mod:`repro.opt.ratio`) — seed sweeps of the
-  registry algorithms on the :mod:`repro.sim.fleet` runner, divided by
-  the certificate lower bound: the *real* empirical ratios, reported
-  conservatively.
+  registry algorithms (:class:`~repro.sim.fleet.BackboneTrial` on
+  :func:`~repro.sim.fleet.run_fleet`), divided by the certificate lower
+  bound: the *real* empirical ratios, reported conservatively.
 
 scipy is optional (``pip install repro[opt]``): without it the exact
 engine still runs combinatorially-pruned (``lp="auto"`` degrades), and
@@ -63,7 +63,6 @@ from repro.opt.oracle import (
 )
 from repro.opt.ratio import (
     AlgorithmRatios,
-    RatioTrial,
     THEOREM_ENVELOPES,
     measure_ratios,
     ratio_report,
@@ -78,7 +77,6 @@ __all__ = [
     "LP_TOLERANCE",
     "OptimalityCertificate",
     "PROBLEMS",
-    "RatioTrial",
     "SearchLimitExceeded",
     "SearchStats",
     "THEOREM_ENVELOPES",

@@ -9,8 +9,9 @@ divide each measured size by the certificate's proven lower bound,
 giving a ratio that is conservative — never flattering — even when the
 optimum is only sandwiched.
 
-:class:`RatioTrial` is module-level and picklable, as the fleet's spawn
-workers require.
+Each seed runs :class:`repro.sim.fleet.BackboneTrial`, whose
+``"backbone"`` column is the measured size; a centralized algorithm is
+deterministic, so one build covers every seed.
 """
 
 from __future__ import annotations
@@ -33,30 +34,6 @@ THEOREM_ENVELOPES: Mapping[str, int] = {
 
 #: The default sweep: the paper's two distributed constructions.
 DEFAULT_ALGORITHMS = ("algorithm1", "algorithm2")
-
-
-@dataclass(frozen=True)
-class RatioTrial:
-    """One fleet trial: build ``algorithm``'s backbone for one seed."""
-
-    algorithm: str = "algorithm2"
-    engine: str = "auto"
-
-    def __call__(
-        self, graph: UnitDiskGraph, seed: int
-    ) -> Mapping[str, float]:
-        from repro.backbone import build
-        from repro.sim.config import SimConfig
-
-        algo = _registry_get(self.algorithm)
-        if algo.distributed:
-            result = build(
-                self.algorithm, graph,
-                sim=SimConfig(seed=seed, engine=self.engine),
-            )
-        else:
-            result = build(self.algorithm, graph)
-        return {"size": float(len(result.dominators))}
 
 
 @dataclass(frozen=True)
@@ -116,7 +93,6 @@ def measure_ratios(
     exact_nodes: Optional[int] = None,
     lp: str = "auto",
     workers: Optional[int] = None,
-    engine: str = "auto",
     registry: Any = None,
     tracer: Any = None,
 ) -> Dict[str, AlgorithmRatios]:
@@ -140,8 +116,7 @@ def measure_ratios(
     ):
         for name in algorithms:
             sizes = _sweep_sizes(
-                graph, name, seeds, workers=workers, engine=engine,
-                registry=registry,
+                graph, name, seeds, workers=workers, registry=registry,
             )
             results[name] = AlgorithmRatios(
                 algorithm=name,
@@ -158,25 +133,18 @@ def _sweep_sizes(
     seeds: Sequence[int],
     *,
     workers: Optional[int],
-    engine: str,
     registry: Any,
 ) -> List[int]:
-    algo = _registry_get(algorithm)
-    if not algo.distributed:
-        # Deterministic: one build covers every seed.
-        trial = RatioTrial(algorithm=algorithm, engine=engine)
-        size = int(trial(graph, 0)["size"])
-        return [size for _ in seeds]
-    from repro.sim.fleet import run_fleet
+    from repro.backbone import get
+    from repro.sim.fleet import BackboneTrial, run_fleet
 
-    rows = run_fleet(
-        graph,
-        RatioTrial(algorithm=algorithm, engine=engine),
-        list(seeds),
-        workers=workers,
-        registry=registry,
-    )
-    return [int(row["size"]) for row in rows]
+    trial = BackboneTrial(algorithm=algorithm)
+    if not get(algorithm).distributed:
+        # Deterministic: one build covers every seed.
+        size = int(trial(graph, 0)["backbone"])
+        return [size for _ in seeds]
+    rows = run_fleet(graph, trial, seeds, workers=workers, registry=registry)
+    return [int(row["backbone"]) for row in rows]
 
 
 def ratio_report(
@@ -196,12 +164,6 @@ def ratio_report(
             results[name].to_dict() for name in sorted(results)
         ],
     }
-
-
-def _registry_get(name: str) -> Any:
-    from repro.backbone import get
-
-    return get(name)
 
 
 def _tracer_of(tracer: Any) -> Any:

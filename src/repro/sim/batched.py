@@ -94,8 +94,8 @@ def make_simulator(
 
     This is the single construction point every protocol entry point
     (``run_protocol``, ``run_mis``, the backbone registry, chaos,
-    mobility) routes through, so ``SimConfig(engine=...)`` — and the
-    CLI's ``--engine`` — select the core end-to-end.
+    mobility) routes through, so ``SimConfig(engine=...)``, the one
+    engine switch, selects the core end-to-end.
     """
     config = config if config is not None else SimConfig()
     choice = resolve_engine(config.engine, size=graph.num_nodes)

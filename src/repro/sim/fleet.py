@@ -1,9 +1,13 @@
-"""Fleet runner: thousands of seeded runs over spawn workers.
+"""Fleet runner: the one seed sweep, over spawn workers.
 
-Monte-Carlo studies (backbone-size distributions, chaos matrices, the
-Theorem 10/12 sweeps) repeat the same protocol on the same topology
-under different seeds.  :class:`FleetRunner` executes such a sweep over
-``spawn`` worker processes while shipping the topology exactly once:
+Monte-Carlo studies (backbone-size distributions, chaos matrices,
+empirical approximation ratios, the Theorem 10/12 sweeps) repeat the
+same protocol on the same topology under different seeds.
+:func:`run_fleet` is the one sweep they all call (``repro montecarlo``,
+:func:`repro.opt.measure_ratios`, the chaos and theorem benchmarks);
+:func:`repro.analysis.aggregate_rows` folds its rows.
+:class:`FleetRunner` executes a sweep over ``spawn`` worker processes
+while shipping the topology exactly once:
 
 * node positions live in one :class:`~repro.workers.SharedPositions`
   float64 block; each worker rebuilds the unit-disk graph from the
@@ -11,7 +15,9 @@ under different seeds.  :class:`FleetRunner` executes such a sweep over
   edge set) and keeps it for its whole seed range;
 * trials are small picklable values (:class:`BackboneTrial`,
   :class:`ChaosTrial`, or any module-level callable with the same
-  signature) — only the trial object and the seed chunk cross the pipe;
+  signature) — only the trial object and the seed chunk cross the pipe,
+  and an unpicklable one is refused with a ``TypeError`` before any
+  chunk is sent;
 * the workers are a :class:`~repro.workers.WorkerGroup`, the substrate
   the :class:`~repro.shard.pool.ShardServePool` runs on too: this
   module supplies only the ``run`` handler, and telemetry frames,
@@ -22,11 +28,16 @@ under different seeds.  :class:`FleetRunner` executes such a sweep over
 the graph it rebuilds from the rows as a worker does — the
 deterministic baseline the tests compare worker rows against (the rows
 are identical: each trial reseeds everything from its seed argument).
+A one-seed :func:`run_fleet` always takes that lane: it never
+parallelizes, so it needs no worker and no picklable trial.  The
+simulator engine is ``SimConfig.engine``'s default; the trials do not
+choose one.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
@@ -69,7 +80,6 @@ class BackboneTrial:
     """
 
     algorithm: str = "algorithm2"
-    engine: str = "auto"
     jitter: bool = False
     transport: Any = None
 
@@ -78,7 +88,7 @@ class BackboneTrial:
         from repro.sim.config import SimConfig
         from repro.sim.latency import UniformLatency
 
-        config = SimConfig(seed=seed, transport=self.transport, engine=self.engine)
+        config = SimConfig(seed=seed, transport=self.transport)
         if self.jitter:
             config = replace(config, latency=UniformLatency(seed=seed))
         result = build(self.algorithm, graph, sim=config)
@@ -107,7 +117,6 @@ class ChaosTrial:
     loss: float = 0.0
     crashes: int = 2
     partition: bool = True
-    engine: str = "auto"
 
     def __call__(self, graph: UnitDiskGraph, seed: int) -> Mapping[str, float]:
         from repro.faults.chaos import default_fault_plan, run_chaos
@@ -122,7 +131,7 @@ class ChaosTrial:
         )
         report = run_chaos(
             self.algorithm, graph, plan,
-            sim=SimConfig(seed=seed, transport=True, engine=self.engine),
+            sim=SimConfig(seed=seed, transport=True),
         )
         return {
             "valid": float(report.valid),
@@ -152,7 +161,7 @@ def _rebuild_graph(
     return UnitDiskGraph(positions, radius=radius)
 
 
-def _run_trials(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _run_chunk(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """The fleet's handler: ``("run", trial, seeds, ctx)`` →
     ``("rows", rows, frame|None)``.  The graph is rebuilt from the
     position rows on the first chunk and kept in ``env.state``."""
@@ -171,6 +180,17 @@ def _run_trials(env: WorkerEnv, message: Tuple[Any, ...]) -> Tuple[Any, ...]:
             trials.inc()
     tel.batches.inc()
     return ("rows", rows, env.frame())
+
+
+def _require_picklable(trial: FleetTrial) -> None:
+    try:
+        pickle.dumps(trial)
+    except Exception as failure:
+        raise TypeError(
+            "fleet trials run in worker processes, so the trial must be "
+            "a picklable top-level function or dataclass instance "
+            f"(got {trial!r}: {failure})"
+        ) from failure
 
 
 def _default_workers() -> int:
@@ -199,7 +219,7 @@ class FleetRunner(WorkerClient):
         self.registry = registry
         nodes = graph.numbering().nodes
         self.group = WorkerGroup(
-            handler=_run_trials,
+            handler=_run_chunk,
             count=self.workers,
             prefix="f",
             rows=[graph.positions[node] for node in nodes],
@@ -223,6 +243,8 @@ class FleetRunner(WorkerClient):
         seed_list = list(seeds)
         if not seed_list:
             raise ValueError("no seeds given")
+        if self.workers > 0:
+            _require_picklable(trial)
         group = self.group
         count = len(group.conns)
         chunk = (len(seed_list) + count - 1) // count
@@ -251,6 +273,13 @@ def run_fleet(
     workers: Optional[int] = None,
     registry: Any = None,
 ) -> List[Mapping[str, float]]:
-    """One-shot convenience: run a fleet sweep and tear it down."""
+    """Run one seed sweep on a fresh fleet and tear it down.
+
+    Fewer than two seeds run inline whatever worker count is asked
+    for (a negative one is still a ``ValueError``).
+    """
+    seed_list = list(seeds)
+    if len(seed_list) < 2 and (workers is None or workers > 0):
+        workers = 0
     with FleetRunner(graph, workers=workers, registry=registry) as fleet:
-        return fleet.run(trial, seeds)
+        return fleet.run(trial, seed_list)

@@ -302,6 +302,8 @@ class WorkerGroup:
         died: str,
         deaths_metric: str,
     ) -> None:
+        if count < 0:
+            raise ValueError(f"worker count must be >= 0, got {count}")
         self.registry = registry
         self.telemetry = registry is not None
         self.spans: Optional[Tracer] = None

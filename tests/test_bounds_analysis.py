@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import Aggregate, format_value, render_table, run_trials, summarize
+from repro.analysis import Aggregate, aggregate_rows, format_value, render_table
 from repro.wcds import bounds
 
 
@@ -64,14 +64,19 @@ class TestAggregate:
         with pytest.raises(ValueError):
             Aggregate.of([])
 
-    def test_run_trials_aggregates_keys(self):
-        result = run_trials(lambda seed: {"x": seed, "y": 2 * seed}, seeds=[1, 2, 3])
-        assert result["x"].mean == pytest.approx(2.0)
+    def test_aggregate_rows_folds_each_key(self):
+        rows = [{"x": seed, "y": 2 * seed} for seed in (1, 2, 3)]
+        result = aggregate_rows(rows)
+        assert list(result) == ["x", "y"]
+        assert result["x"] == Aggregate.of([1.0, 2.0, 3.0])
         assert result["y"].maximum == 6
+        assert result["y"].count == 3
 
-    def test_summarize_flattens(self):
-        flat = summarize({"x": Aggregate.of([1, 3])})
-        assert flat == {"x_mean": 2.0, "x_max": 3.0}
+    def test_aggregate_rows_counts_keys_where_they_appear(self):
+        result = aggregate_rows([{"x": 1}, {"x": 3, "z": 5}])
+        assert result["x"].count == 2 and result["x"].mean == 2.0
+        assert result["z"] == Aggregate.of([5.0])
+        assert aggregate_rows([]) == {}
 
 
 class TestTables:

@@ -314,6 +314,23 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["wcds", "chaos", "montecarlo", "opt-ratio"])
+    def test_engine_flag_is_rejected(self, capsys, command):
+        # SimConfig.engine is the one engine switch; no subcommand
+        # takes one.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", "event"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["montecarlo", "opt-ratio"])
+    def test_negative_worker_count_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--nodes", "30", "--side", "4", "--trials", "2",
+                  "--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
     def test_serve_rejects_a_non_positive_tile_size(self, capsys):
         code = main(["serve", "--nodes", "40", "--side", "4.5",
                      "--tile-size", "0"])

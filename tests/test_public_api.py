@@ -69,6 +69,41 @@ class TestTopLevelSurface:
         assert "resolve_method" not in repro.kernels.__all__
         assert "use_vector" in repro.kernels.__all__
 
+    def test_duplicate_sweeps_and_engine_knobs_stay_gone(self):
+        # run_fleet is the one seed sweep and SimConfig.engine the one
+        # engine switch.
+        import dataclasses
+        import inspect
+
+        import repro.analysis
+        import repro.analysis.sweep
+        import repro.cli
+        import repro.faults.chaos
+        import repro.opt
+        import repro.opt.ratio
+        from repro.sim.fleet import BackboneTrial, ChaosTrial
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.analysis.montecarlo")
+        for module, name in (
+            (repro.analysis, "monte_carlo"),
+            (repro.analysis, "run_trials"),
+            (repro.analysis, "summarize"),
+            (repro.analysis.sweep, "run_trials"),
+            (repro.analysis.sweep, "summarize"),
+            (repro.faults.chaos, "run_chaos_matrix"),
+            (repro.opt, "RatioTrial"),
+            (repro.opt.ratio, "RatioTrial"),
+            (repro.cli, "_add_engine_arg"),
+        ):
+            assert not hasattr(module, name), name
+            assert name not in getattr(module, "__all__", ()), name
+        assert "aggregate_rows" in repro.analysis.__all__
+        for trial in (BackboneTrial, ChaosTrial):
+            assert "engine" not in {f.name for f in dataclasses.fields(trial)}
+        for fn in (repro.opt.measure_ratios, repro.opt.ratio._sweep_sizes):
+            assert "engine" not in inspect.signature(fn).parameters
+
     def test_shard_bench_only_reexports_the_deployment(self):
         # The module keeps only the one name the benchmark suite
         # imports from it.

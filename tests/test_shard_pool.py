@@ -55,7 +55,7 @@ class TestSharedPositions:
             shared.unlink()
 
     def test_spawn_round_trip_with_sim_config(self):
-        # The montecarlo picklability contract, extended to the shard
+        # The fleet's picklability contract, extended to the shard
         # layer: positions and SimConfig must survive a spawn boundary.
         ctx = multiprocessing.get_context("spawn")
         coords = [(0.0, 0.0), (0.5, 0.25), (-1.5, 2.0)]
@@ -329,6 +329,26 @@ class TestPoolTelemetry:
         assert dispatched == {"shard.serve_batch"}
         assert registry.value("worker_replica_patches_total") > 0
         assert pool.stitcher.fully_parented()
+
+    def test_stitched_trace_stays_bounded(self, tmp_path):
+        # A long-lived pool keeps only its most recent whole traces.
+        from repro.obs import MetricsRegistry
+        from repro.obs.pipeline import MAX_TRACE_RECORDS
+
+        with ShardServePool(
+            jittered_grid(400, 0), ShardConfig(workers=0, batch_size=8),
+            registry=MetricsRegistry(),
+        ) as pool:
+            queries = _mixed_queries(pool, 32, seed=25)
+            for _ in range(1000):
+                pool.query_batch(queries)
+            records = pool.stitcher.records
+            assert len(records) <= MAX_TRACE_RECORDS
+            assert "parent-t1" not in {r["trace_id"] for r in records}
+            assert pool.stitcher.fully_parented()
+            path = tmp_path / "trace.jsonl"
+            count = pool.export_trace(str(path))
+        assert count == len(path.read_text().splitlines()) > 0
 
     def test_worker_crash_dumps_flight_recorder(self, deployment, tmp_path):
         import json

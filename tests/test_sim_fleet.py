@@ -12,8 +12,7 @@ import os
 
 import pytest
 
-from repro.analysis.montecarlo import monte_carlo
-from repro.faults.chaos import run_chaos_matrix
+from repro.analysis import aggregate_rows
 from repro.graphs import connected_random_udg
 from repro.obs import MetricsRegistry
 from repro.obs.flightrec import FlightRecorder, set_flight_recorder
@@ -23,6 +22,11 @@ pytest.importorskip("numpy")
 
 GRAPH = connected_random_udg(40, 4.0, seed=6)
 SEEDS = list(range(6))
+
+
+def _trial(graph, seed: int):
+    """Top-level (picklable) trial: deterministic pseudo-measurements."""
+    return {"x": seed % 5, "y": 2 * seed, "n": graph.num_nodes}
 
 
 class TestInlinePath:
@@ -37,6 +41,8 @@ class TestInlinePath:
         with FleetRunner(GRAPH, workers=0) as fleet:
             with pytest.raises(ValueError, match="no seeds"):
                 fleet.run(BackboneTrial(), [])
+        with pytest.raises(ValueError, match="no seeds"):
+            run_fleet(GRAPH, _trial, [], workers=2)
 
     def test_inline_telemetry_counts_trials(self):
         registry = MetricsRegistry()
@@ -50,6 +56,42 @@ class TestInlinePath:
         ) == 2
 
 
+class TestSweepContract:
+    """What every sweep gets from ``run_fleet``: aggregation, the lane
+    for lambdas and single seeds, and the picklability check."""
+
+    def test_rows_aggregate(self):
+        aggregates = aggregate_rows(run_fleet(GRAPH, _trial, range(10), workers=0))
+        assert aggregates["x"].count == 10
+        assert aggregates["y"].maximum == 18
+        assert aggregates["y"].mean == pytest.approx(9.0)
+        assert aggregates["n"].mean == GRAPH.num_nodes
+
+    def test_lambda_runs_in_the_lane(self):
+        rows = run_fleet(GRAPH, lambda graph, seed: {"x": seed}, [4, 5], workers=0)
+        assert rows == [{"x": 4}, {"x": 5}]
+
+    def test_single_seed_runs_inline(self):
+        # One seed never parallelizes: it takes the lane even when a
+        # fleet was asked for, so it needs no picklable trial.
+        rows = run_fleet(GRAPH, lambda graph, seed: {"x": seed}, [5], workers=2)
+        assert rows == [{"x": 5}]
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_unpicklable_trial_explained(self, workers):
+        # Checked before any chunk is sent, for every worker count, so a
+        # sweep that passes on a small machine does not fail on a big one.
+        with pytest.raises(TypeError, match="picklable"):
+            run_fleet(GRAPH, lambda graph, seed: {"x": seed}, SEEDS[:2],
+                      workers=workers)
+
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ValueError, match="worker count"):
+            FleetRunner(GRAPH, workers=-1)
+        with pytest.raises(ValueError, match="worker count"):
+            run_fleet(GRAPH, _trial, [1], workers=-1)
+
+
 class TestWorkerParity:
     def test_worker_rows_match_inline(self):
         trial = BackboneTrial(algorithm="algorithm2")
@@ -57,16 +99,13 @@ class TestWorkerParity:
         spawned = run_fleet(GRAPH, trial, SEEDS, workers=2)
         assert spawned == inline
 
-    def test_engines_agree_across_fleet(self):
-        batched = run_fleet(
-            GRAPH, BackboneTrial(engine="batched", jitter=True), SEEDS,
-            workers=2,
-        )
-        event = run_fleet(
-            GRAPH, BackboneTrial(engine="event", jitter=True), SEEDS,
-            workers=0,
-        )
-        assert batched == event
+    def test_jittered_rows_match_inline(self):
+        # Engine agreement under jitter is gated by the batched-engine
+        # oracle tests; this pins the lane against the spawn workers.
+        trial = BackboneTrial(jitter=True)
+        spawned = run_fleet(GRAPH, trial, SEEDS, workers=2)
+        inline = run_fleet(GRAPH, trial, SEEDS, workers=0)
+        assert spawned == inline
 
     def test_chaos_trial_parity(self):
         trial = ChaosTrial(algorithm="algorithm2", loss=0.1, crashes=1)
@@ -76,6 +115,7 @@ class TestWorkerParity:
         assert spawned == inline
         for row in inline:
             assert row["valid"] == 1.0
+            assert row["survivors"] == GRAPH.num_nodes - 1
 
     def test_worker_telemetry_harvested(self):
         registry = MetricsRegistry()
@@ -120,30 +160,6 @@ class TestWorkerParity:
                 for r in records
             ))
         assert traces[0] == traces[1]  # ids are counters, not clocks
-
-
-class TestRewiredEntryPoints:
-    def test_monte_carlo_routes_through_fleet(self):
-        aggregates = monte_carlo(
-            BackboneTrial(), SEEDS[:4], processes=0, graph=GRAPH
-        )
-        assert aggregates["backbone"].count == 4
-
-    def test_monte_carlo_rejects_unpicklable_graph_trial(self):
-        with pytest.raises(TypeError, match="picklable"):
-            monte_carlo(
-                lambda graph, seed: {"x": 1.0}, SEEDS[:2], graph=GRAPH
-            )
-
-    def test_chaos_matrix_rows(self):
-        rows = run_chaos_matrix(
-            GRAPH, SEEDS[:2], algorithm="algorithm2", loss=0.1, crashes=1,
-            workers=0,
-        )
-        assert len(rows) == 2
-        for row in rows:
-            assert row["valid"] == 1.0
-            assert row["survivors"] == GRAPH.num_nodes - 1
 
 
 class TestLifecycle:
