@@ -41,8 +41,6 @@ class TestInlinePath:
         with FleetRunner(GRAPH, workers=0) as fleet:
             with pytest.raises(ValueError, match="no seeds"):
                 fleet.run(BackboneTrial(), [])
-        with pytest.raises(ValueError, match="no seeds"):
-            run_fleet(GRAPH, _trial, [], workers=2)
 
     def test_inline_telemetry_counts_trials(self):
         registry = MetricsRegistry()
@@ -57,25 +55,13 @@ class TestInlinePath:
 
 
 class TestSweepContract:
-    """What every sweep gets from ``run_fleet``: aggregation, the lane
-    for lambdas and single seeds, and the picklability check."""
-
-    def test_rows_aggregate(self):
-        aggregates = aggregate_rows(run_fleet(GRAPH, _trial, range(10), workers=0))
-        assert aggregates["x"].count == 10
-        assert aggregates["y"].maximum == 18
-        assert aggregates["y"].mean == pytest.approx(9.0)
-        assert aggregates["n"].mean == GRAPH.num_nodes
+    """What every sweep gets from ``run_fleet``: the lane for lambdas
+    and the picklability check (aggregation and the one-seed rule are
+    in ``test_montecarlo``)."""
 
     def test_lambda_runs_in_the_lane(self):
         rows = run_fleet(GRAPH, lambda graph, seed: {"x": seed}, [4, 5], workers=0)
         assert rows == [{"x": 4}, {"x": 5}]
-
-    def test_single_seed_runs_inline(self):
-        # One seed never parallelizes: it takes the lane even when a
-        # fleet was asked for, so it needs no picklable trial.
-        rows = run_fleet(GRAPH, lambda graph, seed: {"x": seed}, [5], workers=2)
-        assert rows == [{"x": 5}]
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     def test_unpicklable_trial_explained(self, workers):
@@ -115,7 +101,6 @@ class TestWorkerParity:
         assert spawned == inline
         for row in inline:
             assert row["valid"] == 1.0
-            assert row["survivors"] == GRAPH.num_nodes - 1
 
     def test_worker_telemetry_harvested(self):
         registry = MetricsRegistry()
@@ -160,6 +145,24 @@ class TestWorkerParity:
                 for r in records
             ))
         assert traces[0] == traces[1]  # ids are counters, not clocks
+
+
+class TestRewiredEntryPoints:
+    """The sweeps that used to have wrappers now call ``run_fleet``."""
+
+    def test_monte_carlo_routes_through_fleet(self):
+        aggregates = aggregate_rows(
+            run_fleet(GRAPH, BackboneTrial(), SEEDS[:4], workers=0)
+        )
+        assert aggregates["backbone"].count == 4
+
+    def test_chaos_matrix_rows(self):
+        trial = ChaosTrial(algorithm="algorithm2", loss=0.1, crashes=1)
+        rows = run_fleet(GRAPH, trial, SEEDS[:2], workers=0)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["valid"] == 1.0
+            assert row["survivors"] == GRAPH.num_nodes - 1
 
 
 class TestLifecycle:
