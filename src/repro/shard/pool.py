@@ -34,6 +34,7 @@ copy of it, nor of what it shipped.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import islice
 from typing import (
     AbstractSet,
     Any,
@@ -42,6 +43,7 @@ from typing import (
     Deque,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -65,6 +67,9 @@ Node = Hashable
 #: ``("route", u, v)``.
 Query = Tuple[Any, ...]
 
+#: Per-source route BFS trees a replica keeps, least recently used out.
+_ROUTE_TREES = 4
+
 
 class _TileReplica:
     """One tile's serveable state, numbered once per load.
@@ -76,10 +81,11 @@ class _TileReplica:
     ``hops[i]`` is every neighbour of a black ``i`` and only the black
     neighbours of a white one: the edges a route may use.  A replica
     owns its ``adj`` list, so a move that keeps the member set patches
-    it in place (:func:`_patch_from_shared`).
+    it in place (:func:`_patch_from_shared`).  ``trees`` maps a
+    source number to its route BFS state ``(parent, frontier, at)``.
     """
 
-    __slots__ = ("nodes", "index", "adj", "is_mis", "black", "hops")
+    __slots__ = ("nodes", "index", "adj", "is_mis", "black", "hops", "trees")
 
     def __init__(
         self,
@@ -97,6 +103,7 @@ class _TileReplica:
             row if black[i] else tuple([j for j in row if black[j]])
             for i, row in enumerate(adj)
         ]
+        self.trees: Dict[int, Tuple[List[int], List[int], int]] = {}
 
     def dominator(self, u: Node) -> Optional[Node]:
         """The node's dominator: itself if in the MIS, else its lowest
@@ -124,6 +131,11 @@ class _TileReplica:
 
         A BFS over ``hops`` in ascending number order: a node's parent
         is the first popped node to reach it, as in an id-ordered BFS.
+        The BFS stops at ``v`` and is kept in ``trees``: a later route
+        from ``u`` walks ``parent`` if its target is reached, else
+        re-scans ``frontier[at]`` (the node that reached the last
+        target), skipping parented neighbours, so every ``parent`` is a
+        prefix of the full BFS's and every path is the same.
         """
         index = self.index
         s = index.get(u)
@@ -132,24 +144,42 @@ class _TileReplica:
             return None
         if s == t:
             return [u]
+        trees = self.trees
+        tree = trees.pop(s, None)
+        scan: Iterable[int]
+        if tree is None:
+            if len(trees) >= _ROUTE_TREES:
+                del trees[next(iter(trees))]
+            parent = [-1] * len(self.hops)
+            parent[s] = s
+            frontier = scan = [s]
+            at = 0
+        else:
+            trees[s] = tree  # back in as the most recently used
+            parent, frontier, at = tree
+            if parent[t] >= 0:
+                return self._path(parent, s, t)
+            scan = islice(frontier, at, None)
         hops = self.hops
-        parent = [-1] * len(hops)
-        parent[s] = s
-        frontier = [s]
-        for node in frontier:
+        for node in scan:
             for nbr in hops[node]:
                 if parent[nbr] < 0:
                     parent[nbr] = node
-                    if nbr == t:
-                        nodes = self.nodes
-                        path = [v]
-                        while nbr != s:
-                            nbr = parent[nbr]
-                            path.append(nodes[nbr])
-                        path.reverse()
-                        return path
                     frontier.append(nbr)
+                    if nbr == t:
+                        trees[s] = (parent, frontier, frontier.index(node, at))
+                        return self._path(parent, s, t)
+        trees[s] = (parent, frontier, len(frontier))
         return None
+
+    def _path(self, parent: List[int], s: int, t: int) -> List[Node]:
+        nodes = self.nodes
+        path = [nodes[t]]
+        while t != s:
+            t = parent[t]
+            path.append(nodes[t])
+        path.reverse()
+        return path
 
     def serve(self, op: str, args: Sequence[Any]) -> Any:
         if op == "route":
@@ -238,6 +268,8 @@ def _patch_from_shared(
     for k in dirty:
         row = adj[k]
         hops[k] = row if black[k] else tuple([j for j in row if black[j]])
+    if dirty:
+        replica.trees.clear()
 
 
 #: A dispatched query: ``(qid, tile, op, args)``.

@@ -276,10 +276,15 @@ def run_fleet(
     """Run one seed sweep on a fresh fleet and tear it down.
 
     Fewer than two seeds run inline whatever worker count is asked
-    for (a negative one is still a ``ValueError``).
+    for (a negative one is still a ``ValueError``).  An unpicklable
+    trial is refused before any worker starts.
     """
     seed_list = list(seeds)
-    if len(seed_list) < 2 and (workers is None or workers > 0):
+    if workers is None:
+        workers = _default_workers()
+    if len(seed_list) < 2 and workers > 0:
         workers = 0
+    if workers > 0:
+        _require_picklable(trial)
     with FleetRunner(graph, workers=workers, registry=registry) as fleet:
         return fleet.run(trial, seed_list)

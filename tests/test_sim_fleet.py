@@ -16,6 +16,7 @@ from repro.analysis import aggregate_rows
 from repro.graphs import connected_random_udg
 from repro.obs import MetricsRegistry
 from repro.obs.flightrec import FlightRecorder, set_flight_recorder
+from repro.sim import fleet
 from repro.sim.fleet import BackboneTrial, ChaosTrial, FleetRunner, run_fleet
 
 pytest.importorskip("numpy")
@@ -64,9 +65,16 @@ class TestSweepContract:
         assert rows == [{"x": 4}, {"x": 5}]
 
     @pytest.mark.parametrize("workers", [1, 2, None])
-    def test_unpicklable_trial_explained(self, workers):
-        # Checked before any chunk is sent, for every worker count, so a
+    def test_unpicklable_trial_explained(self, workers, monkeypatch):
+        # Checked before any worker starts, for every worker count, so a
         # sweep that passes on a small machine does not fail on a big one.
+        group = fleet.WorkerGroup
+
+        def lane_only(*args, count, **kwargs):
+            assert count == 0, f"{count} workers started before the check"
+            return group(*args, count=count, **kwargs)
+
+        monkeypatch.setattr(fleet, "WorkerGroup", lane_only)
         with pytest.raises(TypeError, match="picklable"):
             run_fleet(GRAPH, lambda graph, seed: {"x": seed}, SEEDS[:2],
                       workers=workers)

@@ -11,7 +11,9 @@ new one (from a node numbering in the parent, and from shared position
 rows in a worker) must give the same answer to every query, and a
 worker pool must keep answering exactly like an inline pool while
 nodes move, and every live replica, loaded in full or patched in place
-after a move, must stay what a fresh load would build.
+after a move, must stay what a fresh load would build.  A replica
+keeps a few per-source route BFS trees and resumes them: the answers
+must stay the oracle's through repeated sources and in-place patches.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from repro.graphs import jittered_grid
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
 from repro.shard import ShardConfig, SharedPositions, ShardServePool
-from repro.shard.pool import _replica_from_shared, _serve_tiles, _TileReplica
+from repro.shard.pool import (
+    _ROUTE_TREES,
+    _patch_from_shared,
+    _replica_from_shared,
+    _serve_tiles,
+    _TileReplica,
+)
 from repro.wcds.connectors import number_nodes
 from repro.workers import WorkerEnv, WorkerGroup
 
@@ -193,6 +201,122 @@ class TestReplicaAgainstOracle:
         assert_same_answers(replica, oracle, graph)
 
 
+@st.composite
+def churned_tiles(draw):
+    """A tile over a small UDG and a stream of steps: routes from a few
+    repeated sources to any id (members, non-members, no id at all),
+    and in-place patches, each moving a member (or none) and flipping
+    some members' MIS and backbone flags."""
+    graph, members, mis, backbone = draw(tiles())
+    sources = draw(st.lists(st.sampled_from(members), min_size=1, max_size=6))
+    targets = st.sampled_from(sorted(graph.positions) + [len(graph.positions)])
+    flips = st.lists(
+        st.tuples(st.sampled_from(members), st.booleans(), st.booleans()),
+        max_size=4, unique_by=lambda flip: flip[0],
+    )
+    route = st.tuples(st.just("route"), st.sampled_from(sources), targets)
+    patch = st.tuples(
+        st.just("patch"), st.one_of(st.none(), st.sampled_from(members)),
+        coordinates, flips,
+    )
+    steps = draw(st.lists(st.one_of(route, route, patch), max_size=40))
+    return graph, members, mis, backbone, steps
+
+
+def _connected_tile(count: int = 12) -> _TileReplica:
+    """A black path ``0 - 1 - ... - count-1``: every pair is routable."""
+    adj = [tuple(j for j in (i - 1, i + 1) if 0 <= j < count) for i in range(count)]
+    return _TileReplica(list(range(count)), adj, {0}, set(range(count)))
+
+
+class TestRouteTrees:
+    @given(tile=churned_tiles())
+    @settings(max_examples=120, deadline=None)
+    def test_resumed_routes_match_oracle_through_patches(self, tile):
+        # Node i is row i of the shared block, as in the pool; a patch
+        # keeps the member set, so the oracle is rebuilt from the moved
+        # graph and the flipped flags.
+        graph, members, mis, backbone, steps = tile
+        mis, backbone = set(mis) & set(members), set(backbone) & set(members)
+        shared = SharedPositions.create(
+            [(graph.positions[i].x, graph.positions[i].y)
+             for i in range(len(graph.positions))]
+        )
+        try:
+            replica = _replica_from_shared(
+                shared, graph.radius, members, sorted(mis), sorted(backbone)
+            )
+            oracle = oracle_replica(graph, members, mis, backbone)
+            for step in steps:
+                if step[0] == "route":
+                    _, u, v = step
+                    assert replica.route(u, v) == oracle.route(u, v), (u, v)
+                    assert len(replica.trees) <= _ROUTE_TREES
+                    continue
+                _, moved, (x, y), flips = step
+                if moved is not None:
+                    shared.array[moved] = (x, y)
+                    graph.move_node(moved, Point(x, y))
+                for row, in_mis, in_backbone in flips:
+                    (mis.add if in_mis else mis.discard)(row)
+                    (backbone.add if in_backbone else backbone.discard)(row)
+                _patch_from_shared(replica, shared, graph.radius, moved, flips)
+                oracle = oracle_replica(graph, members, mis, backbone)
+        finally:
+            shared.close()
+            shared.unlink()
+
+    def test_trees_are_bounded_and_least_recently_used_go(self):
+        replica = _connected_tile()
+        sources = list(range(2 * _ROUTE_TREES + 1))
+        for source in sources:
+            assert replica.route(source, 11)[-1] == 11
+            assert len(replica.trees) <= _ROUTE_TREES
+        assert list(replica.trees) == sources[-_ROUTE_TREES:]
+        # A reused source moves to the back; the oldest then goes.
+        oldest = sources[-_ROUTE_TREES]
+        assert replica.route(oldest, 0) == list(range(oldest, -1, -1))
+        replica.route(0, 5)
+        assert list(replica.trees) == [*sources[-_ROUTE_TREES + 2:], oldest, 0]
+
+    def test_resume_extends_the_same_tree(self):
+        replica = _connected_tile()
+        assert replica.route(5, 6) == [5, 6]
+        parent, frontier, _ = replica.trees[5]
+        assert replica.route(5, 11) == list(range(5, 12))
+        assert replica.route(5, 4) == [5, 4]  # reached: no scan
+        assert replica.trees[5][:2] == (parent, frontier)
+        assert sorted(frontier) == list(range(12))
+        assert replica.route(5, 99) is None  # not in the tile
+
+    def test_a_patch_that_rewrites_hops_drops_every_tree(self):
+        graph = jittered_grid(60, seed=2)
+        rows = sorted(graph.positions)
+        shared = SharedPositions.create(
+            [(graph.positions[i].x, graph.positions[i].y) for i in rows]
+        )
+        try:
+            replica = _replica_from_shared(
+                shared, graph.radius, rows, [0], rows[::2]
+            )
+            for source in rows[:3]:
+                replica.route(source, rows[-1])
+            assert replica.trees
+            # An MIS-only flip rewrites no ``hops`` row: trees stay.
+            _patch_from_shared(replica, shared, graph.radius, None, [(0, False, True)])
+            assert len(replica.trees) == 3
+            # A black flip does.
+            _patch_from_shared(replica, shared, graph.radius, None, [(1, False, True)])
+            assert not replica.trees
+            replica.route(rows[0], rows[-1])
+            # So does a moved row.
+            _patch_from_shared(replica, shared, graph.radius, rows[5], [])
+            assert not replica.trees
+        finally:
+            shared.close()
+            shared.unlink()
+
+
 def _queries(pool: ShardServePool, rng: random.Random, count: int) -> List[Tuple]:
     """Mixed queries, routes to members of the source's tile, plus a
     few whose target no tile holds."""
@@ -233,6 +357,36 @@ class TestPooledAgainstInline:
                     assert pooled.backbone_nodes() == inline.backbone_nodes()
                 queries = _queries(inline, rng, 200)
                 assert pooled.query_batch(queries) == inline.query_batch(queries)
+        finally:
+            inline.close()
+
+
+    def test_repeated_sources_across_moves(self):
+        # Few hot sources, many targets each, a move between batches:
+        # the workers resume the trees the inline lane resumes, and the
+        # moves drop the trees of the patched tiles on both.
+        graph = jittered_grid(400, seed=4)
+        inline = ShardServePool(graph.copy(), ShardConfig(tile_size=4.0))
+        rng = random.Random(6)
+        nodes = sorted(graph.positions)
+        try:
+            with ShardServePool(
+                graph.copy(), ShardConfig(tile_size=4.0, workers=2, batch_size=16)
+            ) as pooled:
+                for _ in range(12):
+                    hot = rng.sample(nodes, 6)
+                    queries: List[Tuple] = []
+                    for _ in range(60):
+                        u = hot[rng.randrange(len(hot))]
+                        members = inline.tiler.members(inline.tiler.owner[u])
+                        v = members[rng.randrange(len(members))]
+                        queries.append(("route", u, v))
+                    queries.append(("route", hot[0], "nope"))
+                    assert pooled.query_batch(queries) == inline.query_batch(queries)
+                    lane = inline.group.conns[0].env.state
+                    assert any(replica.trees for replica in lane.values())
+                    node, target = _nudge(inline.graph, rng)
+                    assert pooled.move(node, target) == inline.move(node, target)
         finally:
             inline.close()
 
