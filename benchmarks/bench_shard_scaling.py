@@ -11,7 +11,10 @@ The shard subsystem's reason to exist, asserted here:
   tiles**, and at most the reading tiles rebuilt per event;
 * the stitched backbone equals the global single-process construction
   (spot-checked here; the seed/tile-size sweep lives in
-  ``tests/test_shard.py``).
+  ``tests/test_shard.py``);
+* the build seeded with the greedy-MIS pins settles in one exchange
+  round, one pass per tile, and equals tile for tile the build by
+  exchange from empty pins.
 
 ``SHARD_SCALING_N`` scales the deployment (default 100000, a ~70-tile
 multi-shard instance); CI runs a reduced size.
@@ -27,7 +30,8 @@ import pytest
 from bench_utils import show
 from repro.geometry import Point
 from repro.graphs import jittered_grid
-from repro.shard import ShardConfig, ShardServePool
+from repro.obs import MetricsRegistry
+from repro.shard import ShardConfig, ShardedBackbone, ShardServePool
 
 N = int(os.environ.get("SHARD_SCALING_N", "100000"))
 TILE_SIZE = 12.0
@@ -165,3 +169,56 @@ def test_sharded_matches_global_backbone():
     oracle = algorithm2_centralized(graph)
     assert sharded.dominators == oracle.dominators
     assert sharded.mis_dominators == oracle.mis_dominators
+
+
+class _ExchangeBuild(ShardedBackbone):
+    """The build by frontier exchange from empty pins."""
+
+    def _seed_pins(self) -> None:
+        pass
+
+
+def test_seeded_build_equals_exchange_build(deployment):
+    config = ShardConfig(tile_size=TILE_SIZE)
+    registry = MetricsRegistry()
+    started = time.perf_counter()
+    seeded = ShardedBackbone(deployment, config, registry=registry)
+    seeded_s = time.perf_counter() - started
+    oracle_registry = MetricsRegistry()
+    started = time.perf_counter()
+    exchanged = _ExchangeBuild(deployment, config, registry=oracle_registry)
+    exchanged_s = time.perf_counter() - started
+    tiles = seeded.tiler.tiles()
+    show(
+        f"Seeded vs exchange-from-empty build (n={N}, tile={TILE_SIZE}R)",
+        [
+            {
+                "build": name,
+                "tiles": len(tiles),
+                "rounds": backbone.last_rounds,
+                "tile_passes": int(
+                    reg.value("shard_tile_builds_total", phase="full")
+                ),
+                "pins": int(reg.value("shard_pins_published_total")),
+                "seconds": round(seconds, 3),
+            }
+            for name, backbone, reg, seconds in (
+                ("seeded", seeded, registry, seeded_s),
+                ("exchange", exchanged, oracle_registry, exchanged_s),
+            )
+        ],
+    )
+    assert tiles == exchanged.tiler.tiles()
+    for tile in tiles:
+        state, oracle = seeded._tiles[tile], exchanged._tiles[tile]
+        assert seeded.tile_status(tile) == exchanged.tile_status(tile)
+        assert state.pins == oracle.pins
+        assert state.waiting == oracle.waiting == set()
+        assert seeded.tile_connectors(tile) == exchanged.tile_connectors(tile)
+    assert seeded.result() == exchanged.result()
+    assert seeded.last_rounds == 1
+    assert registry.value("shard_tile_builds_total", phase="full") == len(tiles)
+    # The seed wrote every pin; the exchange wrote none.
+    assert registry.value("shard_pins_published_total") == sum(
+        len(seeded._tiles[tile].pins) for tile in tiles
+    )

@@ -17,20 +17,25 @@ import heapq
 from typing import Dict, Hashable, Mapping, Set
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.mis.ranking import Rank, id_ranking, validate_ranking
+from repro.mis.ranking import Rank, validate_ranking
 
 
 def greedy_mis(graph: Graph, ranking: Mapping[Hashable, Rank] = None) -> Set[Hashable]:
     """MIS by lowest-static-rank-first marking.
 
-    With no ranking given, ranks are the node ids (Algorithm II's MIS).
+    With no ranking given, ranks are the node ids (Algorithm II's MIS):
+    the ids are sorted directly, in the order of the rank tuples of
+    :func:`~repro.mis.ranking.id_ranking`, and mixed ids raise
+    ``TypeError`` as those tuples do.
     """
     if ranking is None:
-        ranking = id_ranking(graph)
-    validate_ranking(graph, ranking)
+        order = sorted(graph.nodes())
+    else:
+        validate_ranking(graph, ranking)
+        order = sorted(graph.nodes(), key=ranking.__getitem__)
     black: Set[Hashable] = set()
     gray: Set[Hashable] = set()
-    for node in sorted(graph.nodes(), key=ranking.__getitem__):
+    for node in order:
         if node in gray:
             continue
         black.add(node)

@@ -25,6 +25,11 @@ every owned status is settled.  The protocol:
   (see :meth:`ShardedBackbone._stitch`).  Dependency chains that cross
   tiles take one exchange round per boundary they cross.
 
+* **Seed.**  A build first pins every halo member at its status in the
+  global MIS, computed by one ID-ordered greedy pass.  Those are the
+  pins the exchange ends with, so the build settles in one round of
+  one full pass per tile; the exchange does its work under churn.
+
 * **Connectors.**  Once statuses are settled, each tile selects
   Algorithm II's additional dominators for the 3-hop MIS pairs *led*
   by its owned nodes (the lower endpoint), with the oracle's exact
@@ -57,6 +62,7 @@ from repro.geometry.point import Point
 from repro.graphs.graph import canonical_order
 from repro.graphs.traversal import is_connected
 from repro.graphs.udg import UnitDiskGraph
+from repro.mis.centralized import greedy_mis
 from repro.obs.tracing import get_tracer
 from repro.shard.config import ShardConfig
 from repro.shard.tiler import TileId, Tiler
@@ -265,7 +271,8 @@ class InvalidationReport:
 class ShardedBackbone:
     """The stitched, incrementally-maintained sharded backbone.
 
-    Construction stitches the full tiling; afterwards
+    Construction seeds the pins from the greedy MIS
+    (:meth:`_seed_pins`) and stitches the full tiling; afterwards
     :meth:`apply_move` / :meth:`apply_join` / :meth:`apply_leave` (or
     the ``note_*`` twins when the caller already mutated the graph)
     keep the backbone exact under churn by re-stitching only the
@@ -303,6 +310,7 @@ class ShardedBackbone:
         with self.tracer.span(
             "shard_build", n=graph.num_nodes, tiles=len(self.tiler.tiles())
         ) as span:
+            self._seed_pins()
             _, rounds, _ = self._stitch(
                 set(self.tiler.tiles()), "full", {}, frozenset()
             )
@@ -325,6 +333,29 @@ class ShardedBackbone:
     # ------------------------------------------------------------------
     # Stitching
     # ------------------------------------------------------------------
+    def _seed_pins(self) -> None:
+        """Pin every halo member of every tile at its MIS status before
+        the build's stitch.
+
+        The MIS is the lowest-ID-first one, and one ID-ordered greedy
+        pass computes it; these are the pins the exchange would end
+        with, so every tile's first (full) pass settles all of its
+        statuses, publishes nothing new, and the build takes one round.
+        The fixpoint does not depend on the starting pins (see
+        :meth:`_stitch`), so the built state is the exchange's own."""
+        mis = greedy_mis(self.graph)
+        live = self.tiler.tiles()
+        tiles = self._tiles
+        tiles.update((tile, _Tile()) for tile in live)
+        seeded = 0
+        for tile in live:
+            for v, consumers in self.tiler.publishers(tile):
+                verdict = v in mis
+                for consumer in consumers:
+                    tiles[consumer].pins[v] = verdict
+                seeded += len(consumers)
+        self._count_published(seeded)
+
     def tile_index(self, tile: TileId) -> _TileIndex:
         """The live tile's members numbered in ascending id order, with
         ascending neighbour tuples (:func:`number_nodes`).  Renumbered
@@ -482,12 +513,15 @@ class ShardedBackbone:
                     reader.dirty.add(v)
                     published += 1
                     dirty.add(consumer)
-        if self.registry is not None and published:
+        self._count_published(published)
+        return dirty
+
+    def _count_published(self, amount: int) -> None:
+        if self.registry is not None and amount:
             self.registry.counter(
                 "shard_pins_published_total",
                 "Frontier statuses published to consumer tiles",
-            ).inc(published)
-        return dirty
+            ).inc(amount)
 
     def _install(self, tile: TileId, state: _Tile, changed: AbstractSet[Node]) -> None:
         """Take in the tile's index patched in place (same numbering):

@@ -1,5 +1,7 @@
 """Tests for MIS rankings and the centralized constructions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -89,6 +91,28 @@ class TestGreedyMis:
     def test_deterministic(self, seed):
         g = dense_connected_udg(20, seed)
         assert greedy_mis(g) == greedy_mis(g)
+
+    @given(seeds, small_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_default_equals_the_id_ranking(self, seed, size):
+        # Sorting the ids directly is the id ranking, also on ids that
+        # are not in insertion order: relabel by a seeded shuffle.
+        g = dense_connected_udg(max(size, 2), seed)
+        ids = random.Random(seed).sample(range(-1000, 1000), g.num_nodes)
+        label = dict(zip(sorted(g.nodes()), ids))
+        relabelled = Graph(
+            nodes=[label[v] for v in g.nodes()],
+            edges=[(label[u], label[v]) for u, v in g.edges()],
+        )
+        for graph in (g, relabelled):
+            assert greedy_mis(graph) == greedy_mis(graph, id_ranking(graph))
+
+    def test_mixed_ids_raise_type_error(self):
+        g = Graph(edges=[(1, "a"), ("a", 2)])
+        with pytest.raises(TypeError):
+            greedy_mis(g)
+        with pytest.raises(TypeError):
+            greedy_mis(g, id_ranking(g))
 
 
 class TestDynamicDegreeMis:

@@ -23,6 +23,8 @@ from repro.shard import MIN_HALO_RADII, ShardConfig, ShardedBackbone, Tiler, bui
 from repro.shard.tiler import rect_distance_squared
 from repro.wcds.algorithm2 import algorithm2_centralized
 
+from tutils import dense_connected_udg
+
 
 def dense_udg(n: int, side: float, seed: int):
     return connected_random_udg(n, side, seed=seed)
@@ -518,6 +520,9 @@ class TestRestitch:
         backbone = ShardedBackbone(graph, ShardConfig(), registry=registry)
         built = registry.value("shard_pins_published_total")
         assert built == 3492
+        # The greedy-MIS seed settles the build in one full pass per
+        # tile (42 passes by exchange from empty pins).
+        assert registry.value("shard_tile_builds_total", phase="full") == 19
         rng = random.Random(0)
         nodes = sorted(graph.positions)
         moves = 400
@@ -536,6 +541,57 @@ class TestRestitch:
         leaders = registry.value("shard_connector_leaders_total", scope="ball")
         assert leaders / moves < 16
         assert_same_backbone(backbone, graph)
+
+
+# ----------------------------------------------------------------------
+# The build starts from the greedy-MIS pins and settles in one round
+# ----------------------------------------------------------------------
+class ExchangeBuild(ShardedBackbone):
+    """The build by frontier exchange from empty pins: the oracle the
+    seeded build must equal."""
+
+    def _seed_pins(self) -> None:
+        pass
+
+
+class TestSeededBuild:
+    @pytest.mark.parametrize("perturbation", [None, 7])
+    @pytest.mark.parametrize("tile_size", [3.5, 8.0, 13.0])
+    @pytest.mark.parametrize(
+        "deployment, seed",
+        [("grid", 0), ("grid", 3), ("random", 1), ("random", 4)],
+    )
+    def test_equals_the_exchange_from_empty_pins(
+        self, deployment, seed, tile_size, perturbation
+    ):
+        from repro.obs import MetricsRegistry
+        from repro.sim.engine import perturbed_schedule
+
+        if deployment == "grid":
+            graph = jittered_grid(900, seed)
+        else:
+            graph = dense_connected_udg(400, seed)
+        config = ShardConfig(tile_size=tile_size)
+        registry = MetricsRegistry()
+        with perturbed_schedule(perturbation):
+            seeded = ShardedBackbone(graph, config, registry=registry)
+            exchanged = ExchangeBuild(graph, config)
+        tiles = seeded.tiler.tiles()
+        assert tiles == exchanged.tiler.tiles()
+        for tile in tiles:
+            state, oracle = seeded._tiles[tile], exchanged._tiles[tile]
+            assert seeded.tile_status(tile) == exchanged.tile_status(tile)
+            assert state.pins == oracle.pins
+            assert state.waiting == oracle.waiting == set()
+            assert seeded.tile_connectors(tile) == exchanged.tile_connectors(tile)
+        assert seeded.result() == exchanged.result()
+        assert exchanged.last_rounds > 1  # the case exercises the exchange
+        assert seeded.last_rounds == 1
+        assert registry.value("shard_tile_builds_total", phase="full") == len(tiles)
+        # Every pin was written by the seed; the exchange wrote none.
+        assert registry.value("shard_pins_published_total") == sum(
+            len(seeded._tiles[tile].pins) for tile in tiles
+        )
 
 
 # ----------------------------------------------------------------------
