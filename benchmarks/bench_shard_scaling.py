@@ -12,9 +12,9 @@ The shard subsystem's reason to exist, asserted here:
 * the stitched backbone equals the global single-process construction
   (spot-checked here; the seed/tile-size sweep lives in
   ``tests/test_shard.py``);
-* the build seeded with the greedy-MIS pins settles in one exchange
-  round, one pass per tile, and equals tile for tile the build by
-  exchange from empty pins.
+* the build seeded with the greedy-MIS pin table settles in one
+  exchange round, one pass per tile, and equals tile for tile (and pin
+  for pin) the build by exchange from an empty table.
 
 ``SHARD_SCALING_N`` scales the deployment (default 100000, a ~70-tile
 multi-shard instance); CI runs a reduced size.
@@ -172,7 +172,7 @@ def test_sharded_matches_global_backbone():
 
 
 class _ExchangeBuild(ShardedBackbone):
-    """The build by frontier exchange from empty pins."""
+    """The build by frontier exchange from an empty pin table."""
 
     def _seed_pins(self) -> None:
         pass
@@ -209,16 +209,18 @@ def test_seeded_build_equals_exchange_build(deployment):
         ],
     )
     assert tiles == exchanged.tiler.tiles()
+    assert seeded._pins == exchanged._pins
     for tile in tiles:
         state, oracle = seeded._tiles[tile], exchanged._tiles[tile]
         assert seeded.tile_status(tile) == exchanged.tile_status(tile)
-        assert state.pins == oracle.pins
         assert state.waiting == oracle.waiting == set()
         assert seeded.tile_connectors(tile) == exchanged.tile_connectors(tile)
     assert seeded.result() == exchanged.result()
     assert seeded.last_rounds == 1
     assert registry.value("shard_tile_builds_total", phase="full") == len(tiles)
-    # The seed wrote every pin; the exchange wrote none.
+    # The seed delivered every pin to each consumer; the exchange wrote
+    # none.
+    consumers = seeded.tiler.consumers
     assert registry.value("shard_pins_published_total") == sum(
-        len(seeded._tiles[tile].pins) for tile in tiles
+        len(consumers(v)) for v in deployment.nodes()
     )

@@ -415,6 +415,10 @@ def cmd_broadcast(args) -> int:
     from repro.backbone import build
 
     graph = _build(args)
+    if args.source not in graph:
+        print(f"error: source {args.source} is not in the deployment "
+              f"(n={graph.num_nodes})", file=sys.stderr)
+        return 2
     result = build("algorithm2", graph)
     flood = blind_flood(graph, args.source)
     backbone = backbone_broadcast(graph, result, args.source)
@@ -548,6 +552,12 @@ def cmd_serve(args) -> int:
             tile_size=args.tile_size,
             slos=_parse_slos(args),
         )
+        workload = None if args.requests else WorkloadConfig(
+            queries=args.queries,
+            zipf_exponent=args.zipf,
+            churn_every=args.churn_every,
+            seed=args.seed,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -559,15 +569,7 @@ def cmd_serve(args) -> int:
             return 2
         source = args.requests
     else:
-        generator = WorkloadGenerator(
-            sorted(graph.nodes(), key=repr),
-            WorkloadConfig(
-                queries=args.queries,
-                zipf_exponent=args.zipf,
-                churn_every=args.churn_every,
-                seed=args.seed,
-            ),
-        )
+        generator = WorkloadGenerator(sorted(graph.nodes(), key=repr), workload)
         requests = list(generator.requests())
         source = f"synthetic workload ({args.queries} queries)"
     recorder = None

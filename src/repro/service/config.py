@@ -23,10 +23,6 @@ class ServiceConfig:
     queue_capacity: int = 1024
     #: Default per-request deadline in seconds (None = no deadline).
     default_deadline: float | None = None
-    #: While a partition fault is active, answer queries from the
-    #: last-good snapshot (marked stale) instead of refreshing on a
-    #: topology that is known to be split.
-    degrade_on_partition: bool = True
     #: Side of the spatial tiles (:mod:`repro.shard`) the backbone is
     #: maintained in, in radio radii.  An update re-stitches only the
     #: tiles reading the touched nodes, and only the cached routes

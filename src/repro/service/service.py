@@ -218,10 +218,10 @@ class BackboneService:
           topology; its position is remembered for a later revival.
         * :class:`~repro.faults.plan.Revive` — the radio re-joins at
           its last known position.
-        * :class:`~repro.faults.plan.Partition` — while active (and
-          ``config.degrade_on_partition`` is set) the service serves
-          stale from the last-good snapshot; call :meth:`heal_signal`
-          when it heals.
+        * :class:`~repro.faults.plan.Partition` — while active the
+          service serves stale from the last-good snapshot instead of
+          refreshing on a topology known to be split; call
+          :meth:`heal_signal` when it heals.
         * :class:`~repro.faults.plan.LossBurst` — counted only; the
           transport layer absorbs loss.
         """
@@ -262,10 +262,7 @@ class BackboneService:
     @property
     def degraded(self) -> bool:
         """Whether the service is in partition-degraded mode."""
-        return (
-            self.config.degrade_on_partition
-            and bool(self._active_partitions)
-        )
+        return bool(self._active_partitions)
 
     def _ingest(self, seeds: Iterable[Hashable]) -> None:
         """Count an update and evict the cached routes through the

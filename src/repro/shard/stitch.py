@@ -6,28 +6,30 @@ determined MIS statuses of owned nodes in the boundary band — until
 every owned status is settled.  The protocol:
 
 * **Local pass.**  Walk the tile's members in rank order (Algorithm
-  II's bare-id ranking).  A node pinned by its owner keeps the pinned
-  status.  Otherwise it is OUT if some lower-rank neighbor is known IN;
-  IN if its whole unit disk is visible to the tile (so the tile sees
-  *every* neighbor) and all lower-rank neighbors are known OUT; and
-  UNKNOWN when a lower-rank neighbor is still unsettled.  A tile keeps
-  its statuses while its numbering lives, so a later pass re-evaluates
-  only what changed: members whose pin or edges changed, and members
-  above a neighbour whose status flipped, in ascending rank.
+  II's bare-id ranking).  A member the tile does not own keeps its pin,
+  once its owner determined one.  Otherwise it is OUT if some
+  lower-rank neighbor is known IN; IN if its whole unit disk is visible
+  to the tile (so the tile sees *every* neighbor) and all lower-rank
+  neighbors are known OUT; and UNKNOWN when a lower-rank neighbor is
+  still unsettled.  A tile keeps its statuses while its numbering
+  lives, so a later pass re-evaluates only what changed: members whose
+  pin or edges changed, and members above a neighbour whose status
+  flipped, in ascending rank.
 
-* **Exchange.**  After a pass, an owned node whose determined status
-  flipped is published to the tiles consuming it in their halo (every
-  determined status after a full pass, and once the tiler replaced the
-  tile's publisher list).  A tile whose pins changed is re-passed.
-  A pin stays until its owner publishes a different verdict, so a
-  re-stitch may start from pins that a move made wrong; the fixpoint is
-  still the global lexicographically-first MIS, by induction over rank
-  (see :meth:`ShardedBackbone._stitch`).  Dependency chains that cross
-  tiles take one exchange round per boundary they cross.
+* **Exchange.**  One pin table holds every live node's status as its
+  owner last determined it.  After a pass, an owned status that
+  differs from its pin (any owned member after a full pass, a flipped
+  one after a re-pass) is written to the table, and the tiles consuming
+  the node in their halo are re-passed.  A pin stays until its owner
+  determines a different status, so a re-stitch may start from pins
+  that a move made wrong; the fixpoint is still the global
+  lexicographically-first MIS, by induction over rank (see
+  :meth:`ShardedBackbone._stitch`).  Dependency chains that cross tiles
+  take one exchange round per boundary they cross.
 
-* **Seed.**  A build first pins every halo member at its status in the
-  global MIS, computed by one ID-ordered greedy pass.  Those are the
-  pins the exchange ends with, so the build settles in one round of
+* **Seed.**  A build first fills the table with every node's status in
+  the global MIS, computed by one ID-ordered greedy pass.  Those are
+  the pins the exchange ends with, so the build settles in one round of
   one full pass per tile; the exchange does its work under churn.
 
 * **Connectors.**  Once statuses are settled, each tile selects
@@ -148,18 +150,16 @@ class _Tile:
 
     ``status`` is aligned with ``index``'s numbering and lives as long as
     it; ``index`` is ``None`` from the moment the tile must be
-    renumbered until its next (full) pass.  ``pins`` hold the verdicts
-    the owners published for halo members; ``dirty`` the members whose
-    pin or edges changed since the last pass; ``waiting`` the numbers of
-    owned members with no status yet; ``connectors`` the pairs ``(u, w,
-    chosen)`` by the number of their leader ``u``."""
+    renumbered until its next (full) pass.  ``dirty`` holds the members
+    whose pin or edges changed since the last pass; ``waiting`` the
+    numbers of owned members with no status yet; ``connectors`` the
+    pairs ``(u, w, chosen)`` by the number of their leader ``u``."""
 
-    __slots__ = ("index", "status", "pins", "dirty", "waiting", "connectors")
+    __slots__ = ("index", "status", "dirty", "waiting", "connectors")
 
     def __init__(self) -> None:
         self.index: Optional[_TileIndex] = None
         self.status: List[Optional[bool]] = []
-        self.pins: Dict[Node, bool] = {}
         self.dirty: Set[Node] = set()
         self.waiting: Set[int] = set()
         self.connectors: Dict[int, List[Pair]] = {}
@@ -251,8 +251,8 @@ class InvalidationReport:
     ``cascaded`` is the part of ``rebuilt`` beyond the seeds, reached
     only because a published frontier status changed, possibly only
     for a while: a status computed from a kept pin the change made
-    wrong is published and then corrected, so a cascaded tile's final
-    pins may equal its pins before.  Gentle interior churn keeps
+    wrong is published and then corrected, so the pins a cascaded tile
+    reads may end as they were before.  Gentle interior churn keeps
     ``cascaded`` empty — the benchmark gate asserts it.  ``flipped``
     are the nodes whose membership changed, in canonical order: those
     that entered or left the MIS or the backbone (a node that left the
@@ -299,6 +299,10 @@ class ShardedBackbone:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.tiler = Tiler(graph.positions, graph.radius, self.config)
         self._tiles: Dict[TileId, _Tile] = {}
+        #: The pin table: every live node's status as its owner last
+        #: determined it.  A tile reads it for the members it does not
+        #: own; only the owner writes an entry (:meth:`_publish`).
+        self._pins: Dict[Node, bool] = {}
         #: The global membership (:meth:`membership`), which every
         #: stitch updates from what it changed: the MIS, and per
         #: dominator its claims, one for MIS membership and one per
@@ -334,27 +338,22 @@ class ShardedBackbone:
     # Stitching
     # ------------------------------------------------------------------
     def _seed_pins(self) -> None:
-        """Pin every halo member of every tile at its MIS status before
-        the build's stitch.
+        """Fill the pin table with every node's MIS status before the
+        build's stitch.
 
         The MIS is the lowest-ID-first one, and one ID-ordered greedy
         pass computes it; these are the pins the exchange would end
         with, so every tile's first (full) pass settles all of its
         statuses, publishes nothing new, and the build takes one round.
         The fixpoint does not depend on the starting pins (see
-        :meth:`_stitch`), so the built state is the exchange's own."""
+        :meth:`_stitch`), so the built state is the exchange's own.
+        Counted as published once per consumer tile, as the exchange
+        would have delivered them."""
         mis = greedy_mis(self.graph)
-        live = self.tiler.tiles()
-        tiles = self._tiles
-        tiles.update((tile, _Tile()) for tile in live)
-        seeded = 0
-        for tile in live:
-            for v, consumers in self.tiler.publishers(tile):
-                verdict = v in mis
-                for consumer in consumers:
-                    tiles[consumer].pins[v] = verdict
-                seeded += len(consumers)
-        self._count_published(seeded)
+        self._pins = {v: v in mis for v in self.graph.nodes()}
+        if self.registry is not None:
+            consumers = self.tiler.consumers
+            self._count_published(sum(len(consumers(v)) for v in self._pins))
 
     def tile_index(self, tile: TileId) -> _TileIndex:
         """The live tile's members numbered in ascending id order, with
@@ -390,21 +389,19 @@ class ShardedBackbone:
     def _full_pass(self, tile: TileId, state: _Tile) -> None:
         """One rank-ordered marking pass over all of the tile's members."""
         tix = self.tile_index(tile)
-        status: List[Optional[bool]] = [None] * len(tix.members)
-        pinned = bytearray(len(tix.members))
-        index = tix.index
-        for v, verdict in state.pins.items():
-            i = index.get(v)
-            if i is not None:
-                status[i] = verdict
-                pinned[i] = 1
-        visible = tix.visible
         members = tix.members
+        status: List[Optional[bool]] = [None] * len(members)
+        visible = tix.visible
+        pins = self._pins
         owner = self.tiler.owner
         waiting: Set[int] = set()
         for i, lower in enumerate(tix.lower):
-            if pinned[i]:
-                continue
+            mine = owner[members[i]] == tile
+            if not mine:
+                verdict = pins.get(members[i])
+                if verdict is not None:
+                    status[i] = verdict
+                    continue
             unsettled = False
             for j in lower:
                 known = status[j]
@@ -417,7 +414,7 @@ class ShardedBackbone:
                 if not unsettled:
                     if visible[i]:
                         status[i] = True
-                elif owner[members[i]] == tile:
+                elif mine:
                     waiting.add(i)
         state.status = status
         state.waiting = waiting
@@ -429,9 +426,10 @@ class ShardedBackbone:
         """Re-evaluate the dirty members, and every member above one
         whose status flips, in ascending rank.
 
-        Exact: a member's status in a pass is a function of its pin,
-        its visibility and the statuses of its lower neighbours, and the
-        previous pass left every status equal to that function's value;
+        Exact: a member's status in a pass is a function of its pin (if
+        the tile does not own it), its visibility and the statuses of
+        its lower neighbours, and the previous pass left every status
+        equal to that function's value;
         so only a member whose pin or row changed, or one of whose lower
         neighbours flipped, can change."""
         index = tix.index
@@ -443,14 +441,14 @@ class ShardedBackbone:
         heapify(heap)
         queued = set(heap)
         status = state.status
-        pins = state.pins
+        pins = self._pins
         members, adj, lower, visible = tix.members, tix.adj, tix.lower, tix.visible
         waiting = state.waiting
         owner = self.tiler.owner
         while heap:
             i = heappop(heap)
-            v = members[i]
-            verdict = pins.get(v)
+            mine = owner[members[i]] == tile
+            verdict = None if mine else pins.get(members[i])
             if verdict is None:
                 unsettled = False
                 for j in lower[i]:
@@ -470,7 +468,7 @@ class ShardedBackbone:
             flips[i] = old
             if old is None:
                 waiting.discard(i)
-            elif verdict is None and owner[v] == tile:
+            elif verdict is None and mine:
                 waiting.add(i)
             for j in adj[i][len(lower[i]):]:
                 if j not in queued:
@@ -478,41 +476,30 @@ class ShardedBackbone:
                     heappush(heap, j)
         return flips
 
-    def _publish(
-        self, tile: TileId, flips: Optional[Mapping[int, Optional[bool]]]
-    ) -> Set[TileId]:
-        """Push the owned statuses that ``flips`` determined to consumer
-        tiles (every determined owned status when ``flips`` is
-        ``None``); returns the consumers whose pins changed."""
-        tix = self.tile_index(tile)
+    def _publish(self, tile: TileId, flips: Optional[Iterable[int]]) -> Set[TileId]:
+        """Write each owned status that ``flips`` determined (every
+        owned member's after a full pass, when ``flips`` is ``None``)
+        to the pin table where it differs, and mark the node dirty in
+        its consumer tiles; returns those tiles."""
+        members = self.tile_index(tile).members
         status = self._tiles[tile].status
-        index = tix.index
-        publishers: Iterable[Tuple[Node, Tuple[TileId, ...]]]
-        if flips is None:
-            publishers = self.tiler.publishers(tile)
-        else:
-            members = tix.members
-            owner = self.tiler.owner
-            consumers = self.tiler.consumers
-            publishers = [
-                (v, consumers(v))
-                for v in [members[i] for i in flips if status[i] is not None]
-                if owner[v] == tile
-            ]
+        owner = self.tiler.owner
+        consumers = self.tiler.consumers
+        pins = self._pins
         tiles = self._tiles
         dirty: Set[TileId] = set()
         published = 0
-        for v, consumers_of_v in publishers:
-            verdict = status[index[v]]
-            if verdict is None:
+        for i in range(len(members)) if flips is None else flips:
+            verdict = status[i]
+            v = members[i]
+            if verdict is None or pins.get(v) is verdict or owner[v] != tile:
                 continue
-            for consumer in consumers_of_v:
-                reader = tiles[consumer]
-                if reader.pins.get(v) is not verdict:
-                    reader.pins[v] = verdict
-                    reader.dirty.add(v)
-                    published += 1
-                    dirty.add(consumer)
+            pins[v] = verdict
+            readers = consumers(v)
+            for reader in readers:
+                tiles[reader].dirty.add(v)
+            dirty.update(readers)
+            published += len(readers)
         self._count_published(published)
         return dirty
 
@@ -565,21 +552,19 @@ class ShardedBackbone:
 
         Why the fixpoint is the global lexicographically-first MIS,
         although a re-stitch keeps pins the change may have made wrong.
-        Call a node *final* when its owner's status for it is its MIS
-        status and every tile holding it in its halo pins that status.
-        A pin changes only when its owner publishes, and an owner
-        publishes every status a pass flips to a determined value, and
-        every determined status once the tiler replaced its publisher
-        list (after its pass in round 1, or before round 1 if it is not
-        pending).  So from round 2 on every pin holds its owner's last
-        determined status.  Take the lowest-ranked node ``u`` that is
-        not final when a round starts: its lower neighbours are final
-        and stay so.  Had the owner's last pass read ``u``'s current
-        inputs, it would have found ``u``'s MIS status and published
-        it; so an input changed since (a pin, an edge, the numbering),
-        which made the owner pending, and its pass in this round makes
-        ``u`` final.  Each round finalizes at least one node, and when
-        no tile is pending every node is final."""
+        Only a node's owner writes its pin, and it writes every status
+        it determines that differs (:meth:`_publish`), so every pin is
+        always its owner's last determined status, and every tile
+        reading a changed pin is pending.  Call a node *final* when its
+        owner's status for it is its MIS status and its pin holds that
+        status.  Take the lowest-ranked node ``u`` that is not final
+        when a round starts: its lower neighbours are final and stay
+        so.  Had the owner's last pass read ``u``'s current inputs, it
+        would have found ``u``'s MIS status and written it; so an input
+        changed since (a pin, an edge, the numbering, the owner), which
+        made the owner pending, and its pass in this round makes ``u``
+        final.  Each round finalizes at least one node, and when no tile
+        is pending every node is final."""
         live = set(self.tiler.tiles())
         tiles = self._tiles
         #: Claim changes of this stitch: a retired tile's picks go.
@@ -596,12 +581,6 @@ class ShardedBackbone:
                 self._install(tile, state, changed)
             else:
                 state.index = None
-        #: Tiles whose next publish must be full (the tiler replaced
-        #: their publisher list, so a tile may have started reading
-        #: one of their nodes); one not pending publishes now.
-        full = self.tiler.take_replaced_publishers() & live
-        for tile in sorted(full - pending):
-            pending |= self._publish(tile, None)
         #: Per re-passed tile, the members whose status changed and
         #: their status before the stitch (``None``: renumbered, its
         #: connectors are selected in full).
@@ -645,9 +624,6 @@ class ShardedBackbone:
                         scopes[tile] = {**flips, **earlier}
                 touched.add(tile)
                 passes += 1
-                if tile in full:
-                    full.discard(tile)
-                    flips = None
                 dirty |= self._publish(tile, flips)
             # A tile not passed this round was settled when last passed
             # (an unsettled one is pending again), so only ``order`` can
@@ -856,9 +832,8 @@ class ShardedBackbone:
 
     def apply_leave(self, node: Node) -> InvalidationReport:
         """Remove a node (mutating the graph) and re-stitch locally."""
-        seeds = self.tiler.tiles_reading(node)
         self.graph.remove_node(node)
-        return self._after_churn(node, "leave", seeds, self.tiler.on_node_removed(node))
+        return self.note_left(node)
 
     def note_moved(self, node: Node) -> InvalidationReport:
         """Re-stitch after the caller already moved ``node`` in the
@@ -891,6 +866,7 @@ class ShardedBackbone:
 
     def note_left(self, node: Node) -> InvalidationReport:
         """Re-stitch after the caller already removed ``node``."""
+        self._pins.pop(node, None)
         seeds = self.tiler.tiles_reading(node)
         return self._after_churn(node, "leave", seeds, self.tiler.on_node_removed(node))
 
@@ -904,19 +880,6 @@ class ShardedBackbone:
         changed: AbstractSet[Node] = frozenset(),
     ) -> InvalidationReport:
         with self.tracer.span("shard_invalidate", event=event) as span:
-            # A tile holds pins only for its halo: the node's pin goes
-            # from every tile that stopped reading it as halo (it left
-            # the deployment or the halo) or now owns it.  Every other
-            # pin stays until its owner publishes a different verdict.
-            readers = self.tiler.consumers(node)
-            for tile in pending:
-                state = self._tiles.get(tile)
-                if (
-                    state is not None
-                    and tile not in readers
-                    and state.pins.pop(node, None) is not None
-                ):
-                    state.dirty.add(node)
             touched, rounds, flipped = self._stitch(
                 set(pending), "churn", patched, {node, *changed}
             )

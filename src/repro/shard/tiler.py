@@ -6,7 +6,9 @@ tile (the cell containing its position).  A tile additionally reads a
 **halo**: the nodes within :data:`MIN_HALO_RADII` radii of its rectangle that
 it does not own.  Owned nodes within the same distance of the tile
 boundary form the **frontier band** — the only state a tile ever
-publishes to its neighbors during stitching.
+publishes to its neighbors during stitching.  The tiler keeps no
+stitch state: the stitch asks it only which tiles read a node
+(:meth:`Tiler.consumers`), and that is the halo index itself.
 
 The build reads the positions once into an ``(n, 2)`` array and bins
 every node in one pass of :mod:`repro.kernels.shard`; per tile, one
@@ -86,12 +88,6 @@ class Tiler:
         self._visible_limit = slack * slack
         #: node -> tiles (excluding the owner) whose halo holds it.
         self._consumers: Dict[Node, Set[TileId]] = {}
-        #: tile -> its :meth:`publishers`, until an owned node or one of
-        #: their consumer sets changes.
-        self._publishers: Dict[TileId, List[Tuple[Node, Tuple[TileId, ...]]]] = {}
-        #: Tiles whose publisher list was dropped since the last
-        #: :meth:`take_replaced_publishers`.
-        self._replaced: Set[TileId] = set()
         self._build()
 
     # ------------------------------------------------------------------
@@ -142,17 +138,16 @@ class Tiler:
                 continue
             self._read_halo(tile, node, pos)
 
-    def _read_halo(self, tile: TileId, node: Node, pos: Point) -> bool:
+    def _read_halo(self, tile: TileId, node: Node, pos: Point) -> None:
         """Put ``node`` in ``tile``'s halo (and visible halo) if its
-        position is close enough; returns whether it went in."""
+        position is close enough."""
         d2 = rect_distance_squared(pos.x, pos.y, self.rect(tile))
         if d2 > self.halo_width * self.halo_width:
-            return False
+            return
         self._halo.setdefault(tile, set()).add(node)
         if d2 <= self._visible_limit:
             self._visible.setdefault(tile, set()).add(node)
         self._consumers.setdefault(node, set()).add(tile)
-        return True
 
     def _unread_halo(self, tile: TileId, node: Node) -> None:
         """Take ``node`` out of ``tile``'s halo and visible halo."""
@@ -210,32 +205,6 @@ class Tiler:
     def consumers(self, node: Node) -> Tuple[TileId, ...]:
         """Tiles (other than the owner) whose halo contains ``node``."""
         return tuple(sorted(self._consumers.get(node, ())))
-
-    def publishers(self, tile: TileId) -> List[Tuple[Node, Tuple[TileId, ...]]]:
-        """``(node, consumers(node))`` for every owned node some other
-        tile reads, in canonical order.  Cached per tile; shared, so
-        callers must not mutate it."""
-        cached = self._publishers.get(tile)
-        if cached is None:
-            cached = [
-                (node, self.consumers(node))
-                for node in self.owned(tile)
-                if node in self._consumers
-            ]
-            self._publishers[tile] = cached
-        return cached
-
-    def take_replaced_publishers(self) -> Set[TileId]:
-        """The tiles whose :meth:`publishers` list changed since the
-        last call (their owned nodes or those nodes' consumers), and
-        forget them.  A stitch republishes each in full, because some
-        tile may have started reading one of its nodes."""
-        replaced, self._replaced = self._replaced, set()
-        return replaced
-
-    def _drop_publishers(self, tile: TileId) -> None:
-        self._publishers.pop(tile, None)
-        self._replaced.add(tile)
 
     def tiles_reading(self, node: Node) -> Tuple[TileId, ...]:
         """Every tile whose computation sees ``node``: owner + consumers."""
@@ -313,7 +282,6 @@ class Tiler:
         tile = self.tile_of(pos)
         created = tile not in self._owned
         self.owner[node] = tile
-        self._drop_publishers(tile)
         self._owned.setdefault(tile, set()).add(node)
         if created:
             self._adopt_halo_of_new_tile(tile)
@@ -325,7 +293,6 @@ class Tiler:
         affected = set(self.tiles_reading(node))
         tile = self.owner.pop(node, None)
         if tile is not None:
-            self._drop_publishers(tile)
             owned = self._owned.get(tile)
             if owned is not None:
                 owned.discard(node)
@@ -351,12 +318,9 @@ class Tiler:
             affected |= self.on_node_added(node)
             return affected
         affected = set(self.tiles_reading(node))
-        consumers = self._consumers.pop(node, set())
-        for consumer in consumers:
+        for consumer in self._consumers.pop(node, set()):
             self._unread_halo(consumer, node)
         self._index_halo(node, pos)
-        if self._consumers.get(node, set()) != consumers:
-            self._drop_publishers(tile)
         affected.update(self.tiles_reading(node))
         return affected
 
@@ -369,16 +333,13 @@ class Tiler:
                 if (cx, cy) == tile:
                     continue
                 for node in self._owned.get((cx, cy), ()):
-                    if self._read_halo(tile, node, self.positions[node]):
-                        self._drop_publishers((cx, cy))
+                    self._read_halo(tile, node, self.positions[node])
 
     def _retire_tile(self, tile: TileId) -> None:
         """A tile lost its last owned node: forget it entirely."""
         self._owned.pop(tile, None)
         self._visible.pop(tile, None)
-        self._drop_publishers(tile)
         for node in self._halo.pop(tile, set()):
-            self._drop_publishers(self.owner[node])
             consumers = self._consumers.get(node)
             if consumers is not None:
                 consumers.discard(tile)

@@ -182,6 +182,14 @@ class TestCommands:
         )
         assert code == 2
 
+    def test_broadcast_rejects_a_source_outside_the_deployment(self, capsys):
+        code = main(["broadcast", "--nodes", "10", "--side", "3",
+                     "--source", "9999"])
+        assert code == 2
+        assert "error: source 9999 is not in the deployment" in (
+            capsys.readouterr().err
+        )
+
     def test_broadcast(self, capsys):
         code, out = self._run(["broadcast", "--nodes", "50", "--side", "5"], capsys)
         assert code == 0
@@ -336,6 +344,19 @@ class TestCommands:
                      "--tile-size", "0"])
         assert code == 2
         assert "tile_size must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(["--queries", "-1"], "queries must be non-negative"),
+         (["--zipf", "-2"], "zipf_exponent must be non-negative")],
+    )
+    def test_serve_rejects_a_bad_workload(self, capsys, flag, message):
+        # A usage error, not serve's exit 1 for a burning SLO budget.
+        code = main(["serve", "--nodes", "40", "--side", "4.5", *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["shard-bench", "service-bench"])
     def test_removed_bench_subcommands_are_rejected(self, capsys, command):

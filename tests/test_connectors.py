@@ -244,12 +244,11 @@ class SubgraphShardedBackbone(ShardedBackbone):
         state = self._tiles[tile]
         renumbered = state.index is None
         sub = self._tile_subgraph(tile)
-        pinned = state.pins
         visible = self.tiler.visible_members(tile)
         status: Dict[Node, Optional[bool]] = {}
         for v in canonical_order(sub.nodes()):
-            if v in pinned:
-                status[v] = pinned[v]
+            if self.tiler.owner[v] != tile and v in self._pins:
+                status[v] = self._pins[v]
                 continue
             settled_in = False
             unsettled = False
@@ -300,6 +299,7 @@ def assert_same_state(fast: ShardedBackbone, oracle: ShardedBackbone) -> None:
             oracle.tile_status(tile).items()
         )
         assert fast.tile_connectors(tile) == oracle.tile_connectors(tile)
+    assert fast._pins == oracle._pins
     assert fast.result() == oracle.result()
 
 

@@ -113,6 +113,17 @@ class TestTopLevelSurface:
         assert repro.shard.bench.jittered_grid is repro.graphs.jittered_grid
         assert repro.shard.bench.__all__ == ["jittered_grid"]
 
+    def test_one_pin_table(self):
+        # The sharded backbone keeps one pin table; the per-tile pins and
+        # the tiler's publisher lists that delivered them are gone.
+        from repro.shard import Tiler
+        from repro.shard.stitch import _Tile
+
+        assert not hasattr(Tiler, "publishers")
+        assert not hasattr(Tiler, "take_replaced_publishers")
+        assert "pins" not in _Tile.__slots__
+        assert not hasattr(_Tile(), "pins")
+
     def test_one_maintenance_engine(self):
         # ShardedBackbone is the one maintenance engine: the local
         # repair rule (MaintainedWCDS, its report and module), the
@@ -136,10 +147,7 @@ class TestTopLevelSurface:
         assert "repro.mobility.maintenance" not in source
         assert not hasattr(repro.service.service, "INVALIDATION_RADIUS")
         names = {f.name for f in dataclasses.fields(repro.service.ServiceConfig)}
-        assert names == {
-            "queue_capacity", "default_deadline", "degrade_on_partition",
-            "tile_size", "slos",
-        }
+        assert names == {"queue_capacity", "default_deadline", "tile_size", "slos"}
         assert not hasattr(repro.service.RouteCache, "invalidate_region")
         assert not hasattr(repro.shard.bench, "bench_global_baseline")
 

@@ -586,14 +586,6 @@ class TestFaultSignals:
         assert fresh.ok and not fresh.stale
         assert service.metrics.counters["fault_heals"] == 1
 
-    def test_degradation_can_be_disabled(self, network):
-        from repro.faults import Partition
-
-        svc = BackboneService(network, ServiceConfig(degrade_on_partition=False))
-        svc.fault_signal(Partition(0.0, 5.0, frozenset({0})))
-        assert not svc.degraded
-        assert svc.dominator(0).ok
-
     def test_unknown_event_rejected(self, service):
         with pytest.raises(TypeError):
             service.fault_signal(object())

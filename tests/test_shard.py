@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.graphs import connected_random_udg, jittered_grid
+from repro.mis.centralized import greedy_mis
 from repro.shard import MIN_HALO_RADII, ShardConfig, ShardedBackbone, Tiler, build_sharded
 from repro.shard.tiler import rect_distance_squared
 from repro.wcds.algorithm2 import algorithm2_centralized
@@ -187,13 +188,12 @@ class TestTiler:
         for tile in fresh.tiles():
             assert tiler.owned(tile) == fresh.owned(tile)
             assert tiler.halo(tile) == fresh.halo(tile)
-            assert tiler.publishers(tile) == fresh.publishers(tile)
+        for node in fresh.owner:
+            assert tiler.consumers(node) == fresh.consumers(node)
 
     def test_churn_reindex_matches_fresh_build(self, graph):
         config = ShardConfig(tile_size=4.0)
         tiler = Tiler(graph.positions, graph.radius, config)
-        for tile in tiler.tiles():
-            tiler.publishers(tile)  # fill the caches churn must drop
         node = sorted(graph.positions)[0]
         graph.move_node(node, Point(3.1, 2.7))
         tiler.on_node_moved(node)
@@ -202,8 +202,6 @@ class TestTiler:
     def test_remove_last_node_retires_tile(self, graph):
         config = ShardConfig(tile_size=4.0)
         tiler = Tiler(graph.positions, graph.radius, config)
-        for tile in tiler.tiles():
-            tiler.publishers(tile)
         # empty one tile by removing all its owned nodes
         tile = tiler.tiles()[0]
         for node in list(tiler.owned(tile)):
@@ -382,9 +380,17 @@ class TestChurn:
 # ----------------------------------------------------------------------
 # A re-stitch keeps pins and re-passes only what changed
 # ----------------------------------------------------------------------
+def assert_pins_are_the_mis(backbone: ShardedBackbone) -> None:
+    """The pin table holds exactly the live nodes, each at its status in
+    the lowest-ID-first MIS."""
+    mis = greedy_mis(backbone.graph)
+    assert backbone._pins == {v: v in mis for v in backbone.graph.nodes()}
+
+
 def assert_matches_fresh(backbone: ShardedBackbone) -> None:
-    """Every tile's statuses (halo members included) and connectors,
-    and the result, equal those of a fresh construction."""
+    """The pin table, every tile's statuses (halo members included) and
+    connectors, and the result, equal those of a fresh construction."""
+    assert_pins_are_the_mis(backbone)
     fresh = ShardedBackbone(backbone.graph, backbone.config)
     assert backbone.tiler.tiles() == fresh.tiler.tiles()
     for tile in fresh.tiler.tiles():
@@ -436,11 +442,11 @@ def run_churn_stream(backbone: ShardedBackbone, seed: int, events: int) -> int:
 
 class TestRestitch:
     def test_move_into_a_tile_whose_halo_held_the_node(self):
-        # Node 5 is MIS in tile (0, 0) and tile (1, 0) holds its pin.
+        # Node 5 is MIS in tile (0, 0) and tile (1, 0) reads its pin.
         # It moves across the border next to node 1, which is MIS, so
-        # (1, 0) now owns it and must compute it OUT instead of keeping
-        # the pin; (0, 0) keeps it in its halo.  Both keep their
-        # numbering.
+        # (1, 0) now owns it and must compute it OUT instead of reading
+        # the pin, and write that to the table; (0, 0) keeps it in its
+        # halo.  Both keep their numbering.
         from repro.graphs.udg import UnitDiskGraph
 
         graph = UnitDiskGraph({
@@ -449,14 +455,15 @@ class TestRestitch:
         })
         backbone = ShardedBackbone(graph, ShardConfig(tile_size=3.5))
         assert backbone.result().mis_dominators == {1, 5}
-        assert backbone._tiles[(1, 0)].pins[5] is True
+        assert 5 in backbone.tiler.halo((1, 0))
+        assert backbone._pins[5] is True
         held = {tile: backbone.tile_index(tile) for tile in [(0, 0), (1, 0)]}
         backbone.apply_move(5, Point(3.7, 1.0))
         assert backbone.tiler.owner[5] == (1, 0)
         assert 5 in backbone.tiler.halo((0, 0))
         for tile, tix in held.items():
             assert backbone.tile_index(tile).members is tix.members
-        assert 5 not in backbone._tiles[(1, 0)].pins
+        assert backbone._pins[5] is False
         assert backbone.result().mis_dominators == {1, 8}
         assert_matches_fresh(backbone)
         assert_same_backbone(backbone, graph)
@@ -581,16 +588,18 @@ class TestSeededBuild:
         for tile in tiles:
             state, oracle = seeded._tiles[tile], exchanged._tiles[tile]
             assert seeded.tile_status(tile) == exchanged.tile_status(tile)
-            assert state.pins == oracle.pins
             assert state.waiting == oracle.waiting == set()
             assert seeded.tile_connectors(tile) == exchanged.tile_connectors(tile)
+        assert seeded._pins == exchanged._pins
+        assert_pins_are_the_mis(seeded)
         assert seeded.result() == exchanged.result()
         assert exchanged.last_rounds > 1  # the case exercises the exchange
         assert seeded.last_rounds == 1
         assert registry.value("shard_tile_builds_total", phase="full") == len(tiles)
-        # Every pin was written by the seed; the exchange wrote none.
+        # The seed delivered every pin to each consumer; the exchange
+        # wrote none.
         assert registry.value("shard_pins_published_total") == sum(
-            len(seeded._tiles[tile].pins) for tile in tiles
+            len(seeded.tiler.consumers(v)) for v in graph.nodes()
         )
 
 
@@ -643,14 +652,10 @@ class TestIncrementalIndexes:
                 next_id += 1
             elif len(nodes) > 2:
                 backbone.apply_leave(node)
+            assert_pins_are_the_mis(backbone)
             for tile in tiler.tiles():
                 fresh = _TileIndex(graph, tiler, tile)
                 assert index_fields(backbone.tile_index(tile)) == index_fields(fresh)
-                assert tiler.publishers(tile) == [
-                    (v, tiler.consumers(v))
-                    for v in tiler.owned(tile)
-                    if tiler.consumers(v)
-                ]
                 full = backbone._tile_connectors(tile, None)
                 assert backbone._tiles[tile].connectors == full
 
