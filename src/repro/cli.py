@@ -45,19 +45,27 @@ from repro.graphs import connected_random_udg, graph_stats
 from repro.routing import ClusterheadRouter, backbone_broadcast, blind_flood
 
 
-def _node_count(text: str) -> int:
-    """``--nodes``: an int of at least 1."""
+def _positive_int(text: str) -> int:
+    """``--nodes``, ``--max-epochs``: an int of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _worker_count(text: str) -> int:
-    """``--workers``: a non-negative int (0 runs inline)."""
+def _nonnegative_int(text: str) -> int:
+    """``--workers`` (0 runs inline), ``--crashes``: an int of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _loss_probability(text: str) -> float:
+    """``chaos --loss``: a burst loss probability in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
     return value
 
 
@@ -70,7 +78,7 @@ def _side_length(text: str) -> float:
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=_node_count, default=150,
+    parser.add_argument("--nodes", type=_positive_int, default=150,
                         help="number of radios")
     parser.add_argument("--side", type=_side_length, default=8.0,
                         help="square side length")
@@ -1043,20 +1051,20 @@ def build_parser() -> argparse.ArgumentParser:
         "an invalid backbone)",
     )
     p.add_argument("--algorithm", choices=["1", "2", "both"], default="both")
-    p.add_argument("--nodes", type=_node_count, default=60, help="number of radios")
+    p.add_argument("--nodes", type=_positive_int, default=60, help="number of radios")
     p.add_argument("--side", type=_side_length, default=6.0, help="square side length")
     p.add_argument("--seed", type=int, default=7, help="topology + schedule seed")
     p.add_argument("--seeds", metavar="LIST",
                    help="comma list of seeds (overrides --seed)")
-    p.add_argument("--loss", type=float, default=0.1,
-                   help="loss-burst probability during the early phases")
-    p.add_argument("--crashes", type=int, default=2,
+    p.add_argument("--loss", type=_loss_probability, default=0.1,
+                   help="loss-burst probability in [0, 1) during the early phases")
+    p.add_argument("--crashes", type=_nonnegative_int, default=2,
                    help="mid-phase crash count (victims keep survivors connected)")
     p.add_argument("--no-partition", action="store_true",
                    help="skip the healed-partition fault")
     p.add_argument("--plan", metavar="FILE",
                    help="JSON fault plan overriding the generated one")
-    p.add_argument("--max-epochs", type=int, default=3,
+    p.add_argument("--max-epochs", type=_positive_int, default=3,
                    help="restart budget before declaring failure")
     p.add_argument("--quick", action="store_true",
                    help="CI smoke: 40 nodes, two seeds, loss 0.15, one crash")
@@ -1083,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "fixed unit delay (perturbs schedules, not results)")
     p.add_argument("--transport", action="store_true",
                    help="run over the reliable ack/retransmit transport")
-    p.add_argument("--workers", type=_worker_count, default=None,
+    p.add_argument("--workers", type=_nonnegative_int, default=None,
                    help="fleet worker processes (0 = inline, default: "
                    "cpu count - 1 capped at 8)")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -1119,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of protocol seeds to sweep per algorithm")
     p.add_argument("--first-seed", type=int, default=0,
                    help="first protocol seed")
-    p.add_argument("--workers", type=_worker_count, default=None,
+    p.add_argument("--workers", type=_nonnegative_int, default=None,
                    help="fleet worker processes (0 = inline)")
     p.add_argument("--json-out", metavar="FILE",
                    help="also write the JSON ratio table here (CI artifact)")
@@ -1167,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also re-run Algorithm I/II and the MIS protocol under "
         "perturbed delivery schedules and diff the invariants",
     )
-    p.add_argument("--nodes", type=_node_count, default=50,
+    p.add_argument("--nodes", type=_positive_int, default=50,
                    help="race sweep: number of radios")
     p.add_argument("--side", type=_side_length, default=5.0,
                    help="race sweep: square side length")

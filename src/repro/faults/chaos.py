@@ -123,7 +123,13 @@ def default_fault_plan(
     ambient ``SimConfig.loss_rate`` is the steady-state counterpart);
     crash victims are chosen so the survivors stay connected; the
     partition cuts a random connected ball off for a while, then heals.
+    A ``loss`` outside ``[0, 1)`` or a negative ``crashes`` raises
+    ``ValueError``.
     """
+    if not 0.0 <= loss < 1.0:
+        raise ValueError(f"loss must be in [0, 1), got {loss!r}")
+    if crashes < 0:
+        raise ValueError(f"crashes must be non-negative, got {crashes!r}")
     rng = random.Random(seed)
     victims = choose_crash_victims(graph, crashes, rng)
     crash_events = tuple(
@@ -170,7 +176,8 @@ def run_chaos(
 
     Returns a :class:`ChaosReport`; ``report.valid`` is the headline
     verdict.  ``registry`` (created internally when omitted) is used to
-    account messages even for epochs that abort mid-run.
+    account messages even for epochs that abort mid-run.  A
+    ``max_epochs`` below 1 is a :class:`ValueError`.
     """
     from repro.backbone import build
     from repro.obs.registry import MetricsRegistry
@@ -178,6 +185,8 @@ def run_chaos(
     from repro.transport.reliable import CONTROL_KINDS
     from repro.wcds.base import is_weakly_connected_dominating_set
 
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
     if sim is None:
         sim = SimConfig(transport=True)
     elif sim.fault_plan:

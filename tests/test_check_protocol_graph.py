@@ -9,6 +9,8 @@ formats against a golden for the paper's two algorithms.
 import json
 import os
 
+import pytest
+
 from repro.check import (
     GRAPH_FORMATS,
     ModuleSource,
@@ -103,6 +105,16 @@ class TestExtraction:
         assert module.classes == []
 
 
+#: The protocol modules on the benchmarked hot path: their handlers are
+#: hand-inlined, so each must stay in the forms the extractor reads.
+HOT_PATH_PATHS = [
+    "src/repro/wcds/algorithm2.py",
+    "src/repro/election/protocol.py",
+    "src/repro/mis/distributed.py",
+    "src/repro/wcds/algorithm1.py",
+]
+
+
 class TestRepositoryGraph:
     def test_wcds_modules_fully_resolve(self):
         graph = build_protocol_graph(WCDS_PATHS, root=REPO_ROOT)
@@ -113,6 +125,16 @@ class TestRepositoryGraph:
         # Every kind the module sends, it handles (P1 holds by
         # construction here; this pins the extraction, not the rule).
         assert alg2.sent_kinds() <= alg2.handled_kinds()
+
+    @pytest.mark.parametrize("path", HOT_PATH_PATHS)
+    def test_hot_path_modules_fully_resolve(self, path):
+        graph = build_protocol_graph([path], root=REPO_ROOT)
+        (module,) = graph.modules
+        assert module.path == path
+        assert not module.has_dynamic_send()
+        assert not module.has_dynamic_dispatch()
+        assert module.sent_kinds()
+        assert module.sent_kinds() <= module.handled_kinds()
 
     def test_default_paths_cover_the_protocol_modules(self):
         graph = build_protocol_graph(root=REPO_ROOT)

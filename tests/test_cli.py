@@ -453,6 +453,26 @@ def test_too_sparse_deployment_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chaos", "--loss", "2"], "must be in [0, 1)"),
+        (["chaos", "--loss", "1"], "must be in [0, 1)"),
+        (["chaos", "--loss", "-0.5"], "must be in [0, 1)"),
+        (["chaos", "--loss", "nan"], "must be in [0, 1)"),
+        (["chaos", "--crashes", "-2"], "must be at least 0"),
+        (["chaos", "--max-epochs", "0"], "must be at least 1"),
+        (["chaos", "--max-epochs", "-1"], "must be at least 1"),
+    ],
+)
+def test_chaos_fault_inputs_are_validated_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["topology", "--nodes", "0"],

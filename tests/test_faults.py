@@ -179,6 +179,21 @@ class TestDefaultPlan:
         # The partition heals: no partition is active at the horizon.
         assert plan.active_partitions(plan.horizon + 1.0) == ()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"loss": -0.5}, {"loss": 1.0}, {"loss": 2.0}, {"loss": math.nan},
+         {"crashes": -1}, {"crashes": -2}],
+    )
+    def test_bad_loss_or_crashes_rejected(self, kwargs):
+        g = connected_random_udg(30, 4.0, seed=3)
+        with pytest.raises(ValueError):
+            default_fault_plan(g, **kwargs)
+
+    def test_zero_loss_and_crashes_accepted(self):
+        g = connected_random_udg(30, 4.0, seed=3)
+        plan = default_fault_plan(g, loss=0.0, crashes=0, partition=False)
+        assert not plan
+
     def test_choose_crash_victims_avoids_cut_nodes(self):
         import random
 
@@ -221,6 +236,11 @@ class TestChaosMatrix:
         plan = FaultPlan(crashes=(Crash(1.0, 2),))  # middle of the chain
         with pytest.raises(ValueError, match="disconnects"):
             run_chaos("algorithm2", g, plan)
+
+    def test_zero_epochs_rejected(self):
+        g = connected_random_udg(20, 4.0, seed=1)
+        with pytest.raises(ValueError, match="max_epochs"):
+            run_chaos("algorithm2", g, FaultPlan(), max_epochs=0)
 
     def test_sim_with_a_fault_plan_rejected(self):
         # run_chaos owns the plan: it injects it on the first epoch and

@@ -1,7 +1,13 @@
 """Tests for the discrete-event simulator: delivery, accounting,
 latency models, timers, and fault injection."""
 
+import copy
+import pickle
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph, line_udg
 from repro.sim import (
@@ -10,6 +16,7 @@ from repro.sim import (
     Message,
     NodeContext,
     ProtocolNode,
+    SimStats,
     Simulator,
     UniformLatency,
     run_protocol,
@@ -299,9 +306,94 @@ class TestMessage:
     def test_accessors(self):
         msg = Message(sender=1, kind="X", data={"a": 2})
         assert msg["a"] == 2
+        assert msg.get("a") == 2
+        assert msg.get("missing") is None
         assert msg.get("missing", 7) == 7
         assert msg.is_broadcast
         assert not Message(1, "X", dest=2).is_broadcast
+        with pytest.raises(KeyError):
+            msg["missing"]
+
+    def test_defaults_and_keywords(self):
+        msg = Message(1, "X")
+        assert msg.data == {} and msg.dest is None
+        assert Message(1, "X", {}) == msg
+        assert Message(kind="X", sender=1, dest=None, data={}) == msg
+        # Each message owns its default payload.
+        assert msg.data is not Message(1, "X").data
+
+    def test_equality_and_inequality_in_each_field(self):
+        base = Message(1, "X", {"a": 2}, dest=3)
+        assert base == Message(1, "X", {"a": 2}, dest=3)
+        assert not base != Message(1, "X", {"a": 2}, dest=3)
+        for other in (
+            Message(2, "X", {"a": 2}, dest=3),
+            Message(1, "Y", {"a": 2}, dest=3),
+            Message(1, "X", {"a": 3}, dest=3),
+            Message(1, "X", {"a": 2}, dest=4),
+            Message(1, "X", {"a": 2}),
+        ):
+            assert base != other
+            assert not base == other
+        assert base != (1, "X", {"a": 2}, 3)
+        assert base != "Message"
+
+    @pytest.mark.parametrize("field", ["sender", "kind", "data", "dest"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        msg = Message(1, "X", {"a": 2})
+        with pytest.raises(AttributeError):
+            setattr(msg, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(msg, field)
+        assert msg == Message(1, "X", {"a": 2})
+
+    def test_no_new_attributes(self):
+        msg = Message(1, "X")
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+
+    def test_hash_of_a_dict_payload_raises(self):
+        with pytest.raises(TypeError):
+            hash(Message(1, "X", {"a": 2}))
+        with pytest.raises(TypeError):
+            hash(Message(1, "X"))
+
+    def test_repr(self):
+        assert repr(Message(1, "X", {"a": 2})) == (
+            "Message(sender=1, kind='X', data={'a': 2}, dest=None)"
+        )
+        assert repr(Message("u", "Y", dest="v")) == (
+            "Message(sender='u', kind='Y', data={}, dest='v')"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        msg = Message(1, "X", {"doms": (2, 3), "nested": {"k": [1]}}, dest=4)
+        back = pickle.loads(pickle.dumps(msg, protocol))
+        assert type(back) is Message
+        assert back == msg
+        assert back.dest == 4
+
+    def test_copy_round_trips(self):
+        msg = Message(1, "X", {"items": [1, 2]}, dest=2)
+        shallow = copy.copy(msg)
+        deep = copy.deepcopy(msg)
+        assert shallow == msg and deep == msg
+        assert type(shallow) is Message and type(deep) is Message
+        assert shallow.data is msg.data
+        assert deep.data is not msg.data
+        assert deep.data["items"] is not msg.data["items"]
+
+    def test_payload_size(self):
+        class Pair(NamedTuple):
+            left: int
+            right: int
+
+        assert Message(1, "X").payload_size() == 1
+        assert Message(1, "X", {"a": "text", "b": b"raw"}).payload_size() == 3
+        assert Message(1, "X", {"p": Pair(1, 2)}).payload_size() == 3
+        assert Message(1, "X", {"s": {1, 2, 3}, "d": {}}).payload_size() == 5
+        assert Message(1, "X", {"f": frozenset(), "l": [1]}).payload_size() == 3
 
 
 class TestPayloadAccounting:
@@ -327,3 +419,71 @@ class TestPayloadAccounting:
         assert stats.payload_entries == 4 + 1
         assert stats.payload_by_kind["LIST"] == 4
         assert stats.payload_by_kind["PING"] == 1
+
+
+class _Pair(NamedTuple):
+    left: int
+    right: int
+
+
+def _reference_size(data):
+    size = 1
+    for value in data.values():
+        if isinstance(value, (tuple, list, frozenset, set, dict)):
+            size += max(len(value), 1)
+        else:
+            size += 1
+    return size
+
+
+_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.text(max_size=3),
+    st.none(),
+    st.tuples(st.integers(0, 3)),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.frozensets(st.integers(0, 5), max_size=4),
+    st.sets(st.integers(0, 5), max_size=4),
+    st.dictionaries(st.integers(0, 3), st.integers(), max_size=3),
+    st.builds(_Pair, st.integers(), st.integers()),
+)
+
+_MESSAGES = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.sampled_from(["A", "B", "C"]),
+        st.dictionaries(st.sampled_from(["x", "y", "z"]), _VALUES, max_size=3),
+        st.one_of(st.none(), st.integers(0, 4)),
+        st.floats(0.0, 50.0, allow_nan=False),
+    ),
+    max_size=30,
+)
+
+
+class TestSimStatsFold:
+    @settings(max_examples=150, deadline=None)
+    @given(_MESSAGES)
+    def test_record_message_equals_a_reference_fold(self, sends):
+        stats = SimStats()
+        for sender, kind, data, dest, time in sends:
+            stats.record_message(Message(sender, kind, data, dest), time)
+        by_kind, by_node, payload_by_kind = {}, {}, {}
+        first, last = {}, {}
+        entries = 0
+        for sender, kind, data, _, time in sends:
+            size = _reference_size(data)
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_node[sender] = by_node.get(sender, 0) + 1
+            payload_by_kind[kind] = payload_by_kind.get(kind, 0) + size
+            entries += size
+            first.setdefault(kind, time)
+            last[kind] = time
+        assert stats.messages_sent == len(sends)
+        assert dict(stats.by_kind) == by_kind
+        assert dict(stats.by_node) == by_node
+        assert dict(stats.payload_by_kind) == payload_by_kind
+        assert stats.payload_entries == entries
+        assert stats.first_send_by_kind == first
+        assert stats.last_send_by_kind == last
+        assert stats.max_messages_per_node() == max(by_node.values(), default=0)
