@@ -56,38 +56,41 @@ class ElectionNode(ProtocolNode):
         self.ctx.broadcast(ELECT, leader=self.best)
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == ELECT:
+        kind = msg.kind
+        if kind == ELECT:
             leader = msg.data["leader"]
-            if leader >= self.best:
-                # Most ELECT deliveries end here, with no better leader.
-                # Re-attachment after our parent crashed: an equally-good
-                # announcement from a non-child neighbor is a valid
-                # parent.  (A descendant could answer and form a cycle;
-                # the validation below catches that and the chaos
-                # harness restarts the epoch.)
-                if (
-                    leader == self.best
-                    and self.parent is None
-                    and self.best != self.node_id
-                    and msg.sender not in self.children
-                ):
-                    self.parent = msg.sender
-                    self._seq += 1
-                    self.ctx.send(msg.sender, JOIN, seq=self._seq)
-            else:
+            if leader < self.best:
                 self._on_elect(msg.sender, leader)
-        elif msg.kind == PROBE:
+            # Most ELECT deliveries carry no better leader to a node with
+            # a parent, so they stop at the first two tests.
+            # Re-attachment after our parent crashed: an equally-good
+            # announcement from a non-child neighbor is a valid parent.
+            # (A descendant could answer and form a cycle; the
+            # validation below catches that and the chaos harness
+            # restarts the epoch.)
+            elif (
+                self.parent is None
+                and leader == self.best
+                and self.best != self.node_id
+                and msg.sender not in self.children
+            ):
+                self.parent = msg.sender
+                self._seq += 1
+                self.ctx.send(msg.sender, JOIN, seq=self._seq)
+        elif kind == PROBE:
             # An orphaned neighbor asks its vicinity to re-announce so
             # it can re-attach; answering costs one broadcast.
             self.ctx.broadcast(ELECT, leader=self.best)
-        elif msg.kind in (JOIN, LEAVE):
-            if msg["seq"] <= self._child_seq.get(msg.sender, -1):
+        elif kind in (JOIN, LEAVE):
+            sender = msg.sender
+            seq = msg.data["seq"]
+            if seq <= self._child_seq.get(sender, -1):
                 return  # stale statement overtaken by a newer one
-            self._child_seq[msg.sender] = msg["seq"]
-            if msg.kind == JOIN:
-                self.children.add(msg.sender)
+            self._child_seq[sender] = seq
+            if kind == JOIN:
+                self.children.add(sender)
             else:
-                self.children.discard(msg.sender)
+                self.children.discard(sender)
 
     def on_neighbor_down(self, peer: Hashable) -> None:
         """Transport liveness hook: drop a dead child; if the dead peer

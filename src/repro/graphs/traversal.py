@@ -125,8 +125,17 @@ def is_connected(graph: Graph) -> bool:
     connected, and a single node trivially is)."""
     if graph.num_nodes <= 1:
         return True
+    adjacency = graph.adjacency
     seed = next(iter(graph.nodes()))
-    return len(bfs_distances(graph, seed)) == graph.num_nodes
+    # Reachability only: a set and a stack, no distances.
+    reached = {seed}
+    todo = [seed]
+    while todo:
+        for nbr in adjacency(todo.pop()):
+            if nbr not in reached:
+                reached.add(nbr)
+                todo.append(nbr)
+    return len(reached) == graph.num_nodes
 
 
 def multi_source_hop_distances(

@@ -60,11 +60,14 @@ class MisNode(ProtocolNode):
         # starts, and live nodes skip unranked neighbors.  The simulator
         # builds every node before any crash: the audience is the live view.
         self.rank = rank = ranks.get(self.node_id)
-        self._pending_lower: Set[Hashable] = (
-            set()
-            if rank is None
-            else {nbr for nbr in ctx.audience if nbr in ranks and ranks[nbr] < rank}
-        )
+        self._pending_lower: Set[Hashable] = set()
+        if rank is not None:
+            rank_of = ranks.get
+            self._pending_lower = {
+                nbr
+                for nbr in ctx.audience
+                if (other := rank_of(nbr)) is not None and other < rank
+            }
         self._black_neighbors: Set[Hashable] = set()
 
     # ------------------------------------------------------------------
@@ -75,20 +78,17 @@ class MisNode(ProtocolNode):
             self.declare_black()
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == self.black_kind:
-            self._on_black(msg.sender)
-        elif msg.kind == self.gray_kind:
-            self._on_gray(msg.sender)
-
-    def _on_black(self, sender: Hashable) -> None:
-        self._black_neighbors.add(sender)
-        if self.color == WHITE_STATE:
-            self.declare_gray(sender)
-
-    def _on_gray(self, sender: Hashable) -> None:
-        self._pending_lower.discard(sender)
-        if self.color == WHITE_STATE and not self._pending_lower:
-            self.declare_black()
+        kind = msg.kind
+        if kind == self.black_kind:
+            sender = msg.sender
+            self._black_neighbors.add(sender)
+            if self.color == WHITE_STATE:
+                self.declare_gray(sender)
+        elif kind == self.gray_kind:
+            pending = self._pending_lower
+            pending.discard(msg.sender)
+            if self.color == WHITE_STATE and not pending:
+                self.declare_black()
 
     def on_neighbor_down(self, peer: Hashable) -> None:
         """Transport liveness hook: release predicates waiting on

@@ -39,6 +39,7 @@ construction.
 from __future__ import annotations
 
 import heapq
+from operator import length_hint
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
@@ -106,6 +107,15 @@ def make_simulator(
     return Simulator(graph, node_factory, config, tracer=tracer, registry=registry)
 
 
+def _numbered_by_id(nodes: Tuple[Hashable, ...]) -> bool:
+    """Whether ``nodes`` (a natural numbering's order) is exactly the
+    ints ``0..n-1``, so that every node's number is its id.  Bools and
+    other int subclasses do not count: their ids differ in type."""
+    return all(type(node) is int for node in nodes) and (
+        not nodes or (nodes[0] == 0 and nodes[-1] == len(nodes) - 1)
+    )
+
+
 class BatchedSimulator(Simulator):
     """Bucket-queue simulator, bit-identical to the event oracle.
 
@@ -150,14 +160,20 @@ class BatchedSimulator(Simulator):
     def _fill_audiences(self) -> None:
         """Every sender's canonical audience from the graph's numbering,
         when it is in natural order; on mixed ids a neighbour set's own
-        canonical order may differ, so senders refill one by one."""
+        canonical order may differ, so senders refill one by one.
+
+        When the ids are exactly the ints ``0..n-1`` a number is its own
+        id, so the numbering's shared ``adj`` rows are the audiences."""
         numbering = self.graph.numbering()
         if not numbering.natural:
             return
         nodes = numbering.nodes
+        adj = numbering.adj
+        if _numbered_by_id(nodes):
+            self._audience = dict(zip(nodes, adj))
+            return
         self._audience = {
-            node: tuple([nodes[j] for j in row])
-            for node, row in zip(nodes, numbering.adj)
+            node: tuple([nodes[j] for j in row]) for node, row in zip(nodes, adj)
         }
 
     def audience_of(self, sender: Hashable) -> Tuple[Hashable, ...]:
@@ -199,21 +215,27 @@ class BatchedSimulator(Simulator):
             super().transmit(message)
             return
         sender = message.sender
-        if sender in self._dead:
+        dead = self._dead
+        if sender in dead:
             return
-        self.stats.record_message(message, self.now)
+        now = self.now
+        self.stats.record_message(message, now)
         if self.tracer is not None:
-            self.tracer.on_send(self.now, message)
-        audience: Tuple[Hashable, ...]
-        if message.dest is None:
-            audience = self.audience_of(sender)
+            self.tracer.on_send(now, message)
+        audience: Optional[Tuple[Hashable, ...]]
+        dest = message.dest
+        if dest is None:
+            # audience_of's table hit, inlined.
+            audience = self._audience.get(sender)
+            if audience is None or self.graph.version != self._graph_version:
+                audience = self.audience_of(sender)
         else:
-            if message.dest not in self.graph.adjacency(sender):
+            if dest not in self.graph.adjacency(sender):
                 raise ValueError(
-                    f"node {sender!r} cannot unicast to non-neighbor {message.dest!r}"
+                    f"node {sender!r} cannot unicast to non-neighbor {dest!r}"
                 )
-            audience = (message.dest,)
-        if self._dead or self._cuts or self._loss_now:
+            audience = (dest,)
+        if dead or self._cuts or self._loss_now:
             survivors: List[Hashable] = []
             for receiver in audience:
                 if receiver in self._dead:
@@ -233,7 +255,13 @@ class BatchedSimulator(Simulator):
             audience = tuple(survivors)
         elif not audience:
             return
-        self._push_raw(self.now + delay, _FANOUT, audience, message)
+        # _push_raw's FIFO branch, inlined (no perturbation on this path).
+        time = now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = []
+            heapq.heappush(self._times, time)
+        bucket.append((_FANOUT, audience, message))
 
     # ------------------------------------------------------------------
     # Bucket queue
@@ -332,9 +360,17 @@ class BatchedSimulator(Simulator):
                                 deliveries_by_kind[kind] = (
                                     deliveries_by_kind.get(kind, 0) + count
                                 )
-                            for receiver in target:
-                                delivered += 1
-                                handlers[receiver](payload)
+                            delivered += count
+                            receivers = iter(target)
+                            try:
+                                for receiver in receivers:
+                                    handlers[receiver](payload)
+                            except BaseException:
+                                # The oracle tallies a delivery before its
+                                # handler runs: the raising one counts,
+                                # the ones after it do not.
+                                delivered -= length_hint(receivers)
+                                raise
                         else:
                             for receiver in target:
                                 processed += 1

@@ -29,6 +29,8 @@ class NodeContext:
     def __init__(self, sim: "Simulator", node_id: Hashable) -> None:
         self._sim = sim
         self.node_id = node_id
+        # Bound once: every send goes through it.
+        self._transmit = sim.transmit
 
     @property
     def neighbors(self) -> FrozenSet[Hashable]:
@@ -43,7 +45,9 @@ class NodeContext:
     @property
     def epoch(self) -> int:
         """Moves whenever ``neighbors`` may have changed."""
-        return self._sim.epoch
+        # Simulator.epoch and Graph.version inlined: one property call.
+        sim = self._sim
+        return sim._liveness + sim.graph._version
 
     @property
     def now(self) -> float:
@@ -56,11 +60,11 @@ class NodeContext:
         Counts as a single message, matching the paper's accounting of
         one radio transmission per send.
         """
-        self._sim.transmit(Message(self.node_id, kind, data))
+        self._transmit(Message(self.node_id, kind, data))
 
     def send(self, dest: Hashable, kind: str, **data: Any) -> None:
         """Unicast to a one-hop neighbor (still one radio transmission)."""
-        self._sim.transmit(Message(self.node_id, kind, data, dest=dest))
+        self._transmit(Message(self.node_id, kind, data, dest))
 
     def set_timer(self, delay: float, tag: str = "timer") -> None:
         """Schedule :meth:`ProtocolNode.on_timer` after ``delay``."""

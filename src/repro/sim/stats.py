@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.sim.messages import Message
+from repro.sim.messages import COLLECTIONS, Message
 
 
 @dataclass
@@ -45,14 +45,28 @@ class SimStats:
         message kind's activity window in simulated time (the phase
         telemetry of interleaved protocols like Algorithm II reads them).
         """
+        # Every send lands here: the payload size is
+        # Message.payload_size inlined, and the tallies use the plain
+        # dict ``get`` form, which costs half a Counter ``+=``.
         kind = message.kind
-        size = message.payload_size()
+        data = message.data
+        size = 1
+        if data:
+            size += len(data)
+            for value in data.values():
+                if isinstance(value, COLLECTIONS):
+                    size += (len(value) or 1) - 1
         self.messages_sent += 1
-        self.by_kind[kind] += 1
-        self.by_node[message.sender] += 1
+        by_kind = self.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        by_node = self.by_node
+        sender = message.sender
+        by_node[sender] = by_node.get(sender, 0) + 1
         self.payload_entries += size
-        self.payload_by_kind[kind] += size
-        self.first_send_by_kind.setdefault(kind, time)
+        payload_by_kind = self.payload_by_kind
+        payload_by_kind[kind] = payload_by_kind.get(kind, 0) + size
+        if kind not in self.first_send_by_kind:
+            self.first_send_by_kind[kind] = time
         self.last_send_by_kind[kind] = time
 
     def record_delivery(self) -> None:

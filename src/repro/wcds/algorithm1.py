@@ -97,15 +97,16 @@ class LevelCalculationNode(ProtocolNode):
             self._announce(0)
 
     def on_message(self, msg: Message) -> None:
-        if msg.kind == LEVEL:
-            self.neighbor_levels[msg.sender] = msg["level"]
-            if msg.sender == self.parent and self.level is None:
-                self._announce(msg["level"] + 1)
-            elif self._parent_down and self.level is None:
-                # Our tree parent crashed before leveling us; adopt a
-                # level from any leveled neighbor instead.
-                self._announce(msg["level"] + 1)
-        elif msg.kind == COMPLETE:
+        kind = msg.kind
+        if kind == LEVEL:
+            sender = msg.sender
+            level = msg.data["level"]
+            self.neighbor_levels[sender] = level
+            # Our parent levels us; if it crashed before doing so, any
+            # leveled neighbor does.
+            if self.level is None and (sender == self.parent or self._parent_down):
+                self._announce(level + 1)
+        elif kind == COMPLETE:
             self._pending_complete.discard(msg.sender)
             self._maybe_complete()
 

@@ -44,7 +44,7 @@ from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
 from repro.mis.centralized import greedy_mis
-from repro.mis.distributed import BLACK_STATE, GRAY_STATE, MisNode
+from repro.mis.distributed import BLACK_STATE, GRAY_STATE, WHITE_STATE, MisNode
 from repro.mis.ranking import id_ranking
 from repro.obs.tracing import get_tracer
 from repro.sim.config import SimConfig
@@ -106,11 +106,14 @@ class Algorithm2Node(MisNode):
         self._sent_two_hop = False
 
     def on_message(self, msg: Message) -> None:
+        # The hot path of every Algorithm II run: MisNode's marking
+        # rules and the 1-HOP-DOMINATORS receipt are inlined here.
         kind = msg.kind
         sender = msg.sender
         if kind == MIS_DOMINATOR or kind == GRAY:
-            if sender not in self._declared:
-                self._declared.add(sender)
+            declared = self._declared
+            if sender not in declared:
+                declared.add(sender)
                 if self._view is None or sender in self._view:
                     self._undeclared -= 1
             if kind == GRAY:
@@ -118,17 +121,45 @@ class Algorithm2Node(MisNode):
                     self._gray_neighbors.add(sender)
                     if sender not in self._one_hop_heard:
                         self._gray_unheard += 1
-                self._on_gray(sender)
+                pending = self._pending_lower
+                pending.discard(sender)
+                if self.color == WHITE_STATE and not pending:
+                    self.declare_black()
             else:
                 if self.color != BLACK_STATE:
                     self.one_hop_dom.add(sender)
                     # A 2-hop classification that arrived early is
                     # corrected: the sender is in fact one hop away.
                     self.two_hop_dom.pop(sender, None)
-                self._on_black(sender)
-            self._maybe_send_lists()
+                self._black_neighbors.add(sender)
+                if self.color == WHITE_STATE:
+                    self.declare_gray(sender)
+            if self.color == GRAY_STATE and not self._sent_two_hop:
+                self._maybe_send_lists()
         elif kind == ONE_HOP_DOMINATORS:
-            self._on_one_hop(sender, msg.data["doms"])
+            # Rules 5-6: build the 2-hop list from a gray neighbour's
+            # 1-hop list.
+            if sender not in self._one_hop_heard:
+                self._one_hop_heard.add(sender)
+                if sender in self._gray_neighbors:
+                    self._gray_unheard -= 1
+            two_hop = self.two_hop_dom
+            if self.color == BLACK_STATE:
+                node_id = self.node_id
+                three_hop = self.three_hop_dom
+                for dom in msg.data["doms"]:
+                    if dom == node_id or dom in two_hop:
+                        continue
+                    two_hop[dom] = sender
+                    three_hop.pop(dom, None)
+            else:
+                one_hop = self.one_hop_dom
+                for dom in msg.data["doms"]:
+                    if dom in one_hop or dom in two_hop:
+                        continue
+                    two_hop[dom] = sender
+            if self._sent_one_hop and not self._gray_unheard and not self._sent_two_hop:
+                self._maybe_send_lists()
         elif kind == TWO_HOP_DOMINATORS:
             if self.color == BLACK_STATE:
                 self._on_two_hop(sender, msg.data["doms"])
@@ -168,36 +199,20 @@ class Algorithm2Node(MisNode):
             )
 
     # ------------------------------------------------------------------
-    # 1-HOP-DOMINATORS and 2-HOP-DOMINATORS receipts (rules 5-6 and 8)
+    # 2-HOP-DOMINATORS receipt (rule 8)
     # ------------------------------------------------------------------
-    def _on_one_hop(self, sender: Hashable, doms) -> None:
-        if sender not in self._one_hop_heard:
-            self._one_hop_heard.add(sender)
-            if sender in self._gray_neighbors:
-                self._gray_unheard -= 1
-        if self.color == BLACK_STATE:
-            for dom in doms:
-                if dom == self.node_id or dom in self.two_hop_dom:
-                    continue
-                self.two_hop_dom[dom] = sender
-                self.three_hop_dom.pop(dom, None)
-        else:
-            for dom in doms:
-                if dom in self.one_hop_dom or dom in self.two_hop_dom:
-                    continue
-                self.two_hop_dom[dom] = sender
-        if self._sent_one_hop and not self._gray_unheard:
-            self._maybe_send_lists()
-
     def _on_two_hop(self, via: Hashable, doms) -> None:
+        node_id = self.node_id
+        two_hop = self.two_hop_dom
+        three_hop = self.three_hop_dom
+        rank = self.rank
+        ranks = self._ranks
         for dom, hop in doms:
-            if dom == self.node_id:
+            if dom == node_id or dom in two_hop or dom in three_hop:
                 continue
-            if dom in self.two_hop_dom or dom in self.three_hop_dom:
+            if not rank < ranks.get(dom, (dom,)):
                 continue
-            if not self.rank < self._ranks.get(dom, (dom,)):
-                continue
-            self.three_hop_dom[dom] = (via, hop)
+            three_hop[dom] = (via, hop)
             # The paper's SELECTION message carries the full (u, v, x, w)
             # tuple; the receiver IS v, so it never reads that field.
             self.ctx.send(via, SELECTION, u=self.node_id, v=via, x=hop, w=dom)  # repro: noqa[P3]

@@ -284,3 +284,65 @@ class TestTopologyStaleness:
         heard.clear()
         BatchedSimulator(g, lambda ctx: Shout(ctx)).run()
         assert sorted(heard) == [1, 2]
+
+
+class TestIdNumberedAudiences:
+    """Ids that are exactly the ints ``0..n-1`` take the numbering's rows
+    as audiences; every other id set keeps the per-sender path."""
+
+    @staticmethod
+    def _both(graph):
+        return (
+            BatchedSimulator(graph, lambda ctx: ProtocolNode(ctx)),
+            Simulator(graph, lambda ctx: ProtocolNode(ctx)),
+        )
+
+    def test_rows_are_shared_for_zero_based_int_ids(self):
+        graph = connected_random_udg(40, 4.0, seed=2)
+        batched, event = self._both(graph)
+        rows = graph.numbering().adj
+        for node in graph.nodes():
+            assert batched.audience_of(node) is rows[node]
+            assert batched.audience_of(node) == event.audience_of(node)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (2, 3), (1, 3)],  # not zero-based
+            [(0, 1), (1, 3), (0, 3)],  # a gap
+            [(False, True), (True, 2), (2, 0.5)],  # bools and a float
+        ],
+        ids=["offset", "gap", "non-int"],
+    )
+    def test_other_id_sets_keep_their_own_ids(self, edges):
+        graph = Graph(edges=edges)
+        batched, event = self._both(graph)
+        for node in graph.nodes():
+            got = batched.audience_of(node)
+            want = event.audience_of(node)
+            assert got == want
+            assert [type(n) for n in got] == [type(n) for n in want]
+
+
+class _Fragile(ProtocolNode):
+    """Node 0 broadcasts once; node 3 raises on the delivery."""
+
+    def on_start(self):
+        if self.node_id == 0:
+            self.ctx.broadcast("PING")
+
+    def on_message(self, msg):
+        if self.node_id == 3:
+            raise KeyError("boom")
+
+
+@pytest.mark.parametrize("engine", ["event", "batched"])
+def test_handler_exception_mid_fanout_counts_like_the_oracle(engine):
+    # Star around 0: the fan-out reaches 1, 2, then 3 raises; the
+    # raising delivery counts and 4 and 5 are never delivered.
+    graph = Graph(edges=[(0, n) for n in range(1, 6)])
+    sim = make_simulator(graph, _Fragile, SimConfig(engine=engine))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.stats.deliveries == 3
+    assert sim.stats.messages_sent == 1
