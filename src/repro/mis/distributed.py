@@ -43,9 +43,11 @@ BLACK_STATE = "black"
 class MisNode(ProtocolNode):
     """One node of the distributed marking protocol.
 
-    Subclasses (Algorithm II's full node) override :meth:`declare_black`
-    / :meth:`declare_gray` to piggyback extra state, and may use
-    different message kind names via the class attributes.
+    Subclasses may override :meth:`declare_black` / :meth:`declare_gray`
+    to piggyback extra state, and may use different message kind names
+    via the class attributes.  Algorithm II's full node carries its own
+    inlined copy of the two marking rules in its ``on_message`` (the
+    protocol's hottest handler): a change to one copy belongs in both.
     """
 
     black_kind = BLACK

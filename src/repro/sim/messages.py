@@ -69,7 +69,7 @@ class Message:
 
     def __repr__(self) -> str:
         return (
-            f"Message(sender={self.sender!r}, kind={self.kind!r}, "
+            f"{type(self).__qualname__}(sender={self.sender!r}, kind={self.kind!r}, "
             f"data={self.data!r}, dest={self.dest!r})"
         )
 
@@ -95,7 +95,13 @@ class Message:
         field (a neighbor list of k ids costs k), plus 1 for the kind
         header — a simple, protocol-agnostic size model.
         """
-        return payload_size(self.data)
+        size = 1  # the message kind itself
+        for value in self.data.values():
+            if isinstance(value, COLLECTIONS):
+                size += max(len(value), 1)
+            else:
+                size += 1
+        return size
 
 
 # The slots' own descriptors fill a new message: calling them directly
@@ -105,16 +111,6 @@ _set_sender, _set_kind, _set_data, _set_dest = (
     vars(Message)[name].__set__ for name in Message.__slots__
 )
 
-#: The payload values :func:`payload_size` counts by length.
+#: The payload values :meth:`Message.payload_size` counts by length.
 COLLECTIONS = (tuple, list, frozenset, set, dict)
 
-
-def payload_size(data: Dict[str, Any]) -> int:
-    """:meth:`Message.payload_size` of a message carrying ``data``."""
-    size = 1  # the message kind itself
-    for value in data.values():
-        if isinstance(value, COLLECTIONS):
-            size += len(value) or 1
-        else:
-            size += 1
-    return size

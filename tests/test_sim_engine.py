@@ -384,17 +384,6 @@ class TestMessage:
         assert deep.data is not msg.data
         assert deep.data["items"] is not msg.data["items"]
 
-    def test_payload_size(self):
-        class Pair(NamedTuple):
-            left: int
-            right: int
-
-        assert Message(1, "X").payload_size() == 1
-        assert Message(1, "X", {"a": "text", "b": b"raw"}).payload_size() == 3
-        assert Message(1, "X", {"p": Pair(1, 2)}).payload_size() == 3
-        assert Message(1, "X", {"s": {1, 2, 3}, "d": {}}).payload_size() == 5
-        assert Message(1, "X", {"f": frozenset(), "l": [1]}).payload_size() == 3
-
 
 class TestPayloadAccounting:
     def test_scalar_payload_size(self):
@@ -406,6 +395,13 @@ class TestPayloadAccounting:
 
     def test_empty_collection_counts_one(self):
         assert Message(0, "X", {"doms": ()}).payload_size() == 2
+
+    def test_collection_subclasses_and_other_payloads(self):
+        assert Message(0, "X").payload_size() == 1
+        assert Message(0, "X", {"a": "text", "b": b"raw"}).payload_size() == 3
+        assert Message(0, "X", {"p": _Pair(1, 2)}).payload_size() == 3
+        assert Message(0, "X", {"s": {1, 2, 3}, "d": {}}).payload_size() == 5
+        assert Message(0, "X", {"f": frozenset(), "l": [1]}).payload_size() == 3
 
     def test_stats_accumulate_payload(self):
         class Chatty(ProtocolNode):
