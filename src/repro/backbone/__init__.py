@@ -1,10 +1,9 @@
 """One front door for every backbone construction in the repo.
 
-``build(name, graph, *, seed=None, tracer=None, registry=None,
-transport=None, sim=None)`` runs any registered algorithm — the
-paper's Algorithms I/II, their centralized references, the bare MIS,
-or a baseline — and always returns a
-:class:`~repro.wcds.base.BackboneResult`.
+``build(name, graph, *, tracer=None, registry=None, sim=None)`` runs
+any registered algorithm — the paper's Algorithms I/II, their
+centralized references, the bare MIS, or a baseline — and always
+returns a :class:`~repro.wcds.base.BackboneResult`.
 """
 
 from repro.backbone.registry import (

@@ -144,7 +144,7 @@ class ShardedAlgorithm:
         from repro.graphs.udg import UnitDiskGraph
         from repro.shard.stitch import build_sharded
 
-        if sim is not None and (sim.faulty or sim.transport_config is not None):
+        if sim is not None and (sim.faulty or sim.transport):
             raise ValueError(
                 f"{self.name} is centralized; faults and transport only "
                 "apply to distributed simulations"

@@ -5,14 +5,12 @@ II, their centralized references, the bare distributed MIS, and the
 comparison baselines — is reachable here under a stable string name,
 behind one calling convention:
 
-    result = build("algorithm2", graph, seed=7, transport=True)
+    result = build("algorithm2", graph, sim=SimConfig(seed=7, transport=True))
 
 Every entry point takes the same keyword-only ``tracer``, ``registry``
 and ``sim`` arguments and returns a :class:`repro.wcds.base.BackboneResult`.
-``build`` folds its ``seed``/``transport`` conveniences into ``sim``
-once.  Centralized algorithms ignore the seed (they are deterministic)
-and reject fault/transport options, which only make sense in a
-simulation.
+Centralized algorithms ignore the seed (they are deterministic) and
+reject fault/transport options, which only make sense in a simulation.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ class CentralizedAlgorithm:
         registry: Any = None,
         sim: Optional[SimConfig] = None,
     ) -> BackboneResult:
-        if sim is not None and (sim.faulty or sim.transport_config is not None):
+        if sim is not None and (sim.faulty or sim.transport):
             raise ValueError(
                 f"{self.name} is centralized; faults and transport only "
                 "apply to distributed simulations"
@@ -163,33 +161,9 @@ def build(
     name: str,
     graph: Graph,
     *,
-    seed: Optional[int] = None,
     tracer: Any = None,
     registry: Any = None,
-    transport: Any = None,
     sim: Optional[SimConfig] = None,
 ) -> BackboneResult:
-    """Build a backbone with the named algorithm — the one front door.
-
-    ``seed`` and ``transport`` are conveniences for the matching
-    :class:`SimConfig` fields, folded into ``sim`` (or a default config)
-    here and nowhere else.  A convenience that contradicts a field
-    ``sim`` already sets raises ``ValueError``; a matching or unset
-    field folds quietly.
-    """
-    updates = {
-        key: value
-        for key, value in (("seed", seed), ("transport", transport))
-        if value is not None
-    }
-    if updates:
-        folded = replace(sim or SimConfig(), **updates)
-        for key in updates:
-            current = getattr(sim, key, None)
-            if current is not None and current != getattr(folded, key):
-                raise ValueError(
-                    f"build({name!r}): {key}={updates[key]!r} conflicts "
-                    f"with sim.{key}={current!r}"
-                )
-        sim = folded
+    """Build a backbone with the named algorithm — the one front door."""
     return get(name).run(graph, tracer=tracer, registry=registry, sim=sim)

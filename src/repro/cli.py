@@ -46,7 +46,7 @@ from repro.routing import ClusterheadRouter, backbone_broadcast, blind_flood
 
 
 def _positive_int(text: str) -> int:
-    """``--nodes``, ``--max-epochs``: an int of at least 1."""
+    """``--nodes``, ``--trials``, ``--perturbations``: an int of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -69,8 +69,8 @@ def _loss_probability(text: str) -> float:
     return value
 
 
-def _side_length(text: str) -> float:
-    """``--side``: a positive, finite float."""
+def _positive_float(text: str) -> float:
+    """``--side``, ``--slack``: a positive, finite float."""
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
@@ -80,7 +80,7 @@ def _side_length(text: str) -> float:
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=_positive_int, default=150,
                         help="number of radios")
-    parser.add_argument("--side", type=_side_length, default=8.0,
+    parser.add_argument("--side", type=_positive_float, default=8.0,
                         help="square side length")
     parser.add_argument("--seed", type=int, default=7, help="random seed")
     parser.add_argument(
@@ -750,12 +750,8 @@ def cmd_montecarlo(args) -> int:
     import json
 
     from repro.analysis import aggregate_rows
-    from repro.sim.fleet import BackboneTrial, run_fleet
-
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
     from repro.backbone import get
+    from repro.sim.fleet import BackboneTrial, run_fleet
 
     algorithm = _algorithm_name(args.algorithm)
     if args.transport and not get(algorithm).distributed:
@@ -767,7 +763,7 @@ def cmd_montecarlo(args) -> int:
     trial = BackboneTrial(
         algorithm=algorithm,
         jitter=args.jitter,
-        transport=True if args.transport else None,
+        transport=args.transport,
     )
     seeds = range(args.first_seed, args.first_seed + args.trials)
     aggregates = aggregate_rows(
@@ -802,9 +798,6 @@ def cmd_opt_ratio(args) -> int:
 
     from repro.opt import certified_optimum, measure_ratios, ratio_report
 
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
     graph = _build(args)
     try:
         certificate = certified_optimum(
@@ -1039,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="100,200,400",
                    help="comma list of network sizes to sweep")
     p.add_argument("--seed", type=int, default=7, help="random seed")
-    p.add_argument("--slack", type=float, default=1.75,
+    p.add_argument("--slack", type=_positive_float, default=1.75,
                    help="headroom factor over the calibrated envelope")
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_obs_report)
@@ -1052,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--algorithm", choices=["1", "2", "both"], default="both")
     p.add_argument("--nodes", type=_positive_int, default=60, help="number of radios")
-    p.add_argument("--side", type=_side_length, default=6.0, help="square side length")
+    p.add_argument("--side", type=_positive_float, default=6.0, help="square side length")
     p.add_argument("--seed", type=int, default=7, help="topology + schedule seed")
     p.add_argument("--seeds", metavar="LIST",
                    help="comma list of seeds (overrides --seed)")
@@ -1081,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="2", type=_algorithm_arg,
         help="1, 2, or any registered backbone algorithm name",
     )
-    p.add_argument("--trials", type=int, default=32,
+    p.add_argument("--trials", type=_positive_int, default=32,
                    help="number of protocol seeds to sweep")
     p.add_argument("--first-seed", type=int, default=0,
                    help="first protocol seed (trials run seeds "
@@ -1123,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="LP-strengthened pruning: on (requires scipy), off "
         "(combinatorial bounds only, bit-identical optima), or auto",
     )
-    p.add_argument("--trials", type=int, default=8,
+    p.add_argument("--trials", type=_positive_int, default=8,
                    help="number of protocol seeds to sweep per algorithm")
     p.add_argument("--first-seed", type=int, default=0,
                    help="first protocol seed")
@@ -1177,11 +1170,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nodes", type=_positive_int, default=50,
                    help="race sweep: number of radios")
-    p.add_argument("--side", type=_side_length, default=5.0,
+    p.add_argument("--side", type=_positive_float, default=5.0,
                    help="race sweep: square side length")
     p.add_argument("--seed", type=int, default=7,
                    help="race sweep: topology seed")
-    p.add_argument("--perturbations", type=int, default=5,
+    p.add_argument("--perturbations", type=_positive_int, default=5,
                    help="schedule perturbations per protocol")
     p.set_defaults(func=cmd_check)
 

@@ -43,8 +43,7 @@ from repro.kernels.disk import (
 from repro.kernels.shard import bin_by_tile, rect_distance_squared, tile_index_array
 
 #: Below this many elements every twin runs its pure path: the numpy
-#: call overhead dominates.  The simulator's engine switch uses the
-#: same crossover.
+#: call overhead dominates.
 AUTO_THRESHOLD = 64
 
 

@@ -173,7 +173,7 @@ def run_mis(
     )
     colors = {n: results[n]["color"] for n in results}
     meta: Dict[str, Any] = {"colors": colors, "stats": stats, "crashed": crashed}
-    if config.transport_config is not None:
+    if config.transport:
         from repro.transport.reliable import aggregate_transport
 
         meta["transport_totals"] = aggregate_transport(results)

@@ -9,6 +9,7 @@ costs and picks the cheaper (see :mod:`repro.service.service`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,6 +39,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
+        if self.default_deadline is not None and not (
+            self.default_deadline > 0 and math.isfinite(self.default_deadline)
+        ):
+            raise ValueError("default_deadline must be positive and finite")
         if not self.tile_size > 0:
             raise ValueError("tile_size must be positive (radii)")
         if not isinstance(self.slos, tuple):

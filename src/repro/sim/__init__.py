@@ -1,6 +1,6 @@
 """Discrete-event message-passing simulator for distributed protocols."""
 
-from repro.sim.batched import BatchedSimulator, make_simulator, resolve_engine
+from repro.sim.batched import BatchedSimulator, make_simulator
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator, run_protocol
 from repro.sim.latency import FixedLatency, UniformLatency
@@ -17,7 +17,6 @@ __all__ = [
     "Simulator",
     "run_protocol",
     "make_simulator",
-    "resolve_engine",
     "FixedLatency",
     "UniformLatency",
     "Message",

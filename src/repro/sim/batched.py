@@ -43,44 +43,18 @@ from operator import length_hint
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.kernels import AUTO_THRESHOLD, use_vector
 from repro.sim.config import SimConfig
 from repro.sim.engine import _DELIVER, _FAULT, NodeFactory, Simulator
 from repro.sim.latency import FixedLatency
 from repro.sim.messages import Message
 from repro.sim.stats import SimStats
 
-__all__ = [
-    "AUTO_THRESHOLD",
-    "BatchedSimulator",
-    "ENGINES",
-    "make_simulator",
-    "resolve_engine",
-]
+__all__ = ["BatchedSimulator", "make_simulator"]
 
 #: Record tag for a batched local-broadcast fan-out: one record whose
 #: target is the whole (already loss-filtered) audience tuple.  Distinct
 #: from the oracle's event types, which the batched queue also carries.
 _FANOUT = 3
-
-ENGINES: Tuple[str, ...] = ("event", "batched", "auto")
-
-
-def resolve_engine(engine: str, *, size: int) -> str:
-    """Resolve an engine request to ``"event"`` or ``"batched"``.
-
-    Explicit choices pass through; ``"auto"`` picks ``"batched"`` by
-    the kernels' size rule, :func:`repro.kernels.use_vector` (below
-    :data:`~repro.kernels.AUTO_THRESHOLD` nodes the bucket queue's
-    bookkeeping rivals the heap it replaces).
-    """
-    if engine in ("event", "batched"):
-        return engine
-    if engine != "auto":
-        raise ValueError(
-            f"unknown engine {engine!r} (expected 'event', 'batched', or 'auto')"
-        )
-    return "batched" if use_vector(size) else "event"
 
 
 def make_simulator(
@@ -91,7 +65,8 @@ def make_simulator(
     tracer: Any = None,
     registry: Any = None,
 ) -> Simulator:
-    """Build the simulator ``config.engine`` selects.
+    """Build the simulator ``config.engine`` selects: the
+    :class:`BatchedSimulator` unless it is ``"event"``.
 
     This is the single construction point every protocol entry point
     (``run_protocol``, ``run_mis``, the backbone registry, chaos,
@@ -99,12 +74,11 @@ def make_simulator(
     engine switch, selects the core end-to-end.
     """
     config = config if config is not None else SimConfig()
-    choice = resolve_engine(config.engine, size=graph.num_nodes)
-    if choice == "batched":
-        return BatchedSimulator(
-            graph, node_factory, config, tracer=tracer, registry=registry
-        )
-    return Simulator(graph, node_factory, config, tracer=tracer, registry=registry)
+    if config.engine == "event":
+        return Simulator(graph, node_factory, config, tracer=tracer, registry=registry)
+    return BatchedSimulator(
+        graph, node_factory, config, tracer=tracer, registry=registry
+    )
 
 
 def _numbered_by_id(nodes: Tuple[Hashable, ...]) -> bool:

@@ -2,22 +2,19 @@
 
 One frozen :class:`SimConfig` describes the whole radio environment of
 a run — latency model, ambient loss, the optional declarative
-:class:`~repro.faults.plan.FaultPlan` the simulator executes, and the
-optional reliable-transport configuration protocols run over.  It is
-the only way the simulator and every protocol entry point learn their
+:class:`~repro.faults.plan.FaultPlan` the simulator executes, whether
+protocols run over the reliable transport, and the engine.  It is the
+only way the simulator and every protocol entry point learn their
 environment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Optional
 
 from repro.faults.plan import FaultPlan
 from repro.sim.latency import LatencyModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.transport.config import TransportConfig
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,17 @@ class SimConfig:
         loss_rate: ambient per-delivery loss probability in ``[0, 1)``.
         seed: seed for the loss RNG (and anything else the simulator
             randomizes); ``None`` = nondeterministic.
-        max_events: livelock guard passed to ``Simulator.run``.
+        max_events: livelock guard of ``Simulator.run``: more events
+            than this raise ``RuntimeError``.
         fault_plan: declarative chaos schedule the simulator executes
             (loss bursts, crashes/revivals, partitions).
-        transport: when set, every protocol node is wrapped in the
+        transport: when true, every protocol node is wrapped in the
             reliable transport (ack/retransmit, duplicate suppression,
-            liveness heartbeats).  ``True`` selects the default
-            :class:`~repro.transport.config.TransportConfig`.
-        engine: which simulator core executes the run — ``"event"``
-            (the reference heap-based oracle), ``"batched"`` (the
-            bucket-queue engine, bit-identical but faster on
-            broadcast-heavy workloads), or ``"auto"`` (batched iff the
-            graph has ≥ 64 nodes, the crossover of the kernels' size
-            rule :func:`repro.kernels.use_vector`).
+            liveness heartbeats; its timing constants live in
+            :mod:`repro.transport.reliable`).
+        engine: which simulator core executes the run — ``"batched"``
+            (the bucket-queue engine, the default) or ``"event"`` (the
+            reference heap-based oracle it is bit-identical to).
     """
 
     latency: Optional[LatencyModel] = None
@@ -50,14 +45,13 @@ class SimConfig:
     seed: Optional[int] = None
     max_events: int = 10_000_000
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
-    transport: Any = None
-    engine: str = "auto"
+    transport: bool = False
+    engine: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("event", "batched", "auto"):
+        if self.engine not in ("event", "batched"):
             raise ValueError(
-                f"unknown engine {self.engine!r} "
-                "(expected 'event', 'batched', or 'auto')"
+                f"unknown engine {self.engine!r} (expected 'event' or 'batched')"
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -65,16 +59,6 @@ class SimConfig:
             raise ValueError("max_events must be positive")
         if self.fault_plan is None:
             object.__setattr__(self, "fault_plan", FaultPlan())
-        if self.transport is True:
-            from repro.transport.config import TransportConfig
-
-            object.__setattr__(self, "transport", TransportConfig())
-
-    @property
-    def transport_config(self) -> "Optional[TransportConfig]":
-        """The transport configuration, or ``None`` when disabled."""
-        config: "Optional[TransportConfig]" = self.transport or None
-        return config
 
     @property
     def faulty(self) -> bool:

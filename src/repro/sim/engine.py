@@ -139,11 +139,10 @@ class Simulator:
         self._loss_now = config.loss_rate
         self._cuts: Tuple[Any, ...] = ()
         factory = node_factory
-        transport_cfg = config.transport_config
-        if transport_cfg is not None:
+        if config.transport:
             from repro.transport.reliable import with_transport
 
-            factory = with_transport(node_factory, transport_cfg)
+            factory = with_transport(node_factory)
         self.nodes: Dict[Hashable, ProtocolNode] = {}
         for node_id in graph.nodes():
             ctx = NodeContext(self, node_id)
@@ -288,22 +287,18 @@ class Simulator:
             if when > 0.0:
                 self._push(when, _FAULT, None, when)
 
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> SimStats:
+    def run(self, until: Optional[float] = None) -> SimStats:
         """Start every node and process events to quiescence.
 
-        Stops when the event queue drains, simulated time passes
-        ``until``, or ``max_events`` have been processed (a livelock
-        guard: exceeding it raises ``RuntimeError`` because a correct
-        terminating protocol should have gone quiet).
+        Stops when the event queue drains or simulated time passes
+        ``until``.  Processing more than ``config.max_events`` events
+        in one call raises ``RuntimeError`` (a livelock guard: a
+        correct terminating protocol should have gone quiet).
 
         ``run`` may be called repeatedly (e.g. with increasing
         ``until`` deadlines to interleave topology changes); nodes are
         started exactly once, on the first call.
         """
-        if max_events is None:
-            max_events = self.config.max_events
         if not self._started:
             self._started = True
             # The plan's time-0 state (pre-dead nodes, initial bursts or
@@ -315,7 +310,7 @@ class Simulator:
                 if node_id not in self._dead:
                     self.nodes[node_id].on_start()
         try:
-            return self._process_events(until, max_events)
+            return self._process_events(until, self.config.max_events)
         finally:
             self.stats.finish_time = self.now
             if self.registry is not None:
@@ -403,9 +398,9 @@ def run_protocol(
     """Convenience: build a simulator, run to quiescence, return
     ``(per-node results, stats)``.
 
-    The simulator class is chosen by ``config.engine`` (see
-    :func:`repro.sim.batched.resolve_engine`); both engines produce
-    bit-identical stats and traces.
+    The simulator is :func:`repro.sim.batched.make_simulator`'s, so
+    ``config.engine`` picks it; both engines produce bit-identical
+    stats and traces.
     """
     from repro.sim.batched import make_simulator
 

@@ -30,8 +30,8 @@ deterministic baseline the tests compare worker rows against (the rows
 are identical: each trial reseeds everything from its seed argument).
 A one-seed :func:`run_fleet` always takes that lane: it never
 parallelizes, so it needs no worker and no picklable trial.  The
-simulator engine is ``SimConfig.engine``'s default; the trials do not
-choose one.
+trials run on ``SimConfig``'s default engine, the batched core; they do
+not choose one.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class BackboneTrial:
 
     algorithm: str = "algorithm2"
     jitter: bool = False
-    transport: Any = None
+    transport: bool = False
 
     def __call__(self, graph: UnitDiskGraph, seed: int) -> Mapping[str, float]:
         from repro.backbone import build

@@ -6,7 +6,6 @@ algorithms terminate correctly under message loss, crashes, and
 partitions (see :mod:`repro.faults`).
 """
 
-from repro.transport.config import TransportConfig
 from repro.transport.reliable import (
     ACK_KIND,
     CONTROL_KINDS,
@@ -24,7 +23,6 @@ __all__ = [
     "HEARTBEAT_KIND",
     "ReliableTransport",
     "aggregate_transport",
-    "TransportConfig",
     "TransportContext",
     "TransportNode",
     "with_transport",

@@ -38,7 +38,39 @@ from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Set, Tupl
 from repro.graphs.graph import canonical_order
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
-from repro.transport.config import TransportConfig
+
+# Timing, sized for the simulator's unit-latency radio model: one hop
+# takes ~1 simulated second and a receiver may hold acknowledgements
+# for ACK_DELAY to batch them, so the first retransmission timeout
+# covers a round trip plus the ack delay with slack.
+#: Seconds before the first retransmission of an unacknowledged message.
+ACK_TIMEOUT = 4.0
+#: Multiplier applied to the retransmission timeout after every attempt.
+BACKOFF = 1.6
+#: Cap on the retransmission timeout.
+MAX_BACKOFF = 24.0
+#: Attempts before a sender declares the unresponsive receiver dead: at
+#: 30% loss the probability of falsely declaring a live neighbor dead
+#: after 12 attempts is ``0.3^12 ≈ 5e-7``.
+MAX_RETRIES = 12
+#: How long a receiver may hold acknowledgements to batch several
+#: sequence numbers into one ACK message.
+ACK_DELAY = 0.5
+#: Period of the liveness tick; an idle-but-alive node beacons at this
+#: rate until it announces FIN.
+HEARTBEAT_INTERVAL = 4.0
+#: Silence (no payload, ack, or heartbeat) after which a neighbor enters
+#: the ping-probe phase.
+LIVENESS_TIMEOUT = 13.0
+#: How many LIVENESS_TIMEOUT windows of unanswered pings (one ping per
+#: beat) before a silent neighbor is suspected dead.  Each ping round
+#: trip independently survives loss, so widening the window drives the
+#: false-suspicion probability down geometrically: at 30% loss one
+#: window (~4 pings) fails ~0.51^4 ≈ 7%, two windows ~0.5%.
+PING_WINDOW_FACTOR = 2.0
+#: Consecutive quiet ticks before a node announces FIN (it is done
+#: sending) and stops beaconing.
+IDLE_BEATS = 2
 
 ACK_KIND = "TRANSPORT-ACK"
 HEARTBEAT_KIND = "TRANSPORT-HB"
@@ -77,9 +109,8 @@ class ReliableTransport:
     protocol through the wrapper's notification callbacks.
     """
 
-    def __init__(self, ctx: NodeContext, config: TransportConfig) -> None:
+    def __init__(self, ctx: NodeContext) -> None:
         self.ctx = ctx
-        self.config = config
         self.known: FrozenSet[Hashable] = frozenset(ctx.neighbors)
         self.suspected: Set[Hashable] = set()
         self.view_changes = 0  # bumped on every change to ``suspected``
@@ -159,10 +190,8 @@ class ReliableTransport:
         else:
             self.ctx.broadcast(kind, **payload)
         if audience:
-            self._pending[seq] = _Outbound(
-                kind, payload, audience, self.config.ack_timeout
-            )
-            self.ctx.set_timer(self.config.ack_timeout, f"{_RTX_PREFIX}{seq}")
+            self._pending[seq] = _Outbound(kind, payload, audience, ACK_TIMEOUT)
+            self.ctx.set_timer(ACK_TIMEOUT, f"{_RTX_PREFIX}{seq}")
 
     # ------------------------------------------------------------------
     # Receiving
@@ -207,7 +236,7 @@ class ReliableTransport:
             self._ack_queue.setdefault(peer, set()).add(seq)
             if not self._ack_timer_set:
                 self._ack_timer_set = True
-                self.ctx.set_timer(self.config.ack_delay, _ACK_TAG)
+                self.ctx.set_timer(ACK_DELAY, _ACK_TAG)
             seen = self._seen.setdefault(peer, set())
             if seq in seen:
                 self.duplicates_dropped += 1
@@ -245,7 +274,7 @@ class ReliableTransport:
             del self._pending[seq]
             return
         out.attempts += 1
-        if out.attempts > self.config.max_retries:
+        if out.attempts > MAX_RETRIES:
             del self._pending[seq]
             for peer in canonical_order(out.waiting):
                 self._suspect(peer)
@@ -254,7 +283,7 @@ class ReliableTransport:
             self.retransmissions += 1
             self._sent_since_tick = True
             self.ctx.send(peer, out.kind, **out.data)
-        out.delay = min(out.delay * self.config.backoff, self.config.max_backoff)
+        out.delay = min(out.delay * BACKOFF, MAX_BACKOFF)
         self.ctx.set_timer(out.delay, f"{_RTX_PREFIX}{seq}")
 
     def _on_tick(self) -> None:
@@ -268,11 +297,9 @@ class ReliableTransport:
         for peer in canonical_order(
             self.known - self.suspected - self._fin_peers
         ):
-            if now - self._last_heard.get(peer, 0.0) > self.config.liveness_timeout:
+            if now - self._last_heard.get(peer, 0.0) > LIVENESS_TIMEOUT:
                 pinged_at = self._pinged.get(peer)
-                window = (
-                    self.config.ping_window_factor * self.config.liveness_timeout
-                )
+                window = PING_WINDOW_FACTOR * LIVENESS_TIMEOUT
                 if pinged_at is not None and now - pinged_at > window:
                     self._suspect(peer)
                     continue
@@ -292,7 +319,7 @@ class ReliableTransport:
                     self.ctx.broadcast(HEARTBEAT_KIND, fin=False)
             else:
                 self._quiet_beats += 1
-                if self._quiet_beats >= self.config.idle_beats:
+                if self._quiet_beats >= IDLE_BEATS:
                     # Done sending: announce FIN and fall back to
                     # passive monitoring of the peers still unresolved.
                     self.heartbeats_sent += 1
@@ -316,7 +343,7 @@ class ReliableTransport:
     def _arm_tick(self) -> None:
         if not self._tick_armed:
             self._tick_armed = True
-            self.ctx.set_timer(self.config.heartbeat_interval, _TICK_TAG)
+            self.ctx.set_timer(HEARTBEAT_INTERVAL, _TICK_TAG)
 
     def _wake(self) -> None:
         """Payload activity pulls the transport back to ACTIVE."""
@@ -404,13 +431,10 @@ class TransportNode(ProtocolNode):
     """Wrapper node: reliable transport below, any protocol above."""
 
     def __init__(
-        self,
-        ctx: NodeContext,
-        inner_factory: Callable[[Any], ProtocolNode],
-        config: TransportConfig,
+        self, ctx: NodeContext, inner_factory: Callable[[Any], ProtocolNode]
     ) -> None:
         super().__init__(ctx)
-        self.transport = ReliableTransport(ctx, config)
+        self.transport = ReliableTransport(ctx)
         self.inner = inner_factory(TransportContext(ctx, self.transport))
         self.transport.bind(self.inner.on_neighbor_down, self.inner.on_neighbor_up)
 
@@ -465,12 +489,11 @@ def aggregate_transport(results: Dict[Hashable, Dict[str, Any]]) -> Dict[str, in
 
 
 def with_transport(
-    factory: Callable[[Any], ProtocolNode], config: Optional[TransportConfig] = None
+    factory: Callable[[Any], ProtocolNode],
 ) -> Callable[[NodeContext], TransportNode]:
     """Wrap a node factory so every node runs over the transport."""
-    cfg = config if config is not None else TransportConfig()
 
     def wrapped(ctx: NodeContext) -> TransportNode:
-        return TransportNode(ctx, factory, cfg)
+        return TransportNode(ctx, factory)
 
     return wrapped

@@ -264,7 +264,7 @@ def algorithm1_distributed(
         "total_messages": total_messages,
         "finish_time": finish_time,
     }
-    if config.transport_config is not None:
+    if config.transport:
         meta["transport_totals"] = aggregate_transport(results)
     if crashed:
         meta["crashed"] = crashed

@@ -364,7 +364,7 @@ def algorithm2_distributed(
         run_span.set_attr("backbone", len(mis | additional))
     meta = {"node_state": results, "stats": stats,
             "phase_messages": phase_messages}
-    if config.transport_config is not None:
+    if config.transport:
         meta["transport_totals"] = aggregate_transport(results)
     if crashed:
         meta["crashed"] = crashed

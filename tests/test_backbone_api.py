@@ -4,8 +4,7 @@ Two promises are pinned here:
 
 * every backbone construction is reachable through
   ``repro.backbone.build(name, graph, ...)`` and returns a
-  :class:`BackboneResult`; ``build`` alone folds the ``seed`` /
-  ``transport`` conveniences into ``sim``; and
+  :class:`BackboneResult`; and
 * the protocol entry points learn their environment only from
   ``sim=SimConfig(...)``: the loose pre-redesign keywords fail fast.
 """
@@ -68,7 +67,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ["algorithm1", "algorithm2", "mis",
                                       "wu-li-distributed"])
     def test_distributed_builds_return_backbone_result(self, graph, name):
-        result = build(name, graph, seed=3)
+        result = build(name, graph, sim=SimConfig(seed=3))
         assert isinstance(result, BackboneResult)
         assert result.algorithm == name
         assert result.dominators
@@ -82,33 +81,9 @@ class TestRegistry:
         assert result.algorithm == name
 
     def test_same_seed_same_backbone(self, graph):
-        a = build("algorithm2", graph, seed=9)
-        b = build("algorithm2", graph, seed=9)
+        a = build("algorithm2", graph, sim=SimConfig(seed=9))
+        b = build("algorithm2", graph, sim=SimConfig(seed=9))
         assert a.dominators == b.dominators
-
-    def test_build_rejects_conflicting_seed(self, graph):
-        with pytest.raises(ValueError, match="seed"):
-            build("algorithm2", graph, seed=5, sim=SimConfig(seed=9))
-
-    def test_build_rejects_conflicting_transport(self, graph):
-        with pytest.raises(ValueError, match="transport"):
-            build(
-                "algorithm2", graph, transport=False,
-                sim=SimConfig(transport=True),
-            )
-
-    def test_build_folds_matching_or_unset_fields(self, graph):
-        folded = build("algorithm2", graph, seed=5).dominators
-        assert build(
-            "algorithm2", graph, seed=5, sim=SimConfig(seed=5)
-        ).dominators == folded
-        assert build(
-            "algorithm2", graph, sim=SimConfig(seed=5)
-        ).dominators == folded
-        assert build(
-            "algorithm2", graph, transport=True,
-            sim=SimConfig(seed=5, transport=True),
-        ).dominators
 
     @pytest.mark.parametrize("name", names(distributed=True))
     def test_distributed_build_opens_one_root_span(self, graph, name):
@@ -118,7 +93,7 @@ class TestRegistry:
 
     def test_centralized_rejects_transport(self, graph):
         with pytest.raises(ValueError, match="centralized"):
-            build("greedy-wcds", graph, transport=True)
+            build("greedy-wcds", graph, sim=SimConfig(transport=True))
 
     def test_centralized_rejects_faulty_sim(self, graph):
         from repro.faults import Crash, FaultPlan
@@ -218,7 +193,7 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             fn(graph, *args, latency=UniformLatency(seed=3))
         if distributed:
-            # ``seed``/``transport`` are conveniences of build() only.
+            # The seed is a SimConfig field, not a keyword.
             with pytest.raises(TypeError):
                 fn(graph, seed=3)
 

@@ -473,6 +473,35 @@ def test_chaos_fault_inputs_are_validated_at_parse_time(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["montecarlo", "--trials", "0"], "must be at least 1"),
+        (["opt-ratio", "--trials", "0"], "must be at least 1"),
+        (["check", "--races", "--perturbations", "0"], "must be at least 1"),
+        (["check", "--races", "--perturbations", "-1"], "must be at least 1"),
+        (["obs-report", "--slack", "-1"], "must be positive and finite"),
+        (["obs-report", "--slack", "0"], "must be positive and finite"),
+        (["obs-report", "--slack", "nan"], "must be positive and finite"),
+    ],
+)
+def test_counts_and_factors_are_validated_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("deadline", ["-1", "0", "nan", "inf"])
+def test_serve_rejects_a_deadline_that_is_not_positive(capsys, deadline):
+    code = main(["serve", "--nodes", "40", "--side", "4.5",
+                 "--deadline", deadline])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: default_deadline must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["topology", "--nodes", "0"],

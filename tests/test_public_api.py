@@ -104,6 +104,33 @@ class TestTopLevelSurface:
         for fn in (repro.opt.measure_ratios, repro.opt.ratio._sweep_sizes):
             assert "engine" not in inspect.signature(fn).parameters
 
+    def test_sim_settings_have_one_setter(self):
+        # SimConfig is the one place a simulation setting is set: the
+        # transport's tunables, build()'s seed/transport shortcuts,
+        # run(max_events=) and the "auto" engine are gone.
+        import inspect
+
+        import repro.sim
+        import repro.sim.batched
+        import repro.transport
+        from repro.backbone import build
+        from repro.sim import SimConfig, Simulator
+
+        assert not hasattr(repro.transport, "TransportConfig")
+        assert "TransportConfig" not in repro.transport.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.transport.config")
+        for module in (repro.sim, repro.sim.batched):
+            for name in ("resolve_engine", "ENGINES", "AUTO_THRESHOLD"):
+                assert not hasattr(module, name), name
+                assert name not in module.__all__, name
+        assert not hasattr(SimConfig, "transport_config")
+        params = inspect.signature(build).parameters
+        assert "seed" not in params and "transport" not in params
+        assert "max_events" not in inspect.signature(Simulator.run).parameters
+        with pytest.raises(ValueError):
+            SimConfig(engine="auto")
+
     def test_shard_bench_only_reexports_the_deployment(self):
         # The module keeps only the one name the benchmark suite
         # imports from it.

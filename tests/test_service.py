@@ -466,6 +466,12 @@ class TestStaleness:
         service.ingest_events(mobility.step())
         assert service.backbone().stale
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"), float("inf")])
+    def test_default_deadline_must_be_positive_and_finite(self, deadline):
+        with pytest.raises(ValueError, match="default_deadline"):
+            ServiceConfig(default_deadline=deadline)
+        assert ServiceConfig(default_deadline=0.5).default_deadline == 0.5
+
 
 class TestQueueAndDrain:
     def test_enqueue_drain_order(self, service):

@@ -28,9 +28,7 @@ from repro.sim import (
     TraceRecorder,
     UniformLatency,
     make_simulator,
-    resolve_engine,
 )
-from repro.sim.batched import AUTO_THRESHOLD
 from repro.sim.engine import perturbed_schedule
 from repro.wcds.algorithm1 import algorithm1_distributed
 from repro.wcds.algorithm2 import algorithm2_distributed
@@ -57,7 +55,7 @@ def _outcome(algorithm, *, loss, plan, pert_seed, engine):
         fault_plan=plan if plan is not None else default_fault_plan(
             GRAPH, crashes=0, partition=False
         ),
-        transport=True if (loss or plan is not None) else None,
+        transport=bool(loss) or plan is not None,
         max_events=300_000,
         engine=engine,
     )
@@ -155,41 +153,36 @@ class TestOracleEquality:
 
 
 class TestEngineSelection:
-    def test_explicit_engines(self):
-        assert resolve_engine("event", size=10_000) == "event"
-        assert resolve_engine("batched", size=1) == "batched"
-
-    def test_auto_threshold(self):
-        pytest.importorskip("numpy")
-        assert resolve_engine("auto", size=AUTO_THRESHOLD) == "batched"
-        assert resolve_engine("auto", size=AUTO_THRESHOLD - 1) == "event"
+    def test_default_is_batched_at_every_size(self):
+        # No size rule: the default config builds the batched core below
+        # 64 nodes too, down to a single edge and a single node.
+        for graph in (
+            Graph(nodes=[0]),
+            Graph(edges=[(0, 1)]),
+            connected_random_udg(20, 3.0, seed=1),
+            connected_random_udg(63, 5.0, seed=2),
+            connected_random_udg(70, 5.0, seed=2),
+        ):
+            assert isinstance(make_simulator(graph, ProtocolNode), BatchedSimulator)
+            assert isinstance(
+                make_simulator(graph, ProtocolNode, SimConfig()), BatchedSimulator
+            )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("warp", size=10)
-        with pytest.raises(ValueError, match="unknown engine"):
-            SimConfig(engine="warp")
+        for engine in ("warp", "auto"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                SimConfig(engine=engine)
 
     def test_make_simulator_honors_config(self):
-        pytest.importorskip("numpy")
         quiet = ProtocolNode
-        big = connected_random_udg(70, 5.0, seed=2)
-        assert isinstance(
-            make_simulator(big, quiet, SimConfig(engine="batched")),
-            BatchedSimulator,
-        )
-        event = make_simulator(big, quiet, SimConfig(engine="event"))
-        assert isinstance(event, Simulator)
-        assert not isinstance(event, BatchedSimulator)
-        assert isinstance(
-            make_simulator(big, quiet, SimConfig(engine="auto")),
-            BatchedSimulator,
-        )
-        small = Graph(edges=[(0, 1)])
-        assert not isinstance(
-            make_simulator(small, quiet, SimConfig(engine="auto")),
-            BatchedSimulator,
-        )
+        for graph in (Graph(edges=[(0, 1)]), connected_random_udg(70, 5.0, seed=2)):
+            assert isinstance(
+                make_simulator(graph, quiet, SimConfig(engine="batched")),
+                BatchedSimulator,
+            )
+            event = make_simulator(graph, quiet, SimConfig(engine="event"))
+            assert isinstance(event, Simulator)
+            assert not isinstance(event, BatchedSimulator)
 
 
 def _mixed_ids(graph):

@@ -292,7 +292,7 @@ class TestRunControls:
                 self.ctx.broadcast("NOISE")  # livelock
 
         with pytest.raises(RuntimeError):
-            Simulator(triangle(), Chatter).run(max_events=100)
+            Simulator(triangle(), Chatter, SimConfig(max_events=100)).run()
 
     def test_stats_summary_keys(self):
         _, stats = run_protocol(triangle(), Beacon)
