@@ -465,6 +465,9 @@ def cmd_compare(args) -> int:
 def cmd_experiment(args) -> int:
     import repro.experiments as experiments
 
+    if args.markdown and not args.all:
+        print("error: --markdown needs --all", file=sys.stderr)
+        return 2
     if args.all:
         from repro.analysis.report import generate_report
 

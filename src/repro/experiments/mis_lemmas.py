@@ -26,18 +26,19 @@ from repro.mis import (
     lemma2_extrema,
     level_ranking,
     max_mis_neighbors,
+    rank_by,
 )
 
 
 def pentagon_instance():
-    """The Lemma 1 tightness adversary: 5 MIS nodes around a center."""
+    """The Lemma 1 tightness adversary: 5 MIS nodes around a center,
+    which is ranked last so all five are picked."""
     pts = {0: (0.0, 0.0)}
     for i in range(5):
         angle = 2 * math.pi * i / 5
         pts[i + 1] = (0.99 * math.cos(angle), 0.99 * math.sin(angle))
     g = build_udg(pts)
-    ranks = {n: ((1 if n == 0 else 0), n) for n in g.nodes()}
-    return g, greedy_mis(g, ranks)
+    return g, greedy_mis(g, rank_by(g.nodes(), lambda n: n == 0))
 
 
 @register(

@@ -2,9 +2,9 @@
 structural properties (Section 2)."""
 
 from repro.mis.ranking import (
-    degree_ranking,
     id_ranking,
     level_ranking,
+    rank_by,
     validate_ranking,
 )
 from repro.mis.centralized import (
@@ -29,9 +29,9 @@ from repro.mis.properties import (
 )
 
 __all__ = [
-    "degree_ranking",
     "id_ranking",
     "level_ranking",
+    "rank_by",
     "validate_ranking",
     "greedy_mis",
     "greedy_mis_dynamic_degree",

@@ -17,16 +17,15 @@ import heapq
 from typing import Dict, Hashable, Mapping, Set
 
 from repro.graphs.graph import Graph, canonical_order
-from repro.mis.ranking import Rank, validate_ranking
+from repro.mis.ranking import validate_ranking
 
 
-def greedy_mis(graph: Graph, ranking: Mapping[Hashable, Rank] = None) -> Set[Hashable]:
+def greedy_mis(graph: Graph, ranking: Mapping[Hashable, int] = None) -> Set[Hashable]:
     """MIS by lowest-static-rank-first marking.
 
-    With no ranking given, ranks are the node ids (Algorithm II's MIS):
-    the ids are sorted directly, in the order of the rank tuples of
-    :func:`~repro.mis.ranking.id_ranking`, and mixed ids raise
-    ``TypeError`` as those tuples do.
+    ``ranking`` maps each node to its int position.  With none given,
+    the ids are sorted directly (Algorithm II's MIS, the order of
+    :func:`~repro.mis.ranking.id_ranking`); mixed ids raise ``TypeError``.
     """
     if ranking is None:
         order = sorted(graph.nodes())

@@ -10,8 +10,8 @@ exactly one declaration, so the phase costs exactly n messages.
 The rank of every node and of its neighbors must be known locally
 before the phase starts: for Algorithm II the rank is the node id
 (known by assumption), for Algorithm I it is ``(level, id)`` learned in
-the level calculation phase.  The protocol is parameterized over a rank
-table to cover both.
+the level calculation phase.  The protocol takes either as a ranking,
+node -> int position (:mod:`repro.mis.ranking`).
 
 Correctness under asynchrony: a node's decision depends only on its
 lower-ranked neighbors' declarations, so by induction on rank order the
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Mapping, Optional, Set
 
 from repro.graphs.graph import Graph
-from repro.mis.ranking import Rank, id_ranking, validate_ranking
+from repro.mis.ranking import id_ranking, validate_ranking
 from repro.obs.tracing import get_tracer
 from repro.sim.config import SimConfig
 from repro.sim.batched import make_simulator
@@ -53,11 +53,11 @@ class MisNode(ProtocolNode):
     black_kind = BLACK
     gray_kind = GRAY
 
-    def __init__(self, ctx: NodeContext, ranks: Mapping[Hashable, Rank]) -> None:
+    def __init__(self, ctx: NodeContext, ranks: Mapping[Hashable, int]) -> None:
         super().__init__(ctx)
         self._ranks = ranks
         self.color = WHITE_STATE
-        # Under faults a node can be absent from the rank table (it
+        # Under faults a node can be absent from the ranking (it
         # crashed before the ranking phase finished); such a node never
         # starts, and live nodes skip unranked neighbors.  The simulator
         # builds every node before any crash: the audience is the live view.
@@ -128,7 +128,7 @@ class MisNode(ProtocolNode):
 
 def run_mis(
     graph: Graph,
-    ranking: Optional[Mapping[Hashable, Rank]] = None,
+    ranking: Optional[Mapping[Hashable, int]] = None,
     *,
     tracer=None,
     registry=None,

@@ -34,7 +34,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, is_connected
 from repro.mis.centralized import greedy_mis
 from repro.mis.distributed import MisNode
-from repro.mis.ranking import level_ranking
+from repro.mis.ranking import level_ranking, rank_by
 from repro.election.protocol import ElectionResult, elect_leader
 from repro.obs.cost import annotate_phase as _annotate_phase
 from repro.obs.tracing import get_tracer
@@ -227,10 +227,8 @@ def algorithm1_distributed(
             _annotate_phase(span, registry, "1", "levels", level_stats)
             elapsed += level_stats.finish_time
         with tracer.span("marking") as span:
-            if config.faulty:
-                ranking = {n: (levels[n], n) for n in levels}
-            else:
-                ranking = level_ranking(graph, levels)
+            # Under faults only the nodes that learned a level are ranked.
+            ranking = rank_by(levels, levels.__getitem__)
             marking_sim = make_simulator(
                 graph, lambda ctx: MisNode(ctx, ranking),
                 config.with_plan(plan.advanced(elapsed)),

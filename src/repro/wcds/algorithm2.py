@@ -210,7 +210,7 @@ class Algorithm2Node(MisNode):
         for dom, hop in doms:
             if dom == node_id or dom in two_hop or dom in three_hop:
                 continue
-            if not rank < ranks.get(dom, (dom,)):
+            if not rank < ranks[dom]:
                 continue
             three_hop[dom] = (via, hop)
             # The paper's SELECTION message carries the full (u, v, x, w)

@@ -215,6 +215,14 @@ class TestCommands:
     def test_experiment_unknown_id(self, capsys):
         assert main(["experiment", "ZZZ"]) == 2
 
+    @pytest.mark.parametrize("ids", [["F3"], []])
+    def test_experiment_markdown_needs_all(self, capsys, tmp_path, ids):
+        path = tmp_path / "report.md"
+        code = main(["experiment", "--markdown", str(path), *ids])
+        assert code == 2
+        assert "--all" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_load_round_trip(self, capsys, tmp_path):
         # Save a deployment, then answer from the file: the loaded
         # topology must be bit-identical (same nodes, edges, backbone).

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 
 from repro.graphs import Graph, grid_udg
 from repro.mis import (
-    degree_ranking,
     greedy_mis,
     greedy_mis_dynamic_degree,
     id_ranking,
     is_maximal_independent_set,
     level_ranking,
     mis_coloring,
+    rank_by,
+    run_mis,
     validate_ranking,
 )
+from repro.wcds import algorithm2_distributed
 
 from tutils import dense_connected_udg, seeds, small_sizes
 
@@ -40,19 +42,19 @@ class TestRankings:
         with pytest.raises(ValueError):
             level_ranking(g, {0: 0})
 
-    def test_degree_ranking_puts_hubs_first(self, star_graph):
-        ranks = degree_ranking(star_graph)
-        assert ranks[0] == min(ranks.values())
+    def test_rank_by_breaks_key_ties_by_id(self):
+        ranks = rank_by([4, 2, 3, 1], lambda n: n % 2)
+        assert ranks == {2: 0, 4: 1, 1: 2, 3: 3}
 
     def test_validate_rejects_partial(self):
         g = Graph(nodes=[0, 1])
         with pytest.raises(ValueError):
-            validate_ranking(g, {0: (0,)})
+            validate_ranking(g, {0: 0})
 
     def test_validate_rejects_duplicates(self):
         g = Graph(nodes=[0, 1])
         with pytest.raises(ValueError):
-            validate_ranking(g, {0: (7,), 1: (7,)})
+            validate_ranking(g, {0: 7, 1: 7})
 
 
 class TestGreedyMis:
@@ -69,7 +71,7 @@ class TestGreedyMis:
         assert greedy_mis(path_graph) == {0, 2, 4}
 
     def test_respects_custom_ranking(self, path_graph):
-        ranks = {0: (4,), 1: (0,), 2: (3,), 3: (1,), 4: (2,)}
+        ranks = {0: 4, 1: 0, 2: 3, 3: 1, 4: 2}
         assert greedy_mis(path_graph, ranks) == {1, 3}
 
     def test_empty_graph(self):
@@ -106,13 +108,26 @@ class TestGreedyMis:
         )
         for graph in (g, relabelled):
             assert greedy_mis(graph) == greedy_mis(graph, id_ranking(graph))
+        # Both rankings are the int positions 0..n-1 of one sort.
+        nodes = list(relabelled.nodes())
+        positions = list(range(len(nodes)))
+        by_id = id_ranking(relabelled)
+        assert [by_id[v] for v in sorted(ids)] == positions
+        levels = {v: abs(v) % 3 for v in nodes}
+        by_level = level_ranking(relabelled, levels)
+        order = sorted(nodes, key=lambda v: (levels[v], v))
+        assert [by_level[v] for v in order] == positions
 
     def test_mixed_ids_raise_type_error(self):
         g = Graph(edges=[(1, "a"), ("a", 2)])
         with pytest.raises(TypeError):
             greedy_mis(g)
         with pytest.raises(TypeError):
-            greedy_mis(g, id_ranking(g))
+            id_ranking(g)
+        with pytest.raises(TypeError):
+            run_mis(g)
+        with pytest.raises(TypeError):
+            algorithm2_distributed(g)
 
 
 class TestDynamicDegreeMis:

@@ -84,4 +84,4 @@ class TestEdgeCases:
     def test_invalid_ranking_raises(self):
         g = Graph(nodes=[0, 1])
         with pytest.raises(ValueError):
-            run_mis(g, {0: (1,), 1: (1,)})
+            run_mis(g, {0: 1, 1: 1})

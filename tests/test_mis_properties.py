@@ -19,6 +19,7 @@ from repro.mis import (
     mis_nodes_at_exactly_two_hops,
     mis_nodes_within_three_hops,
     mis_overlay_graph,
+    rank_by,
 )
 
 from tutils import dense_connected_udg, seeds
@@ -62,7 +63,7 @@ class TestLemma1:
             pts[i + 1] = (0.99 * math.cos(angle), 0.99 * math.sin(angle))
         g = build_udg(pts)
         # Rank the outer nodes lower so they are picked first.
-        mis = greedy_mis(g, {n: ((1 if n == 0 else 0), n) for n in g.nodes()})
+        mis = greedy_mis(g, rank_by(g.nodes(), lambda n: n == 0))
         assert mis == {1, 2, 3, 4, 5}
         assert max_mis_neighbors(g, mis) == 5
 

@@ -37,6 +37,17 @@ class TestTopLevelSurface:
         assert "distributed_mis" not in repro.__all__
         assert not hasattr(repro.mis, "distributed_mis")
 
+    def test_one_ranking_format(self):
+        # A ranking is a node -> int position dict built by
+        # ``repro.mis.ranking``: the tuple alias and the unused static
+        # degree ranking are gone.
+        import repro.mis
+        import repro.mis.ranking
+
+        assert not hasattr(repro.mis, "degree_ranking")
+        assert not hasattr(repro.mis.ranking, "degree_ranking")
+        assert not hasattr(repro.mis.ranking, "Rank")
+
     def test_finished_aliases_stay_gone(self):
         # ``Histogram``, ``bfs_distances`` and ``sim=SimConfig(...)``
         # are the one name for each; their aliases and the loose-kwarg
