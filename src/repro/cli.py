@@ -468,6 +468,17 @@ def cmd_experiment(args) -> int:
     if args.markdown and not args.all:
         print("error: --markdown needs --all", file=sys.stderr)
         return 2
+    if args.list and args.all:
+        print("error: --list and --all cannot be combined", file=sys.stderr)
+        return 2
+    if args.ids and (args.list or args.all):
+        flag = "--list" if args.list else "--all"
+        print(
+            f"error: {flag} cannot be combined with experiment ids "
+            f"({' '.join(args.ids)})",
+            file=sys.stderr,
+        )
+        return 2
     if args.all:
         from repro.analysis.report import generate_report
 

@@ -193,7 +193,7 @@ class BatchedSimulator(Simulator):
         if sender in dead:
             return
         now = self.now
-        self.stats.record_message(message, now)
+        self.stats.record_send(message, now)
         if self.tracer is not None:
             self.tracer.on_send(now, message)
         audience: Optional[Tuple[Hashable, ...]]
@@ -201,10 +201,11 @@ class BatchedSimulator(Simulator):
         if dest is None:
             # audience_of's table hit, inlined.
             audience = self._audience.get(sender)
-            if audience is None or self.graph.version != self._graph_version:
+            if audience is None or self.graph._version != self._graph_version:
                 audience = self.audience_of(sender)
         else:
-            if dest not in self.graph.adjacency(sender):
+            # Graph.adjacency inlined.
+            if dest not in self.graph._adj[sender]:
                 raise ValueError(
                     f"node {sender!r} cannot unicast to non-neighbor {dest!r}"
                 )

@@ -182,7 +182,7 @@ class Simulator:
         sender = message.sender
         if sender in self._dead:
             return
-        self.stats.record_message(message, self.now)
+        self.stats.record_send(message, self.now)
         if self.tracer is not None:
             self.tracer.on_send(self.now, message)
         if message.dest is None:
@@ -299,19 +299,22 @@ class Simulator:
         ``until`` deadlines to interleave topology changes); nodes are
         started exactly once, on the first call.
         """
-        if not self._started:
-            self._started = True
-            # The plan's time-0 state (pre-dead nodes, initial bursts or
-            # partitions) applies before any node starts.
-            self._schedule_plan()
-            # Canonical start order, for the same reason transmit sorts
-            # its audience: on_start sends seed the event queue.
-            for node_id in canonical_order(self.nodes):
-                if node_id not in self._dead:
-                    self.nodes[node_id].on_start()
         try:
+            if not self._started:
+                self._started = True
+                # The plan's time-0 state (pre-dead nodes, initial bursts
+                # or partitions) applies before any node starts.
+                self._schedule_plan()
+                # Canonical start order, for the same reason transmit
+                # sorts its audience: on_start sends seed the event queue.
+                for node_id in canonical_order(self.nodes):
+                    if node_id not in self._dead:
+                        self.nodes[node_id].on_start()
             return self._process_events(until, self.config.max_events)
         finally:
+            # The sends' tallies, on_start's included, even when a
+            # handler raised.
+            self.stats.fold_sends()
             self.stats.finish_time = self.now
             if self.registry is not None:
                 self._flush_registry()

@@ -12,10 +12,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Tuple
 
-from repro.sim.messages import Message
+from repro.sim.messages import (
+    Message,
+    _set_data,
+    _set_dest,
+    _set_kind,
+    _set_sender,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
+
+
+_new = object.__new__
 
 
 class NodeContext:
@@ -60,11 +69,22 @@ class NodeContext:
         Counts as a single message, matching the paper's accounting of
         one radio transmission per send.
         """
-        self._transmit(Message(self.node_id, kind, data))
+        # Message(self.node_id, kind, data) without its __init__ frame.
+        message = _new(Message)
+        _set_sender(message, self.node_id)
+        _set_kind(message, kind)
+        _set_data(message, data)
+        _set_dest(message, None)
+        self._transmit(message)
 
     def send(self, dest: Hashable, kind: str, **data: Any) -> None:
         """Unicast to a one-hop neighbor (still one radio transmission)."""
-        self._transmit(Message(self.node_id, kind, data, dest))
+        message = _new(Message)
+        _set_sender(message, self.node_id)
+        _set_kind(message, kind)
+        _set_data(message, data)
+        _set_dest(message, dest)
+        self._transmit(message)
 
     def set_timer(self, delay: float, tag: str = "timer") -> None:
         """Schedule :meth:`ProtocolNode.on_timer` after ``delay``."""

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Hashable, List
 
-from repro.sim.messages import COLLECTIONS, Message
+from repro.sim.messages import COLLECTIONS, SCALARS, Message
 
 
 @dataclass
 class SimStats:
-    """Counters accumulated over one simulation run."""
+    """Counters accumulated over one simulation run.
+
+    A simulator tallies each send with :meth:`record_send` and folds the
+    tallies into the send fields when ``run`` returns, so those fields
+    are current between ``run`` calls, not inside a handler.
+    """
 
     messages_sent: int = 0
     deliveries: int = 0
@@ -34,6 +39,14 @@ class SimStats:
     partition_blocked: int = 0
     fault_transitions: int = 0
 
+    def __post_init__(self) -> None:
+        # The sends of the run in progress, tallied in plain dicts (a
+        # dict get/set costs a third of a Counter's): per kind a
+        # ``[count, payload entries, first time, last time]`` row, and
+        # per sender a count.  fold_sends adds them to the fields.
+        self._sends_by_kind: Dict[str, List[Any]] = {}
+        self._sends_by_node: Dict[Hashable, int] = {}
+
     def record_message(self, message: Message, time: float = 0.0) -> None:
         """Account one radio transmission of ``message`` at ``time``.
 
@@ -44,30 +57,63 @@ class SimStats:
         lists).  The first/last transmission times per kind bound each
         message kind's activity window in simulated time (the phase
         telemetry of interleaved protocols like Algorithm II reads them).
+
+        Every field is current when this returns.  The simulators call
+        :meth:`record_send` per send and :meth:`fold_sends` once when
+        ``run`` returns.
         """
-        # Every send lands here: the payload size is
-        # Message.payload_size inlined, and the tallies use the plain
-        # dict ``get`` form, which costs half a Counter ``+=``.
+        self.record_send(message, time)
+        self.fold_sends()
+
+    def record_send(self, message: Message, time: float = 0.0) -> None:
+        """Tally a transmission as :meth:`record_message` accounts it,
+        leaving the send fields to :meth:`fold_sends`.
+
+        The payload size is :meth:`Message.payload_size` inlined, and a
+        value whose exact type is in :data:`SCALARS` skips the
+        ``isinstance`` test (a subclass, such as an ``IntEnum``, takes
+        it).
+        """
         kind = message.kind
         data = message.data
         size = 1
         if data:
             size += len(data)
             for value in data.values():
-                if isinstance(value, COLLECTIONS):
+                if type(value) not in SCALARS and isinstance(value, COLLECTIONS):
                     size += (len(value) or 1) - 1
-        self.messages_sent += 1
-        by_kind = self.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        by_node = self.by_node
+        by_node = self._sends_by_node
         sender = message.sender
         by_node[sender] = by_node.get(sender, 0) + 1
-        self.payload_entries += size
+        row = self._sends_by_kind.get(kind)
+        if row is None:
+            self._sends_by_kind[kind] = [1, size, time, time]
+        else:
+            row[0] += 1
+            row[1] += size
+            row[3] = time
+
+    def fold_sends(self) -> None:
+        """Add the sends tallied by :meth:`record_send` to the fields.
+
+        A key keeps the place its first send gave it, so every field
+        matches a send-by-send tally in values and in key order.
+        """
+        by_kind = self.by_kind
         payload_by_kind = self.payload_by_kind
-        payload_by_kind[kind] = payload_by_kind.get(kind, 0) + size
-        if kind not in self.first_send_by_kind:
-            self.first_send_by_kind[kind] = time
-        self.last_send_by_kind[kind] = time
+        # First-send order is the order the fields must keep.
+        for kind, (count, size, first, last) in self._sends_by_kind.items():  # repro: noqa[D1]
+            self.messages_sent += count
+            self.payload_entries += size
+            by_kind[kind] = by_kind.get(kind, 0) + count
+            payload_by_kind[kind] = payload_by_kind.get(kind, 0) + size
+            self.first_send_by_kind.setdefault(kind, first)
+            self.last_send_by_kind[kind] = last
+        self._sends_by_kind.clear()
+        by_node = self.by_node
+        for sender, count in self._sends_by_node.items():
+            by_node[sender] = by_node.get(sender, 0) + count
+        self._sends_by_node.clear()
 
     def record_delivery(self) -> None:
         """Account one successful per-receiver delivery."""

@@ -223,6 +223,19 @@ class TestCommands:
         assert "--all" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("flag", ["--list", "--all"])
+    def test_experiment_ids_conflict_with_list_and_all(self, capsys, flag):
+        assert main(["experiment", flag, "F3"]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "F3" in captured.err
+        assert captured.out == ""
+
+    def test_experiment_list_and_all_conflict(self, capsys):
+        assert main(["experiment", "--list", "--all"]) == 2
+        captured = capsys.readouterr()
+        assert "--list" in captured.err and "--all" in captured.err
+        assert captured.out == ""
+
     def test_load_round_trip(self, capsys, tmp_path):
         # Save a deployment, then answer from the file: the loaded
         # topology must be bit-identical (same nodes, edges, backbone).

@@ -10,6 +10,7 @@ API around it.
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +340,63 @@ def test_handler_exception_mid_fanout_counts_like_the_oracle(engine):
         sim.run()
     assert sim.stats.deliveries == 3
     assert sim.stats.messages_sent == 1
+
+
+def _frames_entered(send, *args, **data):
+    """Names of the Python frames one call of ``send`` enters, leaving
+    out the runtime sanitizer's wrapper (``pytest --sanitize`` patches
+    ``transmit``)."""
+    from repro.check import sanitize
+
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != sanitize.__file__:
+            entered.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        send(*args, **data)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class _FragileStart(ProtocolNode):
+    """Node 0 broadcasts at start; node 1 then raises in on_start."""
+
+    def on_start(self):
+        if self.node_id == 0:
+            self.ctx.broadcast("PING")
+        elif self.node_id == 1:
+            raise KeyError("boom")
+
+
+@pytest.mark.parametrize("engine", ["event", "batched"])
+def test_sends_before_a_raising_start_are_counted(engine):
+    sim = make_simulator(Graph(edges=[(0, 1), (1, 2)]), _FragileStart,
+                         SimConfig(engine=engine))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.stats.messages_sent == 1
+    assert sim.stats.by_kind == {"PING": 1} and sim.stats.by_node == {0: 1}
+
+
+class _Quiet(ProtocolNode):
+    """Sends only when a test calls its context."""
+
+
+def test_a_send_enters_at_most_three_frames():
+    # A send is the context method, transmit and SimStats.record_send:
+    # the message is built without its __init__ and the graph is read
+    # without a property or method call.
+    sim = make_simulator(Graph(edges=[(0, 1), (1, 2)]), _Quiet,
+                         SimConfig(engine="batched"))
+    ctx = sim.nodes[1].ctx
+    ctx.broadcast("WARM")  # the first broadcast fills the audience table
+    broadcast = _frames_entered(ctx.broadcast, "PING", hops=1)
+    unicast = _frames_entered(ctx.send, 2, "PING", hops=1)
+    assert len(broadcast) <= 3, broadcast
+    assert len(unicast) <= 3, unicast
+    sim.run()
+    assert sim.stats.by_kind == {"WARM": 1, "PING": 2}

@@ -2,7 +2,10 @@
 latency models, timers, and fault injection."""
 
 import copy
+import dataclasses
 import pickle
+from collections import Counter, OrderedDict, namedtuple
+from enum import IntEnum
 from typing import NamedTuple
 
 import pytest
@@ -19,6 +22,7 @@ from repro.sim import (
     SimStats,
     Simulator,
     UniformLatency,
+    make_simulator,
     run_protocol,
 )
 
@@ -422,6 +426,18 @@ class _Pair(NamedTuple):
     right: int
 
 
+_Point = namedtuple("_Point", "x y")
+
+
+class _Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class _Ids(frozenset):
+    pass
+
+
 def _reference_size(data):
     size = 1
     for value in data.values():
@@ -443,6 +459,14 @@ _VALUES = st.one_of(
     st.sets(st.integers(0, 5), max_size=4),
     st.dictionaries(st.integers(0, 3), st.integers(), max_size=3),
     st.builds(_Pair, st.integers(), st.integers()),
+    # Values a scalar fast path could miscount: int and tuple subclasses,
+    # floats, and mapping and set subclasses.
+    st.booleans(),
+    st.sampled_from(list(_Level)),
+    st.floats(allow_nan=False),
+    st.builds(_Point, st.integers(), st.integers()),
+    st.dictionaries(st.integers(0, 3), st.integers(), max_size=3).map(OrderedDict),
+    st.frozensets(st.integers(0, 5), max_size=4).map(_Ids),
 )
 
 _MESSAGES = st.lists(
@@ -483,3 +507,103 @@ class TestSimStatsFold:
         assert stats.first_send_by_kind == first
         assert stats.last_send_by_kind == last
         assert stats.max_messages_per_node() == max(by_node.values(), default=0)
+
+
+def _reference_fold(sends):
+    """The send fields of SimStats, folded send by send in plain dicts."""
+    by_kind, by_node, payload_by_kind, first, last = {}, {}, {}, {}, {}
+    entries = 0
+    for sender, kind, data, time in sends:
+        size = _reference_size(data)
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        by_node[sender] = by_node.get(sender, 0) + 1
+        payload_by_kind[kind] = payload_by_kind.get(kind, 0) + size
+        entries += size
+        first.setdefault(kind, time)
+        last[kind] = time
+    return {
+        "messages_sent": len(sends),
+        "by_kind": by_kind,
+        "by_node": by_node,
+        "payload_entries": entries,
+        "payload_by_kind": payload_by_kind,
+        "first_send_by_kind": first,
+        "last_send_by_kind": last,
+    }
+
+
+def _ordered(stats):
+    """Every SimStats field, with each dict field as its item list, so
+    that key order counts too."""
+    fields = {}
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        fields[f.name] = (
+            (type(value), list(value.items())) if isinstance(value, dict) else value
+        )
+    return fields
+
+
+class _Scripted(ProtocolNode):
+    """Makes its share of a drawn send stream, each send on a timer at
+    its drawn time, and logs the sends in the order they happen."""
+
+    def __init__(self, ctx, sends, log):
+        super().__init__(ctx)
+        self._sends = sends
+        self._log = log
+
+    def on_start(self):
+        for index, send in enumerate(self._sends):
+            if send[0] == self.node_id:
+                self.ctx.set_timer(send[4], str(index))
+
+    def on_timer(self, tag):
+        sender, kind, data, dest, _ = self._sends[int(tag)]
+        if dest is None:
+            self.ctx.broadcast(kind, **data)
+        else:
+            # Every other node of the complete graph is a neighbor.
+            self.ctx.send(dest if dest != sender else (sender + 1) % 5, kind, **data)
+        self._log.append((sender, kind, data, self.ctx.now))
+
+
+_K5 = Graph(edges=[(u, v) for u in range(5) for v in range(u + 1, 5)])
+
+
+class TestSimStatsFoldInRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(_MESSAGES, st.lists(st.floats(0.0, 50.0), max_size=3))
+    def test_runs_equal_the_reference_fold(self, sends, deadlines):
+        ordered = {}
+        for engine in ("event", "batched"):
+            log = []
+            sim = make_simulator(
+                _K5,
+                lambda ctx: _Scripted(ctx, sends, log),
+                SimConfig(engine=engine),
+            )
+            snapshots = []
+            for until in [*sorted(deadlines), None]:
+                stats = sim.run(until=until)
+                fields = _ordered(stats)
+                reference = _reference_fold(log)
+                for name, fold in reference.items():
+                    expected = list(fold.items()) if isinstance(fold, dict) else fold
+                    if isinstance(getattr(stats, name), Counter):
+                        expected = (Counter, expected)
+                    elif isinstance(fold, dict):
+                        expected = (dict, expected)
+                    assert fields[name] == expected, name
+                # A direct record_message caller folds the same way.
+                direct = SimStats()
+                for sender, kind, data, time in log:
+                    direct.record_message(Message(sender, kind, data), time)
+                direct_fields = _ordered(direct)
+                assert {name: fields[name] for name in reference} == {
+                    name: direct_fields[name] for name in reference
+                }
+                snapshots.append(fields)
+            assert len(log) == len(sends)
+            ordered[engine] = snapshots
+        assert ordered["event"] == ordered["batched"]
