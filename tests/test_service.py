@@ -893,3 +893,104 @@ def _reference_plan(snapshot, source):
         "covered": len(heard),
         "total": snapshot.graph.num_nodes,
     }
+
+
+# ----------------------------------------------------------------------
+# Recorded counters
+# ----------------------------------------------------------------------
+def _recorded_stream(network):
+    """A fixed, seeded stream through every ``submit`` branch: queued
+    queries under churn and a deadline (rejections, stale serves,
+    deadline misses, notes and re-constructions), unknown nodes, a
+    refused ``churn``, updates, and a partition.  The clock ticks a
+    fixed step per read, so every freshness decision repeats."""
+    from itertools import count
+
+    from repro.faults import Crash, Partition
+
+    ticks = count()
+    service = BackboneService(
+        network, ServiceConfig(queue_capacity=8), clock=lambda: next(ticks) * 1e-4
+    )
+    mobility = RandomWaypointModel(network, 5.0, speed_range=(0.005, 0.02), seed=2)
+    generator = WorkloadGenerator(
+        sorted(network.nodes()),
+        WorkloadConfig(queries=400, churn_every=50, deadline=4e-4, seed=7),
+    )
+    replay(service, generator.requests(), mobility=mobility)
+    victim = max(network.nodes())
+    for request in (
+        Request(op="dominator", node="nowhere"),
+        Request(op="route", src=0, dst="nowhere"),
+        Request(op="broadcast_plan", source="nowhere"),
+        Request(op="churn"),
+        Request(op="join", node="new", x=2.0, y=2.0),
+        Request(op="move", node="new", x=2.2, y=2.1),
+        Request(op="route", src="new", dst=0),
+        Request(op="leave", node="new"),
+        Request(op="route", src=0, dst=victim),
+    ):
+        service.submit(request)
+    partition = Partition(3.0, 12.0, frozenset({0, 1}))
+    service.fault_signal(partition)
+    service.fault_signal(Crash(5.0, victim))
+    service.dominator(0)
+    service.route(1, 2)
+    service.heal_signal(partition)
+    service.broadcast_plan(0)
+    return service
+
+
+class TestRecordedStream:
+    """Counter values and per-operation latency counts of one stream,
+    recorded before the request path bound its metric handles: binding
+    them must not change what is counted."""
+
+    COUNTERS = {
+        "deadline_misses": 2, "degraded_serves": 2, "errors": 2,
+        "fault_crashes": 1, "fault_heals": 1, "fault_partitions": 1,
+        "link_events": 75, "plan_cache_hits": 13, "plan_cache_misses": 29,
+        "rebuilds_full": 3, "repairs": 2, "req_backbone": 18,
+        "req_broadcast_plan": 43, "req_churn": 1, "req_dominator": 85,
+        "req_join": 1, "req_leave": 1, "req_move": 1, "req_route": 262,
+        "requests_rejected": 48, "requests_total": 412, "route_cache_hits": 20,
+        "route_cache_invalidated": 77, "route_cache_misses": 242,
+        "stale_served": 252, "updates_join": 1, "updates_leave": 2,
+        "updates_move": 8, "updates_total": 11,
+    }
+    LATENCY_COUNTS = {
+        "backbone": 18, "broadcast_plan": 43, "churn": 1, "dominator": 85,
+        "join": 1, "leave": 1, "move": 1, "route": 262,
+    }
+    #: Non-empty buckets (index: samples) of each latency histogram.
+    LATENCY_BUCKETS = {
+        "backbone": {7: 18}, "broadcast_plan": {7: 41, 10: 2}, "churn": {7: 1},
+        "dominator": {7: 84, 10: 1}, "join": {7: 1}, "leave": {7: 1},
+        "move": {7: 1}, "route": {7: 259, 9: 1, 10: 2},
+    }
+    PHASE_BUCKETS = {
+        "absorb": {8: 2, 9: 3}, "graph_copy": {7: 6}, "numbering": {7: 6},
+        "router_build": {7: 6},
+    }
+
+    def test_counters_and_latency_counts(self, network):
+        metrics = _recorded_stream(network).metrics
+        assert dict(metrics.counters.items()) == self.COUNTERS
+        assert {
+            op: histogram.count for op, histogram in metrics.latency.items()
+        } == self.LATENCY_COUNTS
+
+    def test_histogram_buckets(self, network):
+        from repro.service.metrics import PHASE_FAMILY
+
+        def filled(histogram):
+            return {i: count for i, count in enumerate(histogram.counts) if count}
+
+        metrics = _recorded_stream(network).metrics
+        assert {
+            op: filled(histogram) for op, histogram in metrics.latency.items()
+        } == self.LATENCY_BUCKETS
+        phases = metrics.registry.children(PHASE_FAMILY)
+        assert {
+            dict(key)["phase"]: filled(histogram) for key, histogram in phases.items()
+        } == self.PHASE_BUCKETS
