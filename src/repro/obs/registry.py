@@ -12,7 +12,8 @@ Prometheus text exposition (:func:`repro.obs.prometheus.render`).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 #: Default bucket layout: geometric from 1 microsecond, factor 2.
 DEFAULT_LOWEST = 1e-6
@@ -87,7 +88,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "counts", "count", "total", "min", "max",
-                 "lowest", "factor", "num_buckets")
+                 "lowest", "factor", "num_buckets", "_bounds")
 
     def __init__(
         self,
@@ -98,12 +99,23 @@ class Histogram:
         factor: float = DEFAULT_FACTOR,
         buckets: int = DEFAULT_BUCKETS,
     ) -> None:
+        if not (lowest > 0 and factor > 1):
+            raise ValueError("histogram buckets need lowest > 0 and factor > 1")
         self.name = name
         self.labels = labels
         self.lowest = lowest
         self.factor = factor
         self.num_buckets = buckets
         self.counts: List[int] = [0] * (buckets + 1)
+        # Upper bounds of the finite buckets, by repeated multiplication
+        # (not ``lowest * factor ** i``, which rounds differently): the
+        # bounds a bucket-by-bucket walk would compare against.
+        bounds = []
+        bound = lowest
+        for _ in range(buckets):
+            bounds.append(bound)
+            bound *= factor
+        self._bounds = tuple(bounds)
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -116,12 +128,9 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        index = 0
-        bound = self.lowest
-        while value > bound and index < self.num_buckets:
-            bound *= self.factor
-            index += 1
-        self.counts[index] += 1
+        # The first bucket whose bound is >= value; past the last finite
+        # bound, the overflow bucket.
+        self.counts[bisect_left(self._bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -277,6 +286,13 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", **labels) -> Histogram:
         """The histogram ``name`` for ``labels`` (created on first use)."""
         return self._child(name, HISTOGRAM, help, labels)
+
+    def holds(self, child: Union[Counter, Gauge, Histogram]) -> bool:
+        """Whether ``child`` is registered here, not a detached child
+        handed out past the cardinality cap: only a registered child may
+        be kept as a handle and bumped without asking again."""
+        family = self._families.get(child.name)
+        return family is not None and family.children.get(child.labels) is child
 
     def families(self) -> Iterator[_Family]:
         """All families, sorted by name (children in label order)."""

@@ -55,11 +55,15 @@ class RouteCache:
         if key in self._paths:
             self._drop(key)
         self._paths[key] = stored
+        by_node = self._by_node
         for node in stored:
-            self._by_node.setdefault(node, set()).add(key)
+            keys = by_node.get(node)
+            if keys is None:
+                by_node[node] = {key}
+            else:
+                keys.add(key)
         while len(self._paths) > self.capacity:
-            oldest, _ = next(iter(self._paths.items())), None
-            self._drop(oldest[0])
+            self._drop(next(iter(self._paths)))
 
     def _drop(self, key: RouteKey) -> None:
         path = self._paths.pop(key, None)

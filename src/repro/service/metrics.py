@@ -7,6 +7,13 @@ registry's labeled ``request_latency_seconds`` histogram family
 the ``refresh_phase_seconds`` family, and the Prometheus/JSONL
 exporters come along for free.  On top it adds ``hit_rate``,
 ``snapshot`` and ``rows``.
+
+Each counter and per-operation latency histogram is looked up in the
+registry once, on first use, and its handle kept, so a request's
+bookkeeping does not sort label tuples.  The registry still holds the
+same children, so every export reads as before.  A child the registry
+handed out past its cardinality cap is detached and never kept: asking
+again is what counts each such drop.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 
 __all__ = ["ServiceMetrics"]
 
@@ -69,19 +76,32 @@ class ServiceMetrics:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = _CounterView(self.registry)
+        # Handles bound on first use: counters by name, latency
+        # histograms by operation.
+        self._counter_handles: Dict[str, Counter] = {}
+        self._latency_handles: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
         """Bump counter ``name`` (created on first use)."""
-        self.registry.counter(name).inc(amount)
+        counter = self._counter_handles.get(name)
+        if counter is None:
+            # Label-less, so never a detached over-cap child.
+            counter = self._counter_handles[name] = self.registry.counter(name)
+        counter.inc(amount)
 
     def observe(self, operation: str, seconds: float) -> None:
         """Record one request latency under ``operation``."""
-        self.registry.histogram(
-            LATENCY_FAMILY, "Request latency by operation", op=operation
-        ).observe(seconds)
+        histogram = self._latency_handles.get(operation)
+        if histogram is None:
+            histogram = self.registry.histogram(
+                LATENCY_FAMILY, "Request latency by operation", op=operation
+            )
+            if self.registry.holds(histogram):
+                self._latency_handles[operation] = histogram
+        histogram.observe(seconds)
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record the time one refresh spent in ``phase``."""

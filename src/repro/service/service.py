@@ -58,6 +58,13 @@ ROUTE_CACHE_SIZE = 4096
 #: synchronous refresh.
 COST_EWMA_ALPHA = 0.3
 
+#: What dispatching a request produced: ``(ok, value, stale, error)``.
+#: :meth:`BackboneService.submit` builds the request's one
+#: :class:`Response` from it, with the timing fields.
+_Outcome = Tuple[bool, Any, bool, Optional[str]]
+#: The outcome of an update.
+_DONE: _Outcome = (True, None, False, None)
+
 
 class _Ewma:
     """Exponentially weighted moving average of a cost, in seconds."""
@@ -413,41 +420,42 @@ class BackboneService:
     def submit(self, request: Request) -> Response:
         """Execute one request synchronously and return its response."""
         started = self.clock()
-        self.metrics.incr("requests_total")
-        self.metrics.incr(f"req_{request.op}")
+        metrics = self.metrics
+        metrics.incr("requests_total")
+        metrics.incr(f"req_{request.op}")
         deadline = (
             request.deadline
             if request.deadline is not None
             else self.config.default_deadline
         )
         try:
-            response = self._dispatch(request, deadline)
+            ok, value, stale, error = self._dispatch(request, deadline)
         except Exception as failure:  # noqa: BLE001 - a serving boundary
-            self.metrics.incr("errors")
-            response = Response(request=request, ok=False, error=str(failure))
+            metrics.incr("errors")
+            ok, value, stale, error = False, None, False, str(failure)
         elapsed = self.clock() - started
         missed = deadline is not None and elapsed > deadline
         if missed:
-            self.metrics.incr("deadline_misses")
+            metrics.incr("deadline_misses")
             flight_record(
                 "deadline_miss",
                 op=request.op,
                 elapsed=elapsed,
                 deadline=deadline,
             )
-        if response.stale:
-            self.metrics.incr("stale_served")
-        self.metrics.observe(request.op, elapsed)
+        if stale:
+            metrics.incr("stale_served")
+        metrics.observe(request.op, elapsed)
         if self.slo_monitor is not None:
             self.slo_monitor.record(
-                request.op, elapsed, ok=response.ok, deadline_missed=missed
+                request.op, elapsed, ok=ok, deadline_missed=missed
             )
         return Response(
-            request=response.request,
-            ok=response.ok,
-            value=response.value,
-            stale=response.stale,
-            error=response.error,
+            request=request,
+            ok=ok,
+            value=value,
+            stale=stale,
+            error=error,
             elapsed=elapsed,
             deadline_missed=missed,
         )
@@ -468,16 +476,16 @@ class BackboneService:
                 return responses
             responses.append(self.submit(request))
 
-    def _dispatch(self, request: Request, deadline: Optional[float]) -> Response:
+    def _dispatch(self, request: Request, deadline: Optional[float]) -> _Outcome:
         if request.op == "join":
             self.join(request.node, request.x, request.y)
-            return Response(request=request, ok=True)
+            return _DONE
         if request.op == "leave":
             self.leave(request.node)
-            return Response(request=request, ok=True)
+            return _DONE
         if request.op == "move":
             self.move(request.node, request.x, request.y)
-            return Response(request=request, ok=True)
+            return _DONE
         if request.op == "churn":
             raise ValueError(
                 "churn requests need a mobility model; replay them via "
@@ -490,7 +498,7 @@ class BackboneService:
             cached = self.route_cache.get(request.src, request.dst)
             if cached is not None:
                 self.metrics.incr("route_cache_hits")
-                return Response(request=request, ok=True, value=cached)
+                return True, cached, False, None
             self.metrics.incr("route_cache_misses")
         if self.degraded:
             # Partition-degraded: the topology is known to be split, so
@@ -503,40 +511,27 @@ class BackboneService:
             self.refresh()
         return self._answer(request, stale)
 
-    def _answer(self, request: Request, stale: bool) -> Response:
+    def _answer(self, request: Request, stale: bool) -> _Outcome:
         snapshot = self._snapshot
         if request.op == "backbone":
-            return Response(request=request, ok=True, value=snapshot.result,
-                            stale=stale)
+            return True, snapshot.result, stale, None
         if request.op == "dominator":
             node = request.node
             if node not in snapshot.graph:
-                return Response(
-                    request=request, ok=False, stale=stale,
-                    error=f"unknown node {node!r}",
-                )
-            return Response(
-                request=request, ok=True, stale=stale,
-                value=snapshot.router.clusterhead_of(node),
-            )
+                return False, None, stale, f"unknown node {node!r}"
+            return True, snapshot.router.clusterhead_of(node), stale, None
         if request.op == "route":
             for endpoint in (request.src, request.dst):
                 if endpoint not in snapshot.graph:
-                    return Response(
-                        request=request, ok=False, stale=stale,
-                        error=f"unknown node {endpoint!r}",
-                    )
+                    return False, None, stale, f"unknown node {endpoint!r}"
             path = snapshot.router.route(request.src, request.dst)
             if not stale:
                 self.route_cache.put(request.src, request.dst, path)
-            return Response(request=request, ok=True, value=path, stale=stale)
+            return True, path, stale, None
         if request.op == "broadcast_plan":
             source = request.source
             if source not in snapshot.graph:
-                return Response(
-                    request=request, ok=False, stale=stale,
-                    error=f"unknown node {source!r}",
-                )
+                return False, None, stale, f"unknown node {source!r}"
             # A stale plan is cached too: it is valid for the last-good
             # snapshot it was computed on, and a refresh replaces both.
             plan = snapshot.plans.get(source)
@@ -546,7 +541,7 @@ class BackboneService:
                 self.metrics.incr("plan_cache_misses")
             else:
                 self.metrics.incr("plan_cache_hits")
-            return Response(request=request, ok=True, value=plan, stale=stale)
+            return True, plan, stale, None
         raise AssertionError(f"unhandled op {request.op!r}")
 
 

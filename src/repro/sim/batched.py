@@ -106,12 +106,11 @@ class BatchedSimulator(Simulator):
         tracer: Any = None,
         registry: Any = None,
     ) -> None:
-        # Queue and cache structures must exist before super().__init__:
-        # node constructors may query neighbors, and they or the fault
-        # plan may schedule events through the overridden _push_raw
-        # during base-class setup.
-        self._buckets: Dict[float, List[Tuple[Any, ...]]] = {}
-        self._times: List[float] = []
+        # Cache structures must exist before super().__init__: node
+        # constructors may query neighbors.  The bucket queue is set up
+        # by the base class through the overridden _new_queue; the
+        # oracle's heap is never made, so an instance keeps at most 30
+        # attributes (CPython's limit for sharing its attribute keys).
         self._audience: Dict[Hashable, Tuple[Hashable, ...]] = {}
         self._graph_version = graph.version
         # The bulk table is deferred to the first broadcast: construction
@@ -241,6 +240,10 @@ class BatchedSimulator(Simulator):
     # ------------------------------------------------------------------
     # Bucket queue
     # ------------------------------------------------------------------
+    def _new_queue(self) -> None:
+        self._buckets: Dict[float, List[Tuple[Any, ...]]] = {}
+        self._times: List[float] = []
+
     def _push_raw(self, time: float, etype: int, target: Hashable, payload: Any) -> None:
         bucket = self._buckets.get(time)
         if bucket is None:

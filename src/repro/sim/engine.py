@@ -122,7 +122,7 @@ class Simulator:
         self._rng = random.Random(config.seed)
         self.now = 0.0
         self.stats = SimStats()
-        self._queue: list = []
+        self._new_queue()
         self._seq = itertools.count()
         self._dead: set = set()
         # Crash/revive count, one of the two terms of ``epoch``.
@@ -376,6 +376,11 @@ class Simulator:
                         name, "Radio events by message kind", kind=kind
                     ).inc(delta)
                     self._flushed[(name, kind)] = count
+
+    def _new_queue(self) -> None:
+        """The empty event queue: one global heap.  Set once, before
+        any node exists, so node constructors can schedule timers."""
+        self._queue: list = []
 
     def _push(self, time: float, etype: int, target: Hashable, payload) -> None:
         self._push_raw(time, etype, target, payload)

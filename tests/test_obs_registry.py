@@ -2,6 +2,7 @@
 labeled children, and the dict/JSON/JSONL exports."""
 
 import json
+import math
 
 import pytest
 
@@ -151,3 +152,76 @@ class TestQuantileEdgeCases:
         values = [histogram.quantile(q) for q in (0.1, 0.25, 0.5, 0.9, 0.99, 1.0)]
         assert values == sorted(values)
         assert values[-1] == histogram.max
+
+
+def _loop_bucket(value, lowest, factor, buckets):
+    """The bucket a bucket-by-bucket walk picks: a reference copy of the
+    loop ``Histogram.observe`` used before it bisected precomputed
+    bounds."""
+    value = max(0.0, float(value))
+    index = 0
+    bound = lowest
+    while value > bound and index < buckets:
+        bound *= factor
+        index += 1
+    return index
+
+
+class TestBucketSearch:
+    LAYOUTS = [
+        (DEFAULT_LOWEST, DEFAULT_FACTOR, DEFAULT_BUCKETS),
+        (1e-3, 1.5, 12),
+    ]
+
+    @staticmethod
+    def _probes(lowest, factor, buckets):
+        probes = [0.0, -0.0, -1.0, -1e-300, math.nan, -math.nan, math.inf,
+                  -math.inf, 5e-324, 1.0]
+        bound = lowest
+        for _ in range(buckets + 1):
+            probes += [bound, math.nextafter(bound, 0.0),
+                       math.nextafter(bound, math.inf),
+                       lowest * factor ** math.log(bound / lowest, factor)]
+            bound *= factor
+        return probes
+
+    @pytest.mark.parametrize("lowest,factor,buckets", LAYOUTS)
+    def test_bisect_matches_the_loop(self, lowest, factor, buckets):
+        for probe in self._probes(lowest, factor, buckets):
+            histogram = Histogram(lowest=lowest, factor=factor, buckets=buckets)
+            histogram.observe(probe)
+            expected = _loop_bucket(probe, lowest, factor, buckets)
+            assert histogram.counts[expected] == 1, (probe, histogram.counts)
+
+    @pytest.mark.parametrize("lowest,factor", [(0.0, 2.0), (-1e-6, 2.0),
+                                               (1e-6, 1.0), (1e-6, 0.5),
+                                               (math.nan, 2.0)])
+    def test_layouts_without_rising_bounds_are_rejected(self, lowest, factor):
+        with pytest.raises(ValueError, match="lowest > 0 and factor > 1"):
+            Histogram(lowest=lowest, factor=factor)
+
+
+class TestOverCapChildren:
+    def test_holds_only_registered_children(self):
+        registry = MetricsRegistry(max_label_children=1)
+        kept = registry.histogram("lat", op="a")
+        detached = registry.histogram("lat", op="b")
+        assert registry.holds(kept) and registry.holds(registry.counter("c"))
+        assert not registry.holds(detached)
+        assert not MetricsRegistry().holds(kept)
+
+    def test_every_over_cap_observe_is_counted(self):
+        from repro.service import ServiceMetrics
+
+        registry = MetricsRegistry(max_label_children=1)
+        metrics = ServiceMetrics(registry)
+        for _ in range(3):
+            metrics.observe("route", 0.001)
+            metrics.observe("dominator", 0.001)
+        dropped = registry.value(
+            MetricsRegistry.DROPPED_LABELS, family="request_latency_seconds"
+        )
+        assert dropped == 3
+        histograms = registry.snapshot()["histograms"]
+        assert list(histograms) == ["request_latency_seconds{op=route}"]
+        assert histograms["request_latency_seconds{op=route}"]["count"] == 3

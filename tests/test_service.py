@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import connected_random_udg
 from repro.graphs.traversal import is_connected
@@ -15,6 +17,7 @@ from repro.service import (
     BackboneService,
     Request,
     RequestQueue,
+    Response,
     RouteCache,
     ServiceConfig,
     ServiceMetrics,
@@ -96,6 +99,37 @@ class TestRouteCache:
         assert cache.invalidate_nodes([1]) == 1
         assert cache.get(0, 2) is None
         assert cache.get(5, 7) == [5, 6, 7]
+
+    _NODE = st.integers(0, 5)
+    _OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), _NODE, _NODE, st.lists(_NODE, max_size=3)),
+            st.tuples(st.just("get"), _NODE, _NODE),
+            st.tuples(st.just("invalidate"), st.lists(_NODE, max_size=3)),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 4), ops=_OPS)
+    def test_index_is_the_inverse_of_the_paths(self, capacity, ops):
+        # Few nodes and a small capacity: overwrites, reverse hits and
+        # over-capacity evictions are common.
+        cache = RouteCache(capacity=capacity)
+        for op, *args in ops:
+            if op == "put":
+                src, dst, middle = args
+                cache.put(src, dst, [src, *middle, dst])
+            elif op == "get":
+                cache.get(*args)
+            else:
+                cache.invalidate_nodes(args[0])
+            inverse = {}
+            for key, path in cache._paths.items():
+                for node in path:
+                    inverse.setdefault(node, set()).add(key)
+            assert cache._by_node == inverse
+            assert len(cache) <= capacity
 
 
 # ----------------------------------------------------------------------
@@ -893,6 +927,51 @@ def _reference_plan(snapshot, source):
         "covered": len(heard),
         "total": snapshot.graph.num_nodes,
     }
+
+
+class TestRequestPathBookkeeping:
+    def test_warm_queries_reuse_handles_and_build_one_response(
+        self, network, service, monkeypatch
+    ):
+        from repro.obs.registry import MetricsRegistry
+
+        nodes = sorted(network.nodes())
+        src, dst = nodes[0], nodes[-1]
+        queries = [
+            Request(op="backbone"),
+            Request(op="dominator", node=src),
+            Request(op="route", src=src, dst=dst),
+            Request(op="route", src=dst, dst=src),  # a reverse hit
+            Request(op="broadcast_plan", source=src),
+        ]
+        # Warm-up: every counter and latency child a query touches,
+        # cache misses and hits.
+        for request in queries + queries:
+            service.submit(request)
+        # Route and plan misses after the warm-up.
+        queries += [Request(op="route", src=src, dst=node) for node in nodes[1:6]]
+        queries += [Request(op="broadcast_plan", source=node) for node in nodes[1:3]]
+
+        calls = {"child": 0, "response": 0}
+        child, init = MetricsRegistry._child, Response.__init__
+
+        def counted_child(self, *args):
+            calls["child"] += 1
+            return child(self, *args)
+
+        def counted_init(self, *args, **kwargs):
+            calls["response"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_child", counted_child)
+        monkeypatch.setattr(Response, "__init__", counted_init)
+        responses = [service.submit(request) for _ in range(3) for request in queries]
+        assert calls == {"child": 0, "response": len(responses)}
+        assert all(response.ok and not response.stale for response in responses)
+        assert all(response.elapsed > 0 for response in responses)
+        counters = service.metrics.counters
+        assert counters["route_cache_misses"] == 1 + 5
+        assert counters["plan_cache_misses"] == 1 + 2
 
 
 # ----------------------------------------------------------------------

@@ -400,3 +400,38 @@ def test_a_send_enters_at_most_three_frames():
     assert len(unicast) <= 3, unicast
     sim.run()
     assert sim.stats.by_kind == {"WARM": 1, "PING": 2}
+
+
+class _Flood(ProtocolNode):
+    """Floods one message from node 0."""
+
+    def on_start(self):
+        self.heard = self.node_id == 0
+        if self.heard:
+            self.ctx.broadcast("FLOOD")
+
+    def on_message(self, msg):
+        if not self.heard:
+            self.heard = True
+            self.ctx.broadcast("FLOOD")
+
+
+@pytest.mark.parametrize("engine", ["batched", "event"])
+@pytest.mark.parametrize("faults", [False, True])
+def test_an_instance_keeps_at_most_thirty_attributes(engine, faults):
+    # CPython 3.11 lets an instance share its attribute keys with its
+    # class for at most 30 attributes; a 31st turns the instance's
+    # values into a full dict, and every attribute read on the send and
+    # delivery paths takes the slower lookup.
+    from repro.obs import MetricsRegistry
+
+    config = (
+        SimConfig(engine=engine, fault_plan=PLAN, loss_rate=0.1, transport=True)
+        if faults
+        else SimConfig(engine=engine)
+    )
+    sim = make_simulator(GRAPH, _Flood, config, registry=MetricsRegistry())
+    assert len(vars(sim)) <= 30, sorted(vars(sim))
+    sim.run()
+    assert sim.stats.messages_sent > 0
+    assert len(vars(sim)) <= 30, sorted(vars(sim))
