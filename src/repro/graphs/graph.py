@@ -83,6 +83,15 @@ class Numbering(_Numbered):
         return numbering
 
 
+def numbered_by_id(nodes: Tuple[Node, ...]) -> bool:
+    """Whether ``nodes`` (a natural numbering's order) is exactly the
+    ints ``0..n-1``, so that every node's number is its id.  Bools and
+    other int subclasses do not count: their ids differ in type."""
+    return all(type(node) is int for node in nodes) and (
+        not nodes or (nodes[0] == 0 and nodes[-1] == len(nodes) - 1)
+    )
+
+
 class Graph:
     """An undirected simple graph over hashable node identifiers."""
 

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 
 LATENCY = "latency"
 AVAILABILITY = "availability"
@@ -144,6 +144,11 @@ class SLOMonitor:
         self._tracks: Dict[str, _Track] = {
             slo.name: _Track(slo.window) for slo in self.slos
         }
+        # ``slo_requests_total`` handles by (SLO name, good), bound on
+        # first use so a scored request does not sort label tuples; a
+        # detached over-cap child is never kept (asking again counts
+        # each drop).
+        self._handles: Dict[Tuple[str, bool], Counter] = {}
 
     def record(
         self,
@@ -162,12 +167,17 @@ class SLOMonitor:
             )
             self._tracks[slo.name].record(good)
             if self.registry is not None:
-                self.registry.counter(
-                    "slo_requests_total",
-                    "requests scored against an SLO",
-                    slo=slo.name,
-                    good=str(good).lower(),
-                ).inc()
+                counter = self._handles.get((slo.name, good))
+                if counter is None:
+                    counter = self.registry.counter(
+                        "slo_requests_total",
+                        "requests scored against an SLO",
+                        slo=slo.name,
+                        good=str(good).lower(),
+                    )
+                    if self.registry.holds(counter):
+                        self._handles[slo.name, good] = counter
+                counter.inc()
 
     def status(self) -> List[Dict[str, Any]]:
         """Per-SLO verdict rows (and gauge refresh when registered)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, List, Tuple
 
-from repro.graphs.graph import Graph, canonical_order
+from repro.graphs.graph import Graph, canonical_order, numbered_by_id
 from repro.wcds.base import WCDSResult
 
 
@@ -65,8 +65,12 @@ class SpannerIndex:
         numbering = graph.numbering()
         nodes, self._index, adj = numbering
         self._nodes = nodes
-        self._backbone = bytearray(node in members for node in nodes)
-        black = self._backbone
+        # Plain lists, not bytearrays: CPython specializes list
+        # subscripts, so the schedule's flag reads and writes are
+        # cheaper.  ``_forwards`` is each number's always-forward flag,
+        # the template a schedule copies and sets its source in.
+        self._forwards = [node in members for node in nodes]
+        black = self._forwards
         self._links: List[Tuple[int, ...]] = [
             row if black[i] else tuple([j for j in row if black[j]])
             for i, row in enumerate(adj)
@@ -80,6 +84,9 @@ class SpannerIndex:
                 tuple(map(rank, canonical_order(nodes[j] for j in row)))
                 for row in self._links
             ]
+        # When the ids are exactly the ints 0..n-1 a number is its id,
+        # so a schedule's forwarder numbers are its forwarders.
+        self._by_id = numbered_by_id(nodes)
 
     def schedule(self, source: Hashable) -> Tuple[List[Hashable], int]:
         """The forwarders of a backbone broadcast from ``source``, in
@@ -95,24 +102,27 @@ class SpannerIndex:
         """
         start = self._index[source]
         links = self._links
-        nodes = self._nodes
-        forwards = bytearray(self._backbone)
-        forwards[start] = 1
-        heard = bytearray(len(links))
-        heard[start] = 1
+        forwards = self._forwards.copy()
+        forwards[start] = True
+        heard = [False] * len(links)
+        heard[start] = True
         # The loop appends to the list it walks: the list is the FIFO
         # queue and, once the loop ends, the BFS order.
         queue = [start]
         forwarders: List[Hashable] = []
         for node in queue:
-            before = len(queue)
+            found = forwards[node]
             for nbr in links[node]:
                 if not heard[nbr]:
-                    heard[nbr] = 1
+                    heard[nbr] = True
                     queue.append(nbr)
-            if forwards[node] or len(queue) > before:
-                forwarders.append(nodes[node])
-        return forwarders, len(queue)
+                    found = True
+            if found:
+                forwarders.append(node)
+        if self._by_id:
+            return forwarders, len(queue)
+        nodes = self._nodes
+        return [nodes[node] for node in forwarders], len(queue)
 
 
 def backbone_broadcast(

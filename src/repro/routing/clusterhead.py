@@ -54,6 +54,10 @@ class ClusterheadRouter:
         self.dominators = set(result.dominators)
         self.lists = self._build_lists()
         self._build_overlay_tables()
+        # Route memos, filled on first use: node -> its clusterhead's
+        # overlay number, and overlay hop ``at * n + next`` -> its leg.
+        self._head_at: Dict[Hashable, int] = {}
+        self._legs: Dict[int, List[Hashable]] = {}
 
     # ------------------------------------------------------------------
     # Table construction
@@ -181,33 +185,51 @@ class ClusterheadRouter:
             return [v, x, w]
         raise KeyError(f"no realization for overlay edge ({u!r}, {w!r})")
 
+    def _head_number(self, node: Hashable) -> int:
+        """The overlay number of ``node``'s clusterhead, memoized."""
+        at = self._head_at.get(node)
+        if at is None:
+            at = self._head_at[node] = self._head_index[self.clusterhead_of(node)]
+        return at
+
     def route(self, src: Hashable, dst: Hashable) -> List[Hashable]:
-        """The routed node path from ``src`` to ``dst`` (inclusive)."""
+        """The routed node path from ``src`` to ``dst`` (inclusive).
+
+        Each node's clusterhead number and each overlay hop's expanded
+        leg are memoized on first use, so a repeated walk only reads
+        the first-hop matrix and copies legs.  No node repeats
+        consecutively: a leg starts at a neighbour of the clusterhead
+        it leaves, and ``src`` and ``dst`` are added only when they
+        differ from their clusterheads.
+        """
         if src == dst:
             return [src]
         if self.graph.has_edge(src, dst):
             return [src, dst]
-        path = [src]
-        head_src = self.clusterhead_of(src)
-        head_dst = self.clusterhead_of(dst)
-        if head_src != src:
-            path.append(head_src)
+        at = start = self._head_number(src)
+        goal = self._head_number(dst)
         heads = self._heads
+        path = [src]
+        if heads[at] != src:
+            path.append(heads[at])
         next_head = self._next_head
+        legs = self._legs
         n = len(heads)
-        at = self._head_index[head_src]
-        goal = self._head_index[head_dst]
         while at != goal:
             nxt = next_head[at * n + goal]
             if nxt < 0:
                 raise RuntimeError(
-                    f"overlay disconnects {head_src!r} from {head_dst!r}"
+                    f"overlay disconnects {heads[start]!r} from {heads[goal]!r}"
                 )
-            path.extend(self.expand_overlay_hop(heads[at], heads[nxt]))
+            hop = at * n + nxt
+            leg = legs.get(hop)
+            if leg is None:
+                leg = legs[hop] = self.expand_overlay_hop(heads[at], heads[nxt])
+            path += leg
             at = nxt
-        if dst != head_dst:
+        if dst != heads[goal]:
             path.append(dst)
-        return _collapse_repeats(path)
+        return path
 
     def validate_path(self, path: List[Hashable]) -> None:
         """Assert the path is walkable: every hop is a graph edge, and —
@@ -237,10 +259,3 @@ def spanner_route(
     spanner = weakly_induced_subgraph(graph, result.dominators)
     return shortest_path(spanner, src, dst)
 
-
-def _collapse_repeats(path: List[Hashable]) -> List[Hashable]:
-    collapsed = [path[0]]
-    for node in path[1:]:
-        if node != collapsed[-1]:
-            collapsed.append(node)
-    return collapsed

@@ -42,7 +42,7 @@ import heapq
 from operator import length_hint
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.graphs.graph import Graph, canonical_order
+from repro.graphs.graph import Graph, canonical_order, numbered_by_id
 from repro.sim.config import SimConfig
 from repro.sim.engine import _DELIVER, _FAULT, NodeFactory, Simulator
 from repro.sim.latency import FixedLatency
@@ -78,15 +78,6 @@ def make_simulator(
         return Simulator(graph, node_factory, config, tracer=tracer, registry=registry)
     return BatchedSimulator(
         graph, node_factory, config, tracer=tracer, registry=registry
-    )
-
-
-def _numbered_by_id(nodes: Tuple[Hashable, ...]) -> bool:
-    """Whether ``nodes`` (a natural numbering's order) is exactly the
-    ints ``0..n-1``, so that every node's number is its id.  Bools and
-    other int subclasses do not count: their ids differ in type."""
-    return all(type(node) is int for node in nodes) and (
-        not nodes or (nodes[0] == 0 and nodes[-1] == len(nodes) - 1)
     )
 
 
@@ -142,7 +133,7 @@ class BatchedSimulator(Simulator):
             return
         nodes = numbering.nodes
         adj = numbering.adj
-        if _numbered_by_id(nodes):
+        if numbered_by_id(nodes):
             self._audience = dict(zip(nodes, adj))
             return
         self._audience = {

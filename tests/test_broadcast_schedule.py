@@ -8,14 +8,17 @@ heard nodes) and once in :func:`backbone_broadcast` (a fresh
 ``weakly_induced_subgraph`` per call).  Both loops live on here as
 oracles: the kernel must give exactly their forwarders, in the same
 order, and the same coverage on every graph — disconnected parts,
-partial or non-dominating backbones, sources of every role and mixed
-int/str ids (the ``repr`` fallback of ``canonical_order``) included.
+partial or non-dominating backbones, sources of every role, int ids
+that are exactly ``0..n-1`` or are not (offset, gapped, ``IntEnum``)
+and mixed int/str ids (the ``repr`` fallback of ``canonical_order``)
+included.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from enum import IntEnum
 from typing import FrozenSet, Hashable, Iterable, List, Tuple
 
 import pytest
@@ -119,13 +122,15 @@ def as_result(backbone: Iterable[Hashable]) -> WCDSResult:
 
 
 def assert_matches_oracles(graph: Graph, backbone: FrozenSet[Hashable]) -> None:
-    """Every source's schedule equals both oracles."""
+    """Every source's schedule equals both oracles, down to each
+    forwarder's type (an ``IntEnum`` id equals its plain int)."""
     index = SpannerIndex(graph, backbone)
     result = as_result(backbone)
     for source in canonical_order(graph.nodes()):
         forwarders, covered = index.schedule(source)
         plan = service_plan(graph, backbone, source)
         assert forwarders == plan["forwarders"]
+        assert list(map(type, forwarders)) == list(map(type, plan["forwarders"]))
         assert covered == plan["covered"]
         outcome, oracle_forwarders = subgraph_broadcast(graph, result, source)
         assert forwarders == oracle_forwarders
@@ -139,6 +144,25 @@ INT_IDS = list(range(18))
 #: 9 and 10 are in: their natural order (9, 10) and repr order (10, 9)
 #: differ, so per-node canonical order can disagree with the global one.
 MIXED_IDS = list(range(6, 15)) + ["a", "b", "c", "d", "e", "f", "g", "h"]
+
+Rank = IntEnum("Rank", [f"R{i}" for i in INT_IDS], start=0)
+
+
+def id_lists(ids):
+    return st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids), unique=True)
+
+
+#: Int id sets down both paths of a schedule's numbering: ids exactly
+#: ``0..n-1`` (a number is its id), with an offset or gaps, and
+#: ``IntEnum`` ids (numbers map back to ids of their own type).
+INT_ID_LISTS = st.one_of(
+    st.integers(1, len(INT_IDS)).map(lambda n: list(range(n))),
+    st.tuples(st.integers(1, len(INT_IDS)), st.integers(1, 40)).map(
+        lambda case: list(range(case[1], case[1] + case[0]))
+    ),
+    id_lists(INT_IDS),
+    id_lists(list(Rank)),
+)
 
 
 def greedy_mis(graph: Graph, rng: random.Random) -> FrozenSet[Hashable]:
@@ -154,9 +178,8 @@ def greedy_mis(graph: Graph, rng: random.Random) -> FrozenSet[Hashable]:
 
 
 @st.composite
-def instances(draw, ids=INT_IDS):
-    nodes = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids),
-                          unique=True))
+def instances(draw, node_lists=INT_ID_LISTS):
+    nodes = draw(node_lists)
     side = draw(st.floats(min_value=0.5, max_value=5.0))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     graph = build_udg(
@@ -187,7 +210,7 @@ class TestKernelAgainstOracles:
     def test_int_ids(self, case):
         assert_matches_oracles(*case)
 
-    @given(instances(MIXED_IDS))
+    @given(instances(id_lists(MIXED_IDS)))
     @settings(max_examples=300, deadline=None)
     def test_mixed_int_str_ids(self, case):
         assert_matches_oracles(*case)

@@ -161,8 +161,9 @@ def _former_csr(graph):
     return nodes, heads[order], tails[order]
 
 
-class _FormerSpannerIndex(SpannerIndex):
-    """Spanner schedules over the index's own numbering, as it stood."""
+class _FormerSpannerIndex:
+    """Spanner schedules over the index's own numbering and its
+    bytearray loop, as they stood."""
 
     def __init__(self, graph, backbone):
         members = set(backbone)
@@ -177,6 +178,27 @@ class _FormerSpannerIndex(SpannerIndex):
             else:
                 nbrs = nbrs & members
             self._links.append(tuple(map(self._index.get, canonical_order(nbrs))))
+
+    def schedule(self, source):
+        """The schedule loop as it stood over those fields."""
+        start = self._index[source]
+        links = self._links
+        nodes = self._nodes
+        forwards = bytearray(self._backbone)
+        forwards[start] = 1
+        heard = bytearray(len(links))
+        heard[start] = 1
+        queue = [start]
+        forwarders = []
+        for node in queue:
+            before = len(queue)
+            for nbr in links[node]:
+                if not heard[nbr]:
+                    heard[nbr] = 1
+                    queue.append(nbr)
+            if forwards[node] or len(queue) > before:
+                forwarders.append(nodes[node])
+        return forwarders, len(queue)
 
 
 def _former_bitset(graph):

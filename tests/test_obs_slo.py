@@ -102,6 +102,26 @@ class TestBurnRate:
         assert registry.value("slo_requests_total", slo="lat", good="true") == 1
         assert registry.value("slo_requests_total", slo="lat", good="false") == 1
 
+    def test_over_cap_children_count_every_drop(self):
+        # One labeled child per family: good="true" is registered, and
+        # every bad request is handed a detached child and counted as a
+        # drop, however often it repeats.
+        registry = MetricsRegistry(max_label_children=1)
+        monitor = SLOMonitor(
+            [SLO(name="lat", kind="latency", threshold=0.01, target=0.9)],
+            registry=registry,
+        )
+        for elapsed in (0.001, 0.5, 0.5, 0.001, 0.5):
+            monitor.record("route", elapsed)
+        assert registry.value("slo_requests_total", slo="lat", good="true") == 2
+        assert list(registry.children("slo_requests_total")) == [
+            (("good", "true"), ("slo", "lat"))
+        ]
+        dropped = registry.value(
+            MetricsRegistry.DROPPED_LABELS, family="slo_requests_total"
+        )
+        assert dropped == 3
+
 
 class TestServiceWiring:
     def _graph(self):

@@ -1,22 +1,102 @@
 """Edge-case tests for the clusterhead router internals."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph, build_udg, line_udg
 from repro.routing import ClusterheadRouter
-from repro.routing.clusterhead import _collapse_repeats
-from repro.wcds import WCDSResult, algorithm2_distributed
+from repro.wcds import WCDSResult, algorithm2_centralized, algorithm2_distributed
+
+from tutils import dense_connected_udg, seeds
 
 
-class TestCollapseRepeats:
-    def test_no_repeats(self):
-        assert _collapse_repeats([1, 2, 3]) == [1, 2, 3]
+def _former_walk(router, src, dst):
+    """``ClusterheadRouter.route`` before its walk was memoized, with
+    the collapse step split off: clusterheads and each overlay hop's
+    ``expand_overlay_hop`` leg looked up on every call."""
+    path = [src]
+    head_src = router.clusterhead_of(src)
+    head_dst = router.clusterhead_of(dst)
+    if head_src != src:
+        path.append(head_src)
+    heads = router._heads
+    next_head = router._next_head
+    n = len(heads)
+    at = router._head_index[head_src]
+    goal = router._head_index[head_dst]
+    while at != goal:
+        nxt = next_head[at * n + goal]
+        if nxt < 0:
+            raise RuntimeError(f"overlay disconnects {head_src!r} from {head_dst!r}")
+        path.extend(router.expand_overlay_hop(heads[at], heads[nxt]))
+        at = nxt
+    if dst != head_dst:
+        path.append(dst)
+    return path
 
-    def test_consecutive_repeats_collapsed(self):
-        assert _collapse_repeats([1, 1, 2, 2, 2, 3]) == [1, 2, 3]
 
-    def test_nonconsecutive_repeats_kept(self):
-        assert _collapse_repeats([1, 2, 1]) == [1, 2, 1]
+def _collapse_repeats(path):
+    collapsed = [path[0]]
+    for node in path[1:]:
+        if node != collapsed[-1]:
+            collapsed.append(node)
+    return collapsed
+
+
+def former_route(router, src, dst):
+    """The route as it stood: the direct cases, then the walk with
+    consecutive repeats collapsed."""
+    if src == dst:
+        return [src]
+    if router.graph.has_edge(src, dst):
+        return [src, dst]
+    return _collapse_repeats(_former_walk(router, src, dst))
+
+
+class TestMemoizedWalk:
+    """The memoized walk equals the walk it replaced on every pair,
+    fresh and from the memo, over both kinds of dominator lists; the
+    collapse step it dropped never removed a node."""
+
+    @given(seeds, st.integers(8, 60), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_route_equals_the_former_walk(self, seed, size, from_protocol):
+        graph = dense_connected_udg(size, seed)
+        build = algorithm2_distributed if from_protocol else algorithm2_centralized
+        result = build(graph)
+        assert ("node_state" in result.meta) == from_protocol
+        router = ClusterheadRouter(graph, result)
+        rng = random.Random(seed)
+        nodes = sorted(graph.nodes())
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(60)]
+        for _ in range(2):  # the second pass reads the memo
+            for src, dst in pairs:
+                path = router.route(src, dst)
+                assert path == former_route(router, src, dst)
+                assert all(a != b for a, b in zip(path, path[1:]))
+                if src != dst and not graph.has_edge(src, dst):
+                    walk = _former_walk(router, src, dst)
+                    assert _collapse_repeats(walk) == walk
+
+    def test_disconnected_overlay_error_repeats(self):
+        # A 13-radio chain whose middle radio left: the service's
+        # snapshot overlay has two parts.
+        from repro.service import BackboneService
+
+        service = BackboneService(line_udg(13))
+        service.leave(6)
+        service.refresh()
+        router = service._snapshot.router
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as raised:
+                router.route(0, 12)
+            with pytest.raises(RuntimeError) as former:
+                former_route(router, 0, 12)
+            assert str(raised.value) == str(former.value)
+        assert router.route(0, 5) == former_route(router, 0, 5)
 
 
 class TestExpandOverlayHop:

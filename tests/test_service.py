@@ -13,6 +13,7 @@ from repro.graphs import connected_random_udg
 from repro.graphs.traversal import is_connected
 from repro.mobility import RandomWaypointModel
 from repro.obs import Histogram
+from repro.obs.slo import SLO
 from repro.service import (
     BackboneService,
     Request,
@@ -973,23 +974,67 @@ class TestRequestPathBookkeeping:
         assert counters["route_cache_misses"] == 1 + 5
         assert counters["plan_cache_misses"] == 1 + 2
 
+    def test_warm_scored_queries_reuse_slo_handles(self, network, monkeypatch):
+        from repro.obs.registry import MetricsRegistry
+
+        slos = (
+            SLO(name="any", threshold=60.0, target=0.9),
+            SLO(name="routes", kind="availability", op="route", target=0.9),
+        )
+        service = BackboneService(network, ServiceConfig(slos=slos))
+        nodes = sorted(network.nodes())
+        # Good and bad (unknown-node errors) requests of both objectives;
+        # the warm-up also fills the route cache.
+        queries = [
+            Request(op="backbone"),
+            Request(op="route", src=nodes[0], dst=nodes[-1]),
+            Request(op="dominator", node="nowhere"),
+            Request(op="route", src=nodes[0], dst="nowhere"),
+        ]
+        for request in queries + queries:
+            service.submit(request)
+
+        calls = {"child": 0}
+        child = MetricsRegistry._child
+
+        def counted_child(self, *args):
+            calls["child"] += 1
+            return child(self, *args)
+
+        monkeypatch.setattr(MetricsRegistry, "_child", counted_child)
+        for _ in range(3):
+            for request in queries:
+                service.submit(request)
+        assert calls == {"child": 0}
+        scored = service.metrics.registry.children("slo_requests_total")
+        assert {
+            (dict(key)["slo"], dict(key)["good"]): counter.value
+            for key, counter in scored.items()
+        } == {
+            ("any", "true"): 10.0, ("any", "false"): 10.0,
+            ("routes", "true"): 5.0, ("routes", "false"): 5.0,
+        }
+
 
 # ----------------------------------------------------------------------
 # Recorded counters
 # ----------------------------------------------------------------------
-def _recorded_stream(network):
+def _recorded_stream(network, slos=()):
     """A fixed, seeded stream through every ``submit`` branch: queued
     queries under churn and a deadline (rejections, stale serves,
     deadline misses, notes and re-constructions), unknown nodes, a
     refused ``churn``, updates, and a partition.  The clock ticks a
-    fixed step per read, so every freshness decision repeats."""
+    fixed step per read, so every freshness decision repeats; ``slos``
+    score every request."""
     from itertools import count
 
     from repro.faults import Crash, Partition
 
     ticks = count()
     service = BackboneService(
-        network, ServiceConfig(queue_capacity=8), clock=lambda: next(ticks) * 1e-4
+        network,
+        ServiceConfig(queue_capacity=8, slos=slos),
+        clock=lambda: next(ticks) * 1e-4,
     )
     mobility = RandomWaypointModel(network, 5.0, speed_range=(0.005, 0.02), seed=2)
     generator = WorkloadGenerator(
@@ -1052,6 +1097,20 @@ class TestRecordedStream:
         "router_build": {7: 6},
     }
 
+    #: ``slo_requests_total`` by (slo, good) when :data:`SCORED_SLOS`
+    #: score the stream, recorded before the SLO monitor bound its
+    #: handles.
+    SLO_COUNTS = {
+        ("fast", "true"): 403.0, ("fast", "false"): 9.0,
+        ("routes", "true"): 259.0, ("routes", "false"): 3.0,
+    }
+    #: A latency bound the tick clock splits, and an availability
+    #: objective on routes only.
+    SCORED_SLOS = (
+        SLO(name="fast", threshold=2.5e-4, target=0.9),
+        SLO(name="routes", kind="availability", op="route", target=0.99),
+    )
+
     def test_counters_and_latency_counts(self, network):
         metrics = _recorded_stream(network).metrics
         assert dict(metrics.counters.items()) == self.COUNTERS
@@ -1073,3 +1132,12 @@ class TestRecordedStream:
         assert {
             dict(key)["phase"]: filled(histogram) for key, histogram in phases.items()
         } == self.PHASE_BUCKETS
+
+    def test_scored_counters(self, network):
+        metrics = _recorded_stream(network, self.SCORED_SLOS).metrics
+        assert dict(metrics.counters.items()) == self.COUNTERS
+        scored = metrics.registry.children("slo_requests_total")
+        assert {
+            (dict(key)["slo"], dict(key)["good"]): counter.value
+            for key, counter in scored.items()
+        } == self.SLO_COUNTS
